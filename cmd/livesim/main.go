@@ -47,7 +47,6 @@ func main() {
 	preset := flag.String("preset", "high", "trace preset: low, high, low-spike")
 	seed := flag.Uint64("seed", 1, "trace and run seed")
 	policy := flag.String("policy", "adaptive", "policy: periodic, markov-daly, edge, threshold, adaptive")
-	batched := flag.Bool("batched", true, "price adaptive evaluations with the columnar batched engine (false: per-permutation oracle replays; runs are bit-identical either way)")
 	bid := flag.Float64("bid", 0.81, "bid price for non-adaptive policies")
 	n := flag.Int("n", 3, "redundancy degree for non-adaptive policies")
 	workHours := flag.Float64("work", 20, "computation time C in hours")
@@ -98,7 +97,7 @@ func main() {
 		run = fetched
 	}
 
-	strat, adaptive, err := buildStrategy(*policy, *bid, *n, run.NumZones(), tracer, *batched)
+	strat, adaptive, err := buildStrategy(*policy, *bid, *n, run.NumZones(), tracer)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -252,10 +251,10 @@ func buildSet(preset string, seed uint64) (*trace.Set, error) {
 
 // buildStrategy resolves the policy flag; for "adaptive" it also
 // returns the strategy instance so callers can attach a decision sink.
-func buildStrategy(policy string, bid float64, n, zones int, tracer *obs.Tracer, batched bool) (sim.Strategy, *core.Adaptive, error) {
+func buildStrategy(policy string, bid float64, n, zones int, tracer *obs.Tracer) (sim.Strategy, *core.Adaptive, error) {
 	if policy == "adaptive" {
 		a := core.NewAdaptive()
-		a.Eval = &core.Evaluator{Trace: tracer, DisableBatch: !batched}
+		a.Eval = &core.Evaluator{Trace: tracer}
 		return a, a, nil
 	}
 	if n < 1 || n > zones {

@@ -35,7 +35,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "suite seed (traces and run streams)")
 	windows := flag.Int("windows", experiment.DefaultWindows, "experiment windows per regime (paper: 80)")
 	workers := flag.Int("workers", 0, "worker pool size for suite runs (0 = all cores); output is identical at any setting")
-	batched := flag.Bool("batched", true, "price adaptive evaluations with the columnar batched engine (false: per-permutation oracle replays); figures are byte-identical either way")
 	csvDir := flag.String("csv", "", "also write per-figure boxplot CSVs into this directory")
 	svgDir := flag.String("svg", "", "also write per-figure SVG boxplot panels into this directory")
 	tcFlag := flag.Int64("tc", 300, "checkpoint cost for fig4 (the paper plots 300 s and tabulates 900 s)")
@@ -51,7 +50,6 @@ func main() {
 
 	s := experiment.NewQuickSuite(*seed, *windows)
 	s.Workers = *workers
-	s.OracleEval = !*batched
 	r := runner{s: s, csvDir: *csvDir, svgDir: *svgDir, tc: *tcFlag}
 	for _, dir := range []string{r.csvDir, r.svgDir} {
 		if dir != "" {

@@ -63,7 +63,6 @@ func main() {
 	preset := flag.String("preset", "high", "synthetic trace preset: low, high, low-spike, year")
 	seed := flag.Uint64("seed", 1, "synthetic generator seed")
 	workers := flag.Int("workers", 0, "evaluation workers per request (0: GOMAXPROCS)")
-	batched := flag.Bool("batched", true, "price plan evaluations with the columnar batched engine (false: per-permutation oracle replays; plans are bit-identical either way)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent evaluations admitted (0: 2×GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 1024, "plan cache entries")
 	breakerFails := flag.Int("breaker-failures", quote.DefaultBreakerThreshold, "consecutive history failures that open the circuit breaker")
@@ -131,7 +130,7 @@ func main() {
 
 	svc := &quote.Service{
 		Source:    source,
-		Eval:      &core.Evaluator{Workers: *workers, Trace: tracer, DisableBatch: !*batched},
+		Eval:      &core.Evaluator{Workers: *workers, Trace: tracer},
 		Gate:      pool.NewGate(*maxInflight),
 		CacheSize: *cacheSize,
 		Metrics:   metrics,

@@ -32,7 +32,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "suite seed")
 	windows := flag.Int("windows", 20, "experiment windows")
 	policies := flag.String("policies", "periodic,markov-daly,edge,threshold", "comma-separated policies; \"adaptive\" runs the full Adaptive scheme (its bid/n columns echo the grid point but do not constrain it)")
-	batched := flag.Bool("batched", true, "price adaptive evaluations with the columnar batched engine (false: per-permutation oracle replays; rows are bit-identical either way)")
 	bids := flag.String("bids", "0.27,0.81,2.40", "comma-separated bid prices")
 	ns := flag.String("ns", "1,3", "comma-separated redundancy degrees")
 	slack := flag.Float64("slack", 0.15, "slack fraction")
@@ -103,9 +102,7 @@ func main() {
 		}
 		var strat sim.Strategy
 		if j.kind == "adaptive" {
-			a := core.NewAdaptive()
-			a.Eval = &core.Evaluator{DisableBatch: !*batched}
-			strat = a
+			strat = core.NewAdaptive()
 		} else {
 			strat = core.NewStatic(j.kind, sim.RunSpec{Bid: j.bid, Zones: zones, Policy: experiment.NewPolicy(j.kind)})
 		}

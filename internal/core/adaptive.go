@@ -94,7 +94,7 @@ type Adaptive struct {
 	// candidate grid, the measurement specs handed to the evaluator, and
 	// the measurement policy instances (safe to reuse because the engine
 	// resets policy state at replay start and the evaluator does not
-	// retain them; each decision reattaches its own predictor cache).
+	// retain them).
 	candBuf []candidate
 	specBuf []sim.RunSpec
 	polBuf  []policySlot
@@ -358,11 +358,9 @@ func (a *Adaptive) analyticCandidates(env *sim.Env, ordered []int, cr, tr, migra
 }
 
 // replayCandidates scores the full B × N × policy permutation grid by
-// engine replay: the candidate grid is laid out in deterministic order,
-// the evaluator measures every permutation in parallel on pooled
-// machines, and Markov-Daly candidates share one predictor cache so
-// identical chains are fitted once instead of once per permutation.
-func (a *Adaptive) replayCandidates(env *sim.Env, hist *trace.Set, ordered []int, cr, tr, migration int64, cache *PredictorCache) []candidate {
+// engine replay: the candidate grid is laid out in deterministic order
+// and the evaluator prices every permutation in one sweep.
+func (a *Adaptive) replayCandidates(env *sim.Env, hist *trace.Set, ordered []int, cr, tr, migration int64) []candidate {
 	cands := a.candBuf[:0]
 	specs := a.specBuf[:0]
 	np := 0
@@ -386,9 +384,8 @@ func (a *Adaptive) replayCandidates(env *sim.Env, hist *trace.Set, ordered []int
 					if a.polBuf[np].kind != fac.Kind {
 						a.polBuf[np] = policySlot{kind: fac.Kind, pol: fac.New()}
 					}
-					pol := withSharedCache(a.polBuf[np].pol, cache)
+					specs = append(specs, sim.RunSpec{Bid: bid, Zones: zones, Policy: a.polBuf[np].pol})
 					np++
-					specs = append(specs, sim.RunSpec{Bid: bid, Zones: zones, Policy: pol})
 				}
 			}
 		}
@@ -406,16 +403,6 @@ func (a *Adaptive) replayCandidates(env *sim.Env, hist *trace.Set, ordered []int
 		cands[i].cost = predictCost(ests[i], cr, tr, migration)
 	}
 	return cands
-}
-
-// withSharedCache attaches the decision point's predictor cache to
-// policies that can use one (estimation-replay instances only; the
-// spec instances a switch would install stay cache-free).
-func withSharedCache(p sim.CheckpointPolicy, cache *PredictorCache) sim.CheckpointPolicy {
-	if md, ok := p.(*MarkovDaly); ok && cache != nil {
-		return md.withCache(cache)
-	}
-	return p
 }
 
 // pick evaluates every permutation and returns the least-predicted-cost
@@ -498,13 +485,12 @@ func (a *Adaptive) pickSpec(env *sim.Env) (sim.RunSpec, []candidate, float64) {
 	cr := env.RemainingWork()
 	tr := env.RemainingTime()
 	migration := env.CheckpointCost() + env.RestartCost() + env.Step
-	cache := NewPredictorCache()
 
 	var cands []candidate
 	if a.Analytic {
 		cands = a.analyticCandidates(env, ordered, cr, tr, migration)
 	} else {
-		cands = a.replayCandidates(env, hist, ordered, cr, tr, migration, cache)
+		cands = a.replayCandidates(env, hist, ordered, cr, tr, migration)
 	}
 	var best *candidate
 	minCost := math.Inf(1)
@@ -538,7 +524,7 @@ func (a *Adaptive) pickSpec(env *sim.Env) (sim.RunSpec, []candidate, float64) {
 	// Keep the current configuration when it predicts within a hair of
 	// the best, avoiding churn from estimation noise.
 	if len(a.chosen.Zones) > 0 && !best.spec.Equal(a.chosen) {
-		cur := a.evalSpec(env, hist, a.chosen, cr, tr, migration, cache)
+		cur := a.evalSpec(env, hist, a.chosen, cr, tr, migration)
 		if cur <= best.cost*(1+a.churn()) {
 			return a.chosen, cands, cur
 		}
@@ -562,13 +548,12 @@ func (a *Adaptive) policyFor(kind string) sim.CheckpointPolicy {
 }
 
 // evalSpec predicts the remaining cost of an existing spec (re-using
-// its policy kind with a fresh instance, sharing the decision point's
-// predictor cache).
-func (a *Adaptive) evalSpec(env *sim.Env, hist *trace.Set, spec sim.RunSpec, cr, tr, migration int64, cache *PredictorCache) float64 {
+// its policy kind with a fresh instance).
+func (a *Adaptive) evalSpec(env *sim.Env, hist *trace.Set, spec sim.RunSpec, cr, tr, migration int64) float64 {
 	if hist == nil {
 		return math.Inf(1)
 	}
-	fresh := sim.RunSpec{Bid: spec.Bid, Zones: spec.Zones, Policy: withSharedCache(clonePolicy(spec.Policy), cache)}
+	fresh := sim.RunSpec{Bid: spec.Bid, Zones: spec.Zones, Policy: clonePolicy(spec.Policy)}
 	est := a.evaluator().measureOne(hist, fresh, env.CheckpointCost(), env.RestartCost())
 	return predictCost(est, cr, tr, migration)
 }

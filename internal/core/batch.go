@@ -14,8 +14,8 @@ import (
 // replays every sibling (bid, zone set, policy) permutation of one
 // decision point over the same price window. The machine oracle prices
 // them one at a time — a full sim.Machine per permutation, with meters,
-// interfaces and per-step allocations — and refits the same prediction
-// models through a mutex-guarded shared cache. The batched engine in
+// interfaces and per-step allocations — and each Markov-Daly instance
+// fits its own prediction models. The batched engine in
 // this file prices all of them against one shared trace.Columns view,
 // one shared per-(zone, bid) availability index, and batch-local memo
 // tables for the Markov fits, expected-uptime solves and Daly
@@ -24,8 +24,8 @@ import (
 // Markov-Daly policies) instruction for instruction so that every
 // float64 is accumulated in the same order and the results are
 // bit-identical. The oracle stays authoritative: Evaluator.Measure
-// still runs it, differential and fuzz tests hold the two paths equal,
-// and Evaluator.DisableBatch routes everything back.
+// still runs it, and differential and fuzz tests (which route sweeps
+// back through it with Evaluator.DisableBatch) hold the two paths equal.
 //
 // The replayed semantics are exactly those reachable from
 // estimationCfg + core.NewStatic: billing advances per Up zone in zone
@@ -40,17 +40,10 @@ import (
 // fitted chain is a pure function of (zone, fit time, span, quantum)
 // over a fixed window, an expected uptime of the chain plus (bid,
 // current price), and a Daly interval of those plus the checkpoint
-// cost and zone set — so replacing the oracle's shared PredictorCache
-// protocol with batch-local tables indexed by window step returns the
-// same bits regardless of which permutation populates an entry first.
-// The one place the oracle's caching is NOT pure is its interval key,
-// which omits the history span and quantum: Markov-Daly policies with
-// different parameters sharing one cache instance can collide there.
-// The batch refuses that configuration instead of reproducing it —
-// addPerm routes a permutation to the oracle fallback when its shared
-// cache was already claimed by a different (span, quantum) profile in
-// the same sweep. The batch never writes into the shared cache; a
-// later oracle-path miss recomputes the same pure values.
+// cost and zone set — so sharing them across permutations through
+// batch-local tables indexed by window step returns the same bits the
+// oracle's per-instance fits do, regardless of which permutation
+// populates an entry first.
 
 // estimationHorizon mirrors estimationCfg's effectively-unbounded work
 // and deadline (1 << 40 seconds).
@@ -92,11 +85,11 @@ type chainMemoKey struct {
 
 // chainMemo memoizes one zone's fitted chains by window step index. A
 // nil model with done set records an unfittable history, mirroring the
-// oracle's cached nil. While the policy's history span covers the whole
-// window — the common case — every fit history is a prefix of the
-// zone's (quantized) column, and the memo's PrefixFitter fits those
-// without per-fit sorting; shorter spans fall back to the windowed
-// Fitter.
+// oracle's nil fitZone result. While the policy's history span covers
+// the whole window — the common case — every fit history is a prefix
+// of the zone's (quantized) column, and the memo's PrefixFitter fits
+// those without per-fit sorting; shorter spans fall back to the
+// windowed Fitter.
 type chainMemo struct {
 	models []*markov.Model
 	done   []bool
@@ -222,14 +215,6 @@ type batchPerm struct {
 	ckSnap   int64
 }
 
-// cacheProfile is the Markov-Daly parameter profile claimed by a shared
-// PredictorCache instance within one sweep (see the interval-key
-// collision note in the package comment).
-type cacheProfile struct {
-	span    int64
-	quantum float64
-}
-
 // batchState is the reusable scratch of one batched sweep: the columnar
 // view, the availability index, the flat permutation arrays and the
 // memo tables. An Evaluator pools these, so the steady state of
@@ -251,8 +236,6 @@ type batchState struct {
 	// parallel key/value slices beats hashing float-bearing keys.
 	chainKeys []chainMemoKey
 	chains    []*chainMemo
-	cacheRefs []*PredictorCache
-	cacheProf []cacheProfile
 
 	freeChains []*chainMemo
 	freeIvals  []*memoCol
@@ -288,11 +271,6 @@ func (b *batchState) reset(hist *trace.Set, tc, tr int64) {
 		}
 		b.chainKeys = b.chainKeys[:0]
 		b.chains = b.chains[:0]
-		for i := range b.cacheRefs {
-			b.cacheRefs[i] = nil // release the decision point's caches
-		}
-		b.cacheRefs = b.cacheRefs[:0]
-		b.cacheProf = b.cacheProf[:0]
 		for i := range b.perms {
 			if iv := b.perms[i].ivals; iv != nil {
 				b.freeIvals = append(b.freeIvals, iv)
@@ -371,9 +349,8 @@ func (b *batchState) takeModel() *markov.Model {
 // addPerm builds the flattened replay state for one spec, reporting
 // whether the batched engine supports it. Unsupported specs — foreign
 // policy types, empty zone sets, specs sim.checkSpec would reject (the
-// oracle turns those errors into zero estimates), and Markov-Daly
-// policies whose shared cache is already claimed by a different
-// parameter profile — take the per-spec oracle path instead.
+// oracle turns those errors into zero estimates) — take the per-spec
+// oracle path instead.
 func (b *batchState) addPerm(out int, spec sim.RunSpec) bool {
 	var pol batchPolicy
 	switch p := spec.Policy.(type) {
@@ -387,23 +364,6 @@ func (b *batchState) addPerm(out int, spec sim.RunSpec) bool {
 		}
 		pol.quantum = p.Quantum
 		pol.higher = p.HigherOrder
-		if p.cache != nil {
-			prof := cacheProfile{span: pol.span, quantum: pol.quantum}
-			claimed := false
-			for i, c := range b.cacheRefs {
-				if c == p.cache {
-					if b.cacheProf[i] != prof {
-						return false
-					}
-					claimed = true
-					break
-				}
-			}
-			if !claimed {
-				b.cacheRefs = append(b.cacheRefs, p.cache)
-				b.cacheProf = append(b.cacheProf, prof)
-			}
-		}
 	default:
 		return false
 	}

@@ -11,17 +11,27 @@ import (
 	"repro/internal/tracegen"
 )
 
+// regimeTrace generates the named paper trace regime.
+func regimeTrace(regime string, seed uint64) *trace.Set {
+	switch regime {
+	case "low":
+		return tracegen.LowVolatility(seed)
+	case "high":
+		return tracegen.HighVolatility(seed)
+	case "megaspike":
+		return tracegen.LowVolatilityWithMegaSpike(seed)
+	case "moderate":
+		return tracegen.MustGenerate(tracegen.ModerateVolatilityConfig(seed, 7*24*12))
+	}
+	panic("unknown regime " + regime)
+}
+
 // paperRegimes lists history windows cut from every trace regime the
 // paper experiments run on, at several decision times each.
 func paperRegimes() map[string]*trace.Set {
 	out := map[string]*trace.Set{}
-	sets := map[string]*trace.Set{
-		"low":       tracegen.LowVolatility(17),
-		"high":      tracegen.HighVolatility(17),
-		"megaspike": tracegen.LowVolatilityWithMegaSpike(17),
-		"moderate":  tracegen.MustGenerate(tracegen.ModerateVolatilityConfig(17, 7*24*12)),
-	}
-	for name, set := range sets {
+	for _, name := range []string{"low", "high", "megaspike", "moderate"} {
+		set := regimeTrace(name, 17)
 		for _, day := range []int64{1, 3, 5} {
 			at := set.Start() + day*24*trace.Hour
 			out[fmt.Sprintf("%s/day%d", name, day)] = set.Slice(at-12*trace.Hour, at)
@@ -30,25 +40,101 @@ func paperRegimes() map[string]*trace.Set {
 	return out
 }
 
-// TestBatchedMatchesOracleOnPaperTraces is the tentpole's differential
-// contract: over every paper trace regime, the batched engine's
-// estimates are bit-identical to per-permutation oracle replays — same
-// floats, not just close ones.
+// twoProfiles lists the default Markov-Daly profile beside a variant,
+// named kind, that differs in the model parameters vary sets.
+func twoProfiles(kind string, vary func(*MarkovDaly)) []PolicyFactory {
+	return []PolicyFactory{
+		{Kind: "markov-daly", New: func() sim.CheckpointPolicy { return NewMarkovDaly() }},
+		{Kind: kind, New: func() sim.CheckpointPolicy {
+			m := NewMarkovDaly()
+			vary(m)
+			return m
+		}},
+	}
+}
+
+// quantumProfiles and spanProfiles are the two-profile candidate lists:
+// the variant differs only in its price quantum, or only in its history
+// span.
+func quantumProfiles() []PolicyFactory {
+	return twoProfiles("markov-daly-q10", func(m *MarkovDaly) { m.Quantum = 0.1 })
+}
+
+func spanProfiles() []PolicyFactory {
+	return twoProfiles("markov-daly-6h", func(m *MarkovDaly) { m.HistorySpan = 6 * trace.Hour })
+}
+
+// candidateSet resolves a differential-table candidate-set name.
+func candidateSet(name string) []PolicyFactory {
+	switch name {
+	case "periodic":
+		return DefaultAdaptiveCandidates()[:1]
+	case "default":
+		return DefaultAdaptiveCandidates()
+	case "two-profile":
+		// Both profiles under one policy name: nothing keyed by name
+		// alone may tell them apart.
+		return twoProfiles("markov-daly", func(m *MarkovDaly) { m.Quantum = 0.1 })
+	}
+	panic("unknown candidate set " + name)
+}
+
+// TestBatchedMatchesOracleOnPaperTraces is the engines' differential
+// table. For every paper regime × seed × candidate set, three legs must
+// be bit-identical to the per-permutation sim.Machine oracle — same
+// floats, not just close ones:
+//   - sweep: batched MeasureAll over the candidates' permutation grid;
+//   - stream: a StreamEvaluator fed the 12-hour window tick by tick,
+//     without falling back, against oracle Rank over every sixth
+//     prefix (the profile-isolation test checks every tick);
+//   - adaptive: a full Adaptive run (decisions, churn damping, live
+//     replay) priced by each engine.
 func TestBatchedMatchesOracleOnPaperTraces(t *testing.T) {
 	oracle := &Evaluator{Workers: 1, DisableBatch: true}
 	batched := &Evaluator{Workers: 1}
-	for name, hist := range paperRegimes() {
-		want := oracle.MeasureAll(hist, permutationSpecs(NewPredictorCache()), 300, 300)
-		got := batched.MeasureAll(hist, permutationSpecs(NewPredictorCache()), 300, 300)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: batched estimates diverge from the oracle\noracle  %v\nbatched %v", name, want, got)
+	for _, regime := range []string{"low", "high", "megaspike", "moderate"} {
+		for _, seed := range []uint64{17, 41} {
+			set := regimeTrace(regime, seed)
+			at := set.Start() + 3*24*trace.Hour
+			hist := set.Slice(at-12*trace.Hour, at)
+			runHist, run := window(set, 3, 2)
+			for _, candName := range []string{"periodic", "default", "two-profile"} {
+				t.Run(fmt.Sprintf("%s/seed%d/%s", regime, seed, candName), func(t *testing.T) {
+					cands := candidateSet(candName)
+					want := oracle.MeasureAll(hist, permutationSpecs(cands), 300, 300)
+					got := batched.MeasureAll(hist, permutationSpecs(cands), 300, 300)
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("sweep: batched estimates diverge from the oracle\noracle  %v\nbatched %v", want, got)
+					}
+
+					streamMatchesOracle(t, hist, cands, 6)
+
+					cfg := testConfig(runHist, run, 300)
+					results := make([]*sim.Result, 2)
+					for i, disable := range []bool{false, true} {
+						a := NewAdaptive()
+						a.Candidates = cands
+						a.Eval = &Evaluator{Workers: 4, DisableBatch: disable}
+						res, err := sim.Run(cfg, a)
+						if err != nil {
+							t.Fatalf("adaptive disable=%v: %v", disable, err)
+						}
+						results[i] = res
+					}
+					if !reflect.DeepEqual(results[0], results[1]) {
+						t.Fatalf("adaptive: run diverges between batched and oracle evaluation:\nbatched %+v\noracle  %+v",
+							results[0], results[1])
+					}
+				})
+			}
 		}
 	}
 }
 
 // TestAdaptiveBatchedMatchesOracleEndToEnd runs the full Adaptive
 // scheme — decisions, churn damping, live replay — with the batched and
-// the oracle evaluator and requires identical results.
+// the oracle evaluator over a five-day high-volatility history and
+// requires identical results.
 func TestAdaptiveBatchedMatchesOracleEndToEnd(t *testing.T) {
 	for _, seed := range []uint64{23, 41} {
 		hist, run := window(tracegen.HighVolatility(seed), 5, 2)
@@ -77,29 +163,34 @@ type fuzzPerm struct {
 	bid   float64
 	zones []int
 	kind  int // 0 Periodic, 1 Markov-Daly, 2 Markov-Daly (Young)
+
+	// Markov-Daly profile: price quantum and history span (0 selects
+	// the default span).
+	quantum float64
+	span    int64
 }
 
-func (pp fuzzPerm) spec(cache *PredictorCache) sim.RunSpec {
+func (pp fuzzPerm) spec() sim.RunSpec {
 	var pol sim.CheckpointPolicy
-	switch pp.kind {
-	case 0:
+	if pp.kind == 0 {
 		pol = NewPeriodic()
-	case 1:
-		pol = withSharedCache(NewMarkovDaly(), cache)
-	default:
+	} else {
 		md := NewMarkovDaly()
-		md.HigherOrder = false
-		pol = withSharedCache(md, cache)
+		md.HigherOrder = pp.kind == 1
+		md.Quantum = pp.quantum
+		md.HistorySpan = pp.span
+		pol = md
 	}
 	zones := append([]int(nil), pp.zones...)
 	return sim.RunSpec{Bid: pp.bid, Zones: zones, Policy: pol}
 }
 
 // FuzzBatchedMeasure drives random traces, bid grids, zone subsets
-// (sorted and not, occasionally invalid), overheads and policy mixes
-// through the batched engine and the machine oracle, requiring
-// bit-identical estimates. scripts/check.sh runs it alongside the other
-// fuzz targets.
+// (sorted and not, occasionally invalid), overheads and policy mixes —
+// each Markov-Daly permutation drawing its own quantum and history
+// span, so one sweep mixes profiles — through the batched engine and
+// the machine oracle, requiring bit-identical estimates.
+// scripts/check.sh runs it alongside the other fuzz targets.
 func FuzzBatchedMeasure(f *testing.F) {
 	for i := uint64(0); i < 8; i++ {
 		f.Add(i, i*2654435761)
@@ -121,6 +212,8 @@ func FuzzBatchedMeasure(f *testing.F) {
 		tc := int64(1+rng.Intn(4)) * 150
 		tr := int64(1+rng.Intn(4)) * 150
 
+		quanta := []float64{0.05, 0.1, 0}
+		spans := []int64{0, 6 * trace.Hour}
 		perms := make([]fuzzPerm, 1+rng.Intn(8))
 		for i := range perms {
 			order := rng.Perm(nz)
@@ -132,18 +225,14 @@ func FuzzBatchedMeasure(f *testing.F) {
 			if rng.Intn(16) == 0 {
 				bid = -bid // invalid: oracle fallback on both paths
 			}
-			perms[i] = fuzzPerm{bid: bid, zones: zones, kind: rng.Intn(3)}
+			perms[i] = fuzzPerm{bid: bid, zones: zones, kind: rng.Intn(3),
+				quantum: quanta[rng.Intn(len(quanta))], span: spans[rng.Intn(len(spans))]}
 		}
-		shared := rng.Intn(2) == 0
 
 		build := func() []sim.RunSpec {
-			var cache *PredictorCache
-			if shared {
-				cache = NewPredictorCache()
-			}
 			specs := make([]sim.RunSpec, len(perms))
 			for i, pp := range perms {
-				specs[i] = pp.spec(cache)
+				specs[i] = pp.spec()
 			}
 			return specs
 		}
@@ -182,7 +271,7 @@ func batchPass(t testing.TB, b *batchState, hist *trace.Set, specs []sim.RunSpec
 // decision point's working set, a full batched sweep allocates nothing.
 func TestBatchPassSteadyStateZeroAlloc(t *testing.T) {
 	hist := estimationHistory(31)
-	specs := permutationSpecs(NewPredictorCache())
+	specs := permutationSpecs(nil)
 	b := &batchState{}
 	out := make([]estimate, len(specs))
 	// Grow buffers to steady state. Recycled models circulate LIFO
@@ -214,7 +303,7 @@ func BenchmarkBidIndexBuild(b *testing.B) {
 // standard permutation grid over a 12-hour window.
 func BenchmarkBatchPass(b *testing.B) {
 	hist := estimationHistory(31)
-	specs := permutationSpecs(NewPredictorCache())
+	specs := permutationSpecs(nil)
 	st := &batchState{}
 	out := make([]estimate, len(specs))
 	batchPass(b, st, hist, specs, out)
@@ -240,7 +329,7 @@ func BenchmarkMeasureAllOracle(b *testing.B) {
 func benchmarkMeasureAll(b *testing.B, disable bool) {
 	hist := estimationHistory(31)
 	ev := &Evaluator{DisableBatch: disable}
-	specs := permutationSpecs(NewPredictorCache())
+	specs := permutationSpecs(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

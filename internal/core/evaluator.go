@@ -29,11 +29,11 @@ type Evaluator struct {
 	// disables tracing at zero cost.
 	Trace *obs.Tracer
 	// DisableBatch routes every estimation replay through the
-	// per-permutation machine oracle instead of the columnar batched
-	// engine (batch.go). The two paths are bit-identical — the batched
-	// engine is differentially tested and fuzzed against the oracle —
-	// so this is an escape hatch for debugging and for the paired
-	// oracle-vs-batched benchmarks, not a semantic switch.
+	// per-permutation sim.Machine oracle instead of the columnar batched
+	// engine (batch.go). It is the reference hook for the differential
+	// tests, fuzzers and paired oracle-vs-batched benchmarks that hold
+	// the two engines bit-identical; production entry points leave it
+	// false.
 	DisableBatch bool
 	// Sink, when non-nil, receives one DecisionPoint per Rank call
 	// (trigger "rank", Seq -1 so the sink assigns the sequence) carrying
@@ -107,13 +107,12 @@ func (ev *Evaluator) Measure(hist *trace.Set, spec sim.RunSpec, tc, tr int64) es
 
 // MeasureAll replays every permutation over the history window across
 // the worker pool and returns their estimates in input order. Each spec
-// must carry its own policy instance (policies hold run state); policy
-// instances may share a thread-safe PredictorCache. Unless DisableBatch
-// is set the sibling permutations are priced by the columnar batched
-// engine, with unsupported specs falling back to per-spec oracle
-// replays; either way the results are bit-identical to Measure. The
-// batched path leaves the spec's policy instances untouched (the oracle
-// mutates their run state during the replay; nothing reads it after).
+// must carry its own policy instance (policies hold run state). The
+// sibling permutations are priced by the columnar batched engine, with
+// unsupported specs (and every spec, under DisableBatch) taking per-spec
+// oracle replays; either way the results are bit-identical to Measure. The batched path leaves the
+// spec's policy instances untouched (the oracle mutates their run state
+// during the replay; nothing reads it after).
 func (ev *Evaluator) MeasureAll(hist *trace.Set, specs []sim.RunSpec, tc, tr int64) []estimate {
 	batched := ev.batchUsable(hist)
 	sweep := ev.Trace.Start("eval.sweep")
@@ -249,50 +248,8 @@ func (ev *Evaluator) AnalyzeZones(env *sim.Env, bids []float64, span int64, quan
 	return out
 }
 
-// PredictorCache memoizes the prediction models the Adaptive scheme's
-// Markov-Daly candidates build during estimation replays: fitted price
-// chains per (zone, time) and Daly checkpoint intervals per (time, bid,
-// zone set). Every permutation of one decision point replays the same
-// history window, so without the cache each of them refits identical
-// chains at identical replay times. The cache is safe for concurrent
-// use; scope one cache to a single decision point (entries are keyed by
-// absolute time, so stale entries are never returned, only unused).
-type PredictorCache struct {
-	mu        sync.Mutex
-	chains    map[chainKey]*markov.Model
-	intervals map[intervalKey]float64
-}
-
-// NewPredictorCache returns an empty cache.
-func NewPredictorCache() *PredictorCache {
-	return &PredictorCache{
-		chains:    make(map[chainKey]*markov.Model),
-		intervals: make(map[intervalKey]float64),
-	}
-}
-
-// chainKey identifies one fitted chain: everything markov.Fit's input
-// depends on inside an estimation replay over a fixed trace.
-type chainKey struct {
-	zone    int
-	now     int64
-	span    int64
-	quantum float64
-}
-
-// intervalKey identifies one Daly interval: everything the Markov-Daly
-// schedule computation depends on inside a replay over a fixed trace.
-type intervalKey struct {
-	now    int64
-	bid    float64
-	tc     int64
-	higher bool
-	zones  uint64 // packed zone indices
-}
-
-// packZones encodes up to eight zone indices (< 256 each) into one key
-// word; zone sets beyond that fall back to an unpacked sentinel that
-// simply disables interval caching.
+// packZones encodes up to eight zone indices (< 255 each) into one key
+// word; it reports false for zone sets it cannot pack.
 func packZones(zones []int) (uint64, bool) {
 	if len(zones) > 8 {
 		return 0, false
@@ -305,42 +262,4 @@ func packZones(zones []int) (uint64, bool) {
 		key |= uint64(zi+1) << (8 * i)
 	}
 	return key, true
-}
-
-// chain returns the cached fitted model for the key, fitting and
-// storing it on first use via fit. A fit failure is cached as nil.
-func (c *PredictorCache) chain(key chainKey, fit func() *markov.Model) *markov.Model {
-	c.mu.Lock()
-	m, ok := c.chains[key]
-	c.mu.Unlock()
-	if ok {
-		return m
-	}
-	// Fit outside the lock: fits are deterministic, so concurrent
-	// duplicate work is harmless and the winner is value-identical.
-	m = fit()
-	c.mu.Lock()
-	if prev, ok := c.chains[key]; ok {
-		m = prev
-	} else {
-		c.chains[key] = m
-	}
-	c.mu.Unlock()
-	return m
-}
-
-// interval returns the cached Daly interval for the key, computing and
-// storing it on first use via compute.
-func (c *PredictorCache) interval(key intervalKey, compute func() float64) float64 {
-	c.mu.Lock()
-	v, ok := c.intervals[key]
-	c.mu.Unlock()
-	if ok {
-		return v
-	}
-	v = compute()
-	c.mu.Lock()
-	c.intervals[key] = v
-	c.mu.Unlock()
-	return v
 }

@@ -18,14 +18,19 @@ func estimationHistory(seed uint64) *trace.Set {
 	return set.Slice(start-12*trace.Hour, start)
 }
 
-// permutationSpecs lays out a small bid × zones × policy grid with
-// fresh policy instances, as replayCandidates does.
-func permutationSpecs(cache *PredictorCache) []sim.RunSpec {
+// permutationSpecs lays out a small bid × zones × policy grid over the
+// candidates (nil selects DefaultAdaptiveCandidates) with fresh policy
+// instances, as replayCandidates does.
+func permutationSpecs(cands []PolicyFactory) []sim.RunSpec {
+	if cands == nil {
+		cands = DefaultAdaptiveCandidates()
+	}
 	var specs []sim.RunSpec
 	for _, zones := range [][]int{{0}, {0, 1}, {0, 1, 2}} {
 		for _, bid := range []float64{0.47, 0.81, 1.67} {
-			specs = append(specs, sim.RunSpec{Bid: bid, Zones: zones, Policy: NewPeriodic()})
-			specs = append(specs, sim.RunSpec{Bid: bid, Zones: zones, Policy: withSharedCache(NewMarkovDaly(), cache)})
+			for _, fac := range cands {
+				specs = append(specs, sim.RunSpec{Bid: bid, Zones: zones, Policy: fac.New()})
+			}
 		}
 	}
 	return specs
@@ -33,8 +38,7 @@ func permutationSpecs(cache *PredictorCache) []sim.RunSpec {
 
 // TestMeasureAllMatchesSequentialMeasure is the evaluator's golden
 // determinism contract: the parallel fan-out must return bit-identical
-// estimates to one-at-a-time measurement, with and without a shared
-// predictor cache, at any worker count.
+// estimates to one-at-a-time measurement at any worker count.
 func TestMeasureAllMatchesSequentialMeasure(t *testing.T) {
 	hist := estimationHistory(17)
 	serial := &Evaluator{Workers: 1}
@@ -44,9 +48,9 @@ func TestMeasureAllMatchesSequentialMeasure(t *testing.T) {
 	}
 	for _, workers := range []int{0, 1, 2, 8} {
 		ev := &Evaluator{Workers: workers}
-		got := ev.MeasureAll(hist, permutationSpecs(NewPredictorCache()), 300, 300)
+		got := ev.MeasureAll(hist, permutationSpecs(nil), 300, 300)
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("workers=%d: parallel cached estimates diverge from serial uncached ones\nwant %v\ngot  %v",
+			t.Errorf("workers=%d: parallel estimates diverge from serial ones\nwant %v\ngot  %v",
 				workers, want, got)
 		}
 	}
@@ -82,14 +86,15 @@ func TestAdaptiveResultIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// TestPredictorCacheConcurrentUse hammers one shared cache from many
-// goroutines running full permutation evaluations; -race exercises the
-// lock discipline, and every round must agree with the first.
-func TestPredictorCacheConcurrentUse(t *testing.T) {
+// TestMeasureAllConcurrentUse hammers one batched and one oracle
+// evaluator from many goroutines running full permutation sweeps over
+// mixed Markov-Daly profiles; -race exercises the pooled scratch, and
+// every round must agree with the first.
+func TestMeasureAllConcurrentUse(t *testing.T) {
 	hist := estimationHistory(29)
-	ev := NewEvaluator()
-	cache := NewPredictorCache()
-	want := ev.MeasureAll(hist, permutationSpecs(cache), 300, 300)
+	evs := []*Evaluator{NewEvaluator(), {DisableBatch: true}}
+	cands := append(DefaultAdaptiveCandidates(), spanProfiles()[1])
+	want := evs[0].MeasureAll(hist, permutationSpecs(cands), 300, 300)
 
 	const goroutines = 6
 	got := make([][]estimate, goroutines)
@@ -98,18 +103,18 @@ func TestPredictorCacheConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			got[g] = ev.MeasureAll(hist, permutationSpecs(cache), 300, 300)
+			got[g] = evs[g%len(evs)].MeasureAll(hist, permutationSpecs(cands), 300, 300)
 		}(g)
 	}
 	wg.Wait()
 	for g := range got {
 		if !reflect.DeepEqual(want, got[g]) {
-			t.Errorf("goroutine %d: cached evaluation diverged", g)
+			t.Errorf("goroutine %d: evaluation diverged from the first round", g)
 		}
 	}
 }
 
-// TestPackZones pins the interval-cache key encoding.
+// TestPackZones pins the permutation-key zone encoding.
 func TestPackZones(t *testing.T) {
 	a, ok := packZones([]int{0, 1, 2})
 	if !ok || a == 0 {

@@ -25,22 +25,13 @@ type MarkovDaly struct {
 	// Young's first-order one; the ablation bench flips this.
 	HigherOrder bool
 
-	// cache, when set, memoizes fitted chains and computed intervals
-	// across the policy instances of one Adaptive decision point (every
-	// permutation replays the same history window, so their model
-	// inputs coincide). Set by Adaptive via withCache; nil keeps the
-	// original fit-per-call behaviour.
-	cache *PredictorCache
-
 	// fitter fits chains without markov.Fit's per-call maps; safe as an
-	// instance field because policy hooks run on one goroutine. Models
-	// handed to the shared cache are fitted without storage recycling
-	// (they outlive the call); cache-free fits recycle per-zone scratch
-	// models that die with computeInterval.
+	// instance field because policy hooks run on one goroutine. Fits
+	// recycle per-zone scratch models that die with computeInterval.
 	fitter  markov.Fitter
 	scratch []*markov.Model
 
-	// Last cache-free interval computation, memoized by decision time:
+	// Last interval computation, memoized by decision time:
 	// the interval is a pure function of the env state at a given Now
 	// for a fixed spec, and the engine Resets the policy whenever the
 	// spec changes, so a repeated query at the same Now (schedule after
@@ -50,12 +41,6 @@ type MarkovDaly struct {
 	lastOK   bool
 
 	ts int64 // scheduled checkpoint time T_s
-}
-
-// withCache attaches a shared predictor cache and returns the policy.
-func (m *MarkovDaly) withCache(c *PredictorCache) *MarkovDaly {
-	m.cache = c
-	return m
 }
 
 // NewMarkovDaly returns the policy with the paper's defaults.
@@ -92,23 +77,8 @@ func (m *MarkovDaly) schedule(env *sim.Env) {
 }
 
 // interval returns Daly's optimal checkpoint interval in seconds for
-// the current configuration. With a predictor cache attached, the
-// result — and the fitted chains behind it — are memoized per decision
-// time, so sibling permutations of one Adaptive decision point compute
-// each model exactly once.
+// the current configuration.
 func (m *MarkovDaly) interval(env *sim.Env) float64 {
-	if m.cache != nil {
-		if packed, ok := packZones(env.Spec.Zones); ok {
-			key := intervalKey{
-				now:    env.Now,
-				bid:    env.Spec.Bid,
-				tc:     env.CheckpointCost(),
-				higher: m.HigherOrder,
-				zones:  packed,
-			}
-			return m.cache.interval(key, func() float64 { return m.computeInterval(env) })
-		}
-	}
 	if m.lastOK && env.Now == m.lastNow {
 		return m.lastIval
 	}
@@ -117,7 +87,7 @@ func (m *MarkovDaly) interval(env *sim.Env) float64 {
 	return v
 }
 
-// computeInterval fits (or fetches) the per-zone chains and applies
+// computeInterval fits the per-zone chains and applies
 // Daly's estimate to their combined expected uptime.
 func (m *MarkovDaly) computeInterval(env *sim.Env) float64 {
 	span := m.HistorySpan
@@ -145,31 +115,19 @@ func (m *MarkovDaly) computeInterval(env *sim.Env) float64 {
 	return daly.Young(tc, mtbf)
 }
 
-// fitZone fits the zone's chain on the trailing span of history,
-// through the shared cache when one is attached; nil reports an
-// unfittable (empty) history. pos is the zone's position in the spec,
-// selecting the scratch model recycled on cache-free fits.
+// fitZone fits the zone's chain on the trailing span of history; nil
+// reports an unfittable (empty) history. pos is the zone's position in
+// the spec, selecting the scratch model the fit recycles.
 func (m *MarkovDaly) fitZone(env *sim.Env, zi int, span int64, pos int) *markov.Model {
-	if m.cache == nil {
-		hist := m.quantized(env, zi, span)
-		for len(m.scratch) <= pos {
-			m.scratch = append(m.scratch, nil)
-		}
-		mod, err := m.fitter.Fit(hist, env.Step, m.scratch[pos])
-		if err != nil {
-			return nil
-		}
-		m.scratch[pos] = mod
-		return mod
+	for len(m.scratch) <= pos {
+		m.scratch = append(m.scratch, nil)
 	}
-	fit := func() *markov.Model {
-		mod, err := m.fitter.Fit(m.quantized(env, zi, span), env.Step, nil)
-		if err != nil {
-			return nil
-		}
-		return mod
+	mod, err := m.fitter.Fit(m.quantized(env, zi, span), env.Step, m.scratch[pos])
+	if err != nil {
+		return nil
 	}
-	return m.cache.chain(chainKey{zone: zi, now: env.Now, span: span, quantum: m.Quantum}, fit)
+	m.scratch[pos] = mod
+	return mod
 }
 
 // quantized samples the zone's trailing history and buckets it in place

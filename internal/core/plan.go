@@ -235,9 +235,7 @@ func scorePlans(req *PlanRequest, odRate float64, slots []rankSlot, ests []estim
 // §7 permutation search exposed as a standalone planning service — and
 // returns all plans ordered best-first: ascending predicted cost, with
 // ties broken toward bid headroom (higher bid), then fewer zones, then
-// policy name. Markov-Daly candidates share one predictor cache, so
-// identical chains are fitted once. The result depends only on the
-// request (fixed estimation seed, order-preserving fan-out), so
+// policy name. The result depends only on the request (fixed estimation seed, order-preserving fan-out), so
 // identical requests yield identical plans regardless of worker count.
 func (ev *Evaluator) Rank(req PlanRequest) ([]Plan, error) {
 	rsp := ev.Trace.Start("eval.rank")
@@ -247,11 +245,10 @@ func (ev *Evaluator) Rank(req PlanRequest) ([]Plan, error) {
 	}
 	odRate, bids, maxZones, cands := resolveRank(&req)
 	slots := rankSlots(req.History, bids, maxZones, cands)
-	cache := NewPredictorCache()
 	specs := make([]sim.RunSpec, len(slots))
 	for i := range slots {
 		sl := &slots[i]
-		specs[i] = sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: withSharedCache(cands[sl.fac].New(), cache)}
+		specs[i] = sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: cands[sl.fac].New()}
 	}
 	ests := ev.MeasureAll(req.History, specs, req.CheckpointCost, req.RestartCost)
 	plans := scorePlans(&req, odRate, slots, ests)

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/market"
-	"repro/internal/markov"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -43,6 +42,13 @@ import (
 // the grid stay resident and keep stepping — cheap, and they resume
 // for free when the ordering flips back — until the resident set
 // outgrows the grid by residentSlack and a rebuild prunes it.
+//
+// Grid cells the batched engine cannot keep resident — a policy family
+// beyond Periodic and Markov-Daly, a zone set too wide to pack into a
+// permutation key — flip the evaluator to permanent per-tick full
+// ranking through Rank, which stays exact at full cost. Any mix of
+// Periodic and Markov-Daly candidates, whatever their parameters,
+// stays incremental.
 //
 // A StreamEvaluator is single-goroutine by design: the tick pipeline
 // owns it, and everything downstream reads published snapshots.
@@ -150,10 +156,12 @@ type StreamStats struct {
 	Fallback bool
 }
 
-// permKey identifies one resident permutation: the policy family, the
-// bid and the packed zone set.
+// permKey identifies one resident permutation: the candidate's index
+// in the evaluator's list, the bid and the packed zone set. Keying by
+// index rather than policy name keeps two candidates that share a name
+// but not their parameters apart.
 type permKey struct {
-	kind  string
+	fac   int
 	bid   float64
 	zones uint64
 }
@@ -239,30 +247,6 @@ func NewStreamEvaluator(ev *Evaluator, cfg StreamConfig) (*StreamEvaluator, erro
 	}
 	if se.cands == nil {
 		se.cands = DefaultAdaptiveCandidates()
-	}
-	// Two Markov-Daly candidates with different (span, quantum)
-	// profiles collide in the shared predictor cache's interval key on
-	// Rank's oracle fallback (see batch.go's package comment); the
-	// incremental path has no shared cache and would legitimately
-	// diverge. Degrade that configuration to per-tick full ranking so
-	// streaming answers stay byte-equal to Rank's.
-	var prof cacheProfile
-	seen := false
-	for _, fac := range se.cands {
-		md, ok := fac.New().(*MarkovDaly)
-		if !ok {
-			continue
-		}
-		span := md.HistorySpan
-		if span <= 0 {
-			span = markov.DefaultHistory
-		}
-		p := cacheProfile{span: span, quantum: md.Quantum}
-		if seen && p != prof {
-			se.fallback = true
-			break
-		}
-		prof, seen = p, true
 	}
 	return se, nil
 }
@@ -444,7 +428,7 @@ func (se *StreamEvaluator) ensureResident(slots []rankSlot) bool {
 		if !ok {
 			return false
 		}
-		key := permKey{kind: sl.kind, bid: sl.bid, zones: zk}
+		key := permKey{fac: sl.fac, bid: sl.bid, zones: zk}
 		if _, have := se.resident[key]; have {
 			continue
 		}
@@ -463,7 +447,7 @@ func (se *StreamEvaluator) ensureResident(slots []rankSlot) bool {
 // slotPermKey is ensureResident's key for a slot already known to pack.
 func slotPermKey(sl *rankSlot) permKey {
 	zk, _ := packZones(sl.zones)
-	return permKey{kind: sl.kind, bid: sl.bid, zones: zk}
+	return permKey{fac: sl.fac, bid: sl.bid, zones: zk}
 }
 
 // crossCheck re-derives the table from scratch through Rank and

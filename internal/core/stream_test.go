@@ -33,9 +33,59 @@ func streamConfigFor(set *trace.Set) StreamConfig {
 	}
 }
 
-// TestStreamMatchesRankOnPaperTraces is the tentpole's differential
-// contract: feeding a paper-regime window tick by tick, after every
-// tick the incrementally maintained table is bit-identical to
+// streamMatchesOracle feeds hist to a fresh StreamEvaluator over the
+// candidates tick by tick and requires an evaluator that stays on the
+// incremental path and, after every every-th tick and the last, a
+// table bit-identical to oracle Rank over the same prefix — same
+// floats, same order.
+func streamMatchesOracle(t *testing.T, hist *trace.Set, cands []PolicyFactory, every int) {
+	t.Helper()
+	oracle := &Evaluator{Workers: 1, DisableBatch: true}
+	cfg := streamConfigFor(hist)
+	cfg.CrossCheckEvery = -1 // the oracle comparison IS the cross-check
+	cfg.Candidates = cands
+	se, err := NewStreamEvaluator(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := hist.Series[0].Len()
+	lastGen := uint64(0)
+	for i := 0; i < n; i++ {
+		upd, err := se.Advance(hist.PricesAt(hist.Start() + int64(i)*hist.Step()))
+		if err != nil {
+			t.Fatalf("stream tick %d: %v", i, err)
+		}
+		if upd.Generation < lastGen || (upd.Changed && upd.Generation != lastGen+1) {
+			t.Fatalf("stream tick %d: generation %d after %d (changed=%v)", i, upd.Generation, lastGen, upd.Changed)
+		}
+		lastGen = upd.Generation
+		if se.Stats().Fallback {
+			t.Fatalf("stream tick %d: fell back to per-tick full ranking", i)
+		}
+		if i%every != 0 && i != n-1 {
+			continue
+		}
+		want, err := oracle.Rank(se.request(prefixSet(hist, i+1)))
+		if err != nil {
+			t.Fatalf("stream tick %d: rank: %v", i, err)
+		}
+		if !plansEqual(upd.Plans, want) {
+			t.Fatalf("stream tick %d: incremental table diverges from oracle Rank\nstream %v\noracle %v",
+				i, upd.Plans[:3], want[:3])
+		}
+	}
+	st := se.Stats()
+	if st.Rebuilds != 1 {
+		t.Errorf("stream: %d rebuilds, want exactly the initial one", st.Rebuilds)
+	}
+	if st.Ticks != uint64(n) || se.Steps() != n {
+		t.Errorf("stream: ticks %d steps %d, want %d", st.Ticks, se.Steps(), n)
+	}
+}
+
+// TestStreamMatchesRankOnPaperTraces feeds paper-regime windows tick by
+// tick with the default candidates and requires, after every tick, an
+// incrementally maintained table bit-identical to batched
 // Evaluator.Rank run from scratch over the same prefix — same floats,
 // same order, not just close ones.
 func TestStreamMatchesRankOnPaperTraces(t *testing.T) {
@@ -62,8 +112,7 @@ func TestStreamMatchesRankOnPaperTraces(t *testing.T) {
 				t.Fatalf("%s tick %d: generation %d after %d (changed=%v)", name, i, upd.Generation, lastGen, upd.Changed)
 			}
 			lastGen = upd.Generation
-			req := se.request(prefixSet(set, i+1))
-			want, err := ref.Rank(req)
+			want, err := ref.Rank(se.request(prefixSet(set, i+1)))
 			if err != nil {
 				t.Fatalf("%s tick %d: rank: %v", name, i, err)
 			}
@@ -167,36 +216,85 @@ func TestStreamCompaction(t *testing.T) {
 	}
 }
 
-// TestStreamFallbackProfiles pins the degraded path: a candidate list
-// whose Markov-Daly profiles would collide in Rank's shared predictor
-// cache flips the evaluator to permanent per-tick full ranking instead
-// of risking a divergent incremental answer.
-func TestStreamFallbackProfiles(t *testing.T) {
+// TestMarkovDalyProfilesIndependent pins profile isolation: a
+// Markov-Daly candidate's plans must not depend on which other
+// Markov-Daly profiles share the ranking. For two-profile lists that
+// vary the quantum or the history span, oracle Rank equals batched
+// Rank, each profile's plans equal those it gets ranked alone, and a
+// StreamEvaluator fed the window tick by tick stays incremental and
+// equal to oracle Rank after every tick.
+func TestMarkovDalyProfilesIndependent(t *testing.T) {
+	hist := estimationHistory(31)
+	oracle := &Evaluator{Workers: 1, DisableBatch: true}
+	batched := &Evaluator{Workers: 1}
+	for name, cands := range map[string][]PolicyFactory{"quantum": quantumProfiles(), "span": spanProfiles()} {
+		t.Run(name, func(t *testing.T) {
+			req := PlanRequest{
+				History: hist, Work: 6 * trace.Hour, Deadline: 18 * trace.Hour,
+				CheckpointCost: 300, RestartCost: 300, Candidates: cands,
+			}
+			want, err := oracle.Rank(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := batched.Rank(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !plansEqual(want, got) {
+				t.Fatal("batched Rank diverges from oracle Rank")
+			}
+			for _, fac := range cands {
+				solo := req
+				solo.Candidates = []PolicyFactory{fac}
+				alone, err := oracle.Rank(solo)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var mixed []Plan
+				for _, p := range want {
+					if p.Policy == fac.Kind {
+						mixed = append(mixed, p)
+					}
+				}
+				if !plansEqual(mixed, alone) {
+					t.Fatalf("%s: plans ranked beside another profile differ from plans ranked alone\nmixed %v\nalone %v",
+						fac.Kind, mixed[:3], alone[:3])
+				}
+			}
+			streamMatchesOracle(t, hist, cands, 1)
+		})
+	}
+}
+
+// TestStreamFallbackForeignPolicy pins the degraded path: a candidate
+// family the batched engine cannot replay flips the evaluator to
+// permanent per-tick full ranking, which keeps answering exactly.
+func TestStreamFallbackForeignPolicy(t *testing.T) {
 	set := paperRegimes()["low/day1"]
 	cfg := streamConfigFor(set)
 	cfg.CrossCheckEvery = -1
-	cfg.Candidates = []PolicyFactory{
-		{Kind: "markov-daly", New: func() sim.CheckpointPolicy { return NewMarkovDaly() }},
-		{Kind: "markov-daly-q10", New: func() sim.CheckpointPolicy {
-			m := NewMarkovDaly()
-			m.Quantum = 0.1
-			return m
-		}},
-	}
+	cfg.Candidates = append(DefaultAdaptiveCandidates(),
+		PolicyFactory{Kind: "edge", New: func() sim.CheckpointPolicy { return NewEdge() }})
 	se, err := NewStreamEvaluator(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !se.Stats().Fallback {
-		t.Fatal("colliding Markov-Daly profiles did not flip the evaluator to fallback")
-	}
+	ref := &Evaluator{Workers: 1}
 	for i := 0; i < 12; i++ {
 		upd, err := se.Advance(set.PricesAt(set.Start() + int64(i)*set.Step()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if upd.Generation == 0 || len(upd.Plans) == 0 {
-			t.Fatalf("tick %d: no table in fallback mode", i)
+		want, err := ref.Rank(se.request(prefixSet(set, i+1)))
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !plansEqual(upd.Plans, want) {
+			t.Fatalf("tick %d: fallback table diverges from Rank", i)
+		}
+	}
+	if !se.Stats().Fallback {
+		t.Fatal("a foreign policy family did not flip the evaluator to fallback")
 	}
 }

@@ -47,6 +47,14 @@ func candidateSet(name string) []core.PolicyFactory {
 		return all[1:2]
 	case "both":
 		return all
+	case "two-profile":
+		// Two Markov-Daly profiles under distinct kinds, differing only
+		// in the price quantum.
+		return []core.PolicyFactory{all[1], {Kind: "markov-daly-q10", New: func() sim.CheckpointPolicy {
+			m := core.NewMarkovDaly()
+			m.Quantum = 0.1
+			return m
+		}}}
 	default:
 		panic("unknown candidate set " + name)
 	}
@@ -82,7 +90,8 @@ func cellReplayer(c cell) *Replayer {
 	}
 }
 
-// matrixCells enumerates the differential matrix.
+// matrixCells enumerates the differential matrix, plus one cell whose
+// candidates are two Markov-Daly profiles.
 func matrixCells() []cell {
 	var out []cell
 	for _, regime := range []string{"low", "high", "spike"} {
@@ -92,7 +101,7 @@ func matrixCells() []cell {
 			}
 		}
 	}
-	return out
+	return append(out, cell{regime: "high", seed: 13, cands: "two-profile"})
 }
 
 // TestCounterfactualMatchesOracleMatrix is the tentpole differential

@@ -66,7 +66,7 @@ func (s *Suite) Fig5(regime string, slack float64, tc int64) (*Fig5Cell, error) 
 	for wi, w := range windows {
 		tasks = append(tasks, task{
 			cfg:   s.Config(w, slack, tc),
-			strat: s.newAdaptive(),
+			strat: core.NewAdaptive(),
 			out:   &adaptive[wi],
 		})
 		for kind := range singles {

@@ -75,7 +75,7 @@ func (s *Suite) Fig6(regime string, slack float64, tc int64) (*Fig6Cell, error) 
 		}
 		tasks = append(tasks, task{
 			cfg:   s.Config(w, slack, tc),
-			strat: s.newAdaptive(),
+			strat: core.NewAdaptive(),
 			out:   &adaptive[wi],
 		})
 	}

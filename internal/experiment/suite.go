@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/market"
 	"repro/internal/pool"
 	"repro/internal/sim"
@@ -58,13 +57,6 @@ type Suite struct {
 	Workers int
 	// Delay is the queuing delay model; nil selects the measured one.
 	Delay market.DelayModel
-	// OracleEval routes the Adaptive scheme's estimation replays
-	// through the per-permutation machine oracle instead of the
-	// columnar batched engine — the suite-level counterpart of
-	// core.Evaluator.DisableBatch. The two engines are bit-identical,
-	// so figures must not change either way; this exists for A/B runs
-	// that prove exactly that.
-	OracleEval bool
 
 	mu      sync.Mutex
 	regimes map[string]*trace.Set
@@ -169,16 +161,6 @@ func (s *Suite) Config(w trace.Window, slack float64, tc int64) sim.Config {
 		Delay:          s.Delay,
 		Seed:           s.Seed ^ (uint64(w.Index)+1)*0x9e3779b97f4a7c15,
 	}
-}
-
-// newAdaptive builds the Adaptive strategy for one experiment task,
-// honouring the suite's evaluator routing.
-func (s *Suite) newAdaptive() sim.Strategy {
-	a := core.NewAdaptive()
-	if s.OracleEval {
-		a.Eval = &core.Evaluator{DisableBatch: true}
-	}
-	return a
 }
 
 // parallel runs fn(0..n-1) across the shared worker pool and waits.

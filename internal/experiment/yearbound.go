@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -63,7 +64,7 @@ func (s *Suite) YearBound(windows int, slack float64, tc int64) (*YearBoundResul
 		results[i] = holder
 		tasks = append(tasks, task{
 			cfg:   s.Config(w, slack, tc),
-			strat: s.newAdaptive(),
+			strat: core.NewAdaptive(),
 			out:   &costs[i],
 			res:   &holder.r,
 		})

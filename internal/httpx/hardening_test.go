@@ -1,6 +1,7 @@
 package httpx
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -204,5 +205,62 @@ func TestWrapConcurrent(t *testing.T) {
 	wg.Wait()
 	if tracer.Total() != workers*per {
 		t.Fatalf("recorded %d spans, want %d", tracer.Total(), workers*per)
+	}
+}
+
+// TestWrapStreamsServerSentEvents checks an SSE handler behind the
+// middleware still sees an http.Flusher and streams: the client reads
+// each frame before the handler writes the next, and the request span
+// records the status.
+func TestWrapStreamsServerSentEvents(t *testing.T) {
+	tracer := obs.NewTracer(4)
+	next := make(chan struct{})
+	h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		flusher, ok := w.(http.Flusher)
+		if !ok {
+			http.Error(w, "response writer cannot stream", http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "text/event-stream")
+		for i := 0; i < 3; i++ {
+			fmt.Fprintf(w, "data: %d\n\n", i)
+			flusher.Flush()
+			<-next // the client has read this frame
+		}
+	}), tracer)
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/v1/quotes/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	rd := bufio.NewReader(resp.Body)
+	for i := 0; i < 3; i++ {
+		line, err := rd.ReadString('\n')
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if want := fmt.Sprintf("data: %d\n", i); line != want {
+			t.Fatalf("frame %d = %q, want %q", i, line, want)
+		}
+		if _, err := rd.ReadString('\n'); err != nil {
+			t.Fatalf("frame %d terminator: %v", i, err)
+		}
+		next <- struct{}{}
+	}
+	io.Copy(io.Discard, rd)
+
+	spans := tracer.Spans()
+	if len(spans) != 1 {
+		t.Fatalf("got %d spans, want 1", len(spans))
+	}
+	want := obs.Attr{Key: "status", Value: "200"}
+	if len(spans[0].Attrs) != 1 || spans[0].Attrs[0] != want {
+		t.Fatalf("attrs = %v, want [%v]", spans[0].Attrs, want)
 	}
 }

@@ -29,6 +29,20 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// Flush forwards to the underlying writer when it can stream, so
+// server-sent-event handlers keep working behind Wrap.
+func (w *statusWriter) Flush() {
+	if f, ok := w.ResponseWriter.(http.Flusher); ok {
+		if w.status == 0 {
+			w.status = http.StatusOK
+		}
+		f.Flush()
+	}
+}
+
+// Unwrap exposes the underlying writer to http.ResponseController.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // Wrap returns h instrumented with a wall-clock request span per
 // request, named "METHOD /path", carrying the final status as an
 // attribute. The span is placed in the request context so handlers can

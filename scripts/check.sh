@@ -31,6 +31,10 @@ go test -run '^$' -fuzz '^FuzzRowParser$' -fuzztime 5s ./internal/livesched
 go test -run '^$' -fuzz '^FuzzBatchedMeasure$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzBidIndexAppend$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzDecisionLogRoundTrip$' -fuzztime 5s ./internal/decision
+go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 5s ./internal/quote
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/spotapi
+go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 5s ./internal/trace
+go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 5s ./internal/trace
 go run ./cmd/chaossim -runs 20 -seed 1
 # Fleet-topology soak: quotelb over 3 in-process quoted backends under
 # 20 seeded fleet fault scenarios (kill/restart with snapshot resume,
