@@ -158,14 +158,18 @@ func main() {
 		if *snapshot != "" {
 			store := &quote.FileStore{Path: *snapshot}
 			streamer.Store = store
+			// A snapshot that cannot be loaded or restored (corrupt,
+			// foreign, or written in an older format) is refused whole
+			// and the stream starts cold; the next checkpoint replaces
+			// it. Failing hard here would crash-loop the backend.
 			snap, err := store.Load()
-			if err != nil {
-				log.Fatalf("loading snapshot %s: %v", *snapshot, err)
+			if err == nil && snap != nil {
+				err = streamer.Restore(snap)
 			}
-			if snap != nil {
-				if err := streamer.Restore(snap); err != nil {
-					log.Fatalf("restoring snapshot %s: %v", *snapshot, err)
-				}
+			switch {
+			case err != nil:
+				log.Printf("refusing snapshot %s, starting the stream cold: %v", *snapshot, err)
+			case snap != nil:
 				log.Printf("resumed stream from %s at feed seq %d (%d shapes)", *snapshot, snap.Seq, len(snap.Shapes))
 			}
 		}

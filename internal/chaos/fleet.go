@@ -164,7 +164,7 @@ func FleetSoak(ctx context.Context, cfg FleetConfig) (*FleetReport, error) {
 // fleetShape is the subscription shape every fleet client uses; one
 // shape keeps every backend's resident-evaluator work identical and
 // makes generations comparable across the fleet.
-var fleetShape = quote.StreamRequest{WorkHours: 4, DeadlineHours: 12, MaxZones: 1, Top: 3}
+var fleetShape = quote.Request{WorkHours: 4, DeadlineHours: 12, MaxZones: 1, Top: 3}
 
 // fleetQuoteBody is the one-shot request posted every tick.
 const fleetQuoteBody = `{"work_hours":4,"deadline_hours":8,"history_window":3,"max_zones":1}`

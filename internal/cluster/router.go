@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"strconv"
@@ -397,10 +396,21 @@ func (r *Router) routeHedged(w http.ResponseWriter, req *http.Request, body []by
 // swallowed) and the next backend in the order gets the stream; once a
 // 2xx header commits, every subsequent frame is written through and
 // flushed immediately, headers (X-Quote-Stale, X-Plan-Generation)
-// intact.
+// intact. The query is parsed into the same quote.Request a POST body
+// decodes to, so a stream shape routes on the canonical AffinityKey:
+// parameter order, number spelling and the mode, gen and timeout_ms
+// parameters never move it to another backend.
 func (r *Router) routeStream(w http.ResponseWriter, req *http.Request) {
 	m := r.Metrics
 	m.Requests.Inc()
+
+	qreq, err := quote.ParseQuery(req.URL.Query())
+	if err != nil {
+		m.BadRequests.Inc()
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	qreq.Normalize()
 
 	tenant := req.Header.Get("X-Tenant")
 	if r.Limiter != nil && !r.Limiter.Allow(tenant) {
@@ -417,7 +427,7 @@ func (r *Router) routeStream(w http.ResponseWriter, req *http.Request) {
 	span.SetAttr("policy", r.Policy.Name())
 
 	order := make([]int, len(r.Backends))
-	r.Policy.Order(streamAffinity(req.URL.RawQuery), r.Backends, order)
+	r.Policy.Order(qreq.AffinityKey(), r.Backends, order)
 	maxAttempts := r.MaxAttempts
 	if maxAttempts <= 0 || maxAttempts > len(order) {
 		maxAttempts = len(order)
@@ -504,15 +514,6 @@ func (r *Router) serveStreamAttempt(b *Backend, sc *streamCapture, req *http.Req
 	}()
 	b.Handler.ServeHTTP(sc, req)
 	return false
-}
-
-// streamAffinity hashes a stream's query string (FNV-64a) so affinity
-// policies pin a subscription shape to a backend, mirroring
-// quote.Request.AffinityKey for the one-shot path.
-func streamAffinity(rawQuery string) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, rawQuery)
-	return h.Sum64()
 }
 
 // streamCapture is the streaming analogue of capture: it buffers only

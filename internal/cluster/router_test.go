@@ -195,20 +195,27 @@ func TestRouterQuota(t *testing.T) {
 	}
 }
 
-// TestRouterBadRequest checks malformed bodies die at the front door.
+// TestRouterBadRequest checks malformed bodies and stream queries die
+// at the front door.
 func TestRouterBadRequest(t *testing.T) {
 	served := 0
 	r := &Router{Backends: []*Backend{NewBackend("b0", http.HandlerFunc(func(http.ResponseWriter, *http.Request) { served++ }))}}
 	h := r.Handler()
-	rec := postQuote(h, `{"work_hours":`, "")
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("malformed body returned %d, want 400", rec.Code)
-	}
-	if served != 0 {
-		t.Fatal("malformed body reached a backend")
-	}
-	if got := r.Stats().BadRequests.Load(); got != 1 {
-		t.Fatalf("bad_requests = %d, want 1", got)
+	for i, req := range []*http.Request{
+		httptest.NewRequest(http.MethodPost, "/v1/quote", strings.NewReader(`{"work_hours":`)),
+		httptest.NewRequest(http.MethodGet, "/v1/quotes/stream?work_hours=four&deadline_hours=12", nil),
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("malformed %s %s returned %d, want 400", req.Method, req.URL, rec.Code)
+		}
+		if served != 0 {
+			t.Fatalf("malformed %s %s reached a backend", req.Method, req.URL)
+		}
+		if got := r.Stats().BadRequests.Load(); got != int64(i+1) {
+			t.Fatalf("bad_requests = %d, want %d", got, i+1)
+		}
 	}
 }
 
@@ -451,7 +458,58 @@ func TestRouterStreamFailover(t *testing.T) {
 	if got := r.Stats().Failovers.Load(); got != 1 {
 		t.Errorf("failovers = %d, want 1", got)
 	}
+	// The router counts the stream routed once the backend handler
+	// returns, which may be just after the client read its last frame.
+	waitFor(t, "the stream to be counted routed", func() bool { return r.Stats().Routed.Load() >= 1 })
 	if got := r.Stats().Routed.Load(); got != 1 {
 		t.Errorf("routed = %d, want 1", got)
+	}
+}
+
+// TestRouterStreamAffinityCanonical checks that a stream shape routes
+// on the canonical request key, not on its query string: parameter
+// order, number spelling, explicit defaults, long-poll parameters and
+// a resume header all leave it on one backend — the backend the
+// equivalent POST body lands on.
+func TestRouterStreamAffinityCanonical(t *testing.T) {
+	r := &Router{
+		Backends: []*Backend{
+			NewBackend("b0", echoBackend("b0")),
+			NewBackend("b1", echoBackend("b1")),
+			NewBackend("b2", echoBackend("b2")),
+		},
+		Policy: NewAffinity(),
+	}
+	h := r.Handler()
+	want := postQuote(h, `{"work_hours":4,"deadline_hours":12,"max_zones":2}`, "").Header().Get("X-Backend")
+	if want == "" {
+		t.Fatal("POST body was not routed")
+	}
+
+	type variant struct{ query, lastEventID string }
+	variants := []variant{
+		{query: "work_hours=4&deadline_hours=12&max_zones=2"},
+		{query: "max_zones=2&deadline_hours=12&work_hours=4"},
+		{query: "work_hours=4.0&deadline_hours=12.00&max_zones=2&top=5"},
+	}
+	for gen := 1; gen <= 8; gen++ {
+		variants = append(variants,
+			variant{query: fmt.Sprintf("work_hours=4&deadline_hours=12&max_zones=2&mode=poll&gen=%d&timeout_ms=%d", gen, 10*gen)},
+			variant{query: "deadline_hours=12&max_zones=2&work_hours=4", lastEventID: fmt.Sprint(gen)},
+		)
+	}
+	for _, v := range variants {
+		req := httptest.NewRequest(http.MethodGet, "/v1/quotes/stream?"+v.query, nil)
+		if v.lastEventID != "" {
+			req.Header.Set("Last-Event-ID", v.lastEventID)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("query %q: status %d", v.query, rec.Code)
+		}
+		if got := rec.Header().Get("X-Backend"); got != want {
+			t.Errorf("query %q (Last-Event-ID %q) routed to %s, the POST body to %s", v.query, v.lastEventID, got, want)
+		}
 	}
 }

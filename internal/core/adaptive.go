@@ -84,7 +84,11 @@ type Adaptive struct {
 	Sink DecisionSink
 
 	chosen sim.RunSpec
-	decSeq int
+	// chosenNew builds a fresh instance of chosen's policy with the
+	// same parameters, so churn damping re-prices the incumbent as it
+	// actually runs.
+	chosenNew func() sim.CheckpointPolicy
+	decSeq    int
 
 	// rankBuf is the reusable best-first alternative list handed to
 	// Sink; valid only during the RecordDecision call.
@@ -101,10 +105,11 @@ type Adaptive struct {
 }
 
 // policySlot is one reusable measurement-policy instance, tagged with
-// its family so a reshaped candidate grid rebuilds mismatched slots.
+// the index of its factory so a reshaped candidate grid rebuilds
+// mismatched slots.
 type policySlot struct {
-	kind string
-	pol  sim.CheckpointPolicy
+	fac int
+	pol sim.CheckpointPolicy
 }
 
 // NewAdaptive returns the Adaptive strategy with the paper's settings.
@@ -118,7 +123,7 @@ func (a *Adaptive) Name() string { return "adaptive" }
 // initial permutation.
 func (a *Adaptive) Begin(env *sim.Env) sim.RunSpec {
 	a.decSeq = 0
-	a.chosen = a.pick(env, TriggerBegin)
+	a.chosen, a.chosenNew = a.pick(env, TriggerBegin)
 	return a.chosen
 }
 
@@ -136,11 +141,11 @@ func (a *Adaptive) Reconsider(env *sim.Env, events []sim.Event) (sim.RunSpec, bo
 			return sim.RunSpec{}, false
 		}
 	}
-	spec := a.pick(env, triggerFor(events))
+	spec, fresh := a.pick(env, triggerFor(events))
 	if spec.Equal(a.chosen) {
 		return sim.RunSpec{}, false
 	}
-	a.chosen = spec
+	a.chosen, a.chosenNew = spec, fresh
 	return spec, true
 }
 
@@ -312,6 +317,7 @@ func onDemandCost(work, odRate float64) float64 {
 type candidate struct {
 	spec sim.RunSpec
 	kind string
+	fac  int // index of the policy's factory in candidates(); -1 for analytic candidates
 	n    int
 	cost float64
 }
@@ -347,8 +353,9 @@ func (a *Adaptive) analyticCandidates(env *sim.Env, ordered []int, cr, tr, migra
 			}
 			est := estimate{progressRate: 1 - missRate, costRate: costRate}
 			out = append(out, candidate{
-				spec: sim.RunSpec{Bid: bid, Zones: zs, Policy: NewMarkovDaly()},
+				spec: sim.RunSpec{Bid: bid, Zones: zs},
 				kind: "markov-daly",
+				fac:  -1,
 				n:    n,
 				cost: predictCost(est, cr, tr, migration),
 			})
@@ -364,7 +371,7 @@ func (a *Adaptive) replayCandidates(env *sim.Env, hist *trace.Set, ordered []int
 	cands := a.candBuf[:0]
 	specs := a.specBuf[:0]
 	np := 0
-	for _, fac := range a.candidates() {
+	for fi, fac := range a.candidates() {
 		for n := 1; n <= a.maxZones(env); n++ {
 			zones := append([]int(nil), ordered[:n]...)
 			sort.Ints(zones)
@@ -375,14 +382,15 @@ func (a *Adaptive) replayCandidates(env *sim.Env, hist *trace.Set, ordered []int
 				cands = append(cands, candidate{
 					spec: sim.RunSpec{Bid: bid, Zones: zones},
 					kind: fac.Kind,
+					fac:  fi,
 					n:    n,
 				})
 				if hist != nil {
 					if np == len(a.polBuf) {
 						a.polBuf = append(a.polBuf, policySlot{})
 					}
-					if a.polBuf[np].kind != fac.Kind {
-						a.polBuf[np] = policySlot{kind: fac.Kind, pol: fac.New()}
+					if a.polBuf[np].pol == nil || a.polBuf[np].fac != fi {
+						a.polBuf[np] = policySlot{fac: fi, pol: fac.New()}
 					}
 					specs = append(specs, sim.RunSpec{Bid: bid, Zones: zones, Policy: a.polBuf[np].pol})
 					np++
@@ -406,12 +414,13 @@ func (a *Adaptive) replayCandidates(env *sim.Env, hist *trace.Set, ordered []int
 }
 
 // pick evaluates every permutation and returns the least-predicted-cost
-// spec, tracing the decision with its chosen (bid, n, policy) and, when
-// a Sink is attached, recording the full decision point (chosen plus
-// every ranked rival) on the same adaptive.decision span path.
-func (a *Adaptive) pick(env *sim.Env, trigger string) sim.RunSpec {
+// spec with the constructor of its policy, tracing the decision with
+// its chosen (bid, n, policy) and, when a Sink is attached, recording
+// the full decision point (chosen plus every ranked rival) on the same
+// adaptive.decision span path.
+func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, func() sim.CheckpointPolicy) {
 	span := a.evaluator().Trace.Start("adaptive.decision")
-	spec, cands, chosenCost := a.pickSpec(env)
+	spec, fresh, cands, chosenCost := a.pickSpec(env)
 	if a.Sink != nil {
 		a.recordDecision(env, trigger, spec, cands, chosenCost)
 	}
@@ -425,7 +434,7 @@ func (a *Adaptive) pick(env *sim.Env, trigger string) sim.RunSpec {
 		span.SetAttr("batched", strconv.FormatBool(!a.Analytic && !a.evaluator().DisableBatch))
 	}
 	span.End()
-	return spec
+	return spec, fresh
 }
 
 // recordDecision hands the decision point to the sink: the candidates
@@ -477,9 +486,10 @@ func (a *Adaptive) recordDecision(env *sim.Env, trigger string, spec sim.RunSpec
 }
 
 // pickSpec is pick's decision body. It returns the selected spec, the
-// scored candidate grid (per-decision scratch) and the predicted cost
-// the selection compared for the chosen spec.
-func (a *Adaptive) pickSpec(env *sim.Env) (sim.RunSpec, []candidate, float64) {
+// constructor its policy instance came from, the scored candidate grid
+// (per-decision scratch) and the predicted cost the selection compared
+// for the chosen spec.
+func (a *Adaptive) pickSpec(env *sim.Env) (sim.RunSpec, func() sim.CheckpointPolicy, []candidate, float64) {
 	hist := historySet(env, a.window())
 	ordered := zonesByPrice(env)
 	cr := env.RemainingWork()
@@ -518,58 +528,36 @@ func (a *Adaptive) pickSpec(env *sim.Env) (sim.RunSpec, []candidate, float64) {
 		// No history at all: fall back to single-zone Periodic at the
 		// median bid.
 		bids := a.bids()
-		fallback := sim.RunSpec{Bid: bids[len(bids)/2], Zones: []int{ordered[0]}, Policy: NewPeriodic()}
-		return fallback, cands, math.Inf(1)
+		fresh := func() sim.CheckpointPolicy { return NewPeriodic() }
+		fallback := sim.RunSpec{Bid: bids[len(bids)/2], Zones: []int{ordered[0]}, Policy: fresh()}
+		return fallback, fresh, cands, math.Inf(1)
 	}
 	// Keep the current configuration when it predicts within a hair of
 	// the best, avoiding churn from estimation noise.
 	if len(a.chosen.Zones) > 0 && !best.spec.Equal(a.chosen) {
-		cur := a.evalSpec(env, hist, a.chosen, cr, tr, migration)
+		cur := a.evalIncumbent(env, hist, cr, tr, migration)
 		if cur <= best.cost*(1+a.churn()) {
-			return a.chosen, cands, cur
+			return a.chosen, a.chosenNew, cands, cur
 		}
 	}
-	if best.spec.Policy == nil {
-		// Replay candidates defer their policy instance to the winner
-		// (the scoring grid never runs it); build it now.
-		best.spec.Policy = a.policyFor(best.kind)
+	// Candidates defer their policy instance to the winner (the scoring
+	// grid never runs it). Build it from the winner's own factory, so a
+	// profile shares its parameters with no other of the same kind.
+	fresh := func() sim.CheckpointPolicy { return NewMarkovDaly() }
+	if best.fac >= 0 {
+		fresh = a.candidates()[best.fac].New
 	}
-	return best.spec, cands, best.cost
+	best.spec.Policy = fresh()
+	return best.spec, fresh, cands, best.cost
 }
 
-// policyFor builds a fresh policy instance of the named family.
-func (a *Adaptive) policyFor(kind string) sim.CheckpointPolicy {
-	for _, fac := range a.candidates() {
-		if fac.Kind == kind {
-			return fac.New()
-		}
-	}
-	return NewPeriodic()
-}
-
-// evalSpec predicts the remaining cost of an existing spec (re-using
-// its policy kind with a fresh instance).
-func (a *Adaptive) evalSpec(env *sim.Env, hist *trace.Set, spec sim.RunSpec, cr, tr, migration int64) float64 {
+// evalIncumbent predicts the remaining cost of the running spec,
+// replaying a fresh instance of its policy with the same parameters.
+func (a *Adaptive) evalIncumbent(env *sim.Env, hist *trace.Set, cr, tr, migration int64) float64 {
 	if hist == nil {
 		return math.Inf(1)
 	}
-	fresh := sim.RunSpec{Bid: spec.Bid, Zones: spec.Zones, Policy: clonePolicy(spec.Policy)}
+	fresh := sim.RunSpec{Bid: a.chosen.Bid, Zones: a.chosen.Zones, Policy: a.chosenNew()}
 	est := a.evaluator().measureOne(hist, fresh, env.CheckpointCost(), env.RestartCost())
 	return predictCost(est, cr, tr, migration)
-}
-
-// clonePolicy builds a fresh instance of a known policy family.
-func clonePolicy(p sim.CheckpointPolicy) sim.CheckpointPolicy {
-	switch p.(type) {
-	case *Periodic:
-		return NewPeriodic()
-	case *MarkovDaly:
-		return NewMarkovDaly()
-	case *Edge:
-		return NewEdge()
-	case *Threshold:
-		return NewThreshold()
-	default:
-		return NewPeriodic()
-	}
 }

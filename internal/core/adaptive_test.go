@@ -214,22 +214,67 @@ func TestHistorySet(t *testing.T) {
 	}
 }
 
-func TestClonePolicy(t *testing.T) {
-	// Stateful policies must get fresh instances (Edge is zero-sized,
-	// so pointer identity is not meaningful for it).
-	for _, p := range []sim.CheckpointPolicy{NewPeriodic(), NewMarkovDaly(), NewThreshold()} {
-		c := clonePolicy(p)
-		if c == p {
-			t.Fatalf("clone of %s returned the same instance", p.Name())
+// TestAdaptiveKeepsProfileParameters runs Adaptive over two candidate
+// factories of one kind: a deliberately poor policy listed first, and
+// a Markov-Daly profile with quantum 0.1 that wins every decision. The
+// winner must be built by its own factory, not the first of its kind,
+// and churn damping must re-price the incumbent with fresh instances
+// from that same factory, never a default profile.
+func TestAdaptiveKeepsProfileParameters(t *testing.T) {
+	var made, poor int
+	sink := &captureSink{}
+	a := &Adaptive{
+		Bids:             []float64{0.47, 0.81, 1.67},
+		MaxZones:         2,
+		EstimationWindow: 6 * trace.Hour,
+		Sink:             sink,
+		Candidates: []PolicyFactory{
+			{Kind: "markov-daly", New: func() sim.CheckpointPolicy { poor++; return everyStep{} }},
+			{Kind: "markov-daly", New: func() sim.CheckpointPolicy {
+				made++
+				m := NewMarkovDaly()
+				m.Quantum = 0.1
+				return m
+			}},
+		},
+	}
+	hist, run := window(tracegen.HighVolatility(31), 5, 1)
+	if _, err := sim.Run(testConfig(hist, run, 300), a); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.points) < 2 {
+		t.Fatalf("%d decisions; the run never reconsidered its incumbent", len(sink.points))
+	}
+	installed := 0
+	for _, p := range sink.points {
+		if p.Chosen.Policy != "markov-daly" {
+			t.Fatalf("decision %d chose policy %q, want the Markov-Daly profile", p.Seq, p.Chosen.Policy)
 		}
-		if c.Name() != p.Name() {
-			t.Fatalf("clone of %s has name %s", p.Name(), c.Name())
+		if p.Switched {
+			installed++
 		}
 	}
-	if clonePolicy(NewEdge()).Name() != "edge" {
-		t.Fatal("edge clone wrong")
+	if m, ok := a.chosen.Policy.(*MarkovDaly); !ok || m.Quantum != 0.1 {
+		t.Fatalf("running policy %+v, want the quantum-0.1 profile", a.chosen.Policy)
 	}
-	if clonePolicy(NewLargeBid(1)).Name() != "periodic" {
-		t.Fatal("unknown policy should fall back to periodic")
+	// Each factory builds its measurement slots once (bids × zone
+	// counts); beyond them, only the winning factory builds: one
+	// instance per installed spec and one per re-pricing of the
+	// incumbent, which every decision after Begin does once.
+	slots := len(a.Bids) * a.MaxZones
+	if poor != slots {
+		t.Fatalf("the first factory built %d instances, want only its %d measurement slots", poor, slots)
+	}
+	if repriced := made - slots - installed; repriced != len(sink.points)-1 {
+		t.Fatalf("%d fresh quantum-0.1 instances re-priced the incumbent over %d later decisions", repriced, len(sink.points)-1)
 	}
 }
+
+// everyStep is a deliberately poor checkpoint policy: it checkpoints at
+// every opportunity, so its replays make almost no progress.
+type everyStep struct{}
+
+func (everyStep) Name() string                      { return "every-step" }
+func (everyStep) Reset(*sim.Env)                    {}
+func (everyStep) CheckpointCondition(*sim.Env) bool { return true }
+func (everyStep) ScheduleNextCheckpoint(*sim.Env)   {}

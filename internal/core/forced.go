@@ -62,10 +62,11 @@ type Forced struct {
 	// live by Inner go to Inner.Sink.
 	Sink DecisionSink
 
-	seq  int // next decision sequence number
-	idx  int // next script entry
-	live bool
-	cur  sim.RunSpec // spec the engine is running (last installed)
+	seq    int // next decision sequence number
+	idx    int // next script entry
+	live   bool
+	cur    sim.RunSpec                 // spec the engine is running (last installed)
+	curNew func() sim.CheckpointPolicy // cur's policy constructor; nil when Inner chose cur
 }
 
 // Name implements sim.Strategy.
@@ -75,7 +76,7 @@ func (f *Forced) Name() string { return "forced" }
 // force, or the Inner strategy, depending on mode.
 func (f *Forced) Begin(env *sim.Env) sim.RunSpec {
 	f.seq, f.idx, f.live = 0, 0, false
-	f.cur = sim.RunSpec{}
+	f.cur, f.curNew = sim.RunSpec{}, nil
 	if len(f.Script) == 0 {
 		f.Script = nil
 	}
@@ -84,22 +85,20 @@ func (f *Forced) Begin(env *sim.Env) sim.RunSpec {
 		if f.ForceAt == 0 {
 			alt = f.Force
 		}
-		spec := f.build(alt)
-		f.cur = spec
+		spec := f.install(alt)
 		f.seq, f.idx = 1, 1
 		f.record(env, TriggerBegin, true, alt, 0)
 		if f.ForceAt == 0 {
-			f.goLive(spec)
+			f.goLive()
 		}
 		return spec
 	}
 	// Live mode: no script to pin.
 	if f.ForceAt == 0 {
-		spec := f.build(f.Force)
-		f.cur = spec
+		spec := f.install(f.Force)
 		f.seq = 1
 		f.record(env, TriggerBegin, true, f.Force, 0)
-		f.goLive(spec)
+		f.goLive()
 		return spec
 	}
 	spec := f.inner().Begin(env)
@@ -129,7 +128,7 @@ func (f *Forced) reconsiderScripted(env *sim.Env, events []sim.Event) (sim.RunSp
 			// no further decisions, so neither does the replay.
 			return sim.RunSpec{}, false
 		}
-		f.goLive(f.cur)
+		f.goLive()
 		return f.Inner.Reconsider(env, events)
 	}
 	if f.Script[f.idx].Time != env.Now {
@@ -147,8 +146,7 @@ func (f *Forced) reconsiderScripted(env *sim.Env, events []sim.Event) (sim.RunSp
 		f.record(env, trigger, false, choice, seq)
 		return sim.RunSpec{}, false
 	}
-	spec := f.build(choice)
-	f.cur = spec
+	spec := f.install(choice)
 	f.record(env, trigger, true, choice, seq)
 	return spec, true
 }
@@ -168,7 +166,7 @@ func (f *Forced) reconsiderLivePrefix(env *sim.Env, events []sim.Event) (sim.Run
 	}
 	spec, ok := in.Reconsider(env, events)
 	if ok {
-		f.cur = spec
+		f.cur, f.curNew = spec, nil
 	}
 	return spec, ok
 }
@@ -186,25 +184,27 @@ func (f *Forced) applyForce(env *sim.Env, trigger string, choice *ScriptChoice, 
 	}
 	if !switched {
 		f.record(env, trigger, false, f.Force, seq)
-		f.goLive(f.cur)
+		f.goLive()
 		return sim.RunSpec{}, false
 	}
-	spec := f.build(f.Force)
-	f.cur = spec
+	spec := f.install(f.Force)
 	f.record(env, trigger, true, f.Force, seq)
-	f.goLive(spec)
+	f.goLive()
 	return spec, true
 }
 
 // goLive hands every later decision to the Inner Adaptive strategy,
 // seeding it with the running spec and the next sequence number so its
-// churn damping and decision records continue seamlessly.
-func (f *Forced) goLive(spec sim.RunSpec) {
+// churn damping and decision records continue seamlessly. A spec Inner
+// chose itself is already its incumbent, with its own constructor.
+func (f *Forced) goLive() {
 	if f.Inner == nil {
 		panic("core: Forced needs Inner to decide past the script")
 	}
 	f.live = true
-	f.Inner.chosen = spec
+	if f.curNew != nil {
+		f.Inner.chosen, f.Inner.chosenNew = f.cur, f.curNew
+	}
 	f.Inner.decSeq = f.seq
 }
 
@@ -231,14 +231,17 @@ func (f *Forced) record(env *sim.Env, trigger string, switched bool, alt ScriptC
 	})
 }
 
-// build materializes a script choice as a runnable spec with a fresh
-// policy instance of the named family.
-func (f *Forced) build(alt ScriptChoice) sim.RunSpec {
-	return sim.RunSpec{
+// install makes a script choice the running spec, with a fresh policy
+// instance of the named family, and returns it.
+func (f *Forced) install(alt ScriptChoice) sim.RunSpec {
+	kind := alt.Policy
+	f.curNew = func() sim.CheckpointPolicy { return f.policyFor(kind) }
+	f.cur = sim.RunSpec{
 		Bid:    alt.Bid,
 		Zones:  append([]int(nil), alt.Zones...),
-		Policy: f.policyFor(alt.Policy),
+		Policy: f.curNew(),
 	}
+	return f.cur
 }
 
 // policyFor builds a fresh policy instance for a family name, searching

@@ -21,6 +21,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"net/url"
 	"strconv"
 
 	"repro/internal/market"
@@ -53,8 +54,11 @@ const (
 	MaxBodyBytes = 1 << 20
 )
 
-// Request is one planning question. HistoryWindowHours is required;
-// zero-valued optional fields select the documented defaults.
+// Request is one planning question, and the one request shape of the
+// service: a one-shot quote decodes it from a JSON body, a stream
+// subscription parses it from a query string (see ParseQuery), and
+// both share one Normalize, one field-range check and one Key.
+// Zero-valued optional fields select the documented defaults.
 type Request struct {
 	// WorkHours is the uninterrupted computation time W in hours.
 	WorkHours float64 `json:"work_hours"`
@@ -65,8 +69,10 @@ type Request struct {
 	// 0 selects DefaultOnDemandPrice.
 	OnDemandPrice float64 `json:"on_demand_price"`
 	// HistoryWindowHours is how much trailing price history the
-	// permutations are replayed over. It is required: an empty window
-	// gives the evaluator nothing to measure.
+	// permutations are replayed over. It is required for one-shot
+	// quotes, where an empty window gives the evaluator nothing to
+	// measure, and zero on the stream path, where the feed's retained
+	// backlog is the window.
 	HistoryWindowHours float64 `json:"history_window"`
 	// MaxZones bounds the redundancy degree N; 0 selects
 	// DefaultMaxZones.
@@ -89,6 +95,39 @@ func DecodeRequest(r io.Reader) (Request, error) {
 		return Request{}, fmt.Errorf("%w: trailing data after request object", ErrInvalidRequest)
 	}
 	return req, nil
+}
+
+// ParseQuery reads a planning question from URL query parameters, the
+// stream endpoint's request form: work_hours and deadline_hours
+// (required by validation), on_demand_price, max_zones and top
+// (optional). history_window is not read: on the stream path the feed
+// supplies the window. Other parameters (mode, gen, timeout_ms) are
+// the caller's to read.
+func ParseQuery(q url.Values) (Request, error) {
+	var req Request
+	var err error
+	num := func(name string, dst *float64) {
+		if s := q.Get(name); s != "" && err == nil {
+			var perr error
+			if *dst, perr = strconv.ParseFloat(s, 64); perr != nil {
+				err = invalidf("%s: %v", name, perr)
+			}
+		}
+	}
+	count := func(name string, dst *int) {
+		if s := q.Get(name); s != "" && err == nil {
+			var perr error
+			if *dst, perr = strconv.Atoi(s); perr != nil {
+				err = invalidf("%s: %v", name, perr)
+			}
+		}
+	}
+	num("work_hours", &req.WorkHours)
+	num("deadline_hours", &req.DeadlineHours)
+	num("on_demand_price", &req.OnDemandPrice)
+	count("max_zones", &req.MaxZones)
+	count("top", &req.Top)
+	return req, err
 }
 
 // Normalize fills defaulted fields in place; call it before Validate.
@@ -117,9 +156,39 @@ func invalidf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrInvalidRequest, fmt.Sprintf(format, args...))
 }
 
-// Validate reports whether a normalized request is well-formed and
-// within the service's limits.
+// Validate reports whether a normalized one-shot request is
+// well-formed and within the service's limits, history window
+// included.
 func (r Request) Validate() error {
+	if err := r.checkFields(); err != nil {
+		return err
+	}
+	h := r.HistoryWindowHours
+	if math.IsNaN(h) || math.IsInf(h, 0) {
+		return invalidf("history_window must be finite")
+	}
+	if h <= 0 {
+		return invalidf("history_window must be positive, got %g", h)
+	}
+	if h > MaxHistoryWindowHours {
+		return invalidf("history_window %g exceeds limit %d", h, MaxHistoryWindowHours)
+	}
+	return nil
+}
+
+// validateStream reports whether a normalized request is a valid
+// stream shape: the one-shot field ranges, and no history window,
+// because the feed's retention is the window.
+func (r Request) validateStream() error {
+	if r.HistoryWindowHours != 0 {
+		return invalidf("history_window must be 0 on the stream path (the feed is the window), got %g", r.HistoryWindowHours)
+	}
+	return r.checkFields()
+}
+
+// checkFields is the range check one-shot quotes and stream shapes
+// share: every field but the history window.
+func (r Request) checkFields() error {
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -127,7 +196,6 @@ func (r Request) Validate() error {
 		{"work_hours", r.WorkHours},
 		{"deadline_hours", r.DeadlineHours},
 		{"on_demand_price", r.OnDemandPrice},
-		{"history_window", r.HistoryWindowHours},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return invalidf("%s must be finite", f.name)
@@ -151,12 +219,6 @@ func (r Request) Validate() error {
 	if r.OnDemandPrice > MaxOnDemandPrice {
 		return invalidf("on_demand_price %g exceeds limit %d", r.OnDemandPrice, MaxOnDemandPrice)
 	}
-	if r.HistoryWindowHours <= 0 {
-		return invalidf("history_window must be positive, got %g", r.HistoryWindowHours)
-	}
-	if r.HistoryWindowHours > MaxHistoryWindowHours {
-		return invalidf("history_window %g exceeds limit %d", r.HistoryWindowHours, MaxHistoryWindowHours)
-	}
 	if r.MaxZones < 0 || r.MaxZones > MaxZonesLimit {
 		return invalidf("max_zones must be in [1, %d], got %d", MaxZonesLimit, r.MaxZones)
 	}
@@ -166,9 +228,9 @@ func (r Request) Validate() error {
 	return nil
 }
 
-// Key returns the canonical cache-key component of a normalized
-// request: every field that influences the response body, in fixed
-// order.
+// Key returns the canonical key of a normalized request: every field
+// that influences the response body, in fixed order. It keys the plan
+// cache and, with a zero window, the streamer's resident shapes.
 func (r Request) Key() string {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	return "w=" + g(r.WorkHours) +

@@ -145,7 +145,7 @@ func (s *Service) Quote(ctx context.Context, req Request) ([]byte, CacheStatus, 
 	}
 
 	span := obs.FromContext(ctx)
-	window := int64(math.Round(req.HistoryWindowHours * float64(trace.Hour)))
+	window := seconds(req.HistoryWindowHours)
 	histStart := time.Now()
 	hsp := span.Child("quote.history")
 	hist, digest, err := s.Source.History(ctx, window)
@@ -240,8 +240,8 @@ func (s *Service) serveStale(req Request, cause error) ([]byte, CacheStatus, err
 func (s *Service) compute(req Request, hist *trace.Set, digest string) (*Response, error) {
 	plans, err := s.Eval.Rank(core.PlanRequest{
 		History:        hist,
-		Work:           int64(math.Round(req.WorkHours * float64(trace.Hour))),
-		Deadline:       int64(math.Round(req.DeadlineHours * float64(trace.Hour))),
+		Work:           seconds(req.WorkHours),
+		Deadline:       seconds(req.DeadlineHours),
 		CheckpointCost: core.DefaultCheckpointCost,
 		RestartCost:    core.DefaultCheckpointCost,
 		OnDemandRate:   req.OnDemandPrice,
@@ -250,14 +250,7 @@ func (s *Service) compute(req Request, hist *trace.Set, digest string) (*Respons
 	if err != nil {
 		return nil, err
 	}
-	top := req.Top
-	if top > len(plans) {
-		top = len(plans)
-	}
-	wire := make([]Plan, top)
-	for i := 0; i < top; i++ {
-		wire[i] = toWire(plans[i])
-	}
+	wire := wirePlans(plans, req.Top)
 	resp := &Response{
 		Best:         wire[0],
 		Alternatives: wire[1:],
@@ -271,6 +264,20 @@ func (s *Service) compute(req Request, hist *trace.Set, digest string) (*Respons
 		},
 	}
 	return resp, nil
+}
+
+// seconds converts hours to whole simulation seconds.
+func seconds(hours float64) int64 {
+	return int64(math.Round(hours * float64(trace.Hour)))
+}
+
+// wirePlans converts the best top ranked plans to the wire format.
+func wirePlans(plans []core.Plan, top int) []Plan {
+	wire := make([]Plan, min(top, len(plans)))
+	for i := range wire {
+		wire[i] = toWire(plans[i])
+	}
+	return wire
 }
 
 // toWire converts a core plan to the wire format, expressing times in

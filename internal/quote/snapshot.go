@@ -33,8 +33,9 @@ type SnapshotStore interface {
 
 // ShapeSnapshot is one resident request shape inside a checkpoint.
 type ShapeSnapshot struct {
-	// Req is the subscription shape, already normalized.
-	Req StreamRequest `json:"req"`
+	// Req is the subscription shape, already normalized, under the
+	// request's wire field names.
+	Req Request `json:"req"`
 	// State is the shape's evaluator checkpoint.
 	State *core.StreamSnapshot `json:"state"`
 }
@@ -56,7 +57,7 @@ type StreamerSnapshot struct {
 	LastRow []float64 `json:"last_row,omitempty"`
 	// Backlog is the retained catch-up window for late subscribers.
 	Backlog [][]float64 `json:"backlog,omitempty"`
-	// Shapes are the resident shapes, ordered by StreamRequest.Key.
+	// Shapes are the resident shapes, ordered by Request.Key.
 	Shapes []ShapeSnapshot `json:"shapes,omitempty"`
 }
 
@@ -145,7 +146,7 @@ func (st *Streamer) Restore(snap *StreamerSnapshot) error {
 		ss := &snap.Shapes[i]
 		req := ss.Req
 		req.Normalize()
-		if err := req.Validate(); err != nil {
+		if err := req.validateStream(); err != nil {
 			st.dropped = 0
 			return fmt.Errorf("quote: snapshot shape %d: %w", i, err)
 		}

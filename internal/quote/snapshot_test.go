@@ -1,7 +1,11 @@
 package quote
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -97,8 +101,8 @@ func TestStreamerSnapshotResume(t *testing.T) {
 }
 
 // TestStreamerRestoreRefusals pins the restore guards: a used
-// streamer, mismatched geometry, and a tampered per-shape state must
-// all be refused whole.
+// streamer, mismatched geometry, a tampered per-shape state and a
+// checkpoint file in the old shape format must all be refused whole.
 func TestStreamerRestoreRefusals(t *testing.T) {
 	fx := newStreamFixture()
 	src := fx.streamer()
@@ -147,6 +151,54 @@ func TestStreamerRestoreRefusals(t *testing.T) {
 	}
 	if err := tampered.Ingest(1, fx.row(0)); err != nil {
 		t.Fatal(err)
+	}
+
+	// A checkpoint file whose shapes use Go field names (the format
+	// before shapes were Requests, serialised under their wire names)
+	// is refused whole, and the streamer starts cold.
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := json.Marshal(snap.Shapes[0].Req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(wire, []byte(`"work_hours":4,`)) {
+		t.Fatalf("shape request not under wire field names: %s", wire)
+	}
+	goNames := fmt.Sprintf(`{"WorkHours":4,"DeadlineHours":12,"OnDemandPrice":%g,"MaxZones":2,"Top":3}`, DefaultOnDemandPrice)
+	raw = bytes.Replace(raw, wire, []byte(goNames), 1)
+	fs := &FileStore{Path: filepath.Join(t.TempDir(), "quoted.snapshot")}
+	if err := os.WriteFile(fs.Path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := fs.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := fx.streamer()
+	if err := cold.Restore(old); !errors.Is(err, ErrInvalidRequest) {
+		t.Fatalf("old-format snapshot: Restore err = %v, want ErrInvalidRequest", err)
+	}
+	if cold.Seq() != 0 || cold.Metrics.Restores.Load() != 0 {
+		t.Fatalf("refused restore left seq %d, restores %d", cold.Seq(), cold.Metrics.Restores.Load())
+	}
+	sub, err := cold.Subscribe(fx.shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	if sub.Snapshot() != nil {
+		t.Fatal("cold streamer holds a plan table before its first tick")
+	}
+	for i := 0; i < 3; i++ {
+		if err := cold.Ingest(uint64(i+1), fx.reorderRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cold.Seq() != 3 || cold.Generation(sub) == 0 {
+		t.Fatalf("cold start after refusal: seq %d, generation %d", cold.Seq(), cold.Generation(sub))
 	}
 }
 

@@ -3,9 +3,6 @@ package quote
 import (
 	"errors"
 	"fmt"
-	"math"
-	"net/url"
-	"strconv"
 	"sync"
 	"time"
 
@@ -46,137 +43,9 @@ const (
 // bound; the HTTP layer maps it to 503.
 var ErrStreamCapacity = errors.New("quote: streaming capacity: too many distinct request shapes")
 
-// StreamRequest is the request shape of one streaming subscription —
-// a planning question minus the history window, which the feed itself
-// supplies.
-type StreamRequest struct {
-	// WorkHours is the uninterrupted computation time W in hours.
-	WorkHours float64
-	// DeadlineHours is the completion budget D in hours.
-	DeadlineHours float64
-	// OnDemandPrice is the hourly on-demand fallback price; 0 selects
-	// DefaultOnDemandPrice.
-	OnDemandPrice float64
-	// MaxZones bounds the redundancy degree; 0 selects DefaultMaxZones.
-	MaxZones int
-	// Top is how many ranked plans each pushed event carries; 0 selects
-	// DefaultTop.
-	Top int
-}
-
-// ParseStreamRequest reads a subscription shape from URL query
-// parameters (work_hours and deadline_hours required; on_demand_price,
-// max_zones, top optional).
-func ParseStreamRequest(q url.Values) (StreamRequest, error) {
-	var req StreamRequest
-	f := func(name string, dst *float64) error {
-		s := q.Get(name)
-		if s == "" {
-			return nil
-		}
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return invalidf("%s: %v", name, err)
-		}
-		*dst = v
-		return nil
-	}
-	i := func(name string, dst *int) error {
-		s := q.Get(name)
-		if s == "" {
-			return nil
-		}
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			return invalidf("%s: %v", name, err)
-		}
-		*dst = v
-		return nil
-	}
-	if err := f("work_hours", &req.WorkHours); err != nil {
-		return req, err
-	}
-	if err := f("deadline_hours", &req.DeadlineHours); err != nil {
-		return req, err
-	}
-	if err := f("on_demand_price", &req.OnDemandPrice); err != nil {
-		return req, err
-	}
-	if err := i("max_zones", &req.MaxZones); err != nil {
-		return req, err
-	}
-	if err := i("top", &req.Top); err != nil {
-		return req, err
-	}
-	return req, nil
-}
-
-// Normalize fills defaulted fields in place; call it before Validate.
-func (r *StreamRequest) Normalize() {
-	if r.OnDemandPrice == 0 {
-		r.OnDemandPrice = DefaultOnDemandPrice
-	}
-	if r.MaxZones == 0 {
-		r.MaxZones = DefaultMaxZones
-	}
-	if r.Top == 0 {
-		r.Top = DefaultTop
-	}
-}
-
-// Validate reports whether a normalized subscription shape is
-// well-formed, under the same bounds as one-shot quote requests.
-func (r StreamRequest) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"work_hours", r.WorkHours},
-		{"deadline_hours", r.DeadlineHours},
-		{"on_demand_price", r.OnDemandPrice},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return invalidf("%s must be finite", f.name)
-		}
-	}
-	if r.WorkHours <= 0 {
-		return invalidf("work_hours must be positive, got %g", r.WorkHours)
-	}
-	if r.WorkHours > MaxWorkHours {
-		return invalidf("work_hours %g exceeds limit %d", r.WorkHours, MaxWorkHours)
-	}
-	if r.DeadlineHours < r.WorkHours {
-		return invalidf("deadline_hours %g is below work_hours %g: not schedulable even on-demand", r.DeadlineHours, r.WorkHours)
-	}
-	if r.DeadlineHours > MaxDeadlineHours {
-		return invalidf("deadline_hours %g exceeds limit %d", r.DeadlineHours, MaxDeadlineHours)
-	}
-	if r.OnDemandPrice < 0 {
-		return invalidf("on_demand_price must not be negative, got %g", r.OnDemandPrice)
-	}
-	if r.OnDemandPrice > MaxOnDemandPrice {
-		return invalidf("on_demand_price %g exceeds limit %d", r.OnDemandPrice, MaxOnDemandPrice)
-	}
-	if r.MaxZones < 0 || r.MaxZones > MaxZonesLimit {
-		return invalidf("max_zones must be in [1, %d], got %d", MaxZonesLimit, r.MaxZones)
-	}
-	if r.Top < 0 || r.Top > MaxTop {
-		return invalidf("top must be in [1, %d], got %d", MaxTop, r.Top)
-	}
-	return nil
-}
-
-// Key returns the canonical shape key: every field that influences
-// pushed events, in fixed order. Shapes with equal keys share one
-// resident evaluator.
-func (r StreamRequest) Key() string {
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	return "w=" + g(r.WorkHours) +
-		"|d=" + g(r.DeadlineHours) +
-		"|od=" + g(r.OnDemandPrice) +
-		"|z=" + strconv.Itoa(r.MaxZones) +
-		"|t=" + strconv.Itoa(r.Top)
-}
+// StreamRequest is Request under its old stream-path name. It exists
+// only because the benchmark harness under bench/ still names it.
+type StreamRequest = Request
 
 // StreamEvent is one pushed plan change on the wire.
 type StreamEvent struct {
@@ -271,7 +140,7 @@ func (sm *StreamMetrics) PushLatencyQuantile(q float64) float64 {
 // streamShape is one request shape's resident state: its incremental
 // evaluator, its latest published event and its subscribers.
 type streamShape struct {
-	req  StreamRequest
+	req  Request
 	se   *core.StreamEvaluator
 	last *StreamEvent
 	subs map[*StreamSub]struct{}
@@ -487,14 +356,7 @@ func (st *Streamer) advanceLocked(sh *streamShape, row []float64) {
 // event converts one evaluator update into the shape's wire event,
 // truncated to the shape's Top.
 func (sh *streamShape) event(upd *core.StreamUpdate, stale bool) *StreamEvent {
-	top := sh.req.Top
-	if top > len(upd.Plans) {
-		top = len(upd.Plans)
-	}
-	wire := make([]Plan, top)
-	for i := 0; i < top; i++ {
-		wire[i] = toWire(upd.Plans[i])
-	}
+	wire := wirePlans(upd.Plans, sh.req.Top)
 	ev := &StreamEvent{
 		Generation:   upd.Generation,
 		Tick:         upd.Tick,
@@ -515,13 +377,13 @@ func (sh *streamShape) event(upd *core.StreamUpdate, stale bool) *StreamEvent {
 // streamConfigLocked is the core evaluator shape of one subscription
 // request — shared by Subscribe and crash-recovery Restore so restored
 // evaluators resolve identically to freshly subscribed ones.
-func (st *Streamer) streamConfigLocked(req StreamRequest) core.StreamConfig {
+func (st *Streamer) streamConfigLocked(req Request) core.StreamConfig {
 	return core.StreamConfig{
 		Zones:           st.Zones,
 		Start:           st.Start + int64(st.dropped)*st.Step,
 		Step:            st.Step,
-		Work:            int64(math.Round(req.WorkHours * float64(trace.Hour))),
-		Deadline:        int64(math.Round(req.DeadlineHours * float64(trace.Hour))),
+		Work:            seconds(req.WorkHours),
+		Deadline:        seconds(req.DeadlineHours),
 		CheckpointCost:  core.DefaultCheckpointCost,
 		RestartCost:     core.DefaultCheckpointCost,
 		OnDemandRate:    req.OnDemandPrice,
@@ -533,12 +395,14 @@ func (st *Streamer) streamConfigLocked(req StreamRequest) core.StreamConfig {
 
 // Subscribe registers for a shape's plan changes, creating (and
 // catching up, over the retained backlog) its resident evaluator on
-// first use. The returned subscription carries the shape's current
-// table as a snapshot.
-func (st *Streamer) Subscribe(req StreamRequest) (*StreamSub, error) {
+// first use. The shape is a Request with no history window (the feed's
+// retention is the window); a non-zero window is ErrInvalidRequest.
+// The returned subscription carries the shape's current table as a
+// snapshot.
+func (st *Streamer) Subscribe(req Request) (*StreamSub, error) {
 	st.init()
 	req.Normalize()
-	if err := req.Validate(); err != nil {
+	if err := req.validateStream(); err != nil {
 		return nil, err
 	}
 	st.mu.Lock()

@@ -37,7 +37,7 @@ const (
 // floor only suppresses tables the client has already seen.
 func registerStream(mux *http.ServeMux, st *Streamer) {
 	mux.HandleFunc("GET /v1/quotes/stream", func(w http.ResponseWriter, r *http.Request) {
-		req, err := ParseStreamRequest(r.URL.Query())
+		req, err := ParseQuery(r.URL.Query())
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return

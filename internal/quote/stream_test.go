@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -22,13 +23,13 @@ import (
 // subscription shape.
 type streamFixture struct {
 	set   *trace.Set
-	shape StreamRequest
+	shape Request
 }
 
 func newStreamFixture() streamFixture {
 	return streamFixture{
 		set:   tracegen.HighVolatility(7),
-		shape: StreamRequest{WorkHours: 4, DeadlineHours: 12, MaxZones: 2, Top: 3},
+		shape: Request{WorkHours: 4, DeadlineHours: 12, MaxZones: 2, Top: 3},
 	}
 }
 
@@ -286,6 +287,32 @@ func TestStreamerLateSubscriber(t *testing.T) {
 	}
 	if len(snap.Best.Zones) != 1 {
 		t.Fatalf("max_zones=1 shape ranked %d-zone best plan", len(snap.Best.Zones))
+	}
+}
+
+// TestStreamerRejectsWindow pins the stream path's window rule: the
+// feed's retention is the window, so a subscription carrying a history
+// window is invalid, while the same shape without one subscribes.
+func TestStreamerRejectsWindow(t *testing.T) {
+	fx := newStreamFixture()
+	st := fx.streamer()
+	for _, h := range []float64{48, -1, math.NaN()} {
+		shape := fx.shape
+		shape.HistoryWindowHours = h
+		if _, err := st.Subscribe(shape); !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("window %g: Subscribe err = %v, want ErrInvalidRequest", h, err)
+		}
+	}
+	sub, err := st.Subscribe(fx.shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub.Close()
+	// The window-less shape is still no one-shot quote.
+	shape := fx.shape
+	shape.Normalize()
+	if err := shape.Validate(); !errors.Is(err, ErrInvalidRequest) {
+		t.Fatalf("one-shot Validate of a window-less shape: %v, want ErrInvalidRequest", err)
 	}
 }
 
