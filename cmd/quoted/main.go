@@ -17,28 +17,16 @@
 //	quoted -addr :8081 -preset high -seed 7
 //	quoted -addr :8081 -feed http://localhost:8080
 //	curl -s localhost:8081/v1/quote -d '{"work_hours":20,"deadline_hours":30,"history_window":12}'
-//
-// The built-in load generator measures the service end-to-end over a
-// real listener and prints throughput and latency quantiles:
-//
-//	quoted -selfbench 200 -bench-duration 5s
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"flag"
-	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -67,9 +55,7 @@ func main() {
 	cacheSize := flag.Int("cache", 1024, "plan cache entries")
 	breakerFails := flag.Int("breaker-failures", quote.DefaultBreakerThreshold, "consecutive history failures that open the circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", quote.DefaultBreakerCooldown, "open-breaker period before a half-open probe")
-	selfbench := flag.Int("selfbench", 0, "run the load generator with this many concurrent clients instead of serving")
-	benchDur := flag.Duration("bench-duration", 5*time.Second, "load generator run time")
-	stream := flag.Bool("stream", false, "serve GET /v1/quotes/stream, feeding the streamer by replaying the synthetic preset as a live tick feed (with -selfbench: run the subscriber load generator instead)")
+	stream := flag.Bool("stream", false, "serve GET /v1/quotes/stream, feeding the streamer by replaying the synthetic preset as a live tick feed")
 	streamRate := flag.Float64("stream-rate", 8, "replayed feed ticks per second in -stream mode")
 	snapshot := flag.String("snapshot", "", "crash-recovery snapshot file for -stream mode: checkpoints are written there and, on startup, the stream resumes from it instead of replaying from scratch")
 	checkpointEvery := flag.Int("checkpoint-every", quote.DefaultCheckpointEvery, "feed ticks between -snapshot checkpoints")
@@ -140,15 +126,13 @@ func main() {
 	// preset as a live tick feed. (A live -feed endpoint has no tick
 	// stream to subscribe to; it stays one-shot only.)
 	var streamer *quote.Streamer
-	var streamMetrics *quote.StreamMetrics
 	if *stream {
 		if presetSet == nil {
 			log.Fatal("-stream needs a synthetic -preset feed; -feed is one-shot only")
 		}
-		streamMetrics = metrics.AttachStream()
 		streamer = &quote.Streamer{
 			Eval:            svc.Eval,
-			Metrics:         streamMetrics,
+			Metrics:         metrics.AttachStream(),
 			Zones:           presetSet.Zones(),
 			Start:           presetSet.Start(),
 			Step:            presetSet.Step(),
@@ -184,20 +168,6 @@ func main() {
 		svc.Eval.Sink = dlog
 		mux.Handle("GET /debug/decisions", dlog.Handler())
 	}
-	handler := http.Handler(mux)
-
-	if *selfbench > 0 {
-		var err error
-		if *stream {
-			err = runStreamBench(streamer, streamMetrics, handler, presetSet, *selfbench, *benchDur, *streamRate)
-		} else {
-			err = runSelfbench(svc, handler, *selfbench, *benchDur)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -205,7 +175,7 @@ func main() {
 		go replayFeed(ctx, streamer, presetSet, *streamRate)
 		log.Printf("streaming plans at http://%s/v1/quotes/stream (%.3g ticks/s)", *addr, *streamRate)
 	}
-	srv := httpx.NewServer(*addr, handler)
+	srv := httpx.NewServer(*addr, mux)
 	log.Printf("serving plans at http://%s/v1/quote (metrics at /metrics)", *addr)
 	if err := httpx.ListenAndServe(ctx, srv, httpx.DefaultGrace); err != nil {
 		log.Fatal(err)
@@ -237,182 +207,4 @@ func replayFeed(ctx context.Context, st *quote.Streamer, set *trace.Set, rate fl
 			return
 		}
 	}
-}
-
-// benchRequests is the request mix the load generator cycles through:
-// enough distinct shapes to exercise evaluation, coalescing and the
-// cache rather than a single hot key.
-func benchRequests() [][]byte {
-	var out [][]byte
-	for _, work := range []float64{4, 8, 12, 16, 20, 24} {
-		for _, slack := range []float64{1.2, 1.5} {
-			body := fmt.Sprintf(`{"work_hours":%g,"deadline_hours":%g,"history_window":6,"max_zones":2}`,
-				work, work*slack)
-			out = append(out, []byte(body))
-		}
-	}
-	return out
-}
-
-// runSelfbench boots the service on an ephemeral local listener, fires
-// clients concurrent request loops at it for dur, and prints
-// throughput, latency quantiles and cache statistics. Latencies go
-// through the same obs.Histogram machinery the cluster simulator's
-// capacity curves use, so single-instance p50/p99 and fleet p50/p99 in
-// BENCH_cluster.json are directly comparable numbers.
-func runSelfbench(svc *quote.Service, handler http.Handler, clients int, dur time.Duration) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := httpx.NewServer("", handler)
-	ctx, cancel := context.WithCancel(context.Background())
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- httpx.Serve(ctx, srv, ln, httpx.DefaultGrace) }()
-	base := "http://" + ln.Addr().String()
-
-	transport := &http.Transport{MaxIdleConns: clients, MaxIdleConnsPerHost: clients}
-	client := &http.Client{Transport: transport, Timeout: 2 * time.Minute}
-	reqs := benchRequests()
-
-	var (
-		latency = obs.NewHistogram(nil)
-		total   atomic.Int64
-		errs    atomic.Int64
-	)
-	deadline := time.Now().Add(dur)
-	var wg sync.WaitGroup
-	wg.Add(clients)
-	for c := 0; c < clients; c++ {
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; time.Now().Before(deadline); i++ {
-				body := reqs[(c+i)%len(reqs)]
-				start := time.Now()
-				resp, err := client.Post(base+"/v1/quote", "application/json", bytes.NewReader(body))
-				if err != nil {
-					errs.Add(1)
-					continue
-				}
-				if resp.StatusCode != http.StatusOK {
-					errs.Add(1)
-				}
-				_, _ = new(bytes.Buffer).ReadFrom(resp.Body)
-				resp.Body.Close()
-				latency.Observe(time.Since(start).Seconds())
-				total.Add(1)
-			}
-		}(c)
-	}
-	wg.Wait()
-	cancel()
-	if err := <-serveDone; err != nil {
-		return err
-	}
-
-	m := svc.Stats()
-	fmt.Printf("selfbench: %d clients × %s\n", clients, dur)
-	fmt.Printf("  requests      %d (%.0f req/s), errors %d\n",
-		total.Load(), float64(total.Load())/dur.Seconds(), errs.Load())
-	fmt.Printf("  latency       p50 %.3fms  p95 %.3fms  p99 %.3fms\n",
-		latency.Quantile(0.50)*1e3, latency.Quantile(0.95)*1e3, latency.Quantile(0.99)*1e3)
-	fmt.Printf("  cache         hits %d  misses %d  coalesced %d\n",
-		m.CacheHits.Load(), m.CacheMisses.Load(), m.Coalesced.Load())
-	if errs.Load() > 0 {
-		return fmt.Errorf("selfbench: %d failed requests", errs.Load())
-	}
-	return nil
-}
-
-// streamBenchShapes is the subscription mix the streaming load
-// generator spreads its subscribers across: a handful of distinct
-// shapes, so fan-out within a shape and multiple resident evaluators
-// are both exercised.
-func streamBenchShapes() []string {
-	var out []string
-	for _, work := range []float64{4, 8, 12, 16} {
-		out = append(out, fmt.Sprintf("work_hours=%g&deadline_hours=%g&max_zones=2&top=3", work, 3*work))
-	}
-	return out
-}
-
-// runStreamBench boots the streaming service on an ephemeral listener,
-// attaches subscribers SSE clients, replays the preset feed at rate
-// ticks/second for dur, and prints the tick/publish pipeline's
-// throughput and plan-push latency quantiles (publish to client
-// write), measured by the same histogram /metrics exports.
-func runStreamBench(st *quote.Streamer, sm *quote.StreamMetrics, handler http.Handler, set *trace.Set, subscribers int, dur time.Duration, rate float64) error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := httpx.NewServer("", handler)
-	ctx, cancel := context.WithCancel(context.Background())
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- httpx.Serve(ctx, srv, ln, httpx.DefaultGrace) }()
-	base := "http://" + ln.Addr().String()
-
-	clientCtx, stopClients := context.WithCancel(ctx)
-	shapes := streamBenchShapes()
-	transport := &http.Transport{MaxIdleConns: subscribers, MaxIdleConnsPerHost: subscribers}
-	client := &http.Client{Transport: transport}
-	var (
-		events atomic.Int64
-		errs   atomic.Int64
-		wg     sync.WaitGroup
-	)
-	wg.Add(subscribers)
-	for c := 0; c < subscribers; c++ {
-		go func(c int) {
-			defer wg.Done()
-			url := base + "/v1/quotes/stream?" + shapes[c%len(shapes)]
-			req, err := http.NewRequestWithContext(clientCtx, http.MethodGet, url, nil)
-			if err != nil {
-				errs.Add(1)
-				return
-			}
-			resp, err := client.Do(req)
-			if err != nil {
-				errs.Add(1)
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs.Add(1)
-				return
-			}
-			sc := bufio.NewScanner(resp.Body)
-			for sc.Scan() {
-				if strings.HasPrefix(sc.Text(), "event: plan") {
-					events.Add(1)
-				}
-			}
-		}(c)
-	}
-
-	// Feed ticks for the benchmark window, then stop the clients.
-	feedCtx, stopFeed := context.WithTimeout(ctx, dur)
-	replayFeed(feedCtx, st, set, rate)
-	stopFeed()
-	time.Sleep(100 * time.Millisecond) // let the last pushes drain
-	stopClients()
-	wg.Wait()
-	cancel()
-	if err := <-serveDone; err != nil {
-		return err
-	}
-
-	ticks := st.Metrics.Ticks.Load()
-	gens := st.Metrics.Generations.Load()
-	fmt.Printf("streambench: %d subscribers × %s @ %.3g ticks/s\n", subscribers, dur, rate)
-	fmt.Printf("  feed          %d ticks (%.1f/s), %d plan generations\n",
-		ticks, float64(ticks)/dur.Seconds(), gens)
-	fmt.Printf("  pushes        %d plan events delivered (%.1f/subscriber), errors %d\n",
-		events.Load(), float64(events.Load())/float64(subscribers), errs.Load())
-	fmt.Printf("  push latency  p50 %.3fms  p95 %.3fms  p99 %.3fms\n",
-		sm.PushLatencyQuantile(0.50)*1e3, sm.PushLatencyQuantile(0.95)*1e3, sm.PushLatencyQuantile(0.99)*1e3)
-	if errs.Load() > 0 {
-		return fmt.Errorf("streambench: %d failed subscriptions", errs.Load())
-	}
-	return nil
 }

@@ -24,28 +24,15 @@
 // repeated -quota tenant=rate:burst flags give named tenants (the
 // X-Tenant request header) private buckets; exhausted quotas answer
 // 429 with a dedicated metric.
-//
-// With -sim the binary runs the in-process cluster simulator instead
-// of serving: N real quote services behind the real router, swept
-// across offered-load levels per policy by a seeded open-loop
-// workload, with the capacity curves (p50/p99 latency, error rate,
-// plan-cache hit rate vs offered load), the quota-exhaustion scenario
-// and the mid-run backend-kill scenario reported as JSON on stdout.
-// The process exits non-zero if affinity routing misses round-robin's
-// cache-hit-rate floor, quota exhaustion produces no counted 429s, or
-// the killed backend is not ejected cleanly — scripts/bench.sh runs
-// exactly this as the BENCH_cluster.json gate.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"net/url"
-	"os"
 	"os/signal"
 	"strconv"
 	"strings"
@@ -63,7 +50,7 @@ func main() {
 	log.SetPrefix("quotelb: ")
 
 	addr := flag.String("addr", ":8080", "listen address")
-	backends := flag.String("backends", "", "comma-separated quoted base URLs (required unless -sim)")
+	backends := flag.String("backends", "", "comma-separated quoted base URLs (required)")
 	policyName := flag.String("policy", "affinity", "routing policy: affinity, least-loaded, round-robin")
 	rate := flag.Float64("rate", 0, "default-bucket admission rate in req/s (0: unlimited)")
 	burst := flag.Float64("burst", 0, "default-bucket burst (0: same as -rate)")
@@ -87,23 +74,10 @@ func main() {
 		return nil
 	})
 
-	simOn := flag.Bool("sim", false, "run the in-process cluster simulator and print BENCH_cluster JSON instead of serving")
-	simBackends := flag.Int("sim-backends", 3, "simulated fleet size")
-	simSeed := flag.Uint64("sim-seed", 1, "simulator workload/history seed")
-	simLoads := flag.String("sim-loads", "300,1200,4800", "comma-separated offered-load levels in req/s")
-	simDur := flag.Duration("sim-duration", 2*time.Second, "simulator run time per (policy, load) level")
-	simHot := flag.Float64("sim-hot", 0.85, "fraction of simulated requests drawn from the repeated hot set")
 	flag.Parse()
 
-	if *simOn {
-		if err := runSim(*simBackends, *simSeed, *simLoads, *simDur, *simHot); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
 	if *backends == "" {
-		log.Fatal("-backends is required (or use -sim)")
+		log.Fatal("-backends is required")
 	}
 	fleet, err := parseBackends(*backends, *breakerFails, *breakerCooldown)
 	if err != nil {
@@ -220,41 +194,4 @@ func parseQuota(s string) (string, cluster.Quota, error) {
 		}
 	}
 	return tenant, cluster.Quota{Rate: rate, Burst: burst}, nil
-}
-
-// runSim runs the capacity-curve simulator and prints its JSON report,
-// failing the process if an acceptance gate does not hold.
-func runSim(backends int, seed uint64, loads string, dur time.Duration, hot float64) error {
-	var levels []float64
-	for _, f := range strings.Split(loads, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("bad -sim-loads entry %q", f)
-		}
-		levels = append(levels, v)
-	}
-	log.Printf("sim: %d backends, %d load levels × %s per policy, seed %d", backends, len(levels), dur, seed)
-	res, err := cluster.RunSim(cluster.SimConfig{
-		Backends:    backends,
-		Seed:        seed,
-		Loads:       levels,
-		Duration:    dur,
-		HotFraction: hot,
-	})
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
-		return err
-	}
-	for _, p := range res.Curves {
-		log.Printf("sim: %-12s %6.0f req/s offered → p50 %7.2fms p99 %8.2fms errors %.3f%% cache-hit %.1f%%",
-			p.Policy, p.OfferedRPS, p.P50Ms, p.P99Ms, 100*p.ErrorRate, 100*p.CacheHitRate)
-	}
-	log.Printf("sim: affinity cache-hit %.1f%% vs round-robin %.1f%%; quota 429s %d; kill ejections %d errors %d",
-		100*res.Duel.AffinityHitRate, 100*res.Duel.RoundRobinHitRate,
-		res.Quota.Throttled, res.Kill.Ejections, res.Kill.Errors)
-	return res.Check()
 }

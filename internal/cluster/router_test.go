@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/quote"
+	"repro/internal/tracegen"
 )
 
 // validBody is a decodable quote request for routing tests; the echo
@@ -78,6 +80,66 @@ func TestRouterAffinityPinsRequests(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatalf("24 distinct shapes all routed to %v; affinity is not spreading", seen)
+	}
+}
+
+// TestRouterAffinityBeatsRoundRobinHits sends one seeded request
+// sequence — 85 % drawn from 12 hot shapes, 15 % unique — through a
+// fresh fleet of 3 real quote services per policy, and checks that
+// affinity routing, which pins each hot shape to one backend's plan
+// cache, hits that cache strictly more often than round-robin, which
+// spreads every shape over all three.
+func TestRouterAffinityBeatsRoundRobinHits(t *testing.T) {
+	set := tracegen.HighVolatility(1)
+	body := func(work, deadline float64) string {
+		return fmt.Sprintf(`{"work_hours":%g,"deadline_hours":%g,"history_window":3,"max_zones":2}`, work, deadline)
+	}
+	var hot []string
+	for _, work := range []float64{4, 8, 12, 16, 20, 24} {
+		for _, slack := range []float64{1.2, 1.5} {
+			hot = append(hot, body(work, work*slack))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	seq := make([]string, 300)
+	for i := range seq {
+		if rng.Float64() < 0.85 {
+			seq[i] = hot[rng.Intn(len(hot))]
+		} else {
+			work := 2 + float64(i)*0.001
+			seq[i] = body(work, 1.5*work)
+		}
+	}
+
+	hitRate := func(policy Policy) float64 {
+		var services []*quote.Service
+		var backends []*Backend
+		for i := 0; i < 3; i++ {
+			svc := &quote.Service{Source: &quote.StaticSource{Set: set}}
+			services = append(services, svc)
+			backends = append(backends, NewBackend(fmt.Sprintf("quoted-%d", i), quote.NewHandler(svc)))
+		}
+		h := (&Router{Backends: backends, Policy: policy}).Handler()
+		for i, b := range seq {
+			if rec := postQuote(h, b, ""); rec.Code != http.StatusOK {
+				t.Fatalf("%s: request %d returned %d: %s", policy.Name(), i, rec.Code, rec.Body)
+			}
+		}
+		var hits, lookups int64
+		for _, svc := range services {
+			m := svc.Stats()
+			hits += m.CacheHits.Load()
+			lookups += m.CacheHits.Load() + m.CacheMisses.Load()
+		}
+		if lookups != int64(len(seq)) {
+			t.Fatalf("%s: %d cache lookups for %d requests", policy.Name(), lookups, len(seq))
+		}
+		return float64(hits) / float64(lookups)
+	}
+	aff, rr := hitRate(NewAffinity()), hitRate(NewRoundRobin())
+	t.Logf("plan-cache hit rate: affinity %.3f, round-robin %.3f", aff, rr)
+	if aff <= rr {
+		t.Fatalf("affinity plan-cache hit rate %.3f not above round-robin's %.3f", aff, rr)
 	}
 }
 
@@ -216,6 +278,34 @@ func TestRouterBadRequest(t *testing.T) {
 		if got := r.Stats().BadRequests.Load(); got != int64(i+1) {
 			t.Fatalf("bad_requests = %d, want %d", got, i+1)
 		}
+	}
+}
+
+// TestRouterTinyHistoryWindow sends requests whose history window is
+// too short to price through a fleet of 3 real quote services: each
+// must come back 400 from the backend without ejecting anything, so
+// another client's valid quote is still answered.
+func TestRouterTinyHistoryWindow(t *testing.T) {
+	set := tracegen.HighVolatility(1)
+	var backends []*Backend
+	for i := 0; i < 3; i++ {
+		svc := &quote.Service{Source: &quote.StaticSource{Set: set}}
+		backends = append(backends, NewBackend(fmt.Sprintf("quoted-%d", i), quote.NewHandler(svc)))
+	}
+	r := &Router{Backends: backends, Policy: NewAffinity()}
+	h := r.Handler()
+	for i := 0; i < 5; i++ {
+		rec := postQuote(h, `{"work_hours":4,"deadline_hours":8,"history_window":0.01}`, "tenant-a")
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("tiny window %d returned %d, want 400: %s", i, rec.Code, rec.Body)
+		}
+	}
+	m := r.Stats()
+	if m.Ejections.Load() != 0 || m.Failovers.Load() != 0 {
+		t.Fatalf("ejections %d, failovers %d after tiny windows; want 0, 0", m.Ejections.Load(), m.Failovers.Load())
+	}
+	if rec := postQuote(h, validBody, "tenant-b"); rec.Code != http.StatusOK {
+		t.Fatalf("another client's valid quote returned %d: %s", rec.Code, rec.Body)
 	}
 }
 

@@ -75,6 +75,9 @@ func (se *StreamEvaluator) Snapshot() *StreamSnapshot {
 // where the snapshot left off: the next Advance produces tick
 // snap.Ticks+1, and the generation only moves when the table changes.
 func (se *StreamEvaluator) Restore(snap *StreamSnapshot) error {
+	if snap == nil {
+		return fmt.Errorf("core: nil stream snapshot")
+	}
 	if se.stats.Ticks != 0 || se.tape.Len() != 0 {
 		return fmt.Errorf("core: Restore on an evaluator that has already ingested %d ticks", se.stats.Ticks)
 	}

@@ -72,8 +72,8 @@ func TestStreamSnapshotResume(t *testing.T) {
 }
 
 // TestStreamSnapshotRefusals pins every way Restore must say no: a
-// tampered window, a tampered digest, mismatched geometry, and an
-// evaluator that has already ingested ticks.
+// missing snapshot, a tampered window, a tampered digest, mismatched
+// geometry, and an evaluator that has already ingested ticks.
 func TestStreamSnapshotRefusals(t *testing.T) {
 	set := paperRegimes()["low/day1"]
 	cfg := streamConfigFor(set)
@@ -103,6 +103,10 @@ func TestStreamSnapshotRefusals(t *testing.T) {
 			c.Rows[i] = append([]float64(nil), row...)
 		}
 		return &c
+	}
+
+	if err := fresh().Restore(nil); err == nil {
+		t.Fatal("nil snapshot restored")
 	}
 
 	tampered := copySnap()

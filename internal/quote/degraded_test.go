@@ -125,6 +125,67 @@ func TestStalePlansServeThroughOutage(t *testing.T) {
 	}
 }
 
+// TestTinyHistoryWindowIsClientError checks that a history window too
+// short to hold two samples of a healthy source is the client's error:
+// 400 and a validation count, never a history failure, so repeating it
+// cannot open the breaker and degrade the service for everyone else.
+// An empty source stays a history failure, and a too-short window sent
+// as the half-open probe closes the breaker: the source answered.
+func TestTinyHistoryWindowIsClientError(t *testing.T) {
+	svc := testService()
+	ctx := context.Background()
+	tiny := testRequest()
+	tiny.HistoryWindowHours = 0.01
+	for i := 0; i < 5; i++ {
+		if _, _, err := svc.Quote(ctx, tiny); !errors.Is(err, ErrInvalidRequest) || errors.Is(err, ErrHistory) {
+			t.Fatalf("tiny window %d: err = %v, want ErrInvalidRequest only", i, err)
+		}
+	}
+	m := svc.Stats()
+	if m.ValidationErrors.Load() != 5 || m.HistoryErrors.Load() != 0 || m.BreakerOpens.Load() != 0 {
+		t.Fatalf("validation %d, history %d, breaker opens %d; want 5, 0, 0",
+			m.ValidationErrors.Load(), m.HistoryErrors.Load(), m.BreakerOpens.Load())
+	}
+	if svc.Degraded() {
+		t.Fatal("tiny windows degraded the service")
+	}
+	if _, st, err := svc.Quote(ctx, testRequest()); err != nil || st != StatusMiss {
+		t.Fatalf("another client's valid quote = %v, %v", st, err)
+	}
+
+	ts := httptest.NewServer(NewHandler(svc))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/quote", "application/json",
+		strings.NewReader(`{"work_hours":4,"deadline_hours":8,"history_window":0.01}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("tiny window over HTTP returned %s, want 400", resp.Status)
+	}
+
+	empty := &Service{Source: &StaticSource{}}
+	if _, _, err := empty.Quote(ctx, testRequest()); !errors.Is(err, ErrHistory) {
+		t.Fatalf("empty source: err = %v, want ErrHistory", err)
+	}
+
+	now := time.Unix(0, 0)
+	src := &flakySource{inner: &StaticSource{Set: tracegen.HighVolatility(7)}, broken: true}
+	probed := &Service{Source: src, Breaker: &Breaker{Threshold: 1, Cooldown: time.Minute, Now: func() time.Time { return now }}}
+	if _, _, err := probed.Quote(ctx, testRequest()); !errors.Is(err, ErrHistory) || !probed.Degraded() {
+		t.Fatalf("broken source: err = %v, degraded %v; want ErrHistory and an open breaker", err, probed.Degraded())
+	}
+	src.broken = false
+	now = now.Add(2 * time.Minute)
+	if _, _, err := probed.Quote(ctx, tiny); !errors.Is(err, ErrInvalidRequest) {
+		t.Fatalf("tiny-window probe: err = %v, want ErrInvalidRequest", err)
+	}
+	if probed.Degraded() {
+		t.Fatal("a tiny-window probe left the breaker half-open")
+	}
+}
+
 func TestDegradedWithoutStalePlanErrors(t *testing.T) {
 	svc := &Service{Source: failingSource{}, Breaker: &Breaker{Threshold: 1}}
 	ctx := context.Background()

@@ -1,6 +1,9 @@
 package quote
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
 	"net/url"
 	"strings"
@@ -95,6 +98,77 @@ func FuzzParseQuery(f *testing.F) {
 		req2.Normalize()
 		if req.AffinityKey() != req2.AffinityKey() {
 			t.Fatalf("AffinityKey moved under permutation: %q vs %q", req.Key(), req2.Key())
+		}
+	})
+}
+
+// FuzzStreamerRestore exercises crash recovery from an untrusted
+// snapshot file: the bytes go through the stores' JSON decode and then
+// Streamer.Restore, which must never panic. A refused snapshot must
+// leave the streamer fresh — feed position 0, no restore counted —
+// and still able to subscribe and ingest; an accepted one must resume
+// the feed at Seq()+1.
+func FuzzStreamerRestore(f *testing.F) {
+	fx := newStreamFixture()
+	src := fx.streamer()
+	sub, err := src.Subscribe(fx.shape)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := src.Ingest(uint64(i+1), fx.reorderRow(i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	snap := src.Snapshot()
+	sub.Close()
+	checkpoint, err := json.Marshal(snap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(checkpoint)
+
+	// A shape whose evaluator state is null.
+	nullState := *snap
+	nullState.Shapes = []ShapeSnapshot{{Req: snap.Shapes[0].Req}}
+	raw, err := json.Marshal(&nullState)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+
+	// A shape request under Go field names rather than wire names.
+	wire, err := json.Marshal(snap.Shapes[0].Req)
+	if err != nil {
+		f.Fatal(err)
+	}
+	goNames := fmt.Sprintf(`{"WorkHours":4,"DeadlineHours":12,"OnDemandPrice":%g,"MaxZones":2,"Top":3}`, DefaultOnDemandPrice)
+	f.Add(bytes.Replace(checkpoint, wire, []byte(goNames), 1))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"shapes":[{}]}`))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		snap, err := (&MemStore{raw: raw}).Load()
+		if err != nil || snap == nil {
+			return
+		}
+		st := fx.streamer()
+		if err := st.Restore(snap); err == nil {
+			if err := st.Ingest(st.Seq()+1, fx.row(0)); err != nil {
+				t.Fatalf("restored streamer refused its next tick: %v", err)
+			}
+			return
+		}
+		if st.Seq() != 0 || st.Metrics.Restores.Load() != 0 {
+			t.Fatalf("refused restore left seq %d, restores %d", st.Seq(), st.Metrics.Restores.Load())
+		}
+		sub, err := st.Subscribe(fx.shape)
+		if err != nil {
+			t.Fatalf("refused restore left the streamer unable to subscribe: %v", err)
+		}
+		defer sub.Close()
+		if err := st.Ingest(1, fx.row(0)); err != nil || st.Seq() != 1 {
+			t.Fatalf("refused restore left the streamer unable to ingest: seq %d, %v", st.Seq(), err)
 		}
 	})
 }

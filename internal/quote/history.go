@@ -48,7 +48,9 @@ func Digest(set *trace.Set) string {
 }
 
 // tailWindow slices the trailing window seconds off a set, clamping to
-// the set's span.
+// the set's span. An empty set is the source's failure; a window too
+// short to hold two of a non-empty set's samples is the client's, an
+// ErrInvalidRequest.
 func tailWindow(set *trace.Set, window int64) (*trace.Set, error) {
 	if set == nil || set.NumZones() == 0 || set.Duration() <= 0 {
 		return nil, errors.New("quote: history source holds no samples")
@@ -59,7 +61,7 @@ func tailWindow(set *trace.Set, window int64) (*trace.Set, error) {
 	}
 	win := set.Slice(from, set.End())
 	if win.Duration() <= 0 || win.Series[0].Len() < 2 {
-		return nil, fmt.Errorf("quote: history window of %d s holds no samples", window)
+		return nil, invalidf("history_window of %d s holds fewer than two samples %d s apart", window, set.Step())
 	}
 	return win, nil
 }

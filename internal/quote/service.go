@@ -152,6 +152,13 @@ func (s *Service) Quote(ctx context.Context, req Request) ([]byte, CacheStatus, 
 	hsp.End()
 	s.Metrics.history.Observe(time.Since(histStart).Seconds())
 	if err != nil {
+		if errors.Is(err, ErrInvalidRequest) {
+			// The source answered, but the window is too short to
+			// price: the client's error, not an upstream failure.
+			s.Breaker.Success()
+			s.Metrics.ValidationErrors.Add(1)
+			return nil, "", err
+		}
 		s.Metrics.HistoryErrors.Add(1)
 		if s.Breaker.Failure() {
 			s.Metrics.BreakerOpens.Add(1)

@@ -1,293 +1,128 @@
 #!/usr/bin/env sh
-# Benchmark-regression harness: runs the paired observability
-# micro/macro benchmarks (plain vs -Obs variants of AdaptiveDecision
-# and MachineReset), plus the quote service's built-in load generator,
-# and writes the results to BENCH_obs.json. For every Name/NameObs
-# pair the report includes obs_overhead_pct — the acceptance budget is
-# 5% on the macro (AdaptiveDecision) pair; CI uploads the file as an
-# artifact so regressions are diffable across runs.
+# Micro-benchmark gates and the fleet chaos soak. End-to-end
+# measurement (quotes through quotelb → quoted, feed tick → SSE frame,
+# the paper suite) is the repository benchmark under bench/: run
+# `bash bench/run.sh`. This script keeps what nothing else provides.
 #
-# The same run also covers the batched-replay pair (AdaptiveDecision
-# Batched vs Oracle, plus the BatchRank macro) and writes BENCH_batch
-# .json with the measured speedup_x and allocation ratio. The batched
-# engine replacing per-permutation machine replays is the whole point,
-# so the script fails if it measures slower than the oracle.
+# Speedup gates, each a same-run ratio of a fast path against the path
+# it replaced, so machine speed cancels out:
+#   AdaptiveDecisionOracle / AdaptiveDecisionBatched  >= 1x  (batched
+#       replay engine vs per-permutation sim.Machine replays)
+#   StreamFullRerank / StreamTick                     >= 5x  (incremental
+#       per-tick re-rank vs a from-scratch Rank per tick)
+#   CounterfactualNaive / CounterfactualReplay        >= 3x  (scripted
+#       decision replay vs re-simulating the prefix with a live strategy)
+# Every Name/NameObs pair also reports obs_overhead_pct, the cost of
+# tracing (budget: 5 % on AdaptiveDecision; reported, not gated).
 #
-# Finally the cluster simulator (quotelb -sim) sweeps the routing
-# policies across offered-load levels and writes the capacity curves
-# plus the quota and backend-kill scenarios to BENCH_cluster.json. The
-# simulator process itself enforces the fleet gates — affinity routing
-# must meet round-robin's cache-hit floor, quota exhaustion must yield
-# counted 429s, and a killed backend must eject without a
-# client-visible error — so a violated gate fails this script.
-#
-# The streaming pair (StreamTick vs StreamFullRerank) measures the
-# incremental per-tick re-ranker against a from-scratch Rank per tick
-# over the same retention window, and the streaming load generator
-# (quoted -selfbench -stream) measures plan-push latency over real SSE
-# connections; both land in BENCH_stream.json. The per-tick update must
-# be at least 5x faster than the full re-rank — the point of streaming
-# quotes — or the script fails.
+# One awk program reads both benchmark logs, keeps the minimum ns/op per
+# benchmark (-count repeats each) with that run's memory columns, and
+# writes four reports:
+#   BENCH_obs.json     every benchmark row, plus obs_overhead pairs
+#   BENCH_batch.json   adaptive_decision batched vs oracle, batch_rank
+#   BENCH_stream.json  per_tick StreamTick vs StreamFullRerank
+#   BENCH_tuner.json   counterfactual replay vs naive, tuner decisions/s
+# It writes all four, then exits non-zero if a gate failed or a gated
+# row is missing.
 #
 # The fleet chaos soak (chaossim -fleet) runs last and writes its
-# aggregate recovery accounting — kills, restores, catch-up ticks per
-# restore — to BENCH_chaos_fleet.json; the soak process enforces its
-# own gates (zero client errors, snapshot resume, determinism), so a
-# violated fleet invariant fails this script too.
+# recovery accounting to BENCH_chaos_fleet.json; the soak enforces its
+# own gates (zero client errors, snapshot resume, determinism).
 #
-# The counterfactual-replay pair (CounterfactualReplay vs
-# CounterfactualNaive) measures scripted decision replay — pinned
-# prefix, no evaluator sweeps — against naively re-simulating the whole
-# prefix with a live strategy, on the paper's full §7 evaluation grid;
-# together with the TunerSearch throughput (decisions/s) it lands in
-# BENCH_tuner.json. Scripted replay must be at least 3x faster than the
-# naive path — the point of recording decisions — or the script fails.
-#
-# Usage: scripts/bench.sh [obs-output] [batch-output] [cluster-output] [stream-output] [fleet-output] [tuner-output]
-#        (defaults BENCH_obs.json, BENCH_batch.json, BENCH_cluster.json,
-#        BENCH_stream.json, BENCH_chaos_fleet.json, BENCH_tuner.json)
+# Usage: scripts/bench.sh [obs] [batch] [stream] [fleet] [tuner]
+#        (defaults BENCH_obs.json, BENCH_batch.json, BENCH_stream.json,
+#        BENCH_chaos_fleet.json, BENCH_tuner.json)
+# BENCH_COUNT (default 3) repeats each benchmark; BENCH_FLEET_RUNS
+# (default 20) sets the soak's scenario count.
 set -eu
 cd "$(dirname "$0")/.."
 
-out=${1:-BENCH_obs.json}
+obsout=${1:-BENCH_obs.json}
 batchout=${2:-BENCH_batch.json}
-clusterout=${3:-BENCH_cluster.json}
-streamout=${4:-BENCH_stream.json}
-fleetout=${5:-BENCH_chaos_fleet.json}
-tunerout=${6:-BENCH_tuner.json}
+streamout=${3:-BENCH_stream.json}
+fleetout=${4:-BENCH_chaos_fleet.json}
+tunerout=${5:-BENCH_tuner.json}
 count=${BENCH_COUNT:-3}
-clients=${BENCH_CLIENTS:-50}
-duration=${BENCH_DURATION:-3s}
-sim_loads=${BENCH_SIM_LOADS:-300,1200,4800}
-sim_duration=${BENCH_SIM_DURATION:-2s}
-stream_subs=${BENCH_STREAM_SUBS:-50}
-stream_rate=${BENCH_STREAM_RATE:-20}
 
-tmp=$(mktemp)
-self=$(mktemp)
-streamself=$(mktemp)
-trap 'rm -f "$tmp" "$self" "$streamself"' EXIT
+log=$(mktemp)
+trap 'rm -f "$log"' EXIT
 
-echo "bench: go test -bench 'AdaptiveDecision|MachineReset|BatchRank|StreamTick|StreamFullRerank' -count $count" >&2
+echo "bench: go test -bench (root and internal/decision) -count $count" >&2
 go test -run '^$' -bench 'AdaptiveDecision|MachineReset|BatchRank|StreamTick|StreamFullRerank' -benchmem \
-	-count "$count" . | tee /dev/stderr >"$tmp"
-
-echo "bench: quoted -selfbench $clients -bench-duration $duration" >&2
-go run ./cmd/quoted -selfbench "$clients" -bench-duration "$duration" \
-	| tee /dev/stderr >"$self"
-
-awk -v self="$self" '
-# Benchmark lines: name, iterations, ns/op, B/op, allocs/op. With
-# -count > 1 each name repeats; keep the minimum ns/op (least noisy)
-# and its companion memory columns.
-/^Benchmark/ {
-	name = $1
-	sub(/-[0-9]+$/, "", name)        # strip GOMAXPROCS suffix
-	sub(/^Benchmark/, "", name)
-	ns = $3; bytes = $5; allocs = $7
-	if (!(name in best) || ns + 0 < best[name] + 0) {
-		best[name] = ns; mem[name] = bytes; alloc[name] = allocs
-		if (!(name in seen)) { order[++n] = name; seen[name] = 1 }
-	}
-}
-END {
-	# selfbench lines:
-	#   "  requests      N (R req/s), errors E"
-	#   "  latency       p50 X.XXXms  p95 X.XXXms  p99 X.XXXms"
-	reqs = ""; rate = ""; errs = ""; p50 = ""; p99 = ""
-	while ((getline line < self) > 0) {
-		if (line ~ /requests/) {
-			split(line, f, /[ (),]+/)
-			reqs = f[3]; rate = f[4]; errs = f[7]
-		}
-		if (line ~ /latency/) {
-			split(line, f, /[ ]+/)
-			p50 = f[4]; p99 = f[8]
-			sub(/ms$/, "", p50); sub(/ms$/, "", p99)
-		}
-	}
-	printf "{\n  \"benchmarks\": [\n"
-	for (i = 1; i <= n; i++) {
-		name = order[i]
-		printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
-			name, best[name], mem[name], alloc[name], (i < n ? "," : "")
-	}
-	printf "  ],\n  \"obs_overhead\": [\n"
-	m = 0
-	for (i = 1; i <= n; i++) {
-		base = order[i]
-		if (base ~ /Obs$/ || !((base "Obs") in best)) continue
-		pair[++m] = base
-	}
-	for (i = 1; i <= m; i++) {
-		base = pair[i]; obs = base "Obs"
-		pct = (best[obs] - best[base]) / best[base] * 100
-		printf "    {\"name\": \"%s\", \"base_ns_per_op\": %s, \"obs_ns_per_op\": %s, \"obs_overhead_pct\": %.2f}%s\n", \
-			base, best[base], best[obs], pct, (i < m ? "," : "")
-	}
-	printf "  ],\n"
-	printf "  \"selfbench\": {\"requests\": %s, \"req_per_sec\": %s, \"errors\": %s, \"p50_ms\": %s, \"p99_ms\": %s}\n", \
-		(reqs == "" ? 0 : reqs), (rate == "" ? 0 : rate), (errs == "" ? 0 : errs), \
-		(p50 == "" ? 0 : p50), (p99 == "" ? 0 : p99)
-	printf "}\n"
-}
-' "$tmp" >"$out"
-
-echo "bench: wrote $out" >&2
-
-# Batched-replay report: same benchmark output, different lens. The
-# Batched/Oracle rows come from one interleaved run, so the speedup is
-# a same-machine ratio rather than a cross-run comparison.
-awk '
-/^Benchmark/ {
-	name = $1
-	sub(/-[0-9]+$/, "", name)
-	sub(/^Benchmark/, "", name)
-	ns = $3; allocs = $7
-	if (!(name in best) || ns + 0 < best[name] + 0) {
-		best[name] = ns; alloc[name] = allocs
-	}
-}
-END {
-	b = best["AdaptiveDecisionBatched"]; o = best["AdaptiveDecisionOracle"]
-	if (b == "" || o == "") {
-		print "bench: missing AdaptiveDecisionBatched/Oracle pair" > "/dev/stderr"
-		exit 1
-	}
-	speed = (o + 0) / (b + 0)
-	ar = (alloc["AdaptiveDecisionOracle"] + 0) / (alloc["AdaptiveDecisionBatched"] + 0)
-	printf "{\n"
-	printf "  \"adaptive_decision\": {\"batched_ns_per_op\": %s, \"oracle_ns_per_op\": %s, \"speedup_x\": %.2f, \"batched_allocs_per_op\": %s, \"oracle_allocs_per_op\": %s, \"alloc_ratio_x\": %.2f},\n", \
-		b, o, speed, alloc["AdaptiveDecisionBatched"], alloc["AdaptiveDecisionOracle"], ar
-	printf "  \"batch_rank\": {\"ns_per_op\": %s, \"allocs_per_op\": %s}\n", \
-		best["BatchRank"], alloc["BatchRank"]
-	printf "}\n"
-	if (speed < 1) {
-		printf "bench: batched evaluator slower than oracle (%.2fx)\n", speed > "/dev/stderr"
-		exit 1
-	}
-}
-' "$tmp" >"$batchout"
-
-echo "bench: wrote $batchout" >&2
-
-# Cluster capacity curves: the simulator prints the report JSON on
-# stdout and exits non-zero if a fleet gate (affinity >= round-robin
-# cache hits, counted quota 429s, clean backend-kill ejection) fails.
-echo "bench: quotelb -sim -sim-loads $sim_loads -sim-duration $sim_duration" >&2
-go run ./cmd/quotelb -sim -sim-loads "$sim_loads" -sim-duration "$sim_duration" >"$clusterout"
-
-echo "bench: wrote $clusterout" >&2
-
-# Streaming report: the per-tick incremental re-rank vs the
-# from-scratch baseline (gated at 5x), plus the SSE subscriber load
-# generator's plan-push pipeline numbers.
-echo "bench: quoted -selfbench $stream_subs -stream -stream-rate $stream_rate -bench-duration $duration" >&2
-go run ./cmd/quoted -selfbench "$stream_subs" -stream -stream-rate "$stream_rate" \
-	-bench-duration "$duration" | tee /dev/stderr >"$streamself"
-
-awk -v streamself="$streamself" '
-/^Benchmark/ {
-	name = $1
-	sub(/-[0-9]+$/, "", name)
-	sub(/^Benchmark/, "", name)
-	ns = $3; allocs = $7
-	if (!(name in best) || ns + 0 < best[name] + 0) {
-		best[name] = ns; alloc[name] = allocs
-	}
-}
-END {
-	tick = best["StreamTick"]; full = best["StreamFullRerank"]
-	if (tick == "" || full == "") {
-		print "bench: missing StreamTick/StreamFullRerank pair" > "/dev/stderr"
-		exit 1
-	}
-	speed = (full + 0) / (tick + 0)
-	# streambench lines:
-	#   "  feed          N ticks (R/s), G plan generations"
-	#   "  pushes        E plan events delivered (X/subscriber), errors F"
-	#   "  push latency  p50 X.XXXms  p95 X.XXXms  p99 X.XXXms"
-	ticks = 0; gens = 0; events = 0; p50 = 0; p99 = 0
-	while ((getline line < streamself) > 0) {
-		if (line ~ /feed/) {
-			split(line, f, /[ (),]+/)
-			ticks = f[3]; gens = f[6]
-		}
-		if (line ~ /pushes/) {
-			split(line, f, /[ (),]+/)
-			events = f[3]
-		}
-		if (line ~ /push latency/) {
-			split(line, f, /[ ]+/)
-			p50 = f[5]; p99 = f[9]
-			sub(/ms$/, "", p50); sub(/ms$/, "", p99)
-		}
-	}
-	printf "{\n"
-	printf "  \"per_tick\": {\"stream_tick_ns_per_op\": %s, \"full_rerank_ns_per_op\": %s, \"speedup_x\": %.2f, \"stream_tick_allocs_per_op\": %s, \"full_rerank_allocs_per_op\": %s},\n", \
-		tick, full, speed, alloc["StreamTick"], alloc["StreamFullRerank"]
-	printf "  \"streambench\": {\"ticks\": %s, \"generations\": %s, \"plan_events\": %s, \"push_p50_ms\": %s, \"push_p99_ms\": %s}\n", \
-		ticks, gens, events, p50, p99
-	printf "}\n"
-	if (speed < 5) {
-		printf "bench: per-tick streaming update only %.2fx faster than full re-rank (gate: 5x)\n", speed > "/dev/stderr"
-		exit 1
-	}
-}
-' "$tmp" >"$streamout"
-
-echo "bench: wrote $streamout" >&2
-
-# Counterfactual/tuner report: scripted replay vs naive re-simulation
-# (gated at 3x) plus tuner search throughput. BenchmarkTunerSearch
-# reports an extra custom "decisions/s" column, so fields are located
-# by their unit token rather than by position.
-tunertmp=$(mktemp)
-echo "bench: go test -bench 'Counterfactual|TunerSearch' -count $count ./internal/decision" >&2
+	-count "$count" . | tee /dev/stderr >"$log"
 go test -run '^$' -bench 'CounterfactualReplay|CounterfactualNaive|TunerSearch' -benchmem \
-	-count "$count" ./internal/decision | tee /dev/stderr >"$tunertmp"
+	-count "$count" ./internal/decision | tee /dev/stderr >>"$log"
 
-awk '
+awk -v obs="$obsout" -v batch="$batchout" -v stream="$streamout" -v tuner="$tunerout" '
+# The value before a unit token, e.g. field("ns/op"); custom metrics
+# such as decisions/s shift the memory columns, so none is positional.
+function field(unit,   i) {
+	for (i = 3; i <= NF; i++) if ($i == unit) return $(i - 1)
+	return ""
+}
+function num(v) { return v == "" ? 0 : v }
+# ratio reports best[slow] / best[fast] and fails the run below floor.
+function ratio(slow, fast, floor,   x) {
+	if (!(slow in best) || !(fast in best)) {
+		printf "bench: missing %s/%s pair\n", slow, fast > "/dev/stderr"
+		failed = 1
+		return 0
+	}
+	x = best[slow] / best[fast]
+	if (x < floor) {
+		printf "bench: %s only %.2fx faster than %s (gate: %gx)\n", fast, x, slow, floor > "/dev/stderr"
+		failed = 1
+	}
+	return x
+}
+# val is a[name] for a measured benchmark, 0 for a missing one.
+function val(a, name) { return name in best ? a[name] : 0 }
 /^Benchmark/ {
 	name = $1
-	sub(/-[0-9]+$/, "", name)
+	sub(/-[0-9]+$/, "", name)        # GOMAXPROCS suffix
 	sub(/^Benchmark/, "", name)
-	ns = ""; dps = ""
-	for (i = 2; i < NF; i++) {
-		if ($(i + 1) == "ns/op") ns = $i
-		if ($(i + 1) == "decisions/s") dps = $i
-	}
-	if (ns == "") next
-	if (!(name in best) || ns + 0 < best[name] + 0) {
-		best[name] = ns
-		if (dps != "") rate[name] = dps
-	}
+	v = field("ns/op")
+	if (v == "" || (name in best && v + 0 >= best[name] + 0)) next
+	if (!(name in best)) order[++n] = name
+	best[name] = v; mem[name] = num(field("B/op")); alloc[name] = num(field("allocs/op"))
+	rate[name] = num(field("decisions/s"))
 }
 END {
-	fast = best["CounterfactualReplay"]; slow = best["CounterfactualNaive"]
-	search = best["TunerSearch"]
-	if (fast == "" || slow == "" || search == "") {
-		print "bench: missing CounterfactualReplay/CounterfactualNaive/TunerSearch rows" > "/dev/stderr"
-		exit 1
+	printf "{\n  \"benchmarks\": [\n" > obs
+	for (i = 1; i <= n; i++) {
+		b = order[i]
+		printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
+			b, best[b], mem[b], alloc[b], (i < n ? "," : "") > obs
+		if (b !~ /Obs$/ && (b "Obs") in best) pair[++m] = b
 	}
-	speed = (slow + 0) / (fast + 0)
-	printf "{\n"
-	printf "  \"counterfactual\": {\"replay_ns_per_op\": %s, \"naive_ns_per_op\": %s, \"speedup_x\": %.2f},\n", \
-		fast, slow, speed
-	printf "  \"tuner\": {\"search_ns_per_op\": %s, \"decisions_per_sec\": %s}\n", \
-		search, (rate["TunerSearch"] == "" ? 0 : rate["TunerSearch"])
-	printf "}\n"
-	if (speed < 3) {
-		printf "bench: scripted counterfactual replay only %.2fx faster than naive re-simulation (gate: 3x)\n", speed > "/dev/stderr"
-		exit 1
+	printf "  ],\n  \"obs_overhead\": [\n" > obs
+	for (i = 1; i <= m; i++) {
+		b = pair[i]; o = best[b "Obs"]
+		printf "    {\"name\": \"%s\", \"base_ns_per_op\": %s, \"obs_ns_per_op\": %s, \"obs_overhead_pct\": %.2f}%s\n", \
+			b, best[b], o, (o - best[b]) / best[b] * 100, (i < m ? "," : "") > obs
 	}
-}
-' "$tunertmp" >"$tunerout"
-rm -f "$tunertmp"
+	printf "  ]\n}\n" > obs
 
-echo "bench: wrote $tunerout" >&2
+	x = ratio("AdaptiveDecisionOracle", "AdaptiveDecisionBatched", 1)
+	ab = val(alloc, "AdaptiveDecisionBatched"); ao = val(alloc, "AdaptiveDecisionOracle")
+	printf "{\n  \"adaptive_decision\": {\"batched_ns_per_op\": %s, \"oracle_ns_per_op\": %s, \"speedup_x\": %.2f, \"batched_allocs_per_op\": %s, \"oracle_allocs_per_op\": %s, \"alloc_ratio_x\": %.2f},\n", \
+		val(best, "AdaptiveDecisionBatched"), val(best, "AdaptiveDecisionOracle"), x, ab, ao, (ab + 0 > 0 ? ao / ab : 0) > batch
+	printf "  \"batch_rank\": {\"ns_per_op\": %s, \"allocs_per_op\": %s}\n}\n", val(best, "BatchRank"), val(alloc, "BatchRank") > batch
+
+	x = ratio("StreamFullRerank", "StreamTick", 5)
+	printf "{\n  \"per_tick\": {\"stream_tick_ns_per_op\": %s, \"full_rerank_ns_per_op\": %s, \"speedup_x\": %.2f, \"stream_tick_allocs_per_op\": %s, \"full_rerank_allocs_per_op\": %s}\n}\n", \
+		val(best, "StreamTick"), val(best, "StreamFullRerank"), x, val(alloc, "StreamTick"), val(alloc, "StreamFullRerank") > stream
+
+	x = ratio("CounterfactualNaive", "CounterfactualReplay", 3)
+	printf "{\n  \"counterfactual\": {\"replay_ns_per_op\": %s, \"naive_ns_per_op\": %s, \"speedup_x\": %.2f},\n", \
+		val(best, "CounterfactualReplay"), val(best, "CounterfactualNaive"), x > tuner
+	if (!("TunerSearch" in best)) { print "bench: missing TunerSearch row" > "/dev/stderr"; failed = 1 }
+	printf "  \"tuner\": {\"search_ns_per_op\": %s, \"decisions_per_sec\": %s}\n}\n", val(best, "TunerSearch"), val(rate, "TunerSearch") > tuner
+	exit failed
+}
+' "$log"
+echo "bench: wrote $obsout $batchout $streamout $tunerout" >&2
 
 echo "bench: chaossim -fleet" >&2
 go run ./cmd/chaossim -fleet -runs "${BENCH_FLEET_RUNS:-20}" -seed 1 -json >"$fleetout"
-
 echo "bench: wrote $fleetout" >&2

@@ -33,6 +33,7 @@ go test -run '^$' -fuzz '^FuzzBidIndexAppend$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzDecisionLogRoundTrip$' -fuzztime 5s ./internal/decision
 go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 5s ./internal/quote
 go test -run '^$' -fuzz '^FuzzParseQuery$' -fuzztime 5s ./internal/quote
+go test -run '^$' -fuzz '^FuzzStreamerRestore$' -fuzztime 5s ./internal/quote
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/spotapi
 go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 5s ./internal/trace
