@@ -376,20 +376,6 @@ func BenchmarkAblationBidChooser(b *testing.B) {
 		}
 		b.ReportMetric(cost, "cost-$")
 	})
-	b.Run("adaptive-analytic", func(b *testing.B) {
-		b.ReportAllocs()
-		var cost float64
-		for i := 0; i < b.N; i++ {
-			a := core.NewAdaptive()
-			a.Analytic = true
-			res, err := sim.Run(cfg, a)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cost = res.Cost
-		}
-		b.ReportMetric(cost, "cost-$")
-	})
 }
 
 // BenchmarkAblationEdgeFamily compares the paper's reactive policies —

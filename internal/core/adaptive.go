@@ -6,8 +6,6 @@ import (
 	"strconv"
 
 	"repro/internal/market"
-	"repro/internal/markov"
-	"repro/internal/opt"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -47,6 +45,9 @@ type Adaptive struct {
 	// MaxZones bounds the redundancy degree N; 0 selects 3.
 	MaxZones int
 	// Candidates are the policy families; nil selects the defaults.
+	// Every factory must build a *Periodic or a *MarkovDaly, the
+	// families the batched engine replays; it panics on any other
+	// policy type.
 	Candidates []PolicyFactory
 	// EstimationWindow is how much trailing history each permutation is
 	// simulated over; 0 selects 12 hours.
@@ -54,14 +55,6 @@ type Adaptive struct {
 	// ReDecideOnHourOnly restricts decisions to hour boundaries,
 	// ignoring kills; used by the decision-trigger ablation.
 	ReDecideOnHourOnly bool
-	// Analytic replaces the per-permutation engine replays with the
-	// closed-form chain model of internal/opt (an extension beyond the
-	// paper): availability, expected paid rate and cycle efficiency per
-	// bid from the stationary chain, with redundancy approximated as
-	// the union of per-zone effective rates. Roughly an order of
-	// magnitude faster per decision; the candidate policy is always
-	// Markov-Daly, whose assumptions the analytic model shares.
-	Analytic bool
 	// Eval is the evaluation service the permutation search runs on;
 	// nil selects a default evaluator with GOMAXPROCS workers. Results
 	// are independent of the worker count.
@@ -317,51 +310,9 @@ func onDemandCost(work, odRate float64) float64 {
 type candidate struct {
 	spec sim.RunSpec
 	kind string
-	fac  int // index of the policy's factory in candidates(); -1 for analytic candidates
+	fac  int // index of the policy's factory in candidates()
 	n    int
 	cost float64
-}
-
-// analyticCandidates scores permutations with the closed-form chain
-// model instead of engine replays. The evaluator fits one chain per
-// zone on the trailing history and analyses every (zone, bid) pair
-// exactly once across its worker pool; redundancy combines zones as a
-// union of effective rates (optimistic for correlated zones, which the
-// generator keeps weak) and sums their cost rates.
-func (a *Adaptive) analyticCandidates(env *sim.Env, ordered []int, cr, tr, migration int64) []candidate {
-	ov := opt.Overheads{
-		CheckpointCost: float64(env.CheckpointCost()),
-		RestartCost:    float64(env.RestartCost()),
-		QueueDelay:     300,
-	}
-	bids := a.bids()
-	zones := a.evaluator().AnalyzeZones(env, bids, markov.DefaultHistory, 0.05, ov)
-	var out []candidate
-	for n := 1; n <= a.maxZones(env); n++ {
-		zs := append([]int(nil), ordered[:n]...)
-		sort.Ints(zs)
-		for bi, bid := range bids {
-			var costRate float64 // $/s across all paid zones
-			missRate := 1.0      // Π(1 − effRate_z)
-			for _, zi := range zs {
-				if !zones[zi].ok {
-					continue
-				}
-				an := zones[zi].analyses[bi]
-				costRate += an.Availability * an.MeanPaidPrice / float64(trace.Hour)
-				missRate *= 1 - an.EffectiveRate
-			}
-			est := estimate{progressRate: 1 - missRate, costRate: costRate}
-			out = append(out, candidate{
-				spec: sim.RunSpec{Bid: bid, Zones: zs},
-				kind: "markov-daly",
-				fac:  -1,
-				n:    n,
-				cost: predictCost(est, cr, tr, migration),
-			})
-		}
-	}
-	return out
 }
 
 // replayCandidates scores the full B × N × policy permutation grid by
@@ -431,7 +382,7 @@ func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, func() sim.C
 		if spec.Policy != nil {
 			span.SetAttr("policy", spec.Policy.Name())
 		}
-		span.SetAttr("batched", strconv.FormatBool(!a.Analytic && !a.evaluator().DisableBatch))
+		span.SetAttr("batched", strconv.FormatBool(!a.evaluator().DisableBatch))
 	}
 	span.End()
 	return spec, fresh
@@ -496,12 +447,7 @@ func (a *Adaptive) pickSpec(env *sim.Env) (sim.RunSpec, func() sim.CheckpointPol
 	tr := env.RemainingTime()
 	migration := env.CheckpointCost() + env.RestartCost() + env.Step
 
-	var cands []candidate
-	if a.Analytic {
-		cands = a.analyticCandidates(env, ordered, cr, tr, migration)
-	} else {
-		cands = a.replayCandidates(env, hist, ordered, cr, tr, migration)
-	}
+	cands := a.replayCandidates(env, hist, ordered, cr, tr, migration)
 	var best *candidate
 	minCost := math.Inf(1)
 	for i := range cands {
@@ -543,10 +489,7 @@ func (a *Adaptive) pickSpec(env *sim.Env) (sim.RunSpec, func() sim.CheckpointPol
 	// Candidates defer their policy instance to the winner (the scoring
 	// grid never runs it). Build it from the winner's own factory, so a
 	// profile shares its parameters with no other of the same kind.
-	fresh := func() sim.CheckpointPolicy { return NewMarkovDaly() }
-	if best.fac >= 0 {
-		fresh = a.candidates()[best.fac].New
-	}
+	fresh := a.candidates()[best.fac].New
 	best.spec.Policy = fresh()
 	return best.spec, fresh, cands, best.cost
 }

@@ -50,28 +50,3 @@ func TestAdaptiveRetainsNearOptimalCurrentSpec(t *testing.T) {
 		t.Fatalf("adaptive churned %d switches in a calm market", res.SpecSwitches)
 	}
 }
-
-func TestAnalyticCandidatesShape(t *testing.T) {
-	hist, run := window(tracegen.HighVolatility(59), 5, 1)
-	cfg := testConfig(hist, run, 300)
-	a := NewAdaptive()
-	a.Analytic = true
-	a.Bids = []float64{0.47, 2.47}
-	probe := probeStrategy{func(env *sim.Env) {
-		cands := a.analyticCandidates(env, zonesByPrice(env), env.RemainingWork(), env.RemainingTime(), 900)
-		if len(cands) != 2*3 { // bids × N
-			t.Fatalf("candidates = %d, want 6", len(cands))
-		}
-		for _, c := range cands {
-			if c.cost < 0 {
-				t.Fatalf("negative predicted cost: %+v", c)
-			}
-			if c.kind != "markov-daly" {
-				t.Fatalf("analytic candidate policy %q", c.kind)
-			}
-		}
-	}}
-	if _, err := sim.Run(cfg, probe); err != nil {
-		t.Fatal(err)
-	}
-}

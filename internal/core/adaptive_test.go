@@ -70,33 +70,6 @@ func TestAdaptivePicksLowBidInCalmMarket(t *testing.T) {
 	}
 }
 
-func TestAdaptiveAnalyticMode(t *testing.T) {
-	for name, set := range map[string]*trace.Set{
-		"low":  tracegen.LowVolatility(31),
-		"high": tracegen.HighVolatility(31),
-	} {
-		hist, run := window(set, 5, 2)
-		cfg := testConfig(hist, run, 300)
-		a := NewAdaptive()
-		a.Analytic = true
-		res, err := sim.Run(cfg, a)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !res.Completed || !res.DeadlineMet {
-			t.Fatalf("%s: analytic adaptive failed: %+v", name, res)
-		}
-		od := math.Ceil(float64(cfg.Work)/float64(trace.Hour)) * market.OnDemandRate
-		if res.Cost > 1.5*od {
-			t.Fatalf("%s: analytic adaptive cost %g far above on-demand %g", name, res.Cost, od)
-		}
-		if res.Policy != "markov-daly" {
-			t.Fatalf("%s: analytic mode ran policy %q", name, res.Policy)
-		}
-		t.Logf("%s: analytic adaptive cost=%.2f", name, res.Cost)
-	}
-}
-
 func TestAdaptiveHourOnlyAblation(t *testing.T) {
 	hist, run := window(tracegen.HighVolatility(43), 4, 2)
 	cfg := testConfig(hist, run, 300)
@@ -214,67 +187,105 @@ func TestHistorySet(t *testing.T) {
 	}
 }
 
-// TestAdaptiveKeepsProfileParameters runs Adaptive over two candidate
-// factories of one kind: a deliberately poor policy listed first, and
-// a Markov-Daly profile with quantum 0.1 that wins every decision. The
-// winner must be built by its own factory, not the first of its kind,
-// and churn damping must re-price the incumbent with fresh instances
-// from that same factory, never a default profile.
+// decisionFunc adapts a function to DecisionSink.
+type decisionFunc func(DecisionPoint)
+
+func (f decisionFunc) RecordDecision(p DecisionPoint) { f(p) }
+
+// TestAdaptiveKeepsProfileParameters runs Adaptive over Periodic and
+// two Markov-Daly factories of one kind that differ only in their price
+// quantum; on this trace each of them wins some decision. At every
+// decision the policy instance installed for the winner must come from
+// the factory of the winning candidate — not the first factory of its
+// kind — and churn damping must re-price the incumbent with a fresh
+// instance from the incumbent's own factory. Per-factory instance
+// counts pin both: each factory builds its measurement slots once, then
+// one instance per install it wins and one per re-pricing of an
+// incumbent it built.
 func TestAdaptiveKeepsProfileParameters(t *testing.T) {
-	var made, poor int
-	sink := &captureSink{}
+	quanta := []float64{0, 0.5, 10} // 0 marks the Periodic factory
+	made := make([]int, len(quanta))
+	builtBy := map[sim.CheckpointPolicy]int{}
 	a := &Adaptive{
 		Bids:             []float64{0.47, 0.81, 1.67},
 		MaxZones:         2,
 		EstimationWindow: 6 * trace.Hour,
-		Sink:             sink,
-		Candidates: []PolicyFactory{
-			{Kind: "markov-daly", New: func() sim.CheckpointPolicy { poor++; return everyStep{} }},
-			{Kind: "markov-daly", New: func() sim.CheckpointPolicy {
-				made++
-				m := NewMarkovDaly()
-				m.Quantum = 0.1
-				return m
-			}},
-		},
 	}
-	hist, run := window(tracegen.HighVolatility(31), 5, 1)
+	for k, q := range quanta {
+		fac := PolicyFactory{Kind: "markov-daly", New: func() sim.CheckpointPolicy {
+			m := NewMarkovDaly()
+			m.Quantum = q
+			return m
+		}}
+		if q == 0 {
+			fac = DefaultAdaptiveCandidates()[0]
+		}
+		newPol := fac.New
+		fac.New = func() sim.CheckpointPolicy {
+			made[k]++
+			p := newPol()
+			builtBy[p] = k
+			return p
+		}
+		a.Candidates = append(a.Candidates, fac)
+	}
+	slots := len(a.Bids) * a.MaxZones
+	prev := make([]int, len(quanta))
+	wins := make([]int, len(quanta))
+	incumbent, decisions := -1, 0
+	a.Sink = decisionFunc(func(p DecisionPoint) {
+		decisions++
+		// The decision's pick is the scored candidate its installed
+		// instance was attached to; a kept incumbent installs none.
+		pick := -1
+		for i := range a.candBuf {
+			if c := &a.candBuf[i]; c.spec.Policy != nil {
+				pick = c.fac
+				if by := builtBy[c.spec.Policy]; by != pick {
+					t.Fatalf("decision %d: the winner of factory %d runs an instance of factory %d", p.Seq, pick, by)
+				}
+			}
+		}
+		if p.Switched != (pick >= 0) {
+			t.Fatalf("decision %d: switched=%v with winner factory %d", p.Seq, p.Switched, pick)
+		}
+		want := make([]int, len(quanta))
+		if incumbent < 0 {
+			for k := range want {
+				want[k] = slots
+			}
+		} else {
+			want[incumbent]++ // the incumbent's re-pricing instance
+		}
+		if pick >= 0 {
+			want[pick]++
+			wins[pick]++
+			incumbent = pick
+		}
+		for k := range made {
+			if got := made[k] - prev[k]; got != want[k] {
+				t.Fatalf("decision %d: factory %d built %d instances, want %d", p.Seq, k, got, want[k])
+			}
+		}
+		copy(prev, made)
+	})
+	hist, run := window(tracegen.HighVolatility(41), 5, 1)
 	if _, err := sim.Run(testConfig(hist, run, 300), a); err != nil {
 		t.Fatal(err)
 	}
-	if len(sink.points) < 2 {
-		t.Fatalf("%d decisions; the run never reconsidered its incumbent", len(sink.points))
+	t.Logf("decisions %d, wins per factory %v", decisions, wins)
+	if decisions < 2 {
+		t.Fatalf("%d decisions; the run never reconsidered its incumbent", decisions)
 	}
-	installed := 0
-	for _, p := range sink.points {
-		if p.Chosen.Policy != "markov-daly" {
-			t.Fatalf("decision %d chose policy %q, want the Markov-Daly profile", p.Seq, p.Chosen.Policy)
-		}
-		if p.Switched {
-			installed++
+	for k, n := range wins {
+		if n == 0 {
+			t.Errorf("factory %d (quantum %g) won no decision; the trace cannot tell the factories apart", k, quanta[k])
 		}
 	}
-	if m, ok := a.chosen.Policy.(*MarkovDaly); !ok || m.Quantum != 0.1 {
-		t.Fatalf("running policy %+v, want the quantum-0.1 profile", a.chosen.Policy)
+	if builtBy[a.chosen.Policy] != incumbent {
+		t.Fatalf("running policy built by factory %d, want the last winner %d", builtBy[a.chosen.Policy], incumbent)
 	}
-	// Each factory builds its measurement slots once (bids × zone
-	// counts); beyond them, only the winning factory builds: one
-	// instance per installed spec and one per re-pricing of the
-	// incumbent, which every decision after Begin does once.
-	slots := len(a.Bids) * a.MaxZones
-	if poor != slots {
-		t.Fatalf("the first factory built %d instances, want only its %d measurement slots", poor, slots)
-	}
-	if repriced := made - slots - installed; repriced != len(sink.points)-1 {
-		t.Fatalf("%d fresh quantum-0.1 instances re-priced the incumbent over %d later decisions", repriced, len(sink.points)-1)
+	if m, ok := a.chosen.Policy.(*MarkovDaly); ok && m.Quantum != quanta[incumbent] {
+		t.Fatalf("running policy quantum %g, want %g", m.Quantum, quanta[incumbent])
 	}
 }
-
-// everyStep is a deliberately poor checkpoint policy: it checkpoints at
-// every opportunity, so its replays make almost no progress.
-type everyStep struct{}
-
-func (everyStep) Name() string                      { return "every-step" }
-func (everyStep) Reset(*sim.Env)                    {}
-func (everyStep) CheckpointCondition(*sim.Env) bool { return true }
-func (everyStep) ScheduleNextCheckpoint(*sim.Env)   {}

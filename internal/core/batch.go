@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -33,8 +34,10 @@ import (
 // commits restart waiting zones before the policy reschedules, and the
 // run closes with FinishEstimation's user-side meter close at the end
 // of the window. Specs the oracle would reject (bad zone indices,
-// non-positive bids) and policies beyond Periodic/Markov-Daly fall back
-// to the oracle per spec.
+// non-positive bids, nil policies) and empty zone sets keep the
+// oracle's zero estimate without a replay. Every entry point accepts
+// only Periodic and Markov-Daly candidates (checkCandidates), so no
+// other policy type reaches the engine.
 //
 // Memoization is value-faithful rather than structure-faithful: a
 // fitted chain is a pure function of (zone, fit time, span, quantum)
@@ -226,10 +229,9 @@ type batchState struct {
 	cols  *trace.Columns
 	avail *trace.AvailIndex
 
-	perms    []batchPerm
-	zoneBuf  []batchZone
-	billBuf  []int32
-	fallback []int
+	perms   []batchPerm
+	zoneBuf []batchZone
+	billBuf []int32
 
 	// Memo tables, looked up by linear scan: a sweep holds one chain
 	// memo per (zone, profile) — a handful of entries — so scanning
@@ -280,7 +282,6 @@ func (b *batchState) reset(hist *trace.Set, tc, tr int64) {
 	b.perms = b.perms[:0]
 	b.zoneBuf = b.zoneBuf[:0]
 	b.billBuf = b.billBuf[:0]
-	b.fallback = b.fallback[:0]
 	b.start = b.cols.Start()
 	b.step = b.cols.Step()
 	b.end = b.cols.End()
@@ -347,13 +348,17 @@ func (b *batchState) takeModel() *markov.Model {
 }
 
 // addPerm builds the flattened replay state for one spec, reporting
-// whether the batched engine supports it. Unsupported specs — foreign
-// policy types, empty zone sets, specs sim.checkSpec would reject (the
-// oracle turns those errors into zero estimates) — take the per-spec
-// oracle path instead.
+// whether it did. It refuses empty zone sets and the specs
+// sim.checkSpec would reject (nil policies, bad or repeated zone
+// indices, non-positive bids); the oracle's answer for all of them is a
+// zero estimate, which the caller keeps. A policy type beyond Periodic
+// and Markov-Daly is a broken invariant — validated entry points never
+// build one — and panics.
 func (b *batchState) addPerm(out int, spec sim.RunSpec) bool {
 	var pol batchPolicy
 	switch p := spec.Policy.(type) {
+	case nil:
+		return false
 	case *Periodic:
 		pol.kind = polPeriodic
 	case *MarkovDaly:
@@ -365,7 +370,7 @@ func (b *batchState) addPerm(out int, spec sim.RunSpec) bool {
 		pol.quantum = p.Quantum
 		pol.higher = p.HigherOrder
 	default:
-		return false
+		panic(fmt.Sprintf("core: the batched engine cannot replay policy %T", p))
 	}
 	nz := len(spec.Zones)
 	if nz == 0 || spec.Bid <= 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -162,7 +163,7 @@ func TestAdaptiveBatchedMatchesOracleEndToEnd(t *testing.T) {
 type fuzzPerm struct {
 	bid   float64
 	zones []int
-	kind  int // 0 Periodic, 1 Markov-Daly, 2 Markov-Daly (Young)
+	kind  int // 0 Periodic, 1 Markov-Daly, 2 Markov-Daly (Young), 3 nil policy
 
 	// Markov-Daly profile: price quantum and history span (0 selects
 	// the default span).
@@ -172,9 +173,10 @@ type fuzzPerm struct {
 
 func (pp fuzzPerm) spec() sim.RunSpec {
 	var pol sim.CheckpointPolicy
-	if pp.kind == 0 {
+	switch pp.kind {
+	case 0:
 		pol = NewPeriodic()
-	} else {
+	case 1, 2:
 		md := NewMarkovDaly()
 		md.HigherOrder = pp.kind == 1
 		md.Quantum = pp.quantum
@@ -186,11 +188,15 @@ func (pp fuzzPerm) spec() sim.RunSpec {
 }
 
 // FuzzBatchedMeasure drives random traces, bid grids, zone subsets
-// (sorted and not, occasionally invalid), overheads and policy mixes —
-// each Markov-Daly permutation drawing its own quantum and history
-// span, so one sweep mixes profiles — through the batched engine and
-// the machine oracle, requiring bit-identical estimates.
-// scripts/check.sh runs it alongside the other fuzz targets.
+// (sorted and not), overheads and policy mixes — each Markov-Daly
+// permutation drawing its own quantum and history span, so one sweep
+// mixes profiles — through the batched engine and the machine oracle,
+// requiring bit-identical estimates. It also draws every input the
+// oracle rejects, whose zero estimate the batched path must reproduce
+// without replaying: empty, duplicate and out-of-range zone sets,
+// non-positive bids, nil policies, and windows that are nil, empty,
+// misaligned or carry invalid prices. scripts/check.sh runs it
+// alongside the other fuzz targets.
 func FuzzBatchedMeasure(f *testing.F) {
 	for i := uint64(0); i < 8; i++ {
 		f.Add(i, i*2654435761)
@@ -199,6 +205,9 @@ func FuzzBatchedMeasure(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(seed ^ (mix * 0x9e3779b97f4a7c15))))
 		nz := 1 + rng.Intn(3)
 		n := 1 + rng.Intn(80)
+		if rng.Intn(32) == 0 {
+			n = 0 // empty window
+		}
 		epoch := int64(rng.Intn(400)) * 300
 		series := make([]*trace.Series, nz)
 		for z := range series {
@@ -208,7 +217,19 @@ func FuzzBatchedMeasure(f *testing.F) {
 			}
 			series[z] = &trace.Series{Zone: fmt.Sprintf("z%d", z), Epoch: epoch, Step: 300, Prices: prices}
 		}
-		hist := trace.MustNewSet(series...)
+		hist := &trace.Set{Series: series}
+		switch bad := rng.Intn(48); {
+		case bad == 0:
+			hist = nil
+		case bad == 1 && n > 0:
+			series[rng.Intn(nz)].Prices[rng.Intn(n)] = -0.05
+		case bad == 2 && n > 0:
+			series[rng.Intn(nz)].Prices[rng.Intn(n)] = math.NaN()
+		case bad == 3 && nz > 1:
+			series[nz-1].Epoch += 300
+		case bad == 4 && nz > 1 && n > 1:
+			series[nz-1].Prices = series[nz-1].Prices[:n-1]
+		}
 		tc := int64(1+rng.Intn(4)) * 150
 		tr := int64(1+rng.Intn(4)) * 150
 
@@ -218,14 +239,30 @@ func FuzzBatchedMeasure(f *testing.F) {
 		for i := range perms {
 			order := rng.Perm(nz)
 			zones := order[:1+rng.Intn(nz)]
-			if rng.Intn(8) == 0 && len(zones) > 1 {
-				zones[0] = zones[1] // duplicate: must fall back, identically
+			switch rng.Intn(24) {
+			case 0:
+				zones = zones[:0]
+			case 1:
+				zones[rng.Intn(len(zones))] = nz + rng.Intn(3)
+			case 2:
+				zones[rng.Intn(len(zones))] = -1
+			case 3, 4:
+				if len(zones) > 1 {
+					zones[0] = zones[1]
+				}
 			}
 			bid := 0.05 * float64(1+rng.Intn(25))
-			if rng.Intn(16) == 0 {
-				bid = -bid // invalid: oracle fallback on both paths
+			switch rng.Intn(32) {
+			case 0:
+				bid = -bid
+			case 1:
+				bid = 0
 			}
-			perms[i] = fuzzPerm{bid: bid, zones: zones, kind: rng.Intn(3),
+			kind := rng.Intn(3)
+			if rng.Intn(16) == 0 {
+				kind = 3
+			}
+			perms[i] = fuzzPerm{bid: bid, zones: zones, kind: kind,
 				quantum: quanta[rng.Intn(len(quanta))], span: spans[rng.Intn(len(spans))]}
 		}
 

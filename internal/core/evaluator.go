@@ -5,9 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/market"
-	"repro/internal/markov"
 	"repro/internal/obs"
-	"repro/internal/opt"
 	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -15,14 +13,15 @@ import (
 
 // Evaluator is the reusable evaluation core behind the Adaptive scheme:
 // it replays candidate (bid, zone set, policy) permutations over a
-// history window on pooled simulation machines, fanning the replays out
-// across a bounded worker pool, and computes the closed-form chain
-// analyses of the Analytic variant the same way. Results are returned
-// in input order, so a parallel evaluation is bit-for-bit identical to
-// a sequential one. The zero value is ready to use; an Evaluator is
-// safe for concurrent use by multiple goroutines.
+// history window in one columnar batched pass (batch.go), with the
+// per-permutation sim.Machine oracle behind DisableBatch as its
+// reference. Results are returned in input order, so any evaluation is
+// bit-for-bit identical to sequential oracle replays. The zero value is
+// ready to use; an Evaluator is safe for concurrent use by multiple
+// goroutines.
 type Evaluator struct {
-	// Workers bounds the evaluation fan-out; 0 selects GOMAXPROCS.
+	// Workers bounds the oracle fan-out under DisableBatch; 0 selects
+	// GOMAXPROCS. The batched engine replays serially.
 	Workers int
 	// Trace, when non-nil, receives wall-clock spans for sweeps and
 	// rankings plus a simulated-time span per estimation replay. Nil
@@ -78,9 +77,11 @@ func estimationCfg(hist *trace.Set, tc, tr int64) sim.Config {
 // Measure replays one permutation over the history window on a pooled
 // machine (deadline guard disabled, effectively unbounded work) and
 // extracts its progress and cost rates. A nil or empty history yields a
-// zero estimate.
+// zero estimate, and so does a spec without zones: the machine would
+// run its effectively unbounded estimation work on demand, billing
+// every hour of it.
 func (ev *Evaluator) Measure(hist *trace.Set, spec sim.RunSpec, tc, tr int64) estimate {
-	if hist == nil {
+	if hist == nil || len(spec.Zones) == 0 {
 		return estimate{}
 	}
 	span := float64(hist.Duration())
@@ -105,88 +106,59 @@ func (ev *Evaluator) Measure(hist *trace.Set, spec sim.RunSpec, tc, tr int64) es
 	return est
 }
 
-// MeasureAll replays every permutation over the history window across
-// the worker pool and returns their estimates in input order. Each spec
-// must carry its own policy instance (policies hold run state). The
-// sibling permutations are priced by the columnar batched engine, with
-// unsupported specs (and every spec, under DisableBatch) taking per-spec
-// oracle replays; either way the results are bit-identical to Measure. The batched path leaves the
-// spec's policy instances untouched (the oracle mutates their run state
-// during the replay; nothing reads it after).
+// MeasureAll replays every permutation over the history window and
+// returns their estimates in input order. Each spec must carry its own
+// policy instance (policies hold run state). The columnar batched
+// engine prices the sibling permutations in one pass, bit-identical to
+// Measure; under DisableBatch every spec takes its own oracle replay
+// across the worker pool instead. The batched path leaves the spec's
+// policy instances untouched (the oracle mutates their run state during
+// the replay; nothing reads it after).
 func (ev *Evaluator) MeasureAll(hist *trace.Set, specs []sim.RunSpec, tc, tr int64) []estimate {
-	batched := ev.batchUsable(hist)
 	sweep := ev.Trace.Start("eval.sweep")
 	if sweep.Recording() {
 		sweep.SetAttr("specs", strconv.Itoa(len(specs)))
-		sweep.SetAttr("batched", strconv.FormatBool(batched))
+		sweep.SetAttr("batched", strconv.FormatBool(!ev.DisableBatch))
 	}
 	out := make([]estimate, len(specs))
-	if batched {
-		ev.measureBatch(hist, specs, tc, tr, out)
-	} else {
-		pool.Run(ev.Workers, len(specs), func(i int) {
-			out[i] = ev.Measure(hist, specs[i], tc, tr)
-		})
-	}
+	ev.measure(hist, specs, tc, tr, out)
 	sweep.End()
 	return out
 }
 
-// batchUsable reports whether the batched engine may price replays over
-// the window; histories the oracle rejects wholesale (nil, empty,
-// malformed) keep the oracle path so the error handling stays
-// bit-identical.
-func (ev *Evaluator) batchUsable(hist *trace.Set) bool {
-	return !ev.DisableBatch && hist != nil && hist.Duration() > 0 && hist.Validate() == nil
-}
-
-// measureOne prices a single permutation through the batched engine
-// when possible, falling back to the oracle replay otherwise. It exists
-// for the Adaptive scheme's churn-damping re-evaluation, which prices
-// one incumbent spec between sweeps.
+// measureOne prices a single permutation. It exists for the Adaptive
+// scheme's churn-damping re-evaluation, which prices one incumbent spec
+// between sweeps.
 func (ev *Evaluator) measureOne(hist *trace.Set, spec sim.RunSpec, tc, tr int64) estimate {
-	if !ev.batchUsable(hist) {
-		return ev.Measure(hist, spec, tc, tr)
-	}
-	b := ev.getBatch(hist, tc, tr)
-	if !b.addPerm(0, spec) {
-		ev.batchPool.Put(b)
-		return ev.Measure(hist, spec, tc, tr)
-	}
-	p := &b.perms[0]
-	b.runPerm(p)
-	span := float64(hist.Duration())
-	est := estimate{
-		progressRate: float64(p.maxProgress) / span,
-		costRate:     p.cost / span,
-	}
-	ev.batchPool.Put(b)
-	return est
+	var out [1]estimate
+	ev.measure(hist, []sim.RunSpec{spec}, tc, tr, out[:])
+	return out[0]
 }
 
-// getBatch fetches pooled batch scratch armed for the window.
-func (ev *Evaluator) getBatch(hist *trace.Set, tc, tr int64) *batchState {
+// measure writes the specs' estimates into out in input order. The
+// batched permutations replay serially — the memo layers make the
+// shared model work cheap, so a worker fan-out would only buy lock
+// traffic and allocation churn, and serial replay keeps the results
+// trivially worker-count-independent. Windows the oracle rejects
+// wholesale (nil, empty, malformed) and specs addPerm refuses keep the
+// zero estimate, which is the oracle's answer for them.
+func (ev *Evaluator) measure(hist *trace.Set, specs []sim.RunSpec, tc, tr int64, out []estimate) {
+	if ev.DisableBatch {
+		pool.Run(ev.Workers, len(specs), func(i int) {
+			out[i] = ev.Measure(hist, specs[i], tc, tr)
+		})
+		return
+	}
+	if hist == nil || hist.Duration() <= 0 || hist.Validate() != nil {
+		return
+	}
 	b, _ := ev.batchPool.Get().(*batchState)
 	if b == nil {
 		b = &batchState{}
 	}
 	b.reset(hist, tc, tr)
-	return b
-}
-
-// measureBatch prices the specs through the batched engine, writing
-// estimates into out in input order. The supported permutations replay
-// serially — the memo layers make the shared model work cheap, so a
-// worker fan-out would only buy lock traffic and allocation churn, and
-// serial replay keeps the results trivially worker-count-independent.
-// Specs the engine does not support take per-spec oracle replays across
-// the worker pool.
-func (ev *Evaluator) measureBatch(hist *trace.Set, specs []sim.RunSpec, tc, tr int64, out []estimate) {
-	b := ev.getBatch(hist, tc, tr)
 	for i := range specs {
-		if !b.addPerm(i, specs[i]) {
-			b.fallback = append(b.fallback, i)
-		}
+		b.addPerm(i, specs[i])
 	}
 	span := float64(hist.Duration())
 	for j := range b.perms {
@@ -197,55 +169,7 @@ func (ev *Evaluator) measureBatch(hist *trace.Set, specs []sim.RunSpec, tc, tr i
 			costRate:     p.cost / span,
 		}
 	}
-	if len(b.fallback) > 0 {
-		pool.Run(ev.Workers, len(b.fallback), func(j int) {
-			i := b.fallback[j]
-			out[i] = ev.Measure(hist, specs[i], tc, tr)
-		})
-	}
 	ev.batchPool.Put(b)
-}
-
-// zoneAnalysis holds the fitted chain and per-bid closed-form analyses
-// of one zone at one decision point.
-type zoneAnalysis struct {
-	ok       bool
-	analyses []opt.Analysis // indexed like the bid grid
-}
-
-// AnalyzeZones fits one chain per zone on the trailing history visible
-// at env.Now and computes the closed-form opt.Analysis for every (zone,
-// bid) pair across the worker pool — each pair exactly once, where the
-// sequential Analytic path recomputed shared zones for every redundancy
-// degree. The result is indexed [zone][bid]; zones whose history cannot
-// fit a chain are marked not-ok.
-func (ev *Evaluator) AnalyzeZones(env *sim.Env, bids []float64, span int64, quantum float64, ov opt.Overheads) []zoneAnalysis {
-	asp := ev.Trace.Start("eval.analyze-zones")
-	defer asp.End()
-	nz := len(env.Zones)
-	out := make([]zoneAnalysis, nz)
-	chains := make([]*markov.Model, nz)
-	pool.Run(ev.Workers, nz, func(zi int) {
-		hist := markov.Quantize(env.PriceHistory(zi, span), quantum)
-		if m, err := markov.Fit(hist, env.Step); err == nil {
-			chains[zi] = m
-		}
-	})
-	// Flatten (zone, bid) pairs so the heavy stationary-distribution
-	// solves run in parallel; slot i maps back deterministically.
-	nb := len(bids)
-	analyses := make([]opt.Analysis, nz*nb)
-	pool.Run(ev.Workers, nz*nb, func(i int) {
-		zi, bi := i/nb, i%nb
-		if chains[zi] == nil {
-			return
-		}
-		analyses[i] = opt.Analyze(chains[zi], bids[bi], ov)
-	})
-	for zi := 0; zi < nz; zi++ {
-		out[zi] = zoneAnalysis{ok: chains[zi] != nil, analyses: analyses[zi*nb : (zi+1)*nb]}
-	}
-	return out
 }
 
 // packZones encodes up to eight zone indices (< 255 each) into one key

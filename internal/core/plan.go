@@ -82,6 +82,23 @@ func (req *PlanRequest) validate() error {
 	if req.OnDemandRate < 0 {
 		return fmt.Errorf("core: negative on-demand rate %g", req.OnDemandRate)
 	}
+	return checkCandidates(req.Candidates)
+}
+
+// checkCandidates refuses candidate families the batched engine cannot
+// replay: every factory must build a *Periodic or a *MarkovDaly, the
+// two families the paper's Adaptive scheme chooses among (§7).
+func checkCandidates(cands []PolicyFactory) error {
+	for _, fac := range cands {
+		if fac.New == nil {
+			return fmt.Errorf("core: candidate %q has no constructor", fac.Kind)
+		}
+		switch p := fac.New().(type) {
+		case *Periodic, *MarkovDaly:
+		default:
+			return fmt.Errorf("core: candidate %q builds %T; only *core.Periodic and *core.MarkovDaly are supported", fac.Kind, p)
+		}
+	}
 	return nil
 }
 

@@ -43,12 +43,12 @@ import (
 // for free when the ordering flips back — until the resident set
 // outgrows the grid by residentSlack and a rebuild prunes it.
 //
-// Grid cells the batched engine cannot keep resident — a policy family
-// beyond Periodic and Markov-Daly, a zone set too wide to pack into a
-// permutation key — flip the evaluator to permanent per-tick full
-// ranking through Rank, which stays exact at full cost. Any mix of
-// Periodic and Markov-Daly candidates, whatever their parameters,
-// stays incremental.
+// Every grid cell stays resident: NewStreamEvaluator refuses what the
+// batched engine cannot replay or a permutation key cannot hold — a
+// policy family beyond Periodic and Markov-Daly, a non-positive or NaN
+// bid, more than 255 zones, more than 8 zones per set. Any mix of
+// Periodic and Markov-Daly candidates, whatever their parameters, is
+// accepted.
 //
 // A StreamEvaluator is single-goroutine by design: the tick pipeline
 // owns it, and everything downstream reads published snapshots.
@@ -150,9 +150,10 @@ type StreamStats struct {
 	CrossCheckMismatches int64
 	// Resident is the current resident permutation count.
 	Resident int
-	// Fallback reports the evaluator degraded permanently to
-	// per-tick full ranking (a candidate the batched engine cannot
-	// replay incrementally).
+	// Fallback is always false: NewStreamEvaluator refuses every
+	// candidate the evaluator cannot keep resident, so it never
+	// degrades to per-tick full ranking. The field stays only because
+	// the bench module still reports it.
 	Fallback bool
 }
 
@@ -184,7 +185,6 @@ type StreamEvaluator struct {
 	b        *batchState
 	resident map[permKey]int
 	dirty    bool // resident state must rebuild before the next use
-	fallback bool
 
 	gen   uint64
 	plans []Plan
@@ -248,6 +248,22 @@ func NewStreamEvaluator(ev *Evaluator, cfg StreamConfig) (*StreamEvaluator, erro
 	if se.cands == nil {
 		se.cands = DefaultAdaptiveCandidates()
 	}
+	if err := checkCandidates(se.cands); err != nil {
+		return nil, err
+	}
+	// Resident permutations are keyed by bid and packed zone set
+	// (packZones: at most 8 zones, indices below 255).
+	for _, bid := range se.bids {
+		if !(bid > 0) {
+			return nil, fmt.Errorf("core: stream bid %g is not positive", bid)
+		}
+	}
+	if len(cfg.Zones) > 0xff {
+		return nil, fmt.Errorf("core: %d stream zones, at most 255 supported", len(cfg.Zones))
+	}
+	if se.maxZones > 8 {
+		return nil, fmt.Errorf("core: stream MaxZones %d above 8", se.maxZones)
+	}
 	return se, nil
 }
 
@@ -268,12 +284,11 @@ func (se *StreamEvaluator) Stats() StreamStats {
 	if se.b != nil {
 		st.Resident = len(se.b.perms)
 	}
-	st.Fallback = se.fallback
 	return st
 }
 
 // request assembles the PlanRequest the current window answers —
-// exactly what a cross-check or fallback Rank receives.
+// exactly what a cross-check Rank receives.
 func (se *StreamEvaluator) request(hist *trace.Set) PlanRequest {
 	return PlanRequest{
 		History:        hist,
@@ -308,27 +323,15 @@ func (se *StreamEvaluator) Advance(prices []float64) (StreamUpdate, error) {
 	hist := se.tape.Set()
 	req := se.request(hist)
 
-	var plans []Plan
-	if !se.fallback {
-		plans = se.advanceIncremental(hist, &req)
-	}
-	if se.fallback { // entered either before the tick or during it
-		var err error
-		plans, err = se.ev.Rank(req)
-		if err != nil {
-			return StreamUpdate{}, err
-		}
-	}
-
-	if !se.fallback && se.cfg.CrossCheckEvery > 0 && se.stats.Ticks%uint64(se.cfg.CrossCheckEvery) == 0 {
+	plans := se.advanceIncremental(hist, &req)
+	if se.cfg.CrossCheckEvery > 0 && se.stats.Ticks%uint64(se.cfg.CrossCheckEvery) == 0 {
 		plans = se.crossCheck(req, plans)
 	}
 	return se.publish(plans), nil
 }
 
 // advanceIncremental runs the per-tick delta update and re-score,
-// returning the new table; a grid cell the batched engine cannot keep
-// resident flips the evaluator to permanent fallback and returns nil.
+// returning the new table.
 func (se *StreamEvaluator) advanceIncremental(hist *trace.Set, req *PlanRequest) []Plan {
 	usp := se.ev.Trace.Start("stream.update")
 	if se.b == nil || se.dirty {
@@ -344,10 +347,7 @@ func (se *StreamEvaluator) advanceIncremental(hist *trace.Set, req *PlanRequest)
 	if len(se.b.perms) > residentSlack*len(slots) {
 		se.rebuildState(hist) // prune permutations no current ordering needs
 	}
-	if !se.ensureResident(slots) {
-		se.fallback = true
-		return nil
-	}
+	se.ensureResident(slots)
 	span := float64(hist.Duration())
 	ests := make([]estimate, len(slots))
 	for i := range slots {
@@ -419,32 +419,25 @@ func (se *StreamEvaluator) extendState(hist *trace.Set) {
 }
 
 // ensureResident adds and catches up every grid cell that has no
-// resident permutation yet, reporting false when a cell cannot take the
-// incremental path (unsupported policy family, unpackable zone set).
-func (se *StreamEvaluator) ensureResident(slots []rankSlot) bool {
+// resident permutation yet.
+func (se *StreamEvaluator) ensureResident(slots []rankSlot) {
 	for i := range slots {
 		sl := &slots[i]
-		zk, ok := packZones(sl.zones)
-		if !ok {
-			return false
-		}
-		key := permKey{fac: sl.fac, bid: sl.bid, zones: zk}
+		key := slotPermKey(sl)
 		if _, have := se.resident[key]; have {
 			continue
 		}
 		spec := sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: se.cands[sl.fac].New()}
 		pi := len(se.b.perms)
-		if !se.b.addPerm(pi, spec) {
-			return false
-		}
+		se.b.addPerm(pi, spec) // NewStreamEvaluator's checks keep every slot acceptable
 		se.b.replayPerm(&se.b.perms[pi])
 		se.resident[key] = pi
 		se.stats.CatchUps++
 	}
-	return true
 }
 
-// slotPermKey is ensureResident's key for a slot already known to pack.
+// slotPermKey is a slot's resident key; NewStreamEvaluator's limits
+// guarantee its zone set packs.
 func slotPermKey(sl *rankSlot) permKey {
 	zk, _ := packZones(sl.zones)
 	return permKey{fac: sl.fac, bid: sl.bid, zones: zk}

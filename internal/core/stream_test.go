@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/tracegen"
 )
 
 // prefixSet returns the first n samples of the set as a standalone
@@ -34,10 +38,9 @@ func streamConfigFor(set *trace.Set) StreamConfig {
 }
 
 // streamMatchesOracle feeds hist to a fresh StreamEvaluator over the
-// candidates tick by tick and requires an evaluator that stays on the
-// incremental path and, after every every-th tick and the last, a
-// table bit-identical to oracle Rank over the same prefix — same
-// floats, same order.
+// candidates tick by tick and requires, after every every-th tick and
+// the last, a table bit-identical to oracle Rank over the same prefix —
+// same floats, same order.
 func streamMatchesOracle(t *testing.T, hist *trace.Set, cands []PolicyFactory, every int) {
 	t.Helper()
 	oracle := &Evaluator{Workers: 1, DisableBatch: true}
@@ -59,9 +62,6 @@ func streamMatchesOracle(t *testing.T, hist *trace.Set, cands []PolicyFactory, e
 			t.Fatalf("stream tick %d: generation %d after %d (changed=%v)", i, upd.Generation, lastGen, upd.Changed)
 		}
 		lastGen = upd.Generation
-		if se.Stats().Fallback {
-			t.Fatalf("stream tick %d: fell back to per-tick full ranking", i)
-		}
 		if i%every != 0 && i != n-1 {
 			continue
 		}
@@ -122,9 +122,6 @@ func TestStreamMatchesRankOnPaperTraces(t *testing.T) {
 			}
 		}
 		st := se.Stats()
-		if st.Fallback {
-			t.Fatalf("%s: unexpected fallback", name)
-		}
 		if st.Rebuilds != 1 {
 			t.Errorf("%s: %d rebuilds, want exactly the initial one", name, st.Rebuilds)
 		}
@@ -267,34 +264,60 @@ func TestMarkovDalyProfilesIndependent(t *testing.T) {
 	}
 }
 
-// TestStreamFallbackForeignPolicy pins the degraded path: a candidate
-// family the batched engine cannot replay flips the evaluator to
-// permanent per-tick full ranking, which keeps answering exactly.
-func TestStreamFallbackForeignPolicy(t *testing.T) {
+// TestUnsupportedCandidatesRejected pins the validation that keeps
+// every candidate on the batched engine: Rank and NewStreamEvaluator
+// refuse a policy family beyond Periodic and Markov-Daly, the stream
+// also refuses what its permutation keys cannot hold, and an Adaptive
+// configured with a foreign family panics at its first decision.
+func TestUnsupportedCandidatesRejected(t *testing.T) {
 	set := paperRegimes()["low/day1"]
-	cfg := streamConfigFor(set)
-	cfg.CrossCheckEvery = -1
-	cfg.Candidates = append(DefaultAdaptiveCandidates(),
+	withEdge := append(DefaultAdaptiveCandidates(),
 		PolicyFactory{Kind: "edge", New: func() sim.CheckpointPolicy { return NewEdge() }})
-	se, err := NewStreamEvaluator(nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := &Evaluator{Workers: 1}
-	for i := 0; i < 12; i++ {
-		upd, err := se.Advance(set.PricesAt(set.Start() + int64(i)*set.Step()))
-		if err != nil {
-			t.Fatal(err)
+	zones := func(n int) []string {
+		names := make([]string, n)
+		for i := range names {
+			names[i] = fmt.Sprintf("z%d", i)
 		}
-		want, err := ref.Rank(se.request(prefixSet(set, i+1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !plansEqual(upd.Plans, want) {
-			t.Fatalf("tick %d: fallback table diverges from Rank", i)
+		return names
+	}
+
+	req := PlanRequest{History: set, Work: 6 * trace.Hour, Deadline: 18 * trace.Hour,
+		CheckpointCost: 300, RestartCost: 300, Candidates: withEdge}
+	if _, err := NewEvaluator().Rank(req); err == nil || !strings.Contains(err.Error(), "*core.Edge") {
+		t.Errorf("Rank with an Edge candidate: err %v, want one naming *core.Edge", err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		edit func(*StreamConfig)
+		want string // error substring; "" means accepted
+	}{
+		{"edge candidate", func(c *StreamConfig) { c.Candidates = withEdge }, "*core.Edge"},
+		{"zero bid", func(c *StreamConfig) { c.Bids = []float64{0.47, 0} }, "bid 0"},
+		{"NaN bid", func(c *StreamConfig) { c.Bids = []float64{math.NaN()} }, "bid NaN"},
+		{"256 zones", func(c *StreamConfig) { c.Zones = zones(256) }, "256 stream zones"},
+		{"255 zones", func(c *StreamConfig) { c.Zones = zones(255) }, ""},
+		{"MaxZones 9", func(c *StreamConfig) { c.Zones, c.MaxZones = zones(9), 9 }, "MaxZones 9"},
+		{"MaxZones 9 over 8 zones", func(c *StreamConfig) { c.Zones, c.MaxZones = zones(8), 9 }, ""},
+	} {
+		cfg := streamConfigFor(set)
+		tc.edit(&cfg)
+		_, err := NewStreamEvaluator(nil, cfg)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: err %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
-	if !se.Stats().Fallback {
-		t.Fatal("a foreign policy family did not flip the evaluator to fallback")
-	}
+
+	hist, run := window(tracegen.LowVolatility(31), 3, 1)
+	a := NewAdaptive()
+	a.Candidates = withEdge
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "*core.Edge") {
+			t.Errorf("Adaptive with an Edge candidate: panic %q, want one naming *core.Edge", msg)
+		}
+	}()
+	sim.Run(testConfig(hist, run, 300), a)
 }

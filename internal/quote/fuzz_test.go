@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -169,6 +172,51 @@ func FuzzStreamerRestore(f *testing.F) {
 		defer sub.Close()
 		if err := st.Ingest(1, fx.row(0)); err != nil || st.Seq() != 1 {
 			t.Fatalf("refused restore left the streamer unable to ingest: seq %d, %v", st.Seq(), err)
+		}
+	})
+}
+
+// FuzzStreamPollParams exercises the stream endpoint's resume and
+// long-poll inputs — the Last-Event-ID header, ?gen= and ?timeout_ms= —
+// which arrive untouched from the client. Parsing must never panic;
+// resumeFloor must agree with strconv.ParseUint (a well-formed header
+// wins, a malformed one is ignored, a malformed gen is refused); and
+// an accepted timeout must lie in (0, maxPollTimeout].
+func FuzzStreamPollParams(f *testing.F) {
+	f.Add("", "", "")
+	f.Add("7", "3", "250")
+	f.Add("x", "18446744073709551615", "9223372036855")
+	f.Add("", "18446744073709551616", "18446744073710")
+	f.Add("-1", "-1", "-1")
+	f.Add(" 5", "+5", "0")
+	f.Fuzz(func(t *testing.T, lastEventID, gen, timeoutMS string) {
+		r := httptest.NewRequest(http.MethodGet, "/v1/quotes/stream", nil)
+		r.URL.RawQuery = url.Values{"gen": {gen}, "timeout_ms": {timeoutMS}}.Encode()
+		r.Header.Set("Last-Event-ID", lastEventID)
+		lastEventID = r.Header.Get("Last-Event-ID") // as the handler reads it
+
+		floor, err := resumeFloor(r)
+		want, wantErr := uint64(0), false
+		if v, perr := strconv.ParseUint(lastEventID, 10, 64); lastEventID != "" && perr == nil {
+			want = v
+		} else if gen != "" {
+			v, perr := strconv.ParseUint(gen, 10, 64)
+			want, wantErr = v, perr != nil
+			if wantErr {
+				want = 0
+			}
+		}
+		if floor != want || (err != nil) != wantErr {
+			t.Fatalf("resumeFloor(Last-Event-ID %q, gen %q) = %d, %v; want %d, error %v",
+				lastEventID, gen, floor, err, want, wantErr)
+		}
+
+		d, err := pollTimeout(r.URL.Query().Get("timeout_ms"))
+		if err != nil {
+			return
+		}
+		if d <= 0 || d > maxPollTimeout {
+			t.Fatalf("pollTimeout(%q) = %v, outside (0, %v]", timeoutMS, d, maxPollTimeout)
 		}
 	})
 }

@@ -153,21 +153,31 @@ func writeSSE(w http.ResponseWriter, event string, ev *StreamEvent) {
 	fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Generation, event, data)
 }
 
+// pollTimeout parses the long-poll timeout_ms parameter: empty selects
+// defaultPollTimeout, and a positive integer is clamped to
+// maxPollTimeout in milliseconds, before scaling, so a huge value
+// cannot overflow into a negative or tiny duration.
+func pollTimeout(s string) (time.Duration, error) {
+	if s == "" {
+		return defaultPollTimeout, nil
+	}
+	ms, err := strconv.Atoi(s)
+	if err != nil || ms <= 0 {
+		return 0, invalidf("timeout_ms must be a positive integer")
+	}
+	if limit := int(maxPollTimeout / time.Millisecond); ms > limit {
+		ms = limit
+	}
+	return time.Duration(ms) * time.Millisecond, nil
+}
+
 // servePoll answers one long-poll round: the newest event past the
 // client's generation, or 204 after the timeout.
 func (st *Streamer) servePoll(w http.ResponseWriter, r *http.Request, sub *StreamSub, since uint64) {
-	q := r.URL.Query()
-	timeout := defaultPollTimeout
-	if s := q.Get("timeout_ms"); s != "" {
-		ms, err := strconv.Atoi(s)
-		if err != nil || ms <= 0 {
-			writeError(w, http.StatusBadRequest, invalidf("timeout_ms must be a positive integer"))
-			return
-		}
-		timeout = time.Duration(ms) * time.Millisecond
-		if timeout > maxPollTimeout {
-			timeout = maxPollTimeout
-		}
+	timeout, err := pollTimeout(r.URL.Query().Get("timeout_ms"))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	if ev := st.Latest(sub); ev != nil && ev.Generation > since {
 		st.writePollEvent(w, ev)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -254,6 +255,53 @@ func TestStreamPollContextCancel(t *testing.T) {
 		t.Fatal("cancelled poll did not return")
 	}
 	waitFor(t, "subscriber release after cancel", func() bool {
+		return st.Metrics.Subscribers.Load() == 0
+	})
+}
+
+// TestStreamPollHugeTimeout pins the timeout_ms clamp: a value whose
+// millisecond-to-nanosecond scaling overflows int64 must still wait
+// (clamped to maxPollTimeout) for a new generation, not wrap to a
+// negative or sub-millisecond timer that answers 204 at once.
+func TestStreamPollHugeTimeout(t *testing.T) {
+	defer leak.CheckT(t, leak.Baseline())
+	fx := newStreamFixture()
+	st := fx.streamer()
+	for i := 0; i < 4; i++ {
+		if err := st.Ingest(uint64(i+1), fx.row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sub, err := st.Subscribe(fx.shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := st.Generation(sub)
+	sub.Close()
+	srv := httptest.NewServer(NewStreamingHandler(testService(), st))
+	defer srv.Close()
+
+	// 9223372036855 ms wraps to a negative duration, 18446744073710 ms
+	// to about 448 µs.
+	for _, ms := range []string{"9223372036855", "18446744073710"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		url := srv.URL + "/v1/quotes/stream?work_hours=4&deadline_hours=12&max_zones=2&top=3&mode=poll&gen=" +
+			strconv.FormatUint(gen, 10) + "&timeout_ms=" + ms
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		cancel()
+		if err == nil {
+			resp.Body.Close()
+			t.Fatalf("timeout_ms=%s: poll answered %d before the 300 ms client deadline", ms, resp.StatusCode)
+		}
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("timeout_ms=%s: %v, want the client deadline", ms, err)
+		}
+	}
+	waitFor(t, "subscriber release after the client deadlines", func() bool {
 		return st.Metrics.Subscribers.Load() == 0
 	})
 }

@@ -1,12 +1,13 @@
 #!/usr/bin/env sh
 # Repository gate: formatting, vet, build, the full test suite under
-# the race detector, then a short chaos soak. The suite includes
-# doccheck_test.go (exported-symbol doc coverage) and the golden
-# determinism tests of the replay engine, the parallel permutation
-# evaluator, the batched replay engine (differential against the
-# machine oracle, plus the FuzzBatchedMeasure sweep below) and the
-# quote service, so a green run certifies correctness, bit-for-bit
-# reproducibility of the figures, and byte-identical plan serving. The soak replays the live pipeline
+# the race detector, the bench module's vet and tests, then a short
+# chaos soak. The suite includes doccheck_test.go (exported-symbol doc
+# coverage) and the golden determinism tests of the replay engine, the
+# parallel permutation evaluator, the batched replay engine
+# (differential against the machine oracle, plus the FuzzBatchedMeasure
+# sweep below) and the quote service, so a green run certifies
+# correctness, bit-for-bit reproducibility of the figures, and
+# byte-identical plan serving. The soak replays the live pipeline
 # through 20 seeded fault scenarios and fails on a missed deadline
 # without fallback, ledger inconsistency, goroutine leaks or
 # nondeterminism. A second, fleet-scale soak drives quotelb over three
@@ -27,6 +28,11 @@ fi
 go vet ./...
 go build ./...
 go test -race ./...
+# bench/ is its own module over this one (it reads core.StreamStats,
+# quote.StreamRequest and AttachStream), so a root change can break it
+# without failing the root build.
+go -C bench vet ./...
+go -C bench test ./...
 go test -run '^$' -fuzz '^FuzzRowParser$' -fuzztime 5s ./internal/livesched
 go test -run '^$' -fuzz '^FuzzBatchedMeasure$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzBidIndexAppend$' -fuzztime 5s ./internal/trace
@@ -34,6 +40,7 @@ go test -run '^$' -fuzz '^FuzzDecisionLogRoundTrip$' -fuzztime 5s ./internal/dec
 go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 5s ./internal/quote
 go test -run '^$' -fuzz '^FuzzParseQuery$' -fuzztime 5s ./internal/quote
 go test -run '^$' -fuzz '^FuzzStreamerRestore$' -fuzztime 5s ./internal/quote
+go test -run '^$' -fuzz '^FuzzStreamPollParams$' -fuzztime 5s ./internal/quote
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/spotapi
 go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 5s ./internal/trace
