@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -19,6 +20,7 @@ import (
 	"repro/internal/markov"
 	"repro/internal/obs"
 	"repro/internal/opt"
+	"repro/internal/quote"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -673,4 +675,60 @@ func BenchmarkStreamFullRerank(b *testing.B) {
 			b.Fatal("no plans")
 		}
 	}
+}
+
+// BenchmarkStreamTickShapes times one steady-state streamer tick with 1,
+// 8 and 64 subscribed shapes that differ only in work and deadline, so
+// they share one resident grid: the tick steps the grid once and then
+// scores and publishes every shape. It reports the streamer's resident
+// heap after GC as resident-MB. scripts/bench.sh gates the 64-shape
+// tick at no more than 16× the 1-shape tick.
+func BenchmarkStreamTickShapes(b *testing.B) {
+	hist := ablationConfig(market.FixedDelay(300)).History
+	row := streamBenchRows(hist)
+	n := hist.Series[0].Len()
+	for _, shapes := range []int{1, 8, 64} {
+		b.Run(fmt.Sprint(shapes), func(b *testing.B) {
+			before := liveHeap()
+			st := &quote.Streamer{
+				Zones:           hist.Zones(),
+				Start:           hist.Start(),
+				Step:            hist.Step(),
+				CrossCheckEvery: -1,
+			}
+			for i := 0; i < shapes; i++ {
+				work := 2 + 0.25*float64(i)
+				sub, err := st.Subscribe(quote.Request{WorkHours: work, DeadlineHours: 3 * work, MaxZones: 3, Top: 3})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer sub.Close()
+			}
+			seq := uint64(0)
+			tick := func() {
+				seq++
+				if err := st.Ingest(seq, row(int(seq-1))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < n; i++ { // warm to the full window
+				tick()
+			}
+			resident := liveHeap() - before
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tick()
+			}
+			b.ReportMetric(float64(resident)/(1<<20), "resident-MB")
+		})
+	}
+}
+
+// liveHeap returns the bytes of live heap after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

@@ -101,12 +101,20 @@ func (l *Limiter) now() time.Time {
 // request may proceed. The empty tenant (no X-Tenant header) and any
 // unconfigured tenant draw from the shared default bucket.
 func (l *Limiter) Allow(tenant string) bool {
+	_, ok := l.Charge(tenant)
+	return ok
+}
+
+// Charge is Allow that also names the bucket it charged: tenant itself
+// when configured, "default" for the shared bucket — the name Rejected
+// reports the bucket's rejections under.
+func (l *Limiter) Charge(tenant string) (bucket string, ok bool) {
 	l.init()
 	b := l.buckets[tenant]
 	if b == nil {
-		b = &l.def
+		b, tenant = &l.def, "default"
 	}
-	return b.take(l.now())
+	return tenant, b.take(l.now())
 }
 
 // Rejected returns the rejection count per configured tenant plus the

@@ -167,14 +167,7 @@ func (r *Router) route(w http.ResponseWriter, req *http.Request) {
 	}
 	qreq.Normalize()
 
-	tenant := req.Header.Get("X-Tenant")
-	if r.Limiter != nil && !r.Limiter.Allow(tenant) {
-		m.QuotaRejected.Inc()
-		if tenant == "" {
-			tenant = "default"
-		}
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, fmt.Errorf("quota exhausted for tenant %q", tenant))
+	if !r.admit(w, req) {
 		return
 	}
 
@@ -412,14 +405,7 @@ func (r *Router) routeStream(w http.ResponseWriter, req *http.Request) {
 	}
 	qreq.Normalize()
 
-	tenant := req.Header.Get("X-Tenant")
-	if r.Limiter != nil && !r.Limiter.Allow(tenant) {
-		m.QuotaRejected.Inc()
-		if tenant == "" {
-			tenant = "default"
-		}
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, fmt.Errorf("quota exhausted for tenant %q", tenant))
+	if !r.admit(w, req) {
 		return
 	}
 
@@ -670,6 +656,24 @@ func (c *capture) Write(p []byte) (int, error) {
 		c.code = http.StatusOK
 	}
 	return c.body.Write(p)
+}
+
+// admit charges the request's X-Tenant against the limiter. When the
+// charged bucket is empty it answers 429 naming that bucket — the
+// tenant's own when configured, "default" for the shared bucket every
+// other tenant draws from — and reports false.
+func (r *Router) admit(w http.ResponseWriter, req *http.Request) bool {
+	if r.Limiter == nil {
+		return true
+	}
+	bucket, ok := r.Limiter.Charge(req.Header.Get("X-Tenant"))
+	if ok {
+		return true
+	}
+	r.Metrics.QuotaRejected.Inc()
+	w.Header().Set("Retry-After", "1")
+	writeError(w, http.StatusTooManyRequests, fmt.Errorf("quota exhausted for tenant %q", bucket))
+	return false
 }
 
 // writeError sends the quote service's JSON error envelope shape.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/market"
@@ -175,13 +176,15 @@ func resolveRank(req *PlanRequest) (odRate float64, bids []float64, maxZones int
 
 // rankSlot is one (policy, zone set, bid) cell of a ranking sweep's
 // permutation grid. fac indexes the candidate list the grid was built
-// from; zone sets are shared (not copied) across the bids of one
-// redundancy degree.
+// from; zone sets and their zone names are shared (not copied) across
+// the cells of one redundancy degree, and so are the Zones of the plans
+// scored from them.
 type rankSlot struct {
 	kind  string
 	fac   int
 	bid   float64
 	zones []int
+	names []string
 }
 
 // rankSlots enumerates the permutation grid over the history's current
@@ -191,38 +194,60 @@ type rankSlot struct {
 // the zone sets — can change whenever prices move.
 func rankSlots(hist *trace.Set, bids []float64, maxZones int, cands []PolicyFactory) []rankSlot {
 	ordered := zonesByHistPrice(hist)
+	zoneNames := hist.Zones()
+	sets := make([][]int, maxZones)
+	names := make([][]string, maxZones)
+	for n := 1; n <= maxZones; n++ {
+		zs := append([]int(nil), ordered[:n]...)
+		sort.Ints(zs)
+		sets[n-1] = zs
+		names[n-1] = make([]string, n)
+		for j, zi := range zs {
+			names[n-1][j] = zoneNames[zi]
+		}
+	}
 	slots := make([]rankSlot, 0, len(cands)*maxZones*len(bids))
 	for fi := range cands {
 		for n := 1; n <= maxZones; n++ {
-			zs := append([]int(nil), ordered[:n]...)
-			sort.Ints(zs)
 			for _, bid := range bids {
-				slots = append(slots, rankSlot{kind: cands[fi].Kind, fac: fi, bid: bid, zones: zs})
+				slots = append(slots, rankSlot{kind: cands[fi].Kind, fac: fi, bid: bid, zones: sets[n-1], names: names[n-1]})
 			}
 		}
 	}
 	return slots
 }
 
+// estimateSlots is Rank's estimate step: the permutation grid over the
+// window and every cell's replayed estimate, in slot order. It reads
+// nothing of the request's work, deadline or on-demand rate — those
+// enter only scorePlans — so one estimate step serves every request
+// shape over the same window and grid knobs.
+func (ev *Evaluator) estimateSlots(hist *trace.Set, tc, tr int64, bids []float64, maxZones int, cands []PolicyFactory) ([]rankSlot, []estimate) {
+	slots := rankSlots(hist, bids, maxZones, cands)
+	specs := make([]sim.RunSpec, len(slots))
+	for i := range slots {
+		sl := &slots[i]
+		specs[i] = sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: cands[sl.fac].New()}
+	}
+	return slots, ev.MeasureAll(hist, specs, tc, tr)
+}
+
 // scorePlans converts per-slot estimates into the ranked plan table:
 // Inequality (1) cost prediction and schedule split per slot, then the
 // stable best-first order (ascending predicted cost, ties toward bid
-// headroom, then fewer zones, then policy name).
+// headroom, then fewer zones, then policy name). The stable sort runs
+// over plan indexes rather than the plans themselves — the same
+// comparisons, so the same order, without moving whole Plan values.
 func scorePlans(req *PlanRequest, odRate float64, slots []rankSlot, ests []estimate) []Plan {
-	names := req.History.Zones()
 	migration := req.CheckpointCost + req.RestartCost + req.History.Step()
 	plans := make([]Plan, len(slots))
 	for i := range slots {
 		sl := &slots[i]
 		e := ests[i]
-		zoneNames := make([]string, len(sl.zones))
-		for j, zi := range sl.zones {
-			zoneNames[j] = names[zi]
-		}
 		finish := predictFinish(e, req.Work, req.Deadline, migration)
 		plans[i] = Plan{
 			Bid:             sl.bid,
-			Zones:           zoneNames,
+			Zones:           sl.names,
 			Policy:          sl.kind,
 			PredictedCost:   predictCostAt(e, req.Work, req.Deadline, migration, odRate),
 			ProgressRate:    e.progressRate,
@@ -231,8 +256,7 @@ func scorePlans(req *PlanRequest, odRate float64, slots []rankSlot, ests []estim
 			DeadlineMargin:  req.Deadline - finish,
 		}
 	}
-	sort.SliceStable(plans, func(x, y int) bool {
-		a, b := &plans[x], &plans[y]
+	less := func(a, b *Plan) bool {
 		if a.PredictedCost != b.PredictedCost {
 			return a.PredictedCost < b.PredictedCost
 		}
@@ -243,7 +267,37 @@ func scorePlans(req *PlanRequest, odRate float64, slots []rankSlot, ests []estim
 			return len(a.Zones) < len(b.Zones)
 		}
 		return a.Policy < b.Policy
+	}
+	order := make([]int32, len(plans))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	// The stable sort only ever tests cmp < 0, exactly where
+	// sort.SliceStable tests less.
+	slices.SortStableFunc(order, func(x, y int32) int {
+		if less(&plans[x], &plans[y]) {
+			return -1
+		}
+		return 0
 	})
+	// Apply the order in place, one cycle at a time: plans[i] becomes
+	// the plan order[i] named; visited entries are marked -1.
+	for i := range order {
+		if order[i] < 0 {
+			continue
+		}
+		held, j := plans[i], i
+		for {
+			k := int(order[j])
+			order[j] = -1
+			if k == i {
+				plans[j] = held
+				break
+			}
+			plans[j] = plans[k]
+			j = k
+		}
+	}
 	return plans
 }
 
@@ -261,13 +315,7 @@ func (ev *Evaluator) Rank(req PlanRequest) ([]Plan, error) {
 		return nil, err
 	}
 	odRate, bids, maxZones, cands := resolveRank(&req)
-	slots := rankSlots(req.History, bids, maxZones, cands)
-	specs := make([]sim.RunSpec, len(slots))
-	for i := range slots {
-		sl := &slots[i]
-		specs[i] = sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: cands[sl.fac].New()}
-	}
-	ests := ev.MeasureAll(req.History, specs, req.CheckpointCost, req.RestartCost)
+	slots, ests := ev.estimateSlots(req.History, req.CheckpointCost, req.RestartCost, bids, maxZones, cands)
 	plans := scorePlans(&req, odRate, slots, ests)
 	if ev.Sink != nil && len(plans) > 0 {
 		ev.Sink.RecordDecision(rankDecision(req.History, plans))

@@ -9,9 +9,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Crash recovery for streaming evaluation: a StreamEvaluator's
-// externally meaningful state is a pure function of (request shape,
-// retained window, tick count, generation) — the resident permutation
+// Crash recovery for streaming evaluation: a stream shape's externally
+// meaningful state is a pure function of (request shape, retained
+// window, tick count, generation) — the resident permutation
 // structures are a cache rebuilt from the tape on demand. A snapshot
 // therefore persists exactly that function's inputs plus a digest of
 // its output, and Restore proves the resumed evaluator equals the
@@ -44,27 +44,8 @@ type StreamSnapshot struct {
 	StateDigest string `json:"state_digest"`
 }
 
-// Snapshot captures the evaluator's resumable state. The snapshot is
-// independent of the resident structures, so it is valid whether or
-// not the evaluator has degraded to fallback ranking.
-func (se *StreamEvaluator) Snapshot() *StreamSnapshot {
-	hist := se.tape.Set()
-	n := se.tape.Len()
-	rows := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		rows[i] = hist.PricesAt(se.tape.Start() + int64(i)*se.tape.Step())
-	}
-	snap := &StreamSnapshot{
-		Zones:      append([]string(nil), se.cfg.Zones...),
-		Start:      se.tape.Start(),
-		Step:       se.tape.Step(),
-		Ticks:      se.stats.Ticks,
-		Generation: se.gen,
-		Rows:       rows,
-	}
-	snap.StateDigest = snap.digest(se.plans)
-	return snap
-}
+// Snapshot captures the evaluator's resumable state.
+func (se *StreamEvaluator) Snapshot() *StreamSnapshot { return se.s.Snapshot() }
 
 // Restore rebuilds the evaluator's state from a snapshot. It is only
 // valid on a fresh evaluator (no ticks ingested) whose config matches
@@ -75,22 +56,58 @@ func (se *StreamEvaluator) Snapshot() *StreamSnapshot {
 // where the snapshot left off: the next Advance produces tick
 // snap.Ticks+1, and the generation only moves when the table changes.
 func (se *StreamEvaluator) Restore(snap *StreamSnapshot) error {
+	if err := se.g.Restore(snap); err != nil {
+		return err
+	}
+	return se.s.Restore(snap)
+}
+
+// Snapshot captures one shape's resumable state: its grid's window and
+// tick count with the shape's own generation and table digest. The
+// snapshot is independent of the resident structures.
+func (s *StreamScorer) Snapshot() *StreamSnapshot {
+	g := s.g
+	hist := g.tape.Set()
+	n := g.tape.Len()
+	rows := make([][]float64, n)
+	for i := 0; i < n; i++ {
+		rows[i] = hist.PricesAt(g.tape.Start() + int64(i)*g.tape.Step())
+	}
+	snap := &StreamSnapshot{
+		Zones:      append([]string(nil), g.cfg.Zones...),
+		Start:      g.tape.Start(),
+		Step:       g.tape.Step(),
+		Ticks:      g.stats.Ticks,
+		Generation: s.gen,
+		Rows:       rows,
+	}
+	snap.StateDigest = snap.digest(s.plans)
+	return snap
+}
+
+// Restore rebuilds the grid's window and tick count from a shape
+// snapshot. It is only valid on a fresh grid (no ticks ingested) whose
+// config matches the snapshot's geometry. The window's estimates are
+// re-derived from scratch; the resident structures rebuild lazily on
+// the next tick. Each attached scorer then restores its own generation
+// through StreamScorer.Restore, which verifies the digest.
+func (g *StreamGrid) Restore(snap *StreamSnapshot) error {
 	if snap == nil {
 		return fmt.Errorf("core: nil stream snapshot")
 	}
-	if se.stats.Ticks != 0 || se.tape.Len() != 0 {
-		return fmt.Errorf("core: Restore on an evaluator that has already ingested %d ticks", se.stats.Ticks)
+	if g.stats.Ticks != 0 || g.tape.Len() != 0 {
+		return fmt.Errorf("core: Restore on an evaluator that has already ingested %d ticks", g.stats.Ticks)
 	}
-	if len(snap.Zones) != len(se.cfg.Zones) {
-		return fmt.Errorf("core: snapshot has %d zones, evaluator %d", len(snap.Zones), len(se.cfg.Zones))
+	if len(snap.Zones) != len(g.cfg.Zones) {
+		return fmt.Errorf("core: snapshot has %d zones, evaluator %d", len(snap.Zones), len(g.cfg.Zones))
 	}
 	for i, z := range snap.Zones {
-		if z != se.cfg.Zones[i] {
-			return fmt.Errorf("core: snapshot zone %d is %q, evaluator has %q", i, z, se.cfg.Zones[i])
+		if z != g.cfg.Zones[i] {
+			return fmt.Errorf("core: snapshot zone %d is %q, evaluator has %q", i, z, g.cfg.Zones[i])
 		}
 	}
-	if snap.Step != se.cfg.Step {
-		return fmt.Errorf("core: snapshot step %d, evaluator %d", snap.Step, se.cfg.Step)
+	if snap.Step != g.cfg.Step {
+		return fmt.Errorf("core: snapshot step %d, evaluator %d", snap.Step, g.cfg.Step)
 	}
 	if uint64(len(snap.Rows)) > snap.Ticks {
 		return fmt.Errorf("core: snapshot retains %d rows but counts only %d ticks", len(snap.Rows), snap.Ticks)
@@ -98,34 +115,87 @@ func (se *StreamEvaluator) Restore(snap *StreamSnapshot) error {
 	if len(snap.Rows) == 0 {
 		// An empty snapshot (taken before the first tick) restores to
 		// the fresh state.
-		if snap.Generation != 0 {
-			return fmt.Errorf("core: empty snapshot carries generation %d", snap.Generation)
-		}
 		return nil
 	}
 	tape, err := replayTape(snap)
 	if err != nil {
 		return err
 	}
-	// Re-derive the plan table the snapshot's window must produce. By
-	// the streaming contract the incremental table is bit-identical to
-	// Rank over the same window, so the digest check below proves the
-	// resumed state equals the crashed one.
-	se.tape = tape
-	hist := se.tape.Set()
-	plans, err := se.ev.Rank(se.request(hist))
-	if err != nil {
-		return fmt.Errorf("core: restoring plan table: %w", err)
+	g.tape = tape
+	g.slots, g.ests = g.estimate(tape.Set())
+	g.stats.Ticks = snap.Ticks
+	g.dirty = true // resident structures rebuild lazily on the next tick
+	g.stats.Rebuilds++
+	return nil
+}
+
+// Restore adopts a shape snapshot's generation and table on a scorer
+// whose grid was restored from the same window: the snapshot must carry
+// the grid's rows, start and tick count exactly, and the table the grid
+// scores for this shape must hash to the snapshot's digest. By the
+// streaming contract that table is bit-identical to Rank over the same
+// window, so the check proves the resumed state equals the crashed one.
+func (s *StreamScorer) Restore(snap *StreamSnapshot) error {
+	if snap == nil {
+		return fmt.Errorf("core: nil stream snapshot")
 	}
+	g := s.g
+	if len(snap.Rows) == 0 {
+		if snap.Generation != 0 {
+			return fmt.Errorf("core: empty snapshot carries generation %d", snap.Generation)
+		}
+		if g.tape.Len() != 0 {
+			return fmt.Errorf("core: empty snapshot on a grid holding %d rows", g.tape.Len())
+		}
+		return nil
+	}
+	if !g.holds(snap) {
+		return fmt.Errorf("core: snapshot window (start %d, %d rows, tick %d) differs from its grid's (start %d, %d rows, tick %d)",
+			snap.Start, len(snap.Rows), snap.Ticks, g.tape.Start(), g.tape.Len(), g.stats.Ticks)
+	}
+	hist := g.tape.Set()
+	req := s.request(hist)
+	plans := scorePlans(&req, s.odRate, g.slots, g.ests)
 	if got := snap.digest(plans); got != snap.StateDigest {
 		return fmt.Errorf("core: snapshot digest mismatch: restored table hashes to %s, snapshot says %s", got, snap.StateDigest)
 	}
-	se.stats.Ticks = snap.Ticks
-	se.gen = snap.Generation
-	se.plans = plans
-	se.dirty = true // resident structures rebuild lazily on the next tick
-	se.stats.Rebuilds++
+	s.gen = snap.Generation
+	s.plans = plans
+	s.upd = StreamUpdate{
+		Generation: s.gen,
+		Tick:       g.stats.Ticks,
+		Steps:      g.tape.Len(),
+		At:         g.tape.End() - g.cfg.Step,
+		Plans:      plans,
+	}
 	return nil
+}
+
+// holds reports whether the grid's window is exactly the snapshot's:
+// same geometry, start, tick count and rows, bit for bit.
+func (g *StreamGrid) holds(snap *StreamSnapshot) bool {
+	if snap.Step != g.cfg.Step || len(snap.Zones) != len(g.cfg.Zones) ||
+		snap.Start != g.tape.Start() || snap.Ticks != g.stats.Ticks || len(snap.Rows) != g.tape.Len() {
+		return false
+	}
+	for i, z := range snap.Zones {
+		if z != g.cfg.Zones[i] {
+			return false
+		}
+	}
+	hist := g.tape.Set()
+	for i, row := range snap.Rows {
+		got := hist.PricesAt(g.tape.Start() + int64(i)*g.tape.Step())
+		if len(row) != len(got) {
+			return false
+		}
+		for k := range row {
+			if !f64eq(row[k], got[k]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // replayTape reconstructs the snapshot's retained window as a tape,

@@ -30,9 +30,9 @@ import (
 // function of a window prefix (append-stable), and the estimation
 // close is replayed on local copies so reading the table never
 // perturbs the resident state. A periodic full-rebuild cross-check
-// (CrossCheckEvery) re-derives the table through Rank and counts — and
-// corrects — any divergence, turning the invariant into a runtime
-// check rather than a test-only one.
+// (CrossCheckEvery) re-derives the estimates through Rank's estimate
+// step and counts — and corrects — any divergence, turning the
+// invariant into a runtime check rather than a test-only one.
 //
 // Ordering churn is the one structural event: the grid's zone sets
 // follow the cheapest-last-price ordering, so a tick that reorders
@@ -43,15 +43,27 @@ import (
 // for free when the ordering flips back — until the resident set
 // outgrows the grid by residentSlack and a rebuild prunes it.
 //
-// Every grid cell stays resident: NewStreamEvaluator refuses what the
+// Every grid cell stays resident: NewStreamGrid refuses what the
 // batched engine cannot replay or a permutation key cannot hold — a
 // policy family beyond Periodic and Markov-Daly, a non-positive or NaN
 // bid, more than 255 zones, more than 8 zones per set. Any mix of
 // Periodic and Markov-Daly candidates, whatever their parameters, is
 // accepted.
 //
-// A StreamEvaluator is single-goroutine by design: the tick pipeline
-// owns it, and everything downstream reads published snapshots.
+// The resident state splits along the Inequality (1) boundary. A
+// StreamGrid owns everything the replays depend on — tape, batched
+// state, resident permutations, the live grid and its per-slot
+// estimates, compaction, catch-up and the cross-check — which is a
+// function of the window and the grid knobs (bids, redundancy bound,
+// candidates, t_c, t_r) alone: estimation replays run with effectively
+// unbounded work and deadline (estimationCfg). A StreamScorer owns what
+// one request shape adds — remaining work, deadline, on-demand rate —
+// and turns the grid's estimates into its ranked table, generation and
+// diff. Any number of shapes share one grid; a StreamEvaluator is one
+// grid with one scorer, stepped through the same code.
+//
+// Grids and scorers are single-goroutine by design: the tick pipeline
+// owns them, and everything downstream reads published snapshots.
 
 // Streaming evaluator defaults: the cross-check cadence and the
 // retention bound (in steps) before the tape is compacted to half.
@@ -77,7 +89,8 @@ type StreamConfig struct {
 	Step int64
 
 	// Work and Deadline are the remaining computation C_r and
-	// wall-clock budget T_r in seconds, as in PlanRequest.
+	// wall-clock budget T_r in seconds, as in PlanRequest. They and
+	// OnDemandRate are the scorer's; NewStreamGrid ignores them.
 	Work     int64
 	Deadline int64
 	// CheckpointCost and RestartCost are t_c and t_r in seconds.
@@ -129,8 +142,8 @@ type StreamUpdate struct {
 	Plans []Plan
 }
 
-// StreamStats counts the evaluator's structural events, for metrics
-// and the cross-check's divergence accounting.
+// StreamStats counts a grid's structural events, for metrics and the
+// cross-check's divergence accounting.
 type StreamStats struct {
 	// Ticks counts ingested ticks.
 	Ticks uint64
@@ -144,13 +157,13 @@ type StreamStats struct {
 	CatchUps int64
 	// CrossChecks counts full-rebuild cross-checks run.
 	CrossChecks int64
-	// CrossCheckMismatches counts cross-checks whose from-scratch table
-	// differed from the incremental one (the reference table is adopted
-	// and the resident state rebuilt).
+	// CrossCheckMismatches counts cross-checks whose from-scratch
+	// estimates differed from the incremental ones (the reference
+	// estimates are adopted and the resident state rebuilt).
 	CrossCheckMismatches int64
 	// Resident is the current resident permutation count.
 	Resident int
-	// Fallback is always false: NewStreamEvaluator refuses every
+	// Fallback is always false: NewStreamGrid refuses every
 	// candidate the evaluator cannot keep resident, so it never
 	// degrades to per-tick full ranking. The field stays only because
 	// the bench module still reports it.
@@ -167,16 +180,21 @@ type permKey struct {
 	zones uint64
 }
 
-// StreamEvaluator maintains the ranked plan table of one request shape
-// incrementally over a live price feed. Not safe for concurrent use;
-// the tick pipeline owns it.
-type StreamEvaluator struct {
+// StreamGrid is the shape-independent half of streaming evaluation:
+// the price tape, the resident batched replay state, the live
+// permutation grid and its per-slot estimates over one (bid grid,
+// redundancy bound, candidates, t_c, t_r) grid. Remaining work,
+// deadline and on-demand rate enter only the Inequality (1) scoring, so
+// every request shape over the same grid shares one StreamGrid and
+// keeps only a StreamScorer. Advance steps the grid once per tick and
+// then scores and publishes every attached scorer. Not safe for
+// concurrent use; the tick pipeline owns it.
+type StreamGrid struct {
 	ev  *Evaluator
 	cfg StreamConfig
 
-	// Resolved request knobs, fixed for the evaluator's lifetime so the
+	// Resolved grid knobs, fixed for the grid's lifetime so the live
 	// grid and the cross-check resolve identically.
-	odRate   float64
 	bids     []float64
 	maxZones int
 	cands    []PolicyFactory
@@ -186,15 +204,83 @@ type StreamEvaluator struct {
 	resident map[permKey]int
 	dirty    bool // resident state must rebuild before the next use
 
+	// The live grid over the current window and its estimates; nil
+	// before the first tick.
+	slots []rankSlot
+	ests  []estimate
+
+	scorers []*StreamScorer
+	stats   StreamStats
+}
+
+// StreamScorer is the shape-dependent half of streaming evaluation: one
+// request shape's remaining work, deadline and on-demand rate, scored
+// against its grid's estimates, plus the published table, its
+// generation and the last tick's diff.
+type StreamScorer struct {
+	g        *StreamGrid
+	work     int64
+	deadline int64
+	odRate   float64
+
 	gen   uint64
 	plans []Plan
-	stats StreamStats
+	next  []Plan // this tick's table, published after the cross-check
+	upd   StreamUpdate
+}
+
+// StreamEvaluator maintains the ranked plan table of one request shape
+// incrementally over a live price feed: one StreamGrid with one
+// attached StreamScorer. Not safe for concurrent use; the tick pipeline
+// owns it.
+type StreamEvaluator struct {
+	g *StreamGrid
+	s *StreamScorer
 }
 
 // NewStreamEvaluator builds a streaming evaluator for the request
-// shape. ev supplies the tracer and the cross-check ranking; nil gets a
-// fresh default Evaluator.
+// shape. ev supplies the tracer and the cross-check estimates; nil gets
+// a fresh default Evaluator.
 func NewStreamEvaluator(ev *Evaluator, cfg StreamConfig) (*StreamEvaluator, error) {
+	g, err := NewStreamGrid(ev, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s, err := g.Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate)
+	if err != nil {
+		return nil, err
+	}
+	return &StreamEvaluator{g: g, s: s}, nil
+}
+
+// Advance ingests one price tick (one sample per zone, column order)
+// and returns the tick's update.
+func (se *StreamEvaluator) Advance(prices []float64) (StreamUpdate, error) {
+	if err := se.g.Advance(prices); err != nil {
+		return StreamUpdate{}, err
+	}
+	return se.s.Update(), nil
+}
+
+// Generation returns the current plan-table generation (0 before the
+// first tick).
+func (se *StreamEvaluator) Generation() uint64 { return se.s.Generation() }
+
+// Plans returns the current ranked table (read-only alias; nil before
+// the first tick).
+func (se *StreamEvaluator) Plans() []Plan { return se.s.Plans() }
+
+// Steps returns the retained window length in samples.
+func (se *StreamEvaluator) Steps() int { return se.g.Steps() }
+
+// Stats returns a snapshot of the structural-event counters.
+func (se *StreamEvaluator) Stats() StreamStats { return se.g.Stats() }
+
+// NewStreamGrid builds the shape-independent streaming state for cfg's
+// feed geometry and grid knobs. Work, Deadline and OnDemandRate are
+// read only by Attach. ev supplies the tracer and the cross-check
+// estimates; nil gets a fresh default Evaluator.
+func NewStreamGrid(ev *Evaluator, cfg StreamConfig) (*StreamGrid, error) {
 	if ev == nil {
 		ev = NewEvaluator()
 	}
@@ -210,50 +296,37 @@ func NewStreamEvaluator(ev *Evaluator, cfg StreamConfig) (*StreamEvaluator, erro
 	if cfg.MaxSteps < 16 {
 		return nil, fmt.Errorf("core: stream retention %d below the 16-step minimum", cfg.MaxSteps)
 	}
-	if cfg.Work <= 0 {
-		return nil, fmt.Errorf("core: non-positive remaining work %d", cfg.Work)
-	}
-	if cfg.Deadline < cfg.Work {
-		return nil, fmt.Errorf("core: deadline %d cannot be met: below remaining work %d", cfg.Deadline, cfg.Work)
-	}
-	if cfg.OnDemandRate < 0 {
-		return nil, fmt.Errorf("core: negative on-demand rate %g", cfg.OnDemandRate)
-	}
 	tape, err := trace.NewTape(cfg.Zones, cfg.Start, cfg.Step)
 	if err != nil {
 		return nil, err
 	}
-	se := &StreamEvaluator{
+	g := &StreamGrid{
 		ev:       ev,
 		cfg:      cfg,
-		odRate:   cfg.OnDemandRate,
 		bids:     cfg.Bids,
 		maxZones: cfg.MaxZones,
 		cands:    cfg.Candidates,
 		tape:     tape,
 		resident: make(map[permKey]int),
 	}
-	if se.odRate == 0 {
-		se.odRate = market.OnDemandRate
+	if g.bids == nil {
+		g.bids = BidGrid()
 	}
-	if se.bids == nil {
-		se.bids = BidGrid()
+	if g.maxZones <= 0 {
+		g.maxZones = 3
 	}
-	if se.maxZones <= 0 {
-		se.maxZones = 3
+	if g.maxZones > len(cfg.Zones) {
+		g.maxZones = len(cfg.Zones)
 	}
-	if se.maxZones > len(cfg.Zones) {
-		se.maxZones = len(cfg.Zones)
+	if g.cands == nil {
+		g.cands = DefaultAdaptiveCandidates()
 	}
-	if se.cands == nil {
-		se.cands = DefaultAdaptiveCandidates()
-	}
-	if err := checkCandidates(se.cands); err != nil {
+	if err := checkCandidates(g.cands); err != nil {
 		return nil, err
 	}
 	// Resident permutations are keyed by bid and packed zone set
 	// (packZones: at most 8 zones, indices below 255).
-	for _, bid := range se.bids {
+	for _, bid := range g.bids {
 		if !(bid > 0) {
 			return nil, fmt.Errorf("core: stream bid %g is not positive", bid)
 		}
@@ -261,121 +334,141 @@ func NewStreamEvaluator(ev *Evaluator, cfg StreamConfig) (*StreamEvaluator, erro
 	if len(cfg.Zones) > 0xff {
 		return nil, fmt.Errorf("core: %d stream zones, at most 255 supported", len(cfg.Zones))
 	}
-	if se.maxZones > 8 {
-		return nil, fmt.Errorf("core: stream MaxZones %d above 8", se.maxZones)
+	if g.maxZones > 8 {
+		return nil, fmt.Errorf("core: stream MaxZones %d above 8", g.maxZones)
 	}
-	return se, nil
+	return g, nil
 }
 
-// Generation returns the current plan-table generation (0 before the
-// first tick).
-func (se *StreamEvaluator) Generation() uint64 { return se.gen }
+// Attach adds a request shape to the grid and returns its scorer. On a
+// grid that already holds a window the scorer scores it at once: its
+// first table is generation 1 over the grid's current window.
+func (g *StreamGrid) Attach(work, deadline int64, odRate float64) (*StreamScorer, error) {
+	if work <= 0 {
+		return nil, fmt.Errorf("core: non-positive remaining work %d", work)
+	}
+	if deadline < work {
+		return nil, fmt.Errorf("core: deadline %d cannot be met: below remaining work %d", deadline, work)
+	}
+	if odRate < 0 {
+		return nil, fmt.Errorf("core: negative on-demand rate %g", odRate)
+	}
+	if odRate == 0 {
+		odRate = market.OnDemandRate
+	}
+	s := &StreamScorer{g: g, work: work, deadline: deadline, odRate: odRate}
+	g.scorers = append(g.scorers, s)
+	if g.ests != nil {
+		s.score(g.tape.Set())
+		s.publish()
+	}
+	return s, nil
+}
 
-// Plans returns the current ranked table (read-only alias; nil before
-// the first tick).
-func (se *StreamEvaluator) Plans() []Plan { return se.plans }
+// Detach removes a scorer from the grid, so later ticks no longer score
+// it, and returns how many scorers remain attached.
+func (g *StreamGrid) Detach(s *StreamScorer) int {
+	for i, o := range g.scorers {
+		if o == s {
+			g.scorers = append(g.scorers[:i], g.scorers[i+1:]...)
+			break
+		}
+	}
+	return len(g.scorers)
+}
 
 // Steps returns the retained window length in samples.
-func (se *StreamEvaluator) Steps() int { return se.tape.Len() }
+func (g *StreamGrid) Steps() int { return g.tape.Len() }
 
 // Stats returns a snapshot of the structural-event counters.
-func (se *StreamEvaluator) Stats() StreamStats {
-	st := se.stats
-	if se.b != nil {
-		st.Resident = len(se.b.perms)
+func (g *StreamGrid) Stats() StreamStats {
+	st := g.stats
+	if g.b != nil {
+		st.Resident = len(g.b.perms)
 	}
 	return st
 }
 
-// request assembles the PlanRequest the current window answers —
-// exactly what a cross-check Rank receives.
-func (se *StreamEvaluator) request(hist *trace.Set) PlanRequest {
-	return PlanRequest{
-		History:        hist,
-		Work:           se.cfg.Work,
-		Deadline:       se.cfg.Deadline,
-		CheckpointCost: se.cfg.CheckpointCost,
-		RestartCost:    se.cfg.RestartCost,
-		OnDemandRate:   se.odRate,
-		Bids:           se.bids,
-		MaxZones:       se.maxZones,
-		Candidates:     se.cands,
-	}
-}
-
-// Advance ingests one price tick (one sample per zone, column order)
-// and returns the tick's update. Work per tick is O(zones × bids) for
-// the index extension plus O(resident permutations) for the stepping
-// and re-scoring — independent of the window length outside catch-ups,
-// compactions and cross-checks.
-func (se *StreamEvaluator) Advance(prices []float64) (StreamUpdate, error) {
-	asp := se.ev.Trace.Start("stream.advance")
+// Advance ingests one price tick (one sample per zone, column order),
+// steps the resident state once and then scores and publishes every
+// attached scorer. Work per tick is O(zones × bids) for the index
+// extension plus O(resident permutations) for the stepping and the
+// estimate close, plus one scorePlans per scorer — independent of the
+// window length outside catch-ups, compactions and cross-checks.
+func (g *StreamGrid) Advance(prices []float64) error {
+	asp := g.ev.Trace.Start("stream.advance")
 	defer asp.End()
-	if err := se.tape.Append(prices); err != nil {
-		return StreamUpdate{}, err
+	if err := g.tape.Append(prices); err != nil {
+		return err
 	}
-	se.stats.Ticks++
-	if se.tape.Len() > se.cfg.MaxSteps {
-		se.tape = se.tape.Tail(se.cfg.MaxSteps / 2)
-		se.dirty = true
-		se.stats.Compactions++
+	g.stats.Ticks++
+	if g.tape.Len() > g.cfg.MaxSteps {
+		g.tape = g.tape.Tail(g.cfg.MaxSteps / 2)
+		g.dirty = true
+		g.stats.Compactions++
 	}
-	hist := se.tape.Set()
-	req := se.request(hist)
+	hist := g.tape.Set()
 
-	plans := se.advanceIncremental(hist, &req)
-	if se.cfg.CrossCheckEvery > 0 && se.stats.Ticks%uint64(se.cfg.CrossCheckEvery) == 0 {
-		plans = se.crossCheck(req, plans)
-	}
-	return se.publish(plans), nil
-}
-
-// advanceIncremental runs the per-tick delta update and re-score,
-// returning the new table.
-func (se *StreamEvaluator) advanceIncremental(hist *trace.Set, req *PlanRequest) []Plan {
-	usp := se.ev.Trace.Start("stream.update")
-	if se.b == nil || se.dirty {
-		se.rebuildState(hist)
+	usp := g.ev.Trace.Start("stream.update")
+	if g.b == nil || g.dirty {
+		g.rebuildState(hist)
 	} else {
-		se.extendState(hist)
+		g.extendState(hist)
 	}
 	usp.End()
 
-	rsp := se.ev.Trace.Start("stream.rerank")
-	defer rsp.End()
-	slots := rankSlots(hist, se.bids, se.maxZones, se.cands)
-	if len(se.b.perms) > residentSlack*len(slots) {
-		se.rebuildState(hist) // prune permutations no current ordering needs
+	rsp := g.ev.Trace.Start("stream.rerank")
+	g.rerank(hist)
+	for _, s := range g.scorers {
+		s.score(hist)
 	}
-	se.ensureResident(slots)
+	rsp.End()
+
+	if g.cfg.CrossCheckEvery > 0 && g.stats.Ticks%uint64(g.cfg.CrossCheckEvery) == 0 {
+		g.crossCheck(hist)
+	}
+	for _, s := range g.scorers {
+		s.publish()
+	}
+	return nil
+}
+
+// rerank re-derives the live grid over the window's current zone
+// ordering, catches up the cells that have no resident permutation yet
+// and closes every cell's estimate.
+func (g *StreamGrid) rerank(hist *trace.Set) {
+	g.slots = rankSlots(hist, g.bids, g.maxZones, g.cands)
+	if len(g.b.perms) > residentSlack*len(g.slots) {
+		g.rebuildState(hist) // prune permutations no current ordering needs
+	}
+	g.ensureResident(g.slots)
 	span := float64(hist.Duration())
-	ests := make([]estimate, len(slots))
-	for i := range slots {
-		pi := se.resident[slotPermKey(&slots[i])]
-		ests[i] = se.b.closeEstimate(&se.b.perms[pi], span)
+	g.ests = make([]estimate, len(g.slots))
+	for i := range g.slots {
+		pi := g.resident[slotPermKey(&g.slots[i])]
+		g.ests[i] = g.b.closeEstimate(&g.b.perms[pi], span)
 	}
-	return scorePlans(req, se.odRate, slots, ests)
 }
 
 // rebuildState re-arms the batched scratch over the current window and
 // drops the resident permutation set; the next ensureResident replays
 // the live grid from scratch.
-func (se *StreamEvaluator) rebuildState(hist *trace.Set) {
-	if se.b == nil {
-		se.b = &batchState{}
+func (g *StreamGrid) rebuildState(hist *trace.Set) {
+	if g.b == nil {
+		g.b = &batchState{}
 	}
-	se.b.reset(hist, se.cfg.CheckpointCost, se.cfg.RestartCost)
-	clear(se.resident)
-	se.dirty = false
-	se.stats.Rebuilds++
+	g.b.reset(hist, g.cfg.CheckpointCost, g.cfg.RestartCost)
+	clear(g.resident)
+	g.dirty = false
+	g.stats.Rebuilds++
 }
 
 // extendState grows every resident structure over the tick's new
 // trailing steps — columns, availability indexes, chain-fit memos and
 // the prefix fitters — then steps each resident permutation through
 // them, exactly as the oracle's per-step loop would have.
-func (se *StreamEvaluator) extendState(hist *trace.Set) {
-	b := se.b
+func (g *StreamGrid) extendState(hist *trace.Set) {
+	b := g.b
 	old := b.nsteps
 	b.cols.Reset(hist)
 	b.avail.Extend()
@@ -420,65 +513,127 @@ func (se *StreamEvaluator) extendState(hist *trace.Set) {
 
 // ensureResident adds and catches up every grid cell that has no
 // resident permutation yet.
-func (se *StreamEvaluator) ensureResident(slots []rankSlot) {
+func (g *StreamGrid) ensureResident(slots []rankSlot) {
 	for i := range slots {
 		sl := &slots[i]
 		key := slotPermKey(sl)
-		if _, have := se.resident[key]; have {
+		if _, have := g.resident[key]; have {
 			continue
 		}
-		spec := sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: se.cands[sl.fac].New()}
-		pi := len(se.b.perms)
-		se.b.addPerm(pi, spec) // NewStreamEvaluator's checks keep every slot acceptable
-		se.b.replayPerm(&se.b.perms[pi])
-		se.resident[key] = pi
-		se.stats.CatchUps++
+		spec := sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: g.cands[sl.fac].New()}
+		pi := len(g.b.perms)
+		g.b.addPerm(pi, spec) // NewStreamGrid's checks keep every slot acceptable
+		g.b.replayPerm(&g.b.perms[pi])
+		g.resident[key] = pi
+		g.stats.CatchUps++
 	}
 }
 
-// slotPermKey is a slot's resident key; NewStreamEvaluator's limits
+// slotPermKey is a slot's resident key; NewStreamGrid's limits
 // guarantee its zone set packs.
 func slotPermKey(sl *rankSlot) permKey {
 	zk, _ := packZones(sl.zones)
 	return permKey{fac: sl.fac, bid: sl.bid, zones: zk}
 }
 
-// crossCheck re-derives the table from scratch through Rank and
-// reconciles: on a mismatch the reference table wins and the resident
-// state is marked for rebuild, so one bad delta cannot compound.
-func (se *StreamEvaluator) crossCheck(req PlanRequest, plans []Plan) []Plan {
-	csp := se.ev.Trace.Start("stream.crosscheck")
-	defer csp.End()
-	se.stats.CrossChecks++
-	ref, err := se.ev.Rank(req)
-	if err != nil || !plansEqual(plans, ref) {
-		se.stats.CrossCheckMismatches++
-		se.dirty = true
-		if ref != nil {
-			return ref
-		}
-	}
-	return plans
+// estimate runs Rank's estimate step over a window with the grid's
+// knobs — the from-scratch reference the cross-check and Restore use.
+func (g *StreamGrid) estimate(hist *trace.Set) ([]rankSlot, []estimate) {
+	return g.ev.estimateSlots(hist, g.cfg.CheckpointCost, g.cfg.RestartCost, g.bids, g.maxZones, g.cands)
 }
 
-// publish diffs the tick's table against the published one, advancing
+// crossCheck re-derives the window's estimates from scratch through
+// Rank's estimate step and reconciles, once per grid whatever the
+// number of scorers: on a mismatch the reference estimates win, every
+// scorer re-scores them, and the resident state is marked for rebuild,
+// so one bad delta cannot compound.
+func (g *StreamGrid) crossCheck(hist *trace.Set) {
+	csp := g.ev.Trace.Start("stream.crosscheck")
+	defer csp.End()
+	g.stats.CrossChecks++
+	_, ref := g.estimate(hist)
+	if estimatesEqual(g.ests, ref) {
+		return
+	}
+	g.stats.CrossCheckMismatches++
+	g.dirty = true
+	g.ests = ref
+	for _, s := range g.scorers {
+		s.score(hist)
+	}
+}
+
+// estimatesEqual reports whether two estimate lists are
+// bitwise-identical.
+func estimatesEqual(a, b []estimate) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !f64eq(a[i].progressRate, b[i].progressRate) || !f64eq(a[i].costRate, b[i].costRate) {
+			return false
+		}
+	}
+	return true
+}
+
+// Generation returns the scorer's plan-table generation (0 before its
+// first table).
+func (s *StreamScorer) Generation() uint64 { return s.gen }
+
+// Plans returns the scorer's current ranked table (read-only alias; nil
+// before its first table).
+func (s *StreamScorer) Plans() []Plan { return s.plans }
+
+// Update returns the scorer's latest update: the last tick's outcome,
+// its attach-time table on a grid that already held a window, or its
+// restored state.
+func (s *StreamScorer) Update() StreamUpdate { return s.upd }
+
+// request assembles the PlanRequest the window answers for this shape —
+// exactly what a from-scratch Rank receives.
+func (s *StreamScorer) request(hist *trace.Set) PlanRequest {
+	g := s.g
+	return PlanRequest{
+		History:        hist,
+		Work:           s.work,
+		Deadline:       s.deadline,
+		CheckpointCost: g.cfg.CheckpointCost,
+		RestartCost:    g.cfg.RestartCost,
+		OnDemandRate:   s.odRate,
+		Bids:           g.bids,
+		MaxZones:       g.maxZones,
+		Candidates:     g.cands,
+	}
+}
+
+// score prices the grid's current estimates for this shape.
+func (s *StreamScorer) score(hist *trace.Set) {
+	req := s.request(hist)
+	s.next = scorePlans(&req, s.odRate, s.g.slots, s.g.ests)
+}
+
+// publish diffs the scored table against the published one, advancing
 // the generation only when something changed.
-func (se *StreamEvaluator) publish(plans []Plan) StreamUpdate {
+func (s *StreamScorer) publish() {
+	plans := s.next
+	s.next = nil
+	g := s.g
 	upd := StreamUpdate{
-		Tick:  se.stats.Ticks,
-		Steps: se.tape.Len(),
-		At:    se.tape.End() - se.cfg.Step,
+		Tick:  g.stats.Ticks,
+		Steps: g.tape.Len(),
+		At:    g.tape.End() - g.cfg.Step,
 	}
-	if se.gen == 0 || !plansEqual(plans, se.plans) {
+	if s.gen == 0 || !plansEqual(plans, s.plans) {
 		upd.Changed = true
-		upd.BestChanged = len(se.plans) == 0 || len(plans) == 0 || !planEqual(&plans[0], &se.plans[0])
-		upd.ChangedRanks = changedRanks(plans, se.plans)
-		se.gen++
-		se.plans = plans
+		upd.BestChanged = len(s.plans) == 0 || len(plans) == 0 || !planEqual(&plans[0], &s.plans[0])
+		upd.ChangedRanks = changedRanks(plans, s.plans)
+		s.gen++
+		s.plans = plans
 	}
-	upd.Generation = se.gen
-	upd.Plans = se.plans
-	return upd
+	upd.Generation = s.gen
+	upd.Plans = s.plans
+	s.upd = upd
 }
 
 // f64eq compares floats by bit pattern — the streaming contract is

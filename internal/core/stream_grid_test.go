@@ -1,0 +1,257 @@
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/trace"
+)
+
+// gridShape is one request shape scored on a shared grid in the tests
+// below: the Inequality (1) inputs a StreamScorer adds.
+type gridShape struct {
+	work, deadline int64
+	odRate         float64
+}
+
+// gridShapes are three shapes that differ only in what the scorer
+// owns, so they share one grid.
+var gridShapes = []gridShape{
+	{6 * trace.Hour, 18 * trace.Hour, 0},
+	{2 * trace.Hour, 3 * trace.Hour, 0},
+	{12 * trace.Hour, 13 * trace.Hour, 0.2},
+}
+
+// standaloneFor is the StreamEvaluator of one shape over cfg's grid.
+func standaloneFor(t *testing.T, cfg StreamConfig, sh gridShape) *StreamEvaluator {
+	t.Helper()
+	cfg.Work, cfg.Deadline, cfg.OnDemandRate = sh.work, sh.deadline, sh.odRate
+	se, err := NewStreamEvaluator(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return se
+}
+
+// TestStreamGridSharedScorers pins the grid/scorer split: shapes that
+// share one grid publish, tick for tick, exactly what a standalone
+// StreamEvaluator of each shape publishes (generation, tick, diff and
+// table, bit for bit), and every table equals Rank over the grid's
+// window — across the paper regimes, through compactions, with the
+// cross-check running at a dense cadence and never disagreeing.
+func TestStreamGridSharedScorers(t *testing.T) {
+	ref := &Evaluator{Workers: 1}
+	for _, name := range []string{"low/day1", "high/day3", "megaspike/day5", "moderate/day3"} {
+		set := paperRegimes()[name]
+		cfg := streamConfigFor(set)
+		cfg.CrossCheckEvery = 5
+		cfg.MaxSteps = 48
+		g, err := NewStreamGrid(nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scorers := make([]*StreamScorer, len(gridShapes))
+		alone := make([]*StreamEvaluator, len(gridShapes))
+		for i, sh := range gridShapes {
+			if scorers[i], err = g.Attach(sh.work, sh.deadline, sh.odRate); err != nil {
+				t.Fatal(err)
+			}
+			alone[i] = standaloneFor(t, cfg, sh)
+		}
+		// The from-scratch reference window, compacted as the grid is.
+		shadow, err := trace.NewTape(cfg.Zones, cfg.Start, cfg.Step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := min(set.Series[0].Len(), 120)
+		for i := 0; i < n; i++ {
+			row := set.PricesAt(set.Start() + int64(i)*set.Step())
+			if err := g.Advance(row); err != nil {
+				t.Fatal(err)
+			}
+			if err := shadow.Append(row); err != nil {
+				t.Fatal(err)
+			}
+			if shadow.Len() > cfg.MaxSteps {
+				shadow = shadow.Tail(cfg.MaxSteps / 2)
+			}
+			for k, s := range scorers {
+				got := s.Update()
+				want, err := alone[k].Advance(row)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Generation != want.Generation || got.Tick != want.Tick || got.Steps != want.Steps ||
+					got.At != want.At || got.Changed != want.Changed || got.BestChanged != want.BestChanged ||
+					got.ChangedRanks != want.ChangedRanks || !plansEqual(got.Plans, want.Plans) {
+					t.Fatalf("%s tick %d shape %d: shared scorer (gen %d changed %v) diverges from standalone (gen %d changed %v)",
+						name, i, k, got.Generation, got.Changed, want.Generation, want.Changed)
+				}
+				if i%8 != 0 && i != n-1 {
+					continue
+				}
+				rank, err := ref.Rank(s.request(shadow.Set()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !plansEqual(got.Plans, rank) {
+					t.Fatalf("%s tick %d shape %d: shared scorer's table diverges from Rank over the grid window", name, i, k)
+				}
+			}
+		}
+		st := g.Stats()
+		if st.Compactions == 0 {
+			t.Fatalf("%s: no compaction over %d ticks with MaxSteps=%d", name, n, cfg.MaxSteps)
+		}
+		if st.CrossChecks == 0 || st.CrossCheckMismatches != 0 {
+			t.Fatalf("%s: %d cross-check mismatches over %d checks", name, st.CrossCheckMismatches, st.CrossChecks)
+		}
+		// One grid does the replay work of all three shapes: its
+		// structural counters are a standalone evaluator's.
+		if solo := alone[0].Stats(); st != solo {
+			t.Fatalf("%s: shared grid stats %+v, standalone %+v", name, st, solo)
+		}
+	}
+}
+
+// TestStreamGridLateAttach pins the late-join rule: a scorer attached
+// to a grid that already holds a window scores that window at once —
+// generation 1, Changed, the grid's tick — and its table equals Rank
+// over the window; later ticks diff against it as usual. A detached
+// scorer is no longer scored.
+func TestStreamGridLateAttach(t *testing.T) {
+	set := paperRegimes()["high/day1"]
+	cfg := streamConfigFor(set)
+	g, err := NewStreamGrid(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, err := g.Attach(cfg.Work, cfg.Deadline, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(i int) []float64 { return set.PricesAt(set.Start() + int64(i)*set.Step()) }
+	const joinAt = 40
+	for i := 0; i < joinAt; i++ {
+		if err := g.Advance(row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh := gridShapes[1]
+	late, err := g.Attach(sh.work, sh.deadline, sh.odRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upd := late.Update()
+	if upd.Generation != 1 || !upd.Changed || upd.Tick != joinAt || upd.Steps != joinAt || late.Generation() != 1 {
+		t.Fatalf("late scorer's first update: %+v, want generation 1 at tick %d", upd, joinAt)
+	}
+	want, err := NewEvaluator().Rank(late.request(prefixSet(set, joinAt)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plansEqual(upd.Plans, want) || !plansEqual(late.Plans(), want) {
+		t.Fatal("late scorer's first table diverges from Rank over the grid window")
+	}
+	if early.Generation() == 0 {
+		t.Fatal("early scorer never published")
+	}
+	for i := joinAt; i < joinAt+8; i++ {
+		if err := g.Advance(row(i)); err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewEvaluator().Rank(late.request(prefixSet(set, i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plansEqual(late.Plans(), want) {
+			t.Fatalf("tick %d: late scorer diverges from Rank", i)
+		}
+	}
+	g.Detach(late)
+	frozen := late.Update()
+	if err := g.Advance(row(joinAt + 8)); err != nil {
+		t.Fatal(err)
+	}
+	if late.Update().Tick != frozen.Tick || early.Update().Tick != joinAt+9 {
+		t.Fatalf("after detach: detached scorer at tick %d (want %d), attached at %d",
+			late.Update().Tick, frozen.Tick, early.Update().Tick)
+	}
+}
+
+// TestStreamGridScorerRestore pins the split restore: a grid restored
+// from one shape's snapshot accepts another shape's snapshot of the same
+// window and refuses one whose window differs — rows, start or tick
+// count — without touching the scorer.
+func TestStreamGridScorerRestore(t *testing.T) {
+	set := paperRegimes()["moderate/day1"]
+	cfg := streamConfigFor(set)
+	cfg.CrossCheckEvery = -1
+	g, err := NewStreamGrid(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []*StreamScorer
+	for _, sh := range gridShapes {
+		s, err := g.Attach(sh.work, sh.deadline, sh.odRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, s)
+	}
+	for i := 0; i < 24; i++ {
+		if err := g.Advance(set.PricesAt(set.Start() + int64(i)*set.Step())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snaps := make([]*StreamSnapshot, len(live))
+	for i, s := range live {
+		snaps[i] = s.Snapshot()
+	}
+
+	restored, err := NewStreamGrid(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(snaps[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range gridShapes {
+		s, err := restored.Attach(sh.work, sh.deadline, sh.odRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Restore(snaps[i]); err != nil {
+			t.Fatalf("shape %d: %v", i, err)
+		}
+		if s.Generation() != live[i].Generation() || !plansEqual(s.Plans(), live[i].Plans()) {
+			t.Fatalf("shape %d: restored generation %d, live %d", i, s.Generation(), live[i].Generation())
+		}
+	}
+
+	for name, edit := range map[string]func(*StreamSnapshot){
+		"rows":  func(c *StreamSnapshot) { c.Rows[5][1] *= 3 },
+		"start": func(c *StreamSnapshot) { c.Start += c.Step },
+		"ticks": func(c *StreamSnapshot) { c.Ticks++ },
+	} {
+		c := *snaps[1]
+		c.Rows = make([][]float64, len(snaps[1].Rows))
+		for i, row := range snaps[1].Rows {
+			c.Rows[i] = append([]float64(nil), row...)
+		}
+		edit(&c)
+		c.StateDigest = c.digest(live[1].Plans()) // a self-consistent snapshot of another window
+		s, err := restored.Attach(gridShapes[1].work, gridShapes[1].deadline, gridShapes[1].odRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = s.Restore(&c)
+		if err == nil || !strings.Contains(err.Error(), "differs from its grid") {
+			t.Fatalf("%s: restore of a different window: %v", name, err)
+		}
+		if s.Generation() != 1 {
+			t.Fatalf("%s: refused restore moved the scorer to generation %d", name, s.Generation())
+		}
+		restored.Detach(s)
+	}
+}

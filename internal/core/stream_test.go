@@ -65,7 +65,7 @@ func streamMatchesOracle(t *testing.T, hist *trace.Set, cands []PolicyFactory, e
 		if i%every != 0 && i != n-1 {
 			continue
 		}
-		want, err := oracle.Rank(se.request(prefixSet(hist, i+1)))
+		want, err := oracle.Rank(se.s.request(prefixSet(hist, i+1)))
 		if err != nil {
 			t.Fatalf("stream tick %d: rank: %v", i, err)
 		}
@@ -112,7 +112,7 @@ func TestStreamMatchesRankOnPaperTraces(t *testing.T) {
 				t.Fatalf("%s tick %d: generation %d after %d (changed=%v)", name, i, upd.Generation, lastGen, upd.Changed)
 			}
 			lastGen = upd.Generation
-			want, err := ref.Rank(se.request(prefixSet(set, i+1)))
+			want, err := ref.Rank(se.s.request(prefixSet(set, i+1)))
 			if err != nil {
 				t.Fatalf("%s tick %d: rank: %v", name, i, err)
 			}
@@ -195,7 +195,7 @@ func TestStreamCompaction(t *testing.T) {
 		if se.Steps() != shadow.Len() {
 			t.Fatalf("tick %d: window %d, want %d", i, se.Steps(), shadow.Len())
 		}
-		req := se.request(shadow.Set())
+		req := se.s.request(shadow.Set())
 		want, err := ref.Rank(req)
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"sync"
 	"time"
 )
 
@@ -32,6 +33,7 @@ func Proxy(target *url.URL, onError func(error)) http.Handler {
 	// instead of coalescing on a timer; one-shot JSON responses are a
 	// single write, so they pay nothing for it.
 	p.FlushInterval = -1
+	p.BufferPool = copyBuffers
 	p.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
 		if onError != nil {
 			onError(err)
@@ -43,4 +45,30 @@ func Proxy(target *url.URL, onError func(error)) http.Handler {
 		}{Error: "upstream unreachable: " + err.Error()})
 	}
 	return p
+}
+
+// copyBufferSize is the size of the buffers httputil.ReverseProxy copies
+// response bodies through (its own default).
+const copyBufferSize = 32 << 10
+
+// copyBuffers is the copy-buffer pool every Proxy shares, one-shot and
+// SSE responses alike.
+var copyBuffers = &bufferPool{}
+
+// bufferPool recycles the reverse proxy's response copy buffers. With
+// no BufferPool, httputil.ReverseProxy allocates a fresh 32 KiB buffer
+// per proxied response.
+type bufferPool struct{ pool sync.Pool }
+
+// Get returns a copy buffer, reusing a released one when available.
+func (bp *bufferPool) Get() []byte {
+	if b, ok := bp.pool.Get().(*[]byte); ok {
+		return *b
+	}
+	return make([]byte, copyBufferSize)
+}
+
+// Put releases a copy buffer for reuse.
+func (bp *bufferPool) Put(b []byte) {
+	bp.pool.Put(&b)
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
 	"net/url"
 	"strings"
 	"testing"
@@ -146,5 +147,36 @@ func TestProxyDeadBackend(t *testing.T) {
 	}
 	if seen != 1 {
 		t.Fatalf("error callback fired %d times, want 1", seen)
+	}
+}
+
+// TestProxyPoolsCopyBuffers pins the shared copy-buffer pool: every
+// proxy copies through it, and bodies larger than one buffer arrive
+// intact across repeated responses that reuse released buffers.
+func TestProxyPoolsCopyBuffers(t *testing.T) {
+	body := strings.Repeat("0123456789abcdef", 6<<10) // 96 KiB: three buffers' worth
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, body)
+	}))
+	defer backend.Close()
+	u, err := url.Parse(backend.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Proxy(u, nil)
+	if rp, ok := p.(*httputil.ReverseProxy); !ok || rp.BufferPool != copyBuffers {
+		t.Fatalf("proxy %T does not copy through the shared buffer pool", p)
+	}
+	for i := 0; i < 3; i++ {
+		rec := httptest.NewRecorder()
+		p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/big", nil))
+		if rec.Code != http.StatusOK || rec.Body.String() != body {
+			t.Fatalf("response %d: status %d, %d of %d body bytes intact", i, rec.Code, rec.Body.Len(), len(body))
+		}
+	}
+	if b := copyBuffers.Get(); len(b) != copyBufferSize {
+		t.Fatalf("pooled buffer of %d bytes, want %d", len(b), copyBufferSize)
+	} else {
+		copyBuffers.Put(b)
 	}
 }

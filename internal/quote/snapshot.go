@@ -12,7 +12,8 @@ import (
 
 // Crash recovery for the streaming service: the Streamer checkpoints
 // its feed position (sequence number, last row, retained backlog) and
-// every resident shape's evaluator snapshot into a pluggable store. A
+// every resident shape's snapshot — its grid's window plus its own
+// generation and table digest — into a pluggable store. A
 // restarted process restores the checkpoint and then needs only the
 // feed ticks published after it — the catch-up is (current seq −
 // snapshot seq) rows, never the full window, and the per-shape digest
@@ -36,12 +37,14 @@ type ShapeSnapshot struct {
 	// Req is the subscription shape, already normalized, under the
 	// request's wire field names.
 	Req Request `json:"req"`
-	// State is the shape's evaluator checkpoint.
+	// State is the shape's checkpoint: its grid's window and tick count
+	// with the shape's generation and table digest. Shapes on one grid
+	// carry identical windows.
 	State *core.StreamSnapshot `json:"state"`
 }
 
 // StreamerSnapshot is one Streamer checkpoint: the feed position plus
-// every resident shape's evaluator state, JSON-serialisable. Shapes are
+// every resident shape's state, JSON-serialisable. Shapes are
 // ordered by canonical key so equal states serialize to equal bytes.
 type StreamerSnapshot struct {
 	// Seq is the last feed sequence number applied.
@@ -51,11 +54,12 @@ type StreamerSnapshot struct {
 	Start int64    `json:"start"`
 	Step  int64    `json:"step"`
 	// Dropped is how many backlog rows trimming has discarded, ever —
-	// it anchors restored evaluator windows to absolute time.
+	// it anchors restored grid windows to absolute time.
 	Dropped uint64 `json:"dropped"`
 	// LastRow is the last applied price row (gap fills repeat it).
 	LastRow []float64 `json:"last_row,omitempty"`
-	// Backlog is the retained catch-up window for late subscribers.
+	// Backlog is the retained window that seeds grids for late
+	// subscribers.
 	Backlog [][]float64 `json:"backlog,omitempty"`
 	// Shapes are the resident shapes, ordered by Request.Key.
 	Shapes []ShapeSnapshot `json:"shapes,omitempty"`
@@ -83,7 +87,7 @@ func (st *Streamer) snapshotLocked() *StreamerSnapshot {
 		snap.Backlog[i] = append([]float64(nil), row...)
 	}
 	for _, sh := range st.shapes {
-		snap.Shapes = append(snap.Shapes, ShapeSnapshot{Req: sh.req, State: sh.se.Snapshot()})
+		snap.Shapes = append(snap.Shapes, ShapeSnapshot{Req: sh.req, State: sh.sc.Snapshot()})
 	}
 	sort.Slice(snap.Shapes, func(i, j int) bool {
 		return snap.Shapes[i].Req.Key() < snap.Shapes[j].Req.Key()
@@ -114,12 +118,14 @@ func (st *Streamer) Seq() uint64 {
 
 // Restore rebuilds the streamer from a checkpoint. It is only valid on
 // a fresh streamer (no ticks ingested, no shapes resident) whose feed
-// geometry matches the snapshot's. Every shape's evaluator is restored
-// through its digest-verified core Restore, so a corrupt checkpoint is
-// refused whole rather than partially applied. The restored streamer
-// reports Stale until the feed resumes, and expects the next Ingest at
-// sequence Seq()+1 — earlier sequences drop as duplicates, later ones
-// gap-fill, exactly as for a streamer that never crashed.
+// geometry matches the snapshot's. Each grid is restored from the
+// first of its shapes; every shape on it must carry the same window
+// (rows, start and tick count) and is restored through its
+// digest-verified core Restore, so a corrupt or inconsistent checkpoint
+// is refused whole rather than partially applied. The restored
+// streamer reports Stale until the feed resumes, and expects the next
+// Ingest at sequence Seq()+1 — earlier sequences drop as duplicates,
+// later ones gap-fill, exactly as for a streamer that never crashed.
 func (st *Streamer) Restore(snap *StreamerSnapshot) error {
 	st.init()
 	st.mu.Lock()
@@ -141,35 +147,10 @@ func (st *Streamer) Restore(snap *StreamerSnapshot) error {
 	}
 	// Restore shapes first: a failure must leave the streamer fresh.
 	st.dropped = snap.Dropped // streamConfigLocked anchors windows on it
-	restored := make(map[string]*streamShape, len(snap.Shapes))
-	for i := range snap.Shapes {
-		ss := &snap.Shapes[i]
-		req := ss.Req
-		req.Normalize()
-		if err := req.validateStream(); err != nil {
-			st.dropped = 0
-			return fmt.Errorf("quote: snapshot shape %d: %w", i, err)
-		}
-		se, err := core.NewStreamEvaluator(st.Eval, st.streamConfigLocked(req))
-		if err == nil {
-			err = se.Restore(ss.State)
-		}
-		if err != nil {
-			st.dropped = 0
-			return fmt.Errorf("quote: snapshot shape %q: %w", req.Key(), err)
-		}
-		sh := &streamShape{req: req, se: se, subs: make(map[*StreamSub]struct{})}
-		if gen := se.Generation(); gen > 0 {
-			upd := core.StreamUpdate{
-				Generation: gen,
-				Tick:       ss.State.Ticks,
-				Steps:      se.Steps(),
-				At:         ss.State.Start + (int64(len(ss.State.Rows))-1)*snap.Step,
-				Plans:      se.Plans(),
-			}
-			sh.last = sh.event(&upd, false)
-		}
-		restored[req.Key()] = sh
+	shapes, grids, err := st.restoreShapesLocked(snap.Shapes)
+	if err != nil {
+		st.dropped = 0
+		return err
 	}
 	st.seq = snap.Seq
 	st.lastRow = append([]float64(nil), snap.LastRow...)
@@ -177,11 +158,42 @@ func (st *Streamer) Restore(snap *StreamerSnapshot) error {
 	for i, row := range snap.Backlog {
 		st.backlog[i] = append([]float64(nil), row...)
 	}
-	for k, sh := range restored {
-		st.shapes[k] = sh
-	}
+	st.shapes, st.grids = shapes, grids
 	st.Metrics.Restores.Inc()
 	return nil
+}
+
+// restoreShapesLocked rebuilds the checkpoint's shapes and their grids
+// without touching the streamer's own.
+func (st *Streamer) restoreShapesLocked(snaps []ShapeSnapshot) (map[string]*streamShape, map[int]*streamGrid, error) {
+	shapes := make(map[string]*streamShape, len(snaps))
+	grids := make(map[int]*streamGrid)
+	for i := range snaps {
+		ss := &snaps[i]
+		req := ss.Req
+		req.Normalize()
+		if err := req.validateStream(); err != nil {
+			return nil, nil, fmt.Errorf("quote: snapshot shape %d: %w", i, err)
+		}
+		if shapes[req.Key()] != nil {
+			return nil, nil, fmt.Errorf("quote: snapshot shape %q appears twice", req.Key())
+		}
+		sh, fresh, err := st.attachLocked(req, grids)
+		if err == nil && fresh {
+			err = sh.grid.g.Restore(ss.State)
+		}
+		if err == nil {
+			err = sh.sc.Restore(ss.State)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("quote: snapshot shape %q: %w", req.Key(), err)
+		}
+		if upd := sh.sc.Update(); upd.Generation > 0 {
+			sh.last = sh.event(&upd, false)
+		}
+		shapes[req.Key()] = sh
+	}
+	return shapes, grids, nil
 }
 
 // MemStore is an in-memory SnapshotStore: it models durable storage

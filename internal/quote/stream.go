@@ -13,8 +13,11 @@ import (
 
 // Streaming quotes: instead of answering each request by replaying the
 // whole history window, the Streamer subscribes the service to the
-// price feed and maintains one core.StreamEvaluator per distinct
-// request shape — the ranked table updates in O(delta) per tick, and
+// price feed and maintains one core.StreamGrid per distinct grid — the
+// resolved redundancy bound, since the streamer fixes t_c = t_r, the
+// bids and the candidates — with one core.StreamScorer per distinct
+// request shape on it. A tick steps each grid once, then scores and
+// publishes each shape: the ranked tables update in O(delta), and
 // subscribers are pushed plan *changes* (generation + diff) over SSE or
 // long-poll. The feed is the clock: when it stalls, nothing recomputes
 // and the last published generation keeps serving — the stale-plan
@@ -24,10 +27,10 @@ import (
 // Streaming defaults and limits.
 const (
 	// DefaultStreamBacklog is how many trailing ticks the streamer
-	// retains for catching up evaluators created by late subscribers.
+	// retains for seeding grids created by late subscribers.
 	DefaultStreamBacklog = 2048
 	// DefaultMaxShapes bounds the distinct request shapes (and thus
-	// resident evaluators) one streamer maintains.
+	// resident scorers) one streamer maintains.
 	DefaultMaxShapes = 64
 	// DefaultStaleAfter is the wall-clock feed-stall threshold past
 	// which pushed heartbeats and stream responses are flagged stale.
@@ -84,13 +87,13 @@ type StreamMetrics struct {
 	// row (spot prices are step functions; a silent feed means the
 	// price held).
 	GapFills obs.Counter
-	// TickErrors counts per-shape tick application failures.
+	// TickErrors counts per-grid tick application failures.
 	TickErrors obs.Counter
 	// Generations counts plan-table generations published across all
 	// shapes.
 	Generations obs.Counter
 	// CrossCheckMismatches counts streaming cross-check divergences
-	// (see core.StreamStats) across all shapes.
+	// (see core.StreamStats) across all grids.
 	CrossCheckMismatches obs.Counter
 	// Subscribers gauges live stream subscriptions.
 	Subscribers obs.Gauge
@@ -137,15 +140,23 @@ func (sm *StreamMetrics) PushLatencyQuantile(q float64) float64 {
 	return sm.push.Quantile(q)
 }
 
-// streamShape is one request shape's resident state: its incremental
-// evaluator, its latest published event and its subscribers.
-type streamShape struct {
-	req  Request
-	se   *core.StreamEvaluator
-	last *StreamEvent
-	subs map[*StreamSub]struct{}
+// streamGrid is one resident grid: the incremental state its shapes
+// share.
+type streamGrid struct {
+	g      *core.StreamGrid
+	failed bool // the current tick did not apply
 
 	mismatches int64 // cross-check mismatches already exported
+}
+
+// streamShape is one request shape's resident state: its grid, its
+// scorer, its latest published event and its subscribers.
+type streamShape struct {
+	req  Request
+	grid *streamGrid
+	sc   *core.StreamScorer
+	last *StreamEvent
+	subs map[*StreamSub]struct{}
 }
 
 // StreamSub is one subscription: a latest-wins event slot the tick
@@ -168,7 +179,7 @@ func (s *StreamSub) Events() <-chan *StreamEvent { return s.ch }
 func (s *StreamSub) Snapshot() *StreamEvent { return s.snapshot }
 
 // Close ends the subscription; the last subscriber of a shape releases
-// its resident evaluator.
+// its scorer, and the last shape of a grid releases the grid.
 func (s *StreamSub) Close() { s.st.unsubscribe(s) }
 
 // offer publishes latest-wins into the slot. Called with the streamer
@@ -193,8 +204,8 @@ func (s *StreamSub) offer(ev *StreamEvent) {
 // shape. Fields are read at first use and must not change afterwards;
 // the zero value plus Zones is ready. Safe for concurrent use.
 type Streamer struct {
-	// Eval supplies tracing and cross-check ranking for the resident
-	// evaluators; nil selects a fresh default.
+	// Eval supplies tracing and cross-check estimates for the resident
+	// grids; nil selects a fresh default.
 	Eval *core.Evaluator
 	// Metrics receives the streaming counters; nil selects a private
 	// instance.
@@ -206,7 +217,7 @@ type Streamer struct {
 	// Step is the feed's tick interval in seconds; 0 selects
 	// trace.DefaultStep.
 	Step int64
-	// Backlog bounds the retained catch-up ticks; 0 selects
+	// Backlog bounds the ticks retained to seed new grids; 0 selects
 	// DefaultStreamBacklog.
 	Backlog int
 	// MaxShapes bounds distinct request shapes; 0 selects
@@ -216,7 +227,7 @@ type Streamer struct {
 	// DefaultStaleAfter.
 	StaleAfter time.Duration
 	// CrossCheckEvery and MaxSteps pass through to every resident
-	// evaluator (see core.StreamConfig).
+	// grid (see core.StreamConfig).
 	CrossCheckEvery int
 	MaxSteps        int
 	// Heartbeat is the SSE keepalive cadence; 0 selects
@@ -232,6 +243,7 @@ type Streamer struct {
 	once    sync.Once
 	mu      sync.Mutex
 	shapes  map[string]*streamShape
+	grids   map[int]*streamGrid // by resolved MaxZones (gridKey)
 	backlog [][]float64
 	dropped uint64 // backlog rows discarded by trimming, ever
 	seq     uint64
@@ -267,6 +279,7 @@ func (st *Streamer) init() {
 			st.CheckpointEvery = DefaultCheckpointEvery
 		}
 		st.shapes = make(map[string]*streamShape)
+		st.grids = make(map[int]*streamGrid)
 	})
 }
 
@@ -288,7 +301,7 @@ func (st *Streamer) staleLocked() bool {
 // number, prices one sample per zone in column order. Duplicate and
 // reordered sequences are dropped; gaps are filled by repeating the
 // last row (a silent feed means the price held — spot prices are step
-// functions), so every resident evaluator sees exactly one row per
+// functions), so every resident grid sees exactly one row per
 // sequence number and stays deterministic under feed chaos.
 func (st *Streamer) Ingest(seq uint64, prices []float64) error {
 	st.init()
@@ -317,7 +330,8 @@ func (st *Streamer) Ingest(seq uint64, prices []float64) error {
 	return nil
 }
 
-// tickLocked applies one row to the backlog and every resident shape.
+// tickLocked applies one row to the backlog, steps every resident grid
+// once, then publishes every shape whose table changed.
 func (st *Streamer) tickLocked(row []float64) {
 	st.Metrics.Ticks.Inc()
 	st.backlog = append(st.backlog, append([]float64(nil), row...))
@@ -326,34 +340,30 @@ func (st *Streamer) tickLocked(row []float64) {
 		st.backlog = append(st.backlog[:0:0], st.backlog[drop:]...)
 		st.dropped += uint64(drop)
 	}
+	for _, gr := range st.grids {
+		gr.failed = gr.g.Advance(row) != nil
+		if gr.failed {
+			st.Metrics.TickErrors.Inc()
+			continue
+		}
+		if mm := gr.g.Stats().CrossCheckMismatches; mm > gr.mismatches {
+			st.Metrics.CrossCheckMismatches.Add(mm - gr.mismatches)
+			gr.mismatches = mm
+		}
+	}
 	for _, sh := range st.shapes {
-		st.advanceLocked(sh, row)
+		if upd := sh.sc.Update(); !sh.grid.failed && upd.Changed {
+			st.Metrics.Generations.Inc()
+			ev := sh.event(&upd, false)
+			sh.last = ev
+			for sub := range sh.subs {
+				sub.offer(ev)
+			}
+		}
 	}
 }
 
-// advanceLocked ticks one shape's evaluator and publishes a change.
-func (st *Streamer) advanceLocked(sh *streamShape, row []float64) {
-	upd, err := sh.se.Advance(row)
-	if err != nil {
-		st.Metrics.TickErrors.Inc()
-		return
-	}
-	if mm := sh.se.Stats().CrossCheckMismatches; mm > sh.mismatches {
-		st.Metrics.CrossCheckMismatches.Add(mm - sh.mismatches)
-		sh.mismatches = mm
-	}
-	if !upd.Changed {
-		return
-	}
-	st.Metrics.Generations.Inc()
-	ev := sh.event(&upd, false)
-	sh.last = ev
-	for sub := range sh.subs {
-		sub.offer(ev)
-	}
-}
-
-// event converts one evaluator update into the shape's wire event,
+// event converts one scorer update into the shape's wire event,
 // truncated to the shape's Top.
 func (sh *streamShape) event(upd *core.StreamUpdate, stale bool) *StreamEvent {
 	wire := wirePlans(upd.Plans, sh.req.Top)
@@ -374,9 +384,9 @@ func (sh *streamShape) event(upd *core.StreamUpdate, stale bool) *StreamEvent {
 	return ev
 }
 
-// streamConfigLocked is the core evaluator shape of one subscription
+// streamConfigLocked is the core stream shape of one subscription
 // request — shared by Subscribe and crash-recovery Restore so restored
-// evaluators resolve identically to freshly subscribed ones.
+// grids and scorers resolve identically to freshly subscribed ones.
 func (st *Streamer) streamConfigLocked(req Request) core.StreamConfig {
 	return core.StreamConfig{
 		Zones:           st.Zones,
@@ -393,12 +403,43 @@ func (st *Streamer) streamConfigLocked(req Request) core.StreamConfig {
 	}
 }
 
-// Subscribe registers for a shape's plan changes, creating (and
-// catching up, over the retained backlog) its resident evaluator on
-// first use. The shape is a Request with no history window (the feed's
-// retention is the window); a non-zero window is ErrInvalidRequest.
-// The returned subscription carries the shape's current table as a
-// snapshot.
+// gridKey is the grid a normalized request scores on. The streamer
+// fixes t_c = t_r, the bids and the candidates, so the grid reduces to
+// the redundancy bound as core resolves it: clamped to the feed's
+// zones.
+func (st *Streamer) gridKey(req Request) int {
+	return min(req.MaxZones, len(st.Zones))
+}
+
+// attachLocked adds a shape's scorer to its grid in grids, creating the
+// grid when none is resident, and reports whether the grid is new. A
+// shape joining a resident grid scores the grid's current window: its
+// first table is generation 1.
+func (st *Streamer) attachLocked(req Request, grids map[int]*streamGrid) (*streamShape, bool, error) {
+	cfg := st.streamConfigLocked(req)
+	gr := grids[st.gridKey(req)]
+	fresh := gr == nil
+	if fresh {
+		g, err := core.NewStreamGrid(st.Eval, cfg)
+		if err != nil {
+			return nil, false, err
+		}
+		gr = &streamGrid{g: g}
+	}
+	sc, err := gr.g.Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate)
+	if err != nil {
+		return nil, false, err
+	}
+	grids[st.gridKey(req)] = gr
+	return &streamShape{req: req, grid: gr, sc: sc, subs: make(map[*StreamSub]struct{})}, fresh, nil
+}
+
+// Subscribe registers for a shape's plan changes, creating its scorer
+// on first use (and its grid, seeded from the retained backlog, when
+// none is resident). The shape is a Request with no history window
+// (the feed's retention is the window); a non-zero window is
+// ErrInvalidRequest. The returned subscription carries the shape's
+// current table as a snapshot.
 func (st *Streamer) Subscribe(req Request) (*StreamSub, error) {
 	st.init()
 	req.Normalize()
@@ -414,22 +455,23 @@ func (st *Streamer) Subscribe(req Request) (*StreamSub, error) {
 			st.Metrics.ShapeRejects.Inc()
 			return nil, ErrStreamCapacity
 		}
-		se, err := core.NewStreamEvaluator(st.Eval, st.streamConfigLocked(req))
-		if err != nil {
+		var fresh bool
+		var err error
+		if sh, fresh, err = st.attachLocked(req, st.grids); err != nil {
 			return nil, err
 		}
-		sh = &streamShape{req: req, se: se, subs: make(map[*StreamSub]struct{})}
-		var last core.StreamUpdate
-		for _, row := range st.backlog {
-			upd, err := se.Advance(row)
-			if err != nil {
-				st.Metrics.TickErrors.Inc()
-				break
+		// A new grid replays the backlog after its first shape attached,
+		// so that shape publishes the generations a private replay would.
+		if fresh {
+			for _, row := range st.backlog {
+				if err := sh.grid.g.Advance(row); err != nil {
+					st.Metrics.TickErrors.Inc()
+					break
+				}
 			}
-			last = upd
 		}
-		if last.Generation > 0 {
-			sh.last = sh.event(&last, false)
+		if upd := sh.sc.Update(); upd.Generation > 0 {
+			sh.last = sh.event(&upd, false)
 		}
 		st.shapes[key] = sh
 	}
@@ -439,8 +481,8 @@ func (st *Streamer) Subscribe(req Request) (*StreamSub, error) {
 	return sub, nil
 }
 
-// unsubscribe removes the subscription; the shape's resident evaluator
-// is released with its last subscriber.
+// unsubscribe removes the subscription; the shape's scorer is released
+// with its last subscriber, and the grid with its last shape.
 func (st *Streamer) unsubscribe(sub *StreamSub) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -448,10 +490,15 @@ func (st *Streamer) unsubscribe(sub *StreamSub) {
 		return
 	}
 	sub.closed = true
-	delete(sub.shape.subs, sub)
+	sh := sub.shape
+	delete(sh.subs, sub)
 	st.Metrics.Subscribers.Add(-1)
-	if len(sub.shape.subs) == 0 {
-		delete(st.shapes, sub.shape.req.Key())
+	if len(sh.subs) > 0 {
+		return
+	}
+	delete(st.shapes, sh.req.Key())
+	if sh.grid.g.Detach(sh.sc) == 0 {
+		delete(st.grids, st.gridKey(sh.req))
 	}
 }
 

@@ -59,7 +59,7 @@ func (fx streamFixture) reorderRow(i int) []float64 {
 }
 
 // TestStreamerFanOut covers subscription plumbing: same-shape
-// subscribers share one resident evaluator and each receives a pushed
+// subscribers share one resident scorer and each receives a pushed
 // change; the shape bound rejects new shapes; closing the last
 // subscriber releases the shape.
 func TestStreamerFanOut(t *testing.T) {
@@ -264,8 +264,8 @@ func TestStreamerLateSubscriber(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A different shape forces a fresh evaluator fed purely from the
-	// backlog; same shape must join the resident evaluator.
+	// A different max_zones forces a fresh grid fed purely from the
+	// backlog; the same shape must join the resident scorer.
 	late, err := st.Subscribe(fx.shape)
 	if err != nil {
 		t.Fatal(err)

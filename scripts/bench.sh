@@ -12,6 +12,10 @@
 #       per-tick re-rank vs a from-scratch Rank per tick)
 #   CounterfactualNaive / CounterfactualReplay        >= 3x  (scripted
 #       decision replay vs re-simulating the prefix with a live strategy)
+# and one scaling gate:
+#   StreamTickShapes/64 / StreamTickShapes/1          <= 16x (64 stream
+#       shapes on one shared grid vs one shape: the grid steps once per
+#       tick, each extra shape adds only its scoring)
 # Every Name/NameObs pair also reports obs_overhead_pct, the cost of
 # tracing (budget: 5 % on AdaptiveDecision; reported, not gated).
 #
@@ -20,10 +24,12 @@
 # writes four reports:
 #   BENCH_obs.json     every benchmark row, plus obs_overhead pairs
 #   BENCH_batch.json   adaptive_decision batched vs oracle, batch_rank
-#   BENCH_stream.json  per_tick StreamTick vs StreamFullRerank
+#   BENCH_stream.json  per_tick StreamTick vs StreamFullRerank, and
+#                      shapes: StreamTickShapes 1/8/64 with resident heap
 #   BENCH_tuner.json   counterfactual replay vs naive, tuner decisions/s
-# It writes all four, then exits non-zero if a gate failed or a gated
-# row is missing.
+# BENCH_obs.json and BENCH_stream.json carry the machine they ran on
+# (GOOS/GOARCH, the CPU go test reports, GOMAXPROCS). It writes all
+# four, then exits non-zero if a gate failed or a gated row is missing.
 #
 # The fleet chaos soak (chaossim -fleet) runs last and writes its
 # recovery accounting to BENCH_chaos_fleet.json; the soak enforces its
@@ -75,20 +81,39 @@ function ratio(slow, fast, floor,   x) {
 	}
 	return x
 }
+# within reports best[big] / best[small] and fails the run above ceil.
+function within(big, small, ceil,   x) {
+	if (!(big in best) || !(small in best)) {
+		printf "bench: missing %s/%s pair\n", big, small > "/dev/stderr"
+		failed = 1
+		return 0
+	}
+	x = best[big] / best[small]
+	if (x > ceil) {
+		printf "bench: %s %.2fx slower than %s (gate: %gx)\n", big, x, small, ceil > "/dev/stderr"
+		failed = 1
+	}
+	return x
+}
 # val is a[name] for a measured benchmark, 0 for a missing one.
 function val(a, name) { return name in best ? a[name] : 0 }
+/^goos:/ { goos = $2 }
+/^goarch:/ { goarch = $2 }
+/^cpu:/ { cpu = substr($0, 6) }
 /^Benchmark/ {
 	name = $1
+	if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1)
 	sub(/-[0-9]+$/, "", name)        # GOMAXPROCS suffix
 	sub(/^Benchmark/, "", name)
 	v = field("ns/op")
 	if (v == "" || (name in best && v + 0 >= best[name] + 0)) next
 	if (!(name in best)) order[++n] = name
 	best[name] = v; mem[name] = num(field("B/op")); alloc[name] = num(field("allocs/op"))
-	rate[name] = num(field("decisions/s"))
+	rate[name] = num(field("decisions/s")); resident[name] = num(field("resident-MB"))
 }
 END {
-	printf "{\n  \"benchmarks\": [\n" > obs
+	machine = sprintf("%s/%s, %s, GOMAXPROCS %s", goos, goarch, cpu, procs)
+	printf "{\n  \"machine\": \"%s\",\n  \"benchmarks\": [\n", machine > obs
 	for (i = 1; i <= n; i++) {
 		b = order[i]
 		printf "    {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
@@ -110,8 +135,18 @@ END {
 	printf "  \"batch_rank\": {\"ns_per_op\": %s, \"allocs_per_op\": %s}\n}\n", val(best, "BatchRank"), val(alloc, "BatchRank") > batch
 
 	x = ratio("StreamFullRerank", "StreamTick", 5)
-	printf "{\n  \"per_tick\": {\"stream_tick_ns_per_op\": %s, \"full_rerank_ns_per_op\": %s, \"speedup_x\": %.2f, \"stream_tick_allocs_per_op\": %s, \"full_rerank_allocs_per_op\": %s}\n}\n", \
+	printf "{\n  \"machine\": \"%s\",\n", machine > stream
+	printf "  \"per_tick\": {\"stream_tick_ns_per_op\": %s, \"full_rerank_ns_per_op\": %s, \"speedup_x\": %.2f, \"stream_tick_allocs_per_op\": %s, \"full_rerank_allocs_per_op\": %s},\n", \
 		val(best, "StreamTick"), val(best, "StreamFullRerank"), x, val(alloc, "StreamTick"), val(alloc, "StreamFullRerank") > stream
+	x = within("StreamTickShapes/64", "StreamTickShapes/1", 16)
+	printf "  \"shapes\": [\n" > stream
+	split("1 8 64", counts, " ")
+	for (i = 1; i <= 3; i++) {
+		b = "StreamTickShapes/" counts[i]
+		printf "    {\"shapes\": %s, \"ns_per_op\": %s, \"allocs_per_op\": %s, \"resident_mb\": %s}%s\n", \
+			counts[i], val(best, b), val(alloc, b), val(resident, b), (i < 3 ? "," : "") > stream
+	}
+	printf "  ],\n  \"shapes_64_over_1_x\": %.2f\n}\n", x > stream
 
 	x = ratio("CounterfactualNaive", "CounterfactualReplay", 3)
 	printf "{\n  \"counterfactual\": {\"replay_ns_per_op\": %s, \"naive_ns_per_op\": %s, \"speedup_x\": %.2f},\n", \
