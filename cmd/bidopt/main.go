@@ -38,16 +38,9 @@ func main() {
 	rate := flag.Float64("rate", 0.87, "required progress rate (work / remaining time); 20h in 23h ≈ 0.87")
 	flag.Parse()
 
-	var set *trace.Set
-	switch *preset {
-	case "low":
-		set = tracegen.LowVolatility(*seed)
-	case "high":
-		set = tracegen.HighVolatility(*seed)
-	case "low-spike":
-		set = tracegen.LowVolatilityWithMegaSpike(*seed)
-	default:
-		log.Fatalf("unknown preset %q", *preset)
+	set, err := tracegen.Preset(*preset, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if *zone < 0 || *zone >= set.NumZones() {
 		log.Fatalf("zone %d out of range", *zone)

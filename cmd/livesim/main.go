@@ -72,7 +72,7 @@ func main() {
 		tracer = obs.NewTracer(*spans)
 	}
 
-	set, err := buildSet(*preset, *seed)
+	set, err := tracegen.Preset(*preset, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -234,19 +234,6 @@ func rebase(set *trace.Set, start int64) *trace.Set {
 		s.Epoch -= start
 	}
 	return out
-}
-
-func buildSet(preset string, seed uint64) (*trace.Set, error) {
-	switch preset {
-	case "low":
-		return tracegen.LowVolatility(seed), nil
-	case "high":
-		return tracegen.HighVolatility(seed), nil
-	case "low-spike":
-		return tracegen.LowVolatilityWithMegaSpike(seed), nil
-	default:
-		return nil, fmt.Errorf("unknown preset %q", preset)
-	}
 }
 
 // buildStrategy resolves the policy flag; for "adaptive" it also

@@ -52,16 +52,9 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit the search result as JSON")
 	flag.Parse()
 
-	var set *trace.Set
-	switch *preset {
-	case "low":
-		set = tracegen.LowVolatility(*seed)
-	case "high":
-		set = tracegen.HighVolatility(*seed)
-	case "low-spike":
-		set = tracegen.LowVolatilityWithMegaSpike(*seed)
-	default:
-		log.Fatalf("unknown preset %q", *preset)
+	set, err := tracegen.Preset(*preset, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
 	start := set.Start() + 5*24*trace.Hour
 	work := int64(*workHours * float64(trace.Hour))

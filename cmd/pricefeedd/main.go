@@ -23,7 +23,6 @@ import (
 	"repro/internal/httpx"
 	"repro/internal/obs"
 	"repro/internal/spotapi"
-	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
 
@@ -39,18 +38,9 @@ func main() {
 	traceSpans := flag.Int("trace-spans", 0, "trace request spans into a ring of this size, served at /debug/trace (0: disabled)")
 	flag.Parse()
 
-	var set *trace.Set
-	switch *preset {
-	case "low":
-		set = tracegen.LowVolatility(*seed)
-	case "high":
-		set = tracegen.HighVolatility(*seed)
-	case "low-spike":
-		set = tracegen.LowVolatilityWithMegaSpike(*seed)
-	case "year":
-		set = tracegen.Year(*seed)
-	default:
-		log.Fatalf("unknown preset %q", *preset)
+	set, err := tracegen.Preset(*preset, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
 	epoch, err := time.Parse(time.RFC3339, *epochStr)
 	if err != nil {

@@ -42,7 +42,7 @@ func main() {
 	timeline := flag.Bool("timeline", false, "print the detailed event timeline")
 	flag.Parse()
 
-	set, err := buildSet(*preset, *seed)
+	set, err := tracegen.Preset(*preset, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,19 +94,6 @@ func main() {
 		log.Fatal(err)
 	}
 	printResult(cfg, res, start)
-}
-
-func buildSet(preset string, seed uint64) (*trace.Set, error) {
-	switch preset {
-	case "low":
-		return tracegen.LowVolatility(seed), nil
-	case "high":
-		return tracegen.HighVolatility(seed), nil
-	case "low-spike":
-		return tracegen.LowVolatilityWithMegaSpike(seed), nil
-	default:
-		return nil, fmt.Errorf("unknown preset %q", preset)
-	}
 }
 
 func buildStrategy(policy string, bid float64, n int, threshold float64, zones int) (sim.Strategy, error) {

@@ -96,12 +96,8 @@ func buildSet(in, preset string, seed uint64, samples int, format string) (*trac
 		return tracegen.Generate(tracegen.HighVolatilityConfig(seed, samples))
 	case "moderate":
 		return tracegen.Generate(tracegen.ModerateVolatilityConfig(seed, samples))
-	case "low-spike":
-		return tracegen.LowVolatilityWithMegaSpike(seed), nil
-	case "year":
-		return tracegen.Year(seed), nil
 	default:
-		return nil, fmt.Errorf("unknown preset %q", preset)
+		return tracegen.Preset(preset, seed)
 	}
 }
 

@@ -261,16 +261,9 @@ func verify(res *sim.Result, rec *livesched.Recorder, deg livesched.Degradation,
 // window cuts the per-seed history and run slices, epoch-rebased to 0
 // like a live feed would deliver them.
 func window(cfg Config, seed uint64) (history, run *trace.Set, err error) {
-	var set *trace.Set
-	switch cfg.Preset {
-	case "low":
-		set = tracegen.LowVolatility(seed)
-	case "high":
-		set = tracegen.HighVolatility(seed)
-	case "low-spike":
-		set = tracegen.LowVolatilityWithMegaSpike(seed)
-	default:
-		return nil, nil, fmt.Errorf("unknown preset %q", cfg.Preset)
+	set, err := tracegen.Preset(cfg.Preset, seed)
+	if err != nil {
+		return nil, nil, err
 	}
 	work := int64(cfg.WorkHours * float64(trace.Hour))
 	deadline := int64(float64(work) * (1 + cfg.SlackFrac))

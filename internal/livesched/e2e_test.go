@@ -31,7 +31,6 @@ func TestEndToEndSpotAPICompletes(t *testing.T) {
 	inner := &HTTPFeed{
 		Client:       &spotapi.Client{BaseURL: srv.URL, HTTPClient: srv.Client()},
 		PollInterval: time.Millisecond,
-		MaxIdlePolls: 3,
 	}
 	if err := inner.Prime(context.Background()); err != nil {
 		t.Fatal(err)
@@ -89,7 +88,6 @@ func TestEndToEndRetryCancellation(t *testing.T) {
 	inner := &HTTPFeed{
 		Client:       &spotapi.Client{BaseURL: srv.URL, HTTPClient: srv.Client()},
 		PollInterval: time.Millisecond,
-		MaxIdlePolls: 100,
 	}
 	if err := inner.Prime(context.Background()); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@ package livesched
 import (
 	"context"
 	"fmt"
-	"io"
+	"slices"
 	"time"
 
 	"repro/internal/spotapi"
@@ -14,7 +14,14 @@ import (
 // document format, e.g. cmd/pricefeedd) and exposes the history as a
 // live sample stream: each Next call returns the following 5-minute
 // row, re-fetching when the consumer catches up with the server. It is
-// the production form of the scheduler's input path.
+// the production form of the scheduler's input path, and quoted's.
+//
+// Rows are tracked by wall-clock time, so an upstream whose window
+// slides between fetches (as DescribeSpotPriceHistory's does) still
+// yields row k as the sample at Start() + k steps; samples that slid
+// out unread repeat the last row delivered (the price held). A silent
+// upstream is waited on indefinitely: consumers bound silence
+// themselves (Config.WatchdogGap, quote.Streamer.StaleAfter).
 //
 // The AWS format carries change events, so a stretch of constant prices
 // at the head of the server's window is only observable once the next
@@ -28,18 +35,14 @@ type HTTPFeed struct {
 	// (default: one second of wall-clock per poll; a real deployment
 	// would use a large fraction of the 5-minute step).
 	PollInterval time.Duration
-	// MaxIdlePolls bounds consecutive polls that yield no new samples
-	// before the feed reports the stream ended (default 10).
-	MaxIdlePolls int
 
-	set  *trace.Set
-	next int
+	set                *trace.Set
+	epoch, start, next time.Time // wall clock of set's first sample, the first row and the next
+	last               []float64
 }
 
-// Zones implements Feed. It performs the initial fetch on first use;
-// construction-time errors surface from Next, so Zones returns nil
-// until data has been seen — call Prime first when zone names are
-// needed up front.
+// Zones implements Feed. It is nil until the first fetch — call Prime
+// first when zone names are needed up front.
 func (f *HTTPFeed) Zones() []string {
 	if f.set == nil {
 		return nil
@@ -55,17 +58,21 @@ func (f *HTTPFeed) Step() int64 {
 	return f.set.Step()
 }
 
-// Prime performs the initial fetch so Zones and Step are known before
-// the scheduler starts.
+// Start returns the wall-clock time of the feed's first row (the zero
+// time before Prime).
+func (f *HTTPFeed) Start() time.Time { return f.start }
+
+// Prime performs the initial fetch so Zones, Step and Start are known
+// before the consumer starts.
 func (f *HTTPFeed) Prime(ctx context.Context) error {
 	if f.set != nil {
 		return nil
 	}
-	set, _, err := f.Client.Fetch(ctx, time.Time{}, time.Time{}, trace.DefaultStep)
+	set, epoch, err := f.Client.Fetch(ctx, time.Time{}, time.Time{}, trace.DefaultStep)
 	if err != nil {
 		return fmt.Errorf("livesched: priming http feed: %w", err)
 	}
-	f.set = set
+	f.set, f.epoch, f.start, f.next = set, epoch, epoch, epoch
 	return nil
 }
 
@@ -75,36 +82,24 @@ func (f *HTTPFeed) Next(ctx context.Context) ([]float64, error) {
 	if poll <= 0 {
 		poll = time.Second
 	}
-	maxIdle := f.MaxIdlePolls
-	if maxIdle <= 0 {
-		maxIdle = 10
+	if err := f.Prime(ctx); err != nil {
+		return nil, err
 	}
-	idle := 0
 	for {
-		if err := f.Prime(ctx); err != nil {
-			return nil, err
-		}
-		if f.next < f.set.Series[0].Len() {
-			row := make([]float64, f.set.NumZones())
-			for i, s := range f.set.Series {
-				row[i] = s.Prices[f.next]
-			}
-			f.next++
+		if row := f.row(); row != nil {
 			return row, nil
 		}
 		// Caught up: re-fetch and see whether the server has more.
-		set, _, err := f.Client.Fetch(ctx, time.Time{}, time.Time{}, f.set.Step())
+		set, epoch, err := f.Client.Fetch(ctx, time.Time{}, time.Time{}, f.set.Step())
 		if err != nil {
 			return nil, err
 		}
-		if set.Series[0].Len() > f.set.Series[0].Len() {
-			f.set = set
-			idle = 0
-			continue
+		if !slices.Equal(set.Zones(), f.set.Zones()) {
+			return nil, fmt.Errorf("livesched: upstream zones changed from %v to %v", f.set.Zones(), set.Zones())
 		}
-		idle++
-		if idle >= maxIdle {
-			return nil, io.EOF
+		if epoch.Add(time.Duration(set.Duration()) * time.Second).After(f.next) {
+			f.set, f.epoch = set, epoch
+			continue
 		}
 		select {
 		case <-time.After(poll):
@@ -112,4 +107,24 @@ func (f *HTTPFeed) Next(ctx context.Context) ([]float64, error) {
 			return nil, ctx.Err()
 		}
 	}
+}
+
+// row returns the sample at f.next and advances past it, or nil when
+// the fetched set ends before it.
+func (f *HTTPFeed) row() []float64 {
+	i := int64(f.next.Sub(f.epoch) / time.Second / time.Duration(f.set.Step()))
+	if i >= int64(f.set.Series[0].Len()) {
+		return nil
+	}
+	row := make([]float64, f.set.NumZones())
+	if i < 0 {
+		copy(row, f.last) // slid out of the upstream window unread
+	} else {
+		for z, s := range f.set.Series {
+			row[z] = s.Prices[i]
+		}
+	}
+	f.last = row
+	f.next = f.next.Add(time.Duration(f.set.Step()) * time.Second)
+	return row
 }

@@ -2,9 +2,10 @@ package livesched
 
 import (
 	"context"
-	"io"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,7 +53,6 @@ func TestHTTPFeedStreamsGrowingHistory(t *testing.T) {
 	feed := &HTTPFeed{
 		Client:       &spotapi.Client{BaseURL: srv.URL, HTTPClient: srv.Client()},
 		PollInterval: time.Millisecond,
-		MaxIdlePolls: 50,
 	}
 	if err := feed.Prime(context.Background()); err != nil {
 		t.Fatal(err)
@@ -87,12 +87,14 @@ func TestHTTPFeedStreamsGrowingHistory(t *testing.T) {
 		t.Fatalf("row[%d] = %g, want %g", rows, row[0], want)
 	}
 
-	// Note: the AWS change-event format drops trailing constant
-	// samples, so the stream ends when the server stops growing.
+	// Once the server stops growing the feed waits for it; the
+	// consumer's own deadline bounds the silence.
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	for {
-		if _, err := feed.Next(context.Background()); err != nil {
-			if err != io.EOF {
-				t.Fatalf("err = %v, want EOF", err)
+		if _, err := feed.Next(ctx); err != nil {
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("err = %v, want the consumer's deadline", err)
 			}
 			break
 		}
@@ -117,7 +119,6 @@ func TestHTTPFeedContextCancelDuringPoll(t *testing.T) {
 	feed := &HTTPFeed{
 		Client:       &spotapi.Client{BaseURL: srv.URL, HTTPClient: srv.Client()},
 		PollInterval: time.Hour, // force the poll wait
-		MaxIdlePolls: 100,
 	}
 	// Drain everything available.
 	for {
@@ -125,10 +126,123 @@ func TestHTTPFeedContextCancelDuringPoll(t *testing.T) {
 		_, err := feed.Next(ctx)
 		cancel()
 		if err != nil {
-			if err == context.DeadlineExceeded || err == io.EOF {
+			if errors.Is(err, context.DeadlineExceeded) {
 				return // reached the poll wait and cancelled, as intended
 			}
 			t.Fatalf("err = %v", err)
 		}
+	}
+}
+
+// rampSet is a set whose every zone moves at every step, so the AWS
+// change-event format reveals each window up to its last sample.
+func rampSet(zones []string, n int) *trace.Set {
+	series := make([]*trace.Series, len(zones))
+	for z, name := range zones {
+		prices := make([]float64, n)
+		for i := range prices {
+			prices[i] = float64(100000+1000*i+100*z) / 1e6 // survives the 6-digit wire format
+		}
+		series[z] = trace.NewSeries(name, 0, prices)
+	}
+	return trace.MustNewSet(series...)
+}
+
+// slidingServer serves a trailing window of full whose start and end
+// move forward by fixed steps on every fetch, the way a trailing
+// DescribeSpotPriceHistory window does.
+type slidingServer struct {
+	mu                 sync.Mutex
+	full               *trace.Set
+	epoch              time.Time
+	lo, hi             int64 // current window, in steps
+	startStep, endStep int64 // per-fetch advance of each bound
+}
+
+func (g *slidingServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	g.mu.Lock()
+	step := g.full.Step()
+	window := g.full.Slice(g.lo*step, g.hi*step)
+	g.lo += g.startStep
+	g.hi = min(g.hi+g.endStep, int64(g.full.Series[0].Len()))
+	g.mu.Unlock()
+	_ = spotapi.Write(w, window, g.epoch)
+}
+
+// TestHTTPFeedSlidingWindow pins row k of the feed to the upstream
+// sample at Start()+k steps while the upstream window slides: every
+// row the window still holds arrives once and in order, and rows that
+// slid out before they were read repeat the last row delivered.
+func TestHTTPFeedSlidingWindow(t *testing.T) {
+	zones := []string{"a", "b", "c"}
+	full := rampSet(zones, 120)
+	epoch := time.Date(2013, 3, 1, 0, 0, 0, 0, time.UTC)
+	for _, tc := range []struct {
+		name               string
+		startStep, endStep int64
+		rows               int
+		lost               map[int]bool // rows that slid out unread
+	}{
+		{name: "start 2 end 3", startStep: 2, endStep: 3, rows: 90},
+		// Windows [0,12) [5,15) [10,18) [15,21) [20,24) [25,27): row 24
+		// is gone before the feed asks for it.
+		{name: "start 5 end 3", startStep: 5, endStep: 3, rows: 27, lost: map[int]bool{24: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(&slidingServer{full: full, epoch: epoch, hi: 12,
+				startStep: tc.startStep, endStep: tc.endStep})
+			defer srv.Close()
+			feed := &HTTPFeed{Client: &spotapi.Client{BaseURL: srv.URL, HTTPClient: srv.Client()}, PollInterval: time.Millisecond}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			wrong := 0
+			for k := 0; k < tc.rows; k++ {
+				row, err := feed.Next(ctx)
+				if err != nil {
+					t.Fatalf("row %d: %v", k, err)
+				}
+				src := k
+				if tc.lost[k] {
+					src = k - 1
+				}
+				for z := range zones {
+					if row[z] != full.Series[z].Prices[src] {
+						wrong++
+					}
+				}
+			}
+			if wrong != 0 {
+				t.Fatalf("%d of %d cells differ from the upstream sample at their time", wrong, tc.rows*len(zones))
+			}
+			if !feed.Start().Equal(epoch) {
+				t.Fatalf("Start = %v, want %v", feed.Start(), epoch)
+			}
+		})
+	}
+}
+
+// TestHTTPFeedZoneChangeIsError refuses a refetch whose zone set
+// differs from the primed one instead of misaligning its columns.
+func TestHTTPFeedZoneChangeIsError(t *testing.T) {
+	epoch := time.Date(2013, 3, 1, 0, 0, 0, 0, time.UTC)
+	sets := []*trace.Set{rampSet([]string{"a", "b"}, 4), rampSet([]string{"a", "c"}, 8)}
+	var mu sync.Mutex
+	fetches := 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		set := sets[min(fetches, 1)]
+		fetches++
+		mu.Unlock()
+		_ = spotapi.Write(w, set, epoch)
+	}))
+	defer srv.Close()
+	feed := &HTTPFeed{Client: &spotapi.Client{BaseURL: srv.URL, HTTPClient: srv.Client()}, PollInterval: time.Millisecond}
+	for k := 0; k < 4; k++ {
+		if _, err := feed.Next(context.Background()); err != nil {
+			t.Fatalf("row %d: %v", k, err)
+		}
+	}
+	if _, err := feed.Next(context.Background()); err == nil || !strings.Contains(err.Error(), "zones changed") {
+		t.Fatalf("refetch with other zones = %v, want a zones-changed error", err)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"repro/internal/market"
@@ -283,7 +282,7 @@ func (s *Scheduler) validRow(row []float64) bool {
 		return false
 	}
 	for _, p := range row {
-		if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
+		if !trace.ValidPrice(p) {
 			return false
 		}
 	}

@@ -5,9 +5,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/trace"
 )
 
 // ParseRow parses one textual price-feed line into a sample row of
@@ -40,7 +41,7 @@ func ParseRow(line string, zones int) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("livesched: bad price %q: %v", f, err)
 		}
-		if math.IsNaN(p) || math.IsInf(p, 0) || p < 0 {
+		if !trace.ValidPrice(p) {
 			return nil, fmt.Errorf("livesched: price %q out of range", f)
 		}
 		row[i] = p

@@ -11,8 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faults"
-	"repro/internal/spotapi"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
@@ -270,42 +268,73 @@ func TestHandlerDegradedMode(t *testing.T) {
 	}
 }
 
-func TestFeedSourceRetriesAndServesStale(t *testing.T) {
-	set := tracegen.HighVolatility(7).Slice(0, 6*trace.Hour)
-	epoch := time.Now().Add(-time.Duration(set.Duration()) * time.Second)
-	// The first upstream request fails with an injected 503; the retry
-	// schedule absorbs it.
-	inner := spotapi.Handler(set, epoch)
-	srv := httptest.NewServer(faults.Handler(inner,
-		faults.Scenario{Plans: []faults.Plan{{At: 0, Kind: faults.HTTPError, Duration: 1}}}, nil))
+// TestStreamerHistoryStaleServes pins the streamer as a one-shot
+// history source: windows of its tape (trimmed backlog included) equal
+// StaticSource windows of the same samples, digest and all, and
+// StaleAfter is its one staleness rule — every one-shot served from a
+// stale tape counts a feed stale serve, and each stall one watchdog
+// trip.
+func TestStreamerHistoryStaleServes(t *testing.T) {
+	set := tracegen.HighVolatility(7)
+	step := set.Step()
+	metrics := NewMetrics()
+	st := &Streamer{
+		Metrics:    metrics.AttachStream(),
+		Zones:      set.Zones(),
+		Start:      set.Start(),
+		Step:       step,
+		Backlog:    16,
+		StaleAfter: 50 * time.Millisecond,
+	}
+	if _, _, err := st.History(context.Background(), trace.Hour); err == nil || errors.Is(err, ErrInvalidRequest) {
+		t.Fatalf("empty tape History = %v, want a source error", err)
+	}
+	counts := func(what string, serves, trips int64) {
+		t.Helper()
+		if metrics.FeedStaleServes.Load() != serves || metrics.WatchdogTrips.Load() != trips {
+			t.Fatalf("%s: stale serves %d, trips %d; want %d, %d", what,
+				metrics.FeedStaleServes.Load(), metrics.WatchdogTrips.Load(), serves, trips)
+		}
+	}
+	counts("empty tape", 1, 1) // no tick yet is a stall too
+	const ticks = 40           // trims the backlog past its 2×16 bound
+	for i := 0; i < ticks; i++ {
+		if err := st.Ingest(uint64(i+1), set.PricesAt(set.Start()+int64(i)*step)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tape := &StaticSource{Set: set.Slice(set.Start()+int64(ticks-len(st.Snapshot().Backlog))*step, set.Start()+ticks*step)}
+	for _, window := range []int64{step, trace.Hour, trace.Hour + step/2, 1000 * trace.Hour} {
+		got, gotDigest, gotErr := st.History(context.Background(), window)
+		want, wantDigest, wantErr := tape.History(context.Background(), window)
+		if (gotErr != nil) != (wantErr != nil) || errors.Is(gotErr, ErrInvalidRequest) != errors.Is(wantErr, ErrInvalidRequest) {
+			t.Fatalf("window %d: error %v, StaticSource %v", window, gotErr, wantErr)
+		}
+		if gotErr == nil && (gotDigest != wantDigest || got.Start() != want.Start() || got.Duration() != want.Duration()) {
+			t.Fatalf("window %d: tape [%d,+%d) %s, StaticSource [%d,+%d) %s", window,
+				got.Start(), got.Duration(), gotDigest, want.Start(), want.Duration(), wantDigest)
+		}
+	}
+	counts("fresh tape", 1, 1)
 
-	stats := NewMetrics()
-	fs := &FeedSource{
-		Client:   &spotapi.Client{BaseURL: srv.URL, HTTPClient: srv.Client()},
-		TTL:      time.Nanosecond, // every History refetches
-		Attempts: 3,
-		Backoff:  faults.Backoff{Base: time.Millisecond, Cap: 2 * time.Millisecond, Jitter: -1},
-		MaxStale: time.Nanosecond, // any stale serve also trips the watchdog
-		Stats:    stats,
+	stall := func(serves int) {
+		time.Sleep(2 * st.StaleAfter)
+		for i := 0; i < serves; i++ {
+			if _, _, err := st.History(context.Background(), trace.Hour); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if _, _, err := fs.History(context.Background(), 3*trace.Hour); err != nil {
-		t.Fatalf("History with one injected 503 = %v; retries should absorb it", err)
+	stall(3)
+	counts("a stall served 3 times", 4, 2)
+	// A tick ends the stall; the next one is a second trip.
+	if err := st.Ingest(ticks+1, set.PricesAt(set.Start()+ticks*step)); err != nil {
+		t.Fatal(err)
 	}
-	if stats.FeedStaleServes.Load() != 0 {
-		t.Fatal("healthy fetch counted a stale serve")
+	if _, _, err := st.History(context.Background(), trace.Hour); err != nil {
+		t.Fatal(err)
 	}
-
-	// Upstream gone for good: the last fetched set is served, counted,
-	// and — past MaxStale — watchdogged.
-	srv.Close()
-	set2, _, err := fs.History(context.Background(), 3*trace.Hour)
-	if err != nil || set2 == nil {
-		t.Fatalf("stale History = %v", err)
-	}
-	if stats.FeedStaleServes.Load() != 1 {
-		t.Fatalf("feed stale serves = %d, want 1", stats.FeedStaleServes.Load())
-	}
-	if stats.WatchdogTrips.Load() != 1 {
-		t.Fatalf("watchdog trips = %d, want 1", stats.WatchdogTrips.Load())
-	}
+	counts("after a tick", 4, 2)
+	stall(1)
+	counts("the next stall", 5, 3)
 }

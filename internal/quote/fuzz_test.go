@@ -220,3 +220,80 @@ func FuzzStreamPollParams(f *testing.F) {
 		}
 	})
 }
+
+// FuzzStreamerIngest drives Ingest with arbitrary feed chaos: sequence
+// numbers that repeat, go back or skip ahead, and rows holding NaN,
+// ±Inf or negative prices or the wrong number of them. Nothing may
+// panic, every snapshot and checkpoint must JSON-encode, and the final
+// snapshot must equal that of a streamer fed only the valid rows.
+// Each op is three bytes: the sequence step (back one to ahead seven),
+// the row kind, and the fixture row or zone it uses.
+func FuzzStreamerIngest(f *testing.F) {
+	fx := newStreamFixture()
+	f.Add([]byte{2, 0, 0, 2, 0, 1, 2, 1, 2, 2, 0, 3})
+	f.Add([]byte{2, 0, 0, 1, 2, 0, 3, 3, 1, 0, 4, 2, 5, 0, 4, 2, 5, 0, 2, 6, 1, 2, 7, 5})
+	f.Add([]byte{9, 7, 1, 0, 1, 0, 2, 4, 9, 255, 255, 255})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 96 {
+			ops = ops[:96]
+		}
+		zones := len(fx.set.Zones())
+		newStreamer := func() (*Streamer, *MemStore) {
+			store := &MemStore{}
+			st := fx.streamer()
+			st.Store, st.CheckpointEvery = store, 2
+			if _, err := st.Subscribe(fx.shape); err != nil {
+				t.Fatal(err)
+			}
+			return st, store
+		}
+		st, store := newStreamer()
+		ref, _ := newStreamer()
+		var seq uint64
+		for i := 0; i+2 < len(ops); i += 3 {
+			if next := int64(seq) + int64(ops[i]%9) - 1; next >= 0 {
+				seq = uint64(next)
+			}
+			row := fx.reorderRow(int(ops[i+2]) % 64)
+			valid := false // until the row kind says otherwise; seq 0 never is
+			switch z := int(ops[i+2]) % zones; ops[i+1] % 8 {
+			case 0, 1:
+				valid = seq > 0
+			case 2:
+				row[z] = math.NaN()
+			case 3:
+				row[z] = math.Inf(1)
+			case 4:
+				row[z] = math.Inf(-1)
+			case 5:
+				row[z] = -float64(ops[i+2]) - 0.5
+			case 6:
+				row = row[:z]
+			case 7:
+				row = append(row, 1)
+			}
+			err := st.Ingest(seq, row)
+			if valid {
+				if rerr := ref.Ingest(seq, row); (err == nil) != (rerr == nil) {
+					t.Fatalf("op %d: valid row at seq %d: %v, reference %v", i/3, seq, err, rerr)
+				}
+			} else if !valid && err == nil {
+				t.Fatalf("op %d: invalid row %v accepted at seq %d", i/3, row, seq)
+			}
+			if _, err := json.Marshal(st.Snapshot()); err != nil {
+				t.Fatalf("op %d: snapshot does not encode: %v", i/3, err)
+			}
+		}
+		if st.Metrics.CheckpointErrors.Load() != 0 {
+			t.Fatalf("%d checkpoints failed", st.Metrics.CheckpointErrors.Load())
+		}
+		if _, err := store.Load(); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := json.Marshal(st.Snapshot())
+		want, _ := json.Marshal(ref.Snapshot())
+		if !bytes.Equal(got, want) {
+			t.Fatalf("streamer diverges from one fed only the valid rows:\n%s\n%s", got, want)
+		}
+	})
+}

@@ -7,11 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
-	"time"
 
-	"repro/internal/faults"
-	"repro/internal/spotapi"
 	"repro/internal/trace"
 )
 
@@ -82,116 +78,41 @@ func (s *StaticSource) History(_ context.Context, window int64) (*trace.Set, str
 	return win, Digest(win), nil
 }
 
-// FeedSource pulls history from a spotapi endpoint (cmd/pricefeedd, or
-// anything speaking the AWS DescribeSpotPriceHistory format) and caches
-// the fetched set for TTL so a burst of quote requests costs one
-// upstream fetch. Transient upstream failures are retried on the shared
-// capped-backoff schedule; a persistently dead upstream degrades to the
-// last fetched set (counted, and watchdogged once its age passes
-// MaxStale) rather than failing quotes outright.
-type FeedSource struct {
-	// Client fetches the history.
-	Client *spotapi.Client
-	// TTL is how long a fetched set is reused; 0 selects 10 s.
-	TTL time.Duration
-	// Attempts bounds fetch tries per refresh; 0 selects 3.
-	Attempts int
-	// Backoff is the retry schedule between tries; the zero value
-	// selects a 100 ms base capped at 2 s.
-	Backoff faults.Backoff
-	// MaxStale is the staleness watchdog bound: serving a cached set
-	// older than this counts a watchdog trip in Stats. 0 selects
-	// 10×TTL.
-	MaxStale time.Duration
-	// Stats, when set, receives degradation counters (stale serves and
-	// watchdog trips). Wire it to the service's Metrics so /metrics
-	// shows feed degradation.
-	Stats *Metrics
-
-	mu        sync.Mutex
-	fetchedAt time.Time
-	set       *trace.Set
-}
-
-// History implements HistorySource.
-func (f *FeedSource) History(ctx context.Context, window int64) (*trace.Set, string, error) {
-	set, err := f.fetch(ctx)
-	if err != nil {
-		return nil, "", err
+// History implements HistorySource over the streamer's retained tape,
+// so one-shot quotes price the same market the stream does: the
+// trailing window seconds of the backlog (clamped to what it retains),
+// digested by Digest. A one-shot served while the tape is Stale counts
+// a feed stale serve on the attached service Metrics, and the first of
+// each stall also counts a watchdog trip.
+func (st *Streamer) History(_ context.Context, window int64) (*trace.Set, string, error) {
+	st.init()
+	st.mu.Lock()
+	if st.staleLocked() {
+		st.Metrics.svc.FeedStaleServes.Add(1)
+		if !st.tripped {
+			st.Metrics.svc.WatchdogTrips.Add(1)
+			st.tripped = true
+		}
 	}
+	// Copy the window's rows and one more; tailWindow trims the extra
+	// row, keeping the window rules of every other source.
+	n := min(max(window/st.Step+1, 1), int64(len(st.backlog)))
+	tail := st.backlog[len(st.backlog)-int(n):]
+	var set *trace.Set
+	if len(tail) > 0 {
+		set = &trace.Set{Series: make([]*trace.Series, len(st.Zones))}
+		epoch := st.Start + int64(st.dropped+uint64(len(st.backlog)-len(tail)))*st.Step
+		for z, name := range st.Zones {
+			set.Series[z] = &trace.Series{Zone: name, Epoch: epoch, Step: st.Step, Prices: make([]float64, len(tail))}
+			for i, row := range tail {
+				set.Series[z].Prices[i] = row[z]
+			}
+		}
+	}
+	st.mu.Unlock()
 	win, err := tailWindow(set, window)
 	if err != nil {
 		return nil, "", err
 	}
 	return win, Digest(win), nil
-}
-
-// fetch returns the cached set or refreshes it past the TTL. The lock
-// is held across the fetch so concurrent callers coalesce onto one
-// upstream request.
-func (f *FeedSource) fetch(ctx context.Context) (*trace.Set, error) {
-	ttl := f.TTL
-	if ttl <= 0 {
-		ttl = 10 * time.Second
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.set != nil && time.Since(f.fetchedAt) < ttl {
-		return f.set, nil
-	}
-	set, err := f.fetchWithRetry(ctx)
-	if err != nil {
-		if f.set != nil {
-			// Serve the stale window rather than failing the quote; the
-			// digest keys the cache, so staleness is visible, not wrong.
-			if f.Stats != nil {
-				f.Stats.FeedStaleServes.Add(1)
-				maxStale := f.MaxStale
-				if maxStale <= 0 {
-					maxStale = 10 * ttl
-				}
-				if time.Since(f.fetchedAt) > maxStale {
-					f.Stats.WatchdogTrips.Add(1)
-				}
-			}
-			return f.set, nil
-		}
-		return nil, err
-	}
-	f.set = set
-	f.fetchedAt = time.Now()
-	return set, nil
-}
-
-// fetchWithRetry tries the upstream up to Attempts times on the shared
-// backoff schedule, honouring context cancellation between tries.
-func (f *FeedSource) fetchWithRetry(ctx context.Context) (*trace.Set, error) {
-	attempts := f.Attempts
-	if attempts <= 0 {
-		attempts = 3
-	}
-	b := f.Backoff
-	if b.Base <= 0 {
-		b.Base = 100 * time.Millisecond
-	}
-	if b.Cap <= 0 {
-		b.Cap = 2 * time.Second
-	}
-	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
-		set, _, err := f.Client.Fetch(ctx, time.Time{}, time.Time{}, trace.DefaultStep)
-		if err == nil {
-			return set, nil
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, err
-		}
-		lastErr = err
-		if attempt+1 < attempts {
-			if serr := faults.Sleep(ctx, b.Delay(attempt)); serr != nil {
-				return nil, serr
-			}
-		}
-	}
-	return nil, lastErr
 }

@@ -37,11 +37,11 @@ type Metrics struct {
 	// BreakerFastFails counts requests that skipped the history fetch
 	// because the breaker was open.
 	BreakerFastFails obs.Counter
-	// FeedStaleServes counts history fetches answered from the feed
-	// source's stale cache after an upstream failure.
+	// FeedStaleServes counts one-shot histories served from a feed's
+	// tape while it was stale (no tick within Streamer.StaleAfter).
 	FeedStaleServes obs.Counter
-	// WatchdogTrips counts feed-source serves whose cached history had
-	// aged past the staleness watchdog bound.
+	// WatchdogTrips counts feed stalls: one per stall that a one-shot
+	// history served from the tape observed.
 	WatchdogTrips obs.Counter
 
 	history *obs.Histogram // history-fetch stage latency

@@ -53,8 +53,9 @@ type StreamerSnapshot struct {
 	Zones []string `json:"zones"`
 	Start int64    `json:"start"`
 	Step  int64    `json:"step"`
-	// Dropped is how many backlog rows trimming has discarded, ever —
-	// it anchors restored grid windows to absolute time.
+	// Dropped is how many sequence numbers precede the backlog's first
+	// row (those before the feed's first tick, and those trimming has
+	// discarded) — it anchors restored grid windows to absolute time.
 	Dropped uint64 `json:"dropped"`
 	// LastRow is the last applied price row (gap fills repeat it).
 	LastRow []float64 `json:"last_row,omitempty"`

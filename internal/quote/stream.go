@@ -1,8 +1,10 @@
 package quote
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -87,7 +89,8 @@ type StreamMetrics struct {
 	// row (spot prices are step functions; a silent feed means the
 	// price held).
 	GapFills obs.Counter
-	// TickErrors counts per-grid tick application failures.
+	// TickErrors counts feed rows Ingest refused and per-grid tick
+	// application failures.
 	TickErrors obs.Counter
 	// Generations counts plan-table generations published across all
 	// shapes.
@@ -108,12 +111,13 @@ type StreamMetrics struct {
 	Restores obs.Counter
 
 	push *obs.Histogram // publish-to-write plan-push latency
+	svc  *Metrics       // the registry it is attached to: feed staleness counters
 }
 
 // AttachStream registers the streaming metrics onto the service
 // registry and returns them. Call at most once per Metrics.
 func (m *Metrics) AttachStream() *StreamMetrics {
-	sm := &StreamMetrics{push: obs.NewHistogram(nil)}
+	sm := &StreamMetrics{push: obs.NewHistogram(nil), svc: m}
 	m.reg.Counter("quoted_stream_ticks_total", &sm.Ticks)
 	m.reg.Counter("quoted_stream_dup_ticks_total", &sm.DupTicks)
 	m.reg.Counter("quoted_stream_gap_fills_total", &sm.GapFills)
@@ -245,10 +249,11 @@ type Streamer struct {
 	shapes  map[string]*streamShape
 	grids   map[int]*streamGrid // by resolved MaxZones (gridKey)
 	backlog [][]float64
-	dropped uint64 // backlog rows discarded by trimming, ever
+	dropped uint64 // sequence numbers before the backlog's first row
 	seq     uint64
 	lastRow []float64
 	lastAt  time.Time
+	tripped bool // this stall already counted a watchdog trip
 }
 
 // init lazily fills defaults.
@@ -298,15 +303,21 @@ func (st *Streamer) staleLocked() bool {
 }
 
 // Ingest applies one feed tick: seq is the feed's 1-based sequence
-// number, prices one sample per zone in column order. Duplicate and
+// number, whose sample is at Start + (seq-1)·Step, prices one sample
+// per zone in column order. The feed starts at its first tick's seq
+// (grids subscribed before that tick assume 1). Duplicate and
 // reordered sequences are dropped; gaps are filled by repeating the
 // last row (a silent feed means the price held — spot prices are step
 // functions), so every resident grid sees exactly one row per
-// sequence number and stays deterministic under feed chaos.
+// sequence number and stays deterministic under feed chaos. A tick
+// numbered 0, or with the wrong arity or a price trace.ValidPrice
+// rejects, is refused before it moves the feed position and counted in
+// TickErrors; the next accepted tick gap-fills its slot.
 func (st *Streamer) Ingest(seq uint64, prices []float64) error {
 	st.init()
-	if len(prices) != len(st.Zones) {
-		return fmt.Errorf("quote: stream tick has %d prices for %d zones", len(prices), len(st.Zones))
+	if err := st.checkTick(seq, prices); err != nil {
+		st.Metrics.TickErrors.Inc()
+		return err
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -320,14 +331,64 @@ func (st *Streamer) Ingest(seq uint64, prices []float64) error {
 			st.tickLocked(st.lastRow)
 		}
 	}
+	if st.seq == 0 && len(st.backlog) == 0 {
+		st.dropped = seq - 1 // the feed starts at seq
+	}
 	st.seq = seq
 	st.lastRow = append(st.lastRow[:0], prices...)
 	st.lastAt = time.Now()
+	st.tripped = false
 	st.tickLocked(st.lastRow)
 	if st.Store != nil && seq%uint64(st.CheckpointEvery) == 0 {
 		st.checkpointLocked()
 	}
 	return nil
+}
+
+// checkTick is Ingest's tick check: a 1-based sequence number and one
+// sample per zone, each a valid price.
+func (st *Streamer) checkTick(seq uint64, prices []float64) error {
+	if seq == 0 {
+		return errors.New("quote: stream tick sequence numbers start at 1")
+	}
+	if len(prices) != len(st.Zones) {
+		return fmt.Errorf("quote: stream tick has %d prices for %d zones", len(prices), len(st.Zones))
+	}
+	for i, p := range prices {
+		if !trace.ValidPrice(p) {
+			return fmt.Errorf("quote: stream tick price %d (%q) is %g, not a finite non-negative price", i, st.Zones[i], p)
+		}
+	}
+	return nil
+}
+
+// RowFeed is the method of livesched.Feed that Pump reads — the next
+// row, in the streamer's zone order, or io.EOF — so any livesched feed
+// drives the streamer.
+type RowFeed interface {
+	Next(ctx context.Context) ([]float64, error)
+}
+
+// Pump ingests feed's rows as sequence numbers first, first+1, … until
+// ctx is done or the feed ends, returning ctx's error or io.EOF. A
+// feed error does not stop the pump: it reads on (wrap a flaky feed in
+// livesched.RetryFeed, whose backoff paces the reads), and the silence
+// shows as Stale. A row Ingest refuses still takes its sequence number,
+// so the next row gap-fills its slot.
+func (st *Streamer) Pump(ctx context.Context, feed RowFeed, first uint64) error {
+	for seq := first; ; seq++ {
+		row, err := feed.Next(ctx)
+		for err != nil && err != io.EOF && ctx.Err() == nil {
+			row, err = feed.Next(ctx)
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if err != nil {
+			return err // io.EOF
+		}
+		_ = st.Ingest(seq, row) // a refused row is counted in TickErrors
+	}
 }
 
 // tickLocked applies one row to the backlog, steps every resident grid

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -322,6 +323,67 @@ func TestStreamerIngestValidation(t *testing.T) {
 	st := fx.streamer()
 	if err := st.Ingest(1, []float64{1}); err == nil {
 		t.Fatal("short row accepted")
+	}
+}
+
+// TestStreamerIngestRejectsInvalidPrices refuses NaN, ±Inf and
+// negative prices before they reach the feed position: the refusal is
+// counted in TickErrors, the next accepted tick gap-fills the slot with
+// the last valid row, checkpoints keep encoding, and the streamer ends
+// up exactly where one fed only the valid rows does.
+func TestStreamerIngestRejectsInvalidPrices(t *testing.T) {
+	fx := newStreamFixture()
+	bad := map[int]float64{4: math.NaN(), 6: math.Inf(1), 8: math.Inf(-1), 9: -0.5}
+	run := func(withBad bool) (*Streamer, *MemStore) {
+		store := &MemStore{}
+		st := fx.streamer()
+		st.Store, st.CheckpointEvery = store, 4
+		if _, err := st.Subscribe(fx.shape); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 12; i++ {
+			p, isBad := bad[i]
+			switch {
+			case !isBad:
+				if err := st.Ingest(uint64(i+1), fx.reorderRow(i)); err != nil {
+					t.Fatal(err)
+				}
+			case withBad:
+				row := fx.reorderRow(i)
+				row[1] = p
+				if err := st.Ingest(uint64(i+1), row); err == nil {
+					t.Fatalf("tick %d with price %g accepted", i+1, p)
+				}
+			}
+		}
+		return st, store
+	}
+	st, store := run(true)
+	ref, _ := run(false)
+	if got := st.Metrics.TickErrors.Load(); got != int64(len(bad)) {
+		t.Fatalf("TickErrors = %d, want %d", got, len(bad))
+	}
+	if st.Metrics.Checkpoints.Load() != 3 || st.Metrics.CheckpointErrors.Load() != 0 || store.Saves() != 3 {
+		t.Fatalf("checkpoints %d, errors %d; want 3, 0",
+			st.Metrics.Checkpoints.Load(), st.Metrics.CheckpointErrors.Load())
+	}
+	// A grid created now replays the whole backlog.
+	late := Request{WorkHours: 6, DeadlineHours: 20, MaxZones: 3, Top: 3}
+	for _, s := range []*Streamer{st, ref} {
+		if _, err := s.Subscribe(late); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := json.Marshal(st.Snapshot())
+	if err != nil {
+		t.Fatalf("snapshot does not encode: %v", err)
+	}
+	want, _ := json.Marshal(ref.Snapshot())
+	if string(got) != string(want) {
+		t.Fatal("streamer fed invalid rows diverges from one fed only the valid rows")
+	}
+	if snap := st.Snapshot(); !slices.Equal(snap.Backlog[4], fx.reorderRow(3)) {
+		t.Fatalf("slot 5 holds %v, want the held row %v", snap.Backlog[4], fx.reorderRow(3))
 	}
 }
 

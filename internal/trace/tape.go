@@ -74,17 +74,20 @@ func (t *Tape) Append(prices []float64) error {
 		return fmt.Errorf("trace: tape row has %d prices for %d zones", len(prices), len(t.cols))
 	}
 	for i, p := range prices {
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			return fmt.Errorf("trace: tape row price %d (%q) is not finite", i, t.zones[i])
-		}
-		if p < 0 {
-			return fmt.Errorf("trace: tape row price %d (%q) is negative (%g)", i, t.zones[i], p)
+		if !ValidPrice(p) {
+			return fmt.Errorf("trace: tape row price %d (%q) is %g, not a finite non-negative price", i, t.zones[i], p)
 		}
 	}
 	for i, p := range prices {
 		t.cols[i] = append(t.cols[i], p)
 	}
 	return nil
+}
+
+// ValidPrice reports whether p can be a spot price sample: finite and
+// non-negative. It is the one price check of every ingest path.
+func ValidPrice(p float64) bool {
+	return p >= 0 && !math.IsInf(p, 1) // NaN and -Inf fail p >= 0
 }
 
 // Set returns the tape's current contents as an aligned Set aliasing

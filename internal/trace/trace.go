@@ -130,11 +130,8 @@ func (s *Series) Validate() error {
 		return fmt.Errorf("trace: series %q has non-positive step %d", s.Zone, s.Step)
 	}
 	for i, p := range s.Prices {
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			return fmt.Errorf("trace: series %q sample %d is not finite", s.Zone, i)
-		}
-		if p < 0 {
-			return fmt.Errorf("trace: series %q sample %d is negative (%g)", s.Zone, i, p)
+		if !ValidPrice(p) {
+			return fmt.Errorf("trace: series %q sample %d is %g, not a finite non-negative price", s.Zone, i, p)
 		}
 	}
 	return nil

@@ -220,3 +220,19 @@ func Year(seed uint64) *trace.Set {
 	}
 	return set
 }
+
+// Preset generates the named synthetic market the command-line tools
+// share: "low", "high", "low-spike" or "year".
+func Preset(name string, seed uint64) (*trace.Set, error) {
+	switch name {
+	case "low":
+		return LowVolatility(seed), nil
+	case "high":
+		return HighVolatility(seed), nil
+	case "low-spike":
+		return LowVolatilityWithMegaSpike(seed), nil
+	case "year":
+		return Year(seed), nil
+	}
+	return nil, fmt.Errorf("unknown preset %q", name)
+}

@@ -41,6 +41,7 @@ go test -run '^$' -fuzz '^FuzzDecisionLogRoundTrip$' -fuzztime 5s ./internal/dec
 go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 5s ./internal/quote
 go test -run '^$' -fuzz '^FuzzParseQuery$' -fuzztime 5s ./internal/quote
 go test -run '^$' -fuzz '^FuzzStreamerRestore$' -fuzztime 5s ./internal/quote
+go test -run '^$' -fuzz '^FuzzStreamerIngest$' -fuzztime 5s ./internal/quote
 go test -run '^$' -fuzz '^FuzzStreamPollParams$' -fuzztime 5s ./internal/quote
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/spotapi
 go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 5s ./internal/trace
