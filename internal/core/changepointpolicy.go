@@ -48,7 +48,11 @@ func (c *Changepoint) Reset(env *sim.Env) {
 // triggers on a sustained upward shift.
 func (c *Changepoint) CheckpointCondition(env *sim.Env) bool {
 	fire := false
-	for _, z := range env.UpZones() {
+	for _, zi := range env.Spec.Zones {
+		z := &env.Zones[zi]
+		if z.State != sim.Up {
+			continue
+		}
 		d, ok := c.detectors[z.Index]
 		if !ok {
 			d, _ = changepoint.New(env.PriceNow(z.Index), c.Drift, c.Threshold)

@@ -19,8 +19,8 @@ func (*Edge) Reset(env *sim.Env) {}
 
 // CheckpointCondition reports a rising edge in any up zone.
 func (*Edge) CheckpointCondition(env *sim.Env) bool {
-	for _, z := range env.UpZones() {
-		if env.RisingEdge(z.Index) {
+	for _, zi := range env.Spec.Zones {
+		if env.Zones[zi].State == sim.Up && env.RisingEdge(zi) {
 			return true
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -49,8 +50,9 @@ func (lb *LargeBid) overThresholdNearHourEnd(env *sim.Env, z *sim.ZoneState) boo
 
 // CheckpointCondition takes the pre-release checkpoint.
 func (lb *LargeBid) CheckpointCondition(env *sim.Env) bool {
-	for _, z := range env.UpZones() {
-		if !lb.overThresholdNearHourEnd(env, z) {
+	for _, zi := range env.Spec.Zones {
+		z := &env.Zones[zi]
+		if z.State != sim.Up || !lb.overThresholdNearHourEnd(env, z) {
 			continue
 		}
 		hourEnd := z.Meter.HourStart() + trace.Hour
@@ -70,14 +72,11 @@ func (lb *LargeBid) ScheduleNextCheckpoint(env *sim.Env) {}
 // pre-release checkpoint has landed (nothing uncommitted) while the
 // price is still above the threshold near the hour end.
 func (lb *LargeBid) ShouldRelease(env *sim.Env, zone int) bool {
-	var z *sim.ZoneState
-	for _, u := range env.UpZones() {
-		if u.Index == zone {
-			z = u
-			break
-		}
+	if !slices.Contains(env.Spec.Zones, zone) {
+		return false
 	}
-	if z == nil || !lb.overThresholdNearHourEnd(env, z) {
+	z := &env.Zones[zone]
+	if z.State != sim.Up || !lb.overThresholdNearHourEnd(env, z) {
 		return false
 	}
 	return z.Progress <= env.Committed

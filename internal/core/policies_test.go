@@ -121,6 +121,42 @@ func TestThresholdTimeCondition(t *testing.T) {
 	}
 }
 
+// CheckpointCondition runs on every step of every Threshold run, so its
+// zone scan and S_min must not allocate.
+func TestThresholdCheckpointConditionAllocFree(t *testing.T) {
+	prices := make([]float64, 12*24)
+	for i := range prices {
+		prices[i] = 0.30 + 0.01*float64(i%7)
+	}
+	series := make([]*trace.Series, 3)
+	for z := range series {
+		series[z] = trace.NewSeries(string(rune('a'+z)), 0, prices)
+	}
+	set := trace.MustNewSet(series...)
+	cfg := sim.Config{
+		Trace: set.Slice(12*trace.Hour, set.End()), History: set.Slice(0, 12*trace.Hour),
+		Work: 8 * trace.Hour, Deadline: 11 * trace.Hour,
+		CheckpointCost: 300, RestartCost: 300, Delay: market.FixedDelay(0), Seed: 1,
+	}
+	pol := NewThreshold()
+	m, err := sim.NewMachine(cfg, Redundant(pol, 0.81, []int{0, 1, 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := m.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env := m.Env()
+	if !env.AnyUp() {
+		t.Fatal("no zone up to scan")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { pol.CheckpointCondition(env) }); allocs != 0 {
+		t.Fatalf("Threshold.CheckpointCondition allocates %v times per call", allocs)
+	}
+}
+
 func TestLargeBidRidesOutShortSpike(t *testing.T) {
 	// A 20-minute spike above L in the middle of an hour: not near the
 	// hour end, so Large-bid neither checkpoints nor releases and pays

@@ -59,7 +59,11 @@ func meanUptime(prices []float64, step int64, bid float64) float64 {
 
 // CheckpointCondition implements the two-threshold trigger.
 func (t *Threshold) CheckpointCondition(env *sim.Env) bool {
-	for _, z := range env.UpZones() {
+	for _, zi := range env.Spec.Zones {
+		z := &env.Zones[zi]
+		if z.State != sim.Up {
+			continue
+		}
 		s := env.PriceNow(z.Index)
 		priceThresh := (env.MinObservedPrice(z.Index) + env.Spec.Bid) / 2
 		if env.RisingEdge(z.Index) && s >= priceThresh {

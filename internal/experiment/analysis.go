@@ -72,17 +72,19 @@ type VarResult struct {
 
 // VarAnalysis fits the VAR to a year-long composite trace (as the paper
 // does over its 12-month history) and reports the dependence summary.
+// The lag fits and the Granger regressions fan out over the suite's
+// workers.
 func (s *Suite) VarAnalysis(maxLag int) (*VarResult, error) {
 	year := tracegen.Year(s.Seed)
-	m, err := vecar.SelectLagSet(year, maxLag)
-	if err != nil {
-		return nil, err
-	}
 	series := make([][]float64, year.NumZones())
 	for i, zs := range year.Series {
 		series[i] = zs.Prices
 	}
-	granger, err := vecar.GrangerMatrix(series, m.Lag)
+	m, err := vecar.SelectLag(series, maxLag, s.Workers)
+	if err != nil {
+		return nil, err
+	}
+	granger, err := vecar.GrangerMatrix(series, m.Lag, s.Workers)
 	if err != nil {
 		return nil, err
 	}

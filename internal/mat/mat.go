@@ -1,6 +1,7 @@
 // Package mat provides the small dense linear algebra kernel used by the
 // vector auto-regression analysis: matrix arithmetic, Gaussian
-// elimination with partial pivoting, and ordinary least squares.
+// elimination with partial pivoting, and ordinary least squares over
+// normal equations streamed one design row at a time.
 //
 // It is deliberately minimal — row-major float64 matrices with the
 // operations the repository needs — rather than a general BLAS.
@@ -204,17 +205,46 @@ func Inverse(a *Matrix) (*Matrix, error) {
 	return Solve(a, Identity(a.Rows))
 }
 
-// LeastSquares solves min ‖X·β − Y‖² via the normal equations
-// (XᵀX)β = XᵀY with a small ridge fallback when XᵀX is singular.
-// X is n×p, Y is n×q; the result β is p×q.
-func LeastSquares(x, y *Matrix) (*Matrix, error) {
-	if x.Rows != y.Rows {
-		return nil, fmt.Errorf("mat: LeastSquares shape mismatch: X %dx%d, Y %dx%d", x.Rows, x.Cols, y.Rows, y.Cols)
+// NormalEquations accumulates the least-squares normal equations
+// (XᵀX)β = XᵀY one design row at a time, so a caller never holds the
+// n×p design X, its transpose or the residuals: memory is O(p² + p·q)
+// whatever n is.
+type NormalEquations struct {
+	XtX *Matrix // p×p
+	XtY *Matrix // p×q
+}
+
+// NewNormalEquations returns empty normal equations for p regressors
+// and q responses.
+func NewNormalEquations(p, q int) *NormalEquations {
+	return &NormalEquations{XtX: New(p, p), XtY: New(p, q)}
+}
+
+// Add accumulates one design row x (length p) and its responses y
+// (length q). Every entry sums its terms in row order and skips the
+// terms whose x factor is 0, exactly as X.T().Mul(X) and X.T().Mul(Y)
+// sum them, so the equations equal the materialized ones bit for bit.
+func (e *NormalEquations) Add(x, y []float64) {
+	p, q := e.XtX.Cols, e.XtY.Cols
+	for i, a := range x {
+		if a == 0 {
+			continue
+		}
+		rowXX := e.XtX.Data[i*p : (i+1)*p]
+		for j, v := range x {
+			rowXX[j] += a * v
+		}
+		rowXY := e.XtY.Data[i*q : (i+1)*q]
+		for j, v := range y {
+			rowXY[j] += a * v
+		}
 	}
-	xt := x.T()
-	xtx := xt.Mul(x)
-	xty := xt.Mul(y)
-	beta, err := Solve(xtx, xty)
+}
+
+// Solve returns the least-squares β (p×q), with a small ridge fallback
+// when XᵀX is singular. The equations are not modified.
+func (e *NormalEquations) Solve() (*Matrix, error) {
+	beta, err := Solve(e.XtX, e.XtY)
 	if err == nil {
 		return beta, nil
 	}
@@ -224,10 +254,28 @@ func LeastSquares(x, y *Matrix) (*Matrix, error) {
 	// Ridge fallback: regularise collinear designs, which arise when a
 	// price series holds a constant value across an entire window.
 	const lambda = 1e-8
-	for i := 0; i < xtx.Rows; i++ {
-		xtx.Set(i, i, xtx.At(i, i)+lambda)
+	ridge := e.XtX.Clone()
+	for i := 0; i < ridge.Rows; i++ {
+		ridge.Set(i, i, ridge.At(i, i)+lambda)
 	}
-	return Solve(xtx, xty)
+	return Solve(ridge, e.XtY)
+}
+
+// VecMul stores the row vector x·m in out and returns it; x has length
+// m.Rows and out length m.Cols. It sums as Mul sums one row of a product, k ascending
+// with zero x[k] skipped, so it equals that row bit for bit.
+func (m *Matrix) VecMul(x, out []float64) []float64 {
+	clear(out)
+	for k, a := range x {
+		if a == 0 {
+			continue
+		}
+		row := m.Data[k*m.Cols : (k+1)*m.Cols]
+		for j, v := range row {
+			out[j] += a * v
+		}
+	}
+	return out
 }
 
 // MaxAbs returns the largest absolute element; 0 for an empty matrix.

@@ -158,7 +158,7 @@ func TestLeastSquaresRecoversCoefficients(t *testing.T) {
 		x.Set(i, 1, x2)
 		y.Set(i, 0, 2*x1-3*x2)
 	}
-	beta, err := LeastSquares(x, y)
+	beta, err := leastSquares(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,12 +179,110 @@ func TestLeastSquaresCollinearFallback(t *testing.T) {
 		x.Set(i, 1, v)
 		y.Set(i, 0, 4*v)
 	}
-	beta, err := LeastSquares(x, y)
+	beta, err := leastSquares(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := beta.At(0, 0) + beta.At(1, 0); !approx(got, 4, 1e-3) {
 		t.Fatalf("collinear beta sum = %g, want 4", got)
+	}
+}
+
+// leastSquares solves min ‖X·β − Y‖² by streaming X's rows into
+// NormalEquations.
+func leastSquares(x, y *Matrix) (*Matrix, error) {
+	ne := NewNormalEquations(x.Cols, y.Cols)
+	for i := 0; i < x.Rows; i++ {
+		ne.Add(x.Data[i*x.Cols:(i+1)*x.Cols], y.Data[i*y.Cols:(i+1)*y.Cols])
+	}
+	return ne.Solve()
+}
+
+// sameBits reports whether two matrices hold the same float64 bit
+// patterns (so +0 and −0 differ).
+func sameBits(a, b *Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := range a.Data {
+		if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// The streamed normal equations and VecMul must sum in Mul's order,
+// zero factors skipped, so signed zeros and rounding match the
+// materialized products bit for bit.
+func TestNormalEquationsMatchMaterialized(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	pick := func() float64 {
+		switch rng.IntN(5) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		default:
+			return rng.NormFloat64() * math.Pow(10, float64(rng.IntN(12)-6))
+		}
+	}
+	const n, p, q = 200, 6, 3
+	x, y, b := New(n, p), New(n, q), New(p, q)
+	for _, m := range []*Matrix{x, y, b} {
+		for i := range m.Data {
+			m.Data[i] = pick()
+		}
+	}
+	checkNormalEquations(t, x, y, b)
+	// A skipped zero factor keeps 0·Inf from turning an entry into NaN.
+	inf := math.Inf(1)
+	checkNormalEquations(t,
+		FromRows([][]float64{{0, inf, 1}, {1, 2, 0}}),
+		FromRows([][]float64{{inf}, {3}}),
+		FromRows([][]float64{{inf}, {2}, {-1}}))
+}
+
+// checkNormalEquations streams the rows of x and y and compares the
+// equations with X.T().Mul(X) and X.T().Mul(Y), and VecMul over b with
+// the rows of x.Mul(b).
+func checkNormalEquations(t *testing.T, x, y, b *Matrix) {
+	t.Helper()
+	p, q := x.Cols, y.Cols
+	ne := NewNormalEquations(p, q)
+	for i := 0; i < x.Rows; i++ {
+		ne.Add(x.Data[i*p:(i+1)*p], y.Data[i*q:(i+1)*q])
+	}
+	xt := x.T()
+	if !sameBits(ne.XtX, xt.Mul(x)) || !sameBits(ne.XtY, xt.Mul(y)) {
+		t.Fatalf("streamed normal equations %v, %v differ from XᵀX, XᵀY", ne.XtX.Data, ne.XtY.Data)
+	}
+	prod := x.Mul(b)
+	out := make([]float64, b.Cols)
+	for i := 0; i < x.Rows; i++ {
+		got := FromRows([][]float64{b.VecMul(x.Data[i*p:(i+1)*p], out)})
+		want := FromRows([][]float64{prod.Data[i*b.Cols : (i+1)*b.Cols]})
+		if !sameBits(got, want) {
+			t.Fatalf("row %d: VecMul %v, Mul %v", i, got.Data, want.Data)
+		}
+	}
+}
+
+func TestNormalEquationsRidgeKeepsEquations(t *testing.T) {
+	ne := NewNormalEquations(2, 1)
+	for i := 0; i < 5; i++ {
+		v := float64(i)
+		ne.Add([]float64{v, v}, []float64{2 * v})
+	}
+	before := ne.XtX.Clone()
+	if _, err := Solve(ne.XtX, ne.XtY); !errors.Is(err, ErrSingular) {
+		t.Fatalf("collinear XᵀX solved without the ridge: %v", err)
+	}
+	if _, err := ne.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if !sameBits(ne.XtX, before) {
+		t.Fatal("ridge fallback modified XᵀX")
 	}
 }
 

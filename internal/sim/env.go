@@ -67,6 +67,17 @@ type Env struct {
 	ckBuf   checkpoint
 	res     Result
 	rateFns []func(int64) float64
+	minSeen []minScan
+}
+
+// minScan is one zone's running S_min for MinObservedPrice: the minimum
+// price over the grid points lo, lo+Step, … before next, where lo is the
+// first point of the zone's available history. ok is false until the
+// zone's first query of the run.
+type minScan struct {
+	min  float64
+	next int64
+	ok   bool
 }
 
 // reset re-initialises the environment for a new run in place, reusing
@@ -102,9 +113,12 @@ func (e *Env) reset(cfg Config) {
 	if cap(e.Zones) < nz {
 		e.Zones = make([]ZoneState, nz)
 		e.rateFns = make([]func(int64) float64, nz)
+		e.minSeen = make([]minScan, nz)
 	}
 	e.Zones = e.Zones[:nz]
 	e.rateFns = e.rateFns[:nz]
+	e.minSeen = e.minSeen[:nz]
+	clear(e.minSeen)
 	for i := range e.Zones {
 		e.Zones[i] = ZoneState{Index: i, Name: cfg.Trace.Series[i].Zone, State: Down}
 		if e.rateFns[i] == nil {
@@ -179,26 +193,6 @@ func (e *Env) PriceHistory(zone int, span int64) []float64 {
 	return out
 }
 
-// ActiveZones returns the states of the zones in the current spec.
-func (e *Env) ActiveZones() []*ZoneState {
-	out := make([]*ZoneState, 0, len(e.Spec.Zones))
-	for _, zi := range e.Spec.Zones {
-		out = append(out, &e.Zones[zi])
-	}
-	return out
-}
-
-// UpZones returns the active zones currently Up.
-func (e *Env) UpZones() []*ZoneState {
-	var out []*ZoneState
-	for _, z := range e.ActiveZones() {
-		if z.State == Up {
-			out = append(out, z)
-		}
-	}
-	return out
-}
-
 // AnyUp reports whether any active zone is Up.
 func (e *Env) AnyUp() bool {
 	for _, zi := range e.Spec.Zones {
@@ -248,18 +242,28 @@ func (e *Env) RisingEdge(zone int) bool {
 
 // MinObservedPrice returns the minimum price the zone quoted over its
 // available history up to now (S_min in the Threshold policy).
+//
+// The minimum is kept per zone and extended over only the grid points
+// added since the previous query, in the same ascending order a full
+// rescan would visit them, so every result is the float a rescan
+// returns at amortized O(1) per step. That is exact because prices
+// already read never change: Now only advances within a run, and a
+// live trace only grows by append beyond it.
 func (e *Env) MinObservedPrice(zone int) float64 {
-	lo := e.StartTime
-	if e.Cfg.History != nil && e.Cfg.History.Duration() > 0 {
-		lo = e.Cfg.History.Start()
+	s := &e.minSeen[zone]
+	if !s.ok {
+		lo := e.StartTime
+		if e.Cfg.History != nil && e.Cfg.History.Duration() > 0 {
+			lo = e.Cfg.History.Start()
+		}
+		*s = minScan{min: e.Price(zone, lo), next: lo, ok: true}
 	}
-	min := e.Price(zone, lo)
-	for t := lo; t <= e.Now; t += e.Step {
-		if p := e.Price(zone, t); p < min {
-			min = p
+	for ; s.next <= e.Now; s.next += e.Step {
+		if p := e.Price(zone, s.next); p < s.min {
+			s.min = p
 		}
 	}
-	return min
+	return s.min
 }
 
 // TimelineEvents returns the events recorded so far (only populated

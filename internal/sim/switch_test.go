@@ -140,8 +140,8 @@ type releasingPolicy struct {
 }
 
 func (p *releasingPolicy) ShouldRelease(env *Env, zone int) bool {
-	for _, z := range env.UpZones() {
-		if z.Index == zone && env.Now-z.UpSince >= trace.Hour {
+	for _, zi := range env.Spec.Zones {
+		if z := &env.Zones[zi]; zi == zone && z.State == Up && env.Now-z.UpSince >= trace.Hour {
 			return true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/mat"
+	"repro/internal/pool"
 	"repro/internal/stats"
 )
 
@@ -38,16 +39,9 @@ func GrangerTest(series [][]float64, effect, cause, lag int) (GrangerResult, err
 	if cause == effect {
 		return GrangerResult{}, fmt.Errorf("vecar: cause and effect must differ")
 	}
-	if lag < 1 {
-		return GrangerResult{}, fmt.Errorf("vecar: lag %d must be >= 1", lag)
+	if err := checkGranger(series, lag); err != nil {
+		return GrangerResult{}, err
 	}
-	n := len(series[0])
-	obs := n - lag
-	paramsU := 1 + k*lag
-	if obs <= paramsU {
-		return GrangerResult{}, fmt.Errorf("%w: %d observations for %d parameters", ErrTooShort, obs, paramsU)
-	}
-
 	// Unrestricted: all series' lags. Restricted: drop the cause's.
 	rssU, err := equationRSS(series, effect, lag, -1)
 	if err != nil {
@@ -57,54 +51,66 @@ func GrangerTest(series [][]float64, effect, cause, lag int) (GrangerResult, err
 	if err != nil {
 		return GrangerResult{}, err
 	}
+	return grangerResult(series, effect, cause, lag, rssU, rssR), nil
+}
+
+// checkGranger rejects a lag the series cannot support.
+func checkGranger(series [][]float64, lag int) error {
+	if lag < 1 {
+		return fmt.Errorf("vecar: lag %d must be >= 1", lag)
+	}
+	obs := len(series[0]) - lag
+	if paramsU := 1 + len(series)*lag; obs <= paramsU {
+		return fmt.Errorf("%w: %d observations for %d parameters", ErrTooShort, obs, paramsU)
+	}
+	return nil
+}
+
+// grangerResult forms the F test from the two fits' residual sums of
+// squares.
+func grangerResult(series [][]float64, effect, cause, lag int, rssU, rssR float64) GrangerResult {
 	res := GrangerResult{Cause: cause, Effect: effect, RSSRestricted: rssR, RSSUnrestricted: rssU}
+	obs := len(series[0]) - lag
+	paramsU := 1 + len(series)*lag
 	df2 := float64(obs - paramsU)
 	if rssU <= 0 {
 		// A perfect unrestricted fit: any improvement is degenerate;
 		// report no evidence rather than dividing by zero.
 		res.P = 1
-		return res, nil
+		return res
 	}
 	res.F = ((rssR - rssU) / float64(lag)) / (rssU / df2)
 	if res.F < 0 {
 		res.F = 0 // numerical noise on near-identical fits
 	}
 	res.P = stats.FSurvival(res.F, float64(lag), df2)
-	return res, nil
+	return res
 }
 
 // equationRSS fits series[effect](t) on a constant and the lags of all
 // series (omitting series drop entirely when drop >= 0) and returns the
-// residual sum of squares.
+// residual sum of squares. It streams the design rows, so memory is
+// O(cols²) whatever the series length.
 func equationRSS(series [][]float64, effect, lag, drop int) (float64, error) {
-	k := len(series)
-	n := len(series[0])
-	obs := n - lag
-	cols := 1 + (k-boolToInt(drop >= 0))*lag
-	z := mat.New(obs, cols)
-	y := mat.New(obs, 1)
+	obs := len(series[0]) - lag
+	cols := 1 + (len(series)-boolToInt(drop >= 0))*lag
+	y := series[effect][lag:]
+	ne := mat.NewNormalEquations(cols, 1)
+	row := make([]float64, cols)
 	for t := 0; t < obs; t++ {
-		z.Set(t, 0, 1)
-		col := 1
-		for l := 1; l <= lag; l++ {
-			for j := 0; j < k; j++ {
-				if j == drop {
-					continue
-				}
-				z.Set(t, col, series[j][lag+t-l])
-				col++
-			}
-		}
-		y.Set(t, 0, series[effect][lag+t])
+		designRow(row, series, lag, t, drop)
+		ne.Add(row, y[t:t+1])
 	}
-	beta, err := mat.LeastSquares(z, y)
+	beta, err := ne.Solve()
 	if err != nil {
 		return 0, fmt.Errorf("vecar: granger OLS failed: %w", err)
 	}
-	resid := z.Mul(beta).Sub(y)
 	var rss float64
-	for _, v := range resid.Data {
-		rss += v * v
+	fit := make([]float64, 1)
+	for t := 0; t < obs; t++ {
+		designRow(row, series, lag, t, drop)
+		r := beta.VecMul(row, fit)[0] - y[t]
+		rss += r * r
 	}
 	return rss, nil
 }
@@ -116,25 +122,41 @@ func boolToInt(b bool) int {
 	return 0
 }
 
-// GrangerMatrix runs the test for every ordered pair (cause ≠ effect).
-func GrangerMatrix(series [][]float64, lag int) ([]GrangerResult, error) {
-	var out []GrangerResult
-	for effect := range series {
-		for cause := range series {
-			if cause == effect {
-				continue
+// GrangerMatrix runs the test for every ordered pair (cause ≠ effect),
+// effect-major. Each effect's unrestricted regression is fitted once
+// and shared by its tests: k² regressions rather than 2·k·(k−1). They
+// run across at most workers goroutines (≤ 0 selects GOMAXPROCS), with
+// the same results at any setting.
+func GrangerMatrix(series [][]float64, lag, workers int) ([]GrangerResult, error) {
+	k := len(series)
+	if k < 2 {
+		return nil, nil
+	}
+	if err := checkGranger(series, lag); err != nil {
+		return nil, err
+	}
+	// Regression e·k+c fits effect e without cause c's lags, or with
+	// every series' lags when c == e.
+	rss := make([]float64, k*k)
+	err := pool.RunErr(workers, k*k, func(i int) error {
+		effect, drop := i/k, i%k
+		if drop == effect {
+			drop = -1
+		}
+		var err error
+		rss[i], err = equationRSS(series, effect, lag, drop)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]GrangerResult, 0, k*(k-1))
+	for effect := 0; effect < k; effect++ {
+		for cause := 0; cause < k; cause++ {
+			if cause != effect {
+				out = append(out, grangerResult(series, effect, cause, lag, rss[effect*k+effect], rss[effect*k+cause]))
 			}
-			g, err := GrangerTest(series, effect, cause, lag)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, g)
 		}
 	}
 	return out, nil
-}
-
-// GrangerMatrixSet runs GrangerMatrix over a trace set's zones.
-func (m *Model) GrangerMatrixSeries(series [][]float64) ([]GrangerResult, error) {
-	return GrangerMatrix(series, m.Lag)
 }

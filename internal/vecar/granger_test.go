@@ -45,7 +45,7 @@ func TestGrangerDetectsCausality(t *testing.T) {
 func TestGrangerIndependentSeries(t *testing.T) {
 	series := causalPair(2000, 0, 2) // strength 0: independent
 	falsePositives := 0
-	results, err := GrangerMatrix(series, 2)
+	results, err := GrangerMatrix(series, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestGrangerMatrixThreeSeries(t *testing.T) {
 		b[t] = 0.1 + 0.6*b[t-1] + 0.3*a[t-1] + 0.05*rng.NormFloat64()
 		c[t] = 0.1 + 0.6*c[t-1] + 0.05*rng.NormFloat64()
 	}
-	results, err := GrangerMatrix([][]float64{a, b, c}, 2)
+	results, err := GrangerMatrix([][]float64{a, b, c}, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

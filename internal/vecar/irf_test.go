@@ -65,7 +65,7 @@ func TestCrossImpactDiagonalModel(t *testing.T) {
 
 func TestCrossImpactOnGeneratedTraces(t *testing.T) {
 	set := tracegen.HighVolatility(61)
-	m, err := SelectLagSet(set, 4)
+	m, err := SelectLag(seriesOf(set), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/mat"
+	"repro/internal/pool"
 	"repro/internal/trace"
 )
 
@@ -60,23 +61,19 @@ func Fit(series [][]float64, lag int) (*Model, error) {
 		return nil, fmt.Errorf("%w: %d observations for %d parameters", ErrTooShort, obs, params)
 	}
 
-	// Design matrix Z: rows [1, y₁(t-1)…y_K(t-1), …, y₁(t-p)…y_K(t-p)].
-	z := mat.New(obs, params)
-	y := mat.New(obs, k)
+	// Stream the design one row at a time: the normal equations, then
+	// the residual covariance (ML estimate, divisor obs).
+	ne := mat.NewNormalEquations(params, k)
+	row := make([]float64, params)
+	y := make([]float64, k)
 	for t := 0; t < obs; t++ {
-		z.Set(t, 0, 1)
-		col := 1
-		for l := 1; l <= lag; l++ {
-			for j := 0; j < k; j++ {
-				z.Set(t, col, series[j][lag+t-l])
-				col++
-			}
+		designRow(row, series, lag, t, -1)
+		for j := range y {
+			y[j] = series[j][lag+t]
 		}
-		for j := 0; j < k; j++ {
-			y.Set(t, j, series[j][lag+t])
-		}
+		ne.Add(row, y)
 	}
-	beta, err := mat.LeastSquares(z, y) // params × k
+	beta, err := ne.Solve() // params × k
 	if err != nil {
 		return nil, fmt.Errorf("vecar: OLS failed: %w", err)
 	}
@@ -96,17 +93,22 @@ func Fit(series [][]float64, lag int) (*Model, error) {
 		m.Coef[l] = a
 	}
 
-	// Residual covariance (ML estimate, divisor obs).
-	resid := z.Mul(beta).Sub(y)
 	cov := mat.New(k, k)
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			var s float64
-			for t := 0; t < obs; t++ {
-				s += resid.At(t, i) * resid.At(t, j)
-			}
-			cov.Set(i, j, s/float64(obs))
+	resid := make([]float64, k)
+	for t := 0; t < obs; t++ {
+		designRow(row, series, lag, t, -1)
+		beta.VecMul(row, resid)
+		for j := range resid {
+			resid[j] -= series[j][lag+t]
 		}
+		for i, ri := range resid {
+			for j, rj := range resid {
+				cov.Data[i*k+j] += ri * rj
+			}
+		}
+	}
+	for i := range cov.Data {
+		cov.Data[i] /= float64(obs)
 	}
 	m.ResidCov = cov
 
@@ -125,6 +127,23 @@ func Fit(series [][]float64, lag int) (*Model, error) {
 	return m, nil
 }
 
+// designRow fills row with the VAR(lag) design row of observation t:
+// [1, y₁(t-1)…y_K(t-1), …, y₁(t-p)…y_K(t-p)], leaving out series drop
+// (none when drop < 0).
+func designRow(row []float64, series [][]float64, lag, t, drop int) {
+	row[0] = 1
+	col := 1
+	for l := 1; l <= lag; l++ {
+		for j, s := range series {
+			if j == drop {
+				continue
+			}
+			row[col] = s[lag+t-l]
+			col++
+		}
+	}
+}
+
 // FitSet fits a VAR(lag) on every zone series of the trace set.
 func FitSet(set *trace.Set, lag int) (*Model, error) {
 	series := make([][]float64, set.NumZones())
@@ -135,15 +154,24 @@ func FitSet(set *trace.Set, lag int) (*Model, error) {
 }
 
 // SelectLag fits VAR(1)…VAR(maxLag) and returns the model minimising
-// the Akaike information criterion, as the paper does.
-func SelectLag(series [][]float64, maxLag int) (*Model, error) {
+// the Akaike information criterion, as the paper does. The fits run
+// across at most workers goroutines (≤ 0 selects GOMAXPROCS); the pick
+// scans them in lag order, so the result is the same at any setting.
+func SelectLag(series [][]float64, maxLag, workers int) (*Model, error) {
 	if maxLag < 1 {
 		return nil, fmt.Errorf("vecar: maxLag %d must be >= 1", maxLag)
 	}
+	fits := make([]*Model, maxLag)
+	errs := make([]error, maxLag)
+	// Hand out the costlier long lags first so the workers finish
+	// together.
+	pool.Run(workers, maxLag, func(i int) {
+		lag := maxLag - i
+		fits[lag-1], errs[lag-1] = Fit(series, lag)
+	})
 	var best *Model
-	for lag := 1; lag <= maxLag; lag++ {
-		m, err := Fit(series, lag)
-		if err != nil {
+	for i, m := range fits {
+		if err := errs[i]; err != nil {
 			if errors.Is(err, ErrTooShort) && best != nil {
 				break // longer lags are infeasible; keep the best so far
 			}
@@ -154,15 +182,6 @@ func SelectLag(series [][]float64, maxLag int) (*Model, error) {
 		}
 	}
 	return best, nil
-}
-
-// SelectLagSet is SelectLag over a trace set.
-func SelectLagSet(set *trace.Set, maxLag int) (*Model, error) {
-	series := make([][]float64, set.NumZones())
-	for i, s := range set.Series {
-		series[i] = s.Prices
-	}
-	return SelectLag(series, maxLag)
 }
 
 // Predict returns the one-step-ahead forecast given the most recent

@@ -5,8 +5,18 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
+
+// seriesOf returns the price series of a trace set's zones.
+func seriesOf(set *trace.Set) [][]float64 {
+	series := make([][]float64, set.NumZones())
+	for i, s := range set.Series {
+		series[i] = s.Prices
+	}
+	return series
+}
 
 // synthesize generates a K-dimensional VAR(1) series with known
 // coefficients for recovery tests.
@@ -77,7 +87,7 @@ func TestSelectLagPrefersTrueOrder(t *testing.T) {
 	for t := 2; t < n; t++ {
 		x[t] = 0.2 + 0.3*x[t-1] + 0.5*x[t-2] + 0.05*rng.NormFloat64()
 	}
-	m, err := SelectLag([][]float64{x}, 5)
+	m, err := SelectLag([][]float64{x}, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +97,7 @@ func TestSelectLagPrefersTrueOrder(t *testing.T) {
 }
 
 func TestSelectLagErrors(t *testing.T) {
-	if _, err := SelectLag([][]float64{{1, 2, 3}}, 0); err == nil {
+	if _, err := SelectLag([][]float64{{1, 2, 3}}, 0, 0); err == nil {
 		t.Fatal("SelectLag accepted maxLag 0")
 	}
 }
@@ -121,7 +131,7 @@ func TestPredict(t *testing.T) {
 // dominates cross-zone dependence by an order of magnitude or more.
 func TestDependenceOnGeneratedTraces(t *testing.T) {
 	set := tracegen.HighVolatility(42)
-	m, err := SelectLagSet(set, 6)
+	m, err := SelectLag(seriesOf(set), 6, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
