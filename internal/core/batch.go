@@ -88,17 +88,17 @@ type chainMemoKey struct {
 
 // chainMemo memoizes one zone's fitted chains by window step index. A
 // nil model with done set records an unfittable history, mirroring the
-// oracle's nil fitZone result. While the policy's history span covers
-// the whole window — the common case — every fit history is a prefix
-// of the zone's (quantized) column, and the memo's PrefixFitter fits
-// those without per-fit sorting; shorter spans fall back to the
-// windowed Fitter.
+// oracle's nil fitZone result. Every fit history is a window of the
+// zone's (quantized) column — a prefix while the policy's history span
+// reaches back to the window start, a trailing span after — and the
+// memo's WindowFitter slides from one fit to the next without per-fit
+// sampling or sorting.
 type chainMemo struct {
 	models []*markov.Model
 	done   []bool
 
-	pf      markov.PrefixFitter
-	pfReady bool
+	wf      markov.WindowFitter
+	wfReady bool
 	qbuf    []float64
 
 	// usolve memoizes expected uptimes on a (step, up-state count)
@@ -243,10 +243,8 @@ type batchState struct {
 	freeIvals  []*memoCol
 	freeModels []*markov.Model
 
-	fitter  markov.Fitter
-	solver  markov.UptimeSolver
-	histBuf []float64
-	zsel    []int32 // computeInterval scratch: fittable spec positions
+	solver markov.UptimeSolver
+	zsel   []int32 // computeInterval scratch: fittable spec positions
 
 	start, step, end int64
 	deadline         int64
@@ -315,7 +313,7 @@ func (b *batchState) chainMemoFor(key chainMemoKey) *chainMemo {
 		cm.models[i] = nil
 		cm.done[i] = false
 	}
-	cm.pfReady = false
+	cm.wfReady = false
 	if cm.ustride > 0 {
 		cm.usolve.arm(b.nsteps * cm.ustride)
 	}
@@ -1002,7 +1000,7 @@ func (b *batchState) computeInterval(p *batchPerm, now int64, si int) float64 {
 func (b *batchState) chainAt(z *batchZone, now int64, si int, pol *batchPolicy) *markov.Model {
 	cm := z.cm
 	if !cm.done[si] {
-		cm.models[si] = b.fitModel(cm, z.zone, now, si, pol)
+		cm.models[si] = b.fitModel(cm, z.zone, now, pol)
 		cm.done[si] = true
 	}
 	return cm.models[si]
@@ -1043,39 +1041,31 @@ func upCount(states []float64, bid float64) int {
 
 // fitModel fits the zone's chain on the trailing history at the
 // decision time, on a recycled model; nil reports an unfittable (empty)
-// history. When the span reaches back to the window start the history
-// is the column prefix ending at the decision step and the memo's
-// prefix fitter handles it sort-free; otherwise the trailing window is
-// sampled into scratch, quantized in place (Round(p/q)*q,
-// value-identical to markov.Quantize) and fitted by the general fitter.
-func (b *batchState) fitModel(cm *chainMemo, zone int, now int64, si int, pol *batchPolicy) *markov.Model {
-	reuse := b.takeModel()
-	var m *markov.Model
-	var err error
-	if now-pol.span+b.step <= b.start {
-		if !cm.pfReady {
-			src := b.cols.Col(zone)
-			if pol.quantum > 0 {
-				cm.qbuf = append(cm.qbuf[:0], src...)
-				for i := range cm.qbuf {
-					cm.qbuf[i] = math.Round(cm.qbuf[i]/pol.quantum) * pol.quantum
-				}
-				src = cm.qbuf
-			}
-			cm.pf.Init(src, b.step)
-			cm.pfReady = true
-		}
-		m, err = cm.pf.Fit(si+1, reuse)
-	} else {
-		h := b.cols.HistoryInto(b.histBuf[:0], zone, now, pol.span)
-		b.histBuf = h
-		if pol.quantum > 0 {
-			for i := range h {
-				h[i] = math.Round(h[i]/pol.quantum) * pol.quantum
-			}
-		}
-		m, err = b.fitter.Fit(h, b.step, reuse)
+// history. The history is the samples Columns.Index(from),
+// Index(from)+1, … that the oracle's Env.PriceHistory reads at the grid
+// times from, from+step, …, now (off-grid spans included), so the fit
+// is the memo fitter's window over the zone's column, quantized once
+// per memo (Round(p/q)*q, value-identical to markov.Quantize).
+func (b *batchState) fitModel(cm *chainMemo, zone int, now int64, pol *batchPolicy) *markov.Model {
+	from := max(now-pol.span+b.step, b.start)
+	if from > now {
+		return nil
 	}
+	if !cm.wfReady {
+		src := b.cols.Col(zone)
+		if pol.quantum > 0 {
+			cm.qbuf = append(cm.qbuf[:0], src...)
+			for i := range cm.qbuf {
+				cm.qbuf[i] = math.Round(cm.qbuf[i]/pol.quantum) * pol.quantum
+			}
+			src = cm.qbuf
+		}
+		cm.wf.Init(src, b.step)
+		cm.wfReady = true
+	}
+	lo := b.cols.Index(from)
+	reuse := b.takeModel()
+	m, err := cm.wf.Fit(lo, lo+int((now-from)/b.step)+1, reuse)
 	if err != nil {
 		b.freeModels = append(b.freeModels, reuse)
 		return nil

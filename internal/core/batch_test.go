@@ -65,6 +65,27 @@ func spanProfiles() []PolicyFactory {
 	return twoProfiles("markov-daly-6h", func(m *MarkovDaly) { m.HistorySpan = 6 * trace.Hour })
 }
 
+// TestBatchedMatchesOracleOffGridSpans checks history spans off the step
+// grid — whose windows end a sample before the decision step — and a
+// span shorter than one step, whose window is empty, against the
+// oracle, in the sweep and the stream.
+func TestBatchedMatchesOracleOffGridSpans(t *testing.T) {
+	oracle := &Evaluator{Workers: 1, DisableBatch: true}
+	batched := &Evaluator{Workers: 1}
+	hist := estimationHistory(31)
+	for _, span := range []int64{6*trace.Hour + 100, 3*trace.Hour - 1, 200} {
+		t.Run(fmt.Sprint(span), func(t *testing.T) {
+			cands := twoProfiles("markov-daly-span", func(m *MarkovDaly) { m.HistorySpan = span })
+			want := oracle.MeasureAll(hist, permutationSpecs(cands), 300, 300)
+			got := batched.MeasureAll(hist, permutationSpecs(cands), 300, 300)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("sweep: batched estimates diverge from the oracle\noracle  %v\nbatched %v", want, got)
+			}
+			streamMatchesOracle(t, hist, cands, 6)
+		})
+	}
+}
+
 // candidateSet resolves a differential-table candidate-set name.
 func candidateSet(name string) []PolicyFactory {
 	switch name {

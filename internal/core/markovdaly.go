@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/daly"
 	"repro/internal/markov"
@@ -25,11 +26,11 @@ type MarkovDaly struct {
 	// Young's first-order one; the ablation bench flips this.
 	HigherOrder bool
 
-	// fitter fits chains without markov.Fit's per-call maps; safe as an
-	// instance field because policy hooks run on one goroutine. Fits
-	// recycle per-zone scratch models that die with computeInterval.
-	fitter  markov.Fitter
-	scratch []*markov.Model
+	// Per trace zone, the sliding chain fit; solver prices the fitted
+	// chains without per-call allocations. Both are safe as instance
+	// state because policy hooks run on one goroutine.
+	zones  []zoneChain
+	solver markov.UptimeSolver
 
 	// Last interval computation, memoized by decision time:
 	// the interval is a pure function of the env state at a given Now
@@ -54,6 +55,9 @@ func (m *MarkovDaly) Name() string { return "markov-daly" }
 // Reset implements sim.CheckpointPolicy.
 func (m *MarkovDaly) Reset(env *sim.Env) {
 	m.lastOK = false
+	for i := range m.zones {
+		m.zones[i].live = false
+	}
 	m.schedule(env)
 }
 
@@ -87,27 +91,36 @@ func (m *MarkovDaly) interval(env *sim.Env) float64 {
 	return v
 }
 
-// computeInterval fits the per-zone chains and applies
-// Daly's estimate to their combined expected uptime.
+// computeInterval fits the per-zone chains and applies Daly's estimate
+// to their combined expected uptime, the per-zone sum of
+// markov.CombinedExpectedUptime, which stops at the first unbounded
+// zone.
 func (m *MarkovDaly) computeInterval(env *sim.Env) float64 {
 	span := m.HistorySpan
 	if span <= 0 {
 		span = markov.DefaultHistory
 	}
-	models := make([]*markov.Model, 0, len(env.Spec.Zones))
-	prices := make([]float64, 0, len(env.Spec.Zones))
-	for pos, zi := range env.Spec.Zones {
-		mod := m.fitZone(env, zi, span, pos)
+	if len(m.zones) < len(env.Zones) {
+		m.zones = make([]zoneChain, len(env.Zones))
+	}
+	fitted := false
+	var mtbf float64
+	for _, zi := range env.Spec.Zones {
+		mod := m.fitZone(env, zi, span)
 		if mod == nil {
 			continue
 		}
-		models = append(models, mod)
-		prices = append(prices, env.PriceNow(zi))
+		fitted = true
+		u := m.solver.ExpectedUptime(mod, env.Spec.Bid, env.PriceNow(zi))
+		if math.IsInf(u, 1) {
+			mtbf = u
+			break
+		}
+		mtbf += u
 	}
-	if len(models) == 0 {
+	if !fitted {
 		return math.Inf(1)
 	}
-	mtbf := markov.CombinedExpectedUptime(models, env.Spec.Bid, prices)
 	tc := float64(env.CheckpointCost())
 	if m.HigherOrder {
 		return daly.Optimal(tc, mtbf)
@@ -115,29 +128,63 @@ func (m *MarkovDaly) computeInterval(env *sim.Env) float64 {
 	return daly.Young(tc, mtbf)
 }
 
-// fitZone fits the zone's chain on the trailing span of history; nil
-// reports an unfittable (empty) history. pos is the zone's position in
-// the spec, selecting the scratch model the fit recycles.
-func (m *MarkovDaly) fitZone(env *sim.Env, zi int, span int64, pos int) *markov.Model {
-	for len(m.scratch) <= pos {
-		m.scratch = append(m.scratch, nil)
+// zoneChain is one zone's sliding chain fit: the zone's quantized prices
+// on the fit grid base, base+Step, … and the window fitter over them.
+// Each fit reads through Env.Price only the samples added since the
+// previous one. That is exact because prices already read never change:
+// Now only advances within a run, and a live trace only grows by append
+// beyond it.
+type zoneChain struct {
+	col   []float64
+	base  int64
+	live  bool // col and fit hold this run's prices
+	fit   markov.WindowFitter
+	model *markov.Model
+}
+
+// fitZone fits the zone's chain on the trailing span of history — the
+// samples Env.PriceHistory returns, quantized — and returns nil for an
+// empty history. The column restarts at the window start after a Reset,
+// when the window start falls outside the column or off its grid (the
+// Env.HistoryStart clamp can do that); it drops its prefix once the
+// window start passes half its length, so it holds O(span) samples.
+func (m *MarkovDaly) fitZone(env *sim.Env, zi int, span int64) *markov.Model {
+	from := max(env.Now-span+env.Step, env.HistoryStart())
+	if from > env.Now {
+		return nil
 	}
-	mod, err := m.fitter.Fit(m.quantized(env, zi, span), env.Step, m.scratch[pos])
+	z := &m.zones[zi]
+	fresh := !z.live || from < z.base || (from-z.base)%env.Step != 0 ||
+		from >= z.base+int64(len(z.col))*env.Step
+	lo, n := 0, int((env.Now-from)/env.Step)+1
+	if fresh {
+		// Room for the window to slide its own length before the
+		// column compacts.
+		z.col, z.base, z.live = slices.Grow(z.col[:0], 2*n+1), from, true
+	} else {
+		lo = int((from - z.base) / env.Step)
+	}
+	hi := lo + n
+	if lo > len(z.col)/2 {
+		z.col = append(z.col[:0], z.col[lo:]...)
+		z.base, lo, hi, fresh = from, 0, n, true
+	}
+	for i := len(z.col); i < hi; i++ {
+		p := env.Price(zi, z.base+int64(i)*env.Step)
+		if m.Quantum > 0 {
+			p = math.Round(p/m.Quantum) * m.Quantum
+		}
+		z.col = append(z.col, p)
+	}
+	if fresh {
+		z.fit.Init(z.col, env.Step)
+	} else {
+		z.fit.Extend(z.col)
+	}
+	mod, err := z.fit.Fit(lo, hi, z.model)
 	if err != nil {
 		return nil
 	}
-	m.scratch[pos] = mod
+	z.model = mod
 	return mod
-}
-
-// quantized samples the zone's trailing history and buckets it in place
-// (PriceHistory returns a fresh slice, so no shared storage is touched).
-func (m *MarkovDaly) quantized(env *sim.Env, zi int, span int64) []float64 {
-	hist := env.PriceHistory(zi, span)
-	if m.Quantum > 0 {
-		for i, p := range hist {
-			hist[i] = math.Round(p/m.Quantum) * m.Quantum
-		}
-	}
-	return hist
 }

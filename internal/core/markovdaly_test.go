@@ -1,0 +1,259 @@
+package core
+
+import (
+	"errors"
+	"math"
+	"testing"
+
+	"repro/internal/daly"
+	"repro/internal/market"
+	"repro/internal/markov"
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/tracegen"
+)
+
+// referenceInterval is Markov-Daly's interval computed from scratch:
+// the trailing history through Env.PriceHistory, quantized by
+// markov.Quantize, fitted by markov.Fit, solved by ExpectedUptimeExact
+// (through CombinedExpectedUptime) and converted by Daly's estimate.
+func referenceInterval(m *MarkovDaly, env *sim.Env) float64 {
+	span := m.HistorySpan
+	if span <= 0 {
+		span = markov.DefaultHistory
+	}
+	var models []*markov.Model
+	var prices []float64
+	for _, zi := range env.Spec.Zones {
+		mod, err := markov.Fit(markov.Quantize(env.PriceHistory(zi, span), m.Quantum), env.Step)
+		if err != nil {
+			continue
+		}
+		models = append(models, mod)
+		prices = append(prices, env.PriceNow(zi))
+	}
+	if len(models) == 0 {
+		return math.Inf(1)
+	}
+	mtbf := markov.CombinedExpectedUptime(models, env.Spec.Bid, prices)
+	if m.HigherOrder {
+		return daly.Optimal(float64(env.CheckpointCost()), mtbf)
+	}
+	return daly.Young(float64(env.CheckpointCost()), mtbf)
+}
+
+// checkedMarkovDaly is a Markov-Daly policy that compares its interval
+// with referenceInterval at every schedule.
+type checkedMarkovDaly struct {
+	*MarkovDaly
+	t      *testing.T
+	checks int
+}
+
+func (c *checkedMarkovDaly) Reset(env *sim.Env) {
+	c.MarkovDaly.Reset(env)
+	c.check(env)
+}
+
+func (c *checkedMarkovDaly) ScheduleNextCheckpoint(env *sim.Env) {
+	c.MarkovDaly.ScheduleNextCheckpoint(env)
+	c.check(env)
+}
+
+func (c *checkedMarkovDaly) check(env *sim.Env) {
+	c.t.Helper()
+	c.checks++
+	got, want := c.interval(env), referenceInterval(c.MarkovDaly, env)
+	if math.Float64bits(got) != math.Float64bits(want) {
+		c.t.Fatalf("schedule %d at t=%d: interval %v, reference %v", c.checks, env.Now, got, want)
+	}
+}
+
+// runChecked drives a machine to completion, appending grow's rows to
+// the trace whenever the machine runs out of data.
+func runChecked(t *testing.T, mach *sim.Machine, grow func() bool) {
+	t.Helper()
+	for !mach.Done() {
+		err := mach.Step()
+		if errors.Is(err, sim.ErrNoData) && grow != nil && grow() {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestMarkovDalyMatchesReference pins the sliding per-zone chain fits
+// to the from-scratch reference at every schedule of full runs: with
+// and without a bootstrap history, a span or a history off the step
+// grid, no quantization, a pooled machine reset onto another configuration, a
+// trace that grows by append between steps, and a run long enough to
+// compact the price columns.
+func TestMarkovDalyMatchesReference(t *testing.T) {
+	set := tracegen.HighVolatility(5)
+	at := set.Start() + 2*24*trace.Hour
+	hist := set.Slice(at-2*24*trace.Hour, at)
+	run := set.Slice(at, set.End())
+	var shiftedSeries []*trace.Series
+	for _, s := range hist.Series {
+		shiftedSeries = append(shiftedSeries, trace.NewSeries(s.Zone, at-6*trace.Hour+150, s.Prices[:12*6]))
+	}
+	shifted := trace.MustNewSet(shiftedSeries...)
+	cfg := func(history *trace.Set, work int64) sim.Config {
+		return sim.Config{
+			Trace: run, History: history,
+			Work: work, Deadline: 2 * work,
+			CheckpointCost: 300, RestartCost: 300, Delay: market.FixedDelay(0), Seed: 1,
+		}
+	}
+	cases := []struct {
+		name  string
+		cfg   sim.Config
+		zones []int
+		vary  func(*MarkovDaly)
+	}{
+		{"history-nil", cfg(nil, 20*trace.Hour), []int{0}, nil},
+		{"history", cfg(hist, 20*trace.Hour), []int{0, 1, 2}, nil},
+		// Without a history the window start is clamped to the run start
+		// (on the step grid) until the span fits, then leaves the grid.
+		{"span-off-grid", cfg(nil, 20*trace.Hour), []int{1, 2}, func(m *MarkovDaly) { m.HistorySpan = 7*trace.Hour + 100 }},
+		{"span-off-grid-history", cfg(hist, 20*trace.Hour), []int{0}, func(m *MarkovDaly) { m.HistorySpan = 7*trace.Hour + 100 }},
+		// A history off the run's step grid: the window start is clamped
+		// to it, then moves onto the run's grid.
+		{"history-off-grid", cfg(shifted, 20*trace.Hour), []int{0, 1}, func(m *MarkovDaly) { m.HistorySpan = 12 * trace.Hour }},
+		{"quantum-0", cfg(hist, 20*trace.Hour), []int{0, 2}, func(m *MarkovDaly) { m.Quantum = 0 }},
+		{"young", cfg(nil, 20*trace.Hour), []int{0, 1}, func(m *MarkovDaly) { m.HigherOrder = false }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pol := &checkedMarkovDaly{MarkovDaly: NewMarkovDaly(), t: t}
+			if tc.vary != nil {
+				tc.vary(pol.MarkovDaly)
+			}
+			mach, err := sim.NewMachine(tc.cfg, Redundant(pol, 0.81, tc.zones))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runChecked(t, mach, nil)
+			if pol.checks < 5 {
+				t.Fatalf("only %d schedules checked", pol.checks)
+			}
+		})
+	}
+
+	t.Run("pooled-reset", func(t *testing.T) {
+		// One policy instance and one machine across runs whose
+		// configurations differ in history, trace window and zones, and
+		// last in the prices alone: same times, another trace.
+		pol := &checkedMarkovDaly{MarkovDaly: NewMarkovDaly(), t: t}
+		mach, err := sim.NewMachine(cfg(hist, 20*trace.Hour), Redundant(pol, 0.81, []int{0, 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runChecked(t, mach, nil)
+		later := cfg(nil, 10*trace.Hour)
+		later.Trace = set.Slice(set.Start()+5*24*trace.Hour, set.End())
+		same := cfg(hist, 20*trace.Hour)
+		alt := tracegen.HighVolatility(6)
+		same.Trace, same.History = alt.Slice(at, alt.End()), alt.Slice(hist.Start(), at)
+		for _, c := range []sim.Config{later, cfg(hist, 15*trace.Hour), same} {
+			if err := mach.Reset(c, Redundant(pol, 0.81, []int{2, 0})); err != nil {
+				t.Fatal(err)
+			}
+			runChecked(t, mach, nil)
+		}
+	})
+
+	t.Run("appended-trace", func(t *testing.T) {
+		// The live scheduler's shape: the trace starts short and grows
+		// by one row whenever the machine runs out of data.
+		series := make([]*trace.Series, run.NumZones())
+		for i, s := range run.Series {
+			series[i] = trace.NewSeries(s.Zone, s.Start(), append([]float64(nil), s.Prices[:3]...))
+		}
+		live := trace.MustNewSet(series...)
+		c := cfg(hist, 20*trace.Hour)
+		c.Trace = live
+		pol := &checkedMarkovDaly{MarkovDaly: NewMarkovDaly(), t: t}
+		mach, err := sim.NewMachine(c, Redundant(pol, 0.81, []int{0, 1, 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runChecked(t, mach, func() bool {
+			n := live.Series[0].Len()
+			if n >= run.Series[0].Len() {
+				return false
+			}
+			for i, s := range live.Series {
+				s.Prices = append(s.Prices, run.Series[i].Prices[n])
+			}
+			return true
+		})
+		if pol.checks < 5 {
+			t.Fatalf("only %d schedules checked", pol.checks)
+		}
+	})
+
+	t.Run("compaction", func(t *testing.T) {
+		// A 2-hour span over a multi-day run: the window start passes
+		// half the column many times over.
+		pol := &checkedMarkovDaly{MarkovDaly: NewMarkovDaly(), t: t}
+		pol.HistorySpan = 2 * trace.Hour
+		c := cfg(hist, 4*24*trace.Hour)
+		c.Deadline = 8 * 24 * trace.Hour
+		mach, err := sim.NewMachine(c, Redundant(pol, 0.81, []int{0, 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runChecked(t, mach, nil)
+		z := &pol.zones[0]
+		if z.base <= run.Start() {
+			t.Fatalf("column never compacted: base %d, run start %d", z.base, run.Start())
+		}
+		if window := int(pol.HistorySpan / run.Step()); len(z.col) > 2*window+2 {
+			t.Fatalf("column holds %d samples for a %d-sample window", len(z.col), window)
+		}
+		if pol.checks < 50 {
+			t.Fatalf("only %d schedules checked", pol.checks)
+		}
+	})
+}
+
+// TestMarkovDalyScheduleAllocFree pins a warmed schedule — one new
+// sample per zone, a sliding fit and the uptime solve — as
+// allocation-free.
+func TestMarkovDalyScheduleAllocFree(t *testing.T) {
+	// A periodic two-zone trace: every distinct price appears early, so
+	// no fit after warm-up meets a new state.
+	var a, b []float64
+	for i := 0; i < 12*24*6; i++ {
+		a = append(a, []float64{0.30, 0.35, 0.90, 0.30, 0.40, 0.35}[i%6])
+		b = append(b, []float64{0.40, 0.30, 0.30, 1.20, 0.35}[i%5])
+	}
+	set := trace.MustNewSet(trace.NewSeries("a", 0, a), trace.NewSeries("b", 0, b))
+	cfg := sim.Config{
+		Trace: set, Work: 24 * trace.Hour, Deadline: 48 * trace.Hour,
+		CheckpointCost: 300, RestartCost: 300, Delay: market.FixedDelay(0), Seed: 1,
+	}
+	pol := NewMarkovDaly()
+	pol.HistorySpan = 6 * trace.Hour
+	mach, err := sim.NewMachine(cfg, Redundant(pol, 0.81, []int{0, 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := mach.Env()
+	advance := func() {
+		env.Now += env.Step
+		pol.ScheduleNextCheckpoint(env)
+	}
+	for i := 0; i < 12*24; i++ { // warm through several compactions
+		advance()
+	}
+	if allocs := testing.AllocsPerRun(200, advance); allocs != 0 {
+		t.Fatalf("warmed schedule allocates %v times", allocs)
+	}
+	if math.IsInf(pol.interval(env), 1) {
+		t.Fatal("interval is unbounded; the solve was skipped")
+	}
+}

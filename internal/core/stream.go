@@ -465,7 +465,7 @@ func (g *StreamGrid) rebuildState(hist *trace.Set) {
 
 // extendState grows every resident structure over the tick's new
 // trailing steps — columns, availability indexes, chain-fit memos and
-// the prefix fitters — then steps each resident permutation through
+// the window fitters — then steps each resident permutation through
 // them, exactly as the oracle's per-step loop would have.
 func (g *StreamGrid) extendState(hist *trace.Set) {
 	b := g.b
@@ -483,7 +483,7 @@ func (g *StreamGrid) extendState(hist *trace.Set) {
 		if cm.ustride > 0 {
 			cm.usolve.grow(b.nsteps * cm.ustride)
 		}
-		if cm.pfReady {
+		if cm.wfReady {
 			src := b.cols.Col(key.zone)
 			if key.quantum > 0 {
 				for _, p := range src[len(cm.qbuf):] {
@@ -491,7 +491,7 @@ func (g *StreamGrid) extendState(hist *trace.Set) {
 				}
 				src = cm.qbuf
 			}
-			cm.pf.Extend(src)
+			cm.wf.Extend(src)
 		}
 	}
 	for pi := range b.perms {

@@ -56,10 +56,14 @@ type task struct {
 
 // runTasks executes tasks in parallel; the first error aborts the batch
 // result (individual runs are deterministic, so errors are structural).
+// Each task drops its strategy once run, so a finished run's policy
+// state (a Markov-Daly's price columns, say) is garbage before the
+// batch ends.
 func (s *Suite) runTasks(tasks []task) error {
 	errs := make([]error, len(tasks))
 	s.parallel(len(tasks), func(i int) {
 		res, err := sim.Run(tasks[i].cfg, tasks[i].strat)
+		tasks[i].strat = nil
 		if err != nil {
 			errs[i] = err
 			*tasks[i].out = math.NaN()

@@ -3,177 +3,61 @@ package markov
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
-// Fitter fits price chains without the per-call allocations of Fit: the
-// distinct-state extraction and transition counting run in reusable
-// scratch buffers, and the produced Model can recycle the storage of a
-// previously fitted one. The batched permutation evaluator refits
-// hundreds of chains per decision point, which makes Fit's maps and
-// per-row slices the dominant allocation source; Fitter removes them
-// while producing bit-identical models (FitterMatchesFit in the tests
-// pins this).
-//
-// A Fitter is not safe for concurrent use.
-type Fitter struct {
-	sorted []float64
-	counts []float64
-}
-
-// Fit estimates the chain from a price sample sequence taken every step
-// seconds, exactly like the package-level Fit. When reuse is non-nil
-// its storage is recycled for the result (the caller must be done with
-// it); the returned model is reuse itself in that case.
-//
-// The input must not contain NaNs (every trace admitted by
-// trace.Validate is NaN-free): distinct states are extracted by sorting
-// rather than hashing, and the two agree only on NaN-free input.
-func (f *Fitter) Fit(prices []float64, step int64, reuse *Model) (*Model, error) {
-	if len(prices) == 0 {
-		return nil, ErrNoHistory
-	}
-	if step <= 0 {
-		return nil, fmt.Errorf("markov: non-positive step %d", step)
-	}
-	if reuse == nil {
-		reuse = &Model{}
-	}
-	// Distinct states, ascending. Equality here matches Fit's map-key
-	// equality (==, which also collapses -0 and +0). Quantized price
-	// samples carry few distinct values, so building the set by
-	// binary-search insertion beats sorting the whole sample; inputs
-	// with many distinct values fall back to sort-and-compact.
-	const insertionMax = 64
-	states := reuse.States[:0]
-	for _, p := range prices {
-		i := sort.SearchFloat64s(states, p)
-		if i < len(states) && states[i] == p {
-			continue
-		}
-		if len(states) == insertionMax {
-			states = states[:0]
-			break
-		}
-		states = append(states, 0)
-		copy(states[i+1:], states[i:])
-		states[i] = p
-	}
-	if len(states) == 0 {
-		f.sorted = append(f.sorted[:0], prices...)
-		sort.Float64s(f.sorted)
-		for i, p := range f.sorted {
-			if i == 0 || p != states[len(states)-1] {
-				states = append(states, p)
-			}
-		}
-	}
-	n := len(states)
-
-	if cap(f.counts) < n*n {
-		f.counts = make([]float64, n*n)
-	}
-	counts := f.counts[:n*n]
-	for i := range counts {
-		counts[i] = 0
-	}
-	prev := stateIndex(states, prices[0])
-	for t := 1; t < len(prices); t++ {
-		cur := stateIndex(states, prices[t])
-		counts[prev*n+cur]++
-		prev = cur
-	}
-
-	// Row storage: one flat backing array, rows sliced out of it. When
-	// the reused model was produced by a Fitter its rows are contiguous
-	// slices of one array whose capacity row 0 still reaches, so the
-	// backing can be recovered; models from plain Fit just reallocate.
-	var flat []float64
-	if len(reuse.Trans) > 0 {
-		flat = reuse.Trans[0][:0]
-	}
-	if cap(flat) < n*n {
-		flat = make([]float64, n*n)
-	}
-	flat = flat[:n*n]
-	trans := reuse.Trans[:0]
-	for i := 0; i < n; i++ {
-		row := flat[i*n : (i+1)*n]
-		var total float64
-		for j := 0; j < n; j++ {
-			total += counts[i*n+j]
-		}
-		if total == 0 {
-			// A state with no observed outgoing transition (e.g. the
-			// final sample): treat it as absorbing.
-			for j := range row {
-				row[j] = 0
-			}
-			row[i] = 1
-		} else {
-			for j := 0; j < n; j++ {
-				row[j] = counts[i*n+j] / total
-			}
-		}
-		trans = append(trans, row)
-	}
-	reuse.States = states
-	reuse.Trans = trans
-	reuse.Step = step
-	reuse.Horizon = 0
-	return reuse, nil
-}
-
-// stateIndex locates a price among the sorted distinct states. Every
-// sample is present by construction, so the binary search always lands
-// on its state (with -0/+0 comparing equal, as in Fit's map).
-func stateIndex(states []float64, p float64) int {
-	return sort.SearchFloat64s(states, p)
-}
-
-// PrefixFitter fits chains on every prefix of one fixed price column
+// WindowFitter fits chains on windows [lo, hi) of one price column
 // without re-sorting per fit. Init pays one distinct-value extraction
-// and one state-indexing pass over the full column; Fit extracts the
-// prefix's distinct states
-// by a first-occurrence filter and keeps one incremental transition
-// count table that advances sample by sample, so a sequence of fits at
-// non-decreasing prefix lengths over a column with D distinct values
-// costs O(Δ + D²) per fit, where Δ is the growth since the previous
-// fit (a shrinking prefix re-counts from the start). The produced
-// models are bit-identical to Fit over the same prefix
-// (PrefixFitterMatchesFit in the tests pins this): the batched
-// permutation evaluator replays a decision point whose model fit times
-// all share one column, which makes the per-fit sort of Fitter the
-// dominant cost.
+// and one state-indexing pass over the column; Fit keeps, for the
+// window last fitted, a per-value occurrence count and the transition
+// count table, and slides both window ends to the requested window, so
+// a sequence of fits whose windows move forward and overlap costs
+// O(Δ + D²) per fit, where Δ is how far the ends moved and D the number
+// of distinct column values. A window that moves backwards, shrinks its
+// end or jumps past the old one re-counts from scratch. The counts are
+// integer-valued floats, so arriving at a window incrementally or in
+// one pass is value-identical, and the produced models are
+// bit-identical to Fit over the same samples (WindowFitterMatchesFit in
+// the tests pins this). The oracle's Markov-Daly policy, the batched
+// permutation evaluator and the streaming grid refit trailing windows
+// that share almost all their samples, which makes a from-scratch fit
+// per call the dominant cost.
 //
-// A PrefixFitter is not safe for concurrent use.
-type PrefixFitter struct {
-	prices []float64
-	step   int64
+// A WindowFitter is not safe for concurrent use.
+type WindowFitter struct {
+	step int64
 
 	sorted []float64 // distinct column values, ascending
-	first  []int32   // first sample index of each distinct value
 	gid    []int32   // per-sample index into sorted
 
-	ccounts []float64 // column-wide transition counts over [0, curN)
-	curN    int       // samples covered by ccounts
+	occ     []int32   // occurrences of each distinct value in [lo, hi)
+	ccounts []float64 // transition counts over the pairs inside [lo, hi)
+	lo, hi  int       // the window occ and ccounts cover
 	gsel    []int32   // per-fit scratch: selected column states
 }
 
 // Init points the fitter at a price column sampled every step seconds
-// and precomputes its distinct-value structure. The column is aliased
-// and must not change until the next Init; buffers are reused across
-// calls. The column must be NaN-free (see Fitter.Fit).
-func (f *PrefixFitter) Init(prices []float64, step int64) {
-	f.prices = prices
+// and precomputes its distinct-value structure. Buffers are reused
+// across calls; the column is only read, here and by Extend. The column
+// must be NaN-free (every trace admitted by trace.Validate is): distinct
+// states are extracted by sorting rather than hashing, and the two agree
+// only on NaN-free input.
+func (f *WindowFitter) Init(prices []float64, step int64) {
 	f.step = step
-	// Distinct column values, ascending, built by binary-search
-	// insertion as in Fitter.Fit: quantized price columns carry few
-	// distinct values, so inserting beats sorting the whole column;
-	// columns with many distinct values fall back to sort-and-compact.
+	// Distinct column values, ascending. Equality here matches Fit's
+	// map-key equality (==, which also collapses -0 and +0). Quantized
+	// price columns carry few distinct values, so building the set by
+	// binary-search insertion beats sorting the whole column; columns
+	// with many distinct values fall back to sort-and-compact. Price
+	// columns are step functions, so most samples repeat their
+	// predecessor and skip the search, here and in Extend.
 	const insertionMax = 64
 	f.sorted = f.sorted[:0]
-	for _, p := range prices {
+	for t, p := range prices {
+		if t > 0 && p == prices[t-1] {
+			continue
+		}
 		i := sort.SearchFloat64s(f.sorted, p)
 		if i < len(f.sorted) && f.sorted[i] == p {
 			continue
@@ -196,70 +80,51 @@ func (f *PrefixFitter) Init(prices []float64, step int64) {
 		}
 	}
 	d := len(f.sorted)
-	if cap(f.first) < d {
-		f.first = make([]int32, d)
-		f.gsel = make([]int32, d)
-	}
-	f.first = f.first[:d]
-	for i := range f.first {
-		f.first[i] = -1
-	}
-	if cap(f.gid) < len(prices) {
-		f.gid = make([]int32, len(prices))
-	}
-	f.gid = f.gid[:len(prices)]
-	for t, p := range prices {
-		g := int32(stateIndex(f.sorted, p))
-		f.gid[t] = g
-		if f.first[g] < 0 {
-			f.first[g] = int32(t)
-		}
-	}
-	if cap(f.ccounts) < d*d {
-		f.ccounts = make([]float64, d*d)
-	}
-	f.ccounts = f.ccounts[:d*d]
-	for i := range f.ccounts {
-		f.ccounts[i] = 0
-	}
-	f.curN = 1
+	f.gid = slices.Grow(f.gid[:0], len(prices))
+	f.occ = slices.Grow(f.occ[:0], d)[:d]
+	f.ccounts = slices.Grow(f.ccounts[:0], d*d)[:d*d]
+	f.recount(0)
+	f.Extend(prices) // every value is known: this only indexes samples
 }
 
-// Extend re-points the fitter at a grown copy of its column — prices
-// must carry the previously indexed samples unchanged as its prefix —
-// and indexes the appended tail, preserving the incremental transition
-// table. Appending a sample of an already-known value costs O(log D);
-// a brand-new distinct value costs one O(n + D²) remap of the sample
-// ids and count table (rare once a quantized column has warmed up).
-// Fits after an Extend are bit-identical to a fresh Init over the grown
-// column: the distinct-value order, first occurrences and counts end up
-// exactly as Init would build them.
-func (f *PrefixFitter) Extend(prices []float64) {
+// recount empties the counted window, placing it at lo.
+func (f *WindowFitter) recount(lo int) {
+	clear(f.occ)
+	clear(f.ccounts)
+	f.lo, f.hi = lo, lo
+}
+
+// Extend indexes the tail of a grown copy of the column — prices must
+// carry the previously indexed samples unchanged as its prefix —
+// preserving the counted window. Appending a sample of an already-known
+// value costs O(log D); a brand-new distinct value costs one O(n + D²)
+// remap of the sample ids and count table (rare once a quantized column
+// has warmed up). Fits after an Extend are bit-identical to a fresh Init
+// over the grown column: the distinct values and counts end up exactly
+// as Init would build them.
+func (f *WindowFitter) Extend(prices []float64) {
 	for t := len(f.gid); t < len(prices); t++ {
 		p := prices[t]
+		if t > 0 && p == prices[t-1] {
+			f.gid = append(f.gid, f.gid[t-1])
+			continue
+		}
 		g := sort.SearchFloat64s(f.sorted, p)
 		if g == len(f.sorted) || f.sorted[g] != p {
 			f.insertState(g, p)
 		}
 		f.gid = append(f.gid, int32(g))
-		if f.first[g] < 0 {
-			f.first[g] = int32(t)
-		}
 	}
-	f.prices = prices
 }
 
 // insertState grows the distinct-value structure by one value at sorted
-// position g: ids at or above g shift up in the sample map and the
-// transition table, and the new value starts with no occurrences.
-func (f *PrefixFitter) insertState(g int, p float64) {
+// position g: ids at or above g shift up in the sample map, the
+// occurrence counts and the transition table, and the new value starts
+// with no occurrences.
+func (f *WindowFitter) insertState(g int, p float64) {
 	d := len(f.sorted)
-	f.sorted = append(f.sorted, 0)
-	copy(f.sorted[g+1:], f.sorted[g:])
-	f.sorted[g] = p
-	f.first = append(f.first, 0)
-	copy(f.first[g+1:], f.first[g:])
-	f.first[g] = -1
+	f.sorted = slices.Insert(f.sorted, g, p)
+	f.occ = slices.Insert(f.occ, g, 0)
 	for i, id := range f.gid {
 		if id >= int32(g) {
 			f.gid[i] = id + 1
@@ -283,11 +148,13 @@ func (f *PrefixFitter) insertState(g int, p float64) {
 	f.ccounts = counts
 }
 
-// Fit estimates the chain from the column's first n samples, exactly
-// like Fit over that prefix. When reuse is non-nil its storage is
-// recycled for the result, as in Fitter.Fit.
-func (f *PrefixFitter) Fit(n int, reuse *Model) (*Model, error) {
-	if n == 0 {
+// Fit estimates the chain from the column's samples [lo, hi), exactly
+// like Fit over that window; an empty window reports ErrNoHistory. When
+// reuse is non-nil its storage is recycled for the result (the caller
+// must be done with it); the returned model is reuse itself in that
+// case.
+func (f *WindowFitter) Fit(lo, hi int, reuse *Model) (*Model, error) {
+	if hi <= lo {
 		return nil, ErrNoHistory
 	}
 	if f.step <= 0 {
@@ -296,36 +163,46 @@ func (f *PrefixFitter) Fit(n int, reuse *Model) (*Model, error) {
 	if reuse == nil {
 		reuse = &Model{}
 	}
-	// Advance (or rewind and re-count) the incremental transition table
-	// to cover the first n samples. The counts are exact integers, so
-	// arriving at n incrementally or in one pass is value-identical.
+	// Slide the counted window to [lo, hi): grow the end first, then
+	// drop the samples before lo. Every pair inside the new window is
+	// counted once, and every pair that left it is uncounted once.
 	d := len(f.sorted)
-	if n < f.curN {
-		for i := range f.ccounts {
-			f.ccounts[i] = 0
+	if lo < f.lo || lo >= f.hi || hi < f.hi {
+		f.recount(lo)
+	}
+	for t := f.hi; t < hi; t++ {
+		g := f.gid[t]
+		f.occ[g]++
+		if t > f.lo {
+			f.ccounts[int(f.gid[t-1])*d+int(g)]++
 		}
-		f.curN = 1
 	}
-	for t := f.curN; t < n; t++ {
-		f.ccounts[int(f.gid[t-1])*d+int(f.gid[t])]++
+	for t := f.lo; t < lo; t++ {
+		g := f.gid[t]
+		f.occ[g]--
+		f.ccounts[int(g)*d+int(f.gid[t+1])]--
 	}
-	f.curN = n
-	// The prefix's distinct states are the column values first seen
-	// before n, in the same ascending order Fit would sort them into.
-	// Transitions among them are exactly the table entries at their
-	// column-state ids: every sample before n maps to a selected state,
-	// so no counted transition is dropped by the filter.
-	states := reuse.States[:0]
+	f.lo, f.hi = lo, hi
+	// The window's distinct states are the column values it holds, in
+	// the same ascending order Fit would sort them into. Transitions
+	// among them are exactly the table entries at their column-state
+	// ids: every sample in the window maps to a selected state, so no
+	// counted transition is dropped by the filter.
+	states := slices.Grow(reuse.States[:0], d)
 	f.gsel = f.gsel[:0]
-	for g, fi := range f.first {
-		if fi >= 0 && fi < int32(n) {
+	for g, c := range f.occ {
+		if c > 0 {
 			f.gsel = append(f.gsel, int32(g))
 			states = append(states, f.sorted[g])
 		}
 	}
 	nn := len(f.gsel)
 
-	// Row storage recovery, as in Fitter.Fit.
+	// Row storage: one flat backing array, rows sliced out of it. When
+	// the reused model was produced by a WindowFitter its rows are
+	// contiguous slices of one array whose capacity row 0 still
+	// reaches, so the backing can be recovered; models from plain Fit
+	// just reallocate.
 	var flat []float64
 	if len(reuse.Trans) > 0 {
 		flat = reuse.Trans[0][:0]
@@ -334,7 +211,7 @@ func (f *PrefixFitter) Fit(n int, reuse *Model) (*Model, error) {
 		flat = make([]float64, nn*nn)
 	}
 	flat = flat[:nn*nn]
-	trans := reuse.Trans[:0]
+	trans := slices.Grow(reuse.Trans[:0], nn)
 	for i, gi := range f.gsel {
 		row := flat[i*nn : (i+1)*nn]
 		base := int(gi) * d

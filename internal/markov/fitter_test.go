@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// modelsEqual compares two models bit-for-bit: the Fitter/PrefixFitter
+// modelsEqual compares two models bit-for-bit: the WindowFitter
 // contract is bit-identity with Fit, not approximation.
 func modelsEqual(t *testing.T, got, want *Model) {
 	t.Helper()
@@ -46,91 +46,125 @@ func quantPrices(rng *rand.Rand, n, alphabet int) []float64 {
 	return out
 }
 
-// TestFitterMatchesFit pins Fitter.Fit to the package-level Fit
-// bit-for-bit, cycling one reuse model through inputs of different state
-// counts — including a wide-alphabet input that exercises the
-// sort-and-compact fallback past the insertion cap.
-func TestFitterMatchesFit(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var f Fitter
-	var reuse *Model
-	cases := [][]float64{
-		{0.10},
-		{0.10, 0.10, 0.10},
-		quantPrices(rng, 50, 4),
-		quantPrices(rng, 300, 12),
-		quantPrices(rng, 40, 2),
-	}
-	// Wide alphabet: more than the insertion cap's 64 distinct values.
-	wide := make([]float64, 400)
-	for i := range wide {
-		wide[i] = 0.001 * float64(1+rng.Intn(300))
-	}
-	cases = append(cases, wide, quantPrices(rng, 25, 3))
-
-	for ci, prices := range cases {
-		want, err := Fit(prices, 300)
-		if err != nil {
-			t.Fatalf("case %d: Fit: %v", ci, err)
-		}
-		got, err := f.Fit(prices, 300, reuse)
-		if err != nil {
-			t.Fatalf("case %d: Fitter.Fit: %v", ci, err)
-		}
-		modelsEqual(t, got, want)
-		reuse = got // recycle into the next case
-	}
-
-	if _, err := f.Fit(nil, 300, nil); err != ErrNoHistory {
-		t.Fatalf("empty history error = %v, want ErrNoHistory", err)
-	}
-	if _, err := f.Fit([]float64{0.1}, 0, nil); err == nil {
-		t.Fatalf("non-positive step accepted")
-	}
-}
-
-// TestPrefixFitterMatchesFit pins PrefixFitter.Fit to Fit over every
-// probed prefix, including repeated lengths, a shrinking prefix (the
-// rewind path) and a wide-alphabet column.
-func TestPrefixFitterMatchesFit(t *testing.T) {
+// TestWindowFitterMatchesFit pins WindowFitter.Fit to Fit over probed
+// windows of every kind — whole column, prefixes, sliding forward,
+// repeated, backwards (the recount path), jumping past the old window —
+// cycling one reuse model through fits of different state counts,
+// including a wide-alphabet column that exercises the sort-and-compact
+// fallback past the insertion cap.
+func TestWindowFitterMatchesFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	columns := [][]float64{
 		quantPrices(rng, 300, 8),
 		quantPrices(rng, 120, 2),
 		{0.25},
+		{0.10, 0.10, 0.10},
 	}
-	wide := make([]float64, 200)
+	wide := make([]float64, 400)
 	for i := range wide {
-		wide[i] = 0.001 * float64(1+rng.Intn(150))
+		wide[i] = 0.001 * float64(1+rng.Intn(300))
 	}
-	columns = append(columns, wide)
+	columns = append(columns, wide, quantPrices(rng, 25, 3))
 
-	var pf PrefixFitter
+	var wf WindowFitter
+	var reuse *Model
 	for ci, col := range columns {
-		pf.Init(col, 300)
+		wf.Init(col, 300)
+		n := len(col)
+		windows := [][2]int{
+			{0, n}, {0, 1}, {0, n / 2}, {0, n / 2}, {n / 4, n / 2}, {n / 3, n},
+			{n / 3, n}, {0, n / 3}, {n - 1, n}, {n / 2, n}, {0, n},
+		}
+		for _, w := range windows {
+			lo, hi := w[0], w[1]
+			if hi <= lo {
+				hi = lo + 1
+			}
+			want, err := Fit(col[lo:hi], 300)
+			if err != nil {
+				t.Fatalf("column %d: Fit[%d:%d]: %v", ci, lo, hi, err)
+			}
+			got, err := wf.Fit(lo, hi, reuse)
+			if err != nil {
+				t.Fatalf("column %d: WindowFitter.Fit(%d, %d): %v", ci, lo, hi, err)
+			}
+			modelsEqual(t, got, want)
+			reuse = got // recycle into the next fit
+		}
+		if _, err := wf.Fit(n/2, n/2, nil); err != ErrNoHistory {
+			t.Fatalf("column %d: empty window error = %v, want ErrNoHistory", ci, err)
+		}
+	}
+	var zero WindowFitter
+	zero.Init([]float64{0.1}, 0)
+	if _, err := zero.Fit(0, 1, nil); err == nil {
+		t.Fatalf("non-positive step accepted")
+	}
+}
+
+// TestWindowFitterRandomWindows drives one fitter through random
+// sequences of windows — forward slides, backward moves, disjoint jumps
+// and empty windows — while the column grows by Extend, and checks
+// every fit against Fit bit for bit.
+func TestWindowFitterRandomWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 40; trial++ {
+		alphabet := 1 + rng.Intn(12)
+		if trial%10 == 9 {
+			alphabet = 100 // wider than the insertion cap
+		}
+		full := make([]float64, 200+rng.Intn(200))
+		for i := range full {
+			full[i] = 0.01 * float64(1+rng.Intn(alphabet))
+		}
+		n := 1 + rng.Intn(len(full)/2)
+		var wf WindowFitter
+		wf.Init(full[:n], 300)
 		var reuse *Model
-		ns := []int{1, 2, len(col) / 2, len(col) / 2, len(col), len(col) / 3, len(col)}
-		for _, n := range ns {
-			if n < 1 {
-				n = 1
+		for step := 0; step < 60; step++ {
+			if n < len(full) && rng.Intn(3) == 0 {
+				n += rng.Intn(len(full) - n + 1)
+				wf.Extend(full[:n])
 			}
-			if n > len(col) {
-				n = len(col)
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo+1)
+			got, err := wf.Fit(lo, hi, reuse)
+			if hi == lo {
+				if err != ErrNoHistory {
+					t.Fatalf("trial %d: empty window [%d, %d) error = %v", trial, lo, hi, err)
+				}
+				continue
 			}
-			want, err := Fit(col[:n], 300)
 			if err != nil {
-				t.Fatalf("column %d: Fit(%d): %v", ci, n, err)
+				t.Fatalf("trial %d: Fit(%d, %d): %v", trial, lo, hi, err)
 			}
-			got, err := pf.Fit(n, reuse)
+			want, err := Fit(full[lo:hi], 300)
 			if err != nil {
-				t.Fatalf("column %d: PrefixFitter.Fit(%d): %v", ci, n, err)
+				t.Fatal(err)
 			}
 			modelsEqual(t, got, want)
 			reuse = got
 		}
-		if _, err := pf.Fit(0, nil); err != ErrNoHistory {
-			t.Fatalf("column %d: zero prefix error = %v, want ErrNoHistory", ci, err)
+	}
+}
+
+// TestWindowFitterSignedZero checks a column holding both -0 and +0:
+// they are one state, as in Fit's map, and the states compare equal.
+func TestWindowFitterSignedZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	col := []float64{0.1, negZero, 0, 0.1, 0, negZero, 0.2, 0}
+	var wf WindowFitter
+	wf.Init(col, 300)
+	for _, w := range [][2]int{{0, len(col)}, {1, 5}, {2, 8}, {5, 7}} {
+		want, err := Fit(col[w[0]:w[1]], 300)
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := wf.Fit(w[0], w[1], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		modelsEqual(t, got, want)
 	}
 }
 
@@ -163,12 +197,12 @@ func TestSolverMatchesExact(t *testing.T) {
 	}
 }
 
-// TestPrefixFitterExtendMatchesInit pins the streaming contract: a
+// TestWindowFitterExtendMatchesInit pins the streaming contract: a
 // fitter Extended tick by tick (including ticks that introduce brand-new
-// distinct values, exercising the id remap) fits every probed prefix
-// bit-identically to a fresh Init over the grown column — and to the
-// package-level Fit.
-func TestPrefixFitterExtendMatchesInit(t *testing.T) {
+// distinct values mid-stream, exercising the id remap) fits every probed
+// window bit-identically to a fresh Init over the grown column — and to
+// the package-level Fit.
+func TestWindowFitterExtendMatchesInit(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	full := quantPrices(rng, 400, 10)
 	// Splice in late-arriving novel values so Extend's insertState path
@@ -177,7 +211,7 @@ func TestPrefixFitterExtendMatchesInit(t *testing.T) {
 	full[300] = 0.001
 	full[399] = 7.77
 
-	var inc PrefixFitter
+	var inc WindowFitter
 	inc.Init(full[:3], 300)
 	var reuse *Model
 	for n := 4; n <= len(full); n++ {
@@ -185,24 +219,77 @@ func TestPrefixFitterExtendMatchesInit(t *testing.T) {
 		if n%37 != 0 && n != len(full) {
 			continue
 		}
-		var fresh PrefixFitter
+		var fresh WindowFitter
 		fresh.Init(full[:n], 300)
-		for _, k := range []int{1, n / 2, n} {
-			want, err := fresh.Fit(k, nil)
+		for _, w := range [][2]int{{0, 1}, {0, n / 2}, {n / 4, n}, {n - 1, n}} {
+			want, err := fresh.Fit(w[0], w[1], nil)
 			if err != nil {
-				t.Fatalf("fresh.Fit(%d) at n=%d: %v", k, n, err)
+				t.Fatalf("fresh.Fit(%d, %d) at n=%d: %v", w[0], w[1], n, err)
 			}
-			got, err := inc.Fit(k, reuse)
+			got, err := inc.Fit(w[0], w[1], reuse)
 			if err != nil {
-				t.Fatalf("inc.Fit(%d) at n=%d: %v", k, n, err)
+				t.Fatalf("inc.Fit(%d, %d) at n=%d: %v", w[0], w[1], n, err)
 			}
 			modelsEqual(t, got, want)
-			direct, err := Fit(full[:k], 300)
+			direct, err := Fit(full[w[0]:w[1]], 300)
 			if err != nil {
-				t.Fatalf("Fit(%d): %v", k, err)
+				t.Fatalf("Fit[%d:%d]: %v", w[0], w[1], err)
 			}
 			modelsEqual(t, got, direct)
 			reuse = got
 		}
 	}
+}
+
+// FuzzWindowFitter drives a fitter over a byte-derived column and
+// window sequence: the first byte sets the alphabet, each later byte
+// pair either extends the column or fits a window, and every fit must
+// equal Fit over the same samples bit for bit.
+func FuzzWindowFitter(f *testing.F) {
+	f.Add([]byte{4, 1, 2, 3, 4, 5, 6, 7, 8, 0, 9, 200, 3})
+	f.Add([]byte{255, 9, 18, 27, 36, 45, 54, 63, 72, 81, 90, 99})
+	f.Add([]byte{1, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 || len(data) > 1024 {
+			return
+		}
+		alphabet := 1 + int(data[0])
+		col := make([]float64, 0, len(data))
+		for _, b := range data[1:] {
+			col = append(col, 0.01*float64(1+int(b)%alphabet))
+		}
+		// The column grows by thirds; windows are read from the bytes.
+		n := len(col) / 3
+		if n == 0 {
+			n = 1
+		}
+		var wf WindowFitter
+		wf.Init(col[:n], 300)
+		var reuse *Model
+		for i := 1; i+1 < len(data); i += 2 {
+			if data[i]%5 == 0 && n < len(col) {
+				n = min(len(col), n+1+int(data[i+1])%8)
+				wf.Extend(col[:n])
+				continue
+			}
+			lo := int(data[i]) % n
+			hi := lo + int(data[i+1])%(n-lo+1)
+			got, err := wf.Fit(lo, hi, reuse)
+			if hi == lo {
+				if err != ErrNoHistory {
+					t.Fatalf("empty window [%d, %d) error = %v", lo, hi, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("Fit(%d, %d): %v", lo, hi, err)
+			}
+			want, err := Fit(col[lo:hi], 300)
+			if err != nil {
+				t.Fatal(err)
+			}
+			modelsEqual(t, got, want)
+			reuse = got
+		}
+	})
 }

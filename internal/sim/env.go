@@ -170,18 +170,21 @@ func (e *Env) Price(zone int, t int64) float64 {
 // PriceNow returns the zone's current spot price.
 func (e *Env) PriceNow(zone int) float64 { return e.Price(zone, e.Now) }
 
+// HistoryStart returns the first time of the available price history:
+// the bootstrap history's start when one is configured, else the run's
+// start.
+func (e *Env) HistoryStart() int64 {
+	if e.Cfg.History != nil && e.Cfg.History.Duration() > 0 {
+		return e.Cfg.History.Start()
+	}
+	return e.StartTime
+}
+
 // PriceHistory samples the zone's trailing price history: span seconds
 // ending at (and including) Now, on the step grid, oldest first. The
 // available history bounds the result.
 func (e *Env) PriceHistory(zone int, span int64) []float64 {
-	from := e.Now - span + e.Step
-	lo := e.StartTime
-	if e.Cfg.History != nil && e.Cfg.History.Duration() > 0 {
-		lo = e.Cfg.History.Start()
-	}
-	if from < lo {
-		from = lo
-	}
+	from := max(e.Now-span+e.Step, e.HistoryStart())
 	n := (e.Now-from)/e.Step + 1
 	if n <= 0 {
 		return nil
@@ -252,10 +255,7 @@ func (e *Env) RisingEdge(zone int) bool {
 func (e *Env) MinObservedPrice(zone int) float64 {
 	s := &e.minSeen[zone]
 	if !s.ok {
-		lo := e.StartTime
-		if e.Cfg.History != nil && e.Cfg.History.Duration() > 0 {
-			lo = e.Cfg.History.Start()
-		}
+		lo := e.HistoryStart()
 		*s = minScan{min: e.Price(zone, lo), next: lo, ok: true}
 	}
 	for ; s.next <= e.Now; s.next += e.Step {

@@ -1,5 +1,7 @@
 package trace
 
+import "slices"
+
 // Columnar view over a Set for batched replay. The evaluation hot path
 // (internal/core's batched estimator) prices every sibling permutation
 // of a decision point in one pass over the price window; what it needs
@@ -89,48 +91,6 @@ func (c *Columns) PriceAt(zone int, t int64) float64 {
 	return c.cols[zone][c.Index(t)]
 }
 
-// History samples the zone's trailing price history — span seconds
-// ending at (and including) now, on the step grid, oldest first — with
-// the same bounds behaviour as sim.Env.PriceHistory over a history-free
-// config: the window start clamps to the view's Start. It returns a
-// fresh slice (nil when the window is empty), so callers may hand it to
-// model fitters that assume exclusive ownership.
-func (c *Columns) History(zone int, now, span int64) []float64 {
-	from := now - span + c.step
-	if from < c.start {
-		from = c.start
-	}
-	n := (now-from)/c.step + 1
-	if n <= 0 {
-		return nil
-	}
-	out := make([]float64, 0, n)
-	col := c.cols[zone]
-	for t := from; t <= now; t += c.step {
-		out = append(out, col[c.Index(t)])
-	}
-	return out
-}
-
-// HistoryInto is History appending into a caller-provided buffer
-// (usually buf[:0]), for hot paths that refit models per replay step
-// and cannot afford a fresh slice per call. The sampled values are
-// identical to History's; an empty window appends nothing.
-func (c *Columns) HistoryInto(buf []float64, zone int, now, span int64) []float64 {
-	from := now - span + c.step
-	if from < c.start {
-		from = c.start
-	}
-	if (now-from)/c.step+1 <= 0 {
-		return buf
-	}
-	col := c.cols[zone]
-	for t := from; t <= now; t += c.step {
-		buf = append(buf, col[c.Index(t)])
-	}
-	return buf
-}
-
 // BidIndex is the precomputed availability index of one (zone, bid)
 // pair: per step, whether the zone's price admits the bid (price ≤ bid,
 // the paper's "up" condition), plus a next-up skip table so a replay
@@ -157,15 +117,33 @@ type BidIndex struct {
 }
 
 // Build populates the index for the (zone, bid) pair over the columnar
-// view, reusing the receiver's buffers.
+// view, reusing the receiver's buffers. One backward pass fills every
+// table: walking from the last step, the next up step and the next
+// availability flip are known when each entry is written, so no entry
+// is patched later as Append's are.
 func (bi *BidIndex) Build(c *Columns, zone int, bid float64) {
 	bi.Zone = zone
 	bi.Bid = bid
-	bi.up = bi.up[:0]
-	bi.next = bi.next[:0]
-	bi.chg = bi.chg[:0]
-	bi.nUp = 0
-	bi.Append(c, 0)
+	n := c.n
+	bi.up = slices.Grow(bi.up[:0], n)[:n]
+	bi.next = slices.Grow(bi.next[:0], n)[:n]
+	bi.chg = slices.Grow(bi.chg[:0], n)[:n]
+	up, next, chg, col := bi.up, bi.next, bi.chg, c.cols[zone][:n]
+	nUp, nextUp, nextChg := 0, int32(-1), int32(-1)
+	later := false // availability at i+1
+	for i := n - 1; i >= 0; i-- {
+		u := col[i] <= bid
+		if u {
+			nUp++
+			nextUp = int32(i)
+		}
+		if i+1 < n && u != later {
+			nextChg = int32(i + 1)
+		}
+		up[i], next[i], chg[i] = u, nextUp, nextChg
+		later = u
+	}
+	bi.nUp = nUp
 }
 
 // Append extends the index over the view's steps [from, Steps()), where

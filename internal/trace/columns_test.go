@@ -77,54 +77,6 @@ func TestColumnsZeroLength(t *testing.T) {
 	}
 }
 
-// TestColumnsHistory checks History/HistoryInto against a reference
-// sampling through Series.PriceAt, including the window-start clamp and
-// the empty window.
-func TestColumnsHistory(t *testing.T) {
-	set := colSet(t)
-	cols := NewColumns(set)
-	step := set.Step()
-	for zi, s := range set.Series {
-		for _, span := range []int64{step, 3 * step, 100 * step} {
-			for now := set.Start(); now <= set.End()+step; now += step {
-				var want []float64
-				from := now - span + step
-				if from < set.Start() {
-					from = set.Start()
-				}
-				for at := from; at <= now; at += step {
-					want = append(want, s.PriceAt(at))
-				}
-				got := cols.History(zi, now, span)
-				if len(got) != len(want) {
-					t.Fatalf("zone %d History(now=%d, span=%d) len = %d, want %d", zi, now, span, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("zone %d History(now=%d, span=%d)[%d] = %v, want %v", zi, now, span, i, got[i], want[i])
-					}
-				}
-				into := cols.HistoryInto(nil, zi, now, span)
-				if len(into) != len(got) {
-					t.Fatalf("HistoryInto len = %d, History len = %d", len(into), len(got))
-				}
-				for i := range got {
-					if into[i] != got[i] {
-						t.Fatalf("HistoryInto[%d] = %v, History = %v", i, into[i], got[i])
-					}
-				}
-			}
-		}
-		// A window ending before the view starts is empty.
-		if got := cols.History(zi, set.Start()-step, step); got != nil {
-			t.Errorf("zone %d History before start = %v, want nil", zi, got)
-		}
-		if got := cols.HistoryInto(nil, zi, set.Start()-step, step); len(got) != 0 {
-			t.Errorf("zone %d HistoryInto before start appended %v", zi, got)
-		}
-	}
-}
-
 // TestBidIndexMatchesSeries pins BidIndex against the Series
 // availability primitives on a randomized trace: Up against UpAt,
 // UpIntervals against Series.UpIntervals, and the NextUp/NextChange skip

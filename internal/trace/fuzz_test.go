@@ -57,12 +57,17 @@ func FuzzReadJSON(f *testing.F) {
 
 // FuzzBidIndexAppend drives the append-aware availability index with
 // arbitrary byte-derived tick sequences and asserts the streaming
-// invariant: an index extended tick by tick answers every query
-// identically to one rebuilt from scratch over the grown window.
+// invariant: an index extended tick by tick from empty answers every
+// query identically to one built from scratch over the grown window —
+// two independent implementations, Append's forward back-patching and
+// Build's backward pass.
 func FuzzBidIndexAppend(f *testing.F) {
 	f.Add([]byte{10, 200, 10, 40, 40, 40, 200, 0, 0, 255})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{255, 1, 254, 2, 253, 3})
+	f.Add([]byte{0, 128, 3, 90}) // all up (the bid admits 1.28)
+	f.Add([]byte{200, 255, 129}) // all down
+	f.Add([]byte{50})            // single sample
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
 			return
@@ -74,18 +79,14 @@ func FuzzBidIndexAppend(f *testing.F) {
 			t.Fatal(err)
 		}
 		cols := &Columns{}
-		var inc BidIndex
 		const bid = 1.28
-		for i, b := range data {
+		inc := BidIndex{Zone: 0, Bid: bid}
+		for _, b := range data {
 			if err := tape.Append([]float64{float64(b) / 100}); err != nil {
 				t.Fatal(err)
 			}
 			cols.Reset(tape.Set())
-			if i == 0 {
-				inc.Build(cols, 0, bid)
-			} else {
-				inc.Append(cols, inc.Len())
-			}
+			inc.Append(cols, inc.Len())
 		}
 		var ref BidIndex
 		ref.Build(cols, 0, bid)

@@ -18,8 +18,10 @@
 #       tick, each extra shape adds only its scoring)
 # Every Name/NameObs pair also reports obs_overhead_pct, the cost of
 # tracing (budget: 5 % on AdaptiveDecision; reported, not gated).
-# VARAnalysis (the streamed §3.1 fits) and Fig4Policies (static-policy
-# sim.Machine runs) are rows in BENCH_obs.json only, with no gate.
+# VARAnalysis (the streamed §3.1 fits), Fig4Policies (static-policy
+# sim.Machine runs), Fig5Adaptive and Headline (Adaptive beside
+# Markov-Daly's sliding chain fits) are rows in BENCH_obs.json only,
+# with no gate.
 #
 # One awk program reads both benchmark logs, keeps the minimum ns/op per
 # benchmark (-count repeats each) with that run's memory columns, and
@@ -56,7 +58,7 @@ log=$(mktemp)
 trap 'rm -f "$log"' EXIT
 
 echo "bench: go test -bench (root and internal/decision) -count $count" >&2
-go test -run '^$' -bench 'AdaptiveDecision|MachineReset|BatchRank|StreamTick|StreamFullRerank|VARAnalysis|Fig4Policies' -benchmem \
+go test -run '^$' -bench 'AdaptiveDecision|MachineReset|BatchRank|StreamTick|StreamFullRerank|VARAnalysis|Fig4Policies|Fig5Adaptive|Headline' -benchmem \
 	-count "$count" . | tee /dev/stderr >"$log"
 go test -run '^$' -bench 'CounterfactualReplay|CounterfactualNaive|TunerSearch' -benchmem \
 	-count "$count" ./internal/decision | tee /dev/stderr >>"$log"

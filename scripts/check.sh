@@ -37,6 +37,7 @@ go test -run '^$' -fuzz '^FuzzRowParser$' -fuzztime 5s ./internal/livesched
 go test -run '^$' -fuzz '^FuzzBatchedMeasure$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzTenantHeader$' -fuzztime 5s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzBidIndexAppend$' -fuzztime 5s ./internal/trace
+go test -run '^$' -fuzz '^FuzzWindowFitter$' -fuzztime 5s ./internal/markov
 go test -run '^$' -fuzz '^FuzzDecisionLogRoundTrip$' -fuzztime 5s ./internal/decision
 go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 5s ./internal/quote
 go test -run '^$' -fuzz '^FuzzParseQuery$' -fuzztime 5s ./internal/quote
