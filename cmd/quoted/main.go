@@ -60,8 +60,6 @@ func main() {
 	workers := flag.Int("workers", 0, "evaluation workers per request (0: GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent evaluations admitted (0: 2×GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 1024, "plan cache entries")
-	breakerFails := flag.Int("breaker-failures", quote.DefaultBreakerThreshold, "consecutive history failures that open the circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", quote.DefaultBreakerCooldown, "open-breaker period before a half-open probe")
 	stream := flag.Bool("stream", false, "serve GET /v1/quotes/stream; without -feed, replay the synthetic preset as a live tick feed")
 	streamRate := 8.0
 	flag.Func("stream-rate", "replayed preset `ticks` per second in -stream mode, in (0, 1e9) (default 8)", func(s string) (err error) {
@@ -143,7 +141,6 @@ func main() {
 		Gate:      pool.NewGate(*maxInflight),
 		CacheSize: *cacheSize,
 		Metrics:   metrics,
-		Breaker:   &quote.Breaker{Threshold: *breakerFails, Cooldown: *breakerCooldown},
 	}
 	// The API handler is wrapped with request tracing; the debug surface
 	// (/debug/trace, /debug/pprof/) mounts beside it, outside the traced

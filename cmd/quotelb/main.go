@@ -42,7 +42,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/httpx"
 	"repro/internal/obs"
-	"repro/internal/quote"
 )
 
 func main() {
@@ -58,8 +57,8 @@ func main() {
 	retryRatio := flag.Float64("retry-budget-ratio", 0, "retry tokens each admitted request earns; failovers and hedges each spend one (0: unbounded failover)")
 	retryBurst := flag.Float64("retry-budget-burst", cluster.DefaultRetryBurst, "retry token pool cap when -retry-budget-ratio is set")
 	hedgeAfter := flag.Duration("hedge-after", 0, "launch one speculative attempt at the next backend if the first has not answered within this (0: no hedging; deadline-aware and budget-gated)")
-	breakerFails := flag.Int("breaker-failures", quote.DefaultBreakerThreshold, "consecutive forward failures that eject a backend")
-	breakerCooldown := flag.Duration("breaker-cooldown", quote.DefaultBreakerCooldown, "ejection period before a readmission probe")
+	breakerFails := flag.Int("breaker-failures", cluster.DefaultBreakerThreshold, "consecutive forward failures that eject a backend")
+	breakerCooldown := flag.Duration("breaker-cooldown", cluster.DefaultBreakerCooldown, "ejection period before a readmission probe")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "active /healthz probe interval for ejected backends (0: passive only)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	traceSpans := flag.Int("trace-spans", 0, "trace routing spans into a ring of this size, served at /debug/trace (0: disabled)")
@@ -166,7 +165,7 @@ func parseBackends(list string, threshold int, cooldown time.Duration) ([]*clust
 		}
 		seen[name] = true
 		b := cluster.NewBackend(name, httpx.Proxy(u, nil))
-		b.Breaker = &quote.Breaker{Threshold: threshold, Cooldown: cooldown}
+		b.Breaker = &cluster.Breaker{Threshold: threshold, Cooldown: cooldown}
 		out = append(out, b)
 	}
 	if len(out) == 0 {

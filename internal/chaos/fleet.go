@@ -338,7 +338,7 @@ func fleetOne(ctx context.Context, cfg FleetConfig, seed uint64) (*FleetRun, err
 		// Threshold 1 ejects a corpse on first contact; the hour-long
 		// cooldown keeps readmission explicit (restart/heal), never a
 		// wall-clock race.
-		b.Breaker = &quote.Breaker{Threshold: 1, Cooldown: time.Hour}
+		b.Breaker = &cluster.Breaker{Threshold: 1, Cooldown: time.Hour}
 		backends[i] = b
 	}
 	router := &cluster.Router{

@@ -9,22 +9,20 @@
 // least-loaded (live in-flight counts per backend) and request-affinity
 // (rendezvous hashing on the canonical quote request key, so identical
 // quotes land on the same backend's plan cache). Admission is a
-// per-tenant token bucket keyed by the X-Tenant header. Ejection reuses
-// the quote package's three-state circuit breaker per backend:
-// consecutive failures eject, a cooldown admits one probe, and the
-// probe's outcome readmits or re-ejects.
+// per-tenant token bucket keyed by the X-Tenant header. Ejection is a
+// three-state circuit breaker per backend (Breaker): consecutive
+// failures eject, a cooldown admits one probe, and the probe's outcome
+// readmits or re-ejects.
 //
-// The same Router serves two deployments: cmd/quotelb reverse-proxies
-// to real quoted processes, while the in-process cluster simulator
-// (sim.go) drives N quote.Service instances through the identical
-// routing path to measure capacity curves before anything is deployed.
+// The same Router serves every deployment: cmd/quotelb reverse-proxies
+// to real quoted processes, while the benchmark's fleet and chaossim
+// -fleet route to in-process quote handlers through the identical path.
 package cluster
 
 import (
 	"net/http"
 
 	"repro/internal/obs"
-	"repro/internal/quote"
 )
 
 // Backend is one quoted instance behind the router.
@@ -35,13 +33,13 @@ type Backend struct {
 	// backend remaps its share of the key space.
 	Name string
 	// Handler serves the backend's HTTP API: an httpx.Proxy for a
-	// remote quoted process, or the in-process quote handler in the
-	// cluster simulator.
+	// remote quoted process, or an in-process quote handler in the
+	// benchmark's fleet and chaossim -fleet.
 	Handler http.Handler
-	// Breaker guards the backend (the PR 3 pattern): consecutive
-	// failed forwards eject it from routing, the cooldown admits one
-	// probe request, and the probe's outcome readmits or re-ejects.
-	Breaker *quote.Breaker
+	// Breaker guards the backend: consecutive failed forwards eject it
+	// from routing, the cooldown admits one probe request, and the
+	// probe's outcome readmits or re-ejects.
+	Breaker *Breaker
 
 	inflight obs.Gauge   // requests currently forwarded to this backend
 	served   obs.Counter // successful forwards
@@ -50,7 +48,7 @@ type Backend struct {
 
 // NewBackend returns a routable backend with a default breaker.
 func NewBackend(name string, h http.Handler) *Backend {
-	return &Backend{Name: name, Handler: h, Breaker: &quote.Breaker{}}
+	return &Backend{Name: name, Handler: h, Breaker: &Breaker{}}
 }
 
 // InFlight returns the number of requests currently forwarded to the

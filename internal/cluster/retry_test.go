@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/leak"
-	"repro/internal/quote"
 )
 
 // TestBudgetTokens pins the token arithmetic: the pool starts full,
@@ -52,7 +51,7 @@ func TestBudgetTokens(t *testing.T) {
 func TestRouterRetryBudgetBounds(t *testing.T) {
 	mk := func(name string) *Backend {
 		b := NewBackend(name, failingBackend())
-		b.Breaker = &quote.Breaker{Threshold: 1000, Cooldown: time.Hour}
+		b.Breaker = &Breaker{Threshold: 1000, Cooldown: time.Hour}
 		return b
 	}
 	fleet := []*Backend{mk("b0"), mk("b1"), mk("b2")}
@@ -237,7 +236,7 @@ func TestRouterStreamCommittedDeath(t *testing.T) {
 		w.(http.Flusher).Flush()
 		panic(http.ErrAbortHandler) // killed mid-stream, next frame never comes
 	}))
-	dying.Breaker = &quote.Breaker{Threshold: 1, Cooldown: time.Hour}
+	dying.Breaker = &Breaker{Threshold: 1, Cooldown: time.Hour}
 	standby := NewBackend("b1", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		secondTouched.Store(true)
 	}))

@@ -149,7 +149,7 @@ func TestRouterAffinityBeatsRoundRobinHits(t *testing.T) {
 // stops reaching the corpse.
 func TestRouterFailoverAndEjection(t *testing.T) {
 	dead := NewBackend("b0", failingBackend())
-	dead.Breaker = &quote.Breaker{Threshold: 2, Cooldown: time.Hour}
+	dead.Breaker = &Breaker{Threshold: 2, Cooldown: time.Hour}
 	live := NewBackend("b1", echoBackend("b1"))
 	r := &Router{Backends: []*Backend{dead, live}, Policy: NewRoundRobin()}
 	h := r.Handler()
@@ -188,7 +188,7 @@ func TestRouterFailoverAndEjection(t *testing.T) {
 func TestRouterAllBackendsDead(t *testing.T) {
 	mk := func(name string) *Backend {
 		b := NewBackend(name, failingBackend())
-		b.Breaker = &quote.Breaker{Threshold: 1, Cooldown: time.Hour}
+		b.Breaker = &Breaker{Threshold: 1, Cooldown: time.Hour}
 		return b
 	}
 	r := &Router{Backends: []*Backend{mk("b0"), mk("b1")}}
@@ -315,7 +315,7 @@ func TestRouterProbeReadmission(t *testing.T) {
 	var healthy bool
 	var mu sync.Mutex
 	b := NewBackend("b0", failingBackend())
-	b.Breaker = &quote.Breaker{Threshold: 1, Cooldown: time.Millisecond}
+	b.Breaker = &Breaker{Threshold: 1, Cooldown: time.Millisecond}
 	r := &Router{Backends: []*Backend{b, NewBackend("b1", echoBackend("b1"))}}
 	h := r.Handler()
 

@@ -43,18 +43,7 @@ func (g *Gate) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire takes a slot if one is immediately free and reports
-// whether it did.
-func (g *Gate) TryAcquire() bool {
-	select {
-	case g.slots <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release frees a slot taken by a successful Acquire or TryAcquire.
+// Release frees a slot taken by a successful Acquire.
 // Calls must pair one-to-one with acquisitions.
 func (g *Gate) Release() {
 	select {

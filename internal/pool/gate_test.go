@@ -47,15 +47,18 @@ func TestGateBoundsConcurrency(t *testing.T) {
 	}
 }
 
-// TestGateAcquireCancellation verifies a blocked Acquire returns the
+// TestGateAcquireCancellation verifies the bound holds against a
+// short-deadline Acquire and that a blocked Acquire returns the
 // context error once cancelled.
 func TestGateAcquireCancellation(t *testing.T) {
 	g := NewGate(1)
-	if !g.TryAcquire() {
-		t.Fatal("TryAcquire on empty gate failed")
+	if err := g.Acquire(context.Background()); err != nil {
+		t.Fatalf("Acquire on empty gate: %v", err)
 	}
-	if g.TryAcquire() {
-		t.Fatal("TryAcquire succeeded past the bound")
+	short, stop := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer stop()
+	if err := g.Acquire(short); err != context.DeadlineExceeded {
+		t.Fatalf("Acquire past the bound returned %v, want context.DeadlineExceeded", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)

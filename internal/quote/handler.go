@@ -13,15 +13,11 @@ import (
 // NewHandler returns the service's HTTP API:
 //
 //	POST /v1/quote   — plan request (JSON body) → ranked plan table
-//	GET  /healthz    — liveness probe (503 "degraded" while the
-//	                   history-source breaker is open)
+//	GET  /healthz    — liveness probe ("ok")
 //	GET  /metrics    — counters and latency quantiles (text)
 //
-// Quote responses carry an X-Quote-Cache header (miss, hit, coalesced,
-// stale); the body itself is byte-identical however it was served.
-// Stale responses — last-known-good plans served while live history is
-// unavailable — additionally carry X-Quote-Stale: true, so degradation
-// is explicit on the wire, never silent.
+// Quote responses carry an X-Quote-Cache header (miss, hit or
+// coalesced); the body itself is byte-identical however it was served.
 func NewHandler(s *Service) http.Handler {
 	return NewStreamingHandler(s, nil)
 }
@@ -44,9 +40,10 @@ func NewStreamingHandler(s *Service, st *Streamer) http.Handler {
 		body, status, err := s.Quote(r.Context(), req)
 		if err != nil {
 			code := errorCode(r.Context(), err)
-			if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-				// Back-pressure statuses tell the caller when to come
-				// back; the cluster router's retry budget honors this.
+			if code == http.StatusServiceUnavailable {
+				// The client's context ended before its evaluation did:
+				// tell the caller when to come back; the cluster
+				// router's retry budget honors this.
 				w.Header().Set("Retry-After", "1")
 			}
 			writeError(w, code, err)
@@ -57,19 +54,10 @@ func NewStreamingHandler(s *Service, st *Streamer) http.Handler {
 		h.Set("Content-Type", "application/json")
 		h.Set("Content-Length", strconv.Itoa(len(body)))
 		h.Set("X-Quote-Cache", string(status))
-		if status == StatusStale {
-			h.Set("X-Quote-Stale", "true")
-		}
 		w.Write(body)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if s.Degraded() {
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusServiceUnavailable)
-			w.Write([]byte("degraded: history source unavailable; serving stale plans\n"))
-			return
-		}
 		w.Write([]byte("ok\n"))
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -87,10 +75,6 @@ func errorCode(ctx context.Context, err error) int {
 	switch {
 	case errors.Is(err, ErrInvalidRequest):
 		return http.StatusBadRequest
-	case errors.Is(err, ErrOverloaded):
-		return http.StatusTooManyRequests
-	case errors.Is(err, ErrDegraded):
-		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrHistory):
 		return http.StatusBadGateway
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):

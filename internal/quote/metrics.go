@@ -26,16 +26,13 @@ type Metrics struct {
 	Coalesced obs.Counter
 	// InFlight gauges quote requests currently being processed.
 	InFlight obs.Gauge
-	// StalePlans counts quotes served from the last-known-good store
-	// because live history was unavailable (degraded mode).
-	StalePlans obs.Counter
-	// BreakerOpens counts circuit-breaker open transitions.
-	BreakerOpens obs.Counter
-	// BreakerHalfOpens counts half-open probes admitted after a
-	// cooldown.
+	// StalePlans, BreakerOpens, BreakerHalfOpens and BreakerFastFails
+	// are no longer incremented: the service has no last-known-good
+	// store and no history breaker. They stay registered, reading 0, so
+	// the /metrics exposition does not change.
+	StalePlans       obs.Counter
+	BreakerOpens     obs.Counter
 	BreakerHalfOpens obs.Counter
-	// BreakerFastFails counts requests that skipped the history fetch
-	// because the breaker was open.
 	BreakerFastFails obs.Counter
 	// FeedStaleServes counts one-shot histories served from a feed's
 	// tape while it was stale (no tick within Streamer.StaleAfter).

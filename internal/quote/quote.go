@@ -11,7 +11,9 @@
 // a pool.Gate, and /metrics + /healthz endpoints. Because evaluation is
 // deterministic (fixed estimation seed, order-preserving fan-out),
 // identical requests over identical history return byte-identical
-// bodies whether computed, coalesced or served from cache.
+// bodies whether computed, coalesced or served from cache. A failing
+// history source answers every request it touches with ErrHistory
+// (HTTP 502).
 package quote
 
 import (

@@ -303,3 +303,38 @@ func TestLRUCacheEviction(t *testing.T) {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
 }
+
+// TestServicePlanCacheBound checks the plan cache's resident bound
+// through the Service: CacheSize bodies at most, whatever the number of
+// distinct request shapes, evicting the least recently used shape, and
+// no flight outliving its evaluation.
+func TestServicePlanCacheBound(t *testing.T) {
+	svc := &Service{Source: &StaticSource{Set: tracegen.HighVolatility(7)}, CacheSize: 4}
+	ctx := context.Background()
+	shape := func(i int) Request {
+		req := testRequest()
+		req.WorkHours = 1 + float64(i)/2
+		return req
+	}
+	const shapes = 10
+	for i := 0; i < shapes; i++ {
+		if _, st, err := svc.Quote(ctx, shape(i)); err != nil || st != StatusMiss {
+			t.Fatalf("shape %d = %q, %v; want a miss", i, st, err)
+		}
+	}
+	if n := svc.cache.len(); n != 4 {
+		t.Fatalf("resident plans = %d after %d shapes, want CacheSize 4", n, shapes)
+	}
+	if _, st, err := svc.Quote(ctx, shape(shapes-1)); err != nil || st != StatusHit {
+		t.Fatalf("repeat of the last shape = %q, %v; want a hit", st, err)
+	}
+	if _, st, err := svc.Quote(ctx, shape(0)); err != nil || st != StatusMiss {
+		t.Fatalf("repeat of the first shape = %q, %v; want a miss", st, err)
+	}
+	if n := svc.cache.len(); n != 4 {
+		t.Fatalf("resident plans = %d, want CacheSize 4", n)
+	}
+	if n := len(svc.flights.m); n != 0 {
+		t.Fatalf("%d flights outlived their evaluations", n)
+	}
+}

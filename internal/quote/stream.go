@@ -22,9 +22,8 @@ import (
 // publishes each shape: the ranked tables update in O(delta), and
 // subscribers are pushed plan *changes* (generation + diff) over SSE or
 // long-poll. The feed is the clock: when it stalls, nothing recomputes
-// and the last published generation keeps serving — the stale-plan
-// degraded mode is the streaming fast path, flagged per heartbeat
-// rather than per recomputation.
+// and the last published generation keeps serving, flagged stale per
+// heartbeat rather than per recomputation.
 
 // Streaming defaults and limits.
 const (
