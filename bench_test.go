@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiment"
@@ -731,4 +732,70 @@ func liveHeap() int64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return int64(ms.HeapAlloc)
+}
+
+// BenchmarkStreamResident warms one stream grid (max_zones 3, no
+// cross-check) over the high-volatility preset past its retention bound
+// and reports the grid's live heap after GC at 576 ticks, at
+// DefaultStreamRetention−1 (8191) ticks and at 8193, one tick after the
+// compaction to half the retention, as resident-576-MB,
+// resident-8191-MB and resident-8193-MB. catchup-us is the mean wall
+// time of a tick that caught up at least one permutation without a
+// rebuild. One op is the whole warm run. scripts/bench.sh gates
+// resident-8191-MB at no more than 2× resident-576-MB.
+func BenchmarkStreamResident(b *testing.B) {
+	set := tracegen.HighVolatility(33)
+	last := core.DefaultStreamRetention + 1
+	marks := map[int]string{
+		576:                             "resident-576-MB",
+		core.DefaultStreamRetention - 1: "resident-8191-MB",
+		last:                            "resident-8193-MB",
+	}
+	sums := map[string]float64{}
+	var catchup time.Duration
+	var catchTicks int
+	b.ReportAllocs()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		before := liveHeap()
+		b.StartTimer()
+		se, err := core.NewStreamEvaluator(nil, core.StreamConfig{
+			Zones:           set.Zones(),
+			Start:           set.Start(),
+			Step:            set.Step(),
+			Work:            6 * trace.Hour,
+			Deadline:        9 * trace.Hour,
+			CheckpointCost:  core.DefaultCheckpointCost,
+			RestartCost:     core.DefaultCheckpointCost,
+			MaxZones:        3,
+			CrossCheckEvery: -1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 1; i <= last; i++ {
+			st0 := se.Stats()
+			t := time.Now()
+			if _, err := se.Advance(set.PricesAt(set.Start() + int64(i-1)*set.Step())); err != nil {
+				b.Fatal(err)
+			}
+			d := time.Since(t)
+			if st := se.Stats(); st.CatchUps > st0.CatchUps && st.Rebuilds == st0.Rebuilds {
+				catchup += d
+				catchTicks++
+			}
+			if name, ok := marks[i]; ok {
+				b.StopTimer()
+				sums[name] += float64(liveHeap()-before) / (1 << 20)
+				b.StartTimer()
+			}
+		}
+		runtime.KeepAlive(se)
+	}
+	for name, sum := range sums {
+		b.ReportMetric(sum/float64(b.N), name)
+	}
+	if catchTicks > 0 {
+		b.ReportMetric(float64(catchup.Microseconds())/float64(catchTicks), "catchup-us")
+	}
 }

@@ -94,6 +94,10 @@ type chainMemoKey struct {
 // memo's WindowFitter slides from one fit to the next without per-fit
 // sampling or sorting.
 type chainMemo struct {
+	// base is the window step of models[0] and done[0]: 0 for a memo
+	// armed over the whole window, the head step for one a stream grid
+	// has released (keepHead).
+	base   int
 	models []*markov.Model
 	done   []bool
 
@@ -116,15 +120,20 @@ type chainMemo struct {
 // column's generation, so recycling a column costs one counter bump
 // instead of a sentinel fill across the window. Expected uptimes and
 // Daly intervals both use it (neither is ever NaN, but the stamps make
-// sentinels unnecessary anyway).
+// sentinels unnecessary anyway). The column holds the entries [base,
+// base+len(vals)); a one-shot sweep keeps base 0, and a stream grid
+// moves it to its head between ticks (release).
 type memoCol struct {
 	vals []float64
 	ver  []uint32
 	gen  uint32
+	base int
 }
 
-// arm sizes the column to n entries and invalidates all of them.
-func (mc *memoCol) arm(n int) {
+// arm sizes the column to the entries [lo, hi) and invalidates all of
+// them.
+func (mc *memoCol) arm(lo, hi int) {
+	n := hi - lo
 	if cap(mc.vals) < n {
 		mc.vals = make([]float64, n)
 		mc.ver = make([]uint32, n)
@@ -132,6 +141,7 @@ func (mc *memoCol) arm(n int) {
 	}
 	mc.vals = mc.vals[:n]
 	mc.ver = mc.ver[:n]
+	mc.base = lo
 	mc.gen++
 	if mc.gen == 0 { // generation counter wrapped: clear stale stamps
 		for i := range mc.ver {
@@ -141,29 +151,52 @@ func (mc *memoCol) arm(n int) {
 	}
 }
 
-// grow extends the column to n entries without invalidating the set
-// ones — the streaming evaluator's per-tick window growth. Appended
-// entries carry stamp 0, which arm keeps distinct from every live
-// generation, so they read as unset.
-func (mc *memoCol) grow(n int) {
-	for len(mc.vals) < n {
+// grow extends the column to the entries below hi without invalidating
+// the set ones — the streaming evaluator's per-tick window growth.
+// Appended entries carry stamp 0, which arm keeps distinct from every
+// live generation, so they read as unset.
+func (mc *memoCol) grow(hi int) {
+	for mc.base+len(mc.vals) < hi {
 		mc.vals = append(mc.vals, 0)
 		mc.ver = append(mc.ver, 0)
 	}
 }
 
+// release drops the entries below lo, keeping the rest set.
+func (mc *memoCol) release(lo int) {
+	if d := min(lo-mc.base, len(mc.vals)); d > 0 {
+		mc.vals, mc.ver = dropFront(mc.vals, d), dropFront(mc.ver, d)
+		mc.base = lo
+	}
+}
+
+// dropFront removes the first d entries of s, keeping the rest in
+// order, and hands a backing array more than four times what is left
+// back to the collector: twice what is left holds the next tick's
+// growth, so a stream grid's grow-then-release cycle reuses one array.
+func dropFront[T any](s []T, d int) []T {
+	n := copy(s, s[d:])
+	clear(s[n:])
+	s = s[:n]
+	if cap(s) > 4*n {
+		s = append(make([]T, 0, 2*n), s...)
+	}
+	return s
+}
+
 // get returns the entry and whether it is set.
 func (mc *memoCol) get(i int) (float64, bool) {
-	if mc.ver[i] == mc.gen {
-		return mc.vals[i], true
+	if j := i - mc.base; mc.ver[j] == mc.gen {
+		return mc.vals[j], true
 	}
 	return 0, false
 }
 
 // set stores the entry.
 func (mc *memoCol) set(i int, v float64) {
-	mc.vals[i] = v
-	mc.ver[i] = mc.gen
+	j := i - mc.base
+	mc.vals[j] = v
+	mc.ver[j] = mc.gen
 }
 
 // batchZone is the flattened per-permutation zone state, the columnar
@@ -253,7 +286,13 @@ type batchState struct {
 }
 
 // reset re-arms the scratch for a new history window, recycling every
-// memo table and fitted model into the free lists.
+// memo table and fitted model into the free lists, then trims the free
+// lists to what a sweep over the new window can use: at most one model
+// per step of each chain memo the scratch holds, and no memo sized for a
+// window more than twice the new one. Sweeps over equally long windows
+// therefore keep every buffer, however their chain memo counts
+// alternate, while a scratch that served one long sweep does not pin
+// its per-step state for the short ones after.
 func (b *batchState) reset(hist *trace.Set, tc, tr int64) {
 	if b.cols == nil {
 		b.cols = trace.NewColumns(hist)
@@ -262,11 +301,7 @@ func (b *batchState) reset(hist *trace.Set, tc, tr int64) {
 		b.cols.Reset(hist)
 		b.avail.Reset(b.cols)
 		for _, cm := range b.chains {
-			for i, m := range cm.models {
-				if cm.done[i] && m != nil {
-					b.freeModels = append(b.freeModels, m)
-				}
-			}
+			b.recycleModels(cm.models, cm.done)
 			b.freeChains = append(b.freeChains, cm)
 		}
 		b.chainKeys = b.chainKeys[:0]
@@ -277,6 +312,10 @@ func (b *batchState) reset(hist *trace.Set, tc, tr int64) {
 			}
 		}
 	}
+	// Clearing drops the last sweep's column aliases and memo pointers,
+	// which would otherwise outlive a window that has shrunk.
+	clear(b.perms)
+	clear(b.zoneBuf)
 	b.perms = b.perms[:0]
 	b.zoneBuf = b.zoneBuf[:0]
 	b.billBuf = b.billBuf[:0]
@@ -286,14 +325,58 @@ func (b *batchState) reset(hist *trace.Set, tc, tr int64) {
 	b.nsteps = b.cols.Steps()
 	b.deadline = b.start + estimationHorizon
 	b.tc, b.tr = tc, tr
+
+	b.freeModels = trimFree(b.freeModels, b.nsteps*len(b.freeChains))
+	b.freeIvals = dropOversized(b.freeIvals, func(iv *memoCol) int { return cap(iv.vals) }, 2*b.nsteps)
+	b.freeChains = dropOversized(b.freeChains, func(cm *chainMemo) int { return cap(cm.models) }, 2*b.nsteps)
+}
+
+// recycleModels moves the fitted models of a chain memo's slots onto
+// the free list.
+func (b *batchState) recycleModels(models []*markov.Model, done []bool) {
+	for i, m := range models {
+		if done[i] && m != nil {
+			b.freeModels = append(b.freeModels, m)
+		}
+	}
+}
+
+// trimFree shortens a free list to keep entries, clearing the dropped
+// slots so the collector can reclaim what they pointed to.
+func trimFree[T any](free []*T, keep int) []*T {
+	if len(free) <= keep {
+		return free
+	}
+	clear(free[keep:])
+	return free[:keep]
+}
+
+// dropOversized removes the free-list entries whose size exceeds limit,
+// keeping the rest in order.
+func dropOversized[T any](free []*T, size func(*T) int, limit int) []*T {
+	k := 0
+	for _, e := range free {
+		if size(e) <= limit {
+			free[k] = e
+			k++
+		}
+	}
+	return trimFree(free, k)
 }
 
 // chainMemoFor returns (building if needed) the chain memo column for
-// the key, sized to the window.
+// the key, covering the whole window: a memo a stream grid released to
+// its head is re-armed, since whoever asks is about to replay from the
+// window start.
 func (b *batchState) chainMemoFor(key chainMemoKey) *chainMemo {
 	for i, k := range b.chainKeys {
 		if k == key {
-			return b.chains[i]
+			cm := b.chains[i]
+			if cm.base > 0 {
+				b.recycleModels(cm.models, cm.done)
+				b.armChain(cm)
+			}
+			return cm
 		}
 	}
 	var cm *chainMemo
@@ -303,23 +386,60 @@ func (b *batchState) chainMemoFor(key chainMemoKey) *chainMemo {
 	} else {
 		cm = &chainMemo{}
 	}
+	b.armChain(cm)
+	cm.wfReady = false
+	b.chainKeys = append(b.chainKeys, key)
+	b.chains = append(b.chains, cm)
+	return cm
+}
+
+// armChain sizes the memo's model and uptime columns to the whole window
+// and invalidates every entry; the fitter is left as it is.
+func (b *batchState) armChain(cm *chainMemo) {
 	if cap(cm.models) < b.nsteps {
 		cm.models = make([]*markov.Model, b.nsteps)
 		cm.done = make([]bool, b.nsteps)
 	}
 	cm.models = cm.models[:b.nsteps]
 	cm.done = cm.done[:b.nsteps]
-	for i := range cm.done {
-		cm.models[i] = nil
-		cm.done[i] = false
-	}
-	cm.wfReady = false
+	clear(cm.models)
+	clear(cm.done)
+	cm.base = 0
 	if cm.ustride > 0 {
-		cm.usolve.arm(b.nsteps * cm.ustride)
+		cm.usolve.arm(0, b.nsteps*cm.ustride)
 	}
-	b.chainKeys = append(b.chainKeys, key)
-	b.chains = append(b.chains, cm)
-	return cm
+}
+
+// keepHead releases every memo entry behind the window's last step and
+// trims the free lists to what the next tick can reuse — the stream
+// grid's bound between ticks. Its resident permutations read only the
+// steps a tick appends, so it keeps one fitted model per chain memo,
+// the head step's uptime slots and each permutation's head interval
+// slot; a catch-up that replays from the window start re-arms the memos
+// it reads (chainMemoFor, takeIvals) and refits what it needs. Every
+// entry is a pure function of the window, so a recomputed entry is the
+// same float. The free lists keep one model per chain memo (a tick fits
+// at most one per memo) and no interval or chain memo.
+func (b *batchState) keepHead() {
+	head := b.nsteps - 1
+	for _, cm := range b.chains {
+		if d := min(head-cm.base, len(cm.models)); d > 0 {
+			b.recycleModels(cm.models[:d], cm.done[:d])
+			cm.models, cm.done = dropFront(cm.models, d), dropFront(cm.done, d)
+			cm.base = head
+		}
+		if cm.ustride > 0 {
+			cm.usolve.release(head * cm.ustride)
+		}
+	}
+	for i := range b.perms {
+		if iv := b.perms[i].ivals; iv != nil {
+			iv.release(head)
+		}
+	}
+	b.freeModels = trimFree(b.freeModels, len(b.chains))
+	b.freeIvals = trimFree(b.freeIvals, 0)
+	b.freeChains = trimFree(b.freeChains, 0)
 }
 
 // takeIvals returns an invalidated interval memo sized to the window.
@@ -331,7 +451,7 @@ func (b *batchState) takeIvals() *memoCol {
 	} else {
 		iv = &memoCol{}
 	}
-	iv.arm(b.nsteps)
+	iv.arm(0, b.nsteps)
 	return iv
 }
 
@@ -999,11 +1119,12 @@ func (b *batchState) computeInterval(p *batchPerm, now int64, si int) float64 {
 // the memo column; nil records an unfittable history.
 func (b *batchState) chainAt(z *batchZone, now int64, si int, pol *batchPolicy) *markov.Model {
 	cm := z.cm
-	if !cm.done[si] {
-		cm.models[si] = b.fitModel(cm, z.zone, now, pol)
-		cm.done[si] = true
+	j := si - cm.base
+	if !cm.done[j] {
+		cm.models[j] = b.fitModel(cm, z.zone, now, pol)
+		cm.done[j] = true
 	}
-	return cm.models[si]
+	return cm.models[j]
 }
 
 // uptimeAt returns the zone's expected uptime at the decision time,
@@ -1014,14 +1135,14 @@ func (b *batchState) chainAt(z *batchZone, now int64, si int, pol *batchPolicy) 
 // every bid admitting k states shares one memo slot.
 func (b *batchState) uptimeAt(z *batchZone, si int, bid float64) float64 {
 	cm := z.cm
-	m := cm.models[si]
+	m := cm.models[si-cm.base]
 	k := upCount(m.States, bid)
 	if k >= cm.ustride {
 		// Widen the grid; invalidating the narrower entries is fine,
 		// they are pure and recomputable.
 		cm.ustride = k + 8
 		cm.usolve = memoCol{}
-		cm.usolve.arm(b.nsteps * cm.ustride)
+		cm.usolve.arm(cm.base*cm.ustride, b.nsteps*cm.ustride)
 	}
 	slot := si*cm.ustride + k
 	if v, ok := cm.usolve.get(slot); ok {

@@ -394,3 +394,46 @@ func benchmarkMeasureAll(b *testing.B, disable bool) {
 		ev.MeasureAll(hist, specs, 300, 300)
 	}
 }
+
+// TestBatchResetTrimsFreeLists pins reset's free-list bound: after a
+// sweep over a long window, re-arming for a short one keeps at most one
+// recycled model per short-window step of each chain memo the scratch
+// holds, and no interval or chain memo sized for the long window.
+func TestBatchResetTrimsFreeLists(t *testing.T) {
+	set := tracegen.HighVolatility(31)
+	long := set.Slice(set.Start(), set.Start()+4*24*trace.Hour)
+	short := set.Slice(set.Start(), set.Start()+4*trace.Hour)
+	specs := permutationSpecs(nil)
+	b := &batchState{}
+	out := make([]estimate, len(specs))
+	batchPass(t, b, long, specs, out)
+	nchains, fitted := len(b.chains), 0
+	for _, cm := range b.chains {
+		for i, m := range cm.models {
+			if cm.done[i] && m != nil {
+				fitted++
+			}
+		}
+	}
+	b.reset(short, 300, 300)
+	n := b.nsteps
+	if limit := n * nchains; fitted <= limit || len(b.freeModels) > limit {
+		t.Fatalf("long sweep fitted %d models; after reset %d stay free, want at most %d", fitted, len(b.freeModels), limit)
+	}
+	for _, iv := range b.freeIvals {
+		if cap(iv.vals) > 2*n {
+			t.Errorf("free interval memo of %d entries kept for a %d-step window", cap(iv.vals), n)
+		}
+	}
+	for _, cm := range b.freeChains {
+		if cap(cm.models) > 2*n {
+			t.Errorf("free chain memo of %d steps kept for a %d-step window", cap(cm.models), n)
+		}
+	}
+	// The short sweep itself still prices exactly what the oracle does.
+	want := (&Evaluator{Workers: 1, DisableBatch: true}).MeasureAll(short, permutationSpecs(nil), 300, 300)
+	batchPass(t, b, short, specs, out)
+	if !reflect.DeepEqual(want, out) {
+		t.Fatal("sweep after a trimmed reset diverges from the oracle")
+	}
+}

@@ -43,6 +43,17 @@ import (
 // for free when the ordering flips back — until the resident set
 // outgrows the grid by residentSlack and a rebuild prunes it.
 //
+// The resident state is bounded by what the head can read. A resident
+// permutation steps only through the steps a tick appends, so between
+// ticks a grid keeps one fitted chain per chain memo, the head step's
+// uptime slots and each permutation's head interval slot (keepHead),
+// beside the full-window tape, columnar view, availability flips and
+// fitter state that a catch-up replays over. A catch-up or rebuild
+// re-arms the per-step memos it reads over the whole window for the
+// duration of its replay, and the tick releases them again before it
+// returns; every entry is a pure function of the window, so a released
+// entry that is recomputed is the same float.
+//
 // Every grid cell stays resident: NewStreamGrid refuses what the
 // batched engine cannot replay or a permutation key cannot hold — a
 // policy family beyond Periodic and Markov-Daly, a non-positive or NaN
@@ -380,6 +391,23 @@ func (g *StreamGrid) Detach(s *StreamScorer) int {
 // Steps returns the retained window length in samples.
 func (g *StreamGrid) Steps() int { return g.tape.Len() }
 
+// Restart empties the retained window and restarts it at start, the
+// sample time of the next tick, as a grid built for a feed beginning
+// there would stand; the resident state rebuilds on the next Advance.
+// Attached scorers stay attached with their table and generation, and
+// the tick counter keeps counting, so nothing a subscriber reads moves
+// backwards.
+func (g *StreamGrid) Restart(start int64) error {
+	tape, err := trace.NewTape(g.cfg.Zones, start, g.cfg.Step)
+	if err != nil {
+		return err
+	}
+	g.tape = tape
+	g.slots, g.ests = nil, nil
+	g.dirty = true
+	return nil
+}
+
 // Stats returns a snapshot of the structural-event counters.
 func (g *StreamGrid) Stats() StreamStats {
 	st := g.stats
@@ -427,6 +455,7 @@ func (g *StreamGrid) Advance(prices []float64) error {
 	if g.cfg.CrossCheckEvery > 0 && g.stats.Ticks%uint64(g.cfg.CrossCheckEvery) == 0 {
 		g.crossCheck(hist)
 	}
+	g.b.keepHead()
 	for _, s := range g.scorers {
 		s.publish()
 	}
@@ -476,7 +505,7 @@ func (g *StreamGrid) extendState(hist *trace.Set) {
 	b.end = b.cols.End()
 	for ci, cm := range b.chains {
 		key := b.chainKeys[ci]
-		for len(cm.models) < b.nsteps {
+		for cm.base+len(cm.models) < b.nsteps {
 			cm.models = append(cm.models, nil)
 			cm.done = append(cm.done, false)
 		}

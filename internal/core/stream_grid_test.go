@@ -255,3 +255,135 @@ func TestStreamGridScorerRestore(t *testing.T) {
 		restored.Detach(s)
 	}
 }
+
+// checkResidentBound asserts what a grid keeps between ticks: per chain
+// memo one model slot at the head step (so at most one live model) and
+// the head step's uptime row, per permutation the head interval slot,
+// each in storage sized to it, and free lists holding one model per
+// chain memo and no memo columns.
+func checkResidentBound(t *testing.T, g *StreamGrid, tick int) {
+	t.Helper()
+	b := g.b
+	head := b.nsteps - 1
+	for i, cm := range b.chains {
+		live := 0
+		for j, m := range cm.models {
+			if cm.done[j] && m != nil {
+				live++
+			}
+		}
+		if cm.base != head || len(cm.models) != 1 || cap(cm.models) > 4 || live > 1 {
+			t.Fatalf("tick %d: chain memo %d keeps steps from %d (%d slots, cap %d, %d live models), want the head %d alone",
+				tick, i, cm.base, len(cm.models), cap(cm.models), live, head)
+		}
+		if cm.ustride > 0 && (cm.usolve.base != head*cm.ustride || len(cm.usolve.vals) != cm.ustride || cap(cm.usolve.vals) > 4*cm.ustride) {
+			t.Fatalf("tick %d: chain memo %d uptime column holds %d slots (cap %d) from %d, want the head row of %d",
+				tick, i, len(cm.usolve.vals), cap(cm.usolve.vals), cm.usolve.base, cm.ustride)
+		}
+	}
+	for i := range b.perms {
+		if iv := b.perms[i].ivals; iv != nil && (iv.base != head || len(iv.vals) != 1 || cap(iv.vals) > 4) {
+			t.Fatalf("tick %d: permutation %d interval memo holds %d slots (cap %d) from %d, want the head %d alone",
+				tick, i, len(iv.vals), cap(iv.vals), iv.base, head)
+		}
+	}
+	if len(b.freeModels) > len(b.chains) || len(b.freeIvals) != 0 || len(b.freeChains) != 0 {
+		t.Fatalf("tick %d: free lists hold %d models, %d interval memos, %d chain memos; want at most %d, 0, 0",
+			tick, len(b.freeModels), len(b.freeIvals), len(b.freeChains), len(b.chains))
+	}
+}
+
+// TestStreamGridResidentBound pins the grid's between-ticks bound
+// through every event that replays from the window start — warm-up, a
+// zone-order churn tick that catches permutations up, a forced
+// cross-check mismatch and the rebuild after it, compactions past
+// MaxSteps, and a Restore — and requires after every tick a table equal
+// to Rank over the same window.
+func TestStreamGridResidentBound(t *testing.T) {
+	set := paperRegimes()["high/day3"]
+	cfg := streamConfigFor(set)
+	cfg.CrossCheckEvery = 16
+	cfg.MaxSteps = 64
+	newGrid := func() (*StreamGrid, *StreamScorer) {
+		g, err := NewStreamGrid(nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := g.Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, s
+	}
+	g, s := newGrid()
+	ref := &Evaluator{Workers: 1}
+	shadow, err := trace.NewTape(cfg.Zones, cfg.Start, cfg.Step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const corruptAt, restoreAt = 47, 100 // tick 48 cross-checks; neither compacts
+	events := map[string]int{}
+	restored := false
+	n := min(set.Series[0].Len(), 200)
+	for i := 0; i < n; i++ {
+		switch i {
+		case corruptAt:
+			// Skew every resident permutation's cost, so this tick's
+			// cross-check disagrees and adopts the reference estimates.
+			for k := range g.b.perms {
+				g.b.perms[k].cost++
+			}
+		case restoreAt:
+			snap := s.Snapshot()
+			g, s = newGrid()
+			if err := g.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			restored = true
+		}
+		before := g.Stats()
+		row := set.PricesAt(set.Start() + int64(i)*set.Step())
+		if err := g.Advance(row); err != nil {
+			t.Fatal(err)
+		}
+		if err := shadow.Append(row); err != nil {
+			t.Fatal(err)
+		}
+		if shadow.Len() > cfg.MaxSteps {
+			shadow = shadow.Tail(cfg.MaxSteps / 2)
+		}
+		after := g.Stats()
+		rebuilt := after.Rebuilds > before.Rebuilds
+		switch {
+		case restored:
+			events["restore"]++
+			restored = false
+		case after.CrossCheckMismatches > before.CrossCheckMismatches:
+			events["mismatch"]++
+		case after.Compactions > before.Compactions:
+			events["compaction"]++
+		case rebuilt && i > 0:
+			events["rebuild"]++
+		case after.CatchUps > before.CatchUps && !rebuilt && i > 0:
+			events["catch-up"]++
+		default:
+			events["tick"]++
+		}
+		checkResidentBound(t, g, i)
+		want, err := ref.Rank(s.request(shadow.Set()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !plansEqual(s.Update().Plans, want) {
+			t.Fatalf("tick %d: table diverges from Rank over the same window", i)
+		}
+	}
+	for _, ev := range []string{"tick", "catch-up", "mismatch", "rebuild", "compaction", "restore"} {
+		if events[ev] == 0 {
+			t.Errorf("no %s tick in %d ticks (%v)", ev, n, events)
+		}
+	}
+}

@@ -15,10 +15,14 @@ import (
 type TraceFeed struct {
 	Set *trace.Set
 	// Interval is the wall-clock pacing per 5-minute sample; e.g.
-	// 300 ms replays the market at 1000× speed.
+	// 300 ms replays the market at 1000× speed. Row n is due n·Interval
+	// after the first row was returned, so time the consumer spends
+	// between calls does not accumulate as lag: an overdue row returns
+	// at once, and no row returns before it is due.
 	Interval time.Duration
 
 	next int
+	t0   time.Time // when the first row was returned
 }
 
 // Zones implements Feed.
@@ -32,11 +36,17 @@ func (f *TraceFeed) Next(ctx context.Context) ([]float64, error) {
 	if f.next >= f.Set.Series[0].Len() {
 		return nil, io.EOF
 	}
-	if f.Interval > 0 && f.next > 0 {
-		select {
-		case <-time.After(f.Interval):
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	if f.Interval > 0 {
+		if f.next == 0 {
+			f.t0 = time.Now()
+		} else if wait := time.Until(f.t0.Add(time.Duration(f.next) * f.Interval)); wait > 0 {
+			t := time.NewTimer(wait)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return nil, ctx.Err()
+			}
 		}
 	}
 	row := make([]float64, f.Set.NumZones())

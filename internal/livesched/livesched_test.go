@@ -243,3 +243,37 @@ func TestActionKindString(t *testing.T) {
 func coreSingleZone() sim.Strategy {
 	return core.SingleZone(core.NewPeriodic(), 0.81, 0)
 }
+
+// TestTraceFeedPacesFromFirstRow pins TraceFeed's schedule: a consumer
+// that works between Next calls still receives row n at the first
+// row's time plus n·Interval — never earlier, and with no lag that grows
+// with the rows it has read.
+func TestTraceFeedPacesFromFirstRow(t *testing.T) {
+	const rows, interval, work = 20, 20 * time.Millisecond, 5 * time.Millisecond
+	set := tracegen.HighVolatility(3)
+	feed := &TraceFeed{Set: set.Slice(set.Start(), set.Start()+rows*set.Step()), Interval: interval}
+	ctx := context.Background()
+	t0 := time.Now() // no later than the feed's own first-row time
+	var lag time.Duration
+	for n := 0; n < rows; n++ {
+		if _, err := feed.Next(ctx); err != nil {
+			t.Fatal(err)
+		}
+		due := t0.Add(time.Duration(n) * interval)
+		got := time.Now()
+		if got.Before(due) {
+			t.Fatalf("row %d arrived %v before its due time", n, due.Sub(got))
+		}
+		lag = got.Sub(due)
+		time.Sleep(work) // the consumer's per-row work
+	}
+	// Sleeping Interval after each call would leave the last row
+	// (rows-1)·work = 95 ms late; paced from the first row, the lag is
+	// one timer wake-up.
+	if lag > (rows-1)*work/2 {
+		t.Fatalf("last row %v late: the feed drifts with the consumer's work", lag)
+	}
+	if _, err := feed.Next(ctx); err != io.EOF {
+		t.Fatalf("after %d rows: %v, want io.EOF", rows, err)
+	}
+}

@@ -226,13 +226,16 @@ func FuzzStreamPollParams(f *testing.F) {
 // ±Inf or negative prices or the wrong number of them. Nothing may
 // panic, every snapshot and checkpoint must JSON-encode, and the final
 // snapshot must equal that of a streamer fed only the valid rows.
-// Each op is three bytes: the sequence step (back one to ahead seven),
-// the row kind, and the fixture row or zone it uses.
+// Each op is three bytes: the sequence step (back one to ahead seven,
+// or ahead 2^40 from byte 252 up — jumps past the streamer's Backlog of
+// four restart its feed), the row kind, and the fixture row or zone it
+// uses.
 func FuzzStreamerIngest(f *testing.F) {
 	fx := newStreamFixture()
 	f.Add([]byte{2, 0, 0, 2, 0, 1, 2, 1, 2, 2, 0, 3})
 	f.Add([]byte{2, 0, 0, 1, 2, 0, 3, 3, 1, 0, 4, 2, 5, 0, 4, 2, 5, 0, 2, 6, 1, 2, 7, 5})
 	f.Add([]byte{9, 7, 1, 0, 1, 0, 2, 4, 9, 255, 255, 255})
+	f.Add([]byte{2, 0, 0, 7, 1, 2, 252, 0, 5, 2, 0, 6, 253, 2, 1, 2, 1, 7})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 96 {
 			ops = ops[:96]
@@ -242,6 +245,7 @@ func FuzzStreamerIngest(f *testing.F) {
 			store := &MemStore{}
 			st := fx.streamer()
 			st.Store, st.CheckpointEvery = store, 2
+			st.Backlog = 4 // jumps of 6 or more restart the feed
 			if _, err := st.Subscribe(fx.shape); err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +255,11 @@ func FuzzStreamerIngest(f *testing.F) {
 		ref, _ := newStreamer()
 		var seq uint64
 		for i := 0; i+2 < len(ops); i += 3 {
-			if next := int64(seq) + int64(ops[i]%9) - 1; next >= 0 {
+			jump := int64(ops[i]%9) - 1
+			if ops[i] >= 252 {
+				jump = 1 << 40
+			}
+			if next := int64(seq) + jump; next >= 0 {
 				seq = uint64(next)
 			}
 			row := fx.reorderRow(int(ops[i+2]) % 64)

@@ -308,7 +308,11 @@ func (st *Streamer) staleLocked() bool {
 // reordered sequences are dropped; gaps are filled by repeating the
 // last row (a silent feed means the price held — spot prices are step
 // functions), so every resident grid sees exactly one row per
-// sequence number and stays deterministic under feed chaos. A tick
+// sequence number and stays deterministic under feed chaos. A gap
+// fills at most Backlog slots: on a longer jump the feed restarts at
+// the first slot it fills, as a feed that began there would, so
+// however far a sequence number jumps, the tick costs at most Backlog
+// gap fills. A tick
 // numbered 0, or with the wrong arity or a price trace.ValidPrice
 // rejects, is refused before it moves the feed position and counted in
 // TickErrors; the next accepted tick gap-fills its slot.
@@ -325,7 +329,12 @@ func (st *Streamer) Ingest(seq uint64, prices []float64) error {
 		return nil
 	}
 	if st.seq != 0 && seq > st.seq+1 {
-		for g := st.seq + 1; g < seq; g++ {
+		from := st.seq + 1
+		if seq-from > uint64(st.Backlog) {
+			from = seq - uint64(st.Backlog)
+			st.restartLocked(from)
+		}
+		for g := from; g < seq; g++ {
 			st.Metrics.GapFills.Inc()
 			st.tickLocked(st.lastRow)
 		}
@@ -342,6 +351,23 @@ func (st *Streamer) Ingest(seq uint64, prices []float64) error {
 		st.checkpointLocked()
 	}
 	return nil
+}
+
+// restartLocked moves the feed to begin at sequence first, as a
+// streamer whose feed started there would stand: the backlog empties,
+// the sequence numbers before first count as dropped, and every grid's
+// window restarts empty at first's sample time. Shapes, subscribers and
+// generations carry over.
+func (st *Streamer) restartLocked(first uint64) {
+	clear(st.backlog)
+	st.backlog = st.backlog[:0]
+	st.dropped = first - 1
+	start := st.Start + int64(st.dropped)*st.Step
+	for _, gr := range st.grids {
+		if err := gr.g.Restart(start); err != nil {
+			st.Metrics.TickErrors.Inc()
+		}
+	}
 }
 
 // checkTick is Ingest's tick check: a 1-based sequence number and one

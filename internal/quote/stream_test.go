@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -162,6 +163,93 @@ func TestStreamerLatestWins(t *testing.T) {
 	case stale := <-sub.Events():
 		t.Fatalf("stale event generation %d still queued", stale.Generation)
 	default:
+	}
+}
+
+// TestStreamerGapFillBound pins Ingest's gap-fill bound: a sequence
+// jump of 2^40 applies at most Backlog gap fills plus the row itself,
+// and leaves the streamer where one whose feed began at the first
+// filled slot stands after the same held rows and the jumped-to row —
+// same feed position, backlog and windows, same plan tables — while
+// the shape's generation keeps rising across the restart.
+func TestStreamerGapFillBound(t *testing.T) {
+	fx := newStreamFixture()
+	const backlog, prefix = 16, 40
+	jumped := fx.streamer()
+	jumped.Backlog = backlog
+	jsub, err := jumped.Subscribe(fx.shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jsub.Close()
+	for i := 0; i < prefix; i++ {
+		if err := jumped.Ingest(uint64(i+1), fx.row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	genBefore := jumped.Generation(jsub)
+	ticksBefore := jumped.Metrics.Ticks.Load()
+	seq := uint64(prefix) + 1<<40
+	if err := jumped.Ingest(seq, fx.row(prefix)); err != nil {
+		t.Fatal(err)
+	}
+	if got := jumped.Metrics.Ticks.Load() - ticksBefore; got != backlog+1 {
+		t.Fatalf("a 2^40 jump applied %d ticks, want Backlog+1 = %d", got, backlog+1)
+	}
+	if got := jumped.Metrics.GapFills.Load(); got != backlog {
+		t.Fatalf("GapFills = %d, want %d", got, backlog)
+	}
+	if got := jumped.Generation(jsub); got < genBefore {
+		t.Fatalf("generation fell from %d to %d across the restart", genBefore, got)
+	}
+
+	// The bounded sequence fed directly: the held row at the filled
+	// slots, then the jumped-to row, the shape subscribing once the feed
+	// has begun.
+	direct := fx.streamer()
+	direct.Backlog = backlog
+	held := fx.row(prefix - 1)
+	first := seq - backlog
+	if err := direct.Ingest(first, held); err != nil {
+		t.Fatal(err)
+	}
+	dsub, err := direct.Subscribe(fx.shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dsub.Close()
+	for g := first + 1; g < seq; g++ {
+		if err := direct.Ingest(g, held); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := direct.Ingest(seq, fx.row(prefix)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tick counts and generations count what each streamer lived
+	// through; everything else must match.
+	strip := func(st *Streamer) []byte {
+		snap := st.Snapshot()
+		for i := range snap.Shapes {
+			s := snap.Shapes[i].State
+			s.Ticks, s.Generation, s.StateDigest = 0, 0, ""
+		}
+		b, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if a, b := strip(jumped), strip(direct); string(a) != string(b) {
+		t.Fatalf("jumped streamer's snapshot differs from the directly fed one:\n%s\n%s", a, b)
+	}
+	ja, db := jumped.Latest(jsub), direct.Latest(dsub)
+	if ja == nil || db == nil {
+		t.Fatal("no published table")
+	}
+	if ja.At != db.At || !reflect.DeepEqual(ja.Best, db.Best) || !reflect.DeepEqual(ja.Alternatives, db.Alternatives) {
+		t.Fatalf("tables differ after the jump:\n%+v\n%+v", ja, db)
 	}
 }
 

@@ -1,16 +1,16 @@
 package trace
 
-import "slices"
+import "sort"
 
 // Columnar view over a Set for batched replay. The evaluation hot path
 // (internal/core's batched estimator) prices every sibling permutation
 // of a decision point in one pass over the price window; what it needs
 // from the trace is struct-of-arrays access — per-zone price columns
-// indexed by step — plus, per (zone, candidate bid), a precomputed
-// up/down index so availability at any step resolves by lookup instead
-// of a price comparison re-derived per permutation. Columns and
-// BidIndex provide exactly that, aliasing the Set's price storage (no
-// copies) and reusing their own buffers across decisions via Reset.
+// indexed by step — plus, per (zone, candidate bid), the availability
+// flips, so a replay skips the stretches where nothing changes without
+// re-deriving them per permutation. Columns and BidIndex provide
+// exactly that, aliasing the Set's price storage (no copies) and
+// reusing their own buffers across decisions via Reset.
 
 // Columns is a struct-of-arrays view over an aligned Set: one price
 // column per zone plus the shared time grid. The view aliases the Set's
@@ -91,91 +91,66 @@ func (c *Columns) PriceAt(zone int, t int64) float64 {
 	return c.cols[zone][c.Index(t)]
 }
 
-// BidIndex is the precomputed availability index of one (zone, bid)
-// pair: per step, whether the zone's price admits the bid (price ≤ bid,
-// the paper's "up" condition), plus a next-up skip table so a replay
-// whose zones are all down can jump directly to the next step where one
-// becomes available.
+// BidIndex is the availability index of one (zone, bid) pair: whether
+// the zone's price admits the bid at a step (price ≤ bid, the paper's
+// "up" condition), plus the steps where that availability flips, so a
+// replay can jump straight to the end of a stretch over which every
+// zone's up/down state is constant.
 //
-// The skip tables store open runs as a -1 sentinel ("no such step yet")
-// rather than the window length, which makes the index append-aware:
-// Append extends it tick by tick in amortized O(1) per step — every
-// entry is written at most twice, once at its own append and once when
-// the run it opens is closed by a later step — while NextUp/NextChange
-// keep reporting the current Steps() for open runs, exactly as a fresh
-// Build over the grown window would.
+// The index stores only the flips, not a per-step table: an up bit is
+// one comparison against the aliased price column, and the next change
+// after a step is found in the flip list, which on a price column is
+// orders of magnitude shorter than the window. A resident streaming
+// index therefore grows with the market's availability flips rather
+// than with its ticks. NextChange keeps its place in the list between
+// calls, so a replay's forward-moving queries cost O(1) amortized; the
+// index is therefore not safe for concurrent queries.
 type BidIndex struct {
 	// Zone is the indexed zone.
 	Zone int
 	// Bid is the indexed candidate bid.
 	Bid float64
 
-	up   []bool
-	next []int32 // first up step at or after i; -1 while none yet
-	chg  []int32 // first availability flip after i; -1 while none yet
-	nUp  int
+	col   []float64 // the zone's price column (aliased)
+	n     int       // steps covered
+	flips []int32   // ascending steps i > 0 whose availability differs from step i-1
+	nUp   int
+	at    int // flips index of the last NextChange answer
 }
 
 // Build populates the index for the (zone, bid) pair over the columnar
-// view, reusing the receiver's buffers. One backward pass fills every
-// table: walking from the last step, the next up step and the next
-// availability flip are known when each entry is written, so no entry
-// is patched later as Append's are.
+// view, reusing the receiver's buffers.
 func (bi *BidIndex) Build(c *Columns, zone int, bid float64) {
 	bi.Zone = zone
 	bi.Bid = bid
-	n := c.n
-	bi.up = slices.Grow(bi.up[:0], n)[:n]
-	bi.next = slices.Grow(bi.next[:0], n)[:n]
-	bi.chg = slices.Grow(bi.chg[:0], n)[:n]
-	up, next, chg, col := bi.up, bi.next, bi.chg, c.cols[zone][:n]
-	nUp, nextUp, nextChg := 0, int32(-1), int32(-1)
-	later := false // availability at i+1
-	for i := n - 1; i >= 0; i-- {
-		u := col[i] <= bid
-		if u {
-			nUp++
-			nextUp = int32(i)
-		}
-		if i+1 < n && u != later {
-			nextChg = int32(i + 1)
-		}
-		up[i], next[i], chg[i] = u, nextUp, nextChg
-		later = u
-	}
-	bi.nUp = nUp
+	bi.n = 0
+	bi.flips = bi.flips[:0]
+	bi.nUp = 0
+	bi.at = 0
+	bi.Append(c, 0)
 }
 
 // Append extends the index over the view's steps [from, Steps()), where
-// from must be the length the index currently covers. Amortized cost is
-// O(1) per appended step: an up arrival closes the trailing next-up
-// run, an availability flip closes the trailing equal-run, and each
-// entry belongs to at most one such run.
+// from must be the length the index currently covers, at O(1) per
+// appended step. The view's column may have moved (a tape append can
+// reallocate it); the index re-aliases it.
 func (bi *BidIndex) Append(c *Columns, from int) {
-	col := c.cols[bi.Zone]
+	col := c.cols[bi.Zone][:c.n]
+	bi.col = col
 	for i := from; i < c.n; i++ {
 		u := col[i] <= bi.Bid
-		bi.up = append(bi.up, u)
-		bi.chg = append(bi.chg, -1)
 		if u {
 			bi.nUp++
-			bi.next = append(bi.next, int32(i))
-			for j := i - 1; j >= 0 && bi.next[j] < 0; j-- {
-				bi.next[j] = int32(i)
-			}
-		} else {
-			bi.next = append(bi.next, -1)
 		}
-		if i > 0 && u != bi.up[i-1] {
-			for j := i - 1; j >= 0 && bi.chg[j] < 0; j-- {
-				bi.chg[j] = int32(i)
-			}
+		if i > 0 && u != (col[i-1] <= bi.Bid) {
+			bi.flips = append(bi.flips, int32(i))
 		}
 	}
+	bi.n = c.n
 }
 
 // Len returns how many steps the index covers.
-func (bi *BidIndex) Len() int { return len(bi.up) }
+func (bi *BidIndex) Len() int { return bi.n }
 
 // UpCount returns how many covered steps are available — the running
 // availability count a streaming consumer reads instead of rescanning
@@ -183,15 +158,16 @@ func (bi *BidIndex) Len() int { return len(bi.up) }
 func (bi *BidIndex) UpCount() int { return bi.nUp }
 
 // Up reports whether the zone is available at step i.
-func (bi *BidIndex) Up(i int) bool { return bi.up[i] }
+func (bi *BidIndex) Up(i int) bool { return bi.col[i] <= bi.Bid }
 
 // NextUp returns the first step at or after i where the zone is
-// available, or Steps() when it never is again.
+// available, or Steps() when it never is again: i itself when it is up,
+// otherwise the next change, which can only be to up.
 func (bi *BidIndex) NextUp(i int) int {
-	if v := bi.next[i]; v >= 0 {
-		return int(v)
+	if bi.Up(i) {
+		return i
 	}
-	return len(bi.up)
+	return bi.NextChange(i)
 }
 
 // NextChange returns the first step after i where the zone's
@@ -199,10 +175,19 @@ func (bi *BidIndex) NextUp(i int) int {
 // never changes again. An event-driven replay uses this to bound the
 // stretch over which every zone's up/down state is constant.
 func (bi *BidIndex) NextChange(i int) int {
-	if v := bi.chg[i]; v >= 0 {
-		return int(v)
+	f, k := bi.flips, bi.at
+	if k > 0 && int(f[k-1]) > i {
+		// Behind the last answer (a new replay): binary search.
+		k = sort.Search(k, func(m int) bool { return int(f[m]) > i })
 	}
-	return len(bi.up)
+	for k < len(f) && int(f[k]) <= i {
+		k++
+	}
+	bi.at = k
+	if k < len(f) {
+		return int(f[k])
+	}
+	return bi.n
 }
 
 // UpIntervals reconstructs the maximal availability intervals from the
@@ -210,22 +195,19 @@ func (bi *BidIndex) NextChange(i int) int {
 // columnar view's equivalence test exercises this).
 func (bi *BidIndex) UpIntervals(c *Columns) []Interval {
 	var out []Interval
-	open := false
-	var start int64
-	for i := 0; i < len(bi.up); i++ {
-		t := c.start + int64(i)*c.step
-		if bi.up[i] {
-			if !open {
-				open = true
-				start = t
-			}
-		} else if open {
-			open = false
-			out = append(out, Interval{Start: start, End: t})
+	if bi.n == 0 {
+		return out
+	}
+	at := func(i int) int64 { return c.start + int64(i)*c.step }
+	open, from := bi.Up(0), 0
+	for _, f := range bi.flips {
+		if open {
+			out = append(out, Interval{Start: at(from), End: at(int(f))})
 		}
+		open, from = !open, int(f)
 	}
 	if open {
-		out = append(out, Interval{Start: start, End: c.End()})
+		out = append(out, Interval{Start: at(from), End: c.End()})
 	}
 	return out
 }
@@ -251,7 +233,11 @@ func NewAvailIndex(cols *Columns) *AvailIndex {
 // recycles all cached indexes.
 func (x *AvailIndex) Reset(cols *Columns) {
 	x.cols = cols
+	for _, bi := range x.pairs {
+		bi.col = nil // Build re-aliases; a spare must not pin the old window
+	}
 	x.free = append(x.free, x.pairs...)
+	clear(x.pairs)
 	x.pairs = x.pairs[:0]
 }
 

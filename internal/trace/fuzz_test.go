@@ -57,10 +57,9 @@ func FuzzReadJSON(f *testing.F) {
 
 // FuzzBidIndexAppend drives the append-aware availability index with
 // arbitrary byte-derived tick sequences and asserts the streaming
-// invariant: an index extended tick by tick from empty answers every
-// query identically to one built from scratch over the grown window —
-// two independent implementations, Append's forward back-patching and
-// Build's backward pass.
+// invariant: an index extended tick by tick from empty, re-aliasing the
+// grown column each time, answers every query identically to one built
+// from scratch over the grown window.
 func FuzzBidIndexAppend(f *testing.F) {
 	f.Add([]byte{10, 200, 10, 40, 40, 40, 200, 0, 0, 255})
 	f.Add([]byte{0, 0, 0, 0})

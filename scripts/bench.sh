@@ -12,10 +12,18 @@
 #       per-tick re-rank vs a from-scratch Rank per tick)
 #   CounterfactualNaive / CounterfactualReplay        >= 3x  (scripted
 #       decision replay vs re-simulating the prefix with a live strategy)
-# and one scaling gate:
+# one scaling gate:
 #   StreamTickShapes/64 / StreamTickShapes/1          <= 16x (64 stream
 #       shapes on one shared grid vs one shape: the grid steps once per
 #       tick, each extra shape adds only its scoring)
+# and one memory gate, on StreamResident (one grid warmed past its
+# 8192-tick retention):
+#   (resident at 8191 ticks - resident at 576) / 7615 <= 128 bytes per
+#       tick (a grid keeps no per-step fitted state: what grows with the
+#       window is the tape row, each chain memo's quantized sample and
+#       state id, and the availability flips catch-ups read), and
+#   resident at 8193 ticks < resident at 8191 (compaction to half the
+#       retention gives memory back)
 # Every Name/NameObs pair also reports obs_overhead_pct, the cost of
 # tracing (budget: 5 % on AdaptiveDecision; reported, not gated).
 # VARAnalysis (the streamed §3.1 fits), Fig4Policies (static-policy
@@ -28,8 +36,10 @@
 # writes four reports:
 #   BENCH_obs.json     every benchmark row, plus obs_overhead pairs
 #   BENCH_batch.json   adaptive_decision batched vs oracle, batch_rank
-#   BENCH_stream.json  per_tick StreamTick vs StreamFullRerank, and
-#                      shapes: StreamTickShapes 1/8/64 with resident heap
+#   BENCH_stream.json  per_tick StreamTick vs StreamFullRerank,
+#                      shapes: StreamTickShapes 1/8/64 with resident heap,
+#                      and resident: StreamResident's heap at 576, 8191
+#                      and 8193 ticks with its catch-up tick cost
 #   BENCH_tuner.json   counterfactual replay vs naive, tuner decisions/s
 # BENCH_obs.json and BENCH_stream.json carry the machine they ran on
 # (GOOS/GOARCH, the CPU go test reports, GOMAXPROCS). It writes all
@@ -58,7 +68,7 @@ log=$(mktemp)
 trap 'rm -f "$log"' EXIT
 
 echo "bench: go test -bench (root and internal/decision) -count $count" >&2
-go test -run '^$' -bench 'AdaptiveDecision|MachineReset|BatchRank|StreamTick|StreamFullRerank|VARAnalysis|Fig4Policies|Fig5Adaptive|Headline' -benchmem \
+go test -run '^$' -bench 'AdaptiveDecision|MachineReset|BatchRank|StreamTick|StreamFullRerank|StreamResident|VARAnalysis|Fig4Policies|Fig5Adaptive|Headline' -benchmem \
 	-count "$count" . | tee /dev/stderr >"$log"
 go test -run '^$' -bench 'CounterfactualReplay|CounterfactualNaive|TunerSearch' -benchmem \
 	-count "$count" ./internal/decision | tee /dev/stderr >>"$log"
@@ -114,6 +124,8 @@ function val(a, name) { return name in best ? a[name] : 0 }
 	if (!(name in best)) order[++n] = name
 	best[name] = v; mem[name] = num(field("B/op")); alloc[name] = num(field("allocs/op"))
 	rate[name] = num(field("decisions/s")); resident[name] = num(field("resident-MB"))
+	r576[name] = num(field("resident-576-MB")); r8191[name] = num(field("resident-8191-MB"))
+	r8193[name] = num(field("resident-8193-MB")); catchup[name] = num(field("catchup-us"))
 }
 END {
 	machine = sprintf("%s/%s, %s, GOMAXPROCS %s", goos, goarch, cpu, procs)
@@ -150,7 +162,20 @@ END {
 		printf "    {\"shapes\": %s, \"ns_per_op\": %s, \"allocs_per_op\": %s, \"resident_mb\": %s}%s\n", \
 			counts[i], val(best, b), val(alloc, b), val(resident, b), (i < 3 ? "," : "") > stream
 	}
-	printf "  ],\n  \"shapes_64_over_1_x\": %.2f\n}\n", x > stream
+	printf "  ],\n  \"shapes_64_over_1_x\": %.2f,\n", x > stream
+	b = "StreamResident"
+	if (!(b in best)) { print "bench: missing StreamResident row" > "/dev/stderr"; failed = 1 }
+	growth = (val(r8191, b) - val(r576, b)) * 1048576 / (8191 - 576)
+	if (growth > 128) {
+		printf "bench: a stream grid grows %.1f bytes per retained tick (gate: 128)\n", growth > "/dev/stderr"
+		failed = 1
+	}
+	if (val(r8193, b) + 0 >= val(r8191, b) + 0) {
+		printf "bench: a stream grid holds %s MB after compaction, %s MB before\n", val(r8193, b), val(r8191, b) > "/dev/stderr"
+		failed = 1
+	}
+	printf "  \"resident\": {\"resident_576_mb\": %s, \"resident_8191_mb\": %s, \"resident_8193_mb\": %s, \"growth_bytes_per_tick\": %.1f, \"resident_8191_over_576_x\": %.2f, \"catchup_us\": %s}\n}\n", \
+		val(r576, b), val(r8191, b), val(r8193, b), growth, (val(r576, b) + 0 > 0 ? val(r8191, b) / val(r576, b) : 0), val(catchup, b) > stream
 
 	x = ratio("CounterfactualNaive", "CounterfactualReplay", 3)
 	printf "{\n  \"counterfactual\": {\"replay_ns_per_op\": %s, \"naive_ns_per_op\": %s, \"speedup_x\": %.2f},\n", \
