@@ -741,8 +741,8 @@ func liveHeap() int64 {
 // compaction to half the retention, as resident-576-MB,
 // resident-8191-MB and resident-8193-MB. catchup-us is the mean wall
 // time of a tick that caught up at least one permutation without a
-// rebuild. One op is the whole warm run. scripts/bench.sh gates
-// resident-8191-MB at no more than 2× resident-576-MB.
+// rebuild. One op is the whole warm run. scripts/bench.sh gates the
+// growth from resident-576-MB to resident-8191-MB per retained tick.
 func BenchmarkStreamResident(b *testing.B) {
 	set := tracegen.HighVolatility(33)
 	last := core.DefaultStreamRetention + 1

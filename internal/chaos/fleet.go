@@ -195,6 +195,7 @@ type fleetBackend struct {
 	lifeCancel  context.CancelFunc
 
 	restores, catchup int
+	mismatches        int64 // cross-check mismatches of killed lives
 }
 
 // boot builds one service+streamer life. Restore state, if any, is the
@@ -210,7 +211,7 @@ func (fb *fleetBackend) boot(parent context.Context) {
 		Backlog:         fb.backlog,
 		StaleAfter:      time.Hour, // staleness flapping is wall-clock; keep it out of the soak
 		Heartbeat:       50 * time.Millisecond,
-		CrossCheckEvery: -1, // cross-check cadence is pinned by unit tests; keep ticks O(delta)
+		CrossCheckEvery: 16, // several cross-checks within a 64-tick soak
 		Store:           fb.store,
 		CheckpointEvery: fb.checkpointEvery,
 	}
@@ -261,6 +262,7 @@ func (fb *fleetBackend) kill() {
 	fb.dead = true
 	fb.lifeCancel()
 	fb.handler = nil
+	fb.mismatches += fb.streamer.Metrics.CrossCheckMismatches.Load()
 	fb.streamer = nil
 	fb.sub = nil
 	fb.slowSub = nil
@@ -534,6 +536,9 @@ func fleetOne(ctx context.Context, cfg FleetConfig, seed uint64) (*FleetRun, err
 	for _, fb := range fleet {
 		if n := fb.streamer.Metrics.TickErrors.Load(); n != 0 {
 			return nil, fmt.Errorf("%s: %d tick application errors", fb.name, n)
+		}
+		if n := fb.mismatches + fb.streamer.Metrics.CrossCheckMismatches.Load(); n != 0 {
+			return nil, fmt.Errorf("%s: %d stream cross-check mismatches", fb.name, n)
 		}
 		run.Restores += fb.restores
 		run.CatchupTicks += fb.catchup

@@ -193,8 +193,8 @@ type decisionFunc func(DecisionPoint)
 func (f decisionFunc) RecordDecision(p DecisionPoint) { f(p) }
 
 // TestAdaptiveKeepsProfileParameters runs Adaptive over Periodic and
-// two Markov-Daly factories of one kind that differ only in their price
-// quantum; on this trace each of them wins some decision. At every
+// two Markov-Daly factories of one kind that differ only in their history
+// span; on this trace each of them wins some decision. At every
 // decision the policy instance installed for the winner must come from
 // the factory of the winning candidate — not the first factory of its
 // kind — and churn damping must re-price the incumbent with a fresh
@@ -203,21 +203,21 @@ func (f decisionFunc) RecordDecision(p DecisionPoint) { f(p) }
 // one instance per install it wins and one per re-pricing of an
 // incumbent it built.
 func TestAdaptiveKeepsProfileParameters(t *testing.T) {
-	quanta := []float64{0, 0.5, 10} // 0 marks the Periodic factory
-	made := make([]int, len(quanta))
+	spans := []int64{0, trace.Hour, 30 * 60} // 0 marks the Periodic factory
+	made := make([]int, len(spans))
 	builtBy := map[sim.CheckpointPolicy]int{}
 	a := &Adaptive{
 		Bids:             []float64{0.47, 0.81, 1.67},
 		MaxZones:         2,
 		EstimationWindow: 6 * trace.Hour,
 	}
-	for k, q := range quanta {
+	for k, span := range spans {
 		fac := PolicyFactory{Kind: "markov-daly", New: func() sim.CheckpointPolicy {
 			m := NewMarkovDaly()
-			m.Quantum = q
+			m.HistorySpan = span
 			return m
 		}}
-		if q == 0 {
+		if span == 0 {
 			fac = DefaultAdaptiveCandidates()[0]
 		}
 		newPol := fac.New
@@ -230,8 +230,8 @@ func TestAdaptiveKeepsProfileParameters(t *testing.T) {
 		a.Candidates = append(a.Candidates, fac)
 	}
 	slots := len(a.Bids) * a.MaxZones
-	prev := make([]int, len(quanta))
-	wins := make([]int, len(quanta))
+	prev := make([]int, len(spans))
+	wins := make([]int, len(spans))
 	incumbent, decisions := -1, 0
 	a.Sink = decisionFunc(func(p DecisionPoint) {
 		decisions++
@@ -249,7 +249,7 @@ func TestAdaptiveKeepsProfileParameters(t *testing.T) {
 		if p.Switched != (pick >= 0) {
 			t.Fatalf("decision %d: switched=%v with winner factory %d", p.Seq, p.Switched, pick)
 		}
-		want := make([]int, len(quanta))
+		want := make([]int, len(spans))
 		if incumbent < 0 {
 			for k := range want {
 				want[k] = slots
@@ -269,7 +269,7 @@ func TestAdaptiveKeepsProfileParameters(t *testing.T) {
 		}
 		copy(prev, made)
 	})
-	hist, run := window(tracegen.HighVolatility(41), 5, 1)
+	hist, run := window(tracegen.HighVolatility(41), 3, 1)
 	if _, err := sim.Run(testConfig(hist, run, 300), a); err != nil {
 		t.Fatal(err)
 	}
@@ -279,13 +279,13 @@ func TestAdaptiveKeepsProfileParameters(t *testing.T) {
 	}
 	for k, n := range wins {
 		if n == 0 {
-			t.Errorf("factory %d (quantum %g) won no decision; the trace cannot tell the factories apart", k, quanta[k])
+			t.Errorf("factory %d (span %d) won no decision; the trace cannot tell the factories apart", k, spans[k])
 		}
 	}
 	if builtBy[a.chosen.Policy] != incumbent {
 		t.Fatalf("running policy built by factory %d, want the last winner %d", builtBy[a.chosen.Policy], incumbent)
 	}
-	if m, ok := a.chosen.Policy.(*MarkovDaly); ok && m.Quantum != quanta[incumbent] {
-		t.Fatalf("running policy quantum %g, want %g", m.Quantum, quanta[incumbent])
+	if m, ok := a.chosen.Policy.(*MarkovDaly); ok && m.HistorySpan != spans[incumbent] {
+		t.Fatalf("running policy span %d, want %d", m.HistorySpan, spans[incumbent])
 	}
 }

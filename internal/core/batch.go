@@ -40,7 +40,7 @@ import (
 // other policy type reaches the engine.
 //
 // Memoization is value-faithful rather than structure-faithful: a
-// fitted chain is a pure function of (zone, fit time, span, quantum)
+// fitted chain is a pure function of (zone, fit time, span)
 // over a fixed window, an expected uptime of the chain plus (bid,
 // current price), and a Daly interval of those plus the checkpoint
 // cost and zone set — so sharing them across permutations through
@@ -68,10 +68,9 @@ type batchPolicy struct {
 	kind batchPolicyKind
 
 	// Markov-Daly parameters and state.
-	span    int64
-	quantum float64
-	higher  bool
-	ts      int64
+	span   int64
+	higher bool
+	ts     int64
 
 	// Periodic state.
 	lastHourEnd int64
@@ -81,18 +80,17 @@ type batchPolicy struct {
 // fitted model depends on besides the (grid-aligned) fit time, which
 // indexes the column.
 type chainMemoKey struct {
-	zone    int
-	span    int64
-	quantum float64
+	zone int
+	span int64
 }
 
 // chainMemo memoizes one zone's fitted chains by window step index. A
 // nil model with done set records an unfittable history, mirroring the
 // oracle's nil fitZone result. Every fit history is a window of the
-// zone's (quantized) column — a prefix while the policy's history span
-// reaches back to the window start, a trailing span after — and the
-// memo's WindowFitter slides from one fit to the next without per-fit
-// sampling or sorting.
+// zone's column — a prefix while the policy's history span reaches back
+// to the window start, a trailing span after — and the memo's
+// WindowFitter, which holds the column's bucketed state ids, slides
+// from one fit to the next without per-fit sampling or sorting.
 type chainMemo struct {
 	// base is the window step of models[0] and done[0]: 0 for a memo
 	// armed over the whole window, the head step for one a stream grid
@@ -101,9 +99,7 @@ type chainMemo struct {
 	models []*markov.Model
 	done   []bool
 
-	wf      markov.WindowFitter
-	wfReady bool
-	qbuf    []float64
+	wf markov.WindowFitter // empty until the memo's first fit
 
 	// usolve memoizes expected uptimes on a (step, up-state count)
 	// grid of stride ustride. The states a bid admits are a prefix of
@@ -387,14 +383,14 @@ func (b *batchState) chainMemoFor(key chainMemoKey) *chainMemo {
 		cm = &chainMemo{}
 	}
 	b.armChain(cm)
-	cm.wfReady = false
 	b.chainKeys = append(b.chainKeys, key)
 	b.chains = append(b.chains, cm)
 	return cm
 }
 
 // armChain sizes the memo's model and uptime columns to the whole window
-// and invalidates every entry; the fitter is left as it is.
+// and invalidates every entry, emptying the fitter too: one that a
+// stream grid released has forgotten the window's front.
 func (b *batchState) armChain(cm *chainMemo) {
 	if cap(cm.models) < b.nsteps {
 		cm.models = make([]*markov.Model, b.nsteps)
@@ -405,6 +401,7 @@ func (b *batchState) armChain(cm *chainMemo) {
 	clear(cm.models)
 	clear(cm.done)
 	cm.base = 0
+	cm.wf.Init(nil, b.step)
 	if cm.ustride > 0 {
 		cm.usolve.arm(0, b.nsteps*cm.ustride)
 	}
@@ -415,14 +412,16 @@ func (b *batchState) armChain(cm *chainMemo) {
 // grid's bound between ticks. Its resident permutations read only the
 // steps a tick appends, so it keeps one fitted model per chain memo,
 // the head step's uptime slots and each permutation's head interval
-// slot; a catch-up that replays from the window start re-arms the memos
-// it reads (chainMemoFor, takeIvals) and refits what it needs. Every
-// entry is a pure function of the window, so a recomputed entry is the
-// same float. The free lists keep one model per chain memo (a tick fits
-// at most one per memo) and no interval or chain memo.
+// slot, and its fitters forget what precedes the head's fit windows; a
+// catch-up replaying from the window start re-arms the memos it reads
+// (chainMemoFor, takeIvals) and refits what it needs. Every entry is a
+// pure function of the window, so a recomputed entry is the same float.
+// The free lists keep one model per chain memo (a tick fits at most one
+// per memo) and no interval or chain memo.
 func (b *batchState) keepHead() {
 	head := b.nsteps - 1
-	for _, cm := range b.chains {
+	for ci, cm := range b.chains {
+		cm.wf.Forget(b.cols.Index(b.start + int64(head+1)*b.step - b.chainKeys[ci].span))
 		if d := min(head-cm.base, len(cm.models)); d > 0 {
 			b.recycleModels(cm.models[:d], cm.done[:d])
 			cm.models, cm.done = dropFront(cm.models, d), dropFront(cm.done, d)
@@ -485,7 +484,6 @@ func (b *batchState) addPerm(out int, spec sim.RunSpec) bool {
 		if pol.span <= 0 {
 			pol.span = markov.DefaultHistory
 		}
-		pol.quantum = p.Quantum
 		pol.higher = p.HigherOrder
 	default:
 		panic(fmt.Sprintf("core: the batched engine cannot replay policy %T", p))
@@ -513,7 +511,7 @@ func (b *batchState) addPerm(out int, spec sim.RunSpec) bool {
 			idx:  b.avail.Get(zi, spec.Bid),
 		}
 		if pol.kind == polMarkovDaly {
-			z.cm = b.chainMemoFor(chainMemoKey{zone: zi, span: pol.span, quantum: pol.quantum})
+			z.cm = b.chainMemoFor(chainMemoKey{zone: zi, span: pol.span})
 		}
 		b.zoneBuf = append(b.zoneBuf, z)
 	}
@@ -1165,24 +1163,14 @@ func upCount(states []float64, bid float64) int {
 // history. The history is the samples Columns.Index(from),
 // Index(from)+1, … that the oracle's Env.PriceHistory reads at the grid
 // times from, from+step, …, now (off-grid spans included), so the fit
-// is the memo fitter's window over the zone's column, quantized once
-// per memo (Round(p/q)*q, value-identical to markov.Quantize).
+// is the memo fitter's window over the zone's column.
 func (b *batchState) fitModel(cm *chainMemo, zone int, now int64, pol *batchPolicy) *markov.Model {
 	from := max(now-pol.span+b.step, b.start)
 	if from > now {
 		return nil
 	}
-	if !cm.wfReady {
-		src := b.cols.Col(zone)
-		if pol.quantum > 0 {
-			cm.qbuf = append(cm.qbuf[:0], src...)
-			for i := range cm.qbuf {
-				cm.qbuf[i] = math.Round(cm.qbuf[i]/pol.quantum) * pol.quantum
-			}
-			src = cm.qbuf
-		}
-		cm.wf.Init(src, b.step)
-		cm.wfReady = true
+	if cm.wf.Len() == 0 {
+		cm.wf.Init(b.cols.Col(zone), b.step)
 	}
 	lo := b.cols.Index(from)
 	reuse := b.takeModel()

@@ -54,11 +54,11 @@ func twoProfiles(kind string, vary func(*MarkovDaly)) []PolicyFactory {
 	}
 }
 
-// quantumProfiles and spanProfiles are the two-profile candidate lists:
-// the variant differs only in its price quantum, or only in its history
-// span.
-func quantumProfiles() []PolicyFactory {
-	return twoProfiles("markov-daly-q10", func(m *MarkovDaly) { m.Quantum = 0.1 })
+// youngProfiles and spanProfiles are the two-profile candidate lists:
+// the variant differs only in its interval estimate (Young's
+// first-order one), or only in its history span.
+func youngProfiles() []PolicyFactory {
+	return twoProfiles("markov-daly-young", func(m *MarkovDaly) { m.HigherOrder = false })
 }
 
 func spanProfiles() []PolicyFactory {
@@ -96,7 +96,7 @@ func candidateSet(name string) []PolicyFactory {
 	case "two-profile":
 		// Both profiles under one policy name: nothing keyed by name
 		// alone may tell them apart.
-		return twoProfiles("markov-daly", func(m *MarkovDaly) { m.Quantum = 0.1 })
+		return twoProfiles("markov-daly", func(m *MarkovDaly) { m.HistorySpan = 6 * trace.Hour })
 	}
 	panic("unknown candidate set " + name)
 }
@@ -186,10 +186,8 @@ type fuzzPerm struct {
 	zones []int
 	kind  int // 0 Periodic, 1 Markov-Daly, 2 Markov-Daly (Young), 3 nil policy
 
-	// Markov-Daly profile: price quantum and history span (0 selects
-	// the default span).
-	quantum float64
-	span    int64
+	// Markov-Daly profile: history span (0 selects the default span).
+	span int64
 }
 
 func (pp fuzzPerm) spec() sim.RunSpec {
@@ -200,7 +198,6 @@ func (pp fuzzPerm) spec() sim.RunSpec {
 	case 1, 2:
 		md := NewMarkovDaly()
 		md.HigherOrder = pp.kind == 1
-		md.Quantum = pp.quantum
 		md.HistorySpan = pp.span
 		pol = md
 	}
@@ -210,9 +207,9 @@ func (pp fuzzPerm) spec() sim.RunSpec {
 
 // FuzzBatchedMeasure drives random traces, bid grids, zone subsets
 // (sorted and not), overheads and policy mixes — each Markov-Daly
-// permutation drawing its own quantum and history span, so one sweep
-// mixes profiles — through the batched engine and the machine oracle,
-// requiring bit-identical estimates. It also draws every input the
+// permutation drawing its own history span and interval estimate, so
+// one sweep mixes profiles — through the batched engine and the machine
+// oracle, requiring bit-identical estimates. It also draws every input the
 // oracle rejects, whose zero estimate the batched path must reproduce
 // without replaying: empty, duplicate and out-of-range zone sets,
 // non-positive bids, nil policies, and windows that are nil, empty,
@@ -254,8 +251,7 @@ func FuzzBatchedMeasure(f *testing.F) {
 		tc := int64(1+rng.Intn(4)) * 150
 		tr := int64(1+rng.Intn(4)) * 150
 
-		quanta := []float64{0.05, 0.1, 0}
-		spans := []int64{0, 6 * trace.Hour}
+		spans := []int64{0, 6 * trace.Hour, 2 * trace.Hour}
 		perms := make([]fuzzPerm, 1+rng.Intn(8))
 		for i := range perms {
 			order := rng.Perm(nz)
@@ -283,8 +279,7 @@ func FuzzBatchedMeasure(f *testing.F) {
 			if rng.Intn(16) == 0 {
 				kind = 3
 			}
-			perms[i] = fuzzPerm{bid: bid, zones: zones, kind: kind,
-				quantum: quanta[rng.Intn(len(quanta))], span: spans[rng.Intn(len(spans))]}
+			perms[i] = fuzzPerm{bid: bid, zones: zones, kind: kind, span: spans[rng.Intn(len(spans))]}
 		}
 
 		build := func() []sim.RunSpec {

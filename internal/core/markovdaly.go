@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/daly"
 	"repro/internal/markov"
@@ -19,9 +18,6 @@ type MarkovDaly struct {
 	// HistorySpan is how much trailing price history feeds the chain;
 	// zero selects the paper's 2 days.
 	HistorySpan int64
-	// Quantum buckets prices before fitting (0.05 by default) to bound
-	// the state count on volatile histories; <= 0 disables bucketing.
-	Quantum float64
 	// HigherOrder selects Daly's higher-order estimate (default) over
 	// Young's first-order one; the ablation bench flips this.
 	HigherOrder bool
@@ -46,7 +42,7 @@ type MarkovDaly struct {
 
 // NewMarkovDaly returns the policy with the paper's defaults.
 func NewMarkovDaly() *MarkovDaly {
-	return &MarkovDaly{HistorySpan: markov.DefaultHistory, Quantum: 0.05, HigherOrder: true}
+	return &MarkovDaly{HistorySpan: markov.DefaultHistory, HigherOrder: true}
 }
 
 // Name implements sim.CheckpointPolicy.
@@ -128,63 +124,44 @@ func (m *MarkovDaly) computeInterval(env *sim.Env) float64 {
 	return daly.Young(tc, mtbf)
 }
 
-// zoneChain is one zone's sliding chain fit: the zone's quantized prices
-// on the fit grid base, base+Step, … and the window fitter over them.
-// Each fit reads through Env.Price only the samples added since the
-// previous one. That is exact because prices already read never change:
-// Now only advances within a run, and a live trace only grows by append
-// beyond it.
+// zoneChain is one zone's sliding chain fit: the window fitter over the
+// zone's prices on the fit grid base, base+Step, …. Each fit appends
+// through Env.Price only the samples added since the previous one. That
+// is exact because prices already read never change: Now only advances
+// within a run, and a live trace only grows by append beyond it.
 type zoneChain struct {
-	col   []float64
 	base  int64
-	live  bool // col and fit hold this run's prices
+	live  bool // fit holds this run's prices
 	fit   markov.WindowFitter
 	model *markov.Model
 }
 
 // fitZone fits the zone's chain on the trailing span of history — the
-// samples Env.PriceHistory returns, quantized — and returns nil for an
-// empty history. The column restarts at the window start after a Reset,
-// when the window start falls outside the column or off its grid (the
-// Env.HistoryStart clamp can do that); it drops its prefix once the
-// window start passes half its length, so it holds O(span) samples.
+// samples Env.PriceHistory returns — and returns nil for an empty
+// history. The fitter restarts on the window after a Reset, when the
+// window start falls outside the fitter's samples or off its grid (the
+// Env.HistoryStart clamp can do that); it forgets the samples behind
+// each window it fits, so it holds O(span) ids.
 func (m *MarkovDaly) fitZone(env *sim.Env, zi int, span int64) *markov.Model {
 	from := max(env.Now-span+env.Step, env.HistoryStart())
 	if from > env.Now {
 		return nil
 	}
 	z := &m.zones[zi]
-	fresh := !z.live || from < z.base || (from-z.base)%env.Step != 0 ||
-		from >= z.base+int64(len(z.col))*env.Step
-	lo, n := 0, int((env.Now-from)/env.Step)+1
-	if fresh {
-		// Room for the window to slide its own length before the
-		// column compacts.
-		z.col, z.base, z.live = slices.Grow(z.col[:0], 2*n+1), from, true
-	} else {
-		lo = int((from - z.base) / env.Step)
+	lo := int((from - z.base) / env.Step)
+	if !z.live || (from-z.base)%env.Step != 0 || lo < z.fit.Forgotten() || lo >= z.fit.Len() {
+		z.fit.Init(env.PriceHistory(zi, span), env.Step)
+		z.base, z.live, lo = from, true, 0
 	}
-	hi := lo + n
-	if lo > len(z.col)/2 {
-		z.col = append(z.col[:0], z.col[lo:]...)
-		z.base, lo, hi, fresh = from, 0, n, true
-	}
-	for i := len(z.col); i < hi; i++ {
-		p := env.Price(zi, z.base+int64(i)*env.Step)
-		if m.Quantum > 0 {
-			p = math.Round(p/m.Quantum) * m.Quantum
-		}
-		z.col = append(z.col, p)
-	}
-	if fresh {
-		z.fit.Init(z.col, env.Step)
-	} else {
-		z.fit.Extend(z.col)
+	hi := lo + int((env.Now-from)/env.Step) + 1
+	for i := z.fit.Len(); i < hi; i++ {
+		z.fit.Append(env.Price(zi, z.base+int64(i)*env.Step))
 	}
 	mod, err := z.fit.Fit(lo, hi, z.model)
 	if err != nil {
 		return nil
 	}
+	z.fit.Forget(lo)
 	z.model = mod
 	return mod
 }

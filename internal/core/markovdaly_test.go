@@ -14,7 +14,7 @@ import (
 )
 
 // referenceInterval is Markov-Daly's interval computed from scratch:
-// the trailing history through Env.PriceHistory, quantized by
+// the trailing history through Env.PriceHistory, bucketed to nickels by
 // markov.Quantize, fitted by markov.Fit, solved by ExpectedUptimeExact
 // (through CombinedExpectedUptime) and converted by Daly's estimate.
 func referenceInterval(m *MarkovDaly, env *sim.Env) float64 {
@@ -25,7 +25,7 @@ func referenceInterval(m *MarkovDaly, env *sim.Env) float64 {
 	var models []*markov.Model
 	var prices []float64
 	for _, zi := range env.Spec.Zones {
-		mod, err := markov.Fit(markov.Quantize(env.PriceHistory(zi, span), m.Quantum), env.Step)
+		mod, err := markov.Fit(markov.Quantize(env.PriceHistory(zi, span), 0.05), env.Step)
 		if err != nil {
 			continue
 		}
@@ -87,9 +87,9 @@ func runChecked(t *testing.T, mach *sim.Machine, grow func() bool) {
 // TestMarkovDalyMatchesReference pins the sliding per-zone chain fits
 // to the from-scratch reference at every schedule of full runs: with
 // and without a bootstrap history, a span or a history off the step
-// grid, no quantization, a pooled machine reset onto another configuration, a
-// trace that grows by append between steps, and a run long enough to
-// compact the price columns.
+// grid, a pooled machine reset onto another configuration, a trace that
+// grows by append between steps, and a run long enough for the fitters
+// to drop forgotten samples many times over.
 func TestMarkovDalyMatchesReference(t *testing.T) {
 	set := tracegen.HighVolatility(5)
 	at := set.Start() + 2*24*trace.Hour
@@ -122,7 +122,6 @@ func TestMarkovDalyMatchesReference(t *testing.T) {
 		// A history off the run's step grid: the window start is clamped
 		// to it, then moves onto the run's grid.
 		{"history-off-grid", cfg(shifted, 20*trace.Hour), []int{0, 1}, func(m *MarkovDaly) { m.HistorySpan = 12 * trace.Hour }},
-		{"quantum-0", cfg(hist, 20*trace.Hour), []int{0, 2}, func(m *MarkovDaly) { m.Quantum = 0 }},
 		{"young", cfg(nil, 20*trace.Hour), []int{0, 1}, func(m *MarkovDaly) { m.HigherOrder = false }},
 	}
 	for _, tc := range cases {
@@ -197,7 +196,7 @@ func TestMarkovDalyMatchesReference(t *testing.T) {
 
 	t.Run("compaction", func(t *testing.T) {
 		// A 2-hour span over a multi-day run: the window start passes
-		// half the column many times over.
+		// half the fitter's retained ids many times over.
 		pol := &checkedMarkovDaly{MarkovDaly: NewMarkovDaly(), t: t}
 		pol.HistorySpan = 2 * trace.Hour
 		c := cfg(hist, 4*24*trace.Hour)
@@ -208,11 +207,11 @@ func TestMarkovDalyMatchesReference(t *testing.T) {
 		}
 		runChecked(t, mach, nil)
 		z := &pol.zones[0]
-		if z.base <= run.Start() {
-			t.Fatalf("column never compacted: base %d, run start %d", z.base, run.Start())
+		if z.fit.Retained() == z.fit.Len() {
+			t.Fatalf("fitter never dropped a forgotten id: holds all %d", z.fit.Len())
 		}
-		if window := int(pol.HistorySpan / run.Step()); len(z.col) > 2*window+2 {
-			t.Fatalf("column holds %d samples for a %d-sample window", len(z.col), window)
+		if window := int(pol.HistorySpan / run.Step()); z.fit.Retained() > 2*window+2 {
+			t.Fatalf("fitter holds %d ids for a %d-sample window", z.fit.Retained(), window)
 		}
 		if pol.checks < 50 {
 			t.Fatalf("only %d schedules checked", pol.checks)

@@ -46,13 +46,13 @@ import (
 // The resident state is bounded by what the head can read. A resident
 // permutation steps only through the steps a tick appends, so between
 // ticks a grid keeps one fitted chain per chain memo, the head step's
-// uptime slots and each permutation's head interval slot (keepHead),
-// beside the full-window tape, columnar view, availability flips and
-// fitter state that a catch-up replays over. A catch-up or rebuild
-// re-arms the per-step memos it reads over the whole window for the
-// duration of its replay, and the tick releases them again before it
-// returns; every entry is a pure function of the window, so a released
-// entry that is recomputed is the same float.
+// uptime slots, each permutation's head interval slot and the fitter
+// ids of the head's fit windows (keepHead), beside the full-window tape,
+// columnar view and availability flips a catch-up replays over. A
+// catch-up or rebuild re-arms the memos and fitters it reads over the
+// whole window for the duration of its replay, and the tick releases
+// them again before it returns; every entry is a pure function of the
+// window, so a released entry that is recomputed is the same float.
 //
 // Every grid cell stays resident: NewStreamGrid refuses what the
 // batched engine cannot replay or a permutation key cannot hold — a
@@ -504,7 +504,6 @@ func (g *StreamGrid) extendState(hist *trace.Set) {
 	b.nsteps = b.cols.Steps()
 	b.end = b.cols.End()
 	for ci, cm := range b.chains {
-		key := b.chainKeys[ci]
 		for cm.base+len(cm.models) < b.nsteps {
 			cm.models = append(cm.models, nil)
 			cm.done = append(cm.done, false)
@@ -512,15 +511,8 @@ func (g *StreamGrid) extendState(hist *trace.Set) {
 		if cm.ustride > 0 {
 			cm.usolve.grow(b.nsteps * cm.ustride)
 		}
-		if cm.wfReady {
-			src := b.cols.Col(key.zone)
-			if key.quantum > 0 {
-				for _, p := range src[len(cm.qbuf):] {
-					cm.qbuf = append(cm.qbuf, math.Round(p/key.quantum)*key.quantum)
-				}
-				src = cm.qbuf
-			}
-			cm.wf.Extend(src)
+		for _, p := range b.cols.Col(b.chainKeys[ci].zone)[cm.wf.Len():] {
+			cm.wf.Append(p)
 		}
 	}
 	for pi := range b.perms {

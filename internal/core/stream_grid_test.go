@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/trace"
+	"repro/internal/tracegen"
 )
 
 // gridShape is one request shape scored on a shared grid in the tests
@@ -385,5 +387,58 @@ func TestStreamGridResidentBound(t *testing.T) {
 		if events[ev] == 0 {
 			t.Errorf("no %s tick in %d ticks (%v)", ev, n, events)
 		}
+	}
+}
+
+// TestStreamGridFitterBound warms the StreamResident benchmark's grid
+// (high-volatility preset, max_zones 3, no cross-check) to one tick
+// short of its retention bound and requires that a chain memo holds no
+// column of the window: each fitter keeps at most 2·(span/step)+2 state
+// ids, twice its trailing fit window, and no other buffer of the memo
+// holds more.
+func TestStreamGridFitterBound(t *testing.T) {
+	set := tracegen.HighVolatility(33)
+	cfg := streamConfigFor(set)
+	cfg.Work, cfg.Deadline = 6*trace.Hour, 9*trace.Hour
+	cfg.MaxZones = 3
+	cfg.CrossCheckEvery = -1
+	g, err := NewStreamGrid(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate); err != nil {
+		t.Fatal(err)
+	}
+	last := DefaultStreamRetention - 1
+	for i := 1; i <= last; i++ {
+		if err := g.Advance(set.PricesAt(set.Start() + int64(i-1)*set.Step())); err != nil {
+			t.Fatal(err)
+		}
+		if i%1024 != 0 && i != last {
+			continue
+		}
+		fitted := 0
+		for ci, cm := range g.b.chains {
+			bound := 2*int(g.b.chainKeys[ci].span/set.Step()) + 2
+			if cm.wf.Len() > 0 {
+				fitted++
+				if n := cm.wf.Retained(); n > bound {
+					t.Fatalf("tick %d: chain memo %d fitter holds %d ids of %d, bound %d", i, ci, n, cm.wf.Len(), bound)
+				}
+			}
+			v := reflect.ValueOf(cm).Elem()
+			for f := 0; f < v.NumField(); f++ {
+				if fv := v.Field(f); fv.Kind() == reflect.Slice && fv.Len() > bound {
+					t.Fatalf("tick %d: chain memo %d keeps %d entries in %s, bound %d",
+						i, ci, fv.Len(), v.Type().Field(f).Name, bound)
+				}
+			}
+		}
+		if fitted == 0 {
+			t.Fatalf("tick %d: no chain memo has fitted", i)
+		}
+	}
+	if st := g.Stats(); st.Compactions != 0 || g.b.nsteps != last {
+		t.Fatalf("grid window %d steps after %d compactions, want %d and none", g.b.nsteps, st.Compactions, last)
 	}
 }

@@ -216,7 +216,7 @@ func TestStreamCompaction(t *testing.T) {
 // TestMarkovDalyProfilesIndependent pins profile isolation: a
 // Markov-Daly candidate's plans must not depend on which other
 // Markov-Daly profiles share the ranking. For two-profile lists that
-// vary the quantum or the history span, oracle Rank equals batched
+// vary the interval estimate or the history span, oracle Rank equals batched
 // Rank, each profile's plans equal those it gets ranked alone, and a
 // StreamEvaluator fed the window tick by tick stays incremental and
 // equal to oracle Rank after every tick.
@@ -224,7 +224,7 @@ func TestMarkovDalyProfilesIndependent(t *testing.T) {
 	hist := estimationHistory(31)
 	oracle := &Evaluator{Workers: 1, DisableBatch: true}
 	batched := &Evaluator{Workers: 1}
-	for name, cands := range map[string][]PolicyFactory{"quantum": quantumProfiles(), "span": spanProfiles()} {
+	for name, cands := range map[string][]PolicyFactory{"young": youngProfiles(), "span": spanProfiles()} {
 		t.Run(name, func(t *testing.T) {
 			req := PlanRequest{
 				History: hist, Work: 6 * trace.Hour, Deadline: 18 * trace.Hour,

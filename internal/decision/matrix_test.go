@@ -49,10 +49,10 @@ func candidateSet(name string) []core.PolicyFactory {
 		return all
 	case "two-profile":
 		// Two Markov-Daly profiles under distinct kinds, differing only
-		// in the price quantum.
-		return []core.PolicyFactory{all[1], {Kind: "markov-daly-q10", New: func() sim.CheckpointPolicy {
+		// in the history span.
+		return []core.PolicyFactory{all[1], {Kind: "markov-daly-6h", New: func() sim.CheckpointPolicy {
 			m := core.NewMarkovDaly()
-			m.Quantum = 0.1
+			m.HistorySpan = 6 * trace.Hour
 			return m
 		}}}
 	default:

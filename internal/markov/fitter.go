@@ -7,29 +7,36 @@ import (
 	"sort"
 )
 
+// Quantum is the nickel bucket a WindowFitter rounds prices to (as
+// Quantize(prices, Quantum) does), bounding the chain's state count.
+const Quantum = 0.05
+
 // WindowFitter fits chains on windows [lo, hi) of one price column
-// without re-sorting per fit. Init pays one distinct-value extraction
-// and one state-indexing pass over the column; Fit keeps, for the
-// window last fitted, a per-value occurrence count and the transition
-// count table, and slides both window ends to the requested window, so
-// a sequence of fits whose windows move forward and overlap costs
-// O(Δ + D²) per fit, where Δ is how far the ends moved and D the number
-// of distinct column values. A window that moves backwards, shrinks its
-// end or jumps past the old one re-counts from scratch. The counts are
-// integer-valued floats, so arriving at a window incrementally or in
-// one pass is value-identical, and the produced models are
-// bit-identical to Fit over the same samples (WindowFitterMatchesFit in
-// the tests pins this). The oracle's Markov-Daly policy, the batched
-// permutation evaluator and the streaming grid refit trailing windows
-// that share almost all their samples, which makes a from-scratch fit
-// per call the dominant cost.
+// without re-sorting per fit. It buckets each raw price it takes (Init
+// in bulk, Append one at a time) to Quantum and keeps its state id,
+// indexed from Init on. Fit keeps, for the window last fitted, a
+// per-value occurrence count and the transition count table, and
+// slides both window ends to the requested window, so a sequence of
+// fits whose windows move forward and overlap costs O(Δ + D²) per fit,
+// where Δ is how far the ends moved and D the number of distinct
+// buckets. A window that moves backwards, shrinks its end or jumps past
+// the old one re-counts from scratch. The counts are integer-valued
+// floats, so arriving at a window incrementally or in one pass is
+// value-identical, and the produced models are bit-identical to
+// Fit(Quantize(window, Quantum)) (TestWindowFitterMatchesFit pins
+// this). The oracle's Markov-Daly policy, the batched permutation
+// evaluator and the streaming grid refit trailing windows that share
+// almost all their samples, which makes a from-scratch fit per call the
+// dominant cost.
 //
 // A WindowFitter is not safe for concurrent use.
 type WindowFitter struct {
 	step int64
 
-	sorted []float64 // distinct column values, ascending
-	gid    []int32   // per-sample index into sorted
+	sorted []float64 // distinct bucketed values, ascending
+	gid    []int32   // state id of sample off+i, an index into sorted
+	off    int       // absolute index of gid[0]
+	keep   int       // Forget mark: the earliest window start Fit accepts
 
 	occ     []int32   // occurrences of each distinct value in [lo, hi)
 	ccounts []float64 // transition counts over the pairs inside [lo, hi)
@@ -37,27 +44,29 @@ type WindowFitter struct {
 	gsel    []int32   // per-fit scratch: selected column states
 }
 
-// Init points the fitter at a price column sampled every step seconds
-// and precomputes its distinct-value structure. Buffers are reused
-// across calls; the column is only read, here and by Extend. The column
-// must be NaN-free (every trace admitted by trace.Validate is): distinct
-// states are extracted by sorting rather than hashing, and the two agree
-// only on NaN-free input.
+// Init restarts the fitter on a raw price column sampled every step
+// seconds, bucketing it and precomputing its distinct-value structure
+// in one pass; the column is only read. Buffers are reused across
+// calls. Prices must be NaN-free (every trace admitted by
+// trace.Validate is): distinct states are extracted by sorting rather
+// than hashing, and the two agree only on NaN-free input.
 func (f *WindowFitter) Init(prices []float64, step int64) {
 	f.step = step
-	// Distinct column values, ascending. Equality here matches Fit's
-	// map-key equality (==, which also collapses -0 and +0). Quantized
+	f.off, f.keep = 0, 0
+	// Distinct bucketed values, ascending. Equality here matches Fit's
+	// map-key equality (==, which also collapses -0 and +0). Bucketed
 	// price columns carry few distinct values, so building the set by
 	// binary-search insertion beats sorting the whole column; columns
 	// with many distinct values fall back to sort-and-compact. Price
 	// columns are step functions, so most samples repeat their
-	// predecessor and skip the search, here and in Extend.
+	// predecessor and skip the search, here and in Append.
 	const insertionMax = 64
 	f.sorted = f.sorted[:0]
 	for t, p := range prices {
 		if t > 0 && p == prices[t-1] {
 			continue
 		}
+		p = math.Round(p/Quantum) * Quantum
 		i := sort.SearchFloat64s(f.sorted, p)
 		if i < len(f.sorted) && f.sorted[i] == p {
 			continue
@@ -66,12 +75,10 @@ func (f *WindowFitter) Init(prices []float64, step int64) {
 			f.sorted = f.sorted[:0]
 			break
 		}
-		f.sorted = append(f.sorted, 0)
-		copy(f.sorted[i+1:], f.sorted[i:])
-		f.sorted[i] = p
+		f.sorted = slices.Insert(f.sorted, i, p)
 	}
 	if len(f.sorted) == 0 && len(prices) > 0 {
-		tmp := append([]float64(nil), prices...)
+		tmp := Quantize(prices, Quantum)
 		sort.Float64s(tmp)
 		for i, p := range tmp {
 			if i == 0 || p != f.sorted[len(f.sorted)-1] {
@@ -84,8 +91,19 @@ func (f *WindowFitter) Init(prices []float64, step int64) {
 	f.occ = slices.Grow(f.occ[:0], d)[:d]
 	f.ccounts = slices.Grow(f.ccounts[:0], d*d)[:d*d]
 	f.recount(0)
-	f.Extend(prices) // every value is known: this only indexes samples
+	for _, p := range prices {
+		f.Append(p) // every value is known: this only indexes samples
+	}
 }
+
+// Len returns the number of samples taken since Init, forgotten or not.
+func (f *WindowFitter) Len() int { return f.off + len(f.gid) }
+
+// Forgotten returns the Forget mark, the earliest start Fit accepts.
+func (f *WindowFitter) Forgotten() int { return f.keep }
+
+// Retained returns how many sample ids the fitter holds.
+func (f *WindowFitter) Retained() int { return len(f.gid) }
 
 // recount empties the counted window, placing it at lo.
 func (f *WindowFitter) recount(lo int) {
@@ -94,26 +112,41 @@ func (f *WindowFitter) recount(lo int) {
 	f.lo, f.hi = lo, lo
 }
 
-// Extend indexes the tail of a grown copy of the column — prices must
-// carry the previously indexed samples unchanged as its prefix —
-// preserving the counted window. Appending a sample of an already-known
-// value costs O(log D); a brand-new distinct value costs one O(n + D²)
-// remap of the sample ids and count table (rare once a quantized column
-// has warmed up). Fits after an Extend are bit-identical to a fresh Init
-// over the grown column: the distinct values and counts end up exactly
-// as Init would build them.
-func (f *WindowFitter) Extend(prices []float64) {
-	for t := len(f.gid); t < len(prices); t++ {
-		p := prices[t]
-		if t > 0 && p == prices[t-1] {
-			f.gid = append(f.gid, f.gid[t-1])
-			continue
+// Append takes the next raw sample: O(log D), or one O(n + D²) remap of
+// the held ids and the count table for a brand-new bucket. Fits after
+// Appends are bit-identical to a fresh Init over the grown column.
+func (f *WindowFitter) Append(p float64) {
+	p = math.Round(p/Quantum) * Quantum
+	if n := len(f.gid); n > 0 && f.sorted[f.gid[n-1]] == p {
+		f.gid = append(f.gid, f.gid[n-1])
+		return
+	}
+	g := sort.SearchFloat64s(f.sorted, p)
+	if g == len(f.sorted) || f.sorted[g] != p {
+		f.insertState(g, p)
+	}
+	f.gid = append(f.gid, int32(g))
+}
+
+// Forget declares that no later Fit starts before sample lo (a lo at or
+// behind the mark changes nothing). Ids before lo are dropped once they
+// are over half of those held, so at most twice the span lo..Len stays;
+// the next Fit recounts a counted window that starts before lo.
+func (f *WindowFitter) Forget(lo int) {
+	lo = min(lo, f.Len())
+	if lo <= f.keep {
+		return
+	}
+	f.keep = lo
+	if f.lo < lo {
+		f.recount(lo)
+	}
+	if d := lo - f.off; d > len(f.gid)/2 {
+		f.gid = f.gid[:copy(f.gid, f.gid[d:])]
+		if cap(f.gid) > 4*len(f.gid) {
+			f.gid = append(make([]int32, 0, 2*len(f.gid)), f.gid...)
 		}
-		g := sort.SearchFloat64s(f.sorted, p)
-		if g == len(f.sorted) || f.sorted[g] != p {
-			f.insertState(g, p)
-		}
-		f.gid = append(f.gid, int32(g))
+		f.off = lo
 	}
 }
 
@@ -148,17 +181,21 @@ func (f *WindowFitter) insertState(g int, p float64) {
 	f.ccounts = counts
 }
 
-// Fit estimates the chain from the column's samples [lo, hi), exactly
-// like Fit over that window; an empty window reports ErrNoHistory. When
-// reuse is non-nil its storage is recycled for the result (the caller
-// must be done with it); the returned model is reuse itself in that
-// case.
+// Fit estimates the chain from the bucketed samples [lo, hi), exactly
+// like Fit(Quantize(window, 0.05)) over the raw samples; an empty
+// window reports ErrNoHistory, and a window that starts behind the
+// Forget mark or ends past Len an error. When reuse is non-nil its
+// storage is recycled for the result (the caller must be done with it);
+// the returned model is reuse itself in that case.
 func (f *WindowFitter) Fit(lo, hi int, reuse *Model) (*Model, error) {
 	if hi <= lo {
 		return nil, ErrNoHistory
 	}
 	if f.step <= 0 {
 		return nil, fmt.Errorf("markov: non-positive step %d", f.step)
+	}
+	if lo < f.keep || hi > f.Len() {
+		return nil, fmt.Errorf("markov: window [%d, %d) outside the fitter's samples [%d, %d)", lo, hi, f.keep, f.Len())
 	}
 	if reuse == nil {
 		reuse = &Model{}
@@ -170,14 +207,14 @@ func (f *WindowFitter) Fit(lo, hi int, reuse *Model) (*Model, error) {
 	if lo < f.lo || lo >= f.hi || hi < f.hi {
 		f.recount(lo)
 	}
-	for t := f.hi; t < hi; t++ {
+	for t := f.hi - f.off; t < hi-f.off; t++ {
 		g := f.gid[t]
 		f.occ[g]++
-		if t > f.lo {
+		if t > f.lo-f.off {
 			f.ccounts[int(f.gid[t-1])*d+int(g)]++
 		}
 	}
-	for t := f.lo; t < lo; t++ {
+	for t := f.lo - f.off; t < lo-f.off; t++ {
 		g := f.gid[t]
 		f.occ[g]--
 		f.ccounts[int(g)*d+int(f.gid[t+1])]--

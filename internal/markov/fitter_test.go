@@ -36,14 +36,35 @@ func modelsEqual(t *testing.T, got, want *Model) {
 	}
 }
 
-// quantPrices draws n samples from a small quantized alphabet, the shape
-// the batched evaluator feeds the fitters.
+// quantPrices draws n samples from a small quantized alphabet.
 func quantPrices(rng *rand.Rand, n, alphabet int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = 0.05 * float64(1+rng.Intn(alphabet))
 	}
 	return out
+}
+
+// rawPrices draws n samples around a quantized alphabet, each off its
+// bucket by up to two cents either way, so that the fitter's bucketing
+// has work to do.
+func rawPrices(rng *rand.Rand, n, alphabet int) []float64 {
+	out := quantPrices(rng, n, alphabet)
+	for i := range out {
+		out[i] += 0.01 * float64(rng.Intn(5)-2)
+	}
+	return out
+}
+
+// refFit is the fitter's reference: Fit over the window's raw samples
+// bucketed by Quantize.
+func refFit(t testing.TB, raw []float64) *Model {
+	t.Helper()
+	m, err := Fit(Quantize(raw, 0.05), 300)
+	if err != nil {
+		t.Fatalf("reference Fit over %d samples: %v", len(raw), err)
+	}
+	return m
 }
 
 // TestWindowFitterMatchesFit pins WindowFitter.Fit to Fit over probed
@@ -55,16 +76,13 @@ func quantPrices(rng *rand.Rand, n, alphabet int) []float64 {
 func TestWindowFitterMatchesFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	columns := [][]float64{
-		quantPrices(rng, 300, 8),
-		quantPrices(rng, 120, 2),
+		rawPrices(rng, 300, 8),
+		rawPrices(rng, 120, 2),
 		{0.25},
 		{0.10, 0.10, 0.10},
+		{0.11, 0.09, 0.12, 0.074, 0.076},
 	}
-	wide := make([]float64, 400)
-	for i := range wide {
-		wide[i] = 0.001 * float64(1+rng.Intn(300))
-	}
-	columns = append(columns, wide, quantPrices(rng, 25, 3))
+	columns = append(columns, rawPrices(rng, 400, 300), quantPrices(rng, 25, 3))
 
 	var wf WindowFitter
 	var reuse *Model
@@ -80,19 +98,18 @@ func TestWindowFitterMatchesFit(t *testing.T) {
 			if hi <= lo {
 				hi = lo + 1
 			}
-			want, err := Fit(col[lo:hi], 300)
-			if err != nil {
-				t.Fatalf("column %d: Fit[%d:%d]: %v", ci, lo, hi, err)
-			}
 			got, err := wf.Fit(lo, hi, reuse)
 			if err != nil {
 				t.Fatalf("column %d: WindowFitter.Fit(%d, %d): %v", ci, lo, hi, err)
 			}
-			modelsEqual(t, got, want)
+			modelsEqual(t, got, refFit(t, col[lo:hi]))
 			reuse = got // recycle into the next fit
 		}
 		if _, err := wf.Fit(n/2, n/2, nil); err != ErrNoHistory {
 			t.Fatalf("column %d: empty window error = %v, want ErrNoHistory", ci, err)
+		}
+		if _, err := wf.Fit(0, n+1, nil); err == nil {
+			t.Fatalf("column %d: window past the column accepted", ci)
 		}
 	}
 	var zero WindowFitter
@@ -104,8 +121,9 @@ func TestWindowFitterMatchesFit(t *testing.T) {
 
 // TestWindowFitterRandomWindows drives one fitter through random
 // sequences of windows — forward slides, backward moves, disjoint jumps
-// and empty windows — while the column grows by Extend, and checks
-// every fit against Fit bit for bit.
+// and empty windows — while the column grows by Append and the caller
+// forgets behind a rising mark, and checks every fit against the
+// reference bit for bit and every fit behind the mark for an error.
 func TestWindowFitterRandomWindows(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 40; trial++ {
@@ -113,20 +131,27 @@ func TestWindowFitterRandomWindows(t *testing.T) {
 		if trial%10 == 9 {
 			alphabet = 100 // wider than the insertion cap
 		}
-		full := make([]float64, 200+rng.Intn(200))
-		for i := range full {
-			full[i] = 0.01 * float64(1+rng.Intn(alphabet))
-		}
+		full := rawPrices(rng, 200+rng.Intn(200), alphabet)
 		n := 1 + rng.Intn(len(full)/2)
 		var wf WindowFitter
 		wf.Init(full[:n], 300)
 		var reuse *Model
 		for step := 0; step < 60; step++ {
 			if n < len(full) && rng.Intn(3) == 0 {
-				n += rng.Intn(len(full) - n + 1)
-				wf.Extend(full[:n])
+				for m := n + rng.Intn(len(full)-n+1); n < m; n++ {
+					wf.Append(full[n])
+				}
 			}
-			lo := rng.Intn(n)
+			if rng.Intn(8) == 0 {
+				wf.Forget(wf.Forgotten() + rng.Intn(n-wf.Forgotten()+1))
+			}
+			if keep := wf.Forgotten(); keep > 0 && rng.Intn(4) == 0 {
+				if _, err := wf.Fit(rng.Intn(keep), n, nil); err == nil || err == ErrNoHistory {
+					t.Fatalf("trial %d: a window behind the mark %d fitted (err %v)", trial, keep, err)
+				}
+			}
+			keep := min(wf.Forgotten(), n-1)
+			lo := keep + rng.Intn(n-keep)
 			hi := lo + rng.Intn(n-lo+1)
 			got, err := wf.Fit(lo, hi, reuse)
 			if hi == lo {
@@ -135,14 +160,16 @@ func TestWindowFitterRandomWindows(t *testing.T) {
 				}
 				continue
 			}
+			if lo < wf.Forgotten() {
+				if err == nil {
+					t.Fatalf("trial %d: window [%d, %d) behind the mark fitted", trial, lo, hi)
+				}
+				continue
+			}
 			if err != nil {
 				t.Fatalf("trial %d: Fit(%d, %d): %v", trial, lo, hi, err)
 			}
-			want, err := Fit(full[lo:hi], 300)
-			if err != nil {
-				t.Fatal(err)
-			}
-			modelsEqual(t, got, want)
+			modelsEqual(t, got, refFit(t, full[lo:hi]))
 			reuse = got
 		}
 	}
@@ -152,19 +179,15 @@ func TestWindowFitterRandomWindows(t *testing.T) {
 // they are one state, as in Fit's map, and the states compare equal.
 func TestWindowFitterSignedZero(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	col := []float64{0.1, negZero, 0, 0.1, 0, negZero, 0.2, 0}
+	col := []float64{0.1, negZero, 0, 0.1, 0, negZero, 0.2, 0, -0.01}
 	var wf WindowFitter
 	wf.Init(col, 300)
-	for _, w := range [][2]int{{0, len(col)}, {1, 5}, {2, 8}, {5, 7}} {
-		want, err := Fit(col[w[0]:w[1]], 300)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, w := range [][2]int{{0, len(col)}, {1, 5}, {2, 8}, {5, 7}, {6, 9}} {
 		got, err := wf.Fit(w[0], w[1], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		modelsEqual(t, got, want)
+		modelsEqual(t, got, refFit(t, col[w[0]:w[1]]))
 	}
 }
 
@@ -197,31 +220,41 @@ func TestSolverMatchesExact(t *testing.T) {
 	}
 }
 
-// TestWindowFitterExtendMatchesInit pins the streaming contract: a
-// fitter Extended tick by tick (including ticks that introduce brand-new
-// distinct values mid-stream, exercising the id remap) fits every probed
-// window bit-identically to a fresh Init over the grown column — and to
-// the package-level Fit.
-func TestWindowFitterExtendMatchesInit(t *testing.T) {
+// TestWindowFitterAppendMatchesInit pins the streaming contract: a
+// fitter grown by Append sample by sample (including samples that
+// introduce brand-new buckets mid-stream, exercising the id remap) and
+// forgetting behind its trailing windows fits every probed window
+// bit-identically to a fresh Init over the grown column — and to the
+// reference — while it holds at most twice the trailing span's ids.
+func TestWindowFitterAppendMatchesInit(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	full := quantPrices(rng, 400, 10)
-	// Splice in late-arriving novel values so Extend's insertState path
+	full := rawPrices(rng, 400, 10)
+	// Splice in late-arriving novel values so Append's insertState path
 	// runs after warm-up.
 	full[250] = 9.95
 	full[300] = 0.001
 	full[399] = 7.77
 
+	const span = 60
 	var inc WindowFitter
 	inc.Init(full[:3], 300)
 	var reuse *Model
 	for n := 4; n <= len(full); n++ {
-		inc.Extend(full[:n])
+		inc.Append(full[n-1])
+		if inc.Len() != n {
+			t.Fatalf("Len = %d after %d samples", inc.Len(), n)
+		}
+		lo := max(0, n-span)
+		inc.Forget(lo)
+		if inc.Retained() > 2*span+1 {
+			t.Fatalf("holds %d ids for a %d-sample trailing window", inc.Retained(), span)
+		}
 		if n%37 != 0 && n != len(full) {
 			continue
 		}
 		var fresh WindowFitter
 		fresh.Init(full[:n], 300)
-		for _, w := range [][2]int{{0, 1}, {0, n / 2}, {n / 4, n}, {n - 1, n}} {
+		for _, w := range [][2]int{{lo, lo + 1}, {lo, n}, {(lo + n) / 2, n}, {n - 1, n}} {
 			want, err := fresh.Fit(w[0], w[1], nil)
 			if err != nil {
 				t.Fatalf("fresh.Fit(%d, %d) at n=%d: %v", w[0], w[1], n, err)
@@ -231,64 +264,71 @@ func TestWindowFitterExtendMatchesInit(t *testing.T) {
 				t.Fatalf("inc.Fit(%d, %d) at n=%d: %v", w[0], w[1], n, err)
 			}
 			modelsEqual(t, got, want)
-			direct, err := Fit(full[w[0]:w[1]], 300)
-			if err != nil {
-				t.Fatalf("Fit[%d:%d]: %v", w[0], w[1], err)
-			}
-			modelsEqual(t, got, direct)
+			modelsEqual(t, got, refFit(t, full[w[0]:w[1]]))
 			reuse = got
 		}
 	}
+	if inc.Retained() == inc.Len() {
+		t.Fatal("the fitter never dropped a forgotten id")
+	}
 }
 
-// FuzzWindowFitter drives a fitter over a byte-derived column and
-// window sequence: the first byte sets the alphabet, each later byte
-// pair either extends the column or fits a window, and every fit must
-// equal Fit over the same samples bit for bit.
+// FuzzWindowFitter drives a fitter over byte-derived raw prices and an
+// operation sequence: the first byte sets the alphabet, each later byte
+// pair either appends samples, moves the Forget mark or fits a window.
+// Every fit must equal Fit(Quantize(window, 0.05)) bit for bit, and a
+// fit that starts behind the mark must fail with an error rather than
+// read a forgotten id.
 func FuzzWindowFitter(f *testing.F) {
 	f.Add([]byte{4, 1, 2, 3, 4, 5, 6, 7, 8, 0, 9, 200, 3})
 	f.Add([]byte{255, 9, 18, 27, 36, 45, 54, 63, 72, 81, 90, 99})
 	f.Add([]byte{1, 0, 0, 0, 0})
+	f.Add([]byte{7, 5, 9, 11, 40, 3, 7, 13, 2, 15, 1, 1, 8, 22, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 1024 {
 			return
 		}
 		alphabet := 1 + int(data[0])
+		// Raw prices land anywhere in their bucket: a byte picks the
+		// bucket and its low bits an offset of up to ±2.4 cents.
 		col := make([]float64, 0, len(data))
 		for _, b := range data[1:] {
-			col = append(col, 0.01*float64(1+int(b)%alphabet))
+			col = append(col, 0.05*float64(1+int(b)%alphabet)+0.006*float64(int(b%9)-4))
 		}
-		// The column grows by thirds; windows are read from the bytes.
-		n := len(col) / 3
-		if n == 0 {
-			n = 1
-		}
+		// The column starts with a third of the samples.
+		n := max(1, len(col)/3)
 		var wf WindowFitter
 		wf.Init(col[:n], 300)
 		var reuse *Model
 		for i := 1; i+1 < len(data); i += 2 {
-			if data[i]%5 == 0 && n < len(col) {
-				n = min(len(col), n+1+int(data[i+1])%8)
-				wf.Extend(col[:n])
+			switch data[i] % 7 {
+			case 0:
+				for m := min(len(col), n+1+int(data[i+1])%8); n < m; n++ {
+					wf.Append(col[n])
+				}
+				continue
+			case 1:
+				wf.Forget(wf.Forgotten() + int(data[i+1])%(n-wf.Forgotten()+1))
 				continue
 			}
 			lo := int(data[i]) % n
 			hi := lo + int(data[i+1])%(n-lo+1)
 			got, err := wf.Fit(lo, hi, reuse)
-			if hi == lo {
+			switch {
+			case hi == lo:
 				if err != ErrNoHistory {
 					t.Fatalf("empty window [%d, %d) error = %v", lo, hi, err)
 				}
 				continue
-			}
-			if err != nil {
+			case lo < wf.Forgotten():
+				if err == nil {
+					t.Fatalf("window [%d, %d) behind the mark %d fitted", lo, hi, wf.Forgotten())
+				}
+				continue
+			case err != nil:
 				t.Fatalf("Fit(%d, %d): %v", lo, hi, err)
 			}
-			want, err := Fit(col[lo:hi], 300)
-			if err != nil {
-				t.Fatal(err)
-			}
-			modelsEqual(t, got, want)
+			modelsEqual(t, got, refFit(t, col[lo:hi]))
 			reuse = got
 		}
 	})

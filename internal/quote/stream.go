@@ -340,7 +340,7 @@ func (st *Streamer) Ingest(seq uint64, prices []float64) error {
 		}
 	}
 	if st.seq == 0 && len(st.backlog) == 0 {
-		st.dropped = seq - 1 // the feed starts at seq
+		st.restartLocked(seq) // the feed starts at seq: so do early grids
 	}
 	st.seq = seq
 	st.lastRow = append(st.lastRow[:0], prices...)

@@ -379,6 +379,59 @@ func TestStreamerLateSubscriber(t *testing.T) {
 	}
 }
 
+// TestStreamerEarlySubscriberAnchor pins where a grid's window starts
+// when its shape subscribes before the feed's first tick and the feed
+// begins past sequence 1: at the first tick's sample time, exactly as
+// for a shape that subscribes once the feed has begun.
+func TestStreamerEarlySubscriberAnchor(t *testing.T) {
+	fx := newStreamFixture()
+	const first, step = 100, 300
+	newStreamer := func() *Streamer {
+		st := fx.streamer()
+		st.Start, st.Step = 0, step
+		return st
+	}
+	stateStart := func(st *Streamer) int64 {
+		snap := st.Snapshot()
+		if len(snap.Shapes) != 1 {
+			t.Fatalf("snapshot holds %d shapes, want 1", len(snap.Shapes))
+		}
+		return snap.Shapes[0].State.Start
+	}
+	early := newStreamer()
+	esub, err := early.Subscribe(fx.shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer esub.Close()
+	if err := early.Ingest(first, fx.row(0)); err != nil {
+		t.Fatal(err)
+	}
+	ev := early.Latest(esub)
+	if ev == nil {
+		t.Fatal("no table after the first tick")
+	}
+	if want := int64(first-1) * step; ev.At != want {
+		t.Fatalf("early subscriber's event At = %d, want %d", ev.At, want)
+	}
+
+	late := newStreamer()
+	if err := late.Ingest(first, fx.row(0)); err != nil {
+		t.Fatal(err)
+	}
+	lsub, err := late.Subscribe(fx.shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lsub.Close()
+	if e, l := stateStart(early), stateStart(late); e != l {
+		t.Fatalf("early subscriber's window starts at %d, late subscriber's at %d", e, l)
+	}
+	if e, l := early.Latest(esub), late.Latest(lsub); e.At != l.At || !reflect.DeepEqual(e.Best, l.Best) {
+		t.Fatalf("tables differ:\n%+v\n%+v", e, l)
+	}
+}
+
 // TestStreamerRejectsWindow pins the stream path's window rule: the
 // feed's retention is the window, so a subscription carrying a history
 // window is invalid, while the same shape without one subscribes.

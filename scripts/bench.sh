@@ -18,10 +18,11 @@
 #       tick, each extra shape adds only its scoring)
 # and one memory gate, on StreamResident (one grid warmed past its
 # 8192-tick retention):
-#   (resident at 8191 ticks - resident at 576) / 7615 <= 128 bytes per
-#       tick (a grid keeps no per-step fitted state: what grows with the
-#       window is the tape row, each chain memo's quantized sample and
-#       state id, and the availability flips catch-ups read), and
+#   (resident at 8191 ticks - resident at 576) / 7615 <= 64 bytes per
+#       tick (a grid keeps no per-step fitted state, and each chain
+#       memo's fitter holds ids for its trailing fit window only: what
+#       grows with the window is the tape row and the availability flips
+#       catch-ups read), and
 #   resident at 8193 ticks < resident at 8191 (compaction to half the
 #       retention gives memory back)
 # Every Name/NameObs pair also reports obs_overhead_pct, the cost of
@@ -166,8 +167,8 @@ END {
 	b = "StreamResident"
 	if (!(b in best)) { print "bench: missing StreamResident row" > "/dev/stderr"; failed = 1 }
 	growth = (val(r8191, b) - val(r576, b)) * 1048576 / (8191 - 576)
-	if (growth > 128) {
-		printf "bench: a stream grid grows %.1f bytes per retained tick (gate: 128)\n", growth > "/dev/stderr"
+	if (growth > 64) {
+		printf "bench: a stream grid grows %.1f bytes per retained tick (gate: 64)\n", growth > "/dev/stderr"
 		failed = 1
 	}
 	if (val(r8193, b) + 0 >= val(r8191, b) + 0) {
