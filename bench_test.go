@@ -664,9 +664,7 @@ func BenchmarkStreamFullRerank(b *testing.B) {
 		if err := tape.Append(row(n + i)); err != nil {
 			b.Fatal(err)
 		}
-		if tape.Len() > core.DefaultStreamRetention {
-			tape = tape.Tail(core.DefaultStreamRetention / 2)
-		}
+		tape.Trim(core.DefaultStreamRetention / 2)
 		req.History = tape.Set()
 		plans, err := ev.Rank(req)
 		if err != nil {

@@ -96,27 +96,55 @@ func main() {
 }
 
 // fleetJSON is the BENCH_chaos_fleet.json shape: the aggregate fleet
-// counters plus one entry per scenario.
+// counters plus one entry per scenario. Reconnects and ElapsedSec
+// depend on scheduling; every per-run field is digested backend state,
+// so runs repeat at one seed.
 type fleetJSON struct {
-	Scenarios   int     `json:"scenarios"`
-	Backends    int     `json:"backends"`
-	Ticks       int     `json:"ticks_per_scenario"`
-	Kills       int     `json:"kills"`
-	Partitions  int     `json:"partitions"`
-	SlowClients int     `json:"slow_clients"`
-	FeedGaps    int     `json:"feed_gaps"`
-	Restores    int     `json:"restores"`
-	Catchup     int     `json:"catchup_ticks_total"`
-	MaxCatchup  int     `json:"max_catchup_ticks"`
-	ElapsedSec  float64 `json:"elapsed_seconds"`
-	Runs        []struct {
-		Seed       uint64 `json:"seed"`
-		Faults     int    `json:"faults"`
-		Restores   int    `json:"restores"`
-		Catchup    int    `json:"catchup_ticks"`
-		Reconnects int    `json:"sse_reconnects"`
-		Digest     string `json:"digest"`
-	} `json:"runs"`
+	Scenarios   int            `json:"scenarios"`
+	Backends    int            `json:"backends"`
+	Ticks       int            `json:"ticks_per_scenario"`
+	Kills       int            `json:"kills"`
+	Partitions  int            `json:"partitions"`
+	SlowClients int            `json:"slow_clients"`
+	FeedGaps    int            `json:"feed_gaps"`
+	Restores    int            `json:"restores"`
+	Catchup     int            `json:"catchup_ticks_total"`
+	MaxCatchup  int            `json:"max_catchup_ticks"`
+	Reconnects  int            `json:"sse_reconnects"`
+	ElapsedSec  float64        `json:"elapsed_seconds"`
+	Runs        []fleetRunJSON `json:"runs"`
+}
+
+// fleetRunJSON is one scenario's record in fleetJSON.
+type fleetRunJSON struct {
+	Seed     uint64 `json:"seed"`
+	Faults   int    `json:"faults"`
+	Restores int    `json:"restores"`
+	Catchup  int    `json:"catchup_ticks"`
+	Digest   string `json:"digest"`
+}
+
+// newFleetJSON builds the JSON report of a fleet soak run under cfg,
+// with cfg's defaults resolved.
+func newFleetJSON(rep *chaos.FleetReport, cfg chaos.FleetConfig) fleetJSON {
+	out := fleetJSON{
+		Scenarios:   len(rep.Runs),
+		Backends:    cfg.Backends,
+		Ticks:       cfg.Ticks,
+		Kills:       rep.Kills,
+		Partitions:  rep.Partitions,
+		SlowClients: rep.SlowClients,
+		FeedGaps:    rep.FeedGaps,
+		Restores:    rep.Restores,
+		Catchup:     rep.CatchupTicks,
+		MaxCatchup:  rep.MaxCatchup,
+		Reconnects:  rep.Reconnects,
+		ElapsedSec:  rep.Elapsed.Seconds(),
+	}
+	for _, r := range rep.Runs {
+		out.Runs = append(out.Runs, fleetRunJSON{r.Seed, len(r.Scenario.Plans), r.Restores, r.CatchupTicks, r.Digest})
+	}
+	return out
 }
 
 // runFleet soaks the fleet topology and prints either the human summary
@@ -133,32 +161,9 @@ func runFleet(cfg chaos.FleetConfig, jsonOut bool) {
 		cfg.Ticks = 96
 	}
 	if jsonOut {
-		out := fleetJSON{
-			Scenarios:   len(rep.Runs),
-			Backends:    cfg.Backends,
-			Ticks:       cfg.Ticks,
-			Kills:       rep.Kills,
-			Partitions:  rep.Partitions,
-			SlowClients: rep.SlowClients,
-			FeedGaps:    rep.FeedGaps,
-			Restores:    rep.Restores,
-			Catchup:     rep.CatchupTicks,
-			MaxCatchup:  rep.MaxCatchup,
-			ElapsedSec:  rep.Elapsed.Seconds(),
-		}
-		for _, r := range rep.Runs {
-			out.Runs = append(out.Runs, struct {
-				Seed       uint64 `json:"seed"`
-				Faults     int    `json:"faults"`
-				Restores   int    `json:"restores"`
-				Catchup    int    `json:"catchup_ticks"`
-				Reconnects int    `json:"sse_reconnects"`
-				Digest     string `json:"digest"`
-			}{r.Seed, len(r.Scenario.Plans), r.Restores, r.CatchupTicks, r.Reconnects, r.Digest})
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := enc.Encode(newFleetJSON(rep, cfg)); err != nil {
 			log.Fatal(err)
 		}
 		return

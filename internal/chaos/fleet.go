@@ -47,7 +47,9 @@ import (
 //     digests must match byte for byte. Client-side observations
 //     (which backend served, reconnect counts) are asserted but not
 //     digested — round-robin interleaving with the live SSE client is
-//     scheduling-dependent; backend feed state is not.
+//     scheduling-dependent; backend feed state is not. A FleetRun
+//     carries only digested state, so equal seeds give equal runs; the
+//     live client's reconnects are summed in FleetReport alone.
 type FleetConfig struct {
 	// Seed is the base seed; scenario i derives from Seed+i.
 	Seed uint64
@@ -81,8 +83,6 @@ type FleetRun struct {
 	CatchupTicks int
 	// MaxCatchup is the largest single-restore catch-up in the run.
 	MaxCatchup int
-	// Reconnects counts the live SSE client's connections (≥1).
-	Reconnects int
 	// Requests counts routed quote posts (one per tick).
 	Requests int
 	// Digest fingerprints the fleet's backend state; equal seeds must
@@ -99,6 +99,10 @@ type FleetReport struct {
 	Kills, Partitions, SlowClients, FeedGaps, Restores, CatchupTicks int
 	// MaxCatchup is the largest single-restore catch-up observed.
 	MaxCatchup int
+	// Reconnects sums the live SSE client's connections over the first
+	// run of every scenario (each run connects at least once). It
+	// depends on scheduling, so it stays out of Runs.
+	Reconnects int
 	// Elapsed is the soak's wall-clock duration.
 	Elapsed time.Duration
 }
@@ -127,11 +131,11 @@ func FleetSoak(ctx context.Context, cfg FleetConfig) (*FleetReport, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		first, err := fleetOne(ctx, cfg, seed)
+		first, reconnects, err := fleetOne(ctx, cfg, seed)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: seed %d: %w", seed, err)
 		}
-		second, err := fleetOne(ctx, cfg, seed)
+		second, _, err := fleetOne(ctx, cfg, seed)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: seed %d (replay): %w", seed, err)
 		}
@@ -145,10 +149,11 @@ func FleetSoak(ctx context.Context, cfg FleetConfig) (*FleetReport, error) {
 		rep.FeedGaps += first.FeedGaps
 		rep.Restores += first.Restores
 		rep.CatchupTicks += first.CatchupTicks
+		rep.Reconnects += reconnects
 		if cfg.Log != nil {
 			fmt.Fprintf(cfg.Log, "seed %-4d faults=%d kills=%d partitions=%d slow=%d gaps=%d restores=%d catchup=%-3d reconnects=%d %s\n",
 				seed, len(first.Scenario.Plans), first.Kills, first.Partitions, first.SlowClients,
-				first.FeedGaps, first.Restores, first.CatchupTicks, first.Reconnects, first.Digest)
+				first.FeedGaps, first.Restores, first.CatchupTicks, reconnects, first.Digest)
 		}
 		if first.MaxCatchup > rep.MaxCatchup {
 			rep.MaxCatchup = first.MaxCatchup
@@ -179,7 +184,6 @@ type fleetBackend struct {
 	hist            *trace.Set
 	zones           []string
 	start, step     int64
-	backlog         int
 	checkpointEvery int
 
 	store *quote.MemStore
@@ -208,7 +212,6 @@ func (fb *fleetBackend) boot(parent context.Context) {
 		Zones:           fb.zones,
 		Start:           fb.start,
 		Step:            fb.step,
-		Backlog:         fb.backlog,
 		StaleAfter:      time.Hour, // staleness flapping is wall-clock; keep it out of the soak
 		Heartbeat:       50 * time.Millisecond,
 		CrossCheckEvery: 16, // several cross-checks within a 64-tick soak
@@ -303,8 +306,9 @@ func (fb *fleetBackend) restart(parent context.Context, rows [][]float64, now ui
 }
 
 // fleetOne builds the topology, drives one scenario tick by tick, and
-// verifies every invariant.
-func fleetOne(ctx context.Context, cfg FleetConfig, seed uint64) (*FleetRun, error) {
+// verifies every invariant. It returns the run and the live SSE
+// client's connection count, which scheduling decides.
+func fleetOne(ctx context.Context, cfg FleetConfig, seed uint64) (*FleetRun, int, error) {
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -327,13 +331,12 @@ func fleetOne(ctx context.Context, cfg FleetConfig, seed uint64) (*FleetRun, err
 			zones:           zones,
 			start:           start,
 			step:            step,
-			backlog:         2 * cfg.Ticks, // never trims: restore geometry stays exact
 			checkpointEvery: cfg.CheckpointEvery,
 			store:           &quote.MemStore{},
 		}
 		fb.boot(sctx)
 		if err := fb.subscribe(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		fleet[i] = fb
 		b := cluster.NewBackend(fb.name, fb)
@@ -407,7 +410,7 @@ func fleetOne(ctx context.Context, cfg FleetConfig, seed uint64) (*FleetRun, err
 	var lastSeen uint64
 	for s := 1; s <= cfg.Ticks; s++ {
 		if err := sctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		tick := int64(s)
 		for pi := range scenario.Plans {
@@ -419,14 +422,14 @@ func fleetOne(ctx context.Context, cfg FleetConfig, seed uint64) (*FleetRun, err
 				case faults.BackendKill:
 					catchup, err := fb.restart(sctx, rows, uint64(s))
 					if err != nil {
-						return nil, err
+						return nil, 0, err
 					}
 					if limit := cfg.CheckpointEvery + int(p.Duration); catchup > limit {
-						return nil, fmt.Errorf("%s: restore caught up %d ticks, bound is %d (checkpoint cadence %d + outage %d) — that is a replay, not a resume",
+						return nil, 0, fmt.Errorf("%s: restore caught up %d ticks, bound is %d (checkpoint cadence %d + outage %d) — that is a replay, not a resume",
 							fb.name, catchup, limit, cfg.CheckpointEvery, p.Duration)
 					}
 					if full := s - 1; catchup >= full {
-						return nil, fmt.Errorf("%s: restore caught up %d of %d ticks: full replay", fb.name, catchup, full)
+						return nil, 0, fmt.Errorf("%s: restore caught up %d of %d ticks: full replay", fb.name, catchup, full)
 					}
 					if catchup > run.MaxCatchup {
 						run.MaxCatchup = catchup
@@ -462,7 +465,7 @@ func fleetOne(ctx context.Context, cfg FleetConfig, seed uint64) (*FleetRun, err
 					// must coalesce it without stalling anyone else.
 					slow, err := fb.streamer.Subscribe(fleetShape)
 					if err != nil {
-						return nil, fmt.Errorf("%s: slow subscriber refused: %w", fb.name, err)
+						return nil, 0, fmt.Errorf("%s: slow subscriber refused: %w", fb.name, err)
 					}
 					fb.mu.Lock()
 					fb.slowSub = slow
@@ -483,11 +486,11 @@ func fleetOne(ctx context.Context, cfg FleetConfig, seed uint64) (*FleetRun, err
 				continue
 			}
 			if err := st.Ingest(uint64(s), rows[s]); err != nil {
-				return nil, fmt.Errorf("%s: tick %d: %w", fb.name, s, err)
+				return nil, 0, fmt.Errorf("%s: tick %d: %w", fb.name, s, err)
 			}
 			if s%17 == 0 {
 				if err := st.Ingest(uint64(s), rows[s]); err != nil { // duplicate delivery: must drop
-					return nil, fmt.Errorf("%s: dup tick %d: %w", fb.name, s, err)
+					return nil, 0, fmt.Errorf("%s: dup tick %d: %w", fb.name, s, err)
 				}
 			}
 		}
@@ -499,7 +502,7 @@ func fleetOne(ctx context.Context, cfg FleetConfig, seed uint64) (*FleetRun, err
 		front.Config.Handler.ServeHTTP(rec, req)
 		run.Requests++
 		if rec.Code != http.StatusOK {
-			return nil, fmt.Errorf("tick %d: routed quote answered %d: %s", s, rec.Code, rec.Body.String())
+			return nil, 0, fmt.Errorf("tick %d: routed quote answered %d: %s", s, rec.Code, rec.Body.String())
 		}
 
 		// Client 2: a reconnecting stream watcher — a fresh subscription
@@ -509,10 +512,10 @@ func fleetOne(ctx context.Context, cfg FleetConfig, seed uint64) (*FleetRun, err
 		// backend whose evaluator is behind.
 		gen, err := watchStream(sctx, client, front.URL, lastSeen, s%2 == 0)
 		if err != nil {
-			return nil, fmt.Errorf("tick %d: %w", s, err)
+			return nil, 0, fmt.Errorf("tick %d: %w", s, err)
 		}
 		if gen < lastSeen {
-			return nil, fmt.Errorf("tick %d: stream generation regressed %d -> %d across reconnect", s, lastSeen, gen)
+			return nil, 0, fmt.Errorf("tick %d: stream generation regressed %d -> %d across reconnect", s, lastSeen, gen)
 		}
 		lastSeen = gen
 	}
@@ -521,24 +524,23 @@ func fleetOne(ctx context.Context, cfg FleetConfig, seed uint64) (*FleetRun, err
 	wg.Wait()
 	front.Close()
 	if n := sseErrors.Load(); n != 0 {
-		return nil, fmt.Errorf("live SSE client saw %d non-200 responses", n)
+		return nil, 0, fmt.Errorf("live SSE client saw %d non-200 responses", n)
 	}
 	if n := regressions.Load(); n != 0 {
-		return nil, fmt.Errorf("live SSE client saw %d generation regressions", n)
+		return nil, 0, fmt.Errorf("live SSE client saw %d generation regressions", n)
 	}
 	if n := router.Stats().Unroutable.Load(); n != 0 {
-		return nil, fmt.Errorf("router reported %d unroutable requests", n)
+		return nil, 0, fmt.Errorf("router reported %d unroutable requests", n)
 	}
-	run.Reconnects = int(reconnects.Load())
-	if run.Reconnects == 0 {
-		return nil, fmt.Errorf("live SSE client never connected")
+	if reconnects.Load() == 0 {
+		return nil, 0, fmt.Errorf("live SSE client never connected")
 	}
 	for _, fb := range fleet {
 		if n := fb.streamer.Metrics.TickErrors.Load(); n != 0 {
-			return nil, fmt.Errorf("%s: %d tick application errors", fb.name, n)
+			return nil, 0, fmt.Errorf("%s: %d tick application errors", fb.name, n)
 		}
 		if n := fb.mismatches + fb.streamer.Metrics.CrossCheckMismatches.Load(); n != 0 {
-			return nil, fmt.Errorf("%s: %d stream cross-check mismatches", fb.name, n)
+			return nil, 0, fmt.Errorf("%s: %d stream cross-check mismatches", fb.name, n)
 		}
 		run.Restores += fb.restores
 		run.CatchupTicks += fb.catchup
@@ -555,7 +557,7 @@ func fleetOne(ctx context.Context, cfg FleetConfig, seed uint64) (*FleetRun, err
 			slow.Close()
 		}
 	}
-	return run, nil
+	return run, int(reconnects.Load()), nil
 }
 
 // streamPath is the front-door subscription URL for the fleet shape.

@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 )
 
@@ -37,12 +38,12 @@ func TestFleetSoak(t *testing.T) {
 	if rep.MaxCatchup <= 0 || rep.MaxCatchup >= cfg.Ticks/2 {
 		t.Fatalf("max catch-up %d of %d ticks: not a bounded resume", rep.MaxCatchup, cfg.Ticks)
 	}
+	if rep.Reconnects < len(rep.Runs) {
+		t.Fatalf("%d live SSE connections over %d runs: some run never connected", rep.Reconnects, len(rep.Runs))
+	}
 	for _, r := range rep.Runs {
 		if r.Requests != cfg.Ticks {
 			t.Fatalf("seed %d: %d routed quotes, want %d", r.Seed, r.Requests, cfg.Ticks)
-		}
-		if r.Reconnects == 0 {
-			t.Fatalf("seed %d: live SSE client never connected", r.Seed)
 		}
 		if r.Digest == "" {
 			t.Fatalf("seed %d: empty digest", r.Seed)
@@ -51,8 +52,9 @@ func TestFleetSoak(t *testing.T) {
 }
 
 // TestFleetSoakReproducible pins cross-soak determinism: running the
-// same configuration twice yields byte-identical per-seed reports —
-// the property that makes a fleet chaos failure replayable.
+// same configuration twice yields identical per-seed runs, field for
+// field — the property that makes a fleet chaos failure replayable and
+// chaossim -fleet -json's per-run records repeat.
 func TestFleetSoakReproducible(t *testing.T) {
 	cfg := FleetConfig{Seed: 11, Scenarios: 2, Ticks: 48}
 	a, err := FleetSoak(context.Background(), cfg)
@@ -63,13 +65,7 @@ func TestFleetSoakReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Runs {
-		if a.Runs[i].Digest != b.Runs[i].Digest {
-			t.Fatalf("seed %d: digests diverge across soaks: %s vs %s",
-				a.Runs[i].Seed, a.Runs[i].Digest, b.Runs[i].Digest)
-		}
-		if a.Runs[i].CatchupTicks != b.Runs[i].CatchupTicks || a.Runs[i].Restores != b.Runs[i].Restores {
-			t.Fatalf("seed %d: recovery accounting diverges across soaks", a.Runs[i].Seed)
-		}
+	if !reflect.DeepEqual(a.Runs, b.Runs) {
+		t.Fatalf("runs diverge across soaks:\n%+v\n%+v", a.Runs, b.Runs)
 	}
 }

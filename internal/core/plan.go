@@ -235,11 +235,12 @@ func (ev *Evaluator) estimateSlots(hist *trace.Set, tc, tr int64, bids []float64
 // scorePlans converts per-slot estimates into the ranked plan table:
 // Inequality (1) cost prediction and schedule split per slot, then the
 // stable best-first order (ascending predicted cost, ties toward bid
-// headroom, then fewer zones, then policy name). The stable sort runs
+// headroom, then fewer zones, then policy name); step is the window's
+// sampling interval, part of the migration cost. The stable sort runs
 // over plan indexes rather than the plans themselves — the same
 // comparisons, so the same order, without moving whole Plan values.
-func scorePlans(req *PlanRequest, odRate float64, slots []rankSlot, ests []estimate) []Plan {
-	migration := req.CheckpointCost + req.RestartCost + req.History.Step()
+func scorePlans(req *PlanRequest, step int64, odRate float64, slots []rankSlot, ests []estimate) []Plan {
+	migration := req.CheckpointCost + req.RestartCost + step
 	plans := make([]Plan, len(slots))
 	for i := range slots {
 		sl := &slots[i]
@@ -316,7 +317,7 @@ func (ev *Evaluator) Rank(req PlanRequest) ([]Plan, error) {
 	}
 	odRate, bids, maxZones, cands := resolveRank(&req)
 	slots, ests := ev.estimateSlots(req.History, req.CheckpointCost, req.RestartCost, bids, maxZones, cands)
-	plans := scorePlans(&req, odRate, slots, ests)
+	plans := scorePlans(&req, req.History.Step(), odRate, slots, ests)
 	if ev.Sink != nil && len(plans) > 0 {
 		ev.Sink.RecordDecision(rankDecision(req.History, plans))
 	}

@@ -10,153 +10,87 @@ import (
 )
 
 // Crash recovery for streaming evaluation: a stream shape's externally
-// meaningful state is a pure function of (request shape, retained
-// window, tick count, generation) — the resident permutation
-// structures are a cache rebuilt from the tape on demand. A snapshot
-// therefore persists exactly that function's inputs plus a digest of
-// its output, and Restore proves the resumed evaluator equals the
-// crashed one by re-deriving the plan table from the restored window
-// and checking it against the digest, bit for bit. A restarted backend
-// then needs to replay only the ticks that arrived after the snapshot
-// (the catch-up), never the full history.
+// meaningful state is a pure function of (request shape, window, feed
+// tick, generation) — the resident permutation structures are a cache
+// rebuilt from the window on demand. The window is not the shape's, nor
+// its grid's: whoever feeds the grids persists it once (a
+// quote.Streamer checkpoints its one tape). A shape's snapshot
+// therefore keeps only what the shape owns — the tick, its generation
+// and a digest binding them and the window to the plan table they
+// produce — and Restore proves the resumed shape equals the crashed one
+// by re-deriving the table from the restored window and checking it
+// against the digest, bit for bit. A restarted backend then needs to
+// replay only the ticks that arrived after the snapshot (the catch-up),
+// never the full history.
 
-// StreamSnapshot is a StreamEvaluator checkpoint: the feed geometry,
-// the retained price window, the tick/generation counters and a digest
-// binding them to the plan table they produce. It is JSON-serialisable
-// so snapshot stores can persist it to disk.
+// StreamSnapshot is one shape's checkpoint: the feed tick and the
+// shape's generation at snapshot time, and a digest binding them, the
+// window and the plan table they produce. It is JSON-serialisable so
+// snapshot stores can persist it to disk.
 type StreamSnapshot struct {
-	// Zones is the feed geometry, in column order.
-	Zones []string `json:"zones"`
-	// Start is the absolute time of the retained window's first sample
-	// (compaction advances it past the config's Start).
-	Start int64 `json:"start"`
-	// Step is the tick interval in seconds.
-	Step int64 `json:"step"`
-	// Ticks is the evaluator's ingested-tick count at snapshot time.
+	// Ticks is the feed tick of the window's last row at snapshot time.
 	Ticks uint64 `json:"ticks"`
 	// Generation is the plan-table generation at snapshot time.
 	Generation uint64 `json:"generation"`
-	// Rows is the retained window, one price row per tick.
-	Rows [][]float64 `json:"rows"`
-	// StateDigest fingerprints the snapshot (geometry, counters, rows)
-	// and the plan table it must reproduce; Restore refuses a snapshot
-	// whose restored table does not match.
+	// StateDigest fingerprints the window (geometry and rows), the
+	// tick, the generation and the plan table they must reproduce;
+	// Restore refuses a snapshot whose restored table does not match.
 	StateDigest string `json:"state_digest"`
 }
 
-// Snapshot captures the evaluator's resumable state.
-func (se *StreamEvaluator) Snapshot() *StreamSnapshot { return se.s.Snapshot() }
-
-// Restore rebuilds the evaluator's state from a snapshot. It is only
-// valid on a fresh evaluator (no ticks ingested) whose config matches
-// the snapshot's geometry; the plan table is re-derived from the
-// restored window and verified against the snapshot digest, so a
-// corrupt or mismatched snapshot is refused rather than silently
-// resumed. After a successful Restore the evaluator continues exactly
-// where the snapshot left off: the next Advance produces tick
-// snap.Ticks+1, and the generation only moves when the table changes.
-func (se *StreamEvaluator) Restore(snap *StreamSnapshot) error {
-	if err := se.g.Restore(snap); err != nil {
-		return err
-	}
-	return se.s.Restore(snap)
-}
-
-// Snapshot captures one shape's resumable state: its grid's window and
-// tick count with the shape's own generation and table digest. The
-// snapshot is independent of the resident structures.
-func (s *StreamScorer) Snapshot() *StreamSnapshot {
-	g := s.g
-	hist := g.tape.Set()
-	n := g.tape.Len()
-	rows := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		rows[i] = hist.PricesAt(g.tape.Start() + int64(i)*g.tape.Step())
-	}
-	snap := &StreamSnapshot{
-		Zones:      append([]string(nil), g.cfg.Zones...),
-		Start:      g.tape.Start(),
-		Step:       g.tape.Step(),
-		Ticks:      g.stats.Ticks,
-		Generation: s.gen,
-		Rows:       rows,
-	}
-	snap.StateDigest = snap.digest(s.plans)
+// Snapshot captures one shape's resumable state over win, the window
+// its grid last stepped to. The snapshot is independent of the
+// resident structures.
+func (s *StreamScorer) Snapshot(win *trace.Set) *StreamSnapshot {
+	snap := &StreamSnapshot{Ticks: s.g.stats.Ticks, Generation: s.gen}
+	snap.StateDigest = snap.digest(win, s.plans)
 	return snap
 }
 
-// Restore rebuilds the grid's window and tick count from a shape
-// snapshot. It is only valid on a fresh grid (no ticks ingested) whose
-// config matches the snapshot's geometry. The window's estimates are
-// re-derived from scratch; the resident structures rebuild lazily on
-// the next tick. Each attached scorer then restores its own generation
-// through StreamScorer.Restore, which verifies the digest.
-func (g *StreamGrid) Restore(snap *StreamSnapshot) error {
-	if snap == nil {
-		return fmt.Errorf("core: nil stream snapshot")
+// Restore re-derives the grid's estimates from scratch over win, the
+// restored feed window whose last row is feed tick tick. It is only
+// valid on a fresh grid (never stepped); an empty window leaves it
+// fresh. The resident structures rebuild lazily on the next Advance,
+// and each attached scorer then restores its own generation through
+// StreamScorer.Restore, which verifies the digest.
+func (g *StreamGrid) Restore(win *trace.Set, tick uint64) error {
+	if g.steps != 0 || g.stats.Ticks != 0 {
+		return fmt.Errorf("core: Restore on a grid that has already stepped to tick %d", g.stats.Ticks)
 	}
-	if g.stats.Ticks != 0 || g.tape.Len() != 0 {
-		return fmt.Errorf("core: Restore on an evaluator that has already ingested %d ticks", g.stats.Ticks)
-	}
-	if len(snap.Zones) != len(g.cfg.Zones) {
-		return fmt.Errorf("core: snapshot has %d zones, evaluator %d", len(snap.Zones), len(g.cfg.Zones))
-	}
-	for i, z := range snap.Zones {
-		if z != g.cfg.Zones[i] {
-			return fmt.Errorf("core: snapshot zone %d is %q, evaluator has %q", i, z, g.cfg.Zones[i])
-		}
-	}
-	if snap.Step != g.cfg.Step {
-		return fmt.Errorf("core: snapshot step %d, evaluator %d", snap.Step, g.cfg.Step)
-	}
-	if uint64(len(snap.Rows)) > snap.Ticks {
-		return fmt.Errorf("core: snapshot retains %d rows but counts only %d ticks", len(snap.Rows), snap.Ticks)
-	}
-	if len(snap.Rows) == 0 {
-		// An empty snapshot (taken before the first tick) restores to
-		// the fresh state.
-		return nil
-	}
-	tape, err := replayTape(snap)
-	if err != nil {
+	n, err := g.checkWindow(win)
+	if err != nil || n == 0 {
 		return err
 	}
-	g.tape = tape
-	g.slots, g.ests = g.estimate(tape.Set())
-	g.stats.Ticks = snap.Ticks
+	g.slots, g.ests = g.estimate(win)
+	g.start, g.steps = win.Start(), n
+	g.stats.Ticks = tick
 	g.dirty = true // resident structures rebuild lazily on the next tick
 	g.stats.Rebuilds++
 	return nil
 }
 
-// Restore adopts a shape snapshot's generation and table on a scorer
-// whose grid was restored from the same window: the snapshot must carry
-// the grid's rows, start and tick count exactly, and the table the grid
-// scores for this shape must hash to the snapshot's digest. By the
-// streaming contract that table is bit-identical to Rank over the same
-// window, so the check proves the resumed state equals the crashed one.
-func (s *StreamScorer) Restore(snap *StreamSnapshot) error {
+// Restore adopts a shape snapshot's generation on a scorer whose grid
+// was restored over win: the snapshot's tick must be the grid's, and
+// the table the grid scores for this shape must hash, with win, to the
+// snapshot's digest. By the streaming contract that table is
+// bit-identical to Rank over the same window, so the check proves the
+// resumed state equals the crashed one.
+func (s *StreamScorer) Restore(win *trace.Set, snap *StreamSnapshot) error {
 	if snap == nil {
 		return fmt.Errorf("core: nil stream snapshot")
 	}
 	g := s.g
-	if len(snap.Rows) == 0 {
+	if g.steps == 0 {
 		if snap.Generation != 0 {
-			return fmt.Errorf("core: empty snapshot carries generation %d", snap.Generation)
-		}
-		if g.tape.Len() != 0 {
-			return fmt.Errorf("core: empty snapshot on a grid holding %d rows", g.tape.Len())
+			return fmt.Errorf("core: snapshot of an empty window carries generation %d", snap.Generation)
 		}
 		return nil
 	}
-	if !g.holds(snap) {
-		return fmt.Errorf("core: snapshot window (start %d, %d rows, tick %d) differs from its grid's (start %d, %d rows, tick %d)",
-			snap.Start, len(snap.Rows), snap.Ticks, g.tape.Start(), g.tape.Len(), g.stats.Ticks)
+	if snap.Ticks != g.stats.Ticks {
+		return fmt.Errorf("core: snapshot at tick %d, its grid at tick %d", snap.Ticks, g.stats.Ticks)
 	}
-	hist := g.tape.Set()
-	req := s.request(hist)
-	plans := scorePlans(&req, s.odRate, g.slots, g.ests)
-	if got := snap.digest(plans); got != snap.StateDigest {
+	plans := s.scored()
+	if got := snap.digest(win, plans); got != snap.StateDigest {
 		return fmt.Errorf("core: snapshot digest mismatch: restored table hashes to %s, snapshot says %s", got, snap.StateDigest)
 	}
 	s.gen = snap.Generation
@@ -164,76 +98,35 @@ func (s *StreamScorer) Restore(snap *StreamSnapshot) error {
 	s.upd = StreamUpdate{
 		Generation: s.gen,
 		Tick:       g.stats.Ticks,
-		Steps:      g.tape.Len(),
-		At:         g.tape.End() - g.cfg.Step,
+		Steps:      g.steps,
+		At:         g.at(),
 		Plans:      plans,
 	}
 	return nil
 }
 
-// holds reports whether the grid's window is exactly the snapshot's:
-// same geometry, start, tick count and rows, bit for bit.
-func (g *StreamGrid) holds(snap *StreamSnapshot) bool {
-	if snap.Step != g.cfg.Step || len(snap.Zones) != len(g.cfg.Zones) ||
-		snap.Start != g.tape.Start() || snap.Ticks != g.stats.Ticks || len(snap.Rows) != g.tape.Len() {
-		return false
-	}
-	for i, z := range snap.Zones {
-		if z != g.cfg.Zones[i] {
-			return false
-		}
-	}
-	hist := g.tape.Set()
-	for i, row := range snap.Rows {
-		got := hist.PricesAt(g.tape.Start() + int64(i)*g.tape.Step())
-		if len(row) != len(got) {
-			return false
-		}
-		for k := range row {
-			if !f64eq(row[k], got[k]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// replayTape reconstructs the snapshot's retained window as a tape,
-// re-validating every row.
-func replayTape(snap *StreamSnapshot) (*trace.Tape, error) {
-	t, err := trace.NewTape(snap.Zones, snap.Start, snap.Step)
-	if err != nil {
-		return nil, err
-	}
-	for i, row := range snap.Rows {
-		if err := t.Append(row); err != nil {
-			return nil, fmt.Errorf("core: snapshot row %d: %w", i, err)
-		}
-	}
-	return t, nil
-}
-
-// digest fingerprints the snapshot's inputs and the plan table they
-// must reproduce, FNV-64a over the raw float bits so the check is
-// exact, not approximate.
-func (snap *StreamSnapshot) digest(plans []Plan) string {
+// digest fingerprints the window, the snapshot's counters and the plan
+// table they must reproduce, FNV-64a over the raw float bits so the
+// check is exact, not approximate. The window enters as zone names,
+// start, step and its rows in time order.
+func (snap *StreamSnapshot) digest(win *trace.Set, plans []Plan) string {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	for _, z := range snap.Zones {
-		h.Write([]byte(z))
+	for _, s := range win.Series {
+		h.Write([]byte(s.Zone))
 		h.Write([]byte{0})
 	}
-	put(uint64(snap.Start))
-	put(uint64(snap.Step))
+	put(uint64(win.Start()))
+	put(uint64(win.Step()))
 	put(snap.Ticks)
 	put(snap.Generation)
-	for _, row := range snap.Rows {
-		for _, p := range row {
-			put(math.Float64bits(p))
+	for i := range win.Series[0].Prices {
+		for _, s := range win.Series {
+			put(math.Float64bits(s.Prices[i]))
 		}
 	}
 	put(uint64(len(plans)))

@@ -6,30 +6,29 @@ import (
 	"testing"
 )
 
-// TestStreamSnapshotResume is the crash-recovery contract: an evaluator
-// restored from a mid-stream snapshot and fed only the ticks after it
-// stays bit-identical — update by update — to the evaluator that never
-// crashed. The snapshot goes through a JSON round trip first, exactly
-// as a snapshot store would persist it.
+// TestStreamSnapshotResume is the crash-recovery contract: a grid and
+// scorer restored from a mid-stream snapshot and its window, fed only
+// the ticks after it, stay bit-identical — update by update — to the
+// pair that never crashed. The snapshot goes through a JSON round trip
+// first, exactly as a snapshot store would persist it.
 func TestStreamSnapshotResume(t *testing.T) {
 	set := paperRegimes()["high/day3"]
 	cfg := streamConfigFor(set)
 	cfg.CrossCheckEvery = -1
-	live, err := NewStreamEvaluator(nil, cfg)
+	live := newGridFeed(t, cfg)
+	ls, err := live.g.Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := set.Series[0].Len()
 	crash := n / 2
 	for i := 0; i < crash; i++ {
-		if _, err := live.Advance(set.PricesAt(set.Start() + int64(i)*set.Step())); err != nil {
-			t.Fatal(err)
-		}
+		live.advance(t, set.PricesAt(set.Start()+int64(i)*set.Step()))
 	}
-	snap := live.Snapshot()
-	if snap.Ticks != uint64(crash) || snap.Generation != live.Generation() {
-		t.Fatalf("snapshot counters (%d, %d) disagree with evaluator (%d, %d)",
-			snap.Ticks, snap.Generation, crash, live.Generation())
+	snap := ls.Snapshot(live.tape.Set())
+	if snap.Ticks != uint64(crash) || snap.Generation != ls.Generation() {
+		t.Fatalf("snapshot counters (%d, %d) disagree with the scorer (%d, %d)",
+			snap.Ticks, snap.Generation, crash, ls.Generation())
 	}
 	raw, err := json.Marshal(snap)
 	if err != nil {
@@ -39,28 +38,24 @@ func TestStreamSnapshotResume(t *testing.T) {
 	if err := json.Unmarshal(raw, &thawed); err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := NewStreamEvaluator(nil, cfg)
+	resumed := live.restored(t, cfg)
+	rs, err := resumed.g.Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := resumed.Restore(&thawed); err != nil {
+	if err := rs.Restore(resumed.tape.Set(), &thawed); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if resumed.Generation() != live.Generation() || !plansEqual(resumed.Plans(), live.Plans()) {
+	if rs.Generation() != ls.Generation() || !plansEqual(rs.Plans(), ls.Plans()) {
 		t.Fatal("restored table differs from the live one at the snapshot point")
 	}
 	// Catch-up: only the post-snapshot ticks, in lockstep with the
-	// never-crashed evaluator.
+	// never-crashed pair.
 	for i := crash; i < n; i++ {
 		row := set.PricesAt(set.Start() + int64(i)*set.Step())
-		want, err := live.Advance(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := resumed.Advance(row)
-		if err != nil {
-			t.Fatal(err)
-		}
+		live.advance(t, row)
+		resumed.advance(t, row)
+		got, want := rs.Update(), ls.Update()
 		if got.Generation != want.Generation || got.Tick != want.Tick || got.Changed != want.Changed {
 			t.Fatalf("tick %d: resumed (gen %d tick %d changed %v) vs live (gen %d tick %d changed %v)",
 				i, got.Generation, got.Tick, got.Changed, want.Generation, want.Tick, want.Changed)
@@ -71,110 +66,125 @@ func TestStreamSnapshotResume(t *testing.T) {
 	}
 }
 
-// TestStreamSnapshotRefusals pins every way Restore must say no: a
-// missing snapshot, a tampered window, a tampered digest, mismatched
-// geometry, and an evaluator that has already ingested ticks.
+// TestStreamSnapshotRefusals pins every way a restore must say no: a
+// missing snapshot, a tampered window, a tampered digest, a window of
+// another step or zone set, and a grid that has already stepped.
 func TestStreamSnapshotRefusals(t *testing.T) {
 	set := paperRegimes()["low/day1"]
 	cfg := streamConfigFor(set)
 	cfg.CrossCheckEvery = -1
-	se, err := NewStreamEvaluator(nil, cfg)
+	src := newGridFeed(t, cfg)
+	s, err := src.g.Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 32; i++ {
-		if _, err := se.Advance(set.PricesAt(set.Start() + int64(i)*set.Step())); err != nil {
-			t.Fatal(err)
-		}
+		src.advance(t, set.PricesAt(set.Start()+int64(i)*set.Step()))
 	}
-	snap := se.Snapshot()
+	win := src.tape.Set()
+	snap := s.Snapshot(win)
 
-	fresh := func() *StreamEvaluator {
-		ev, err := NewStreamEvaluator(nil, cfg)
+	// restore restores a fresh grid over the window and the snapshot
+	// onto a fresh scorer of the shape.
+	restore := func(grid *StreamGrid, snap *StreamSnapshot) error {
+		if err := grid.Restore(win, snap.Ticks); err != nil {
+			return err
+		}
+		sc, err := grid.Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ev
+		return sc.Restore(win, snap)
 	}
-	copySnap := func() *StreamSnapshot {
-		c := *snap
-		c.Rows = make([][]float64, len(snap.Rows))
-		for i, row := range snap.Rows {
-			c.Rows[i] = append([]float64(nil), row...)
+	fresh := func(cfg StreamConfig) *StreamGrid {
+		g, err := NewStreamGrid(nil, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return &c
+		return g
 	}
 
-	if err := fresh().Restore(nil); err == nil {
+	if err := restore(fresh(cfg), snap); err != nil {
+		t.Fatalf("untouched snapshot refused: %v", err)
+	}
+
+	sc, err := fresh(cfg).Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Restore(win, nil); err == nil {
 		t.Fatal("nil snapshot restored")
 	}
 
-	tampered := copySnap()
-	tampered.Rows[3][0] *= 7
-	if err := fresh().Restore(tampered); err == nil || !strings.Contains(err.Error(), "digest") {
+	// The window enters the digest: a snapshot of another window is
+	// refused.
+	other := newGridFeed(t, cfg)
+	for i := 0; i < 32; i++ {
+		row := set.PricesAt(set.Start() + int64(i)*set.Step())
+		if i == 3 {
+			row[0] *= 7
+		}
+		other.advance(t, row)
+	}
+	tampered := *snap
+	tampered.StateDigest = (&tampered).digest(other.tape.Set(), s.Plans())
+	if err := restore(fresh(cfg), &tampered); err == nil || !strings.Contains(err.Error(), "digest") {
 		t.Fatalf("tampered window restored: %v", err)
 	}
 
-	badDigest := copySnap()
+	badDigest := *snap
 	badDigest.StateDigest = "deadbeefdeadbeef"
-	if err := fresh().Restore(badDigest); err == nil || !strings.Contains(err.Error(), "digest") {
+	if err := restore(fresh(cfg), &badDigest); err == nil || !strings.Contains(err.Error(), "digest") {
 		t.Fatalf("tampered digest restored: %v", err)
 	}
 
-	wrongStep := copySnap()
+	wrongStep := cfg
 	wrongStep.Step++
-	if err := fresh().Restore(wrongStep); err == nil {
-		t.Fatal("mismatched step restored")
+	if err := restore(fresh(wrongStep), snap); err == nil {
+		t.Fatal("window of another step restored")
 	}
 
-	wrongZones := copySnap()
-	wrongZones.Zones = append([]string(nil), wrongZones.Zones...)
-	wrongZones.Zones[0] = "nowhere-1x"
-	if err := fresh().Restore(wrongZones); err == nil {
-		t.Fatal("mismatched zones restored")
+	wrongZones := cfg
+	wrongZones.Zones = append([]string{"nowhere-1x"}, cfg.Zones...)
+	if err := restore(fresh(wrongZones), snap); err == nil {
+		t.Fatal("window of another zone set restored")
 	}
 
-	used := fresh()
-	if _, err := used.Advance(set.PricesAt(set.Start())); err != nil {
-		t.Fatal(err)
-	}
-	if err := used.Restore(copySnap()); err == nil {
-		t.Fatal("restore onto a ticked evaluator succeeded")
+	used := newGridFeed(t, cfg)
+	used.advance(t, set.PricesAt(set.Start()))
+	if err := restore(used.g, snap); err == nil {
+		t.Fatal("restore onto a stepped grid succeeded")
 	}
 }
 
 // TestStreamSnapshotEmpty pins the pre-first-tick snapshot: restoring
-// it is a no-op, and the restored evaluator's first tick matches a
-// fresh evaluator's.
+// it is a no-op, and the restored pair's first tick matches a fresh
+// pair's.
 func TestStreamSnapshotEmpty(t *testing.T) {
 	set := paperRegimes()["moderate/day1"]
 	cfg := streamConfigFor(set)
 	cfg.CrossCheckEvery = -1
-	a, err := NewStreamEvaluator(nil, cfg)
+	a := newGridFeed(t, cfg)
+	as, err := a.g.Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := a.Snapshot()
-	if len(snap.Rows) != 0 || snap.Ticks != 0 || snap.Generation != 0 {
+	snap := as.Snapshot(a.tape.Set())
+	if snap.Ticks != 0 || snap.Generation != 0 {
 		t.Fatalf("fresh snapshot not empty: %+v", snap)
 	}
-	b, err := NewStreamEvaluator(nil, cfg)
+	b := a.restored(t, cfg)
+	bs, err := b.g.Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Restore(snap); err != nil {
+	if err := bs.Restore(b.tape.Set(), snap); err != nil {
 		t.Fatalf("empty restore: %v", err)
 	}
 	row := set.PricesAt(set.Start())
-	ua, err := a.Advance(row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ub, err := b.Advance(row)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ua.Generation != ub.Generation || !plansEqual(ua.Plans, ub.Plans) {
-		t.Fatal("empty-restored evaluator diverges from a fresh one")
+	a.advance(t, row)
+	b.advance(t, row)
+	if ua, ub := as.Update(), bs.Update(); ua.Generation != ub.Generation || !plansEqual(ua.Plans, ub.Plans) {
+		t.Fatal("empty-restored pair diverges from a fresh one")
 	}
 }

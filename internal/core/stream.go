@@ -13,13 +13,13 @@ import (
 // structure that price ticks update, instead of a product recomputed
 // per request. Rank prices a request by replaying every permutation
 // over the whole window — O(window × permutations) even though
-// consecutive requests differ by one tick. A StreamEvaluator inverts
-// that dataflow: it owns an append-only price tape, keeps every
-// permutation's batched replay state (batch.go) live at the window end,
-// and on each tick extends the columnar views, availability indexes and
-// fit memos in place, steps every resident permutation by exactly one
-// interval, and re-scores the table from non-destructive meter closes —
-// O(permutations) work per tick, O(delta) in the window.
+// consecutive requests differ by one tick. A StreamGrid inverts that
+// dataflow: it keeps every permutation's batched replay state
+// (batch.go) live at the end of a window that grows one tick at a
+// time, and on each tick extends the columnar views, availability
+// indexes and fit memos in place, steps every resident permutation by
+// exactly one interval, and re-scores the table from non-destructive
+// meter closes — O(permutations) work per tick, O(delta) in the window.
 //
 // The contract is bit-identicality, not approximation: after any
 // number of ticks the table equals what Evaluator.Rank would return
@@ -47,8 +47,8 @@ import (
 // permutation steps only through the steps a tick appends, so between
 // ticks a grid keeps one fitted chain per chain memo, the head step's
 // uptime slots, each permutation's head interval slot and the fitter
-// ids of the head's fit windows (keepHead), beside the full-window tape,
-// columnar view and availability flips a catch-up replays over. A
+// ids of the head's fit windows (keepHead), beside the columnar view of
+// the window and the availability flips a catch-up replays over. A
 // catch-up or rebuild re-arms the memos and fitters it reads over the
 // whole window for the duration of its replay, and the tick releases
 // them again before it returns; every entry is a pure function of the
@@ -61,23 +61,32 @@ import (
 // Periodic and Markov-Daly candidates, whatever their parameters, is
 // accepted.
 //
+// The window itself is not the grid's: Advance reads it from the
+// caller, who owns the one price tape and its retention. A
+// quote.Streamer steps every grid it holds over its single tape; a
+// StreamEvaluator owns a private tape, compacted by the same rule
+// (trace.Tape.Trim). The grid keeps only where its window starts and
+// how long it is, and rebuilds when the caller's tape compacts or
+// restarts under it.
+//
 // The resident state splits along the Inequality (1) boundary. A
-// StreamGrid owns everything the replays depend on — tape, batched
-// state, resident permutations, the live grid and its per-slot
-// estimates, compaction, catch-up and the cross-check — which is a
-// function of the window and the grid knobs (bids, redundancy bound,
-// candidates, t_c, t_r) alone: estimation replays run with effectively
-// unbounded work and deadline (estimationCfg). A StreamScorer owns what
-// one request shape adds — remaining work, deadline, on-demand rate —
-// and turns the grid's estimates into its ranked table, generation and
-// diff. Any number of shapes share one grid; a StreamEvaluator is one
-// grid with one scorer, stepped through the same code.
+// StreamGrid owns everything the replays depend on — batched state,
+// resident permutations, the live grid and its per-slot estimates,
+// catch-up and the cross-check — which is a function of the window and
+// the grid knobs (bids, redundancy bound, candidates, t_c, t_r) alone:
+// estimation replays run with effectively unbounded work and deadline
+// (estimationCfg). A StreamScorer owns what one request shape adds —
+// remaining work, deadline, on-demand rate — and turns the grid's
+// estimates into its ranked table, generation and diff. Any number of
+// shapes share one grid; a StreamEvaluator is one tape, one grid and
+// one scorer, stepped through the same code.
 //
 // Grids and scorers are single-goroutine by design: the tick pipeline
 // owns them, and everything downstream reads published snapshots.
 
 // Streaming evaluator defaults: the cross-check cadence and the
-// retention bound (in steps) before the tape is compacted to half.
+// retention bound (in steps) past which a StreamEvaluator's tape
+// compacts to half.
 const (
 	DefaultCrossCheckEvery = 256
 	DefaultStreamRetention = 8192
@@ -90,13 +99,16 @@ const residentSlack = 4
 
 // StreamConfig describes one streaming planning question: the fixed
 // request shape (everything a PlanRequest carries except the history)
-// plus the feed geometry the tape accretes ticks on.
+// plus the feed geometry the windows share.
 type StreamConfig struct {
 	// Zones names the feed's availability zones, in column order.
 	Zones []string
-	// Start is the absolute time of the first tick's sample.
+	// Start is the absolute time of the first tick's sample. Only
+	// NewStreamEvaluator reads it, to anchor its tape; a grid reads
+	// each window's start from the window.
 	Start int64
 	// Step is the tick interval in seconds; 0 selects trace.DefaultStep.
+	// A grid refuses windows sampled at another interval.
 	Step int64
 
 	// Work and Deadline are the remaining computation C_r and
@@ -123,9 +135,11 @@ type StreamConfig struct {
 	// cross-check; 0 selects DefaultCrossCheckEvery, negative disables
 	// it.
 	CrossCheckEvery int
-	// MaxSteps bounds the retained window; past it the tape compacts to
-	// its trailing half and the resident state rebuilds over the
-	// shortened window. 0 selects DefaultStreamRetention.
+	// MaxSteps bounds a StreamEvaluator's tape: past it the tape keeps
+	// its trailing MaxSteps/2 rows (trace.Tape.Trim) and the resident
+	// state rebuilds over the shortened window. 0 selects
+	// DefaultStreamRetention. A grid's window is its caller's, so
+	// NewStreamGrid ignores it.
 	MaxSteps int
 }
 
@@ -137,7 +151,9 @@ type StreamUpdate struct {
 	// Generation is the monotonic plan-table generation; it increments
 	// exactly when the table changes.
 	Generation uint64
-	// Tick counts ingested ticks, 1-based.
+	// Tick is the feed tick of the window's last row, as the caller of
+	// StreamGrid.Advance numbers it; a StreamEvaluator counts its own
+	// ticks from 1.
 	Tick uint64
 	// Steps is the retained window length in samples.
 	Steps int
@@ -156,12 +172,14 @@ type StreamUpdate struct {
 // StreamStats counts a grid's structural events, for metrics and the
 // cross-check's divergence accounting.
 type StreamStats struct {
-	// Ticks counts ingested ticks.
+	// Ticks is the feed tick of the grid's latest window.
 	Ticks uint64
 	// Rebuilds counts full resident-state rebuilds (first tick,
 	// compactions, prunes, cross-check corrections).
 	Rebuilds int64
-	// Compactions counts retention-bound tape compactions.
+	// Compactions counts the windows whose start moved under the grid —
+	// its caller's tape compacted or restarted — each followed by a
+	// rebuild.
 	Compactions int64
 	// CatchUps counts permutations that entered the grid mid-stream and
 	// replayed over the accumulated window.
@@ -192,9 +210,9 @@ type permKey struct {
 }
 
 // StreamGrid is the shape-independent half of streaming evaluation:
-// the price tape, the resident batched replay state, the live
-// permutation grid and its per-slot estimates over one (bid grid,
-// redundancy bound, candidates, t_c, t_r) grid. Remaining work,
+// the resident batched replay state, the live permutation grid and its
+// per-slot estimates over one (bid grid, redundancy bound, candidates,
+// t_c, t_r) grid, stepped over windows its caller owns. Remaining work,
 // deadline and on-demand rate enter only the Inequality (1) scoring, so
 // every request shape over the same grid shares one StreamGrid and
 // keeps only a StreamScorer. Advance steps the grid once per tick and
@@ -210,10 +228,14 @@ type StreamGrid struct {
 	maxZones int
 	cands    []PolicyFactory
 
-	tape     *trace.Tape
 	b        *batchState
 	resident map[permKey]int
 	dirty    bool // resident state must rebuild before the next use
+
+	// Where the window the state covers starts and how many samples it
+	// holds; steps is 0 before the first window.
+	start int64
+	steps int
 
 	// The live grid over the current window and its estimates; nil
 	// before the first tick.
@@ -241,33 +263,48 @@ type StreamScorer struct {
 }
 
 // StreamEvaluator maintains the ranked plan table of one request shape
-// incrementally over a live price feed: one StreamGrid with one
-// attached StreamScorer. Not safe for concurrent use; the tick pipeline
-// owns it.
+// incrementally over a live price feed: its own price tape, bounded by
+// MaxSteps, and one StreamGrid with one attached StreamScorer stepped
+// over it. Not safe for concurrent use; the tick pipeline owns it.
 type StreamEvaluator struct {
-	g *StreamGrid
-	s *StreamScorer
+	tape  *trace.Tape
+	keep  int    // the tape's Trim bound, MaxSteps/2
+	ticks uint64 // rows appended
+	g     *StreamGrid
+	s     *StreamScorer
 }
 
 // NewStreamEvaluator builds a streaming evaluator for the request
 // shape. ev supplies the tracer and the cross-check estimates; nil gets
 // a fresh default Evaluator.
 func NewStreamEvaluator(ev *Evaluator, cfg StreamConfig) (*StreamEvaluator, error) {
+	if cfg.MaxSteps == 0 {
+		cfg.MaxSteps = DefaultStreamRetention
+	}
+	if cfg.MaxSteps < 16 {
+		return nil, fmt.Errorf("core: stream retention %d below the 16-step minimum", cfg.MaxSteps)
+	}
 	g, err := NewStreamGrid(ev, cfg)
 	if err != nil {
 		return nil, err
 	}
+	tape, _ := trace.NewTape(cfg.Zones, cfg.Start, g.cfg.Step) // NewStreamGrid checked the zones and step
 	s, err := g.Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate)
 	if err != nil {
 		return nil, err
 	}
-	return &StreamEvaluator{g: g, s: s}, nil
+	return &StreamEvaluator{tape: tape, keep: cfg.MaxSteps / 2, g: g, s: s}, nil
 }
 
 // Advance ingests one price tick (one sample per zone, column order)
 // and returns the tick's update.
 func (se *StreamEvaluator) Advance(prices []float64) (StreamUpdate, error) {
-	if err := se.g.Advance(prices); err != nil {
+	if err := se.tape.Append(prices); err != nil {
+		return StreamUpdate{}, err
+	}
+	se.tape.Trim(se.keep)
+	se.ticks++
+	if err := se.g.Advance(se.tape.Set(), se.ticks); err != nil {
 		return StreamUpdate{}, err
 	}
 	return se.s.Update(), nil
@@ -282,15 +319,16 @@ func (se *StreamEvaluator) Generation() uint64 { return se.s.Generation() }
 func (se *StreamEvaluator) Plans() []Plan { return se.s.Plans() }
 
 // Steps returns the retained window length in samples.
-func (se *StreamEvaluator) Steps() int { return se.g.Steps() }
+func (se *StreamEvaluator) Steps() int { return se.tape.Len() }
 
 // Stats returns a snapshot of the structural-event counters.
 func (se *StreamEvaluator) Stats() StreamStats { return se.g.Stats() }
 
 // NewStreamGrid builds the shape-independent streaming state for cfg's
-// feed geometry and grid knobs. Work, Deadline and OnDemandRate are
-// read only by Attach. ev supplies the tracer and the cross-check
-// estimates; nil gets a fresh default Evaluator.
+// zones, step and grid knobs. Work, Deadline and OnDemandRate are read
+// only by Attach; Start and MaxSteps describe a tape, which a grid
+// does not own. ev supplies the tracer and the cross-check estimates;
+// nil gets a fresh default Evaluator.
 func NewStreamGrid(ev *Evaluator, cfg StreamConfig) (*StreamGrid, error) {
 	if ev == nil {
 		ev = NewEvaluator()
@@ -301,15 +339,8 @@ func NewStreamGrid(ev *Evaluator, cfg StreamConfig) (*StreamGrid, error) {
 	if cfg.CrossCheckEvery == 0 {
 		cfg.CrossCheckEvery = DefaultCrossCheckEvery
 	}
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = DefaultStreamRetention
-	}
-	if cfg.MaxSteps < 16 {
-		return nil, fmt.Errorf("core: stream retention %d below the 16-step minimum", cfg.MaxSteps)
-	}
-	tape, err := trace.NewTape(cfg.Zones, cfg.Start, cfg.Step)
-	if err != nil {
-		return nil, err
+	if len(cfg.Zones) == 0 || cfg.Step < 0 {
+		return nil, fmt.Errorf("core: stream needs at least one zone and a positive step, got %d zones, step %d", len(cfg.Zones), cfg.Step)
 	}
 	g := &StreamGrid{
 		ev:       ev,
@@ -317,7 +348,6 @@ func NewStreamGrid(ev *Evaluator, cfg StreamConfig) (*StreamGrid, error) {
 		bids:     cfg.Bids,
 		maxZones: cfg.MaxZones,
 		cands:    cfg.Candidates,
-		tape:     tape,
 		resident: make(map[permKey]int),
 	}
 	if g.bids == nil {
@@ -370,7 +400,7 @@ func (g *StreamGrid) Attach(work, deadline int64, odRate float64) (*StreamScorer
 	s := &StreamScorer{g: g, work: work, deadline: deadline, odRate: odRate}
 	g.scorers = append(g.scorers, s)
 	if g.ests != nil {
-		s.score(g.tape.Set())
+		s.next = s.scored()
 		s.publish()
 	}
 	return s, nil
@@ -388,25 +418,9 @@ func (g *StreamGrid) Detach(s *StreamScorer) int {
 	return len(g.scorers)
 }
 
-// Steps returns the retained window length in samples.
-func (g *StreamGrid) Steps() int { return g.tape.Len() }
-
-// Restart empties the retained window and restarts it at start, the
-// sample time of the next tick, as a grid built for a feed beginning
-// there would stand; the resident state rebuilds on the next Advance.
-// Attached scorers stay attached with their table and generation, and
-// the tick counter keeps counting, so nothing a subscriber reads moves
-// backwards.
-func (g *StreamGrid) Restart(start int64) error {
-	tape, err := trace.NewTape(g.cfg.Zones, start, g.cfg.Step)
-	if err != nil {
-		return err
-	}
-	g.tape = tape
-	g.slots, g.ests = nil, nil
-	g.dirty = true
-	return nil
-}
+// Steps returns the length in samples of the window the grid last
+// stepped to.
+func (g *StreamGrid) Steps() int { return g.steps }
 
 // Stats returns a snapshot of the structural-event counters.
 func (g *StreamGrid) Stats() StreamStats {
@@ -417,25 +431,34 @@ func (g *StreamGrid) Stats() StreamStats {
 	return st
 }
 
-// Advance ingests one price tick (one sample per zone, column order),
-// steps the resident state once and then scores and publishes every
-// attached scorer. Work per tick is O(zones × bids) for the index
-// extension plus O(resident permutations) for the stepping and the
-// estimate close, plus one scorePlans per scorer — independent of the
-// window length outside catch-ups, compactions and cross-checks.
-func (g *StreamGrid) Advance(prices []float64) error {
+// Advance steps the grid to hist, the feed window whose last row is
+// feed tick tick, then scores and publishes every attached scorer. A
+// window that starts where the last one did extends the resident state
+// over its new trailing rows; one whose start moved (the caller's tape
+// compacted or restarted) rebuilds it. The grid keeps no copy of the
+// window, so hist must hold the previous window's rows as its prefix
+// whenever its start did not move, and must not change until the next
+// Advance — a trace.Tape's Set view, or a slice of it, qualifies. Work
+// per tick is O(zones × bids) for the index extension plus O(resident
+// permutations) for the stepping and the estimate close, plus one
+// scorePlans per scorer — independent of the window length outside
+// catch-ups, compactions and cross-checks.
+func (g *StreamGrid) Advance(hist *trace.Set, tick uint64) error {
 	asp := g.ev.Trace.Start("stream.advance")
 	defer asp.End()
-	if err := g.tape.Append(prices); err != nil {
+	n, err := g.checkWindow(hist)
+	if err != nil {
 		return err
 	}
-	g.stats.Ticks++
-	if g.tape.Len() > g.cfg.MaxSteps {
-		g.tape = g.tape.Tail(g.cfg.MaxSteps / 2)
+	if n == 0 {
+		return fmt.Errorf("core: stream window holds no samples")
+	}
+	if g.steps > 0 && (hist.Start() != g.start || n < g.steps) {
 		g.dirty = true
 		g.stats.Compactions++
 	}
-	hist := g.tape.Set()
+	g.start, g.steps = hist.Start(), n
+	g.stats.Ticks = tick
 
 	usp := g.ev.Trace.Start("stream.update")
 	if g.b == nil || g.dirty {
@@ -448,7 +471,7 @@ func (g *StreamGrid) Advance(prices []float64) error {
 	rsp := g.ev.Trace.Start("stream.rerank")
 	g.rerank(hist)
 	for _, s := range g.scorers {
-		s.score(hist)
+		s.next = s.scored()
 	}
 	rsp.End()
 
@@ -460,6 +483,15 @@ func (g *StreamGrid) Advance(prices []float64) error {
 		s.publish()
 	}
 	return nil
+}
+
+// checkWindow returns the window's length in samples, refusing one
+// whose zones or step are not the grid's.
+func (g *StreamGrid) checkWindow(hist *trace.Set) (int, error) {
+	if hist == nil || hist.NumZones() != len(g.cfg.Zones) || hist.Step() != g.cfg.Step {
+		return 0, fmt.Errorf("core: stream window's geometry is not the grid's (%d zones, step %d)", len(g.cfg.Zones), g.cfg.Step)
+	}
+	return hist.Series[0].Len(), nil
 }
 
 // rerank re-derives the live grid over the window's current zone
@@ -580,7 +612,7 @@ func (g *StreamGrid) crossCheck(hist *trace.Set) {
 	g.dirty = true
 	g.ests = ref
 	for _, s := range g.scorers {
-		s.score(hist)
+		s.next = s.scored()
 	}
 }
 
@@ -611,8 +643,8 @@ func (s *StreamScorer) Plans() []Plan { return s.plans }
 // restored state.
 func (s *StreamScorer) Update() StreamUpdate { return s.upd }
 
-// request assembles the PlanRequest the window answers for this shape —
-// exactly what a from-scratch Rank receives.
+// request assembles the PlanRequest a window answers for this shape —
+// exactly what a from-scratch Rank over hist receives.
 func (s *StreamScorer) request(hist *trace.Set) PlanRequest {
 	g := s.g
 	return PlanRequest{
@@ -628,10 +660,10 @@ func (s *StreamScorer) request(hist *trace.Set) PlanRequest {
 	}
 }
 
-// score prices the grid's current estimates for this shape.
-func (s *StreamScorer) score(hist *trace.Set) {
-	req := s.request(hist)
-	s.next = scorePlans(&req, s.odRate, s.g.slots, s.g.ests)
+// scored is the shape's table over the grid's current estimates.
+func (s *StreamScorer) scored() []Plan {
+	req := s.request(nil)
+	return scorePlans(&req, s.g.cfg.Step, s.odRate, s.g.slots, s.g.ests)
 }
 
 // publish diffs the scored table against the published one, advancing
@@ -642,8 +674,8 @@ func (s *StreamScorer) publish() {
 	g := s.g
 	upd := StreamUpdate{
 		Tick:  g.stats.Ticks,
-		Steps: g.tape.Len(),
-		At:    g.tape.End() - g.cfg.Step,
+		Steps: g.steps,
+		At:    g.at(),
 	}
 	if s.gen == 0 || !plansEqual(plans, s.plans) {
 		upd.Changed = true
@@ -656,6 +688,9 @@ func (s *StreamScorer) publish() {
 	upd.Plans = s.plans
 	s.upd = upd
 }
+
+// at is the absolute time of the grid's last sample.
+func (g *StreamGrid) at() int64 { return g.start + int64(g.steps-1)*g.cfg.Step }
 
 // f64eq compares floats by bit pattern — the streaming contract is
 // bit-identicality, so NaNs compare equal to themselves and nothing

@@ -24,6 +24,72 @@ var gridShapes = []gridShape{
 	{12 * trace.Hour, 13 * trace.Hour, 0.2},
 }
 
+// gridFeed is the caller side of a StreamGrid as the tests drive it:
+// the one tape it owns, trimmed by a StreamEvaluator's rule, and the
+// feed tick counter.
+type gridFeed struct {
+	tape  *trace.Tape
+	keep  int
+	ticks uint64
+	g     *StreamGrid
+}
+
+// newGridFeed builds a grid over cfg with an empty tape at cfg.Start,
+// trimmed past cfg.MaxSteps (0: DefaultStreamRetention) to half.
+func newGridFeed(t *testing.T, cfg StreamConfig) *gridFeed {
+	t.Helper()
+	g, err := NewStreamGrid(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retention := cfg.MaxSteps
+	if retention == 0 {
+		retention = DefaultStreamRetention
+	}
+	return &gridFeed{tape: newTape(t, cfg, cfg.Start), keep: retention / 2, g: g}
+}
+
+// newTape is an empty tape of cfg's zones and step starting at start.
+func newTape(t *testing.T, cfg StreamConfig, start int64) *trace.Tape {
+	t.Helper()
+	tape, err := trace.NewTape(cfg.Zones, start, cfg.Step)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tape
+}
+
+// advance appends one row, trims the tape and steps the grid to it.
+func (f *gridFeed) advance(t *testing.T, row []float64) {
+	t.Helper()
+	if err := f.tape.Append(row); err != nil {
+		t.Fatal(err)
+	}
+	f.tape.Trim(f.keep)
+	f.ticks++
+	if err := f.g.Advance(f.tape.Set(), f.ticks); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// restored is a fresh grid over cfg restored from f's window and tick,
+// on a copy of f's tape.
+func (f *gridFeed) restored(t *testing.T, cfg StreamConfig) *gridFeed {
+	t.Helper()
+	r := newGridFeed(t, cfg)
+	r.tape, r.ticks = newTape(t, cfg, f.tape.Start()), f.ticks
+	win := f.tape.Set()
+	for i := 0; i < f.tape.Len(); i++ {
+		if err := r.tape.Append(win.PricesAt(win.Start() + int64(i)*win.Step())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.g.Restore(r.tape.Set(), r.ticks); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // standaloneFor is the StreamEvaluator of one shape over cfg's grid.
 func standaloneFor(t *testing.T, cfg StreamConfig, sh gridShape) *StreamEvaluator {
 	t.Helper()
@@ -48,35 +114,21 @@ func TestStreamGridSharedScorers(t *testing.T) {
 		cfg := streamConfigFor(set)
 		cfg.CrossCheckEvery = 5
 		cfg.MaxSteps = 48
-		g, err := NewStreamGrid(nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		feed := newGridFeed(t, cfg)
+		g := feed.g
 		scorers := make([]*StreamScorer, len(gridShapes))
 		alone := make([]*StreamEvaluator, len(gridShapes))
 		for i, sh := range gridShapes {
+			var err error
 			if scorers[i], err = g.Attach(sh.work, sh.deadline, sh.odRate); err != nil {
 				t.Fatal(err)
 			}
 			alone[i] = standaloneFor(t, cfg, sh)
 		}
-		// The from-scratch reference window, compacted as the grid is.
-		shadow, err := trace.NewTape(cfg.Zones, cfg.Start, cfg.Step)
-		if err != nil {
-			t.Fatal(err)
-		}
 		n := min(set.Series[0].Len(), 120)
 		for i := 0; i < n; i++ {
 			row := set.PricesAt(set.Start() + int64(i)*set.Step())
-			if err := g.Advance(row); err != nil {
-				t.Fatal(err)
-			}
-			if err := shadow.Append(row); err != nil {
-				t.Fatal(err)
-			}
-			if shadow.Len() > cfg.MaxSteps {
-				shadow = shadow.Tail(cfg.MaxSteps / 2)
-			}
+			feed.advance(t, row)
 			for k, s := range scorers {
 				got := s.Update()
 				want, err := alone[k].Advance(row)
@@ -92,7 +144,7 @@ func TestStreamGridSharedScorers(t *testing.T) {
 				if i%8 != 0 && i != n-1 {
 					continue
 				}
-				rank, err := ref.Rank(s.request(shadow.Set()))
+				rank, err := ref.Rank(s.request(feed.tape.Set()))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -124,10 +176,8 @@ func TestStreamGridSharedScorers(t *testing.T) {
 func TestStreamGridLateAttach(t *testing.T) {
 	set := paperRegimes()["high/day1"]
 	cfg := streamConfigFor(set)
-	g, err := NewStreamGrid(nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	feed := newGridFeed(t, cfg)
+	g := feed.g
 	early, err := g.Attach(cfg.Work, cfg.Deadline, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -135,9 +185,7 @@ func TestStreamGridLateAttach(t *testing.T) {
 	row := func(i int) []float64 { return set.PricesAt(set.Start() + int64(i)*set.Step()) }
 	const joinAt = 40
 	for i := 0; i < joinAt; i++ {
-		if err := g.Advance(row(i)); err != nil {
-			t.Fatal(err)
-		}
+		feed.advance(t, row(i))
 	}
 	sh := gridShapes[1]
 	late, err := g.Attach(sh.work, sh.deadline, sh.odRate)
@@ -159,9 +207,7 @@ func TestStreamGridLateAttach(t *testing.T) {
 		t.Fatal("early scorer never published")
 	}
 	for i := joinAt; i < joinAt+8; i++ {
-		if err := g.Advance(row(i)); err != nil {
-			t.Fatal(err)
-		}
+		feed.advance(t, row(i))
 		want, err := NewEvaluator().Rank(late.request(prefixSet(set, i+1)))
 		if err != nil {
 			t.Fatal(err)
@@ -172,9 +218,7 @@ func TestStreamGridLateAttach(t *testing.T) {
 	}
 	g.Detach(late)
 	frozen := late.Update()
-	if err := g.Advance(row(joinAt + 8)); err != nil {
-		t.Fatal(err)
-	}
+	feed.advance(t, row(joinAt+8))
 	if late.Update().Tick != frozen.Tick || early.Update().Tick != joinAt+9 {
 		t.Fatalf("after detach: detached scorer at tick %d (want %d), attached at %d",
 			late.Update().Tick, frozen.Tick, early.Update().Tick)
@@ -182,48 +226,40 @@ func TestStreamGridLateAttach(t *testing.T) {
 }
 
 // TestStreamGridScorerRestore pins the split restore: a grid restored
-// from one shape's snapshot accepts another shape's snapshot of the same
-// window and refuses one whose window differs — rows, start or tick
-// count — without touching the scorer.
+// over a window accepts every shape's snapshot of it, and a scorer
+// refuses a snapshot of another tick, another generation or another
+// window — any of which the digest or the tick check catches — without
+// moving.
 func TestStreamGridScorerRestore(t *testing.T) {
 	set := paperRegimes()["moderate/day1"]
 	cfg := streamConfigFor(set)
 	cfg.CrossCheckEvery = -1
-	g, err := NewStreamGrid(nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	feed := newGridFeed(t, cfg)
 	var live []*StreamScorer
 	for _, sh := range gridShapes {
-		s, err := g.Attach(sh.work, sh.deadline, sh.odRate)
+		s, err := feed.g.Attach(sh.work, sh.deadline, sh.odRate)
 		if err != nil {
 			t.Fatal(err)
 		}
 		live = append(live, s)
 	}
 	for i := 0; i < 24; i++ {
-		if err := g.Advance(set.PricesAt(set.Start() + int64(i)*set.Step())); err != nil {
-			t.Fatal(err)
-		}
+		feed.advance(t, set.PricesAt(set.Start()+int64(i)*set.Step()))
 	}
+	win := feed.tape.Set()
 	snaps := make([]*StreamSnapshot, len(live))
 	for i, s := range live {
-		snaps[i] = s.Snapshot()
+		snaps[i] = s.Snapshot(win)
 	}
 
-	restored, err := NewStreamGrid(nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.Restore(snaps[0]); err != nil {
-		t.Fatal(err)
-	}
+	restored := feed.restored(t, cfg)
+	rwin := restored.tape.Set()
 	for i, sh := range gridShapes {
-		s, err := restored.Attach(sh.work, sh.deadline, sh.odRate)
+		s, err := restored.g.Attach(sh.work, sh.deadline, sh.odRate)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Restore(snaps[i]); err != nil {
+		if err := s.Restore(rwin, snaps[i]); err != nil {
 			t.Fatalf("shape %d: %v", i, err)
 		}
 		if s.Generation() != live[i].Generation() || !plansEqual(s.Plans(), live[i].Plans()) {
@@ -231,30 +267,53 @@ func TestStreamGridScorerRestore(t *testing.T) {
 		}
 	}
 
-	for name, edit := range map[string]func(*StreamSnapshot){
-		"rows":  func(c *StreamSnapshot) { c.Rows[5][1] *= 3 },
-		"start": func(c *StreamSnapshot) { c.Start += c.Step },
-		"ticks": func(c *StreamSnapshot) { c.Ticks++ },
+	other := restored.tape.Set().Slice(rwin.Start(), rwin.End())
+	other.Series[1] = other.Series[1].Clone()
+	other.Series[1].Prices[5] *= 3
+	for name, tc := range map[string]struct {
+		edit func(*StreamSnapshot)
+		win  *trace.Set
+		want string
+	}{
+		"ticks":      {func(c *StreamSnapshot) { c.Ticks++ }, rwin, "at tick"},
+		"generation": {func(c *StreamSnapshot) { c.Generation++ }, rwin, "digest"},
+		"digest":     {func(c *StreamSnapshot) { c.StateDigest = "deadbeefdeadbeef" }, rwin, "digest"},
+		"window":     {func(*StreamSnapshot) {}, other, "digest"},
 	} {
 		c := *snaps[1]
-		c.Rows = make([][]float64, len(snaps[1].Rows))
-		for i, row := range snaps[1].Rows {
-			c.Rows[i] = append([]float64(nil), row...)
-		}
-		edit(&c)
-		c.StateDigest = c.digest(live[1].Plans()) // a self-consistent snapshot of another window
-		s, err := restored.Attach(gridShapes[1].work, gridShapes[1].deadline, gridShapes[1].odRate)
+		tc.edit(&c)
+		s, err := restored.g.Attach(gridShapes[1].work, gridShapes[1].deadline, gridShapes[1].odRate)
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = s.Restore(&c)
-		if err == nil || !strings.Contains(err.Error(), "differs from its grid") {
-			t.Fatalf("%s: restore of a different window: %v", name, err)
+		err = s.Restore(tc.win, &c)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: restore of another state: %v", name, err)
 		}
 		if s.Generation() != 1 {
 			t.Fatalf("%s: refused restore moved the scorer to generation %d", name, s.Generation())
 		}
-		restored.Detach(s)
+		restored.g.Detach(s)
+	}
+}
+
+// TestStreamGridHoldsNoWindow pins where the window lives: in the
+// caller's tape, never in a grid. No field of StreamGrid is a tape, a
+// set or a row list, so a streamer's grids share its one window.
+func TestStreamGridHoldsNoWindow(t *testing.T) {
+	banned := map[reflect.Type]bool{
+		reflect.TypeOf(trace.Tape{}):      true,
+		reflect.TypeOf(&trace.Tape{}):     true,
+		reflect.TypeOf(trace.Set{}):       true,
+		reflect.TypeOf(&trace.Set{}):      true,
+		reflect.TypeOf([][]float64{}):     true,
+		reflect.TypeOf([]*trace.Series{}): true,
+	}
+	typ := reflect.TypeOf(StreamGrid{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); banned[f.Type] {
+			t.Errorf("StreamGrid.%s is a %s: the window belongs to the grid's caller", f.Name, f.Type)
+		}
 	}
 }
 
@@ -306,23 +365,12 @@ func TestStreamGridResidentBound(t *testing.T) {
 	cfg := streamConfigFor(set)
 	cfg.CrossCheckEvery = 16
 	cfg.MaxSteps = 64
-	newGrid := func() (*StreamGrid, *StreamScorer) {
-		g, err := NewStreamGrid(nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := g.Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g, s
-	}
-	g, s := newGrid()
-	ref := &Evaluator{Workers: 1}
-	shadow, err := trace.NewTape(cfg.Zones, cfg.Start, cfg.Step)
+	feed := newGridFeed(t, cfg)
+	s, err := feed.g.Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := &Evaluator{Workers: 1}
 	const corruptAt, restoreAt = 47, 100 // tick 48 cross-checks; neither compacts
 	events := map[string]int{}
 	restored := false
@@ -332,32 +380,23 @@ func TestStreamGridResidentBound(t *testing.T) {
 		case corruptAt:
 			// Skew every resident permutation's cost, so this tick's
 			// cross-check disagrees and adopts the reference estimates.
-			for k := range g.b.perms {
-				g.b.perms[k].cost++
+			for k := range feed.g.b.perms {
+				feed.g.b.perms[k].cost++
 			}
 		case restoreAt:
-			snap := s.Snapshot()
-			g, s = newGrid()
-			if err := g.Restore(snap); err != nil {
+			snap := s.Snapshot(feed.tape.Set())
+			feed = feed.restored(t, cfg)
+			if s, err = feed.g.Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Restore(snap); err != nil {
+			if err := s.Restore(feed.tape.Set(), snap); err != nil {
 				t.Fatal(err)
 			}
 			restored = true
 		}
-		before := g.Stats()
-		row := set.PricesAt(set.Start() + int64(i)*set.Step())
-		if err := g.Advance(row); err != nil {
-			t.Fatal(err)
-		}
-		if err := shadow.Append(row); err != nil {
-			t.Fatal(err)
-		}
-		if shadow.Len() > cfg.MaxSteps {
-			shadow = shadow.Tail(cfg.MaxSteps / 2)
-		}
-		after := g.Stats()
+		before := feed.g.Stats()
+		feed.advance(t, set.PricesAt(set.Start()+int64(i)*set.Step()))
+		after := feed.g.Stats()
 		rebuilt := after.Rebuilds > before.Rebuilds
 		switch {
 		case restored:
@@ -374,8 +413,8 @@ func TestStreamGridResidentBound(t *testing.T) {
 		default:
 			events["tick"]++
 		}
-		checkResidentBound(t, g, i)
-		want, err := ref.Rank(s.request(shadow.Set()))
+		checkResidentBound(t, feed.g, i)
+		want, err := ref.Rank(s.request(feed.tape.Set()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,18 +441,14 @@ func TestStreamGridFitterBound(t *testing.T) {
 	cfg.Work, cfg.Deadline = 6*trace.Hour, 9*trace.Hour
 	cfg.MaxZones = 3
 	cfg.CrossCheckEvery = -1
-	g, err := NewStreamGrid(nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	feed := newGridFeed(t, cfg)
+	g := feed.g
 	if _, err := g.Attach(cfg.Work, cfg.Deadline, cfg.OnDemandRate); err != nil {
 		t.Fatal(err)
 	}
 	last := DefaultStreamRetention - 1
 	for i := 1; i <= last; i++ {
-		if err := g.Advance(set.PricesAt(set.Start() + int64(i-1)*set.Step())); err != nil {
-			t.Fatal(err)
-		}
+		feed.advance(t, set.PricesAt(set.Start()+int64(i-1)*set.Step()))
 		if i%1024 != 0 && i != last {
 			continue
 		}

@@ -189,9 +189,7 @@ func TestStreamCompaction(t *testing.T) {
 		if err := shadow.Append(row); err != nil {
 			t.Fatal(err)
 		}
-		if shadow.Len() > cfg.MaxSteps {
-			shadow = shadow.Tail(cfg.MaxSteps / 2)
-		}
+		shadow.Trim(cfg.MaxSteps / 2)
 		if se.Steps() != shadow.Len() {
 			t.Fatalf("tick %d: window %d, want %d", i, se.Steps(), shadow.Len())
 		}

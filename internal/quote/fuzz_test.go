@@ -8,9 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // FuzzDecodeRequest exercises the request decoder: it must never
@@ -109,8 +113,13 @@ func FuzzParseQuery(f *testing.F) {
 // snapshot file: the bytes go through the stores' JSON decode and then
 // Streamer.Restore, which must never panic. A refused snapshot must
 // leave the streamer fresh — feed position 0, no restore counted —
-// and still able to subscribe and ingest; an accepted one must resume
-// the feed at Seq()+1.
+// and still able to subscribe and ingest; an accepted one must hold,
+// for every shape, the table Rank computes over the restored window,
+// and resume the feed at Seq()+1. The seeds include a checkpoint in
+// the format that stored every shape's window beside the streamer's
+// (testdata/checkpoint_per_shape.json), checkpoints taken after the
+// window trimmed and after a sequence jump restarted it, and one that
+// lists a shape twice.
 func FuzzStreamerRestore(f *testing.F) {
 	fx := newStreamFixture()
 	src := fx.streamer()
@@ -150,6 +159,50 @@ func FuzzStreamerRestore(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"shapes":[{}]}`))
 
+	perShape, err := os.ReadFile("testdata/checkpoint_per_shape.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(perShape)
+
+	// A streamer whose window trimmed (past 2·Backlog rows), then
+	// restarted on a sequence jump past Backlog, on two grids.
+	small := fx.streamer()
+	small.Backlog = 4
+	for _, r := range []Request{fx.shape, {WorkHours: 2, DeadlineHours: 3, MaxZones: 1}} {
+		sub, err := small.Subscribe(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		defer sub.Close()
+	}
+	for i := 0; i < 11; i++ {
+		if err := small.Ingest(uint64(i+1), fx.reorderRow(i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	trimmed, err := json.Marshal(small.Snapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(trimmed)
+	if err := small.Ingest(30, fx.row(11)); err != nil {
+		f.Fatal(err)
+	}
+	restarted, err := json.Marshal(small.Snapshot())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(restarted)
+
+	dup := *snap
+	dup.Shapes = []ShapeSnapshot{snap.Shapes[0], snap.Shapes[0]}
+	raw, err = json.Marshal(&dup)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		snap, err := (&MemStore{raw: raw}).Load()
 		if err != nil || snap == nil {
@@ -157,6 +210,15 @@ func FuzzStreamerRestore(f *testing.F) {
 		}
 		st := fx.streamer()
 		if err := st.Restore(snap); err == nil {
+			for key, sh := range st.shapes {
+				var want []core.Plan // an empty window ranks nothing
+				if st.tape.Len() > 0 {
+					want = rankSet(t, st, sh.req, st.tape.Set())
+				}
+				if !reflect.DeepEqual(sh.sc.Plans(), want) {
+					t.Fatalf("restored shape %s: table diverges from Rank over the restored %d-row window", key, st.tape.Len())
+				}
+			}
 			if err := st.Ingest(st.Seq()+1, fx.row(0)); err != nil {
 				t.Fatalf("restored streamer refused its next tick: %v", err)
 			}

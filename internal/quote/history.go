@@ -78,12 +78,15 @@ func (s *StaticSource) History(_ context.Context, window int64) (*trace.Set, str
 	return win, Digest(win), nil
 }
 
-// History implements HistorySource over the streamer's retained tape,
-// so one-shot quotes price the same market the stream does: the
-// trailing window seconds of the backlog (clamped to what it retains),
-// digested by Digest. A one-shot served while the tape is Stale counts
-// a feed stale serve on the attached service Metrics, and the first of
-// each stall also counts a watchdog trip.
+// History implements HistorySource over the streamer's tape, so
+// one-shot quotes price the same market the stream does: the trailing
+// window seconds of the streamer's window (clamped to what it holds),
+// digested by Digest. The returned set slices the tape's columns
+// without copying them; the tape never rewrites a sample it holds (it
+// trims and restarts into fresh columns), so the set stays valid. A
+// one-shot served while the tape is Stale counts a feed stale serve on
+// the attached service Metrics, and the first of each stall also counts
+// a watchdog trip.
 func (st *Streamer) History(_ context.Context, window int64) (*trace.Set, string, error) {
 	st.init()
 	st.mu.Lock()
@@ -94,23 +97,12 @@ func (st *Streamer) History(_ context.Context, window int64) (*trace.Set, string
 			st.tripped = true
 		}
 	}
-	// Copy the window's rows and one more; tailWindow trims the extra
-	// row, keeping the window rules of every other source.
-	n := min(max(window/st.Step+1, 1), int64(len(st.backlog)))
-	tail := st.backlog[len(st.backlog)-int(n):]
 	var set *trace.Set
-	if len(tail) > 0 {
-		set = &trace.Set{Series: make([]*trace.Series, len(st.Zones))}
-		epoch := st.Start + int64(st.dropped+uint64(len(st.backlog)-len(tail)))*st.Step
-		for z, name := range st.Zones {
-			set.Series[z] = &trace.Series{Zone: name, Epoch: epoch, Step: st.Step, Prices: make([]float64, len(tail))}
-			for i, row := range tail {
-				set.Series[z].Prices[i] = row[z]
-			}
-		}
+	if st.tape != nil {
+		set = st.tape.Set()
 	}
+	win, err := tailWindow(set, window) // slices the tape's view, under the lock
 	st.mu.Unlock()
-	win, err := tailWindow(set, window)
 	if err != nil {
 		return nil, "", err
 	}

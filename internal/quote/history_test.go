@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -123,7 +124,7 @@ func TestTinyHistoryWindowIsClientError(t *testing.T) {
 }
 
 // TestStreamerHistoryStaleServes pins the streamer as a one-shot
-// history source: windows of its tape (trimmed backlog included) equal
+// history source: windows of its tape (trimmed window included) equal
 // StaticSource windows of the same samples, digest and all, and
 // StaleAfter is its one staleness rule — every one-shot served from a
 // stale tape counts a feed stale serve, and each stall one watchdog
@@ -191,4 +192,53 @@ func TestStreamerHistoryStaleServes(t *testing.T) {
 	counts("after a tick", 4, 2)
 	stall(1)
 	counts("the next stall", 5, 3)
+}
+
+// TestStreamerHistoryDuringTicks pins the one-shot window's lifetime:
+// History hands out slices of the streamer's tape without copying, so
+// a window must keep its samples while the feed goes on appending,
+// trimming and restarting the tape under it. Run under -race, it also
+// checks that reading a window never races with a tick.
+func TestStreamerHistoryDuringTicks(t *testing.T) {
+	fx := newStreamFixture()
+	st := fx.streamer()
+	st.Backlog = 8
+	for i := 0; i < 2; i++ {
+		if err := st.Ingest(uint64(i+1), fx.row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		seq := uint64(2)
+		for i := 2; i < 400; i++ {
+			seq++
+			if i%97 == 0 {
+				seq += 3 * uint64(st.Backlog) // a jump past Backlog restarts the tape
+			}
+			if err := st.Ingest(seq, fx.row(i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		win, digest, err := st.History(context.Background(), 6*trace.Hour)
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		runtime.Gosched()
+		if again := Digest(win); again != digest {
+			t.Errorf("a window's samples changed after History returned: digest %s, now %s", digest, again)
+			break
+		}
+	}
+	<-done
 }

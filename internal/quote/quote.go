@@ -73,8 +73,8 @@ type Request struct {
 	// HistoryWindowHours is how much trailing price history the
 	// permutations are replayed over. It is required for one-shot
 	// quotes, where an empty window gives the evaluator nothing to
-	// measure, and zero on the stream path, where the feed's retained
-	// backlog is the window.
+	// measure, and zero on the stream path, where the streamer's feed
+	// window is the window.
 	HistoryWindowHours float64 `json:"history_window"`
 	// MaxZones bounds the redundancy degree N; 0 selects
 	// DefaultMaxZones.

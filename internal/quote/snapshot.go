@@ -8,21 +8,21 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 // Crash recovery for the streaming service: the Streamer checkpoints
-// its feed position (sequence number, last row, retained backlog) and
-// every resident shape's snapshot — its grid's window plus its own
-// generation and table digest — into a pluggable store. A
-// restarted process restores the checkpoint and then needs only the
-// feed ticks published after it — the catch-up is (current seq −
-// snapshot seq) rows, never the full window, and the per-shape digest
-// check inherited from core.StreamSnapshot proves the resumed plan
-// tables and generations equal the crashed ones bit for bit. Because a
-// shape's generation is a deterministic function of the tick stream,
-// a resumed backend's generations stay comparable with its never-
-// crashed peers — which is what lets SSE clients resume across
-// failover on Last-Event-ID alone.
+// its feed position (sequence number and the window, once) and every
+// resident shape's snapshot — the tick, its generation and a digest of
+// its table over the window — into a pluggable store. A restarted
+// process restores the checkpoint and then needs only the feed ticks
+// published after it — the catch-up is (current seq − snapshot seq)
+// rows, never the full window, and the per-shape digest check of
+// core.StreamScorer.Restore proves the resumed plan tables and
+// generations equal the crashed ones bit for bit. A resumed backend's
+// generations therefore continue where its checkpoint left them, which
+// keeps them comparable with its never-crashed peers — what lets SSE
+// clients resume across failover on Last-Event-ID alone.
 
 // SnapshotStore persists streamer checkpoints. Save replaces the
 // previous checkpoint atomically; Load returns the latest one, or
@@ -37,9 +37,9 @@ type ShapeSnapshot struct {
 	// Req is the subscription shape, already normalized, under the
 	// request's wire field names.
 	Req Request `json:"req"`
-	// State is the shape's checkpoint: its grid's window and tick count
-	// with the shape's generation and table digest. Shapes on one grid
-	// carry identical windows.
+	// State is what the shape owns of the checkpoint: the feed tick,
+	// its generation and its table's digest over the checkpoint's
+	// window.
 	State *core.StreamSnapshot `json:"state"`
 }
 
@@ -53,14 +53,13 @@ type StreamerSnapshot struct {
 	Zones []string `json:"zones"`
 	Start int64    `json:"start"`
 	Step  int64    `json:"step"`
-	// Dropped is how many sequence numbers precede the backlog's first
-	// row (those before the feed's first tick, and those trimming has
-	// discarded) — it anchors restored grid windows to absolute time.
+	// Dropped is how many sequence numbers precede the window's first
+	// row (those before the feed's first tick, those a restart skipped
+	// and those trimming has discarded) — it anchors the restored
+	// window to absolute time.
 	Dropped uint64 `json:"dropped"`
-	// LastRow is the last applied price row (gap fills repeat it).
-	LastRow []float64 `json:"last_row,omitempty"`
-	// Backlog is the retained window that seeds grids for late
-	// subscribers.
+	// Backlog is the feed window, one price row per sequence number
+	// from Dropped+1 to Seq: the one copy every shape's digest covers.
 	Backlog [][]float64 `json:"backlog,omitempty"`
 	// Shapes are the resident shapes, ordered by Request.Key.
 	Shapes []ShapeSnapshot `json:"shapes,omitempty"`
@@ -76,19 +75,22 @@ func (st *Streamer) Snapshot() *StreamerSnapshot {
 
 func (st *Streamer) snapshotLocked() *StreamerSnapshot {
 	snap := &StreamerSnapshot{
-		Seq:     st.seq,
-		Zones:   append([]string(nil), st.Zones...),
-		Start:   st.Start,
-		Step:    st.Step,
-		Dropped: st.dropped,
-		LastRow: append([]float64(nil), st.lastRow...),
-		Backlog: make([][]float64, len(st.backlog)),
+		Seq:   st.seq,
+		Zones: append([]string(nil), st.Zones...),
+		Start: st.Start,
+		Step:  st.Step,
 	}
-	for i, row := range st.backlog {
-		snap.Backlog[i] = append([]float64(nil), row...)
+	if st.tape == nil {
+		return snap
+	}
+	win := st.tape.Set()
+	snap.Dropped = uint64((win.Start() - st.Start) / st.Step)
+	snap.Backlog = make([][]float64, st.tape.Len())
+	for i := range snap.Backlog {
+		snap.Backlog[i] = win.PricesAt(win.Start() + int64(i)*st.Step)
 	}
 	for _, sh := range st.shapes {
-		snap.Shapes = append(snap.Shapes, ShapeSnapshot{Req: sh.req, State: sh.sc.Snapshot()})
+		snap.Shapes = append(snap.Shapes, ShapeSnapshot{Req: sh.req, State: sh.sc.Snapshot(win)})
 	}
 	sort.Slice(snap.Shapes, func(i, j int) bool {
 		return snap.Shapes[i].Req.Key() < snap.Shapes[j].Req.Key()
@@ -119,19 +121,25 @@ func (st *Streamer) Seq() uint64 {
 
 // Restore rebuilds the streamer from a checkpoint. It is only valid on
 // a fresh streamer (no ticks ingested, no shapes resident) whose feed
-// geometry matches the snapshot's. Each grid is restored from the
-// first of its shapes; every shape on it must carry the same window
-// (rows, start and tick count) and is restored through its
-// digest-verified core Restore, so a corrupt or inconsistent checkpoint
-// is refused whole rather than partially applied. The restored
-// streamer reports Stale until the feed resumes, and expects the next
-// Ingest at sequence Seq()+1 — earlier sequences drop as duplicates,
-// later ones gap-fill, exactly as for a streamer that never crashed.
+// geometry matches the snapshot's. The window is restored once, its
+// rows re-validated; each grid re-derives its estimates over it, and
+// every shape is restored through its digest-verified core Restore at
+// the checkpoint's tick, so a corrupt or inconsistent checkpoint is
+// refused whole rather than partially applied. The tick count is the
+// shapes' (they carry one tick); a checkpoint without shapes restores
+// as a streamer whose feed began at its window's first row. The
+// restored streamer reports Stale until the feed resumes, and expects
+// the next Ingest at sequence Seq()+1 — earlier sequences drop as
+// duplicates, later ones gap-fill, exactly as for a streamer that
+// never crashed.
 func (st *Streamer) Restore(snap *StreamerSnapshot) error {
 	st.init()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.seq != 0 || len(st.shapes) != 0 || len(st.backlog) != 0 {
+	if st.tape == nil {
+		return fmt.Errorf("quote: Restore on a streamer without zones")
+	}
+	if st.seq != 0 || len(st.shapes) != 0 || st.tape.Len() != 0 {
 		return fmt.Errorf("quote: Restore on a streamer that has already ingested ticks")
 	}
 	if len(snap.Zones) != len(st.Zones) {
@@ -146,27 +154,41 @@ func (st *Streamer) Restore(snap *StreamerSnapshot) error {
 		return fmt.Errorf("quote: snapshot geometry (start %d step %d) does not match streamer (start %d step %d)",
 			snap.Start, snap.Step, st.Start, st.Step)
 	}
-	// Restore shapes first: a failure must leave the streamer fresh.
-	st.dropped = snap.Dropped // streamConfigLocked anchors windows on it
-	shapes, grids, err := st.restoreShapesLocked(snap.Shapes)
+	n := uint64(len(snap.Backlog))
+	if snap.Dropped > snap.Seq || snap.Seq-snap.Dropped != n || (n == 0) != (snap.Seq == 0) {
+		return fmt.Errorf("quote: snapshot window of %d rows after %d dropped does not end at seq %d", n, snap.Dropped, snap.Seq)
+	}
+	// Restore into locals first: a failure must leave the streamer fresh.
+	tape, err := trace.NewTape(st.Zones, st.Start+int64(snap.Dropped)*st.Step, st.Step)
 	if err != nil {
-		st.dropped = 0
 		return err
 	}
-	st.seq = snap.Seq
-	st.lastRow = append([]float64(nil), snap.LastRow...)
-	st.backlog = make([][]float64, len(snap.Backlog))
 	for i, row := range snap.Backlog {
-		st.backlog[i] = append([]float64(nil), row...)
+		if err := tape.Append(row); err != nil {
+			return fmt.Errorf("quote: snapshot row %d: %w", i, err)
+		}
 	}
+	ticks := n
+	if len(snap.Shapes) > 0 && snap.Shapes[0].State != nil {
+		ticks = snap.Shapes[0].State.Ticks
+	}
+	if ticks < n {
+		return fmt.Errorf("quote: snapshot tick %d is below its %d-row window", ticks, n)
+	}
+	shapes, grids, err := st.restoreShapesLocked(snap.Shapes, tape.Set(), ticks)
+	if err != nil {
+		return err
+	}
+	st.tape, st.ticks, st.seq = tape, ticks, snap.Seq
 	st.shapes, st.grids = shapes, grids
 	st.Metrics.Restores.Inc()
 	return nil
 }
 
 // restoreShapesLocked rebuilds the checkpoint's shapes and their grids
-// without touching the streamer's own.
-func (st *Streamer) restoreShapesLocked(snaps []ShapeSnapshot) (map[string]*streamShape, map[int]*streamGrid, error) {
+// over the restored window, whose last row is feed tick ticks, without
+// touching the streamer's own.
+func (st *Streamer) restoreShapesLocked(snaps []ShapeSnapshot, win *trace.Set, ticks uint64) (map[string]*streamShape, map[int]*streamGrid, error) {
 	shapes := make(map[string]*streamShape, len(snaps))
 	grids := make(map[int]*streamGrid)
 	for i := range snaps {
@@ -181,10 +203,10 @@ func (st *Streamer) restoreShapesLocked(snaps []ShapeSnapshot) (map[string]*stre
 		}
 		sh, fresh, err := st.attachLocked(req, grids)
 		if err == nil && fresh {
-			err = sh.grid.g.Restore(ss.State)
+			err = sh.grid.g.Restore(win, ticks)
 		}
 		if err == nil {
-			err = sh.sc.Restore(ss.State)
+			err = sh.sc.Restore(win, ss.State)
 		}
 		if err != nil {
 			return nil, nil, fmt.Errorf("quote: snapshot shape %q: %w", req.Key(), err)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/leak"
 )
 
@@ -101,8 +102,10 @@ func TestStreamerSnapshotResume(t *testing.T) {
 }
 
 // TestStreamerRestoreRefusals pins the restore guards: a used
-// streamer, mismatched geometry, a tampered per-shape state and a
-// checkpoint file in the old shape format must all be refused whole.
+// streamer, mismatched geometry, a tampered per-shape state or window,
+// a window that does not end at the checkpoint's seq, shapes at
+// different ticks and a checkpoint file in the old shape format must
+// all be refused whole.
 func TestStreamerRestoreRefusals(t *testing.T) {
 	fx := newStreamFixture()
 	src := fx.streamer()
@@ -151,6 +154,32 @@ func TestStreamerRestoreRefusals(t *testing.T) {
 	}
 	if err := tampered.Ingest(1, fx.row(0)); err != nil {
 		t.Fatal(err)
+	}
+
+	second := snap.Shapes[0]
+	second.Req.Top++
+	second.State = &core.StreamSnapshot{Ticks: snap.Shapes[0].State.Ticks + 1}
+	for name, tc := range map[string]struct {
+		edit func(*StreamerSnapshot)
+		want string
+	}{
+		"window row": {func(c *StreamerSnapshot) {
+			c.Backlog = append([][]float64(nil), c.Backlog...)
+			c.Backlog[2] = []float64{9, 9, 9}
+		}, "digest"},
+		"window end":  {func(c *StreamerSnapshot) { c.Dropped++ }, "does not end at seq"},
+		"shape ticks": {func(c *StreamerSnapshot) { c.Shapes = append(c.Shapes, second) }, "at tick"},
+	} {
+		bad := *snap
+		bad.Shapes = append([]ShapeSnapshot(nil), snap.Shapes...)
+		tc.edit(&bad)
+		st := fx.streamer()
+		if err := st.Restore(&bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: restored: %v", name, err)
+		}
+		if st.Seq() != 0 || st.Metrics.Restores.Load() != 0 || len(st.shapes) != 0 || len(st.grids) != 0 {
+			t.Fatalf("%s: refused restore left seq %d, %d shapes, %d grids", name, st.Seq(), len(st.shapes), len(st.grids))
+		}
 	}
 
 	// A checkpoint file whose shapes use Go field names (the format

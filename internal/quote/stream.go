@@ -15,20 +15,23 @@ import (
 
 // Streaming quotes: instead of answering each request by replaying the
 // whole history window, the Streamer subscribes the service to the
-// price feed and maintains one core.StreamGrid per distinct grid — the
-// resolved redundancy bound, since the streamer fixes t_c = t_r, the
-// bids and the candidates — with one core.StreamScorer per distinct
-// request shape on it. A tick steps each grid once, then scores and
-// publishes each shape: the ranked tables update in O(delta), and
-// subscribers are pushed plan *changes* (generation + diff) over SSE or
-// long-poll. The feed is the clock: when it stalls, nothing recomputes
-// and the last published generation keeps serving, flagged stale per
-// heartbeat rather than per recomputation.
+// price feed. It keeps the feed's window once, in one trace.Tape, and
+// steps one core.StreamGrid per distinct grid over it — the resolved
+// redundancy bound, since the streamer fixes t_c = t_r, the bids and
+// the candidates — with one core.StreamScorer per distinct request
+// shape on each grid. A tick appends its row to the tape, steps each
+// grid once, then scores and publishes each shape: the ranked tables
+// update in O(delta), and subscribers are pushed plan *changes*
+// (generation + diff) over SSE or long-poll. One-shot quotes
+// (History) and checkpoints read the same tape. The feed is the clock:
+// when it stalls, nothing recomputes and the last published generation
+// keeps serving, flagged stale per heartbeat rather than per
+// recomputation.
 
 // Streaming defaults and limits.
 const (
-	// DefaultStreamBacklog is how many trailing ticks the streamer
-	// retains for seeding grids created by late subscribers.
+	// DefaultStreamBacklog is the streamer's window bound: past twice
+	// this many rows the window keeps its trailing DefaultStreamBacklog.
 	DefaultStreamBacklog = 2048
 	// DefaultMaxShapes bounds the distinct request shapes (and thus
 	// resident scorers) one streamer maintains.
@@ -55,7 +58,9 @@ type StreamRequest = Request
 type StreamEvent struct {
 	// Generation is the shape's monotonic plan-table generation.
 	Generation uint64 `json:"generation"`
-	// Tick is the feed tick (1-based) that produced the change.
+	// Tick is the feed tick that produced the change: the streamer's
+	// count of applied rows, gap fills included, from 1. Every shape of
+	// one streamer reports the same tick for the same row.
 	Tick uint64 `json:"tick"`
 	// At is the absolute time of the tick's price sample, in seconds.
 	At int64 `json:"at"`
@@ -220,7 +225,9 @@ type Streamer struct {
 	// Step is the feed's tick interval in seconds; 0 selects
 	// trace.DefaultStep.
 	Step int64
-	// Backlog bounds the ticks retained to seed new grids; 0 selects
+	// Backlog bounds the feed window every grid, one-shot History and
+	// checkpoint reads: past 2·Backlog rows it keeps the trailing
+	// Backlog. It also bounds a gap fill. 0 selects
 	// DefaultStreamBacklog.
 	Backlog int
 	// MaxShapes bounds distinct request shapes; 0 selects
@@ -229,10 +236,9 @@ type Streamer struct {
 	// StaleAfter is the feed-stall threshold; 0 selects
 	// DefaultStaleAfter.
 	StaleAfter time.Duration
-	// CrossCheckEvery and MaxSteps pass through to every resident
-	// grid (see core.StreamConfig).
+	// CrossCheckEvery passes through to every resident grid (see
+	// core.StreamConfig).
 	CrossCheckEvery int
-	MaxSteps        int
 	// Heartbeat is the SSE keepalive cadence; 0 selects
 	// DefaultHeartbeat.
 	Heartbeat time.Duration
@@ -243,14 +249,15 @@ type Streamer struct {
 	// numbers; 0 selects DefaultCheckpointEvery.
 	CheckpointEvery int
 
-	once    sync.Once
-	mu      sync.Mutex
-	shapes  map[string]*streamShape
-	grids   map[int]*streamGrid // by resolved MaxZones (gridKey)
-	backlog [][]float64
-	dropped uint64 // sequence numbers before the backlog's first row
+	once   sync.Once
+	mu     sync.Mutex
+	shapes map[string]*streamShape
+	grids  map[int]*streamGrid // by resolved MaxZones (gridKey)
+	// tape is the feed window, its only copy: one row per sequence
+	// number, ending at seq's. nil without Zones.
+	tape    *trace.Tape
+	ticks   uint64 // rows applied, gap fills included: every event's Tick
 	seq     uint64
-	lastRow []float64
 	lastAt  time.Time
 	tripped bool // this stall already counted a watchdog trip
 }
@@ -284,6 +291,7 @@ func (st *Streamer) init() {
 		}
 		st.shapes = make(map[string]*streamShape)
 		st.grids = make(map[int]*streamGrid)
+		st.tape, _ = trace.NewTape(st.Zones, st.Start, st.Step) // nil without zones; checkTick then refuses every tick
 	})
 }
 
@@ -303,19 +311,18 @@ func (st *Streamer) staleLocked() bool {
 
 // Ingest applies one feed tick: seq is the feed's 1-based sequence
 // number, whose sample is at Start + (seq-1)·Step, prices one sample
-// per zone in column order. The feed starts at its first tick's seq
-// (grids subscribed before that tick assume 1). Duplicate and
-// reordered sequences are dropped; gaps are filled by repeating the
-// last row (a silent feed means the price held — spot prices are step
-// functions), so every resident grid sees exactly one row per
-// sequence number and stays deterministic under feed chaos. A gap
-// fills at most Backlog slots: on a longer jump the feed restarts at
-// the first slot it fills, as a feed that began there would, so
-// however far a sequence number jumps, the tick costs at most Backlog
-// gap fills. A tick
-// numbered 0, or with the wrong arity or a price trace.ValidPrice
-// rejects, is refused before it moves the feed position and counted in
-// TickErrors; the next accepted tick gap-fills its slot.
+// per zone in column order. The feed, and so the window, starts at its
+// first tick's seq. Duplicate and reordered sequences are dropped; gaps
+// are filled by repeating the last row (a silent feed means the price
+// held — spot prices are step functions), so the window holds exactly
+// one row per sequence number and stays deterministic under feed
+// chaos. A gap fills at most Backlog slots: on a longer jump the feed
+// restarts at the first slot it fills, as a feed that began there
+// would, so however far a sequence number jumps, the tick costs at
+// most Backlog gap fills. A tick numbered 0, or with the wrong arity
+// or a price trace.ValidPrice rejects, is refused before it moves the
+// feed position and counted in TickErrors; the next accepted tick
+// gap-fills its slot.
 func (st *Streamer) Ingest(seq uint64, prices []float64) error {
 	st.init()
 	if err := st.checkTick(seq, prices); err != nil {
@@ -329,6 +336,8 @@ func (st *Streamer) Ingest(seq uint64, prices []float64) error {
 		return nil
 	}
 	if st.seq != 0 && seq > st.seq+1 {
+		win := st.tape.Set() // holds seq's row once the feed began
+		held := win.PricesAt(win.End() - st.Step)
 		from := st.seq + 1
 		if seq-from > uint64(st.Backlog) {
 			from = seq - uint64(st.Backlog)
@@ -336,17 +345,16 @@ func (st *Streamer) Ingest(seq uint64, prices []float64) error {
 		}
 		for g := from; g < seq; g++ {
 			st.Metrics.GapFills.Inc()
-			st.tickLocked(st.lastRow)
+			st.tickLocked(held)
 		}
 	}
-	if st.seq == 0 && len(st.backlog) == 0 {
-		st.restartLocked(seq) // the feed starts at seq: so do early grids
+	if st.seq == 0 && st.tape.Len() == 0 {
+		st.restartLocked(seq) // the feed starts at seq: so does the window
 	}
 	st.seq = seq
-	st.lastRow = append(st.lastRow[:0], prices...)
 	st.lastAt = time.Now()
 	st.tripped = false
-	st.tickLocked(st.lastRow)
+	st.tickLocked(prices)
 	if st.Store != nil && seq%uint64(st.CheckpointEvery) == 0 {
 		st.checkpointLocked()
 	}
@@ -354,20 +362,13 @@ func (st *Streamer) Ingest(seq uint64, prices []float64) error {
 }
 
 // restartLocked moves the feed to begin at sequence first, as a
-// streamer whose feed started there would stand: the backlog empties,
-// the sequence numbers before first count as dropped, and every grid's
-// window restarts empty at first's sample time. Shapes, subscribers and
-// generations carry over.
+// streamer whose feed started there would stand: the window restarts
+// empty at first's sample time, so the sequence numbers before first
+// count as dropped, and every grid rebuilds over the new window on its
+// next step. Shapes, subscribers, generations and the tick count carry
+// over.
 func (st *Streamer) restartLocked(first uint64) {
-	clear(st.backlog)
-	st.backlog = st.backlog[:0]
-	st.dropped = first - 1
-	start := st.Start + int64(st.dropped)*st.Step
-	for _, gr := range st.grids {
-		if err := gr.g.Restart(start); err != nil {
-			st.Metrics.TickErrors.Inc()
-		}
-	}
+	st.tape, _ = trace.NewTape(st.Zones, st.Start+int64(first-1)*st.Step, st.Step) // init's zones and step
 }
 
 // checkTick is Ingest's tick check: a 1-based sequence number and one
@@ -375,6 +376,9 @@ func (st *Streamer) restartLocked(first uint64) {
 func (st *Streamer) checkTick(seq uint64, prices []float64) error {
 	if seq == 0 {
 		return errors.New("quote: stream tick sequence numbers start at 1")
+	}
+	if st.tape == nil {
+		return errors.New("quote: streamer has no zones")
 	}
 	if len(prices) != len(st.Zones) {
 		return fmt.Errorf("quote: stream tick has %d prices for %d zones", len(prices), len(st.Zones))
@@ -416,18 +420,20 @@ func (st *Streamer) Pump(ctx context.Context, feed RowFeed, first uint64) error 
 	}
 }
 
-// tickLocked applies one row to the backlog, steps every resident grid
-// once, then publishes every shape whose table changed.
+// tickLocked applies one checked row to the window, trims the window
+// past 2·Backlog rows to its trailing Backlog, steps every resident grid
+// once over it, then publishes every shape whose table changed.
 func (st *Streamer) tickLocked(row []float64) {
 	st.Metrics.Ticks.Inc()
-	st.backlog = append(st.backlog, append([]float64(nil), row...))
-	if len(st.backlog) > 2*st.Backlog {
-		drop := len(st.backlog) - st.Backlog
-		st.backlog = append(st.backlog[:0:0], st.backlog[drop:]...)
-		st.dropped += uint64(drop)
+	if err := st.tape.Append(row); err != nil {
+		st.Metrics.TickErrors.Inc() // unreachable: checkTick checked the row
+		return
 	}
+	st.tape.Trim(st.Backlog)
+	st.ticks++
+	win := st.tape.Set()
 	for _, gr := range st.grids {
-		gr.failed = gr.g.Advance(row) != nil
+		gr.failed = gr.g.Advance(win, st.ticks) != nil
 		if gr.failed {
 			st.Metrics.TickErrors.Inc()
 			continue
@@ -476,7 +482,6 @@ func (sh *streamShape) event(upd *core.StreamUpdate, stale bool) *StreamEvent {
 func (st *Streamer) streamConfigLocked(req Request) core.StreamConfig {
 	return core.StreamConfig{
 		Zones:           st.Zones,
-		Start:           st.Start + int64(st.dropped)*st.Step,
 		Step:            st.Step,
 		Work:            seconds(req.WorkHours),
 		Deadline:        seconds(req.DeadlineHours),
@@ -485,7 +490,6 @@ func (st *Streamer) streamConfigLocked(req Request) core.StreamConfig {
 		OnDemandRate:    req.OnDemandPrice,
 		MaxZones:        req.MaxZones,
 		CrossCheckEvery: st.CrossCheckEvery,
-		MaxSteps:        st.MaxSteps,
 	}
 }
 
@@ -521,9 +525,9 @@ func (st *Streamer) attachLocked(req Request, grids map[int]*streamGrid) (*strea
 }
 
 // Subscribe registers for a shape's plan changes, creating its scorer
-// on first use (and its grid, seeded from the retained backlog, when
-// none is resident). The shape is a Request with no history window
-// (the feed's retention is the window); a non-zero window is
+// on first use (and its grid, stepped through the window, when none is
+// resident). The shape is a Request with no history window (the
+// streamer's window is the window); a non-zero window is
 // ErrInvalidRequest. The returned subscription carries the shape's
 // current table as a snapshot.
 func (st *Streamer) Subscribe(req Request) (*StreamSub, error) {
@@ -546,15 +550,8 @@ func (st *Streamer) Subscribe(req Request) (*StreamSub, error) {
 		if sh, fresh, err = st.attachLocked(req, st.grids); err != nil {
 			return nil, err
 		}
-		// A new grid replays the backlog after its first shape attached,
-		// so that shape publishes the generations a private replay would.
 		if fresh {
-			for _, row := range st.backlog {
-				if err := sh.grid.g.Advance(row); err != nil {
-					st.Metrics.TickErrors.Inc()
-					break
-				}
-			}
+			st.catchUpLocked(sh.grid)
 		}
 		if upd := sh.sc.Update(); upd.Generation > 0 {
 			sh.last = sh.event(&upd, false)
@@ -565,6 +562,23 @@ func (st *Streamer) Subscribe(req Request) (*StreamSub, error) {
 	sh.subs[sub] = struct{}{}
 	st.Metrics.Subscribers.Add(1)
 	return sub, nil
+}
+
+// catchUpLocked steps a new grid through the window one row at a time,
+// each prefix under the feed tick of its last row, as a grid resident
+// since the window's first row would have been stepped; its first
+// shape, attached beforehand, so publishes the generations of a
+// private replay of the window.
+func (st *Streamer) catchUpLocked(gr *streamGrid) {
+	win := st.tape.Set()
+	n := st.tape.Len()
+	for k := 1; k <= n; k++ {
+		prefix := win.Slice(win.Start(), win.Start()+int64(k)*st.Step)
+		if err := gr.g.Advance(prefix, st.ticks-uint64(n-k)); err != nil {
+			st.Metrics.TickErrors.Inc()
+			return
+		}
+	}
 }
 
 // unsubscribe removes the subscription; the shape's scorer is released

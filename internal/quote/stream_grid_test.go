@@ -1,6 +1,7 @@
 package quote
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"reflect"
@@ -24,10 +25,8 @@ func gridFixtureShapes() []Request {
 
 // rankWindow is Rank over the fed rows for one shape, as the streamer
 // configures it.
-func rankWindow(t *testing.T, st *Streamer, req Request, rows [][]float64) []core.Plan {
+func rankWindow(t testing.TB, st *Streamer, req Request, rows [][]float64) []core.Plan {
 	t.Helper()
-	req.Normalize()
-	cfg := st.streamConfigLocked(req)
 	tape, err := trace.NewTape(st.Zones, st.Start, st.Step)
 	if err != nil {
 		t.Fatal(err)
@@ -37,8 +36,17 @@ func rankWindow(t *testing.T, st *Streamer, req Request, rows [][]float64) []cor
 			t.Fatal(err)
 		}
 	}
+	return rankSet(t, st, req, tape.Set())
+}
+
+// rankSet is Rank over hist for one shape, as the streamer configures
+// it.
+func rankSet(t testing.TB, st *Streamer, req Request, hist *trace.Set) []core.Plan {
+	t.Helper()
+	req.Normalize()
+	cfg := st.streamConfigLocked(req)
 	plans, err := core.NewEvaluator().Rank(core.PlanRequest{
-		History:        tape.Set(),
+		History:        hist,
 		Work:           cfg.Work,
 		Deadline:       cfg.Deadline,
 		CheckpointCost: cfg.CheckpointCost,
@@ -72,7 +80,9 @@ func TestStreamerSharedGrids(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.Normalize()
-		if alone[i], err = core.NewStreamEvaluator(nil, st.streamConfigLocked(r)); err != nil {
+		cfg := st.streamConfigLocked(r)
+		cfg.Start = st.Start
+		if alone[i], err = core.NewStreamEvaluator(nil, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,9 +241,10 @@ func TestStreamerSharedGridCheckpoint(t *testing.T) {
 }
 
 // TestStreamerRestoreRefusesSplitGrid pins the snapshot rule for shared
-// grids: shapes of one grid must carry the same window, so a checkpoint
-// whose same-grid shapes disagree on rows or start is refused whole and
-// leaves the streamer fresh.
+// grids: the grid is restored once, from its first shape, and every
+// later shape of that grid must match it, so a checkpoint whose
+// same-grid shapes disagree on the tick or the table digest, or that
+// lists a shape twice, is refused whole and leaves the streamer fresh.
 func TestStreamerRestoreRefusesSplitGrid(t *testing.T) {
 	fx := newStreamFixture()
 	src := fx.streamer()
@@ -253,37 +264,44 @@ func TestStreamerRestoreRefusesSplitGrid(t *testing.T) {
 	if len(snap.Shapes) != 2 {
 		t.Fatalf("%d shapes in snapshot, want 2", len(snap.Shapes))
 	}
-	for name, edit := range map[string]func(*core.StreamSnapshot){
-		"rows":  func(s *core.StreamSnapshot) { s.Rows[3] = []float64{9, 9, 9} },
-		"start": func(s *core.StreamSnapshot) { s.Start -= s.Step },
+	if len(src.grids) != 1 {
+		t.Fatalf("%d grids, want the two shapes on one", len(src.grids))
+	}
+	for name, tc := range map[string]struct {
+		edit func(*StreamerSnapshot)
+		want string
+	}{
+		"tick": {func(c *StreamerSnapshot) {
+			state := *c.Shapes[1].State
+			state.Ticks++
+			c.Shapes[1].State = &state
+		}, "at tick"},
+		"digest": {func(c *StreamerSnapshot) {
+			state := *c.Shapes[1].State
+			state.StateDigest = c.Shapes[0].State.StateDigest
+			c.Shapes[1].State = &state
+		}, "digest"},
+		"duplicate": {func(c *StreamerSnapshot) { c.Shapes[1] = c.Shapes[0] }, "twice"},
 	} {
 		bad := *snap
 		bad.Shapes = append([]ShapeSnapshot(nil), snap.Shapes...)
-		state := *bad.Shapes[1].State
-		state.Rows = append([][]float64(nil), state.Rows...)
-		edit(&state)
-		bad.Shapes[1].State = &state
+		tc.edit(&bad)
 		st := fx.streamer()
-		err := st.Restore(&bad)
-		if err == nil || !strings.Contains(err.Error(), "differs from its grid") {
+		if err := st.Restore(&bad); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: split-grid snapshot restored: %v", name, err)
 		}
 		if st.Seq() != 0 || st.Metrics.Restores.Load() != 0 || len(st.shapes) != 0 || len(st.grids) != 0 {
 			t.Fatalf("%s: refused restore left seq %d, %d shapes, %d grids", name, st.Seq(), len(st.shapes), len(st.grids))
 		}
 	}
-	dup := *snap
-	dup.Shapes = []ShapeSnapshot{snap.Shapes[0], snap.Shapes[0]}
-	if err := fx.streamer().Restore(&dup); err == nil || !strings.Contains(err.Error(), "twice") {
-		t.Fatalf("duplicate shape restored: %v", err)
-	}
 }
 
 // TestStreamerRestoresPerShapeCheckpoint restores a checkpoint written
 // by a streamer that kept one full evaluator per shape (testdata): three
-// shapes on two grids, twelve ticks. The format is unchanged, so it
-// restores, and every shape resumes with the event a streamer fed the
-// same ticks publishes.
+// shapes on two grids, twelve ticks, every shape carrying its own copy
+// of the window. The JSON decode skips those copies, the digests cover
+// the one window, so it restores unedited, and every shape resumes
+// with the event a streamer fed the same ticks publishes.
 func TestStreamerRestoresPerShapeCheckpoint(t *testing.T) {
 	raw, err := os.ReadFile("testdata/checkpoint_per_shape.json")
 	if err != nil {
@@ -330,5 +348,279 @@ func TestStreamerRestoresPerShapeCheckpoint(t *testing.T) {
 		if string(got) != string(wantJSON) {
 			t.Fatalf("shape %s: restored event diverges\nrestored %s\nlive     %s", sub.shape.req.Key(), got, wantJSON)
 		}
+	}
+}
+
+// TestStreamerOneWindow is the differential for the streamer's one
+// window. Over a feed of more than five windows' worth of ticks with
+// ordering flips, a duplicate, gap fills and a jump past Backlog, shapes
+// subscribe before the first tick, mid-stream, after the first
+// compaction and again after an unsubscribe, on grids of max_zones 1–3,
+// and a second streamer resumes from a mid-stream checkpoint. At every
+// tick each of their shapes must publish exactly the event (every
+// field but the generation) that the same shape publishes on a
+// streamer where every shape subscribed before the first tick, and
+// every table must equal Rank over Streamer.History's window.
+func TestStreamerOneWindow(t *testing.T) {
+	const backlog = 16
+	fx := newStreamFixture()
+	newStreamer := func() *Streamer {
+		st := fx.streamer()
+		st.Backlog = backlog
+		st.CrossCheckEvery = 7
+		return st
+	}
+	shapes := []Request{
+		{WorkHours: 4, DeadlineHours: 12, MaxZones: 2, Top: 3},
+		{WorkHours: 3, DeadlineHours: 5, MaxZones: 3, Top: 4},
+		{WorkHours: 8, DeadlineHours: 9, MaxZones: 1, OnDemandPrice: 0.3, Top: 2},
+		{WorkHours: 2, DeadlineHours: 3, MaxZones: 2, Top: 5},
+	}
+	// Feed ops and when the subject streamer's shapes come and go.
+	type op struct {
+		seq uint64
+		row []float64
+	}
+	var ops []op
+	seq := uint64(0)
+	for i := 0; i < 6*backlog; i++ {
+		switch i {
+		case 25:
+			seq += 3 // a gap: two held rows fill it
+		case 70:
+			seq += 2 * backlog // a jump past Backlog restarts the window
+		}
+		seq++
+		row := fx.row(i)
+		if i%7 == 3 {
+			row = fx.reorderRow(i)
+		}
+		ops = append(ops, op{seq, row})
+		if i == 10 {
+			ops = append(ops, op{seq, row}) // a duplicate
+		}
+	}
+	subscribeAt := map[int][]int{0: {0}, 20: {1}, 40: {2}, 50: {3}, 66: {1}}
+	const unsubscribeAt, checkpointAt = 60, 45
+
+	ref := newStreamer()
+	refSubs := make([]*StreamSub, len(shapes))
+	for k, r := range shapes {
+		var err error
+		if refSubs[k], err = ref.Subscribe(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type subject struct {
+		name string
+		st   *Streamer
+		subs []*StreamSub // by shape; nil while unsubscribed
+		last []*StreamEvent
+	}
+	st := &subject{name: "subject", st: newStreamer(), subs: make([]*StreamSub, len(shapes)), last: make([]*StreamEvent, len(shapes))}
+	subjects := []*subject{st}
+	refLast := make([]*StreamEvent, len(shapes))
+
+	noGen := func(ev *StreamEvent) string {
+		c := *ev
+		c.Generation = 0
+		b, err := json.Marshal(&c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	// checkTable requires the shape's table to equal Rank over the
+	// streamer's History window (which needs two samples).
+	checkTable := func(s *subject, k, i int) {
+		if s.st.tape.Len() < 2 {
+			return
+		}
+		hist, _, err := s.st.History(context.Background(), 1<<40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.subs[k].shape.sc.Plans(), rankSet(t, s.st, shapes[k], hist); !reflect.DeepEqual(got, want) {
+			t.Fatalf("op %d: %s shape %d's table diverges from Rank over its %d-row History window", i, s.name, k, hist.Series[0].Len())
+		}
+	}
+	subscribe := func(s *subject, k, i int) {
+		sub, err := s.st.Subscribe(shapes[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.subs[k], s.last[k] = sub, sub.Snapshot()
+		if sub.Snapshot() == nil && s.st.Seq() > 0 {
+			t.Fatalf("op %d: %s shape %d subscribed to a running feed without a table", i, s.name, k)
+		}
+		if s.st.Seq() > 0 {
+			checkTable(s, k, i)
+		}
+	}
+
+	for i, o := range ops {
+		for _, k := range subscribeAt[i] {
+			subscribe(st, k, i)
+		}
+		if i == unsubscribeAt {
+			st.subs[1].Close()
+			st.subs[1], st.last[1] = nil, nil
+		}
+		if i == checkpointAt {
+			raw, err := json.Marshal(st.st.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := (&MemStore{raw: raw}).Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs := &subject{name: "restored", st: newStreamer(), subs: make([]*StreamSub, len(shapes)), last: make([]*StreamEvent, len(shapes))}
+			if err := rs.st.Restore(snap); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			for k, sub := range st.subs {
+				if sub != nil {
+					subscribe(rs, k, i)
+				}
+			}
+			subjects = append(subjects, rs)
+		}
+
+		if err := ref.Ingest(o.seq, o.row); err != nil {
+			t.Fatal(err)
+		}
+		refPub := make([]bool, len(shapes))
+		for k, sub := range refSubs {
+			ev := ref.Latest(sub)
+			refPub[k], refLast[k] = ev != refLast[k], ev
+		}
+		for _, s := range subjects {
+			if err := s.st.Ingest(o.seq, o.row); err != nil {
+				t.Fatal(err)
+			}
+			for k, sub := range s.subs {
+				if sub == nil {
+					continue
+				}
+				ev := s.st.Latest(sub)
+				if pub := ev != s.last[k]; pub != refPub[k] {
+					t.Fatalf("op %d (seq %d): %s shape %d published %v, reference %v", i, o.seq, s.name, k, pub, refPub[k])
+				} else if pub {
+					if got, want := noGen(ev), noGen(refLast[k]); got != want {
+						t.Fatalf("op %d (seq %d): %s shape %d's event diverges\ngot  %s\nwant %s", i, o.seq, s.name, k, got, want)
+					}
+				}
+				s.last[k] = ev
+				checkTable(s, k, i)
+			}
+		}
+	}
+	for _, s := range subjects {
+		if s.st.Metrics.TickErrors.Load() != 0 || s.st.Metrics.CrossCheckMismatches.Load() != 0 {
+			t.Fatalf("%s: %d tick errors, %d cross-check mismatches", s.name,
+				s.st.Metrics.TickErrors.Load(), s.st.Metrics.CrossCheckMismatches.Load())
+		}
+	}
+	if ref.Metrics.GapFills.Load() == 0 || ref.Metrics.DupTicks.Load() == 0 {
+		t.Fatal("the feed never gap-filled or duplicated")
+	}
+}
+
+// TestStreamerCheckpointHoldsWindowOnce pins the checkpoint's size: the
+// window is encoded once, in the streamer's backlog, so at a full
+// window (2·Backlog ticks) each added shape grows the encoded
+// checkpoint by its request, tick, generation and digest alone — under
+// 1 KB — whichever grid it joins.
+func TestStreamerCheckpointHoldsWindowOnce(t *testing.T) {
+	const backlog = 64
+	fx := newStreamFixture()
+	shapes := []Request{
+		{WorkHours: 4, DeadlineHours: 12, MaxZones: 2, Top: 3},
+		{WorkHours: 2, DeadlineHours: 3, MaxZones: 2, Top: 5},
+		{WorkHours: 4, DeadlineHours: 12, MaxZones: 3, Top: 3},
+		{WorkHours: 8, DeadlineHours: 9, MaxZones: 1, OnDemandPrice: 0.3, Top: 2},
+	}
+	size := func(n int) int {
+		st := fx.streamer()
+		st.Backlog = backlog
+		for _, r := range shapes[:n] {
+			sub, err := st.Subscribe(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+		}
+		for i := 0; i < 2*backlog; i++ {
+			if err := st.Ingest(uint64(i+1), fx.row(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		raw, err := json.Marshal(st.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(raw)
+	}
+	base := size(1)
+	for n := 2; n <= len(shapes); n++ {
+		if grown := size(n) - base; grown >= 1024*(n-1) {
+			t.Fatalf("%d shapes encode %d bytes more than one: not under 1 KB per added shape", n, grown)
+		}
+	}
+}
+
+// TestStreamerResidentBound pins the streamer's resident bound through
+// trims, a gap and a restart, with grids created before the first
+// tick, mid-stream and after a compaction: the window holds at most
+// 2·Backlog rows, its columns keep storage for at most twice 2·Backlog+1
+// rows, and every grid covers exactly the window — a grid holds no rows
+// of its own (core's TestStreamGridHoldsNoWindow), only head state.
+func TestStreamerResidentBound(t *testing.T) {
+	const backlog = 16
+	fx := newStreamFixture()
+	st := fx.streamer()
+	st.Backlog = backlog
+	join := map[int]Request{
+		0:  {WorkHours: 4, DeadlineHours: 12, MaxZones: 2, Top: 3},
+		20: {WorkHours: 3, DeadlineHours: 5, MaxZones: 3, Top: 4},
+		40: {WorkHours: 8, DeadlineHours: 9, MaxZones: 1, Top: 2},
+	}
+	seq := uint64(0)
+	for i := 0; i < 8*backlog; i++ {
+		if r, ok := join[i]; ok {
+			sub, err := st.Subscribe(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sub.Close()
+		}
+		seq++
+		switch i {
+		case 50:
+			seq += 5
+		case 90:
+			seq += 3 * backlog
+		}
+		if err := st.Ingest(seq, fx.row(i)); err != nil {
+			t.Fatal(err)
+		}
+		n := st.tape.Len()
+		if n > 2*backlog {
+			t.Fatalf("tick %d: window holds %d rows, bound 2·Backlog = %d", i, n, 2*backlog)
+		}
+		for z, s := range st.tape.Set().Series {
+			if c := cap(s.Prices); c > 2*(2*backlog+1) {
+				t.Fatalf("tick %d: zone %d column keeps storage for %d rows", i, z, c)
+			}
+		}
+		for key, gr := range st.grids {
+			if gr.g.Steps() != n {
+				t.Fatalf("tick %d: grid %d covers %d rows of a %d-row window", i, key, gr.g.Steps(), n)
+			}
+		}
+	}
+	if len(st.grids) != 3 {
+		t.Fatalf("%d grids resident, want 3", len(st.grids))
 	}
 }

@@ -33,8 +33,14 @@ const (
 // and announced generations are floored at it, so across a disconnect
 // — even one that fails over to a backend whose evaluator is slightly
 // behind — the client-visible generation sequence stays monotonic. A
-// shape's generation is a deterministic function of the feed, so the
-// floor only suppresses tables the client has already seen.
+// shape's table and tick are a deterministic function of the feed (the
+// streamer's window); its generation is not — it counts the changes
+// the shape has published on that backend since it subscribed there
+// (or since the checkpoint it resumed from). Backends that created a
+// shape at different times can therefore announce one table under
+// different generations, and on such a failover the floor also
+// suppresses fresh tables until the new backend's generation passes
+// it.
 func registerStream(mux *http.ServeMux, st *Streamer) {
 	mux.HandleFunc("GET /v1/quotes/stream", func(w http.ResponseWriter, r *http.Request) {
 		req, err := ParseQuery(r.URL.Query())

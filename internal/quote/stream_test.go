@@ -396,7 +396,7 @@ func TestStreamerEarlySubscriberAnchor(t *testing.T) {
 		if len(snap.Shapes) != 1 {
 			t.Fatalf("snapshot holds %d shapes, want 1", len(snap.Shapes))
 		}
-		return snap.Shapes[0].State.Start
+		return snap.Start + int64(snap.Dropped)*snap.Step
 	}
 	early := newStreamer()
 	esub, err := early.Subscribe(fx.shape)

@@ -100,22 +100,21 @@ func (t *Tape) Set() *Set {
 	return &t.set
 }
 
-// Tail returns a new tape holding only the trailing keep ticks (deep
-// copy, epoch advanced accordingly) — the compaction step a bounded
-// streaming window uses when the accumulated history outgrows its
-// retention budget. keep larger than Len copies everything.
-func (t *Tape) Tail(keep int) *Tape {
+// Trim is the retention rule of a streaming window: once the tape
+// holds more than 2·keep rows it keeps only the trailing keep, advancing
+// its start. The kept rows move to fresh columns, so a view sliced off
+// the tape before the trim keeps its samples.
+func (t *Tape) Trim(keep int) {
 	n := t.Len()
-	if keep > n {
-		keep = n
+	if keep < 1 || n <= 2*keep {
+		return
 	}
 	drop := n - keep
-	nt, err := NewTape(t.zones, t.start+int64(drop)*t.step, t.step)
-	if err != nil {
-		panic(err) // t itself was constructed through the same checks
+	for i, col := range t.cols {
+		t.cols[i] = append([]float64(nil), col[drop:]...)
 	}
-	for i := range t.cols {
-		nt.cols[i] = append([]float64(nil), t.cols[i][drop:]...)
+	t.start += int64(drop) * t.step
+	for _, s := range t.series {
+		s.Epoch = t.start
 	}
-	return nt
 }

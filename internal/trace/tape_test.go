@@ -96,7 +96,8 @@ func TestBidIndexAppendMatchesRebuild(t *testing.T) {
 
 // TestTapeSetView pins the Set view's alignment and aliasing: the view
 // tracks appends, validates, and matches the appended rows sample for
-// sample.
+// sample; Trim keeps the trailing rows only past twice its bound and
+// leaves a view sliced before it intact.
 func TestTapeSetView(t *testing.T) {
 	tape, err := NewTape([]string{"us-east-1a", "us-east-1b"}, 5000, 300)
 	if err != nil {
@@ -129,11 +130,21 @@ func TestTapeSetView(t *testing.T) {
 		t.Fatal("negative price accepted")
 	}
 
-	tail := tape.Tail(2)
-	if tail.Len() != 2 || tail.Start() != 5300 {
-		t.Fatalf("Tail: len %d start %d", tail.Len(), tail.Start())
+	view := tape.Set().Slice(5000, 5900)
+	if tape.Trim(2); tape.Len() != 3 {
+		t.Fatal("Trim(2) dropped rows from a 3-row tape")
 	}
-	if got := tail.Set().Series[1].Prices[1]; got != 1.2 {
-		t.Fatalf("Tail sample = %v, want 1.2", got)
+	if tape.Trim(1); tape.Len() != 1 || tape.Start() != 5600 || tape.End() != 5900 {
+		t.Fatalf("Trim(1): len %d start %d", tape.Len(), tape.Start())
+	}
+	if got := tape.Set().Series[1].Prices[0]; got != 1.2 {
+		t.Fatalf("trimmed sample = %v, want 1.2", got)
+	}
+	if err := tape.Append([]float64{0.7, 0.8}); err != nil {
+		t.Fatal(err)
+	}
+	// A view sliced before the trim keeps its samples.
+	if got := view.Series[0].Prices; len(got) != 3 || got[0] != 0.3 || got[2] != 0.5 {
+		t.Fatalf("pre-trim view now reads %v", got)
 	}
 }
