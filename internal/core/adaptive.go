@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"strconv"
 
 	"repro/internal/market"
@@ -33,7 +32,7 @@ func DefaultAdaptiveCandidates() []PolicyFactory {
 // Adaptive is the paper's §7 scheme: at each decision point (a zone
 // terminated out-of-bid, or a billing hour ended) it simulates every
 // permutation of bid price B, zone count N and candidate policy against
-// recent price history, predicts each permutation's remaining cost via
+// recent price history — the grid Evaluator.Rank ranks — predicts each permutation's remaining cost via
 // Inequality (1) — splitting the remaining time between the spot market
 // at the observed progress rate and an on-demand tail — and switches to
 // the least-cost permutation. The engine's deadline guard independently
@@ -47,7 +46,9 @@ type Adaptive struct {
 	// Candidates are the policy families; nil selects the defaults.
 	// Every factory must build a *Periodic or a *MarkovDaly, the
 	// families the batched engine replays; it panics on any other
-	// policy type.
+	// policy type. Decision records name the winning factory by Kind,
+	// so Kinds should be distinct (the decision replayer refuses
+	// duplicates).
 	Candidates []PolicyFactory
 	// EstimationWindow is how much trailing history each permutation is
 	// simulated over; 0 selects 12 hours.
@@ -79,30 +80,11 @@ type Adaptive struct {
 	chosen sim.RunSpec
 	// chosenNew builds a fresh instance of chosen's policy with the
 	// same parameters, so churn damping re-prices the incumbent as it
-	// actually runs.
-	chosenNew func() sim.CheckpointPolicy
-	decSeq    int
-
-	// rankBuf is the reusable best-first alternative list handed to
-	// Sink; valid only during the RecordDecision call.
-	rankBuf []DecisionAlt
-
-	// Per-decision scratch, reused across decision points: the scored
-	// candidate grid, the measurement specs handed to the evaluator, and
-	// the measurement policy instances (safe to reuse because the engine
-	// resets policy state at replay start and the evaluator does not
-	// retain them).
-	candBuf []candidate
-	specBuf []sim.RunSpec
-	polBuf  []policySlot
-}
-
-// policySlot is one reusable measurement-policy instance, tagged with
-// the index of its factory so a reshaped candidate grid rebuilds
-// mismatched slots.
-type policySlot struct {
-	fac int
-	pol sim.CheckpointPolicy
+	// actually runs; chosenKind is the Kind of the factory it came
+	// from, which a kept incumbent's decision record names.
+	chosenNew  func() sim.CheckpointPolicy
+	chosenKind string
+	decSeq     int
 }
 
 // NewAdaptive returns the Adaptive strategy with the paper's settings.
@@ -116,29 +98,20 @@ func (a *Adaptive) Name() string { return "adaptive" }
 // initial permutation.
 func (a *Adaptive) Begin(env *sim.Env) sim.RunSpec {
 	a.decSeq = 0
-	a.chosen, a.chosenNew = a.pick(env, TriggerBegin)
+	a.chosen, a.chosenNew, a.chosenKind = a.pick(env, TriggerBegin)
 	return a.chosen
 }
 
 // Reconsider implements sim.Strategy.
 func (a *Adaptive) Reconsider(env *sim.Env, events []sim.Event) (sim.RunSpec, bool) {
-	if a.ReDecideOnHourOnly {
-		hour := false
-		for _, ev := range events {
-			if ev.Kind == sim.HourBoundary {
-				hour = true
-				break
-			}
-		}
-		if !hour {
-			return sim.RunSpec{}, false
-		}
+	if a.ReDecideOnHourOnly && !hasHourBoundary(events) {
+		return sim.RunSpec{}, false
 	}
-	spec, fresh := a.pick(env, triggerFor(events))
+	spec, fresh, kind := a.pick(env, triggerFor(events))
 	if spec.Equal(a.chosen) {
 		return sim.RunSpec{}, false
 	}
-	a.chosen, a.chosenNew = spec, fresh
+	a.chosen, a.chosenNew, a.chosenKind = spec, fresh, kind
 	return spec, true
 }
 
@@ -151,31 +124,6 @@ func triggerFor(events []sim.Event) string {
 		}
 	}
 	return TriggerHourBoundary
-}
-
-func (a *Adaptive) bids() []float64 {
-	if a.Bids != nil {
-		return a.Bids
-	}
-	return BidGrid()
-}
-
-func (a *Adaptive) maxZones(env *sim.Env) int {
-	n := a.MaxZones
-	if n <= 0 {
-		n = 3
-	}
-	if total := len(env.Zones); n > total {
-		n = total
-	}
-	return n
-}
-
-func (a *Adaptive) candidates() []PolicyFactory {
-	if a.Candidates != nil {
-		return a.Candidates
-	}
-	return DefaultAdaptiveCandidates()
 }
 
 func (a *Adaptive) window() int64 {
@@ -197,23 +145,6 @@ func (a *Adaptive) churn() float64 {
 		return a.Churn
 	}
 	return 0.02
-}
-
-// zonesByPrice returns all zone indices ordered by current price,
-// cheapest first (ties by index for determinism).
-func zonesByPrice(env *sim.Env) []int {
-	idx := make([]int, len(env.Zones))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(x, y int) bool {
-		px, py := env.PriceNow(idx[x]), env.PriceNow(idx[y])
-		if px != py {
-			return px < py
-		}
-		return idx[x] < idx[y]
-	})
-	return idx
 }
 
 // historySet reconstructs a trace.Set of the trailing span seconds of
@@ -252,11 +183,6 @@ func (a *Adaptive) evaluator() *Evaluator {
 		a.Eval = NewEvaluator()
 	}
 	return a.Eval
-}
-
-// predictCost applies Inequality (1) at the paper's on-demand rate.
-func predictCost(e estimate, cr, tr int64, migration int64) float64 {
-	return predictCostAt(e, cr, tr, migration, market.OnDemandRate)
 }
 
 // predictCostAt applies Inequality (1): given the permutation's rates,
@@ -306,201 +232,102 @@ func onDemandCost(work, odRate float64) float64 {
 	return hours * odRate
 }
 
-// candidate is one scored (bid, N, policy) permutation.
-type candidate struct {
-	spec sim.RunSpec
-	kind string
-	fac  int // index of the policy's factory in candidates()
-	n    int
-	cost float64
-}
+// fallbackKind is the Kind of the policy a decision falls back to when
+// the grid is empty: single-zone Periodic at the median bid.
+const fallbackKind = "periodic"
 
-// replayCandidates scores the full B × N × policy permutation grid by
-// engine replay: the candidate grid is laid out in deterministic order
-// and the evaluator prices every permutation in one sweep.
-func (a *Adaptive) replayCandidates(env *sim.Env, hist *trace.Set, ordered []int, cr, tr, migration int64) []candidate {
-	cands := a.candBuf[:0]
-	specs := a.specBuf[:0]
-	np := 0
-	for fi, fac := range a.candidates() {
-		for n := 1; n <= a.maxZones(env); n++ {
-			zones := append([]int(nil), ordered[:n]...)
-			sort.Ints(zones)
-			for _, bid := range a.bids() {
-				// The candidate's own policy instance is materialized
-				// lazily by pickSpec for the winner only; the scoring
-				// grid never runs these instances.
-				cands = append(cands, candidate{
-					spec: sim.RunSpec{Bid: bid, Zones: zones},
-					kind: fac.Kind,
-					fac:  fi,
-					n:    n,
-				})
-				if hist != nil {
-					if np == len(a.polBuf) {
-						a.polBuf = append(a.polBuf, policySlot{})
-					}
-					if a.polBuf[np].pol == nil || a.polBuf[np].fac != fi {
-						a.polBuf[np] = policySlot{fac: fi, pol: fac.New()}
-					}
-					specs = append(specs, sim.RunSpec{Bid: bid, Zones: zones, Policy: a.polBuf[np].pol})
-					np++
-				}
-			}
-		}
+// pick prices Rank's permutation grid over the trailing estimation
+// window and returns the selected spec, the constructor of its policy
+// and the Kind of the factory that built it. It traces the decision
+// and, when a Sink is attached, records it with the whole ranked grid
+// on the same adaptive.decision span path.
+func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, func() sim.CheckpointPolicy, string) {
+	ev := a.evaluator()
+	span := ev.Trace.Start("adaptive.decision")
+	req := PlanRequest{
+		History:        historySet(env, a.window()),
+		Work:           env.RemainingWork(),
+		Deadline:       env.RemainingTime(),
+		CheckpointCost: env.CheckpointCost(),
+		RestartCost:    env.RestartCost(),
 	}
-	a.candBuf = cands
-	a.specBuf = specs
-	if hist == nil {
-		for i := range cands {
-			cands[i].cost = predictCost(estimate{}, cr, tr, migration)
-		}
-		return cands
-	}
-	ests := a.evaluator().MeasureAll(hist, specs, env.CheckpointCost(), env.RestartCost())
-	for i := range cands {
-		cands[i].cost = predictCost(ests[i], cr, tr, migration)
-	}
-	return cands
-}
-
-// pick evaluates every permutation and returns the least-predicted-cost
-// spec with the constructor of its policy, tracing the decision with
-// its chosen (bid, n, policy) and, when a Sink is attached, recording
-// the full decision point (chosen plus every ranked rival) on the same
-// adaptive.decision span path.
-func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, func() sim.CheckpointPolicy) {
-	span := a.evaluator().Trace.Start("adaptive.decision")
-	spec, fresh, cands, chosenCost := a.pickSpec(env)
+	bids, maxZones, cands := resolveGrid(a.Bids, a.MaxZones, len(env.Zones), a.Candidates)
+	slots, ests := ev.estimateSlots(req.History, req.CheckpointCost, req.RestartCost, bids, maxZones, cands)
+	spec, fresh, kind, cost := a.choose(&req, env.Step, bids, cands, slots, ests)
 	if a.Sink != nil {
-		a.recordDecision(env, trigger, spec, cands, chosenCost)
+		plans := scorePlans(&req, env.Step, market.OnDemandRate, slots, ests)
+		a.Sink.RecordDecision(DecisionPoint{
+			Seq:      a.decSeq,
+			Time:     env.Now,
+			Trigger:  trigger,
+			Switched: !spec.Equal(a.chosen), // as Reconsider will compare
+			Chosen:   DecisionAlt{Bid: spec.Bid, Zones: spec.Zones, Policy: kind, Cost: sanitizeCost(cost)},
+			Ranked:   rankedAlts(req.History, plans),
+		})
+		a.decSeq++
 	}
 	if span.Recording() {
 		span.SetAttr("trigger", trigger)
 		span.SetAttr("bid", strconv.FormatFloat(spec.Bid, 'g', -1, 64))
 		span.SetAttr("zones", strconv.Itoa(len(spec.Zones)))
-		if spec.Policy != nil {
-			span.SetAttr("policy", spec.Policy.Name())
-		}
-		span.SetAttr("batched", strconv.FormatBool(!a.evaluator().DisableBatch))
+		span.SetAttr("policy", kind)
+		span.SetAttr("batched", strconv.FormatBool(!ev.DisableBatch))
 	}
 	span.End()
-	return spec, fresh
+	return spec, fresh, kind
 }
 
-// recordDecision hands the decision point to the sink: the candidates
-// are sorted best-first into the reusable rankBuf (the scoring grid is
-// per-decision scratch, so reordering it after selection is safe) and
-// the chosen spec is captured with the cost the selection actually
-// compared (the incumbent's re-evaluated cost when churn damping kept
-// it). Switched is computed against the pre-decision incumbent exactly
-// as Reconsider will: spec identity via RunSpec.Equal.
-func (a *Adaptive) recordDecision(env *sim.Env, trigger string, spec sim.RunSpec, cands []candidate, chosenCost float64) {
-	sort.Slice(cands, func(x, y int) bool {
-		cx, cy := &cands[x], &cands[y]
-		if cx.cost != cy.cost {
-			return cx.cost < cy.cost
-		}
-		if cx.spec.Bid != cy.spec.Bid {
-			return cx.spec.Bid > cy.spec.Bid
-		}
-		if cx.n != cy.n {
-			return cx.n < cy.n
-		}
-		return cx.kind < cy.kind
-	})
-	buf := a.rankBuf[:0]
-	for i := range cands {
-		c := &cands[i]
-		buf = append(buf, DecisionAlt{
-			Bid:    c.spec.Bid,
-			Zones:  c.spec.Zones,
-			Policy: c.kind,
-			Cost:   sanitizeCost(c.cost),
-		})
-	}
-	a.rankBuf = buf
-	policy := ""
-	if spec.Policy != nil {
-		policy = spec.Policy.Name()
-	}
-	p := DecisionPoint{
-		Seq:      a.decSeq,
-		Time:     env.Now,
-		Trigger:  trigger,
-		Switched: !spec.Equal(a.chosen),
-		Chosen:   DecisionAlt{Bid: spec.Bid, Zones: spec.Zones, Policy: policy, Cost: sanitizeCost(chosenCost)},
-		Ranked:   buf,
-	}
-	a.decSeq++
-	a.Sink.RecordDecision(p)
-}
-
-// pickSpec is pick's decision body. It returns the selected spec, the
-// constructor its policy instance came from, the scored candidate grid
-// (per-decision scratch) and the predicted cost the selection compared
-// for the chosen spec.
-func (a *Adaptive) pickSpec(env *sim.Env) (sim.RunSpec, func() sim.CheckpointPolicy, []candidate, float64) {
-	hist := historySet(env, a.window())
-	ordered := zonesByPrice(env)
-	cr := env.RemainingWork()
-	tr := env.RemainingTime()
-	migration := env.CheckpointCost() + env.RestartCost() + env.Step
-
-	cands := a.replayCandidates(env, hist, ordered, cr, tr, migration)
-	var best *candidate
+// choose is pick's selection over the priced slots. It returns the
+// selected spec, its policy constructor and factory Kind, and the
+// predicted cost the selection compared for it (the incumbent's
+// re-priced cost when churn damping kept it).
+func (a *Adaptive) choose(req *PlanRequest, step int64, bids []float64, cands []PolicyFactory, slots []rankSlot, ests []estimate) (sim.RunSpec, func() sim.CheckpointPolicy, string, float64) {
+	migration := req.CheckpointCost + req.RestartCost + step
+	costs := make([]float64, len(slots))
 	minCost := math.Inf(1)
-	for i := range cands {
-		if cands[i].cost < minCost {
-			minCost = cands[i].cost
+	for i := range slots {
+		costs[i] = predictCostAt(ests[i], req.Work, req.Deadline, migration, market.OnDemandRate)
+		if costs[i] < minCost {
+			minCost = costs[i]
 		}
 	}
-	// Among candidates within a few percent of the least predicted
-	// cost, prefer bid headroom (short estimation replays under-sample
-	// terminations, so near-equal low bids are riskier than they look)
-	// and then fewer zones.
-	for i := range cands {
-		c := &cands[i]
-		if c.cost > minCost*(1+a.headroom())+1e-9 {
+	// Among slots within a few percent of the least predicted cost,
+	// prefer bid headroom (short estimation replays under-sample
+	// terminations, so near-equal low bids are riskier than they look),
+	// then fewer zones, then the earlier slot.
+	best := -1
+	for i := range slots {
+		if costs[i] > minCost*(1+a.headroom())+1e-9 {
 			continue
 		}
-		if best == nil ||
-			c.spec.Bid > best.spec.Bid ||
-			(c.spec.Bid == best.spec.Bid && c.n < best.n) {
-			best = c
+		if best < 0 || slots[i].bid > slots[best].bid ||
+			(slots[i].bid == slots[best].bid && len(slots[i].zones) < len(slots[best].zones)) {
+			best = i
 		}
 	}
-	if best == nil {
-		// No history at all: fall back to single-zone Periodic at the
-		// median bid.
-		bids := a.bids()
+	if best < 0 {
 		fresh := func() sim.CheckpointPolicy { return NewPeriodic() }
-		fallback := sim.RunSpec{Bid: bids[len(bids)/2], Zones: []int{ordered[0]}, Policy: fresh()}
-		return fallback, fresh, cands, math.Inf(1)
+		zone := zonesByHistPrice(req.History)[0]
+		return sim.RunSpec{Bid: bids[len(bids)/2], Zones: []int{zone}, Policy: fresh()}, fresh, fallbackKind, math.Inf(1)
 	}
 	// Keep the current configuration when it predicts within a hair of
 	// the best, avoiding churn from estimation noise.
-	if len(a.chosen.Zones) > 0 && !best.spec.Equal(a.chosen) {
-		cur := a.evalIncumbent(env, hist, cr, tr, migration)
-		if cur <= best.cost*(1+a.churn()) {
-			return a.chosen, a.chosenNew, cands, cur
+	if len(a.chosen.Zones) > 0 {
+		if cur := a.evalIncumbent(req, migration); cur <= costs[best]*(1+a.churn()) {
+			return a.chosen, a.chosenNew, a.chosenKind, cur
 		}
 	}
-	// Candidates defer their policy instance to the winner (the scoring
-	// grid never runs it). Build it from the winner's own factory, so a
-	// profile shares its parameters with no other of the same kind.
-	fresh := a.candidates()[best.fac].New
-	best.spec.Policy = fresh()
-	return best.spec, fresh, cands, best.cost
+	// Build the winner's instance from its own factory, so a profile
+	// shares its parameters with no other.
+	sl := &slots[best]
+	fresh := cands[sl.fac].New
+	return sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: fresh()}, fresh, sl.kind, costs[best]
 }
 
 // evalIncumbent predicts the remaining cost of the running spec,
 // replaying a fresh instance of its policy with the same parameters.
-func (a *Adaptive) evalIncumbent(env *sim.Env, hist *trace.Set, cr, tr, migration int64) float64 {
-	if hist == nil {
-		return math.Inf(1)
-	}
+func (a *Adaptive) evalIncumbent(req *PlanRequest, migration int64) float64 {
 	fresh := sim.RunSpec{Bid: a.chosen.Bid, Zones: a.chosen.Zones, Policy: a.chosenNew()}
-	est := a.evaluator().measureOne(hist, fresh, env.CheckpointCost(), env.RestartCost())
-	return predictCost(est, cr, tr, migration)
+	est := a.evaluator().measureOne(req.History, fresh, req.CheckpointCost, req.RestartCost)
+	return predictCostAt(est, req.Work, req.Deadline, migration, market.OnDemandRate)
 }

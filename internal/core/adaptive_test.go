@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/market"
@@ -85,6 +87,9 @@ func TestAdaptiveHourOnlyAblation(t *testing.T) {
 }
 
 func TestPredictCost(t *testing.T) {
+	predictCost := func(e estimate, cr, tr, migration int64) float64 {
+		return predictCostAt(e, cr, tr, migration, market.OnDemandRate)
+	}
 	hour := float64(trace.Hour)
 	// Full-speed free progress: cost 0.
 	if got := predictCost(estimate{progressRate: 1, costRate: 0}, trace.Hour, 4*trace.Hour, 600); got != 0 {
@@ -120,6 +125,9 @@ func TestPredictCost(t *testing.T) {
 	}
 }
 
+// TestZonesByPrice checks the zone order an Adaptive decision's grid
+// uses: cheapest current price first, read as the final price of the
+// trailing window the decision reconstructs.
 func TestZonesByPrice(t *testing.T) {
 	run := trace.MustNewSet(
 		trace.NewSeries("a", 0, []float64{0.9, 0.9}),
@@ -132,7 +140,7 @@ func TestZonesByPrice(t *testing.T) {
 	}
 	var order []int
 	probe := probeStrategy{func(env *sim.Env) {
-		order = zonesByPrice(env)
+		order = zonesByHistPrice(historySet(env, 12*trace.Hour))
 	}}
 	if _, err := sim.Run(cfg, probe); err != nil {
 		t.Fatal(err)
@@ -193,17 +201,19 @@ type decisionFunc func(DecisionPoint)
 func (f decisionFunc) RecordDecision(p DecisionPoint) { f(p) }
 
 // TestAdaptiveKeepsProfileParameters runs Adaptive over Periodic and
-// two Markov-Daly factories of one kind that differ only in their history
-// span; on this trace each of them wins some decision. At every
-// decision the policy instance installed for the winner must come from
-// the factory of the winning candidate — not the first factory of its
-// kind — and churn damping must re-price the incumbent with a fresh
-// instance from the incumbent's own factory. Per-factory instance
-// counts pin both: each factory builds its measurement slots once, then
-// one instance per install it wins and one per re-pricing of an
-// incumbent it built.
+// two Markov-Daly factories of distinct kinds that differ only in their
+// history span; on this trace each of them wins some decision. Every
+// decision record's Chosen.Policy must name the factory that built the
+// policy instance the decision installed or kept — never merely the
+// instance's Name(), which both Markov-Daly profiles share — and churn
+// damping must re-price the incumbent with a fresh instance from the
+// incumbent's own factory. Per-factory instance counts pin the latter:
+// a decision builds one measurement instance per factory (the batched
+// engine reads only its parameters), one re-pricing instance of the
+// incumbent's and one instance of the winner it installs.
 func TestAdaptiveKeepsProfileParameters(t *testing.T) {
 	spans := []int64{0, trace.Hour, 30 * 60} // 0 marks the Periodic factory
+	kinds := []string{"periodic", "markov-daly-1h", "markov-daly-30m"}
 	made := make([]int, len(spans))
 	builtBy := map[sim.CheckpointPolicy]int{}
 	a := &Adaptive{
@@ -212,55 +222,51 @@ func TestAdaptiveKeepsProfileParameters(t *testing.T) {
 		EstimationWindow: 6 * trace.Hour,
 	}
 	for k, span := range spans {
-		fac := PolicyFactory{Kind: "markov-daly", New: func() sim.CheckpointPolicy {
+		newPol := func() sim.CheckpointPolicy {
 			m := NewMarkovDaly()
 			m.HistorySpan = span
 			return m
-		}}
-		if span == 0 {
-			fac = DefaultAdaptiveCandidates()[0]
 		}
-		newPol := fac.New
-		fac.New = func() sim.CheckpointPolicy {
+		if span == 0 {
+			newPol = DefaultAdaptiveCandidates()[0].New
+		}
+		a.Candidates = append(a.Candidates, PolicyFactory{Kind: kinds[k], New: func() sim.CheckpointPolicy {
 			made[k]++
 			p := newPol()
 			builtBy[p] = k
 			return p
-		}
-		a.Candidates = append(a.Candidates, fac)
+		}})
 	}
-	slots := len(a.Bids) * a.MaxZones
+	// runsIncumbent checks that the running spec's instance came from
+	// the factory the last decision record named.
+	runsIncumbent := func(incumbent int) {
+		t.Helper()
+		if by := builtBy[a.chosen.Policy]; by != incumbent || a.chosenKind != kinds[incumbent] {
+			t.Fatalf("decision recorded %q, but runs an instance of %q under kind %q", kinds[incumbent], kinds[by], a.chosenKind)
+		}
+	}
 	prev := make([]int, len(spans))
 	wins := make([]int, len(spans))
 	incumbent, decisions := -1, 0
 	a.Sink = decisionFunc(func(p DecisionPoint) {
 		decisions++
-		// The decision's pick is the scored candidate its installed
-		// instance was attached to; a kept incumbent installs none.
-		pick := -1
-		for i := range a.candBuf {
-			if c := &a.candBuf[i]; c.spec.Policy != nil {
-				pick = c.fac
-				if by := builtBy[c.spec.Policy]; by != pick {
-					t.Fatalf("decision %d: the winner of factory %d runs an instance of factory %d", p.Seq, pick, by)
-				}
-			}
+		if incumbent >= 0 {
+			runsIncumbent(incumbent)
 		}
-		if p.Switched != (pick >= 0) {
-			t.Fatalf("decision %d: switched=%v with winner factory %d", p.Seq, p.Switched, pick)
+		chosen := slices.Index(kinds, p.Chosen.Policy)
+		if chosen < 0 {
+			t.Fatalf("decision %d chose policy %q, no candidate's kind", p.Seq, p.Chosen.Policy)
 		}
-		want := make([]int, len(spans))
-		if incumbent < 0 {
-			for k := range want {
-				want[k] = slots
-			}
-		} else {
+		if !p.Switched && chosen != incumbent {
+			t.Fatalf("decision %d kept the incumbent of factory %d but records factory %d", p.Seq, incumbent, chosen)
+		}
+		want := []int{1, 1, 1}
+		if incumbent >= 0 {
 			want[incumbent]++ // the incumbent's re-pricing instance
 		}
-		if pick >= 0 {
-			want[pick]++
-			wins[pick]++
-			incumbent = pick
+		if p.Switched {
+			want[chosen]++
+			wins[chosen]++
 		}
 		for k := range made {
 			if got := made[k] - prev[k]; got != want[k] {
@@ -268,6 +274,7 @@ func TestAdaptiveKeepsProfileParameters(t *testing.T) {
 			}
 		}
 		copy(prev, made)
+		incumbent = chosen
 	})
 	hist, run := window(tracegen.HighVolatility(41), 3, 1)
 	if _, err := sim.Run(testConfig(hist, run, 300), a); err != nil {
@@ -282,10 +289,81 @@ func TestAdaptiveKeepsProfileParameters(t *testing.T) {
 			t.Errorf("factory %d (span %d) won no decision; the trace cannot tell the factories apart", k, spans[k])
 		}
 	}
-	if builtBy[a.chosen.Policy] != incumbent {
-		t.Fatalf("running policy built by factory %d, want the last winner %d", builtBy[a.chosen.Policy], incumbent)
-	}
+	runsIncumbent(incumbent)
 	if m, ok := a.chosen.Policy.(*MarkovDaly); ok && m.HistorySpan != spans[incumbent] {
 		t.Fatalf("running policy span %d, want %d", m.HistorySpan, spans[incumbent])
+	}
+}
+
+// envSpy runs an Adaptive strategy, keeping the env of the decision in
+// progress for its Sink to read.
+type envSpy struct {
+	*Adaptive
+	env *sim.Env
+}
+
+func (s *envSpy) Begin(env *sim.Env) sim.RunSpec {
+	s.env = env
+	return s.Adaptive.Begin(env)
+}
+
+func (s *envSpy) Reconsider(env *sim.Env, events []sim.Event) (sim.RunSpec, bool) {
+	s.env = env
+	return s.Adaptive.Reconsider(env, events)
+}
+
+// TestAdaptiveRanksLikeRank pins the one permutation grid: at every
+// Adaptive decision whose remaining time covers its remaining work (the
+// requests Rank accepts), the recorded ranked grid must equal, element
+// for element, the decision form of Rank's table over the same trailing
+// window and knobs — same slots, same estimates, same order, same
+// factory kinds. The candidates include a Markov-Daly profile whose
+// kind is not its policy's Name().
+func TestAdaptiveRanksLikeRank(t *testing.T) {
+	a := &Adaptive{Candidates: append(DefaultAdaptiveCandidates(), PolicyFactory{Kind: "markov-daly-6h", New: func() sim.CheckpointPolicy {
+		m := NewMarkovDaly()
+		m.HistorySpan = 6 * trace.Hour
+		return m
+	}})}
+	spy := &envSpy{Adaptive: a}
+	ev := NewEvaluator()
+	compared := 0
+	a.Sink = decisionFunc(func(p DecisionPoint) {
+		env := spy.env
+		if env.RemainingTime() < env.RemainingWork() {
+			return
+		}
+		req := PlanRequest{
+			History:        historySet(env, a.window()),
+			Work:           env.RemainingWork(),
+			Deadline:       env.RemainingTime(),
+			CheckpointCost: env.CheckpointCost(),
+			RestartCost:    env.RestartCost(),
+			Bids:           a.Bids,
+			MaxZones:       a.MaxZones,
+			Candidates:     a.Candidates,
+		}
+		plans, err := ev.Rank(req)
+		if err != nil {
+			t.Fatalf("decision %d: %v", p.Seq, err)
+		}
+		want := rankDecision(req.History, plans).Ranked
+		if len(p.Ranked) != len(want) {
+			t.Fatalf("decision %d ranks %d permutations, Rank %d", p.Seq, len(p.Ranked), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(p.Ranked[i], want[i]) {
+				t.Fatalf("decision %d rank %d: Adaptive %+v, Rank %+v", p.Seq, i, p.Ranked[i], want[i])
+			}
+		}
+		compared++
+	})
+	hist, run := window(tracegen.HighVolatility(41), 3, 1)
+	if _, err := sim.Run(testConfig(hist, run, 300), spy); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("compared %d decisions", compared)
+	if compared < 3 {
+		t.Fatalf("compared %d decisions; the run made too few to pin the grid", compared)
 	}
 }

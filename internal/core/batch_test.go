@@ -94,9 +94,9 @@ func candidateSet(name string) []PolicyFactory {
 	case "default":
 		return DefaultAdaptiveCandidates()
 	case "two-profile":
-		// Both profiles under one policy name: nothing keyed by name
-		// alone may tell them apart.
-		return twoProfiles("markov-daly", func(m *MarkovDaly) { m.HistorySpan = 6 * trace.Hour })
+		// Both profiles build policies of one Name(): nothing keyed by
+		// the policy's name alone may tell them apart.
+		return spanProfiles()
 	}
 	panic("unknown candidate set " + name)
 }

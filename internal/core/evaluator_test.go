@@ -20,7 +20,7 @@ func estimationHistory(seed uint64) *trace.Set {
 
 // permutationSpecs lays out a small bid × zones × policy grid over the
 // candidates (nil selects DefaultAdaptiveCandidates) with fresh policy
-// instances, as replayCandidates does.
+// instances, as estimateSlots does.
 func permutationSpecs(cands []PolicyFactory) []sim.RunSpec {
 	if cands == nil {
 		cands = DefaultAdaptiveCandidates()

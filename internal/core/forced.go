@@ -1,6 +1,11 @@
 package core
 
-import "repro/internal/sim"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/sim"
+)
 
 // ScriptChoice pins one recorded decision for replay: the absolute
 // simulation time the decision fired (replay matches decisions to
@@ -14,7 +19,8 @@ type ScriptChoice struct {
 	// Switched reports whether the decision changed the running spec.
 	Switched bool
 	// Bid, Zones and Policy are the chosen permutation's values; Policy
-	// names the policy family, never an instance.
+	// is the Kind of the candidate factory that built it, never an
+	// instance's name.
 	Bid    float64
 	Zones  []int
 	Policy string
@@ -37,7 +43,7 @@ type ScriptChoice struct {
 //     from scratch and the force is applied at decision ForceAt.
 //
 // A forced alternative switches the running spec iff its values differ
-// from the incumbent's (bid, zone set, policy family); forcing the
+// from the incumbent's (bid, zone set, factory Kind); forcing the
 // originally-chosen permutation therefore reproduces the original run
 // decision-for-decision, which is what the zero-regret property tests
 // pin down.
@@ -45,9 +51,9 @@ type Forced struct {
 	// Inner makes every decision after the scripted/forced prefix.
 	// Required unless ForceAt < 0 (pure pinned replay).
 	Inner *Adaptive
-	// Candidates maps policy family names to fresh instances when the
-	// script installs a policy; nil falls back to Inner's candidates,
-	// then to DefaultAdaptiveCandidates.
+	// Candidates maps policy Kinds to fresh instances when the script
+	// installs a policy; nil falls back to Inner's candidates, then to
+	// DefaultAdaptiveCandidates.
 	Candidates []PolicyFactory
 	// Script holds the recorded decisions to pin, in sequence order.
 	Script []ScriptChoice
@@ -62,11 +68,12 @@ type Forced struct {
 	// live by Inner go to Inner.Sink.
 	Sink DecisionSink
 
-	seq    int // next decision sequence number
-	idx    int // next script entry
-	live   bool
-	cur    sim.RunSpec                 // spec the engine is running (last installed)
-	curNew func() sim.CheckpointPolicy // cur's policy constructor; nil when Inner chose cur
+	seq     int // next decision sequence number
+	idx     int // next script entry
+	live    bool
+	cur     sim.RunSpec                 // spec the engine is running (last installed)
+	curNew  func() sim.CheckpointPolicy // cur's policy constructor; nil when Inner chose cur
+	curKind string                      // Kind of the factory cur's policy came from
 }
 
 // Name implements sim.Strategy.
@@ -76,7 +83,7 @@ func (f *Forced) Name() string { return "forced" }
 // force, or the Inner strategy, depending on mode.
 func (f *Forced) Begin(env *sim.Env) sim.RunSpec {
 	f.seq, f.idx, f.live = 0, 0, false
-	f.cur, f.curNew = sim.RunSpec{}, nil
+	f.cur, f.curNew, f.curKind = sim.RunSpec{}, nil, ""
 	if len(f.Script) == 0 {
 		f.Script = nil
 	}
@@ -102,7 +109,7 @@ func (f *Forced) Begin(env *sim.Env) sim.RunSpec {
 		return spec
 	}
 	spec := f.inner().Begin(env)
-	f.cur = spec
+	f.cur, f.curKind = spec, f.Inner.chosenKind
 	f.seq = 1
 	return spec
 }
@@ -166,19 +173,19 @@ func (f *Forced) reconsiderLivePrefix(env *sim.Env, events []sim.Event) (sim.Run
 	}
 	spec, ok := in.Reconsider(env, events)
 	if ok {
-		f.cur, f.curNew = spec, nil
+		f.cur, f.curNew, f.curKind = spec, nil, in.chosenKind
 	}
 	return spec, ok
 }
 
 // applyForce substitutes the forced alternative at its decision point
 // and hands the run to Inner. The force switches the running spec iff
-// its values differ from the incumbent's; when the force equals the
-// originally-recorded choice the original Switched flag is replayed
-// verbatim, so forcing the chosen permutation is exactly the original
-// run.
+// its values differ from the incumbent's (bid, zone set, factory Kind);
+// when the force equals the originally-recorded choice the original
+// Switched flag is replayed verbatim, so forcing the chosen permutation
+// is exactly the original run.
 func (f *Forced) applyForce(env *sim.Env, trigger string, choice *ScriptChoice, seq int) (sim.RunSpec, bool) {
-	switched := !altMatchesSpec(f.Force, f.cur)
+	switched := !altEqual(f.Force, ScriptChoice{Bid: f.cur.Bid, Zones: f.cur.Zones, Policy: f.curKind})
 	if choice != nil && altEqual(f.Force, *choice) {
 		switched = choice.Switched
 	}
@@ -203,7 +210,7 @@ func (f *Forced) goLive() {
 	}
 	f.live = true
 	if f.curNew != nil {
-		f.Inner.chosen, f.Inner.chosenNew = f.cur, f.curNew
+		f.Inner.chosen, f.Inner.chosenNew, f.Inner.chosenKind = f.cur, f.curNew, f.curKind
 	}
 	f.Inner.decSeq = f.seq
 }
@@ -232,10 +239,11 @@ func (f *Forced) record(env *sim.Env, trigger string, switched bool, alt ScriptC
 }
 
 // install makes a script choice the running spec, with a fresh policy
-// instance of the named family, and returns it.
+// instance from the factory of the named Kind, and returns it.
 func (f *Forced) install(alt ScriptChoice) sim.RunSpec {
 	kind := alt.Policy
 	f.curNew = func() sim.CheckpointPolicy { return f.policyFor(kind) }
+	f.curKind = kind
 	f.cur = sim.RunSpec{
 		Bid:    alt.Bid,
 		Zones:  append([]int(nil), alt.Zones...),
@@ -244,50 +252,40 @@ func (f *Forced) install(alt ScriptChoice) sim.RunSpec {
 	return f.cur
 }
 
-// policyFor builds a fresh policy instance for a family name, searching
-// the candidate factories first and falling back to the known built-in
-// families (Periodic for unknown names).
+// policyFor builds a fresh policy instance from the candidate factory
+// of the given Kind; a Kind no candidate names gets the empty grid's
+// fallback, Periodic (CheckScript refuses any other).
 func (f *Forced) policyFor(kind string) sim.CheckpointPolicy {
 	cands := f.Candidates
 	if cands == nil && f.Inner != nil {
-		cands = f.Inner.candidates()
+		cands = f.Inner.Candidates
 	}
-	if cands == nil {
-		cands = DefaultAdaptiveCandidates()
-	}
+	_, _, cands = resolveGrid(nil, 0, 0, cands)
 	for _, fac := range cands {
 		if fac.Kind == kind {
 			return fac.New()
 		}
 	}
-	switch kind {
-	case "markov-daly":
-		return NewMarkovDaly()
-	case "edge":
-		return NewEdge()
-	case "threshold":
-		return NewThreshold()
-	}
 	return NewPeriodic()
 }
 
-// altMatchesSpec reports whether a script choice requests the same
-// observable configuration the spec is running: bid, zone set and
-// policy family name.
-func altMatchesSpec(alt ScriptChoice, spec sim.RunSpec) bool {
-	if spec.Bid != alt.Bid || len(spec.Zones) != len(alt.Zones) {
-		return false
+// CheckScript reports why Forced cannot replay choices over cands (nil
+// selects DefaultAdaptiveCandidates): a candidate list Rank would
+// refuse — two factories of one Kind among them, which no decision
+// record can tell apart — or a choice naming a Kind that neither a
+// candidate nor the empty grid's Periodic fallback has.
+func CheckScript(cands []PolicyFactory, choices ...ScriptChoice) error {
+	if err := checkCandidates(cands); err != nil {
+		return err
 	}
-	for i := range spec.Zones {
-		if spec.Zones[i] != alt.Zones[i] {
-			return false
+	_, _, cands = resolveGrid(nil, 0, 0, cands)
+	for _, c := range choices {
+		if c.Policy == fallbackKind || slices.ContainsFunc(cands, func(fac PolicyFactory) bool { return fac.Kind == c.Policy }) {
+			continue
 		}
+		return fmt.Errorf("core: choice at time %d names policy kind %q, which no candidate has", c.Time, c.Policy)
 	}
-	var name string
-	if spec.Policy != nil {
-		name = spec.Policy.Name()
-	}
-	return name == alt.Policy
+	return nil
 }
 
 // altEqual reports whether two script choices request the same

@@ -86,11 +86,13 @@ func (req *PlanRequest) validate() error {
 	return checkCandidates(req.Candidates)
 }
 
-// checkCandidates refuses candidate families the batched engine cannot
-// replay: every factory must build a *Periodic or a *MarkovDaly, the
-// two families the paper's Adaptive scheme chooses among (§7).
+// checkCandidates refuses candidate lists a ranking cannot price or a
+// decision record cannot name: every factory must build a *Periodic or
+// a *MarkovDaly, the two families the paper's Adaptive scheme chooses
+// among (§7) and the batched engine replays, and no two factories may
+// share a Kind, which is all a record keeps of the factory that won.
 func checkCandidates(cands []PolicyFactory) error {
-	for _, fac := range cands {
+	for i, fac := range cands {
 		if fac.New == nil {
 			return fmt.Errorf("core: candidate %q has no constructor", fac.Kind)
 		}
@@ -99,13 +101,18 @@ func checkCandidates(cands []PolicyFactory) error {
 		default:
 			return fmt.Errorf("core: candidate %q builds %T; only *core.Periodic and *core.MarkovDaly are supported", fac.Kind, p)
 		}
+		for _, prev := range cands[:i] {
+			if prev.Kind == fac.Kind {
+				return fmt.Errorf("core: two candidates of kind %q", fac.Kind)
+			}
+		}
 	}
 	return nil
 }
 
 // zonesByHistPrice returns the history's zone indices ordered by final
-// observed price, cheapest first (ties by index for determinism) — the
-// offline analogue of the Adaptive strategy's zonesByPrice.
+// observed price, cheapest first (ties by index for determinism). Over
+// an Adaptive decision's window the final price is the current one.
 func zonesByHistPrice(hist *trace.Set) []int {
 	last := hist.PricesAt(hist.End() - 1)
 	idx := make([]int, hist.NumZones())
@@ -148,30 +155,23 @@ func predictFinish(e estimate, cr, tr, migration int64) int64 {
 	return tr
 }
 
-// resolveRank resolves the request's defaulted knobs against its
-// history: the on-demand rate, the bid grid, the (zone-clamped)
-// redundancy bound and the candidate families.
-func resolveRank(req *PlanRequest) (odRate float64, bids []float64, maxZones int, cands []PolicyFactory) {
-	odRate = req.OnDemandRate
-	if odRate == 0 {
-		odRate = market.OnDemandRate
-	}
-	bids = req.Bids
+// resolveGrid resolves the permutation grid's defaulted knobs, shared
+// by Rank, the stream grid and the Adaptive strategy: nil bids select
+// BidGrid(), a non-positive redundancy bound selects 3 (clamped to the
+// nz zones there are) and nil candidates select
+// DefaultAdaptiveCandidates().
+func resolveGrid(bids []float64, maxZones, nz int, cands []PolicyFactory) ([]float64, int, []PolicyFactory) {
 	if bids == nil {
 		bids = BidGrid()
 	}
-	maxZones = req.MaxZones
 	if maxZones <= 0 {
 		maxZones = 3
 	}
-	if nz := req.History.NumZones(); maxZones > nz {
-		maxZones = nz
-	}
-	cands = req.Candidates
+	maxZones = min(maxZones, nz)
 	if cands == nil {
 		cands = DefaultAdaptiveCandidates()
 	}
-	return odRate, bids, maxZones, cands
+	return bids, maxZones, cands
 }
 
 // rankSlot is one (policy, zone set, bid) cell of a ranking sweep's
@@ -221,13 +221,21 @@ func rankSlots(hist *trace.Set, bids []float64, maxZones int, cands []PolicyFact
 // window and every cell's replayed estimate, in slot order. It reads
 // nothing of the request's work, deadline or on-demand rate — those
 // enter only scorePlans — so one estimate step serves every request
-// shape over the same window and grid knobs.
+// shape over the same window and grid knobs, and every Adaptive
+// decision over its trailing window.
 func (ev *Evaluator) estimateSlots(hist *trace.Set, tc, tr int64, bids []float64, maxZones int, cands []PolicyFactory) ([]rankSlot, []estimate) {
 	slots := rankSlots(hist, bids, maxZones, cands)
 	specs := make([]sim.RunSpec, len(slots))
+	// The batched engine reads only a policy's parameters, so one
+	// instance per factory serves all of its slots; oracle replays run
+	// each instance, so every slot gets its own.
+	pols := make([]sim.CheckpointPolicy, len(cands))
 	for i := range slots {
 		sl := &slots[i]
-		specs[i] = sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: cands[sl.fac].New()}
+		if pols[sl.fac] == nil || ev.DisableBatch {
+			pols[sl.fac] = cands[sl.fac].New()
+		}
+		specs[i] = sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: pols[sl.fac]}
 	}
 	return slots, ev.MeasureAll(hist, specs, tc, tr)
 }
@@ -315,7 +323,11 @@ func (ev *Evaluator) Rank(req PlanRequest) ([]Plan, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	odRate, bids, maxZones, cands := resolveRank(&req)
+	odRate := req.OnDemandRate
+	if odRate == 0 {
+		odRate = market.OnDemandRate
+	}
+	bids, maxZones, cands := resolveGrid(req.Bids, req.MaxZones, req.History.NumZones(), req.Candidates)
 	slots, ests := ev.estimateSlots(req.History, req.CheckpointCost, req.RestartCost, bids, maxZones, cands)
 	plans := scorePlans(&req, req.History.Step(), odRate, slots, ests)
 	if ev.Sink != nil && len(plans) > 0 {
@@ -326,11 +338,24 @@ func (ev *Evaluator) Rank(req PlanRequest) ([]Plan, error) {
 
 // rankDecision converts a ranked plan table into the decision-point
 // shape shared with the Adaptive strategy: the best plan as the chosen
-// permutation and the whole table as the ranked rivals, with plan zone
-// names mapped back to the history's zone indices. Seq is -1 (the sink
-// assigns it) and Time is the end of the history window the plans were
-// scored over.
+// permutation and the whole table as the ranked rivals. Seq is -1 (the
+// sink assigns it) and Time is the end of the history window the plans
+// were scored over.
 func rankDecision(hist *trace.Set, plans []Plan) DecisionPoint {
+	alts := rankedAlts(hist, plans)
+	return DecisionPoint{
+		Seq:      -1,
+		Time:     hist.End(),
+		Trigger:  TriggerRank,
+		Switched: false,
+		Chosen:   alts[0],
+		Ranked:   alts,
+	}
+}
+
+// rankedAlts converts a ranked plan table into decision alternatives,
+// mapping plan zone names back to the history's zone indices.
+func rankedAlts(hist *trace.Set, plans []Plan) []DecisionAlt {
 	byName := make(map[string]int, hist.NumZones())
 	for i, name := range hist.Zones() {
 		byName[name] = i
@@ -344,12 +369,5 @@ func rankDecision(hist *trace.Set, plans []Plan) DecisionPoint {
 		}
 		alts[i] = DecisionAlt{Bid: p.Bid, Zones: zones, Policy: p.Policy, Cost: sanitizeCost(p.PredictedCost)}
 	}
-	return DecisionPoint{
-		Seq:      -1,
-		Time:     hist.End(),
-		Trigger:  TriggerRank,
-		Switched: false,
-		Chosen:   alts[0],
-		Ranked:   alts,
-	}
+	return alts
 }

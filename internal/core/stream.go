@@ -342,26 +342,8 @@ func NewStreamGrid(ev *Evaluator, cfg StreamConfig) (*StreamGrid, error) {
 	if len(cfg.Zones) == 0 || cfg.Step < 0 {
 		return nil, fmt.Errorf("core: stream needs at least one zone and a positive step, got %d zones, step %d", len(cfg.Zones), cfg.Step)
 	}
-	g := &StreamGrid{
-		ev:       ev,
-		cfg:      cfg,
-		bids:     cfg.Bids,
-		maxZones: cfg.MaxZones,
-		cands:    cfg.Candidates,
-		resident: make(map[permKey]int),
-	}
-	if g.bids == nil {
-		g.bids = BidGrid()
-	}
-	if g.maxZones <= 0 {
-		g.maxZones = 3
-	}
-	if g.maxZones > len(cfg.Zones) {
-		g.maxZones = len(cfg.Zones)
-	}
-	if g.cands == nil {
-		g.cands = DefaultAdaptiveCandidates()
-	}
+	g := &StreamGrid{ev: ev, cfg: cfg, resident: make(map[permKey]int)}
+	g.bids, g.maxZones, g.cands = resolveGrid(cfg.Bids, cfg.MaxZones, len(cfg.Zones), cfg.Candidates)
 	if err := checkCandidates(g.cands); err != nil {
 		return nil, err
 	}

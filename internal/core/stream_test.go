@@ -263,14 +263,17 @@ func TestMarkovDalyProfilesIndependent(t *testing.T) {
 }
 
 // TestUnsupportedCandidatesRejected pins the validation that keeps
-// every candidate on the batched engine: Rank and NewStreamEvaluator
-// refuse a policy family beyond Periodic and Markov-Daly, the stream
-// also refuses what its permutation keys cannot hold, and an Adaptive
-// configured with a foreign family panics at its first decision.
+// every candidate on the batched engine and every ranked plan's kind
+// unambiguous: Rank and NewStreamEvaluator refuse a policy family
+// beyond Periodic and Markov-Daly and two factories of one Kind, the
+// stream also refuses what its permutation keys cannot hold, and an
+// Adaptive configured with a foreign family panics at its first
+// decision.
 func TestUnsupportedCandidatesRejected(t *testing.T) {
 	set := paperRegimes()["low/day1"]
 	withEdge := append(DefaultAdaptiveCandidates(),
 		PolicyFactory{Kind: "edge", New: func() sim.CheckpointPolicy { return NewEdge() }})
+	dupKind := twoProfiles("markov-daly", func(m *MarkovDaly) { m.HistorySpan = 6 * trace.Hour })
 	zones := func(n int) []string {
 		names := make([]string, n)
 		for i := range names {
@@ -284,6 +287,10 @@ func TestUnsupportedCandidatesRejected(t *testing.T) {
 	if _, err := NewEvaluator().Rank(req); err == nil || !strings.Contains(err.Error(), "*core.Edge") {
 		t.Errorf("Rank with an Edge candidate: err %v, want one naming *core.Edge", err)
 	}
+	req.Candidates = dupKind
+	if _, err := NewEvaluator().Rank(req); err == nil || !strings.Contains(err.Error(), `kind "markov-daly"`) {
+		t.Errorf("Rank with two markov-daly candidates: err %v, want one naming the kind", err)
+	}
 
 	for _, tc := range []struct {
 		name string
@@ -291,6 +298,7 @@ func TestUnsupportedCandidatesRejected(t *testing.T) {
 		want string // error substring; "" means accepted
 	}{
 		{"edge candidate", func(c *StreamConfig) { c.Candidates = withEdge }, "*core.Edge"},
+		{"duplicate kind", func(c *StreamConfig) { c.Candidates = dupKind }, `kind "markov-daly"`},
 		{"zero bid", func(c *StreamConfig) { c.Bids = []float64{0.47, 0} }, "bid 0"},
 		{"NaN bid", func(c *StreamConfig) { c.Bids = []float64{math.NaN()} }, "bid NaN"},
 		{"256 zones", func(c *StreamConfig) { c.Zones = zones(256) }, "256 stream zones"},

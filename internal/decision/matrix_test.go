@@ -2,6 +2,7 @@ package decision
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -55,6 +56,15 @@ func candidateSet(name string) []core.PolicyFactory {
 			m.HistorySpan = 6 * trace.Hour
 			return m
 		}}}
+	case "renamed-profile":
+		// One Markov-Daly profile whose kind is not its policy's
+		// Name(): records must name the factory, or a replay resolves
+		// them to the default-span one.
+		return []core.PolicyFactory{{Kind: "markov-daly-6h", New: func() sim.CheckpointPolicy {
+			m := core.NewMarkovDaly()
+			m.HistorySpan = 6 * trace.Hour
+			return m
+		}}}
 	default:
 		panic("unknown candidate set " + name)
 	}
@@ -91,7 +101,8 @@ func cellReplayer(c cell) *Replayer {
 }
 
 // matrixCells enumerates the differential matrix, plus one cell whose
-// candidates are two Markov-Daly profiles.
+// candidates are two Markov-Daly profiles and one whose only candidate
+// is a profile under its own kind (renamedCell).
 func matrixCells() []cell {
 	var out []cell
 	for _, regime := range []string{"low", "high", "spike"} {
@@ -101,8 +112,12 @@ func matrixCells() []cell {
 			}
 		}
 	}
-	return append(out, cell{regime: "high", seed: 13, cands: "two-profile"})
+	return append(out, cell{regime: "high", seed: 13, cands: "two-profile"}, renamedCell)
 }
+
+// renamedCell runs the renamed profile where a replay that resolves a
+// record by the policy's Name() installs the wrong profile and diverges.
+var renamedCell = cell{regime: "high", seed: 1, cands: "renamed-profile"}
 
 // TestCounterfactualMatchesOracleMatrix is the tentpole differential
 // suite: for every (policy-set × seed × trace-regime) cell, forcing a
@@ -163,23 +178,77 @@ func TestCounterfactualMatchesOracleMatrix(t *testing.T) {
 // counterfactual machinery may not perturb a replay whose forced choice
 // changes nothing.
 func TestForcingChosenYieldsZeroRegret(t *testing.T) {
-	r := cellReplayer(cell{regime: "high", seed: 13, cands: "both"})
-	baseline, log, err := r.Baseline()
+	for _, c := range []cell{{regime: "high", seed: 13, cands: "both"}, renamedCell} {
+		t.Run(c.regime+"/"+c.cands, func(t *testing.T) {
+			r := cellReplayer(c)
+			baseline, log, err := r.Baseline()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seq := range log {
+				cf, _, err := r.Counterfactual(log, seq, log[seq].Chosen)
+				if err != nil {
+					t.Fatalf("seq %d: %v", seq, err)
+				}
+				if cf.Digest != baseline.Digest {
+					t.Fatalf("forcing the chosen permutation at seq %d changed the run:\nbaseline %s %+v\nreplay   %s %+v",
+						seq, baseline.Digest, baseline, cf.Digest, cf)
+				}
+				if cf.Cost != baseline.Cost {
+					t.Fatalf("seq %d: nonzero regret %g forcing the chosen permutation", seq, cf.Cost-baseline.Cost)
+				}
+			}
+		})
+	}
+}
+
+// TestReplayerRefusesUnresolvableKinds pins the replayer's refusals:
+// candidates with two factories of one kind (no record could say which
+// won) fail Baseline, Oracle and Counterfactual, and a log or rival
+// naming a kind no candidate has fails instead of silently replaying
+// Periodic. Periodic itself, the empty grid's fallback, stays
+// resolvable whatever the candidates.
+func TestReplayerRefusesUnresolvableKinds(t *testing.T) {
+	r := cellReplayer(cell{regime: "high", seed: 13, cands: "markov"})
+	_, log, err := r.Baseline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seq := range log {
-		cf, _, err := r.Counterfactual(log, seq, log[seq].Chosen)
-		if err != nil {
-			t.Fatalf("seq %d: %v", seq, err)
-		}
-		if cf.Digest != baseline.Digest {
-			t.Fatalf("forcing the chosen permutation at seq %d changed the run:\nbaseline %s %+v\nreplay   %s %+v",
-				seq, baseline.Digest, baseline, cf.Digest, cf)
-		}
-		if cf.Cost != baseline.Cost {
-			t.Fatalf("seq %d: nonzero regret %g forcing the chosen permutation", seq, cf.Cost-baseline.Cost)
-		}
+
+	dup := *r
+	dup.New = func() *core.Adaptive {
+		a := r.New()
+		md := a.Candidates[0]
+		a.Candidates = []core.PolicyFactory{md, {Kind: md.Kind, New: candidateSet("renamed-profile")[0].New}}
+		return a
+	}
+	const dupErr = `two candidates of kind "markov-daly"`
+	if _, _, err := dup.Baseline(); err == nil || !strings.Contains(err.Error(), dupErr) {
+		t.Errorf("Baseline: err %v, want %q", err, dupErr)
+	}
+	if _, err := dup.Oracle(log); err == nil || !strings.Contains(err.Error(), dupErr) {
+		t.Errorf("Oracle: err %v, want %q", err, dupErr)
+	}
+	if _, _, err := dup.Counterfactual(log, 0, log[0].Ranked[0]); err == nil || !strings.Contains(err.Error(), dupErr) {
+		t.Errorf("Counterfactual: err %v, want %q", err, dupErr)
+	}
+
+	foreign := append([]Record(nil), log...)
+	foreign[0].Chosen.Policy = "edge"
+	const kindErr = `policy kind "edge"`
+	if _, err := r.Oracle(foreign); err == nil || !strings.Contains(err.Error(), kindErr) {
+		t.Errorf("Oracle of an edge choice: err %v, want %q", err, kindErr)
+	}
+	rival := log[0].Ranked[0]
+	rival.Policy = "edge"
+	if _, _, err := r.Counterfactual(log, 0, rival); err == nil || !strings.Contains(err.Error(), kindErr) {
+		t.Errorf("Counterfactual of an edge rival: err %v, want %q", err, kindErr)
+	}
+
+	fallback := append([]Record(nil), log...)
+	fallback[0].Chosen.Policy = "periodic"
+	if _, err := r.Oracle(fallback); err != nil {
+		t.Errorf("Oracle of the periodic fallback: %v", err)
 	}
 }
 

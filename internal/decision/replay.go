@@ -140,15 +140,19 @@ func (r *Replayer) newAdaptive() *core.Adaptive {
 }
 
 // candidates returns the policy factories the replay scripts resolve
-// policy names against.
+// policy kinds against.
 func (r *Replayer) candidates() []core.PolicyFactory {
 	return r.newAdaptive().Candidates
 }
 
 // Baseline runs the strategy once with a recorder attached and returns
-// its outcome and decision log.
+// its outcome and decision log. It refuses candidates whose decisions a
+// replay could not resolve: two factories of one Kind.
 func (r *Replayer) Baseline() (Outcome, []Record, error) {
 	a := r.newAdaptive()
+	if err := core.CheckScript(a.Candidates); err != nil {
+		return Outcome{}, nil, err
+	}
 	col := &Collector{}
 	a.Sink = col
 	res, err := sim.Run(r.Cfg, a)
@@ -160,9 +164,14 @@ func (r *Replayer) Baseline() (Outcome, []Record, error) {
 
 // Oracle replays a full decision log on a from-scratch sim.Machine with
 // every choice pinned and nothing evaluated — the ground truth a
-// counterfactual replay must be bit-identical to.
+// counterfactual replay must be bit-identical to. It refuses a log
+// that names a policy kind no candidate has, and candidates Baseline
+// refuses.
 func (r *Replayer) Oracle(log []Record) (Outcome, error) {
 	f := &core.Forced{Script: Script(log), ForceAt: -1, Candidates: r.candidates()}
+	if err := core.CheckScript(f.Candidates, f.Script...); err != nil {
+		return Outcome{}, err
+	}
 	res, err := sim.Run(r.Cfg, f)
 	if err != nil {
 		return Outcome{}, err
@@ -174,7 +183,8 @@ func (r *Replayer) Oracle(log []Record) (Outcome, error) {
 // pinned from the log, the rival is forced at seq, and the Adaptive
 // strategy decides live afterwards. It returns the run's outcome and
 // its complete decision log (pinned prefix included), which Oracle can
-// replay back bit-identically.
+// replay back bit-identically. It refuses what Oracle refuses, and a
+// rival of a kind no candidate has.
 func (r *Replayer) Counterfactual(log []Record, seq int, rival Alt) (Outcome, []Record, error) {
 	if seq < 0 || seq >= len(log) {
 		return Outcome{}, nil, fmt.Errorf("decision: seq %d outside log of %d decisions", seq, len(log))
@@ -187,6 +197,9 @@ func (r *Replayer) Counterfactual(log []Record, seq int, rival Alt) (Outcome, []
 		ForceAt:    seq,
 		Force:      scriptAlt(rival),
 		Sink:       col,
+	}
+	if err := core.CheckScript(f.Candidates, append(f.Script, f.Force)...); err != nil {
+		return Outcome{}, nil, err
 	}
 	f.Inner.Sink = col
 	if r.Naive {

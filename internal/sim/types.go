@@ -112,30 +112,6 @@ func (s RunSpec) Equal(o RunSpec) bool {
 	return true
 }
 
-// EqualConfig reports whether two specs request the same observable
-// configuration — bid, zone set and policy family (compared by Name) —
-// ignoring policy instance identity, which Equal distinguishes. The
-// decision replayer uses it to decide whether forcing an alternative
-// actually changes the running configuration.
-func (s RunSpec) EqualConfig(o RunSpec) bool {
-	if s.Bid != o.Bid || len(s.Zones) != len(o.Zones) {
-		return false
-	}
-	for i := range s.Zones {
-		if s.Zones[i] != o.Zones[i] {
-			return false
-		}
-	}
-	var sn, on string
-	if s.Policy != nil {
-		sn = s.Policy.Name()
-	}
-	if o.Policy != nil {
-		on = o.Policy.Name()
-	}
-	return sn == on
-}
-
 // EventKind classifies decision-point events offered to a Strategy.
 type EventKind int
 

@@ -28,9 +28,10 @@ fi
 go vet ./...
 go build ./...
 go test -race ./...
-# bench/ is its own module over this one (it reads core.StreamStats,
-# quote.StreamRequest and AttachStream), so a root change can break it
-# without failing the root build.
+# bench/ is its own module over this one (it drives quote.Service,
+# quote.Streamer with Metrics.AttachStream, core.StreamEvaluator and
+# Adaptive's DecisionSink), so a root change can break it without
+# failing the root build.
 go -C bench vet ./...
 go -C bench test ./...
 go test -run '^$' -fuzz '^FuzzRowParser$' -fuzztime 5s ./internal/livesched
