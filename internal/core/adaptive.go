@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/market"
@@ -76,6 +78,11 @@ type Adaptive struct {
 	// slices alias per-decision scratch; the sink must copy what it
 	// keeps. Nil costs nothing.
 	Sink DecisionSink
+	// Script, when non-nil, replays recorded decisions instead of
+	// pricing them, for counterfactual replay; nil is the live
+	// strategy. Decisions past the script's force or its choices are
+	// made live.
+	Script *Script
 
 	chosen sim.RunSpec
 	// chosenNew builds a fresh instance of chosen's policy with the
@@ -84,7 +91,8 @@ type Adaptive struct {
 	// from, which a kept incumbent's decision record names.
 	chosenNew  func() sim.CheckpointPolicy
 	chosenKind string
-	decSeq     int
+	decSeq     int // decisions made this run
+	pinned     int // Script.Choices consumed this run
 }
 
 // NewAdaptive returns the Adaptive strategy with the paper's settings.
@@ -97,7 +105,12 @@ func (a *Adaptive) Name() string { return "adaptive" }
 // preceding the experiment (the paper primes with 2 days) and pick the
 // initial permutation.
 func (a *Adaptive) Begin(env *sim.Env) sim.RunSpec {
-	a.decSeq = 0
+	a.decSeq, a.pinned = 0, 0
+	if a.Script != nil {
+		if spec, _, ok := a.replay(env, TriggerBegin); ok {
+			return spec
+		}
+	}
 	a.chosen, a.chosenNew, a.chosenKind = a.pick(env, TriggerBegin)
 	return a.chosen
 }
@@ -107,7 +120,13 @@ func (a *Adaptive) Reconsider(env *sim.Env, events []sim.Event) (sim.RunSpec, bo
 	if a.ReDecideOnHourOnly && !hasHourBoundary(events) {
 		return sim.RunSpec{}, false
 	}
-	spec, fresh, kind := a.pick(env, triggerFor(events))
+	trigger := triggerFor(events)
+	if a.Script != nil {
+		if spec, switched, ok := a.replay(env, trigger); ok {
+			return spec, switched
+		}
+	}
+	spec, fresh, kind := a.pick(env, trigger)
 	if spec.Equal(a.chosen) {
 		return sim.RunSpec{}, false
 	}
@@ -124,6 +143,16 @@ func triggerFor(events []sim.Event) string {
 		}
 	}
 	return TriggerHourBoundary
+}
+
+// hasHourBoundary reports whether the events include an hour boundary.
+func hasHourBoundary(events []sim.Event) bool {
+	for _, ev := range events {
+		if ev.Kind == sim.HourBoundary {
+			return true
+		}
+	}
+	return false
 }
 
 func (a *Adaptive) window() int64 {
@@ -236,6 +265,9 @@ func onDemandCost(work, odRate float64) float64 {
 // the grid is empty: single-zone Periodic at the median bid.
 const fallbackKind = "periodic"
 
+// newFallback builds the fallback policy.
+func newFallback() sim.CheckpointPolicy { return NewPeriodic() }
+
 // pick prices Rank's permutation grid over the trailing estimation
 // window and returns the selected spec, the constructor of its policy
 // and the Kind of the factory that built it. It traces the decision
@@ -264,8 +296,8 @@ func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, func() sim.C
 			Chosen:   DecisionAlt{Bid: spec.Bid, Zones: spec.Zones, Policy: kind, Cost: sanitizeCost(cost)},
 			Ranked:   rankedAlts(req.History, plans),
 		})
-		a.decSeq++
 	}
+	a.decSeq++
 	if span.Recording() {
 		span.SetAttr("trigger", trigger)
 		span.SetAttr("bid", strconv.FormatFloat(spec.Bid, 'g', -1, 64))
@@ -306,9 +338,8 @@ func (a *Adaptive) choose(req *PlanRequest, step int64, bids []float64, cands []
 		}
 	}
 	if best < 0 {
-		fresh := func() sim.CheckpointPolicy { return NewPeriodic() }
 		zone := zonesByHistPrice(req.History)[0]
-		return sim.RunSpec{Bid: bids[len(bids)/2], Zones: []int{zone}, Policy: fresh()}, fresh, fallbackKind, math.Inf(1)
+		return sim.RunSpec{Bid: bids[len(bids)/2], Zones: []int{zone}, Policy: newFallback()}, newFallback, fallbackKind, math.Inf(1)
 	}
 	// Keep the current configuration when it predicts within a hair of
 	// the best, avoiding churn from estimation noise.
@@ -330,4 +361,120 @@ func (a *Adaptive) evalIncumbent(req *PlanRequest, migration int64) float64 {
 	fresh := sim.RunSpec{Bid: a.chosen.Bid, Zones: a.chosen.Zones, Policy: a.chosenNew()}
 	est := a.evaluator().measureOne(req.History, fresh, req.CheckpointCost, req.RestartCost)
 	return predictCostAt(est, req.Work, req.Deadline, migration, market.OnDemandRate)
+}
+
+// ScriptChoice pins one recorded decision for replay: the absolute
+// simulation time the decision fired (replay matches decisions to
+// Reconsider calls by time, so gated non-decisions stay gated), whether
+// the original decision switched the running spec, and the chosen
+// permutation's values. It is the minimal, policy-instance-free form of
+// a DecisionPoint's outcome.
+type ScriptChoice struct {
+	// Time is the absolute simulation time of the decision.
+	Time int64
+	// Switched reports whether the decision changed the running spec.
+	Switched bool
+	// Bid, Zones and Policy are the chosen permutation's values; Policy
+	// is the Kind of the candidate factory that built it, never an
+	// instance's name.
+	Bid    float64
+	Zones  []int
+	Policy string
+}
+
+// Script is what an Adaptive replays in place of pricing: decision i
+// takes Choices[i], Switched flag included, until decision ForceAt,
+// which takes Force; every decision after ForceAt, or past Choices, is
+// made live. Pinning a whole recorded log reproduces its run
+// bit-identically, and a pinned or forced decision prices nothing.
+type Script struct {
+	// Choices are the recorded decisions to pin, in sequence order.
+	Choices []ScriptChoice
+	// ForceAt is the decision sequence number that takes Force;
+	// negative pins Choices and forces nothing.
+	ForceAt int
+	// Force is the alternative decision ForceAt takes (Bid, Zones and
+	// Policy; Time and Switched are ignored). It switches the running
+	// spec iff its bid, zone set or Kind differ from the incumbent's.
+	Force ScriptChoice
+}
+
+// replay makes decision a.decSeq from the script and reports ok, or
+// reports !ok when the decision is Adaptive's own. A Reconsider call
+// whose time does not match the next choice was gated in the recorded
+// run and stays a non-decision. Begin takes the first choice whatever
+// its time and always installs it.
+func (a *Adaptive) replay(env *sim.Env, trigger string) (sim.RunSpec, bool, bool) {
+	s, seq := a.Script, a.decSeq
+	if s.ForceAt >= 0 && seq > s.ForceAt {
+		return sim.RunSpec{}, false, false
+	}
+	pinned := a.pinned < len(s.Choices)
+	var alt ScriptChoice
+	if pinned {
+		alt = s.Choices[a.pinned]
+		if seq > 0 && alt.Time != env.Now {
+			return sim.RunSpec{}, false, true
+		}
+		a.pinned++
+	}
+	switched := alt.Switched
+	if seq == s.ForceAt {
+		alt = s.Force
+		switched = alt.Bid != a.chosen.Bid || alt.Policy != a.chosenKind || !slices.Equal(alt.Zones, a.chosen.Zones)
+	} else if !pinned {
+		return sim.RunSpec{}, false, false
+	}
+	a.decSeq++
+	switched = switched || seq == 0
+	if switched {
+		fresh := a.factory(alt.Policy)
+		a.chosen = sim.RunSpec{Bid: alt.Bid, Zones: append([]int(nil), alt.Zones...), Policy: fresh()}
+		a.chosenNew, a.chosenKind = fresh, alt.Policy
+	}
+	if a.Sink != nil {
+		a.Sink.RecordDecision(DecisionPoint{
+			Seq:      seq,
+			Time:     env.Now,
+			Trigger:  trigger,
+			Switched: switched,
+			Chosen:   DecisionAlt{Bid: alt.Bid, Zones: alt.Zones, Policy: alt.Policy},
+		})
+	}
+	if !switched {
+		return sim.RunSpec{}, false, true
+	}
+	return a.chosen, true, true
+}
+
+// factory returns the constructor of the candidate of the given Kind;
+// a Kind no candidate names gets the empty grid's fallback, Periodic
+// (CheckScript refuses any other).
+func (a *Adaptive) factory(kind string) func() sim.CheckpointPolicy {
+	_, _, cands := resolveGrid(nil, 0, 0, a.Candidates)
+	for _, fac := range cands {
+		if fac.Kind == kind {
+			return fac.New
+		}
+	}
+	return newFallback
+}
+
+// CheckScript reports why an Adaptive over cands (nil selects
+// DefaultAdaptiveCandidates) cannot replay choices: a candidate list
+// Rank would refuse — two factories of one Kind among them, which no
+// decision record can tell apart — or a choice naming a Kind that
+// neither a candidate nor the empty grid's Periodic fallback has.
+func CheckScript(cands []PolicyFactory, choices ...ScriptChoice) error {
+	if err := checkCandidates(cands); err != nil {
+		return err
+	}
+	_, _, cands = resolveGrid(nil, 0, 0, cands)
+	for _, c := range choices {
+		if c.Policy == fallbackKind || slices.ContainsFunc(cands, func(fac PolicyFactory) bool { return fac.Kind == c.Policy }) {
+			continue
+		}
+		return fmt.Errorf("core: choice at time %d names policy kind %q, which no candidate has", c.Time, c.Policy)
+	}
+	return nil
 }

@@ -6,12 +6,13 @@
 //     permutation plus the predicted costs of all ranked rivals — into
 //     an append-only, seed-deterministic decision log (JSON-lines on
 //     disk, in-memory ring over HTTP via /debug/decisions on quoted);
-//   - counterfactual replay: Replayer re-runs the same trace pinning the
-//     recorded prefix and forcing each top-k rival decision through the
-//     batched evaluator, and reports the realized regret per decision
-//     point. Forced-choice replays are bit-identical to a from-scratch
-//     sim.Machine oracle run with the same choices pinned, which the
-//     differential test suite asserts cell by cell;
+//   - counterfactual replay: Replayer re-runs the same trace with an
+//     Adaptive whose core.Script pins the recorded prefix and forces
+//     one top-k rival, so only the decisions after the rival are priced
+//     (on the batched evaluator), and reports the realized regret per
+//     decision point. Each replay is bit-identical to a from-scratch
+//     oracle run that pins its whole decision log and prices nothing,
+//     which the differential test suite asserts cell by cell;
 //   - tuning: Tuner searches the Adaptive hyperparameter space (bid
 //     grid, history window, headroom/churn thresholds, redundancy
 //     bound) with a grid stage plus a seeded evolutionary stage against
@@ -21,6 +22,7 @@
 package decision
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -144,8 +146,8 @@ func (s *CountingSink) RecordDecision(core.DecisionPoint) { s.n.Add(1) }
 // Count returns how many decisions have been recorded.
 func (s *CountingSink) Count() int64 { return s.n.Load() }
 
-// Script converts a decision-log prefix into the pinned replay script
-// core.Forced consumes: one ScriptChoice per record, in order.
+// Script converts a decision-log prefix into the choices a
+// core.Script pins: one ScriptChoice per record, in order.
 func Script(records []Record) []core.ScriptChoice {
 	out := make([]core.ScriptChoice, len(records))
 	for i := range records {
@@ -169,13 +171,5 @@ func scriptAlt(a Alt) core.ScriptChoice {
 // altsEqual reports whether two alternatives name the same permutation
 // (bid, zone set, policy family), ignoring predicted cost.
 func altsEqual(a, b Alt) bool {
-	if a.Bid != b.Bid || a.Policy != b.Policy || len(a.Zones) != len(b.Zones) {
-		return false
-	}
-	for i := range a.Zones {
-		if a.Zones[i] != b.Zones[i] {
-			return false
-		}
-	}
-	return true
+	return a.Bid == b.Bid && a.Policy == b.Policy && slices.Equal(a.Zones, b.Zones)
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/market"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
@@ -124,13 +125,42 @@ var renamedCell = cell{regime: "high", seed: 1, cands: "renamed-profile"}
 // rival at the first, middle and last decision must produce a run whose
 // digest is bit-identical to a from-scratch sim.Machine oracle that
 // replays the counterfactual's own decision log with every choice
-// pinned and nothing evaluated. Run it under -race.
+// pinned and nothing evaluated. The oracle shares Adaptive's code, so
+// the suite also pins that it prices nothing: it records no
+// adaptive.decision span. Run it under -race.
 func TestCounterfactualMatchesOracleMatrix(t *testing.T) {
 	for _, c := range matrixCells() {
 		c := c
 		t.Run(c.regime+"/"+c.cands, func(t *testing.T) {
 			t.Parallel()
 			r := cellReplayer(c)
+			// Every run traces its decisions into tr, which each
+			// oracle replay starts afresh.
+			var tr *obs.Tracer
+			newAdaptive := r.New
+			r.New = func() *core.Adaptive {
+				a := newAdaptive()
+				a.Eval = &core.Evaluator{Trace: tr}
+				return a
+			}
+			decisionSpans := func() int {
+				n := 0
+				for _, sp := range tr.Spans() {
+					if sp.Name == "adaptive.decision" {
+						n++
+					}
+				}
+				return n
+			}
+			oracleOf := func(log []Record) (Outcome, error) {
+				tr = obs.NewTracer(1 << 12)
+				out, err := r.Oracle(log)
+				if n := decisionSpans(); n != 0 {
+					t.Errorf("oracle priced %d decisions, want none", n)
+				}
+				return out, err
+			}
+			tr = obs.NewTracer(1 << 12)
 			baseline, log, err := r.Baseline()
 			if err != nil {
 				t.Fatal(err)
@@ -138,9 +168,12 @@ func TestCounterfactualMatchesOracleMatrix(t *testing.T) {
 			if len(log) == 0 {
 				t.Fatal("empty decision log")
 			}
+			if n := decisionSpans(); n != len(log) {
+				t.Fatalf("baseline traced %d decisions, logged %d", n, len(log))
+			}
 			// The recorded log, replayed fully pinned, must reproduce
 			// the baseline run exactly.
-			oracle, err := r.Oracle(log)
+			oracle, err := oracleOf(log)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +191,7 @@ func TestCounterfactualMatchesOracleMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seq %d rank %d: %v", task.seq, task.rank, err)
 					}
-					cfOracle, err := r.Oracle(cfLog)
+					cfOracle, err := oracleOf(cfLog)
 					if err != nil {
 						t.Fatalf("seq %d rank %d oracle: %v", task.seq, task.rank, err)
 					}

@@ -116,9 +116,9 @@ type Report struct {
 type Replayer struct {
 	// Cfg is the run configuration to replay under.
 	Cfg sim.Config
-	// New builds the strategy for the baseline and for live
-	// continuations; nil selects core.NewAdaptive. Each call must
-	// return a fresh instance with the same settings.
+	// New builds the strategy of every run: the baseline, the oracle
+	// and each counterfactual; nil selects core.NewAdaptive. Each call
+	// must return a fresh instance with the same settings.
 	New func() *core.Adaptive
 	// TopK bounds how many rivals are forced per decision; 0 selects 3.
 	TopK int
@@ -137,12 +137,6 @@ func (r *Replayer) newAdaptive() *core.Adaptive {
 		return r.New()
 	}
 	return core.NewAdaptive()
-}
-
-// candidates returns the policy factories the replay scripts resolve
-// policy kinds against.
-func (r *Replayer) candidates() []core.PolicyFactory {
-	return r.newAdaptive().Candidates
 }
 
 // Baseline runs the strategy once with a recorder attached and returns
@@ -168,11 +162,12 @@ func (r *Replayer) Baseline() (Outcome, []Record, error) {
 // that names a policy kind no candidate has, and candidates Baseline
 // refuses.
 func (r *Replayer) Oracle(log []Record) (Outcome, error) {
-	f := &core.Forced{Script: Script(log), ForceAt: -1, Candidates: r.candidates()}
-	if err := core.CheckScript(f.Candidates, f.Script...); err != nil {
+	a := r.newAdaptive()
+	a.Script = &core.Script{Choices: Script(log), ForceAt: -1}
+	if err := core.CheckScript(a.Candidates, a.Script.Choices...); err != nil {
 		return Outcome{}, err
 	}
-	res, err := sim.Run(r.Cfg, f)
+	res, err := sim.Run(r.Cfg, a)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -181,37 +176,35 @@ func (r *Replayer) Oracle(log []Record) (Outcome, error) {
 
 // Counterfactual replays one forced rival: decisions before seq replay
 // pinned from the log, the rival is forced at seq, and the Adaptive
-// strategy decides live afterwards. It returns the run's outcome and
-// its complete decision log (pinned prefix included), which Oracle can
-// replay back bit-identically. It refuses what Oracle refuses, and a
-// rival of a kind no candidate has.
+// strategy decides live afterwards. Forcing the recorded choice pins
+// it, Switched flag included, so that replay is the recorded run; a
+// naive replay pins nothing and decides live up to seq. It returns the run's outcome and its complete decision log (pinned
+// prefix included), which Oracle can replay back bit-identically. It
+// refuses what Oracle refuses, and a rival of a kind no candidate has.
 func (r *Replayer) Counterfactual(log []Record, seq int, rival Alt) (Outcome, []Record, error) {
 	if seq < 0 || seq >= len(log) {
 		return Outcome{}, nil, fmt.Errorf("decision: seq %d outside log of %d decisions", seq, len(log))
 	}
-	col := &Collector{}
-	f := &core.Forced{
-		Inner:      r.newAdaptive(),
-		Candidates: r.candidates(),
-		Script:     Script(log[:seq+1]),
-		ForceAt:    seq,
-		Force:      scriptAlt(rival),
-		Sink:       col,
-	}
-	if err := core.CheckScript(f.Candidates, append(f.Script, f.Force)...); err != nil {
+	a := r.newAdaptive()
+	s := &core.Script{Choices: Script(log[:seq+1]), ForceAt: seq, Force: scriptAlt(rival)}
+	if err := core.CheckScript(a.Candidates, append(s.Choices, s.Force)...); err != nil {
 		return Outcome{}, nil, err
 	}
-	f.Inner.Sink = col
+	col := &Collector{}
+	a.Script, a.Sink = s, col
 	if r.Naive {
-		f.Script = nil
-		res, err := sim.Run(r.Cfg, f)
+		s.Choices = nil
+		res, err := sim.Run(r.Cfg, a)
 		if err != nil {
 			return Outcome{}, nil, err
 		}
 		return Summarize(res), col.Records(), nil
 	}
+	if altsEqual(rival, log[seq].Chosen) {
+		s.ForceAt = -1
+	}
 	var out Outcome
-	err := sim.RunPooled(r.Cfg, f, func(res *sim.Result) { out = Summarize(res) })
+	err := sim.RunPooled(r.Cfg, a, func(res *sim.Result) { out = Summarize(res) })
 	if err != nil {
 		return Outcome{}, nil, err
 	}

@@ -2,7 +2,9 @@ package decision
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"math/rand/v2"
@@ -185,6 +187,50 @@ type tunerState struct {
 	Evals []Eval `json:"evals"`
 	// Evaluated counts genomes simulated across all processes.
 	Evaluated int `json:"evaluated"`
+	// Digest seals the fields above (see seal): a checkpoint whose
+	// values no longer hash to it is corrupt.
+	Digest string `json:"digest"`
+}
+
+// seal returns the state's digest: FNV-64a over the JSON encoding of
+// its values with Digest empty.
+func (st tunerState) seal() (string, error) {
+	st.Digest = ""
+	data, err := json.Marshal(st)
+	if err != nil {
+		return "", err
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	return fmt.Sprintf("%016x", h.Sum64()), nil
+}
+
+// validate refuses a state Search cannot resume into the search that
+// wrote it: a generation before the grid stage or below zero, a genome
+// outside the search box, a non-finite fitness, a finished grid stage
+// that lacks the default genome, or values that no longer match the
+// digest.
+func (st *tunerState) validate() error {
+	if st.NextGen < 0 || (st.NextGen > 0 && !st.GridDone) {
+		return fmt.Errorf("next_gen %d with grid_done %t", st.NextGen, st.GridDone)
+	}
+	def, hasDef := DefaultGenome(), false
+	for _, ev := range st.Evals {
+		if ev.Genome.clamp() != ev.Genome {
+			return fmt.Errorf("genome %s outside the search box", ev.Genome.Key())
+		}
+		if math.IsNaN(ev.Fitness) || math.IsInf(ev.Fitness, 0) {
+			return fmt.Errorf("genome %s has fitness %g", ev.Genome.Key(), ev.Fitness)
+		}
+		hasDef = hasDef || ev.Genome == def
+	}
+	if st.GridDone && !hasDef {
+		return errors.New("grid stage done without the default genome")
+	}
+	if sum, err := st.seal(); err != nil || sum != st.Digest {
+		return errors.New("values do not match the digest")
+	}
+	return nil
 }
 
 // Tuner searches the Adaptive hyperparameter space against one run
@@ -429,7 +475,7 @@ func (t *Tuner) spawn(rng *rand.Rand, elites []Eval) []Genome {
 
 // loadState loads the checkpoint, returning a fresh state when no
 // checkpoint exists and an error when one exists but was written by a
-// differently-parameterised search.
+// differently-parameterised search or is corrupt.
 func (t *Tuner) loadState() (*tunerState, error) {
 	st := &tunerState{Seed: t.Seed, Weights: t.weights()}
 	if t.StatePath == "" {
@@ -449,6 +495,9 @@ func (t *Tuner) loadState() (*tunerState, error) {
 	if loaded.Seed != t.Seed || loaded.Weights != t.weights() {
 		return nil, fmt.Errorf("decision: checkpoint %s was written by a different search (seed/weights mismatch)", t.StatePath)
 	}
+	if err := loaded.validate(); err != nil {
+		return nil, fmt.Errorf("decision: corrupt tuner checkpoint %s: %w", t.StatePath, err)
+	}
 	return &loaded, nil
 }
 
@@ -456,6 +505,10 @@ func (t *Tuner) loadState() (*tunerState, error) {
 func (t *Tuner) saveState(st *tunerState) error {
 	if t.StatePath == "" {
 		return nil
+	}
+	var err error
+	if st.Digest, err = st.seal(); err != nil {
+		return err
 	}
 	data, err := json.MarshalIndent(st, "", " ")
 	if err != nil {

@@ -1,8 +1,13 @@
 package decision
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/market"
@@ -170,4 +175,110 @@ func TestTunerRejectsForeignCheckpoint(t *testing.T) {
 	if _, err := other.Search(); err == nil {
 		t.Fatal("tuner accepted a checkpoint from different weights")
 	}
+}
+
+// tinyTuner is the fuzz-sized search: the grid stage plus two
+// generations of two offspring.
+func tinyTuner(statePath string) *Tuner {
+	return &Tuner{Cfg: tunerConfig(31), Seed: 7, Population: 2, Generations: 2, StatePath: statePath}
+}
+
+// sameSearch reports whether two searches found the same thing; the
+// decision count is per process, so a resumed search differs there.
+func sameSearch(a, b *SearchResult) bool {
+	return reflect.DeepEqual(a.Best, b.Best) && reflect.DeepEqual(a.Default, b.Default) &&
+		a.Evaluated == b.Evaluated && a.Generations == b.Generations
+}
+
+// sealedState returns the checkpoint bytes of st under a valid digest,
+// as a hand edit that recomputes the digest would leave them.
+func sealedState(t testing.TB, st tunerState) []byte {
+	var err error
+	if st.Digest, err = st.seal(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// searchState runs the tiny tuner from a checkpoint holding data.
+func searchState(t testing.TB, data []byte) (*SearchResult, error) {
+	path := filepath.Join(t.TempDir(), "tuner.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return tinyTuner(path).Search()
+}
+
+// TestTunerRefusesCorruptCheckpoint pins loadState's refusals. The
+// first two states once panicked Search: a finished grid stage with an
+// empty cache indexed an empty elite list (next_gen 99) or drew a
+// parent from it (next_gen 0).
+func TestTunerRefusesCorruptCheckpoint(t *testing.T) {
+	w := DefaultWeights()
+	def := Eval{Genome: DefaultGenome(), Fitness: -3}
+	wide := Eval{Genome: Genome{BidLo: 0.27, BidHi: 9, BidStep: 0.2, WindowHours: 12, Headroom: 0.03, Churn: 0.02, MaxZones: 3}}
+	cases := map[string]tunerState{
+		"empty cache, next_gen 99": {Seed: 7, Weights: w, GridDone: true, NextGen: 99},
+		"empty cache, next_gen 0":  {Seed: 7, Weights: w, GridDone: true},
+		"negative next_gen":        {Seed: 7, Weights: w, GridDone: true, NextGen: -1, Evals: []Eval{def}},
+		"generation before grid":   {Seed: 7, Weights: w, NextGen: 1, Evals: []Eval{def}},
+		"genome outside the box":   {Seed: 7, Weights: w, GridDone: true, Evals: []Eval{def, wide}},
+	}
+	for name, st := range cases {
+		if _, err := searchState(t, sealedState(t, st)); err == nil || !strings.Contains(err.Error(), "corrupt") {
+			t.Errorf("%s: err %v, want a corrupt checkpoint", name, err)
+		}
+	}
+	st := tunerState{Seed: 7, Weights: w, GridDone: true, Evals: []Eval{def}}
+	stale := sealedState(t, st)
+	stale = bytes.Replace(stale, []byte(`"fitness":-3`), []byte(`"fitness":-2`), 1)
+	if _, err := searchState(t, stale); err == nil || !strings.Contains(err.Error(), "digest") {
+		t.Errorf("edited fitness: err %v, want a digest mismatch", err)
+	}
+	st.Evals[0].Fitness = math.NaN()
+	if err := st.validate(); err == nil || !strings.Contains(err.Error(), "fitness NaN") {
+		t.Errorf("NaN fitness: err %v", err)
+	}
+}
+
+// FuzzTunerState feeds arbitrary bytes to the tiny tuner as its
+// checkpoint. Search must refuse them or return the uninterrupted
+// search's result. The same values resealed under a valid digest (a
+// hand edit) may steer the search, but Search must refuse them or
+// finish: it never panics.
+func FuzzTunerState(f *testing.F) {
+	want, err := tinyTuner("").Search()
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(f.TempDir(), "tuner.json")
+	short := tinyTuner(path)
+	short.Generations = 1
+	if _, err := short.Search(); err != nil {
+		f.Fatal(err)
+	}
+	mid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(mid)
+	f.Add([]byte(`{"seed":7,"weights":{"cost":1,"margin":0.05,"waste":0.1},"next_gen":99,"grid_done":true,"evals":[]}`))
+	f.Add([]byte(`{"seed":7,"weights":{"cost":1,"margin":0.05,"waste":0.1},"next_gen":0,"grid_done":true,"evals":[]}`))
+	f.Add([]byte(`{"seed":7`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if res, err := searchState(t, data); err == nil && !sameSearch(res, want) {
+			t.Fatalf("resumed into a different search:\ngot  %+v\nwant %+v", res, want)
+		}
+		var st tunerState
+		if json.Unmarshal(data, &st) != nil {
+			return
+		}
+		if resealed := sealedState(t, st); !bytes.Equal(resealed, data) {
+			searchState(t, resealed)
+		}
+	})
 }

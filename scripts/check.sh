@@ -40,6 +40,7 @@ go test -run '^$' -fuzz '^FuzzTenantHeader$' -fuzztime 5s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzBidIndexAppend$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzWindowFitter$' -fuzztime 5s ./internal/markov
 go test -run '^$' -fuzz '^FuzzDecisionLogRoundTrip$' -fuzztime 5s ./internal/decision
+go test -run '^$' -fuzz '^FuzzTunerState$' -fuzztime 5s ./internal/decision
 go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 5s ./internal/quote
 go test -run '^$' -fuzz '^FuzzParseQuery$' -fuzztime 5s ./internal/quote
 go test -run '^$' -fuzz '^FuzzStreamerRestore$' -fuzztime 5s ./internal/quote
