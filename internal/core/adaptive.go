@@ -86,9 +86,10 @@ type Adaptive struct {
 
 	chosen sim.RunSpec
 	// chosenNew builds a fresh instance of chosen's policy with the
-	// same parameters, so churn damping re-prices the incumbent as it
-	// actually runs; chosenKind is the Kind of the factory it came
-	// from, which a kept incumbent's decision record names.
+	// same parameters, so churn damping prices the incumbent, in the
+	// decision's own sweep, as it actually runs; chosenKind is the Kind
+	// of the factory it came from, which a kept incumbent's decision
+	// record names.
 	chosenNew  func() sim.CheckpointPolicy
 	chosenKind string
 	decSeq     int // decisions made this run
@@ -106,6 +107,7 @@ func (a *Adaptive) Name() string { return "adaptive" }
 // initial permutation.
 func (a *Adaptive) Begin(env *sim.Env) sim.RunSpec {
 	a.decSeq, a.pinned = 0, 0
+	a.chosen, a.chosenNew, a.chosenKind = sim.RunSpec{}, nil, ""
 	if a.Script != nil {
 		if spec, _, ok := a.replay(env, TriggerBegin); ok {
 			return spec
@@ -269,10 +271,11 @@ const fallbackKind = "periodic"
 func newFallback() sim.CheckpointPolicy { return NewPeriodic() }
 
 // pick prices Rank's permutation grid over the trailing estimation
-// window and returns the selected spec, the constructor of its policy
-// and the Kind of the factory that built it. It traces the decision
-// and, when a Sink is attached, records it with the whole ranked grid
-// on the same adaptive.decision span path.
+// window — with a fresh instance of the incumbent, when there is one,
+// in the same sweep — and returns the selected spec, the constructor of
+// its policy and the Kind of the factory that built it. It traces the
+// decision and, when a Sink is attached, records it with the whole
+// ranked grid on the same adaptive.decision span path.
 func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, func() sim.CheckpointPolicy, string) {
 	ev := a.evaluator()
 	span := ev.Trace.Start("adaptive.decision")
@@ -284,7 +287,11 @@ func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, func() sim.C
 		RestartCost:    env.RestartCost(),
 	}
 	bids, maxZones, cands := resolveGrid(a.Bids, a.MaxZones, len(env.Zones), a.Candidates)
-	slots, ests := ev.estimateSlots(req.History, req.CheckpointCost, req.RestartCost, bids, maxZones, cands)
+	var incumbent []sim.RunSpec
+	if len(a.chosen.Zones) > 0 {
+		incumbent = append(incumbent, sim.RunSpec{Bid: a.chosen.Bid, Zones: a.chosen.Zones, Policy: a.chosenNew()})
+	}
+	slots, ests := ev.estimateSlots(req.History, req.CheckpointCost, req.RestartCost, bids, maxZones, cands, incumbent...)
 	spec, fresh, kind, cost := a.choose(&req, env.Step, bids, cands, slots, ests)
 	if a.Sink != nil {
 		plans := scorePlans(&req, env.Step, market.OnDemandRate, slots, ests)
@@ -309,8 +316,9 @@ func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, func() sim.C
 	return spec, fresh, kind
 }
 
-// choose is pick's selection over the priced slots. It returns the
-// selected spec, its policy constructor and factory Kind, and the
+// choose is pick's selection over the priced slots; ests holds one
+// estimate per slot, then the incumbent's when there is one. It returns
+// the selected spec, its policy constructor and factory Kind, and the
 // predicted cost the selection compared for it (the incumbent's
 // re-priced cost when churn damping kept it).
 func (a *Adaptive) choose(req *PlanRequest, step int64, bids []float64, cands []PolicyFactory, slots []rankSlot, ests []estimate) (sim.RunSpec, func() sim.CheckpointPolicy, string, float64) {
@@ -344,7 +352,8 @@ func (a *Adaptive) choose(req *PlanRequest, step int64, bids []float64, cands []
 	// Keep the current configuration when it predicts within a hair of
 	// the best, avoiding churn from estimation noise.
 	if len(a.chosen.Zones) > 0 {
-		if cur := a.evalIncumbent(req, migration); cur <= costs[best]*(1+a.churn()) {
+		cur := predictCostAt(ests[len(slots)], req.Work, req.Deadline, migration, market.OnDemandRate)
+		if cur <= costs[best]*(1+a.churn()) {
 			return a.chosen, a.chosenNew, a.chosenKind, cur
 		}
 	}
@@ -353,14 +362,6 @@ func (a *Adaptive) choose(req *PlanRequest, step int64, bids []float64, cands []
 	sl := &slots[best]
 	fresh := cands[sl.fac].New
 	return sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: fresh()}, fresh, sl.kind, costs[best]
-}
-
-// evalIncumbent predicts the remaining cost of the running spec,
-// replaying a fresh instance of its policy with the same parameters.
-func (a *Adaptive) evalIncumbent(req *PlanRequest, migration int64) float64 {
-	fresh := sim.RunSpec{Bid: a.chosen.Bid, Zones: a.chosen.Zones, Policy: a.chosenNew()}
-	est := a.evaluator().measureOne(req.History, fresh, req.CheckpointCost, req.RestartCost)
-	return predictCostAt(est, req.Work, req.Deadline, migration, market.OnDemandRate)
 }
 
 // ScriptChoice pins one recorded decision for replay: the absolute

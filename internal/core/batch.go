@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/daly"
@@ -47,6 +48,24 @@ import (
 // batch-local tables indexed by window step returns the same bits the
 // oracle's per-instance fits do, regardless of which permutation
 // populates an entry first.
+//
+// Replay classes: a sweep replays one permutation per class of its
+// specs and copies that estimate to every member (sweep). Two specs
+// share a class when they agree on the policy kind and the parameters
+// addPerm resolves (history span, higher-order interval), on the zone
+// list in spec order, and, zone by zone, on the bid's rank among the
+// sorted distinct raw and bucketed (markov.Quantum) prices of that
+// zone's window column. The rule is exact because the engine reads a
+// bid only through BidIndex comparisons (raw price <= bid) and through
+// upCount's prefix of a fitted chain's bucketed states, which is all
+// the uptime solve reads of it too; bids of equal rank pass every one
+// of those comparisons alike. The raw rank alone would not do: a raw
+// 0.2749 buckets to 0.25, so bids 0.24 and 0.26 agree on every raw
+// price but not on the chain's up states. Stream grids call addPerm
+// directly and keep one resident permutation per slot, since a later
+// tick can split a class. The class scratch is one entry per spec and
+// at most two thresholds per window step per zone, pooled with the rest
+// of the batchState.
 
 // estimationHorizon mirrors estimationCfg's effectively-unbounded work
 // and deadline (1 << 40 seconds).
@@ -220,7 +239,6 @@ type batchZone struct {
 // storage live in the batchState's flat buffers (offsets, not slices,
 // so buffer growth during the build phase cannot leave stale aliases).
 type batchPerm struct {
-	out int // result slot in the MeasureAll output
 	bid float64
 
 	zoff, nz int // zones in spec order: zoneBuf[zoff : zoff+nz]
@@ -275,6 +293,18 @@ type batchState struct {
 	solver markov.UptimeSolver
 	zsel   []int32 // computeInterval scratch: fittable spec positions
 
+	// Replay-class scratch of a sweep: each spec's permutation (-1 for a
+	// refused spec), the class keys with their permutations, an
+	// open-addressed table over the keys, and per zone the sorted
+	// distinct thresholds a bid is ranked by (thrOK marks the zones
+	// built this sweep).
+	specPerm  []int32
+	classKeys []replayKey
+	classPerm []int32
+	classTab  []int32
+	thr       [][]float64
+	thrOK     []bool
+
 	start, step, end int64
 	deadline         int64
 	nsteps           int
@@ -321,6 +351,12 @@ func (b *batchState) reset(hist *trace.Set, tc, tr int64) {
 	b.nsteps = b.cols.Steps()
 	b.deadline = b.start + estimationHorizon
 	b.tc, b.tr = tc, tr
+
+	for z := range b.thr {
+		if cap(b.thr[z]) > 4*b.nsteps {
+			b.thr[z] = nil
+		}
+	}
 
 	b.freeModels = trimFree(b.freeModels, b.nsteps*len(b.freeChains))
 	b.freeIvals = dropOversized(b.freeIvals, func(iv *memoCol) int { return cap(iv.vals) }, 2*b.nsteps)
@@ -464,18 +500,151 @@ func (b *batchState) takeModel() *markov.Model {
 	return &markov.Model{}
 }
 
-// addPerm builds the flattened replay state for one spec, reporting
-// whether it did. It refuses empty zone sets and the specs
-// sim.checkSpec would reject (nil policies, bad or repeated zone
-// indices, non-positive bids); the oracle's answer for all of them is a
-// zero estimate, which the caller keeps. A policy type beyond Periodic
-// and Markov-Daly is a broken invariant — validated entry points never
+// sweep prices the specs over the window reset armed and writes their
+// estimates into out in input order, replaying one permutation per
+// replay class (see the header); it returns the number of replays.
+// Specs addPerm refuses keep out's zero estimate.
+func (b *batchState) sweep(specs []sim.RunSpec, out []estimate) int {
+	b.specPerm = b.specPerm[:0]
+	b.classKeys = b.classKeys[:0]
+	b.classPerm = b.classPerm[:0]
+	tab := 16
+	for tab < 2*len(specs) {
+		tab *= 2
+	}
+	b.classTab = slices.Grow(b.classTab[:0], tab)[:tab]
+	for i := range b.classTab {
+		b.classTab[i] = -1
+	}
+	b.thrOK = slices.Grow(b.thrOK[:0], b.cols.NumZones())[:b.cols.NumZones()]
+	clear(b.thrOK)
+	for len(b.thr) < b.cols.NumZones() {
+		b.thr = append(b.thr, nil)
+	}
+
+	for i := range specs {
+		key, keyed := b.classKey(&specs[i])
+		slot := -1
+		if keyed {
+			slot = b.classSlot(&key)
+			if c := b.classTab[slot]; c >= 0 {
+				b.specPerm = append(b.specPerm, b.classPerm[c])
+				continue
+			}
+		}
+		pi := int32(-1)
+		if b.addPerm(specs[i]) {
+			pi = int32(len(b.perms) - 1)
+			if keyed {
+				b.classTab[slot] = int32(len(b.classKeys))
+				b.classKeys = append(b.classKeys, key)
+				b.classPerm = append(b.classPerm, pi)
+			}
+		}
+		b.specPerm = append(b.specPerm, pi)
+	}
+
+	span := float64(b.end - b.start)
+	for j := range b.perms {
+		b.runPerm(&b.perms[j])
+	}
+	for i, pi := range b.specPerm {
+		if pi >= 0 {
+			p := &b.perms[pi]
+			out[i] = estimate{progressRate: float64(p.maxProgress) / span, costRate: p.cost / span}
+		}
+	}
+	return len(b.perms)
+}
+
+// replayKey is a spec's replay class (see the header) in four words:
+// the resolved policy parameters, the packed zone list in spec order
+// and, 16 bits per zone position, the bid's rank among that zone's
+// thresholds.
+type replayKey struct {
+	pol   uint64 // kind, plus 1<<8 for a higher-order interval
+	span  int64
+	zones uint64
+	ranks [2]uint64
+}
+
+// classKey returns the spec's replay class, or false for a spec that
+// sweeps without one: one addPerm refuses on its face (nil policy, no
+// zones, a zone out of range, a non-positive or NaN bid) or whose zone
+// list or ranks do not pack.
+func (b *batchState) classKey(spec *sim.RunSpec) (replayKey, bool) {
+	var key replayKey
+	pol, ok := policyOf(spec.Policy)
+	if !ok || !(spec.Bid > 0) || len(spec.Zones) == 0 {
+		return key, false
+	}
+	if key.zones, ok = packZones(spec.Zones); !ok {
+		return key, false
+	}
+	key.pol, key.span = uint64(pol.kind), pol.span
+	if pol.higher {
+		key.pol |= 1 << 8
+	}
+	for k, zi := range spec.Zones {
+		if zi >= b.cols.NumZones() {
+			return key, false
+		}
+		r := b.bidRank(zi, spec.Bid)
+		if r > 0xffff {
+			return key, false
+		}
+		key.ranks[k/4] |= uint64(r) << (16 * (k % 4))
+	}
+	return key, true
+}
+
+// classSlot returns the classTab slot holding the key's class, or the
+// empty slot where it belongs (linear probing over a table at most half
+// full).
+func (b *batchState) classSlot(key *replayKey) int {
+	const m = 0x9e3779b97f4a7c15
+	h := (key.pol ^ uint64(key.span)) * m
+	h = (h ^ key.zones) * m
+	h = (h ^ key.ranks[0]) * m
+	h = (h ^ key.ranks[1]) * m
+	mask := len(b.classTab) - 1
+	for j := int(h>>32) & mask; ; j = (j + 1) & mask {
+		c := b.classTab[j]
+		if c < 0 || b.classKeys[c] == *key {
+			return j
+		}
+	}
+}
+
+// bidRank returns how many of the zone's thresholds — the distinct raw
+// and bucketed prices of its window column — the bid admits (<= bid),
+// building the zone's sorted thresholds on its first use in the sweep.
+// Columns are step functions, so the build skips repeated samples.
+func (b *batchState) bidRank(zone int, bid float64) int {
+	if !b.thrOK[zone] {
+		col := b.cols.Col(zone)
+		t := b.thr[zone][:0]
+		for i, p := range col {
+			if i == 0 || p != col[i-1] {
+				t = append(t, p, math.Round(p/markov.Quantum)*markov.Quantum)
+			}
+		}
+		slices.Sort(t)
+		b.thr[zone] = slices.Compact(t)
+		b.thrOK[zone] = true
+	}
+	return upCount(b.thr[zone], bid)
+}
+
+// policyOf resolves a spec's policy into the engine's flattened form,
+// reporting false for a nil policy. A policy type beyond Periodic and
+// Markov-Daly is a broken invariant — validated entry points never
 // build one — and panics.
-func (b *batchState) addPerm(out int, spec sim.RunSpec) bool {
+func policyOf(p sim.CheckpointPolicy) (batchPolicy, bool) {
 	var pol batchPolicy
-	switch p := spec.Policy.(type) {
+	switch p := p.(type) {
 	case nil:
-		return false
+		return pol, false
 	case *Periodic:
 		pol.kind = polPeriodic
 	case *MarkovDaly:
@@ -487,6 +656,19 @@ func (b *batchState) addPerm(out int, spec sim.RunSpec) bool {
 		pol.higher = p.HigherOrder
 	default:
 		panic(fmt.Sprintf("core: the batched engine cannot replay policy %T", p))
+	}
+	return pol, true
+}
+
+// addPerm builds the flattened replay state for one spec, reporting
+// whether it did. It refuses empty zone sets and the specs
+// sim.checkSpec would reject (nil policies, bad or repeated zone
+// indices, non-positive bids); the oracle's answer for all of them is a
+// zero estimate, which the caller keeps.
+func (b *batchState) addPerm(spec sim.RunSpec) bool {
+	pol, ok := policyOf(spec.Policy)
+	if !ok {
+		return false
 	}
 	nz := len(spec.Zones)
 	if nz == 0 || spec.Bid <= 0 {
@@ -531,7 +713,7 @@ func (b *batchState) addPerm(out int, spec sim.RunSpec) bool {
 	if pol.kind == polMarkovDaly {
 		ivals = b.takeIvals()
 	}
-	b.perms = append(b.perms, batchPerm{out: out, bid: spec.Bid, zoff: zoff, nz: nz, boff: boff, pol: pol, ivals: ivals})
+	b.perms = append(b.perms, batchPerm{bid: spec.Bid, zoff: zoff, nz: nz, boff: boff, pol: pol, ivals: ivals})
 	return true
 }
 

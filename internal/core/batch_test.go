@@ -5,8 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/markov"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
@@ -209,16 +211,24 @@ func (pp fuzzPerm) spec() sim.RunSpec {
 // (sorted and not), overheads and policy mixes — each Markov-Daly
 // permutation drawing its own history span and interval estimate, so
 // one sweep mixes profiles — through the batched engine and the machine
-// oracle, requiring bit-identical estimates. It also draws every input the
-// oracle rejects, whose zero estimate the batched path must reproduce
-// without replaying: empty, duplicate and out-of-range zone sets,
-// non-positive bids, nil policies, and windows that are nil, empty,
-// misaligned or carry invalid prices. scripts/check.sh runs it
+// oracle, requiring bit-identical estimates. Prices are drawn on and
+// off the nickel grid, some within 1e-4 of a bucket's rounding
+// boundary, and bids from, next to and between the window's raw and
+// bucketed prices; up to 24 permutations share a few zone lists, so
+// replay classes collide and a class key that misses a threshold the
+// engine reads shows up as a diverging estimate. It also draws every
+// input the oracle rejects, whose zero estimate the batched path must
+// reproduce without replaying: empty, duplicate and out-of-range zone
+// sets, non-positive bids, nil policies, and windows that are nil,
+// empty, misaligned or carry invalid prices. scripts/check.sh runs it
 // alongside the other fuzz targets.
 func FuzzBatchedMeasure(f *testing.F) {
 	for i := uint64(0); i < 8; i++ {
 		f.Add(i, i*2654435761)
 	}
+	// Two bids that admit the same raw prices but not the same bucketed
+	// ones: a class key without the bucketed rank merges them.
+	f.Add(uint64(45), uint64(7963307333))
 	f.Fuzz(func(t *testing.T, seed, mix uint64) {
 		rng := rand.New(rand.NewSource(int64(seed ^ (mix * 0x9e3779b97f4a7c15))))
 		nz := 1 + rng.Intn(3)
@@ -228,10 +238,22 @@ func FuzzBatchedMeasure(f *testing.F) {
 		}
 		epoch := int64(rng.Intn(400)) * 300
 		series := make([]*trace.Series, nz)
+		var seen []float64 // every price drawn, for bids to land on
 		for z := range series {
 			prices := make([]float64, n)
 			for i := range prices {
-				prices[i] = 0.05 * float64(1+rng.Intn(20))
+				switch {
+				case i > 0 && rng.Intn(3) == 0:
+					prices[i] = prices[i-1] // columns are step functions
+				case rng.Intn(3) == 0:
+					prices[i] = 0.05 * float64(1+rng.Intn(20))
+				case rng.Intn(2) == 0:
+					// Within 1e-4 of a nickel rounding boundary.
+					prices[i] = 0.025 + 0.05*float64(rng.Intn(20)) + (rng.Float64()-0.5)*2e-4
+				default:
+					prices[i] = 0.01 + rng.Float64()
+				}
+				seen = append(seen, prices[i])
 			}
 			series[z] = &trace.Series{Zone: fmt.Sprintf("z%d", z), Epoch: epoch, Step: 300, Prices: prices}
 		}
@@ -252,10 +274,14 @@ func FuzzBatchedMeasure(f *testing.F) {
 		tr := int64(1+rng.Intn(4)) * 150
 
 		spans := []int64{0, 6 * trace.Hour, 2 * trace.Hour}
-		perms := make([]fuzzPerm, 1+rng.Intn(8))
-		for i := range perms {
+		lists := make([][]int, 1+rng.Intn(3))
+		for i := range lists {
 			order := rng.Perm(nz)
-			zones := order[:1+rng.Intn(nz)]
+			lists[i] = order[:1+rng.Intn(nz)]
+		}
+		perms := make([]fuzzPerm, 1+rng.Intn(24))
+		for i := range perms {
+			zones := append([]int(nil), lists[rng.Intn(len(lists))]...)
 			switch rng.Intn(24) {
 			case 0:
 				zones = zones[:0]
@@ -269,6 +295,19 @@ func FuzzBatchedMeasure(f *testing.F) {
 				}
 			}
 			bid := 0.05 * float64(1+rng.Intn(25))
+			if len(seen) > 0 && rng.Intn(4) > 0 {
+				// A window price, raw or bucketed, or a neighbour of one.
+				bid = seen[rng.Intn(len(seen))]
+				if rng.Intn(2) == 0 {
+					bid = math.Round(bid/markov.Quantum) * markov.Quantum
+				}
+				switch rng.Intn(3) {
+				case 0:
+					bid = math.Nextafter(bid, 0)
+				case 1:
+					bid = math.Nextafter(bid, 2)
+				}
+			}
 			switch rng.Intn(32) {
 			case 0:
 				bid = -bid
@@ -300,22 +339,12 @@ func FuzzBatchedMeasure(f *testing.F) {
 }
 
 // batchPass runs one full batched sweep on preallocated state, the way
-// measureBatch does minus the pool and the span bookkeeping.
+// Evaluator.MeasureAll does minus the pool and the span bookkeeping.
 func batchPass(t testing.TB, b *batchState, hist *trace.Set, specs []sim.RunSpec, out []estimate) {
 	b.reset(hist, 300, 300)
-	for i := range specs {
-		if !b.addPerm(i, specs[i]) {
-			t.Fatal("spec rejected by the batched engine")
-		}
-	}
-	span := float64(hist.Duration())
-	for j := range b.perms {
-		p := &b.perms[j]
-		b.runPerm(p)
-		out[p.out] = estimate{
-			progressRate: float64(p.maxProgress) / span,
-			costRate:     p.cost / span,
-		}
+	b.sweep(specs, out)
+	if slices.Contains(b.specPerm, -1) {
+		t.Fatal("spec rejected by the batched engine")
 	}
 }
 

@@ -109,67 +109,45 @@ func (ev *Evaluator) Measure(hist *trace.Set, spec sim.RunSpec, tc, tr int64) es
 // MeasureAll replays every permutation over the history window and
 // returns their estimates in input order. Each spec must carry its own
 // policy instance (policies hold run state). The columnar batched
-// engine prices the sibling permutations in one pass, bit-identical to
-// Measure; under DisableBatch every spec takes its own oracle replay
-// across the worker pool instead. The batched path leaves the spec's
-// policy instances untouched (the oracle mutates their run state during
-// the replay; nothing reads it after).
+// engine prices the sibling permutations in one pass, one replay per
+// replay class (batch.go), bit-identical to Measure; under DisableBatch
+// every spec takes its own oracle replay across the worker pool
+// instead. The batched path leaves the spec's policy instances
+// untouched (the oracle mutates their run state during the replay;
+// nothing reads it after). Its permutations replay serially — the memo
+// layers make the shared model work cheap, so a worker fan-out would
+// only buy lock traffic and allocation churn, and serial replay keeps
+// the results trivially worker-count-independent. Windows the oracle
+// rejects wholesale (nil, empty, malformed) and specs addPerm refuses
+// keep the zero estimate, which is the oracle's answer for them. The
+// eval.sweep span counts the specs and the replays that priced them.
 func (ev *Evaluator) MeasureAll(hist *trace.Set, specs []sim.RunSpec, tc, tr int64) []estimate {
 	sweep := ev.Trace.Start("eval.sweep")
-	if sweep.Recording() {
-		sweep.SetAttr("specs", strconv.Itoa(len(specs)))
-		sweep.SetAttr("batched", strconv.FormatBool(!ev.DisableBatch))
-	}
 	out := make([]estimate, len(specs))
-	ev.measure(hist, specs, tc, tr, out)
-	sweep.End()
-	return out
-}
-
-// measureOne prices a single permutation. It exists for the Adaptive
-// scheme's churn-damping re-evaluation, which prices one incumbent spec
-// between sweeps.
-func (ev *Evaluator) measureOne(hist *trace.Set, spec sim.RunSpec, tc, tr int64) estimate {
-	var out [1]estimate
-	ev.measure(hist, []sim.RunSpec{spec}, tc, tr, out[:])
-	return out[0]
-}
-
-// measure writes the specs' estimates into out in input order. The
-// batched permutations replay serially — the memo layers make the
-// shared model work cheap, so a worker fan-out would only buy lock
-// traffic and allocation churn, and serial replay keeps the results
-// trivially worker-count-independent. Windows the oracle rejects
-// wholesale (nil, empty, malformed) and specs addPerm refuses keep the
-// zero estimate, which is the oracle's answer for them.
-func (ev *Evaluator) measure(hist *trace.Set, specs []sim.RunSpec, tc, tr int64, out []estimate) {
-	if ev.DisableBatch {
+	replays := len(specs)
+	switch {
+	case ev.DisableBatch:
 		pool.Run(ev.Workers, len(specs), func(i int) {
 			out[i] = ev.Measure(hist, specs[i], tc, tr)
 		})
-		return
-	}
-	if hist == nil || hist.Duration() <= 0 || hist.Validate() != nil {
-		return
-	}
-	b, _ := ev.batchPool.Get().(*batchState)
-	if b == nil {
-		b = &batchState{}
-	}
-	b.reset(hist, tc, tr)
-	for i := range specs {
-		b.addPerm(i, specs[i])
-	}
-	span := float64(hist.Duration())
-	for j := range b.perms {
-		p := &b.perms[j]
-		b.runPerm(p)
-		out[p.out] = estimate{
-			progressRate: float64(p.maxProgress) / span,
-			costRate:     p.cost / span,
+	case hist == nil || hist.Duration() <= 0 || hist.Validate() != nil:
+		replays = 0
+	default:
+		b, _ := ev.batchPool.Get().(*batchState)
+		if b == nil {
+			b = &batchState{}
 		}
+		b.reset(hist, tc, tr)
+		replays = b.sweep(specs, out)
+		ev.batchPool.Put(b)
 	}
-	ev.batchPool.Put(b)
+	if sweep.Recording() {
+		sweep.SetAttr("specs", strconv.Itoa(len(specs)))
+		sweep.SetAttr("replays", strconv.Itoa(replays))
+		sweep.SetAttr("batched", strconv.FormatBool(!ev.DisableBatch))
+	}
+	sweep.End()
+	return out
 }
 
 // packZones encodes up to eight zone indices (< 255 each) into one key

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
@@ -129,5 +131,65 @@ func TestPackZones(t *testing.T) {
 	}
 	if _, ok := packZones([]int{300}); ok {
 		t.Fatal("zone index above 0xfe must disable packing")
+	}
+}
+
+// sweepAttrs returns the attributes of the tracer's eval.sweep spans,
+// oldest first.
+func sweepAttrs(tr *obs.Tracer) []map[string]string {
+	var out []map[string]string
+	for _, s := range tr.Spans() {
+		if s.Name != "eval.sweep" {
+			continue
+		}
+		attrs := map[string]string{}
+		for _, a := range s.Attrs {
+			attrs[a.Key] = a.Value
+		}
+		out = append(out, attrs)
+	}
+	return out
+}
+
+// TestSweepReplaysOneClassEach pins the eval.sweep span's replays
+// attribute: over a window whose prices stay below every grid bid, all
+// 15 bids of a (policy, zone set) cell fall into one replay class, so
+// Rank's 90 specs (2 candidates × N 1–3 × 15 bids) take 6 replays. The
+// estimates are still the oracle's, and an oracle sweep replays every
+// spec.
+func TestSweepReplaysOneClassEach(t *testing.T) {
+	series := make([]*trace.Series, 3)
+	for z := range series {
+		prices := make([]float64, 144)
+		for i := range prices {
+			prices[i] = 0.1 + 0.01*float64((i/(3+z))%13)
+		}
+		series[z] = &trace.Series{Zone: fmt.Sprintf("z%d", z), Epoch: 0, Step: 300, Prices: prices}
+	}
+	req := PlanRequest{
+		History:        trace.MustNewSet(series...),
+		Work:           4 * trace.Hour,
+		Deadline:       8 * trace.Hour,
+		CheckpointCost: 300,
+		RestartCost:    300,
+	}
+	var plans [2][]Plan
+	for i, disable := range []bool{false, true} {
+		tr := obs.NewTracer(16)
+		ev := &Evaluator{Trace: tr, DisableBatch: disable}
+		var err error
+		if plans[i], err = ev.Rank(req); err != nil {
+			t.Fatal(err)
+		}
+		want := map[string]string{"specs": "90", "replays": "6", "batched": "true"}
+		if disable {
+			want = map[string]string{"specs": "90", "replays": "90", "batched": "false"}
+		}
+		if got := sweepAttrs(tr); len(got) != 1 || !reflect.DeepEqual(got[0], want) {
+			t.Errorf("DisableBatch %v: eval.sweep attributes %v, want one span with %v", disable, got, want)
+		}
+	}
+	if !reflect.DeepEqual(plans[0], plans[1]) {
+		t.Fatal("batched plans diverge from the oracle's")
 	}
 }

@@ -218,14 +218,15 @@ func rankSlots(hist *trace.Set, bids []float64, maxZones int, cands []PolicyFact
 }
 
 // estimateSlots is Rank's estimate step: the permutation grid over the
-// window and every cell's replayed estimate, in slot order. It reads
-// nothing of the request's work, deadline or on-demand rate — those
-// enter only scorePlans — so one estimate step serves every request
-// shape over the same window and grid knobs, and every Adaptive
-// decision over its trailing window.
-func (ev *Evaluator) estimateSlots(hist *trace.Set, tc, tr int64, bids []float64, maxZones int, cands []PolicyFactory) ([]rankSlot, []estimate) {
+// window and every cell's replayed estimate, in slot order, followed by
+// the estimates of the extra specs, which ride in the same sweep (an
+// Adaptive decision's incumbent). It reads nothing of the request's
+// work, deadline or on-demand rate — those enter only scorePlans — so
+// one estimate step serves every request shape over the same window and
+// grid knobs, and every Adaptive decision over its trailing window.
+func (ev *Evaluator) estimateSlots(hist *trace.Set, tc, tr int64, bids []float64, maxZones int, cands []PolicyFactory, extra ...sim.RunSpec) ([]rankSlot, []estimate) {
 	slots := rankSlots(hist, bids, maxZones, cands)
-	specs := make([]sim.RunSpec, len(slots))
+	specs := make([]sim.RunSpec, len(slots), len(slots)+len(extra))
 	// The batched engine reads only a policy's parameters, so one
 	// instance per factory serves all of its slots; oracle replays run
 	// each instance, so every slot gets its own.
@@ -237,7 +238,7 @@ func (ev *Evaluator) estimateSlots(hist *trace.Set, tc, tr int64, bids []float64
 		}
 		specs[i] = sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: pols[sl.fac]}
 	}
-	return slots, ev.MeasureAll(hist, specs, tc, tr)
+	return slots, ev.MeasureAll(hist, append(specs, extra...), tc, tr)
 }
 
 // scorePlans converts per-slot estimates into the ranked plan table:

@@ -557,7 +557,7 @@ func (g *StreamGrid) ensureResident(slots []rankSlot) {
 		}
 		spec := sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: g.cands[sl.fac].New()}
 		pi := len(g.b.perms)
-		g.b.addPerm(pi, spec) // NewStreamGrid's checks keep every slot acceptable
+		g.b.addPerm(spec) // NewStreamGrid's checks keep every slot acceptable
 		g.b.replayPerm(&g.b.perms[pi])
 		g.resident[key] = pi
 		g.stats.CatchUps++

@@ -383,3 +383,38 @@ func TestReplayAggregatesRegret(t *testing.T) {
 		t.Fatalf("aggregates total=%g max=%g, want total=%g max=%g", rep.TotalRegret, rep.MaxRegret, total, max)
 	}
 }
+
+// TestReusedAdaptiveMatchesFresh runs one Adaptive instance twice and
+// requires its second run to match a fresh instance's run: the same
+// outcome digest and the same decision records. Begin must forget the
+// previous run's incumbent, or the second run's first decisions price
+// and can keep a spec that run never chose. It covers the both-policy
+// cells of every regime over seeds 1–10, where a stale incumbent
+// changes the run.
+func TestReusedAdaptiveMatchesFresh(t *testing.T) {
+	for _, regime := range []string{"low", "high", "spike"} {
+		for seed := uint64(1); seed <= 10; seed++ {
+			r := cellReplayer(cell{regime: regime, seed: seed, cands: "both"})
+			want, wantLog, err := r.Baseline()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := r.newAdaptive()
+			if _, err := sim.Run(r.Cfg, a); err != nil {
+				t.Fatal(err)
+			}
+			col := &Collector{}
+			a.Sink = col
+			res, err := sim.Run(r.Cfg, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := Summarize(res); got.Digest != want.Digest {
+				t.Errorf("%s/%d: reused instance's digest %s, fresh instance's %s", regime, seed, got.Digest, want.Digest)
+			}
+			if got := col.Records(); !reflect.DeepEqual(got, wantLog) {
+				t.Errorf("%s/%d: reused instance's decision records differ from a fresh instance's", regime, seed)
+			}
+		}
+	}
+}
