@@ -94,6 +94,12 @@ type Adaptive struct {
 	chosenKind string
 	decSeq     int // decisions made this run
 	pinned     int // Script.Choices consumed this run
+
+	// run is this run's token, which names its resident window in the
+	// shared sweep scratch (scratch.go); grid is its permutation grid,
+	// resolved at its first priced decision.
+	run  uint64
+	grid *runGrid
 }
 
 // NewAdaptive returns the Adaptive strategy with the paper's settings.
@@ -108,6 +114,7 @@ func (a *Adaptive) Name() string { return "adaptive" }
 func (a *Adaptive) Begin(env *sim.Env) sim.RunSpec {
 	a.decSeq, a.pinned = 0, 0
 	a.chosen, a.chosenNew, a.chosenKind = sim.RunSpec{}, nil, ""
+	a.run, a.grid = runSeq.Add(1), nil
 	if a.Script != nil {
 		if spec, _, ok := a.replay(env, TriggerBegin); ok {
 			return spec
@@ -176,28 +183,6 @@ func (a *Adaptive) churn() float64 {
 		return a.Churn
 	}
 	return 0.02
-}
-
-// historySet reconstructs a trace.Set of the trailing span seconds of
-// price history visible at env.Now, for estimation replays.
-func historySet(env *sim.Env, span int64) *trace.Set {
-	series := make([]*trace.Series, len(env.Zones))
-	var n int
-	for zi := range env.Zones {
-		prices := env.PriceHistory(zi, span)
-		n = len(prices)
-		epoch := env.Now - int64(len(prices)-1)*env.Step
-		series[zi] = &trace.Series{
-			Zone:   env.Cfg.Trace.Series[zi].Zone,
-			Epoch:  epoch,
-			Step:   env.Step,
-			Prices: prices,
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	return trace.MustNewSet(series...)
 }
 
 // estimate holds a permutation's measured behaviour over the history
@@ -273,26 +258,31 @@ func newFallback() sim.CheckpointPolicy { return NewPeriodic() }
 // pick prices Rank's permutation grid over the trailing estimation
 // window — with a fresh instance of the incumbent, when there is one,
 // in the same sweep — and returns the selected spec, the constructor of
-// its policy and the Kind of the factory that built it. It traces the
-// decision and, when a Sink is attached, records it with the whole
-// ranked grid on the same adaptive.decision span path.
+// its policy and the Kind of the factory that built it. The window is
+// the run's resident one, slid to env.Now in a pooled sweep scratch. It
+// traces the decision and, when a Sink is attached, records it with the
+// whole ranked grid on the same adaptive.decision span path.
 func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, func() sim.CheckpointPolicy, string) {
 	ev := a.evaluator()
 	span := ev.Trace.Start("adaptive.decision")
+	sc := takeScratch()
+	defer sc.release()
 	req := PlanRequest{
-		History:        historySet(env, a.window()),
+		History:        sc.slide(env, a.run, a.window()),
 		Work:           env.RemainingWork(),
 		Deadline:       env.RemainingTime(),
 		CheckpointCost: env.CheckpointCost(),
 		RestartCost:    env.RestartCost(),
 	}
-	bids, maxZones, cands := resolveGrid(a.Bids, a.MaxZones, len(env.Zones), a.Candidates)
-	var incumbent []sim.RunSpec
-	if len(a.chosen.Zones) > 0 {
-		incumbent = append(incumbent, sim.RunSpec{Bid: a.chosen.Bid, Zones: a.chosen.Zones, Policy: a.chosenNew()})
+	if a.grid == nil {
+		a.grid = newRunGrid(a, env)
 	}
-	slots, ests := ev.estimateSlots(req.History, req.CheckpointCost, req.RestartCost, bids, maxZones, cands, incumbent...)
-	spec, fresh, kind, cost := a.choose(&req, env.Step, bids, cands, slots, ests)
+	var incumbent *sim.RunSpec
+	if len(a.chosen.Zones) > 0 {
+		incumbent = &sim.RunSpec{Bid: a.chosen.Bid, Zones: a.chosen.Zones, Policy: a.chosenNew()}
+	}
+	slots, ests := sc.estimateSlots(ev, a.grid, incumbent)
+	spec, fresh, kind, cost := a.choose(&req, env.Step, a.grid.bids, a.grid.cands, slots, ests)
 	if a.Sink != nil {
 		plans := scorePlans(&req, env.Step, market.OnDemandRate, slots, ests)
 		a.Sink.RecordDecision(DecisionPoint{

@@ -140,7 +140,7 @@ func TestZonesByPrice(t *testing.T) {
 	}
 	var order []int
 	probe := probeStrategy{func(env *sim.Env) {
-		order = zonesByHistPrice(historySet(env, 12*trace.Hour))
+		order = zonesByHistPrice((&sweepScratch{}).slide(env, 1, 12*trace.Hour))
 	}}
 	if _, err := sim.Run(cfg, probe); err != nil {
 		t.Fatal(err)
@@ -164,13 +164,36 @@ func (p probeStrategy) Reconsider(*sim.Env, []sim.Event) (sim.RunSpec, bool) {
 	return sim.RunSpec{}, false
 }
 
+// priceHistorySet builds the trailing span seconds of price history
+// visible at env.Now straight from Env.PriceHistory: the reference an
+// Adaptive decision's resident window must equal.
+func priceHistorySet(env *sim.Env, span int64) *trace.Set {
+	series := make([]*trace.Series, len(env.Zones))
+	for zi := range env.Zones {
+		prices := env.PriceHistory(zi, span)
+		series[zi] = &trace.Series{
+			Zone:   env.Cfg.Trace.Series[zi].Zone,
+			Epoch:  env.Now - int64(len(prices)-1)*env.Step,
+			Step:   env.Step,
+			Prices: prices,
+		}
+	}
+	return trace.MustNewSet(series...)
+}
+
+// TestHistorySet pins an Adaptive decision's resident window: at the
+// run's start it is the trailing window of the bootstrap history, ending
+// at the decision time, and at every later decision time it equals
+// Env.PriceHistory's samples — spans on and off the step grid, a window
+// still growing into its span, slides of one step and of many, and a
+// jump past the whole window.
 func TestHistorySet(t *testing.T) {
 	set := tracegen.LowVolatility(3)
 	hist, run := window(set, 3, 1)
 	cfg := testConfig(hist, run, 300)
 	var got *trace.Set
 	probe := probeStrategy{func(env *sim.Env) {
-		got = historySet(env, 6*trace.Hour)
+		got = (&sweepScratch{}).slide(env, 1, 6*trace.Hour)
 	}}
 	if _, err := sim.Run(cfg, probe); err != nil {
 		t.Fatal(err)
@@ -184,14 +207,41 @@ func TestHistorySet(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// The reconstructed series must end at the probe time (run start)
-	// and agree with the source prices.
+	// The window must end at the probe time (run start) and agree with
+	// the source prices.
 	if got.End() != run.Start()+set.Step() {
 		t.Fatalf("history ends at %d, want %d", got.End(), run.Start()+set.Step())
 	}
 	wantPrice := set.Series[0].PriceAt(got.Start())
 	if got.Series[0].Prices[0] != wantPrice {
 		t.Fatalf("history price = %g, want %g", got.Series[0].Prices[0], wantPrice)
+	}
+
+	// A short bootstrap history, so early windows still grow into their
+	// span.
+	cfg.History = hist.Slice(hist.End()-2*trace.Hour, hist.End())
+	m, err := sim.NewMachine(cfg, probeStrategy{func(*sim.Env) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := m.Env()
+	for _, span := range []int64{6 * trace.Hour, 6*trace.Hour + 100} {
+		sc := &sweepScratch{}
+		gaps := []int64{1, 1, 12, 3, 100, 7}
+		for k, now := 0, run.Start(); now < run.End(); k, now = k+1, now+gaps[k%len(gaps)]*run.Step() {
+			env.Now = now
+			got := sc.slide(env, 1, span)
+			want := priceHistorySet(env, span)
+			if got.Start() != want.Start() || got.Step() != want.Step() || !slices.Equal(got.Zones(), want.Zones()) {
+				t.Fatalf("span %d at %d: window [%d, %d) step %d, PriceHistory's [%d, %d) step %d",
+					span, now, got.Start(), got.End(), got.Step(), want.Start(), want.End(), want.Step())
+			}
+			for zi := range want.Series {
+				if !slices.Equal(got.Series[zi].Prices, want.Series[zi].Prices) {
+					t.Fatalf("span %d at %d: zone %d window %v, PriceHistory %v", span, now, zi, got.Series[zi].Prices, want.Series[zi].Prices)
+				}
+			}
+		}
 	}
 }
 
@@ -208,9 +258,10 @@ func (f decisionFunc) RecordDecision(p DecisionPoint) { f(p) }
 // instance's Name(), which both Markov-Daly profiles share — and churn
 // damping must re-price the incumbent with a fresh instance from the
 // incumbent's own factory. Per-factory instance counts pin the latter:
-// a decision builds one measurement instance per factory (the batched
-// engine reads only its parameters), one re-pricing instance of the
-// incumbent's and one instance of the winner it installs.
+// a run builds one measurement instance per factory, at its first
+// decision (the batched engine reads only its parameters), and a
+// decision one re-pricing instance of the incumbent's and one instance
+// of the winner it installs.
 func TestAdaptiveKeepsProfileParameters(t *testing.T) {
 	spans := []int64{0, trace.Hour, 30 * 60} // 0 marks the Periodic factory
 	kinds := []string{"periodic", "markov-daly-1h", "markov-daly-30m"}
@@ -260,7 +311,10 @@ func TestAdaptiveKeepsProfileParameters(t *testing.T) {
 		if !p.Switched && chosen != incumbent {
 			t.Fatalf("decision %d kept the incumbent of factory %d but records factory %d", p.Seq, incumbent, chosen)
 		}
-		want := []int{1, 1, 1}
+		want := []int{0, 0, 0}
+		if decisions == 1 {
+			want = []int{1, 1, 1} // the run's measurement instances
+		}
 		if incumbent >= 0 {
 			want[incumbent]++ // the incumbent's re-pricing instance
 		}
@@ -334,7 +388,7 @@ func TestAdaptiveRanksLikeRank(t *testing.T) {
 			return
 		}
 		req := PlanRequest{
-			History:        historySet(env, a.window()),
+			History:        priceHistorySet(env, a.window()),
 			Work:           env.RemainingWork(),
 			Deadline:       env.RemainingTime(),
 			CheckpointCost: env.CheckpointCost(),

@@ -61,11 +61,26 @@ import (
 // the uptime solve reads of it too; bids of equal rank pass every one
 // of those comparisons alike. The raw rank alone would not do: a raw
 // 0.2749 buckets to 0.25, so bids 0.24 and 0.26 agree on every raw
-// price but not on the chain's up states. Stream grids call addPerm
-// directly and keep one resident permutation per slot, since a later
-// tick can split a class. The class scratch is one entry per spec and
-// at most two thresholds per window step per zone, pooled with the rest
-// of the batchState.
+// price but not on the chain's up states. A sweep never sorts the
+// window's prices to rank its bids: it sorts its own distinct bids and
+// marks, per zone, the gaps between consecutive ones that some window
+// price falls into; two bids share a rank iff no marked gap separates
+// them (bidClasses). Stream grids call addPerm directly and keep one
+// resident permutation per slot, since a later tick can split a class.
+// The class scratch is one entry per spec and one class id per zone and
+// distinct bid, pooled with the rest of the batchState.
+//
+// Sliding: the state that outlives a replay — the availability indexes
+// and the chain memos' fitters, which hold the window's bucketed state
+// ids — slides with the window (advance): a stream grid's tick appends
+// one sample, and an Adaptive run's next decision appends the samples
+// since the last one and drops those that fell out of its span. The
+// fitters number samples absolutely (org counts the samples dropped
+// since the scratch was armed); an index renumbers its flips as it
+// drops. What a replay reads from the window
+// start — the permutations, fitted models, uptime and interval memos —
+// restarts with every sweep (rearm), because an estimate is a replay
+// from the window start.
 
 // estimationHorizon mirrors estimationCfg's effectively-unbounded work
 // and deadline (1 << 40 seconds).
@@ -118,7 +133,10 @@ type chainMemo struct {
 	models []*markov.Model
 	done   []bool
 
-	wf markov.WindowFitter // empty until the memo's first fit
+	// wf is empty until the memo's first fit; its sample 0 is the
+	// scratch's absolute sample org, and it slides with the window.
+	wf  markov.WindowFitter
+	org int
 
 	// usolve memoizes expected uptimes on a (step, up-state count)
 	// grid of stride ustride. The states a bid admits are a prefix of
@@ -267,14 +285,15 @@ type batchPerm struct {
 
 // batchState is the reusable scratch of one batched sweep: the columnar
 // view, the availability index, the flat permutation arrays and the
-// memo tables. An Evaluator pools these, so the steady state of
-// successive decision points reuses every buffer. Permutations replay
-// serially on one goroutine — the shared work is memoized, the
-// per-step work is branch-light — so none of the state needs locking
-// and results cannot depend on a worker count.
+// memo tables. Sweeps take it from one shared pool (scratch.go), so the
+// steady state of successive decision points reuses every buffer.
+// Permutations replay serially on one goroutine — the shared work is
+// memoized, the per-step work is branch-light — so none of the state
+// needs locking and results cannot depend on a worker count.
 type batchState struct {
 	cols  *trace.Columns
 	avail *trace.AvailIndex
+	org   int // absolute sample of window step 0: samples dropped since reset
 
 	perms   []batchPerm
 	zoneBuf []batchZone
@@ -295,15 +314,16 @@ type batchState struct {
 
 	// Replay-class scratch of a sweep: each spec's permutation (-1 for a
 	// refused spec), the class keys with their permutations, an
-	// open-addressed table over the keys, and per zone the sorted
-	// distinct thresholds a bid is ranked by (thrOK marks the zones
-	// built this sweep).
+	// open-addressed table over the keys, the sweep's distinct positive
+	// bids in ascending order, and per zone each of those bids' class id
+	// (cls, zone-major; clsOK marks the zones built this sweep).
 	specPerm  []int32
 	classKeys []replayKey
 	classPerm []int32
 	classTab  []int32
-	thr       [][]float64
-	thrOK     []bool
+	cbids     []float64
+	cls       []uint32
+	clsOK     []bool
 
 	start, step, end int64
 	deadline         int64
@@ -311,14 +331,9 @@ type batchState struct {
 	tc, tr           int64
 }
 
-// reset re-arms the scratch for a new history window, recycling every
-// memo table and fitted model into the free lists, then trims the free
-// lists to what a sweep over the new window can use: at most one model
-// per step of each chain memo the scratch holds, and no memo sized for a
-// window more than twice the new one. Sweeps over equally long windows
-// therefore keep every buffer, however their chain memo counts
-// alternate, while a scratch that served one long sweep does not pin
-// its per-step state for the short ones after.
+// reset arms the scratch over a window unrelated to the one it holds:
+// the availability indexes and chain memos start over (the memos go to
+// the free list, their fitters emptied), then rearm readies the sweep.
 func (b *batchState) reset(hist *trace.Set, tc, tr int64) {
 	if b.cols == nil {
 		b.cols = trace.NewColumns(hist)
@@ -328,14 +343,67 @@ func (b *batchState) reset(hist *trace.Set, tc, tr int64) {
 		b.avail.Reset(b.cols)
 		for _, cm := range b.chains {
 			b.recycleModels(cm.models, cm.done)
+			cm.wf.Init(nil, 0)
 			b.freeChains = append(b.freeChains, cm)
 		}
 		b.chainKeys = b.chainKeys[:0]
 		b.chains = b.chains[:0]
-		for i := range b.perms {
-			if iv := b.perms[i].ivals; iv != nil {
-				b.freeIvals = append(b.freeIvals, iv)
-			}
+	}
+	b.org = 0
+	b.tc, b.tr = tc, tr
+	b.setWindow()
+	b.rearm()
+}
+
+// setWindow reads the window's geometry off the columnar view.
+func (b *batchState) setWindow() {
+	b.start = b.cols.Start()
+	b.step = b.cols.Step()
+	b.end = b.cols.End()
+	b.nsteps = b.cols.Steps()
+	b.deadline = b.start + estimationHorizon
+}
+
+// advance slides the scratch onto hist: the window it covers, less its
+// first drop samples, plus the samples its caller appended at the back
+// (a stream grid's tick appends one and drops none; an Adaptive run's
+// next decision appends the samples since the last one and drops those
+// that fell out of its span). It moves what outlives a replay — the
+// availability indexes and the chain memos' fitters — in time
+// proportional to the samples that moved; what a replay reads from the
+// window start is the caller's to extend (extendState) or re-arm
+// (rearm). Neither reads the dropped samples, so the caller may already
+// have moved its storage.
+func (b *batchState) advance(hist *trace.Set, drop int) {
+	b.cols.Reset(hist)
+	b.avail.Slide(drop)
+	b.org += drop
+	b.setWindow()
+	for ci, cm := range b.chains {
+		if cm.wf.Len() == 0 {
+			continue // not fitted yet: its first fit takes the whole column
+		}
+		cm.wf.Forget(b.org - cm.org)
+		for _, p := range b.cols.Col(b.chainKeys[ci].zone)[cm.org+cm.wf.Len()-b.org:] {
+			cm.wf.Append(p)
+		}
+	}
+}
+
+// rearm readies the scratch for a sweep replayed from the window start:
+// it drops the permutations, recycling their interval memos, and
+// invalidates every entry of the chain memos it keeps (armChain), whose
+// fitters have slid with the window. It then trims the free lists to
+// what a sweep over the window can use: at most one model per step of
+// each chain memo the scratch holds, and no memo sized for a window
+// more than twice this one. Sweeps over equally long windows therefore
+// keep every buffer, however their chain memo counts alternate, while a
+// scratch that served one long sweep does not pin its per-step state
+// for the short ones after.
+func (b *batchState) rearm() {
+	for i := range b.perms {
+		if iv := b.perms[i].ivals; iv != nil {
+			b.freeIvals = append(b.freeIvals, iv)
 		}
 	}
 	// Clearing drops the last sweep's column aliases and memo pointers,
@@ -345,20 +413,12 @@ func (b *batchState) reset(hist *trace.Set, tc, tr int64) {
 	b.perms = b.perms[:0]
 	b.zoneBuf = b.zoneBuf[:0]
 	b.billBuf = b.billBuf[:0]
-	b.start = b.cols.Start()
-	b.step = b.cols.Step()
-	b.end = b.cols.End()
-	b.nsteps = b.cols.Steps()
-	b.deadline = b.start + estimationHorizon
-	b.tc, b.tr = tc, tr
-
-	for z := range b.thr {
-		if cap(b.thr[z]) > 4*b.nsteps {
-			b.thr[z] = nil
-		}
+	for _, cm := range b.chains {
+		b.recycleModels(cm.models, cm.done)
+		b.armChain(cm)
 	}
 
-	b.freeModels = trimFree(b.freeModels, b.nsteps*len(b.freeChains))
+	b.freeModels = trimFree(b.freeModels, b.nsteps*(len(b.chains)+len(b.freeChains)))
 	b.freeIvals = dropOversized(b.freeIvals, func(iv *memoCol) int { return cap(iv.vals) }, 2*b.nsteps)
 	b.freeChains = dropOversized(b.freeChains, func(cm *chainMemo) int { return cap(cm.models) }, 2*b.nsteps)
 }
@@ -425,8 +485,10 @@ func (b *batchState) chainMemoFor(key chainMemoKey) *chainMemo {
 }
 
 // armChain sizes the memo's model and uptime columns to the whole window
-// and invalidates every entry, emptying the fitter too: one that a
-// stream grid released has forgotten the window's front.
+// and invalidates every entry. It empties a fitter that has forgotten
+// part of the window — one a stream grid released keeps only its head's
+// fit windows — so the next fit starts it over the whole column; a
+// fitter that slid with the window keeps its ids.
 func (b *batchState) armChain(cm *chainMemo) {
 	if cap(cm.models) < b.nsteps {
 		cm.models = make([]*markov.Model, b.nsteps)
@@ -437,7 +499,9 @@ func (b *batchState) armChain(cm *chainMemo) {
 	clear(cm.models)
 	clear(cm.done)
 	cm.base = 0
-	cm.wf.Init(nil, b.step)
+	if cm.wf.Forgotten() > b.org-cm.org {
+		cm.wf.Init(nil, b.step)
+	}
 	if cm.ustride > 0 {
 		cm.usolve.arm(0, b.nsteps*cm.ustride)
 	}
@@ -457,7 +521,7 @@ func (b *batchState) armChain(cm *chainMemo) {
 func (b *batchState) keepHead() {
 	head := b.nsteps - 1
 	for ci, cm := range b.chains {
-		cm.wf.Forget(b.cols.Index(b.start + int64(head+1)*b.step - b.chainKeys[ci].span))
+		cm.wf.Forget(b.cols.Index(b.start+int64(head+1)*b.step-b.chainKeys[ci].span) + b.org - cm.org)
 		if d := min(head-cm.base, len(cm.models)); d > 0 {
 			b.recycleModels(cm.models[:d], cm.done[:d])
 			cm.models, cm.done = dropFront(cm.models, d), dropFront(cm.done, d)
@@ -516,11 +580,7 @@ func (b *batchState) sweep(specs []sim.RunSpec, out []estimate) int {
 	for i := range b.classTab {
 		b.classTab[i] = -1
 	}
-	b.thrOK = slices.Grow(b.thrOK[:0], b.cols.NumZones())[:b.cols.NumZones()]
-	clear(b.thrOK)
-	for len(b.thr) < b.cols.NumZones() {
-		b.thr = append(b.thr, nil)
-	}
+	b.classBids(specs)
 
 	for i := range specs {
 		key, keyed := b.classKey(&specs[i])
@@ -571,7 +631,7 @@ type replayKey struct {
 // classKey returns the spec's replay class, or false for a spec that
 // sweeps without one: one addPerm refuses on its face (nil policy, no
 // zones, a zone out of range, a non-positive or NaN bid) or whose zone
-// list or ranks do not pack.
+// list or class ids do not pack.
 func (b *batchState) classKey(spec *sim.RunSpec) (replayKey, bool) {
 	var key replayKey
 	pol, ok := policyOf(spec.Policy)
@@ -585,11 +645,12 @@ func (b *batchState) classKey(spec *sim.RunSpec) (replayKey, bool) {
 	if pol.higher {
 		key.pol |= 1 << 8
 	}
+	j := sort.SearchFloat64s(b.cbids, spec.Bid) // classBids took every positive bid
 	for k, zi := range spec.Zones {
 		if zi >= b.cols.NumZones() {
 			return key, false
 		}
-		r := b.bidRank(zi, spec.Bid)
+		r := b.bidClasses(zi)[j]
 		if r > 0xffff {
 			return key, false
 		}
@@ -616,24 +677,62 @@ func (b *batchState) classSlot(key *replayKey) int {
 	}
 }
 
-// bidRank returns how many of the zone's thresholds — the distinct raw
-// and bucketed prices of its window column — the bid admits (<= bid),
-// building the zone's sorted thresholds on its first use in the sweep.
-// Columns are step functions, so the build skips repeated samples.
-func (b *batchState) bidRank(zone int, bid float64) int {
-	if !b.thrOK[zone] {
+// classBids collects the sweep's distinct positive bids in ascending
+// order — the grid whose gaps bidClasses marks — and invalidates every
+// zone's class ids. Sweeps repeat one bid grid per policy and zone set,
+// so an insertion into the short sorted list is all a new bid costs.
+func (b *batchState) classBids(specs []sim.RunSpec) {
+	g := b.cbids[:0]
+	for i := range specs {
+		bid := specs[i].Bid
+		if !(bid > 0) {
+			continue
+		}
+		if j := sort.SearchFloat64s(g, bid); j == len(g) || g[j] != bid {
+			g = slices.Insert(g, j, bid)
+		}
+	}
+	b.cbids = g
+	nz := b.cols.NumZones()
+	b.cls = slices.Grow(b.cls[:0], nz*len(g))[:nz*len(g)]
+	b.clsOK = slices.Grow(b.clsOK[:0], nz)[:nz]
+	clear(b.clsOK)
+}
+
+// bidClasses returns the zone's class id of each of the sweep's bids
+// (cbids order), building them on the zone's first use in the sweep. A
+// threshold — a raw or bucketed price of the zone's window column —
+// separates bids cbids[j-1] and cbids[j] when it lies in (cbids[j-1],
+// cbids[j]]; a bid's id counts the separated gaps below it, so two bids
+// share an id iff no threshold lies between them, iff they admit the
+// same thresholds. Columns are step functions, so the marking skips
+// repeated samples.
+func (b *batchState) bidClasses(zone int) []uint32 {
+	g := len(b.cbids)
+	ids := b.cls[zone*g : (zone+1)*g]
+	if !b.clsOK[zone] {
+		clear(ids)
 		col := b.cols.Col(zone)
-		t := b.thr[zone][:0]
 		for i, p := range col {
 			if i == 0 || p != col[i-1] {
-				t = append(t, p, math.Round(p/markov.Quantum)*markov.Quantum)
+				b.markGap(ids, p)
+				b.markGap(ids, math.Round(p/markov.Quantum)*markov.Quantum)
 			}
 		}
-		slices.Sort(t)
-		b.thr[zone] = slices.Compact(t)
-		b.thrOK[zone] = true
+		for j := 1; j < g; j++ {
+			ids[j] += ids[j-1]
+		}
+		b.clsOK[zone] = true
 	}
-	return upCount(b.thr[zone], bid)
+	return ids
+}
+
+// markGap marks the gap of the sweep's bid grid that threshold p lies
+// in, if it lies between two bids.
+func (b *batchState) markGap(ids []uint32, p float64) {
+	if j := sort.SearchFloat64s(b.cbids, p); j > 0 && j < len(ids) {
+		ids[j] = 1
+	}
 }
 
 // policyOf resolves a spec's policy into the engine's flattened form,
@@ -1321,7 +1420,6 @@ func (b *batchState) uptimeAt(z *batchZone, si int, bid float64) float64 {
 		// Widen the grid; invalidating the narrower entries is fine,
 		// they are pure and recomputable.
 		cm.ustride = k + 8
-		cm.usolve = memoCol{}
 		cm.usolve.arm(cm.base*cm.ustride, b.nsteps*cm.ustride)
 	}
 	slot := si*cm.ustride + k
@@ -1353,8 +1451,9 @@ func (b *batchState) fitModel(cm *chainMemo, zone int, now int64, pol *batchPoli
 	}
 	if cm.wf.Len() == 0 {
 		cm.wf.Init(b.cols.Col(zone), b.step)
+		cm.org = b.org
 	}
-	lo := b.cols.Index(from)
+	lo := b.cols.Index(from) + b.org - cm.org
 	reuse := b.takeModel()
 	m, err := cm.wf.Fit(lo, lo+int((now-from)/b.step)+1, reuse)
 	if err != nil {

@@ -220,8 +220,12 @@ func (pp fuzzPerm) spec() sim.RunSpec {
 // input the oracle rejects, whose zero estimate the batched path must
 // reproduce without replaying: empty, duplicate and out-of-range zone
 // sets, non-positive bids, nil policies, and windows that are nil,
-// empty, misaligned or carry invalid prices. scripts/check.sh runs it
-// alongside the other fuzz targets.
+// empty, misaligned or carry invalid prices. After the first sweep it
+// slides the same batched state one to three times — appending a random
+// number of samples and forgetting a random front, in place, as an
+// Adaptive run's window does — and requires each slid sweep to equal a
+// fresh scratch's sweep over the same window bit for bit, replay count
+// included. scripts/check.sh runs it alongside the other fuzz targets.
 func FuzzBatchedMeasure(f *testing.F) {
 	for i := uint64(0); i < 8; i++ {
 		f.Add(i, i*2654435761)
@@ -238,23 +242,26 @@ func FuzzBatchedMeasure(f *testing.F) {
 		}
 		epoch := int64(rng.Intn(400)) * 300
 		series := make([]*trace.Series, nz)
+		// draw appends the column's next price.
+		draw := func(col []float64) []float64 {
+			switch i := len(col); {
+			case i > 0 && rng.Intn(3) == 0:
+				return append(col, col[i-1]) // columns are step functions
+			case rng.Intn(3) == 0:
+				return append(col, 0.05*float64(1+rng.Intn(20)))
+			case rng.Intn(2) == 0:
+				// Within 1e-4 of a nickel rounding boundary.
+				return append(col, 0.025+0.05*float64(rng.Intn(20))+(rng.Float64()-0.5)*2e-4)
+			}
+			return append(col, 0.01+rng.Float64())
+		}
 		var seen []float64 // every price drawn, for bids to land on
 		for z := range series {
-			prices := make([]float64, n)
-			for i := range prices {
-				switch {
-				case i > 0 && rng.Intn(3) == 0:
-					prices[i] = prices[i-1] // columns are step functions
-				case rng.Intn(3) == 0:
-					prices[i] = 0.05 * float64(1+rng.Intn(20))
-				case rng.Intn(2) == 0:
-					// Within 1e-4 of a nickel rounding boundary.
-					prices[i] = 0.025 + 0.05*float64(rng.Intn(20)) + (rng.Float64()-0.5)*2e-4
-				default:
-					prices[i] = 0.01 + rng.Float64()
-				}
-				seen = append(seen, prices[i])
+			prices := make([]float64, 0, n)
+			for len(prices) < n {
+				prices = draw(prices)
 			}
+			seen = append(seen, prices...)
 			series[z] = &trace.Series{Zone: fmt.Sprintf("z%d", z), Epoch: epoch, Step: 300, Prices: prices}
 		}
 		hist := &trace.Set{Series: series}
@@ -334,6 +341,39 @@ func FuzzBatchedMeasure(f *testing.F) {
 		got := batched.MeasureAll(hist, build(), tc, tr)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("batched diverges from oracle (seed=%d mix=%d):\noracle  %v\nbatched %v", seed, mix, want, got)
+		}
+
+		if n == 0 || hist == nil || hist.Validate() != nil {
+			return
+		}
+		slid := &batchState{}
+		slid.reset(hist, tc, tr)
+		slid.sweep(build(), make([]estimate, len(perms)))
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			drop := rng.Intn(len(series[0].Prices) + 1)
+			add := rng.Intn(24)
+			if drop == len(series[0].Prices) {
+				add++ // keep the window non-empty
+			}
+			for _, sr := range series {
+				col := sr.Prices[:copy(sr.Prices, sr.Prices[drop:])]
+				for i := 0; i < add; i++ {
+					col = draw(col)
+				}
+				sr.Prices = col
+				sr.Epoch += int64(drop) * sr.Step
+			}
+			slid.advance(hist, drop)
+			slid.rearm()
+			got := make([]estimate, len(perms))
+			replays := slid.sweep(build(), got)
+			fresh := &batchState{}
+			fresh.reset(hist, tc, tr)
+			want := make([]estimate, len(perms))
+			if freshReplays := fresh.sweep(build(), want); !reflect.DeepEqual(want, got) || replays != freshReplays {
+				t.Fatalf("slide %d (drop %d, add %d) diverges from a fresh scratch (seed=%d mix=%d):\nfresh %v (%d replays)\nslid  %v (%d replays)",
+					k, drop, add, seed, mix, want, freshReplays, got, replays)
+			}
 		}
 	})
 }

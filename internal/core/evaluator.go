@@ -2,7 +2,6 @@ package core
 
 import (
 	"strconv"
-	"sync"
 
 	"repro/internal/market"
 	"repro/internal/obs"
@@ -39,11 +38,6 @@ type Evaluator struct {
 	// the best plan and the full ranked grid. This is how quoted exposes
 	// its planning decisions on /debug/decisions. Nil costs nothing.
 	Sink DecisionSink
-
-	// batchPool recycles batched-sweep scratch (columnar views,
-	// availability indexes, flat permutation state) across decision
-	// points. Because of it an Evaluator must not be copied after use.
-	batchPool sync.Pool
 }
 
 // NewEvaluator returns an evaluator with default parallelism.
@@ -133,21 +127,24 @@ func (ev *Evaluator) MeasureAll(hist *trace.Set, specs []sim.RunSpec, tc, tr int
 	case hist == nil || hist.Duration() <= 0 || hist.Validate() != nil:
 		replays = 0
 	default:
-		b, _ := ev.batchPool.Get().(*batchState)
-		if b == nil {
-			b = &batchState{}
-		}
-		b.reset(hist, tc, tr)
-		replays = b.sweep(specs, out)
-		ev.batchPool.Put(b)
+		s := takeScratch()
+		s.arm(hist, tc, tr)
+		replays = s.b.sweep(specs, out)
+		s.release()
 	}
+	ev.endSweep(sweep, len(specs), replays)
+	return out
+}
+
+// endSweep ends an eval.sweep span, counting the specs and the replays
+// that priced them.
+func (ev *Evaluator) endSweep(sweep obs.ActiveSpan, specs, replays int) {
 	if sweep.Recording() {
-		sweep.SetAttr("specs", strconv.Itoa(len(specs)))
+		sweep.SetAttr("specs", strconv.Itoa(specs))
 		sweep.SetAttr("replays", strconv.Itoa(replays))
 		sweep.SetAttr("batched", strconv.FormatBool(!ev.DisableBatch))
 	}
 	sweep.End()
-	return out
 }
 
 // packZones encodes up to eight zone indices (< 255 each) into one key

@@ -83,7 +83,22 @@ func (req *PlanRequest) validate() error {
 	if req.OnDemandRate < 0 {
 		return fmt.Errorf("core: negative on-demand rate %g", req.OnDemandRate)
 	}
+	if err := checkBids(req.Bids); err != nil {
+		return err
+	}
 	return checkCandidates(req.Candidates)
+}
+
+// checkBids refuses a bid grid holding a NaN or infinite bid: no replay
+// can rank one (a NaN admits no price yet passes a non-positive test,
+// and both break the uptime solve's state lookup).
+func checkBids(bids []float64) error {
+	for _, bid := range bids {
+		if math.IsNaN(bid) || math.IsInf(bid, 0) {
+			return fmt.Errorf("core: bid %g is not finite", bid)
+		}
+	}
+	return nil
 }
 
 // checkCandidates refuses candidate lists a ranking cannot price or a
@@ -113,20 +128,26 @@ func checkCandidates(cands []PolicyFactory) error {
 // zonesByHistPrice returns the history's zone indices ordered by final
 // observed price, cheapest first (ties by index for determinism). Over
 // an Adaptive decision's window the final price is the current one.
-func zonesByHistPrice(hist *trace.Set) []int {
-	last := hist.PricesAt(hist.End() - 1)
-	idx := make([]int, hist.NumZones())
-	for i := range idx {
-		idx[i] = i
+func zonesByHistPrice(hist *trace.Set) []int { return zoneOrder(nil, hist) }
+
+// zoneOrder is zonesByHistPrice into dst's storage.
+func zoneOrder(dst []int, hist *trace.Set) []int {
+	dst = dst[:0]
+	for zi := range hist.Series {
+		dst = append(dst, zi)
 	}
-	sort.Slice(idx, func(x, y int) bool {
-		px, py := last[idx[x]], last[idx[y]]
+	end := hist.End()
+	slices.SortFunc(dst, func(x, y int) int {
+		px, py := hist.Series[x].PriceAt(end-1), hist.Series[y].PriceAt(end-1)
 		if px != py {
-			return px < py
+			if px < py {
+				return -1
+			}
+			return 1
 		}
-		return idx[x] < idx[y]
+		return x - y
 	})
-	return idx
+	return dst
 }
 
 // predictFinish mirrors predictCostAt's schedule split and returns the
@@ -193,8 +214,13 @@ type rankSlot struct {
 // evaluator re-derives this grid every tick: the ordering — and with it
 // the zone sets — can change whenever prices move.
 func rankSlots(hist *trace.Set, bids []float64, maxZones int, cands []PolicyFactory) []rankSlot {
-	ordered := zonesByHistPrice(hist)
-	zoneNames := hist.Zones()
+	return buildSlots(zonesByHistPrice(hist), hist.Zones(), bids, maxZones, cands)
+}
+
+// buildSlots enumerates the permutation grid over a zone ordering; the
+// table depends on nothing else of the window, so an Adaptive run keeps
+// one per ordering (runGrid).
+func buildSlots(ordered []int, zoneNames []string, bids []float64, maxZones int, cands []PolicyFactory) []rankSlot {
 	sets := make([][]int, maxZones)
 	names := make([][]string, maxZones)
 	for n := 1; n <= maxZones; n++ {
@@ -218,27 +244,30 @@ func rankSlots(hist *trace.Set, bids []float64, maxZones int, cands []PolicyFact
 }
 
 // estimateSlots is Rank's estimate step: the permutation grid over the
-// window and every cell's replayed estimate, in slot order, followed by
-// the estimates of the extra specs, which ride in the same sweep (an
-// Adaptive decision's incumbent). It reads nothing of the request's
-// work, deadline or on-demand rate — those enter only scorePlans — so
-// one estimate step serves every request shape over the same window and
-// grid knobs, and every Adaptive decision over its trailing window.
-func (ev *Evaluator) estimateSlots(hist *trace.Set, tc, tr int64, bids []float64, maxZones int, cands []PolicyFactory, extra ...sim.RunSpec) ([]rankSlot, []estimate) {
+// window and every cell's replayed estimate, in slot order. It reads
+// nothing of the request's work, deadline or on-demand rate — those
+// enter only scorePlans — so one estimate step serves every request
+// shape over the same window and grid knobs. An Adaptive decision runs
+// the same step on its resident window (sweepScratch.estimateSlots).
+func (ev *Evaluator) estimateSlots(hist *trace.Set, tc, tr int64, bids []float64, maxZones int, cands []PolicyFactory) ([]rankSlot, []estimate) {
 	slots := rankSlots(hist, bids, maxZones, cands)
-	specs := make([]sim.RunSpec, len(slots), len(slots)+len(extra))
-	// The batched engine reads only a policy's parameters, so one
-	// instance per factory serves all of its slots; oracle replays run
-	// each instance, so every slot gets its own.
-	pols := make([]sim.CheckpointPolicy, len(cands))
+	specs := ev.slotSpecs(make([]sim.RunSpec, 0, len(slots)), slots, cands, make([]sim.CheckpointPolicy, len(cands)))
+	return slots, ev.MeasureAll(hist, specs, tc, tr)
+}
+
+// slotSpecs appends one spec per slot to specs. The batched engine
+// reads only a policy's parameters, so one instance per factory, kept
+// in pols (built on first use), serves all of its slots; oracle replays
+// run each instance, so under DisableBatch every slot gets a new one.
+func (ev *Evaluator) slotSpecs(specs []sim.RunSpec, slots []rankSlot, cands []PolicyFactory, pols []sim.CheckpointPolicy) []sim.RunSpec {
 	for i := range slots {
 		sl := &slots[i]
 		if pols[sl.fac] == nil || ev.DisableBatch {
 			pols[sl.fac] = cands[sl.fac].New()
 		}
-		specs[i] = sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: pols[sl.fac]}
+		specs = append(specs, sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: pols[sl.fac]})
 	}
-	return slots, ev.MeasureAll(hist, append(specs, extra...), tc, tr)
+	return specs
 }
 
 // scorePlans converts per-slot estimates into the ranked plan table:

@@ -45,6 +45,25 @@ func TestRankValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteBidsRefused pins that every entry point taking a
+// caller's bid grid and returning an error refuses NaN and infinite
+// bids instead of replaying them: a NaN bid once passed addPerm's
+// positivity test and panicked Rank in the uptime solve.
+func TestNonFiniteBidsRefused(t *testing.T) {
+	hist := estimationHistory(31)
+	for _, bids := range [][]float64{{math.NaN(), 3.07}, {math.Inf(1)}, {0.47, math.Inf(-1)}} {
+		req := PlanRequest{History: hist, Work: 6 * trace.Hour, Deadline: 9 * trace.Hour, Bids: bids}
+		if _, err := NewEvaluator().Rank(req); err == nil {
+			t.Errorf("Rank accepted bids %v", bids)
+		}
+		cfg := streamConfigFor(hist)
+		cfg.Bids = bids
+		if _, err := NewStreamGrid(nil, cfg); err == nil {
+			t.Errorf("NewStreamGrid accepted bids %v", bids)
+		}
+	}
+}
+
 // TestRankShape checks the grid size, the best-first ordering and the
 // plan fields' internal consistency.
 func TestRankShape(t *testing.T) {

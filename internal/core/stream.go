@@ -56,8 +56,9 @@ import (
 //
 // Every grid cell stays resident: NewStreamGrid refuses what the
 // batched engine cannot replay or a permutation key cannot hold — a
-// policy family beyond Periodic and Markov-Daly, a non-positive or NaN
-// bid, more than 255 zones, more than 8 zones per set. Any mix of
+// policy family beyond Periodic and Markov-Daly, a non-positive or
+// non-finite bid, more than 255 zones, more than 8 zones per set. Any
+// mix of
 // Periodic and Markov-Daly candidates, whatever their parameters, is
 // accepted.
 //
@@ -349,6 +350,9 @@ func NewStreamGrid(ev *Evaluator, cfg StreamConfig) (*StreamGrid, error) {
 	}
 	// Resident permutations are keyed by bid and packed zone set
 	// (packZones: at most 8 zones, indices below 255).
+	if err := checkBids(g.bids); err != nil {
+		return nil, err
+	}
 	for _, bid := range g.bids {
 		if !(bid > 0) {
 			return nil, fmt.Errorf("core: stream bid %g is not positive", bid)
@@ -506,27 +510,22 @@ func (g *StreamGrid) rebuildState(hist *trace.Set) {
 	g.stats.Rebuilds++
 }
 
-// extendState grows every resident structure over the tick's new
-// trailing steps — columns, availability indexes, chain-fit memos and
-// the window fitters — then steps each resident permutation through
-// them, exactly as the oracle's per-step loop would have.
+// extendState slides the batched scratch over the tick's new trailing
+// steps (advance: columns, availability indexes, window fitters), grows
+// the chain-fit and interval memos over them, then steps each resident
+// permutation through them, exactly as the oracle's per-step loop would
+// have.
 func (g *StreamGrid) extendState(hist *trace.Set) {
 	b := g.b
 	old := b.nsteps
-	b.cols.Reset(hist)
-	b.avail.Extend()
-	b.nsteps = b.cols.Steps()
-	b.end = b.cols.End()
-	for ci, cm := range b.chains {
+	b.advance(hist, 0)
+	for _, cm := range b.chains {
 		for cm.base+len(cm.models) < b.nsteps {
 			cm.models = append(cm.models, nil)
 			cm.done = append(cm.done, false)
 		}
 		if cm.ustride > 0 {
 			cm.usolve.grow(b.nsteps * cm.ustride)
-		}
-		for _, p := range b.cols.Col(b.chainKeys[ci].zone)[cm.wf.Len():] {
-			cm.wf.Append(p)
 		}
 	}
 	for pi := range b.perms {

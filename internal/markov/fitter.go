@@ -40,6 +40,7 @@ type WindowFitter struct {
 
 	occ     []int32   // occurrences of each distinct value in [lo, hi)
 	ccounts []float64 // transition counts over the pairs inside [lo, hi)
+	spare   []float64 // the count table insertState swaps out, reused by the next one
 	lo, hi  int       // the window occ and ccounts cover
 	gsel    []int32   // per-fit scratch: selected column states
 }
@@ -164,7 +165,8 @@ func (f *WindowFitter) insertState(g int, p float64) {
 		}
 	}
 	nd := d + 1
-	counts := make([]float64, nd*nd)
+	counts := slices.Grow(f.spare[:0], nd*nd)[:nd*nd]
+	clear(counts)
 	for r := 0; r < d; r++ {
 		nr := r
 		if r >= g {
@@ -178,7 +180,7 @@ func (f *WindowFitter) insertState(g int, p float64) {
 			counts[nr*nd+nc] = f.ccounts[r*d+c]
 		}
 	}
-	f.ccounts = counts
+	f.ccounts, f.spare = counts, f.ccounts
 }
 
 // Fit estimates the chain from the bucketed samples [lo, hi), exactly

@@ -484,7 +484,9 @@ func (e *Env) commitCheckpoint() {
 	e.LastCheckpointAt = e.ck.endsAt
 	e.res.OverheadSeconds += e.Cfg.CheckpointCost
 	e.res.Checkpoints++
-	e.timeline(TLCheckpointDone, e.ck.zone, strconv.FormatInt(e.Committed, 10))
+	if e.Cfg.RecordTimeline {
+		e.timeline(TLCheckpointDone, e.ck.zone, strconv.FormatInt(e.Committed, 10))
+	}
 	e.ck = nil
 	e.startWaiting()
 	e.Spec.Policy.ScheduleNextCheckpoint(e)
@@ -525,7 +527,9 @@ func (e *Env) applySpec(spec RunSpec) {
 	e.Spec = spec
 	e.res.SpecSwitches++
 	e.res.Policy = spec.Policy.Name()
-	e.timeline(TLSwitchSpec, -1, fmt.Sprintf("bid=%.2f n=%d policy=%s", spec.Bid, len(spec.Zones), spec.Policy.Name()))
+	if e.Cfg.RecordTimeline {
+		e.timeline(TLSwitchSpec, -1, fmt.Sprintf("bid=%.2f n=%d policy=%s", spec.Bid, len(spec.Zones), spec.Policy.Name()))
+	}
 	spec.Policy.Reset(e)
 }
 

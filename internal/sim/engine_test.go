@@ -72,6 +72,42 @@ func baseConfig(set *trace.Set) Config {
 	}
 }
 
+// TestRunAllocsIndependentOfCheckpoints pins that a run's allocations
+// do not grow with its checkpoint count: a commit formats its timeline
+// detail only when the run records a timeline. Two runs on a reset
+// machine, one checkpointing every two hours and one every twenty
+// minutes, must allocate alike.
+func TestRunAllocsIndependentOfCheckpoints(t *testing.T) {
+	cfg := baseConfig(constSet(0.30, 12*12))
+	allocs := func(interval int64) (float64, int) {
+		strat := Strategy(static{RunSpec{Bid: 0.50, Zones: []int{0}, Policy: &hourly{interval: interval}}})
+		m, err := NewMachine(cfg, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ckpts int
+		n := testing.AllocsPerRun(10, func() {
+			if err := m.Reset(cfg, strat); err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.runToCompletion()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckpts = res.Checkpoints
+		})
+		return n, ckpts
+	}
+	few, fewCk := allocs(2 * trace.Hour)
+	many, manyCk := allocs(20 * 60)
+	if manyCk < fewCk+5 {
+		t.Fatalf("checkpoint counts %d and %d do not differ enough to tell", fewCk, manyCk)
+	}
+	if many != few {
+		t.Errorf("a run of %d checkpoints allocates %v times, one of %d checkpoints %v", manyCk, many, fewCk, few)
+	}
+}
+
 func TestUninterruptedSpotRun(t *testing.T) {
 	cfg := baseConfig(constSet(0.30, 12*10)) // 10 hours of $0.30
 	// Keep the deadline far enough away that the engine's pre-guard

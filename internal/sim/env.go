@@ -271,6 +271,9 @@ func (e *Env) MinObservedPrice(zone int) float64 {
 // incrementally to derive externally visible actions.
 func (e *Env) TimelineEvents() []TimelineEvent { return e.res.Timeline }
 
+// timeline records an event when the run records its timeline. A
+// caller whose detail costs a formatting call checks RecordTimeline
+// first, so a run that records nothing formats nothing.
 func (e *Env) timeline(kind TimelineKind, zone int, detail string) {
 	if !e.Cfg.RecordTimeline {
 		return

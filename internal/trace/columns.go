@@ -102,9 +102,12 @@ func (c *Columns) PriceAt(zone int, t int64) float64 {
 // after a step is found in the flip list, which on a price column is
 // orders of magnitude shorter than the window. A resident streaming
 // index therefore grows with the market's availability flips rather
-// than with its ticks. NextChange keeps its place in the list between
-// calls, so a replay's forward-moving queries cost O(1) amortized; the
-// index is therefore not safe for concurrent queries.
+// than with its ticks. An index slides with its window: Append covers
+// the samples added at the back and Drop forgets those leaving at the
+// front, each in time proportional to what moved. NextChange keeps its
+// place in the list between calls, so a replay's forward-moving queries
+// cost O(1) amortized; the index is therefore not safe for concurrent
+// queries.
 type BidIndex struct {
 	// Zone is the indexed zone.
 	Zone int
@@ -114,6 +117,7 @@ type BidIndex struct {
 	col   []float64 // the zone's price column (aliased)
 	n     int       // steps covered
 	flips []int32   // ascending steps i > 0 whose availability differs from step i-1
+	up0   bool      // availability at step 0, which Drop reads instead of the column
 	nUp   int
 	at    int // flips index of the last NextChange answer
 }
@@ -142,11 +146,43 @@ func (bi *BidIndex) Append(c *Columns, from int) {
 		if u {
 			bi.nUp++
 		}
-		if i > 0 && u != (col[i-1] <= bi.Bid) {
+		if i == 0 {
+			bi.up0 = u
+		} else if u != (col[i-1] <= bi.Bid) {
 			bi.flips = append(bi.flips, int32(i))
 		}
 	}
 	bi.n = c.n
+}
+
+// Drop forgets the index's first d steps (all of them when d exceeds
+// Len): step d becomes step 0, at O(flips) cost. It reads no prices, so
+// the window's storage may already have moved under the index; the
+// next Append re-aliases the column, and queries must wait for it.
+func (bi *BidIndex) Drop(d int) {
+	d = min(d, bi.n)
+	if d <= 0 {
+		return
+	}
+	up, from, k := bi.up0, 0, 0
+	for ; k < len(bi.flips) && int(bi.flips[k]) <= d; k++ {
+		f := int(bi.flips[k])
+		if up {
+			bi.nUp -= f - from
+		}
+		up, from = !up, f
+	}
+	if up {
+		bi.nUp -= d - from
+	}
+	bi.up0 = up
+	bi.flips = bi.flips[:copy(bi.flips, bi.flips[k:])]
+	for j := range bi.flips {
+		bi.flips[j] -= int32(d)
+	}
+	bi.col = bi.col[d:]
+	bi.n -= d
+	bi.at = 0
 }
 
 // Len returns how many steps the index covers.
@@ -261,12 +297,14 @@ func (x *AvailIndex) Get(zone int, bid float64) *BidIndex {
 	return bi
 }
 
-// Extend appends the view's new trailing steps to every cached index
-// after the underlying columns grew (e.g. a streaming tick). Indexes
-// built by a later Get cover the grown window already; Extend brings
-// the resident ones up to date in O(pairs) amortized.
-func (x *AvailIndex) Extend() {
+// Slide moves every cached index onto the view after its window lost
+// its first drop samples and grew at the back (a streaming tick slides
+// by 0). Indexes built by a later Get cover the new window already;
+// Slide brings the resident ones up to date in time proportional to
+// the samples that moved and the flips that left.
+func (x *AvailIndex) Slide(drop int) {
 	for _, bi := range x.pairs {
+		bi.Drop(drop)
 		bi.Append(x.cols, bi.Len())
 	}
 }

@@ -55,11 +55,14 @@ func FuzzReadJSON(f *testing.F) {
 	})
 }
 
-// FuzzBidIndexAppend drives the append-aware availability index with
+// FuzzBidIndexAppend drives the sliding availability index with
 // arbitrary byte-derived tick sequences and asserts the streaming
 // invariant: an index extended tick by tick from empty, re-aliasing the
-// grown column each time, answers every query identically to one built
-// from scratch over the grown window.
+// grown column each time, and dropping samples from the window's front
+// answers every query identically to one built from scratch over the
+// current window. The window's storage moves before the index drops
+// (as an Adaptive run's window compacts in place), so a Drop that read
+// prices would read the wrong ones.
 func FuzzBidIndexAppend(f *testing.F) {
 	f.Add([]byte{10, 200, 10, 40, 40, 40, 200, 0, 0, 255})
 	f.Add([]byte{0, 0, 0, 0})
@@ -67,24 +70,29 @@ func FuzzBidIndexAppend(f *testing.F) {
 	f.Add([]byte{0, 128, 3, 90}) // all up (the bid admits 1.28)
 	f.Add([]byte{200, 255, 129}) // all down
 	f.Add([]byte{50})            // single sample
+	f.Add([]byte{10, 200, 10, 200, 10, 200, 15, 207, 11, 31, 255, 255, 127})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
 			return
 		}
 		// Each byte is one tick's price in cents; the bid sits mid-range
-		// so both availability states occur.
-		tape, err := NewTape([]string{"z"}, 0, DefaultStep)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// so both availability states occur. A byte whose low two bits
+		// are set also drops (b>>2)%4 samples from the window's front.
+		var window []float64
+		set := &Set{Series: []*Series{{Zone: "z", Step: DefaultStep}}}
 		cols := &Columns{}
 		const bid = 1.28
 		inc := BidIndex{Zone: 0, Bid: bid}
 		for _, b := range data {
-			if err := tape.Append([]float64{float64(b) / 100}); err != nil {
-				t.Fatal(err)
+			window = append(window, float64(b)/100)
+			drop := 0
+			if b&3 == 3 {
+				drop = min(int(b>>2)%4, len(window))
+				window = window[:copy(window, window[drop:])]
 			}
-			cols.Reset(tape.Set())
+			set.Series[0].Prices = window
+			cols.Reset(set)
+			inc.Drop(drop)
 			inc.Append(cols, inc.Len())
 		}
 		var ref BidIndex

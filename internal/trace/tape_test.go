@@ -29,7 +29,7 @@ func randRow(rng *rand.Rand, prev []float64) []float64 {
 
 // TestBidIndexAppendMatchesRebuild is the append-then-query property
 // test: over randomized tick sequences, an index extended tick by tick
-// (through AvailIndex.Extend) answers every query identically to an
+// (through AvailIndex.Slide) answers every query identically to an
 // index rebuilt from scratch over the grown window.
 func TestBidIndexAppendMatchesRebuild(t *testing.T) {
 	bids := []float64{0.27, 0.87, 1.47, 3.07}
@@ -58,7 +58,7 @@ func TestBidIndexAppendMatchesRebuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			cols.Reset(tape.Set())
-			avail.Extend()
+			avail.Slide(0)
 
 			fresh := &Columns{}
 			fresh.Reset(tape.Set())

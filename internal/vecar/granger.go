@@ -43,11 +43,12 @@ func GrangerTest(series [][]float64, effect, cause, lag int) (GrangerResult, err
 		return GrangerResult{}, err
 	}
 	// Unrestricted: all series' lags. Restricted: drop the cause's.
-	rssU, err := equationRSS(series, effect, lag, -1)
+	ne := normalEquations(series, lag)
+	rssU, err := equationRSS(ne, series, effect, lag, -1)
 	if err != nil {
 		return GrangerResult{}, err
 	}
-	rssR, err := equationRSS(series, effect, lag, cause)
+	rssR, err := equationRSS(ne, series, effect, lag, cause)
 	if err != nil {
 		return GrangerResult{}, err
 	}
@@ -89,22 +90,33 @@ func grangerResult(series [][]float64, effect, cause, lag int, rssU, rssR float6
 
 // equationRSS fits series[effect](t) on a constant and the lags of all
 // series (omitting series drop entirely when drop >= 0) and returns the
-// residual sum of squares. It streams the design rows, so memory is
-// O(cols²) whatever the series length.
-func equationRSS(series [][]float64, effect, lag, drop int) (float64, error) {
+// residual sum of squares. The fit's normal equations are the sub-block
+// of ne, the unrestricted equations of every series, without drop's lag
+// columns: NormalEquations.Add sums each entry in row order whatever
+// the other columns hold, so the sub-block is the restricted design's
+// own equations bit for bit. The residuals stream the design rows once
+// more, so memory is O(cols²) whatever the series length.
+func equationRSS(ne *mat.NormalEquations, series [][]float64, effect, lag, drop int) (float64, error) {
 	obs := len(series[0]) - lag
-	cols := 1 + (len(series)-boolToInt(drop >= 0))*lag
-	y := series[effect][lag:]
-	ne := mat.NewNormalEquations(cols, 1)
-	row := make([]float64, cols)
-	for t := 0; t < obs; t++ {
-		designRow(row, series, lag, t, drop)
-		ne.Add(row, y[t:t+1])
+	keep := make([]int, 0, ne.XtX.Rows)
+	for i := 0; i < ne.XtX.Rows; i++ {
+		if i == 0 || drop < 0 || (i-1)%len(series) != drop {
+			keep = append(keep, i)
+		}
 	}
-	beta, err := ne.Solve()
+	sub := mat.NewNormalEquations(len(keep), 1)
+	for a, i := range keep {
+		for b, j := range keep {
+			sub.XtX.Set(a, b, ne.XtX.At(i, j))
+		}
+		sub.XtY.Set(a, 0, ne.XtY.At(i, effect))
+	}
+	beta, err := sub.Solve()
 	if err != nil {
 		return 0, fmt.Errorf("vecar: granger OLS failed: %w", err)
 	}
+	y := series[effect][lag:]
+	row := make([]float64, len(keep))
 	var rss float64
 	fit := make([]float64, 1)
 	for t := 0; t < obs; t++ {
@@ -115,18 +127,12 @@ func equationRSS(series [][]float64, effect, lag, drop int) (float64, error) {
 	return rss, nil
 }
 
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // GrangerMatrix runs the test for every ordered pair (cause ≠ effect),
 // effect-major. Each effect's unrestricted regression is fitted once
-// and shared by its tests: k² regressions rather than 2·k·(k−1). They
-// run across at most workers goroutines (≤ 0 selects GOMAXPROCS), with
-// the same results at any setting.
+// and shared by its tests: k² regressions rather than 2·k·(k−1), all
+// solved from one accumulation of the unrestricted normal equations.
+// Their residual passes run across at most workers goroutines (≤ 0
+// selects GOMAXPROCS), with the same results at any setting.
 func GrangerMatrix(series [][]float64, lag, workers int) ([]GrangerResult, error) {
 	k := len(series)
 	if k < 2 {
@@ -137,6 +143,7 @@ func GrangerMatrix(series [][]float64, lag, workers int) ([]GrangerResult, error
 	}
 	// Regression e·k+c fits effect e without cause c's lags, or with
 	// every series' lags when c == e.
+	ne := normalEquations(series, lag)
 	rss := make([]float64, k*k)
 	err := pool.RunErr(workers, k*k, func(i int) error {
 		effect, drop := i/k, i%k
@@ -144,7 +151,7 @@ func GrangerMatrix(series [][]float64, lag, workers int) ([]GrangerResult, error
 			drop = -1
 		}
 		var err error
-		rss[i], err = equationRSS(series, effect, lag, drop)
+		rss[i], err = equationRSS(ne, series, effect, lag, drop)
 		return err
 	})
 	if err != nil {

@@ -30,7 +30,10 @@ func leastSquaresRef(x, y *mat.Matrix) (*mat.Matrix, error) {
 func designRef(series [][]float64, lag, effect, drop int) (z, y *mat.Matrix) {
 	k := len(series)
 	obs := len(series[0]) - lag
-	cols := 1 + (k-boolToInt(drop >= 0))*lag
+	cols := 1 + k*lag
+	if drop >= 0 {
+		cols -= lag
+	}
 	z = mat.New(obs, cols)
 	resp := []int{effect}
 	if effect < 0 {
@@ -134,7 +137,9 @@ func bits(m *Model) []uint64 {
 }
 
 // checkStreamed compares Fit, and every equationRSS of lag when rss is
-// set, against the materialized references.
+// set — each solved from the sub-block of one accumulation of the
+// unrestricted equations — against the materialized references, which
+// build each restricted design on its own.
 func checkStreamed(t *testing.T, series [][]float64, lag int, rss bool) {
 	t.Helper()
 	got, err := Fit(series, lag)
@@ -151,12 +156,13 @@ func checkStreamed(t *testing.T, series [][]float64, lag int, rss bool) {
 	if !rss {
 		return
 	}
+	ne := normalEquations(series, lag)
 	for effect := range series {
 		for drop := -1; drop < len(series); drop++ {
 			if drop == effect {
 				continue
 			}
-			got, err := equationRSS(series, effect, lag, drop)
+			got, err := equationRSS(ne, series, effect, lag, drop)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -63,16 +63,8 @@ func Fit(series [][]float64, lag int) (*Model, error) {
 
 	// Stream the design one row at a time: the normal equations, then
 	// the residual covariance (ML estimate, divisor obs).
-	ne := mat.NewNormalEquations(params, k)
+	ne := normalEquations(series, lag)
 	row := make([]float64, params)
-	y := make([]float64, k)
-	for t := 0; t < obs; t++ {
-		designRow(row, series, lag, t, -1)
-		for j := range y {
-			y[j] = series[j][lag+t]
-		}
-		ne.Add(row, y)
-	}
 	beta, err := ne.Solve() // params × k
 	if err != nil {
 		return nil, fmt.Errorf("vecar: OLS failed: %w", err)
@@ -125,6 +117,24 @@ func Fit(series [][]float64, lag int) (*Model, error) {
 	// Multivariate AIC: ln|Σ| + 2·m/T with m = k²·p + k parameters.
 	m.AIC = math.Log(det) + 2*float64(k*k*lag+k)/float64(obs)
 	return m, nil
+}
+
+// normalEquations accumulates the VAR(lag) normal equations of every
+// series at once, streaming the design: the regressors are a constant
+// and every series' lags (designRow), the responses every series.
+func normalEquations(series [][]float64, lag int) *mat.NormalEquations {
+	k := len(series)
+	ne := mat.NewNormalEquations(1+k*lag, k)
+	row := make([]float64, 1+k*lag)
+	y := make([]float64, k)
+	for t := 0; t < len(series[0])-lag; t++ {
+		designRow(row, series, lag, t, -1)
+		for j := range y {
+			y[j] = series[j][lag+t]
+		}
+		ne.Add(row, y)
+	}
+	return ne
 }
 
 // designRow fills row with the VAR(lag) design row of observation t:
