@@ -20,9 +20,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -41,12 +42,22 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("livesim: ")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "livesim:", err)
+		os.Exit(1)
+	}
+}
 
+// run is the command: it parses args, runs the live scheduler and
+// prints its actions and report to stdout.
+func run(args []string, stdout, stderr io.Writer) error {
+	// The set shadows the package so registrations read flag.X, as the
+	// documented-flags check expects.
+	flag := flag.NewFlagSet("livesim", flag.ExitOnError)
+	flag.SetOutput(stderr)
 	preset := flag.String("preset", "high", "trace preset: low, high, low-spike")
 	seed := flag.Uint64("seed", 1, "trace and run seed")
-	policy := flag.String("policy", "adaptive", "policy: periodic, markov-daly, edge, threshold, adaptive")
+	policy := flag.String("policy", "adaptive", "policy: "+core.StrategyUsage())
 	bid := flag.Float64("bid", 0.81, "bid price for non-adaptive policies")
 	n := flag.Int("n", 3, "redundancy degree for non-adaptive policies")
 	workHours := flag.Float64("work", 20, "computation time C in hours")
@@ -58,13 +69,13 @@ func main() {
 	spans := flag.Int("spans", 0, "record simulated-time spans (run, guard, fallback, decisions) into a ring of this size and print them after the run (0: disabled)")
 	decisions := flag.Bool("decisions", false, "record and print the adaptive decision trail (adaptive policy only)")
 	regretK := flag.Int("regret", 0, "after the run, replay the scenario offline forcing the top-K rivals of every decision and print the regret table (adaptive policy only; 0: disabled)")
-	flag.Parse()
+	flag.Parse(args) // ExitOnError: a bad flag exits, as the global set does
 
 	if (*decisions || *regretK > 0) && *policy != "adaptive" {
-		log.Fatal("-decisions and -regret need -policy adaptive")
+		return errors.New("-decisions and -regret need -policy adaptive")
 	}
 	if *regretK > 0 && *chaos != 0 {
-		log.Fatal("-regret replays the feed offline; it cannot reproduce -chaos fault injection")
+		return errors.New("-regret replays the feed offline; it cannot reproduce -chaos fault injection")
 	}
 
 	var tracer *obs.Tracer
@@ -74,33 +85,37 @@ func main() {
 
 	set, err := tracegen.Preset(*preset, *seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	strat, err := core.NewStrategy(*policy, *bid, *n, set.NumZones())
+	if err != nil {
+		return err
+	}
+	adaptive, _ := strat.(*core.Adaptive)
+	if adaptive != nil {
+		adaptive.Eval = &core.Evaluator{Trace: tracer}
 	}
 	start := set.Start() + 5*24*trace.Hour
 	work := int64(*workHours * float64(trace.Hour))
 	deadline := int64(float64(work)*(1+*slack)) / trace.DefaultStep * trace.DefaultStep
 
-	history := rebase(set.Slice(start-2*24*trace.Hour, start), start)
-	run := rebase(set.Slice(start, start+deadline+2*trace.Hour), start)
+	history := set.Slice(start-2*24*trace.Hour, start).Rebase(start)
+	run := set.Slice(start, start+deadline+2*trace.Hour).Rebase(start)
 
 	if *serve {
 		epoch := time.Now().UTC().Truncate(time.Second)
 		srv := httptest.NewServer(spotapi.Handler(run, epoch))
 		defer srv.Close()
-		fmt.Printf("serving AWS-format history at %s/spot-price-history\n", srv.URL)
+		fmt.Fprintf(stdout, "serving AWS-format history at %s/spot-price-history\n", srv.URL)
 		client := &spotapi.Client{BaseURL: srv.URL, HTTPClient: &http.Client{Timeout: 30 * time.Second}}
 		fetched, _, err := client.Fetch(context.Background(), time.Time{}, time.Time{}, trace.DefaultStep)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("fetched %d zones × %d samples through the spotapi client\n\n", fetched.NumZones(), fetched.Series[0].Len())
+		fmt.Fprintf(stdout, "fetched %d zones × %d samples through the spotapi client\n\n", fetched.NumZones(), fetched.Series[0].Len())
 		run = fetched
 	}
 
-	strat, adaptive, err := buildStrategy(*policy, *bid, *n, run.NumZones(), tracer)
-	if err != nil {
-		log.Fatal(err)
-	}
 	var trail *decision.Collector
 	if *decisions && adaptive != nil {
 		trail = &decision.Collector{}
@@ -118,11 +133,11 @@ func main() {
 			gap = time.Second
 		}
 		scenario := faults.RandomScenario(*chaos, int64(run.Series[0].Len()), run.Zones(), 10*gap, gap/20)
-		fmt.Printf("chaos seed %d: injecting %d fault plans\n", *chaos, len(scenario.Plans))
+		fmt.Fprintf(stdout, "chaos seed %d: injecting %d fault plans\n", *chaos, len(scenario.Plans))
 		for _, p := range scenario.Plans {
-			fmt.Printf("  at sample %-4d %-9s for %d samples (zones: %v)\n", p.At, p.Kind, p.Duration, p.Zones)
+			fmt.Fprintf(stdout, "  at sample %-4d %-9s for %d samples (zones: %v)\n", p.At, p.Kind, p.Duration, p.Zones)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		feed = &faults.Injector{Inner: feed, Scenario: scenario}
 	}
 	sched, err := livesched.New(livesched.Config{
@@ -136,26 +151,26 @@ func main() {
 		WatchdogGap:         *watchdog,
 		FallbackOnFeedError: *chaos != 0,
 		Trace:               tracer,
-	}, strat, feed, livesched.LogActuator{W: os.Stdout})
+	}, strat, feed, livesched.LogActuator{W: stdout})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	res, err := sched.Run(context.Background())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ncompleted: cost $%.2f (spot $%.2f + on-demand $%.2f), finish %.2f h, deadline met: %v\n",
+	fmt.Fprintf(stdout, "\ncompleted: cost $%.2f (spot $%.2f + on-demand $%.2f), finish %.2f h, deadline met: %v\n",
 		res.Cost, res.SpotCost, res.OnDemandCost, float64(res.FinishTime)/float64(trace.Hour), res.DeadlineMet)
 	if deg := sched.Degradation(); deg != (livesched.Degradation{}) {
-		fmt.Printf("degradation: watchdog trips %d, invalid rows skipped %d, feed errors absorbed %d\n",
+		fmt.Fprintf(stdout, "degradation: watchdog trips %d, invalid rows skipped %d, feed errors absorbed %d\n",
 			deg.WatchdogTrips, deg.InvalidRows, deg.FeedErrors)
 	}
 	if tracer != nil {
-		printSpans(tracer)
+		printSpans(stdout, tracer)
 	}
 	if trail != nil {
-		printDecisions(trail.Records())
+		printDecisions(stdout, trail.Records())
 	}
 	if *regretK > 0 {
 		cfg := sim.Config{
@@ -168,22 +183,21 @@ func main() {
 			Delay:          market.DefaultDelay(),
 			Seed:           *seed,
 		}
-		if err := printRegret(cfg, *regretK); err != nil {
-			log.Fatal(err)
-		}
+		return printRegret(stdout, cfg, *regretK)
 	}
+	return nil
 }
 
 // printDecisions dumps the recorded decision trail, one line per
 // decision point.
-func printDecisions(recs []decision.Record) {
-	fmt.Printf("\ndecisions: %d recorded\n", len(recs))
+func printDecisions(w io.Writer, recs []decision.Record) {
+	fmt.Fprintf(w, "\ndecisions: %d recorded\n", len(recs))
 	for _, r := range recs {
 		mark := " "
 		if r.Switched {
 			mark = "*"
 		}
-		fmt.Printf("  [%6.2fh] %-13s %s bid=%.2f n=%d %-12s (predicted $%.2f, %d rivals)\n",
+		fmt.Fprintf(w, "  [%6.2fh] %-13s %s bid=%.2f n=%d %-12s (predicted $%.2f, %d rivals)\n",
 			float64(r.Time)/float64(trace.Hour), r.Trigger, mark,
 			r.Chosen.Bid, len(r.Chosen.Zones), r.Chosen.Policy, r.Chosen.Cost, len(r.Ranked))
 	}
@@ -193,7 +207,7 @@ func printDecisions(recs []decision.Record) {
 // and delay model as the live run — records the baseline decision
 // trail, forces the top-k rivals of every decision through the
 // simulator, and prints the realized-regret table.
-func printRegret(cfg sim.Config, topK int) error {
+func printRegret(w io.Writer, cfg sim.Config, topK int) error {
 	r := &decision.Replayer{Cfg: cfg, TopK: topK}
 	baseline, dlog, err := r.Baseline()
 	if err != nil {
@@ -203,69 +217,26 @@ func printRegret(cfg sim.Config, topK int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nregret: offline replay, top-%d rivals per decision\n\n", topK)
-	return rep.WriteTable(os.Stdout)
+	fmt.Fprintf(w, "\nregret: offline replay, top-%d rivals per decision\n\n", topK)
+	return rep.WriteTable(w)
 }
 
 // printSpans dumps the recorded span trail, oldest first, with
 // simulated-time spans rendered in hours.
-func printSpans(tracer *obs.Tracer) {
+func printSpans(w io.Writer, tracer *obs.Tracer) {
 	spans := tracer.Spans()
-	fmt.Printf("\ntrace: %d spans recorded (ring holds %d)\n", tracer.Total(), len(spans))
+	fmt.Fprintf(w, "\ntrace: %d spans recorded (ring holds %d)\n", tracer.Total(), len(spans))
 	for _, s := range spans {
 		attrs := ""
 		for _, a := range s.Attrs {
 			attrs += fmt.Sprintf(" %s=%s", a.Key, a.Value)
 		}
 		if s.Clock == obs.SimClock {
-			fmt.Printf("  [%6.2fh → %6.2fh] %-24s%s\n",
+			fmt.Fprintf(w, "  [%6.2fh → %6.2fh] %-24s%s\n",
 				float64(s.Start)/float64(trace.Hour), float64(s.End)/float64(trace.Hour), s.Name, attrs)
 		} else {
-			fmt.Printf("  [%s] %-24s%s\n",
+			fmt.Fprintf(w, "  [%s] %-24s%s\n",
 				time.Duration(s.End-s.Start).Round(time.Microsecond), s.Name, attrs)
 		}
 	}
-}
-
-// rebase clones a slice of a trace so its epoch is relative to start.
-func rebase(set *trace.Set, start int64) *trace.Set {
-	out := set.Clone()
-	for _, s := range out.Series {
-		s.Epoch -= start
-	}
-	return out
-}
-
-// buildStrategy resolves the policy flag; for "adaptive" it also
-// returns the strategy instance so callers can attach a decision sink.
-func buildStrategy(policy string, bid float64, n, zones int, tracer *obs.Tracer) (sim.Strategy, *core.Adaptive, error) {
-	if policy == "adaptive" {
-		a := core.NewAdaptive()
-		a.Eval = &core.Evaluator{Trace: tracer}
-		return a, a, nil
-	}
-	if n < 1 || n > zones {
-		return nil, nil, fmt.Errorf("n must be in 1..%d", zones)
-	}
-	zoneIdx := make([]int, n)
-	for i := range zoneIdx {
-		zoneIdx[i] = i
-	}
-	var p sim.CheckpointPolicy
-	switch policy {
-	case "periodic":
-		p = core.NewPeriodic()
-	case "markov-daly":
-		p = core.NewMarkovDaly()
-	case "edge":
-		p = core.NewEdge()
-	case "threshold":
-		p = core.NewThreshold()
-	default:
-		return nil, nil, fmt.Errorf("unknown policy %q", policy)
-	}
-	if n == 1 {
-		return core.SingleZone(p, bid, 0), nil, nil
-	}
-	return core.Redundant(p, bid, zoneIdx), nil, nil
 }

@@ -6,13 +6,14 @@
 //
 //	spotsim -preset high -policy markov-daly -bid 0.81 -n 3 -slack 0.15 -tc 300
 //	spotsim -preset low -policy adaptive -timeline
-//	spotsim -preset low-spike -policy large-bid -threshold 0.81
+//	spotsim -preset low-spike -policy large-bid:L=2.4
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math"
 	"os"
 
@@ -25,36 +26,49 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("spotsim: ")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "spotsim:", err)
+		os.Exit(1)
+	}
+}
 
+// run is the command: it parses args, runs the experiment and prints
+// its report to stdout. A missed deadline is an error after the report.
+func run(args []string, stdout, stderr io.Writer) error {
+	// The set shadows the package so registrations read flag.X, as the
+	// documented-flags check expects.
+	flag := flag.NewFlagSet("spotsim", flag.ExitOnError)
+	flag.SetOutput(stderr)
 	preset := flag.String("preset", "low", "trace preset: low, high, low-spike")
 	seed := flag.Uint64("seed", 1, "trace and run seed")
-	policy := flag.String("policy", "periodic", "policy: periodic, markov-daly, edge, threshold, changepoint, large-bid, adaptive, on-demand")
-	bid := flag.Float64("bid", 0.81, "bid price in $/h (large-bid uses $100 automatically)")
+	policy := flag.String("policy", "periodic", "policy: "+core.StrategyUsage())
+	bid := flag.Float64("bid", 0.81, "bid price in $/h")
 	n := flag.Int("n", 1, "number of redundant zones (1-3)")
-	threshold := flag.Float64("threshold", 0.81, "large-bid cost-control threshold L (0 = naive)")
 	workHours := flag.Float64("work", 20, "uninterrupted computation time C in hours")
 	slack := flag.Float64("slack", 0.15, "slack fraction of C (deadline = C*(1+slack))")
 	tc := flag.Int64("tc", 300, "checkpoint (and restart) cost in seconds")
 	appName := flag.String("app", "", "derive checkpoint/restart costs from an application profile (e.g. nas-ft-d-128); overrides -tc")
 	day := flag.Int("day", 5, "start day of the experiment window within the month trace")
 	timeline := flag.Bool("timeline", false, "print the detailed event timeline")
-	flag.Parse()
+	flag.Parse(args) // ExitOnError: a bad flag exits, as the global set does
 
 	set, err := tracegen.Preset(*preset, *seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	strat, err := core.NewStrategy(*policy, *bid, *n, set.NumZones())
+	if err != nil {
+		return err
 	}
 	start := set.Start() + int64(*day)*24*trace.Hour
 	if start-2*24*trace.Hour < set.Start() {
-		log.Fatalf("day %d leaves no room for the 2-day model history", *day)
+		return fmt.Errorf("day %d leaves no room for the 2-day model history", *day)
 	}
 	work := int64(*workHours * float64(trace.Hour))
 	deadline := int64(float64(work) * (1 + *slack))
 	runEnd := start + deadline + 2*trace.Hour
 	if runEnd > set.End() {
-		log.Fatalf("window exceeds the trace; pick an earlier -day")
+		return errors.New("window exceeds the trace; pick an earlier -day")
 	}
 
 	ckptCost, restartCost := *tc, *tc
@@ -62,14 +76,14 @@ func main() {
 	if *appName != "" {
 		profile, err := app.Lookup(*appName)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		ckptCost, restartCost, err = app.Costs(profile, app.DefaultIOServer())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		iteration = int64(profile.IterationSeconds)
-		fmt.Printf("application %s: %d tasks × %.0f MB → checkpoint %d s, restart %d s, iteration %d s\n\n",
+		fmt.Fprintf(stdout, "application %s: %d tasks × %.0f MB → checkpoint %d s, restart %d s, iteration %d s\n\n",
 			profile.Name, profile.Tasks, profile.StatePerTaskMB, ckptCost, restartCost, iteration)
 	}
 
@@ -84,75 +98,30 @@ func main() {
 		Seed:             *seed,
 		RecordTimeline:   *timeline,
 	}
-
-	strat, err := buildStrategy(*policy, *bid, *n, *threshold, set.NumZones())
-	if err != nil {
-		log.Fatal(err)
-	}
 	res, err := sim.Run(cfg, strat)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	printResult(cfg, res, start)
+	printResult(stdout, cfg, res, start)
+	if !res.DeadlineMet {
+		return errors.New("deadline missed")
+	}
+	return nil
 }
 
-func buildStrategy(policy string, bid float64, n int, threshold float64, zones int) (sim.Strategy, error) {
-	if n < 1 || n > zones {
-		return nil, fmt.Errorf("n must be in 1..%d", zones)
-	}
-	zoneIdx := make([]int, n)
-	for i := range zoneIdx {
-		zoneIdx[i] = i
-	}
-	switch policy {
-	case "periodic", "markov-daly", "edge", "threshold", "changepoint":
-		var p sim.CheckpointPolicy
-		switch policy {
-		case "periodic":
-			p = core.NewPeriodic()
-		case "markov-daly":
-			p = core.NewMarkovDaly()
-		case "edge":
-			p = core.NewEdge()
-		case "threshold":
-			p = core.NewThreshold()
-		case "changepoint":
-			p = core.NewChangepoint()
-		}
-		if n == 1 {
-			return core.SingleZone(p, bid, 0), nil
-		}
-		return core.Redundant(p, bid, zoneIdx), nil
-	case "large-bid":
-		l := threshold
-		if l <= 0 {
-			l = math.Inf(1)
-		}
-		return core.NewStatic("large-bid", sim.RunSpec{
-			Bid: core.LargeBidAmount, Zones: []int{0}, Policy: core.NewLargeBid(l),
-		}), nil
-	case "adaptive":
-		return core.NewAdaptive(), nil
-	case "on-demand":
-		return core.NewOnDemandOnly(), nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", policy)
-	}
-}
-
-func printResult(cfg sim.Config, res *sim.Result, start int64) {
+func printResult(w io.Writer, cfg sim.Config, res *sim.Result, start int64) {
 	hours := func(t int64) float64 { return float64(t-start) / float64(trace.Hour) }
-	fmt.Printf("strategy:          %s (%s)\n", res.Strategy, res.Policy)
-	fmt.Printf("completed:         %v (deadline met: %v)\n", res.Completed, res.DeadlineMet)
-	fmt.Printf("finish:            %.2f h (deadline %.2f h)\n", hours(res.FinishTime), float64(cfg.Deadline)/float64(trace.Hour))
-	fmt.Printf("total cost:        $%.2f (spot $%.2f + on-demand $%.2f)\n", res.Cost, res.SpotCost, res.OnDemandCost)
-	fmt.Printf("on-demand ref:     $%.2f\n", math.Ceil(float64(cfg.Work)/float64(trace.Hour))*market.OnDemandRate)
-	fmt.Printf("checkpoints:       %d (+%d aborted), restarts: %d\n", res.Checkpoints, res.AbortedCheckpoints, res.Restarts)
-	fmt.Printf("time attribution:  %.1f h rework lost to terminations, %.1f h checkpoint/restore overhead\n",
+	fmt.Fprintf(w, "strategy:          %s (%s)\n", res.Strategy, res.Policy)
+	fmt.Fprintf(w, "completed:         %v (deadline met: %v)\n", res.Completed, res.DeadlineMet)
+	fmt.Fprintf(w, "finish:            %.2f h (deadline %.2f h)\n", hours(res.FinishTime), float64(cfg.Deadline)/float64(trace.Hour))
+	fmt.Fprintf(w, "total cost:        $%.2f (spot $%.2f + on-demand $%.2f)\n", res.Cost, res.SpotCost, res.OnDemandCost)
+	fmt.Fprintf(w, "on-demand ref:     $%.2f\n", math.Ceil(float64(cfg.Work)/float64(trace.Hour))*market.OnDemandRate)
+	fmt.Fprintf(w, "checkpoints:       %d (+%d aborted), restarts: %d\n", res.Checkpoints, res.AbortedCheckpoints, res.Restarts)
+	fmt.Fprintf(w, "time attribution:  %.1f h rework lost to terminations, %.1f h checkpoint/restore overhead\n",
 		float64(res.ReworkSeconds)/float64(trace.Hour), float64(res.OverheadSeconds)/float64(trace.Hour))
-	fmt.Printf("terminations:      %d by provider, %d by user; spec switches: %d\n", res.ProviderKills, res.UserReleases, res.SpecSwitches)
-	fmt.Printf("switched to OD:    %v\n", res.SwitchedOnDemand)
-	fmt.Println("\nledger:")
+	fmt.Fprintf(w, "terminations:      %d by provider, %d by user; spec switches: %d\n", res.ProviderKills, res.UserReleases, res.SpecSwitches)
+	fmt.Fprintf(w, "switched to OD:    %v\n", res.SwitchedOnDemand)
+	fmt.Fprintln(w, "\nledger:")
 	for _, e := range res.Ledger.Entries {
 		kind := "spot"
 		if e.OnDemand {
@@ -162,10 +131,10 @@ func printResult(cfg sim.Config, res *sim.Result, start int64) {
 		if e.Partial {
 			partial = " (partial hour, charged in full)"
 		}
-		fmt.Printf("  %6.2f h  %-10s %-12s $%.2f%s\n", hours(e.HourStart), kind, e.Zone, e.Rate, partial)
+		fmt.Fprintf(w, "  %6.2f h  %-10s %-12s $%.2f%s\n", hours(e.HourStart), kind, e.Zone, e.Rate, partial)
 	}
 	if len(res.Timeline) > 0 {
-		fmt.Println("\ntimeline:")
+		fmt.Fprintln(w, "\ntimeline:")
 		for _, ev := range res.Timeline {
 			zone := ""
 			if ev.Zone >= 0 {
@@ -175,10 +144,7 @@ func printResult(cfg sim.Config, res *sim.Result, start int64) {
 			if ev.Detail != "" {
 				detail = " " + ev.Detail
 			}
-			fmt.Printf("  %6.2f h  %-18s%s%s\n", hours(ev.Time), ev.Kind, zone, detail)
+			fmt.Fprintf(w, "  %6.2f h  %-18s%s%s\n", hours(ev.Time), ev.Kind, zone, detail)
 		}
-	}
-	if !res.DeadlineMet {
-		os.Exit(1)
 	}
 }

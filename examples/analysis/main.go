@@ -26,14 +26,8 @@ func main() {
 	archive := &replay.Archive{Meta: map[string]string{"regime": "high", "slack": "15%"}}
 	const slack, tc, bid = 0.15, 300, 0.81
 	for _, n := range []int{1, 3} {
-		zones := make([]int, n)
-		for i := range zones {
-			zones[i] = i
-		}
 		for _, w := range s.ExperimentWindows(experiment.RegimeHigh, slack) {
-			strat := core.NewStatic("markov-daly", sim.RunSpec{
-				Bid: bid, Zones: zones, Policy: core.NewMarkovDaly(),
-			})
+			strat := core.PolicySpec{Family: core.FamilyMarkovDaly}.Static(bid, n)
 			res, err := sim.Run(s.Config(w, slack, tc), strat)
 			if err != nil {
 				log.Fatal(err)

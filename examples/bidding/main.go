@@ -24,18 +24,15 @@ func main() {
 	const work = 20 * trace.Hour
 	const deadline = 30 * trace.Hour // 50% slack
 
-	policies := map[string]func() sim.CheckpointPolicy{
-		"periodic":    func() sim.CheckpointPolicy { return core.NewPeriodic() },
-		"markov-daly": func() sim.CheckpointPolicy { return core.NewMarkovDaly() },
-	}
+	policies := []core.PolicySpec{{Family: core.FamilyPeriodic}, {Family: core.FamilyMarkovDaly}}
 
 	fmt.Println("median cost over 8 windows vs bid (single zone, volatile market, 50% slack)")
 	fmt.Println()
-	fmt.Printf("%6s  %-12s %-12s\n", "bid", "periodic", "markov-daly")
+	fmt.Printf("%6s  %-12s %-12s\n", "bid", policies[0], policies[1])
 
 	for _, bid := range core.BidGrid() {
-		medians := map[string]float64{}
-		for name, newPolicy := range policies {
+		medians := make([]float64, len(policies))
+		for pi, pol := range policies {
 			var costs []float64
 			for day := 3; day <= 24; day += 3 {
 				start := market.Start() + int64(day)*24*trace.Hour
@@ -48,16 +45,16 @@ func main() {
 					RestartCost:    300,
 					Seed:           uint64(day),
 				}
-				res, err := sim.Run(cfg, core.SingleZone(newPolicy(), bid, 0))
+				res, err := sim.Run(cfg, pol.Static(bid, 1))
 				if err != nil {
 					log.Fatal(err)
 				}
 				costs = append(costs, res.Cost)
 			}
-			medians[name] = stats.Quantile(costs, 0.5)
+			medians[pi] = stats.Quantile(costs, 0.5)
 		}
-		bar := strings.Repeat("#", int(medians["markov-daly"]/1.2))
-		fmt.Printf("%6.2f  $%-11.2f $%-11.2f %s\n", bid, medians["periodic"], medians["markov-daly"], bar)
+		bar := strings.Repeat("#", int(medians[1]/1.2))
+		fmt.Printf("%6.2f  $%-11.2f $%-11.2f %s\n", bid, medians[0], medians[1], bar)
 	}
 	fmt.Println()
 	fmt.Println("(bars: markov-daly median; $48.00 would be the pure on-demand cost)")

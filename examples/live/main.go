@@ -27,15 +27,8 @@ func main() {
 
 	// Rebase the window so the feed starts at time zero, as a live
 	// subscription would.
-	rebase := func(s *trace.Set) *trace.Set {
-		out := s.Clone()
-		for _, series := range out.Series {
-			series.Epoch -= start
-		}
-		return out
-	}
-	history := rebase(set.Slice(start-2*24*trace.Hour, start))
-	feedData := rebase(set.Slice(start, start+12*trace.Hour))
+	history := set.Slice(start-2*24*trace.Hour, start).Rebase(start)
+	feedData := set.Slice(start, start+12*trace.Hour).Rebase(start)
 
 	sched, err := livesched.New(livesched.Config{
 		Work:           8 * trace.Hour,

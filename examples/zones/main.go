@@ -36,10 +36,6 @@ func main() {
 	fmt.Printf("\n20 h job, deadline 23 h, markov-daly at bid $%.2f:\n\n", bid)
 	fmt.Printf("%-4s %-10s %-12s %-10s %-8s\n", "N", "cost", "on-demand?", "restarts", "kills")
 	for n := 1; n <= 3; n++ {
-		zones := make([]int, n)
-		for i := range zones {
-			zones[i] = i
-		}
 		cfg := sim.Config{
 			Trace:          market.Slice(start, start+25*trace.Hour),
 			History:        market.Slice(start-2*24*trace.Hour, start),
@@ -49,7 +45,7 @@ func main() {
 			RestartCost:    300,
 			Seed:           5,
 		}
-		res, err := sim.Run(cfg, core.Redundant(core.NewMarkovDaly(), bid, zones))
+		res, err := sim.Run(cfg, core.PolicySpec{Family: core.FamilyMarkovDaly}.Static(bid, n))
 		if err != nil {
 			log.Fatal(err)
 		}

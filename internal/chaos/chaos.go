@@ -268,44 +268,22 @@ func window(cfg Config, seed uint64) (history, run *trace.Set, err error) {
 	work := int64(cfg.WorkHours * float64(trace.Hour))
 	deadline := int64(float64(work) * (1 + cfg.SlackFrac))
 	start := set.Start() + 5*24*trace.Hour
-	history = rebase(set.Slice(start-2*24*trace.Hour, start), start)
-	run = rebase(set.Slice(start, start+deadline+4*trace.Hour), start)
+	history = set.Slice(start-2*24*trace.Hour, start).Rebase(start)
+	run = set.Slice(start, start+deadline+4*trace.Hour).Rebase(start)
 	return history, run, nil
-}
-
-// rebase clones a slice of a trace so its epoch is relative to start.
-func rebase(set *trace.Set, start int64) *trace.Set {
-	out := set.Clone()
-	for _, s := range out.Series {
-		s.Epoch -= start
-	}
-	return out
 }
 
 // strategy derives the run's scheduling strategy from the seed so the
 // soak sweeps the policy space: single-zone and redundant variants of
 // every checkpoint policy family.
 func strategy(seed uint64, zones int) (sim.Strategy, string) {
-	policies := []func() sim.CheckpointPolicy{
-		func() sim.CheckpointPolicy { return core.NewPeriodic() },
-		func() sim.CheckpointPolicy { return core.NewMarkovDaly() },
-		func() sim.CheckpointPolicy { return core.NewEdge() },
-		func() sim.CheckpointPolicy { return core.NewThreshold() },
-	}
-	p := policies[seed%uint64(len(policies))]()
-	n := int(seed/uint64(len(policies)))%3 + 1
-	if n > zones {
-		n = zones
-	}
-	const bid = 0.81 // the paper's reference bid for cc2.8xlarge
+	pol := core.PolicySpec{Family: core.PolicyFamily(seed % 4)} // Periodic, Markov-Daly, Edge, Threshold
+	n := min(int(seed/4)%3+1, zones)
+	label := fmt.Sprintf("redundant%d/%s", n, pol)
 	if n == 1 {
-		return core.SingleZone(p, bid, 0), "single/" + p.Name()
+		label = "single/" + pol.String()
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return core.Redundant(p, bid, idx), fmt.Sprintf("redundant%d/%s", n, p.Name())
+	return pol.Static(0.81, n), label // the paper's reference bid for cc2.8xlarge
 }
 
 // digest fingerprints a result: every externally meaningful field plus

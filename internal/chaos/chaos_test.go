@@ -2,6 +2,9 @@ package chaos
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +14,8 @@ import (
 // soak across 20 seeded fault plans where every run meets the deadline
 // or provably engages the fallback, with no goroutine leaks and
 // byte-identical results per seed (Soak replays every seed twice and
-// fails on divergence).
+// fails on divergence), each seed's strategy and digest pinned by
+// testdata/soak_seed1.golden.
 func TestSoakTwentyScenarios(t *testing.T) {
 	rep, err := Soak(context.Background(), Config{Seed: 1, Runs: 20})
 	if err != nil {
@@ -30,6 +34,17 @@ func TestSoakTwentyScenarios(t *testing.T) {
 		if r.Digest == "" {
 			t.Fatalf("seed %d has no digest", r.Seed)
 		}
+	}
+	var got strings.Builder
+	for _, r := range rep.Runs {
+		fmt.Fprintf(&got, "%d %s %s\n", r.Seed, r.Strategy, r.Digest)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "soak_seed1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("per-seed strategies and digests drifted from testdata/soak_seed1.golden:\ngot:\n%swant:\n%s", got.String(), want)
 	}
 	// The seeded scenario space must actually exercise the degraded
 	// paths, not just clean runs that happen to pass.

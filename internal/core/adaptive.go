@@ -11,24 +11,12 @@ import (
 	"repro/internal/trace"
 )
 
-// PolicyFactory builds a fresh checkpoint policy instance. Adaptive
-// candidates need fresh instances because policies hold run state.
-type PolicyFactory struct {
-	// Kind names the policy family ("periodic", "markov-daly").
-	Kind string
-	// New constructs an instance.
-	New func() sim.CheckpointPolicy
-}
-
 // DefaultAdaptiveCandidates returns the policy families the Adaptive
 // scheme chooses among. Edge and Threshold are excluded, as the paper
 // drops them after §6 for their high recovery costs; Large-bid is
 // excluded because it has no cost bound (§7.2.2).
-func DefaultAdaptiveCandidates() []PolicyFactory {
-	return []PolicyFactory{
-		{Kind: "periodic", New: func() sim.CheckpointPolicy { return NewPeriodic() }},
-		{Kind: "markov-daly", New: func() sim.CheckpointPolicy { return NewMarkovDaly() }},
-	}
+func DefaultAdaptiveCandidates() []PolicySpec {
+	return []PolicySpec{{Family: FamilyPeriodic}, {Family: FamilyMarkovDaly}}
 }
 
 // Adaptive is the paper's §7 scheme: at each decision point (a zone
@@ -45,13 +33,13 @@ type Adaptive struct {
 	Bids []float64
 	// MaxZones bounds the redundancy degree N; 0 selects 3.
 	MaxZones int
-	// Candidates are the policy families; nil selects the defaults.
-	// Every factory must build a *Periodic or a *MarkovDaly, the
-	// families the batched engine replays; it panics on any other
-	// policy type. Decision records name the winning factory by Kind,
-	// so Kinds should be distinct (the decision replayer refuses
+	// Candidates are the policies chosen among; nil selects the
+	// defaults. Each must be of the Periodic or Markov-Daly family, the
+	// families the batched engine replays; it panics on any other.
+	// Decision records name the winner by its descriptor's String, so
+	// candidates should be distinct (the decision replayer refuses
 	// duplicates).
-	Candidates []PolicyFactory
+	Candidates []PolicySpec
 	// EstimationWindow is how much trailing history each permutation is
 	// simulated over; 0 selects 12 hours.
 	EstimationWindow int64
@@ -85,15 +73,12 @@ type Adaptive struct {
 	Script *Script
 
 	chosen sim.RunSpec
-	// chosenNew builds a fresh instance of chosen's policy with the
-	// same parameters, so churn damping prices the incumbent, in the
-	// decision's own sweep, as it actually runs; chosenKind is the Kind
-	// of the factory it came from, which a kept incumbent's decision
-	// record names.
-	chosenNew  func() sim.CheckpointPolicy
-	chosenKind string
-	decSeq     int // decisions made this run
-	pinned     int // Script.Choices consumed this run
+	// chosenPol describes chosen's policy, so churn damping prices a
+	// fresh instance of the incumbent, in the decision's own sweep, as
+	// it actually runs, and a kept incumbent's decision record names it.
+	chosenPol PolicySpec
+	decSeq    int // decisions made this run
+	pinned    int // Script.Choices consumed this run
 
 	// run is this run's token, which names its resident window in the
 	// shared sweep scratch (scratch.go); grid is its permutation grid,
@@ -113,14 +98,14 @@ func (a *Adaptive) Name() string { return "adaptive" }
 // initial permutation.
 func (a *Adaptive) Begin(env *sim.Env) sim.RunSpec {
 	a.decSeq, a.pinned = 0, 0
-	a.chosen, a.chosenNew, a.chosenKind = sim.RunSpec{}, nil, ""
+	a.chosen, a.chosenPol = sim.RunSpec{}, PolicySpec{}
 	a.run, a.grid = runSeq.Add(1), nil
 	if a.Script != nil {
 		if spec, _, ok := a.replay(env, TriggerBegin); ok {
 			return spec
 		}
 	}
-	a.chosen, a.chosenNew, a.chosenKind = a.pick(env, TriggerBegin)
+	a.chosen, a.chosenPol = a.pick(env, TriggerBegin)
 	return a.chosen
 }
 
@@ -135,11 +120,11 @@ func (a *Adaptive) Reconsider(env *sim.Env, events []sim.Event) (sim.RunSpec, bo
 			return spec, switched
 		}
 	}
-	spec, fresh, kind := a.pick(env, trigger)
+	spec, pol := a.pick(env, trigger)
 	if spec.Equal(a.chosen) {
 		return sim.RunSpec{}, false
 	}
-	a.chosen, a.chosenNew, a.chosenKind = spec, fresh, kind
+	a.chosen, a.chosenPol = spec, pol
 	return spec, true
 }
 
@@ -248,21 +233,18 @@ func onDemandCost(work, odRate float64) float64 {
 	return hours * odRate
 }
 
-// fallbackKind is the Kind of the policy a decision falls back to when
-// the grid is empty: single-zone Periodic at the median bid.
-const fallbackKind = "periodic"
-
-// newFallback builds the fallback policy.
-func newFallback() sim.CheckpointPolicy { return NewPeriodic() }
+// fallbackPolicy is the policy a decision falls back to when the grid
+// is empty: single-zone Periodic at the median bid.
+var fallbackPolicy = PolicySpec{Family: FamilyPeriodic}
 
 // pick prices Rank's permutation grid over the trailing estimation
 // window — with a fresh instance of the incumbent, when there is one,
-// in the same sweep — and returns the selected spec, the constructor of
-// its policy and the Kind of the factory that built it. The window is
-// the run's resident one, slid to env.Now in a pooled sweep scratch. It
-// traces the decision and, when a Sink is attached, records it with the
-// whole ranked grid on the same adaptive.decision span path.
-func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, func() sim.CheckpointPolicy, string) {
+// in the same sweep — and returns the selected spec and its policy's
+// descriptor. The window is the run's resident one, slid to env.Now in
+// a pooled sweep scratch. It traces the decision and, when a Sink is
+// attached, records it with the whole ranked grid on the same
+// adaptive.decision span path.
+func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, PolicySpec) {
 	ev := a.evaluator()
 	span := ev.Trace.Start("adaptive.decision")
 	sc := takeScratch()
@@ -279,10 +261,10 @@ func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, func() sim.C
 	}
 	var incumbent *sim.RunSpec
 	if len(a.chosen.Zones) > 0 {
-		incumbent = &sim.RunSpec{Bid: a.chosen.Bid, Zones: a.chosen.Zones, Policy: a.chosenNew()}
+		incumbent = &sim.RunSpec{Bid: a.chosen.Bid, Zones: a.chosen.Zones, Policy: a.chosenPol.New()}
 	}
 	slots, ests := sc.estimateSlots(ev, a.grid, incumbent)
-	spec, fresh, kind, cost := a.choose(&req, env.Step, a.grid.bids, a.grid.cands, slots, ests)
+	spec, pol, cost := a.choose(&req, env.Step, a.grid.bids, a.grid.cands, slots, ests)
 	if a.Sink != nil {
 		plans := scorePlans(&req, env.Step, market.OnDemandRate, slots, ests)
 		a.Sink.RecordDecision(DecisionPoint{
@@ -290,7 +272,7 @@ func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, func() sim.C
 			Time:     env.Now,
 			Trigger:  trigger,
 			Switched: !spec.Equal(a.chosen), // as Reconsider will compare
-			Chosen:   DecisionAlt{Bid: spec.Bid, Zones: spec.Zones, Policy: kind, Cost: sanitizeCost(cost)},
+			Chosen:   DecisionAlt{Bid: spec.Bid, Zones: spec.Zones, Policy: pol.String(), Cost: sanitizeCost(cost)},
 			Ranked:   rankedAlts(req.History, plans),
 		})
 	}
@@ -299,19 +281,19 @@ func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, func() sim.C
 		span.SetAttr("trigger", trigger)
 		span.SetAttr("bid", strconv.FormatFloat(spec.Bid, 'g', -1, 64))
 		span.SetAttr("zones", strconv.Itoa(len(spec.Zones)))
-		span.SetAttr("policy", kind)
+		span.SetAttr("policy", pol.String())
 		span.SetAttr("batched", strconv.FormatBool(!ev.DisableBatch))
 	}
 	span.End()
-	return spec, fresh, kind
+	return spec, pol
 }
 
 // choose is pick's selection over the priced slots; ests holds one
 // estimate per slot, then the incumbent's when there is one. It returns
-// the selected spec, its policy constructor and factory Kind, and the
-// predicted cost the selection compared for it (the incumbent's
+// the selected spec, its policy's descriptor and the predicted cost the
+// selection compared for it (the incumbent's
 // re-priced cost when churn damping kept it).
-func (a *Adaptive) choose(req *PlanRequest, step int64, bids []float64, cands []PolicyFactory, slots []rankSlot, ests []estimate) (sim.RunSpec, func() sim.CheckpointPolicy, string, float64) {
+func (a *Adaptive) choose(req *PlanRequest, step int64, bids []float64, cands []PolicySpec, slots []rankSlot, ests []estimate) (sim.RunSpec, PolicySpec, float64) {
 	migration := req.CheckpointCost + req.RestartCost + step
 	costs := make([]float64, len(slots))
 	minCost := math.Inf(1)
@@ -337,57 +319,42 @@ func (a *Adaptive) choose(req *PlanRequest, step int64, bids []float64, cands []
 	}
 	if best < 0 {
 		zone := zonesByHistPrice(req.History)[0]
-		return sim.RunSpec{Bid: bids[len(bids)/2], Zones: []int{zone}, Policy: newFallback()}, newFallback, fallbackKind, math.Inf(1)
+		return sim.RunSpec{Bid: bids[len(bids)/2], Zones: []int{zone}, Policy: fallbackPolicy.New()}, fallbackPolicy, math.Inf(1)
 	}
 	// Keep the current configuration when it predicts within a hair of
 	// the best, avoiding churn from estimation noise.
 	if len(a.chosen.Zones) > 0 {
 		cur := predictCostAt(ests[len(slots)], req.Work, req.Deadline, migration, market.OnDemandRate)
 		if cur <= costs[best]*(1+a.churn()) {
-			return a.chosen, a.chosenNew, a.chosenKind, cur
+			return a.chosen, a.chosenPol, cur
 		}
 	}
-	// Build the winner's instance from its own factory, so a profile
+	// Build the winner's instance from its own descriptor, so a profile
 	// shares its parameters with no other.
 	sl := &slots[best]
-	fresh := cands[sl.fac].New
-	return sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: fresh()}, fresh, sl.kind, costs[best]
-}
-
-// ScriptChoice pins one recorded decision for replay: the absolute
-// simulation time the decision fired (replay matches decisions to
-// Reconsider calls by time, so gated non-decisions stay gated), whether
-// the original decision switched the running spec, and the chosen
-// permutation's values. It is the minimal, policy-instance-free form of
-// a DecisionPoint's outcome.
-type ScriptChoice struct {
-	// Time is the absolute simulation time of the decision.
-	Time int64
-	// Switched reports whether the decision changed the running spec.
-	Switched bool
-	// Bid, Zones and Policy are the chosen permutation's values; Policy
-	// is the Kind of the candidate factory that built it, never an
-	// instance's name.
-	Bid    float64
-	Zones  []int
-	Policy string
+	pol := cands[sl.fac]
+	return sim.RunSpec{Bid: sl.bid, Zones: sl.zones, Policy: pol.New()}, pol, costs[best]
 }
 
 // Script is what an Adaptive replays in place of pricing: decision i
-// takes Choices[i], Switched flag included, until decision ForceAt,
-// which takes Force; every decision after ForceAt, or past Choices, is
-// made live. Pinning a whole recorded log reproduces its run
+// takes Choices[i]'s Chosen bid, zones and policy, Switched flag
+// included, until decision ForceAt, which takes Force; every decision
+// after ForceAt, or past Choices, is made live. A choice is matched to
+// its Reconsider call by Time, so gated non-decisions stay gated; its
+// Chosen.Policy names a candidate's descriptor, never an instance's
+// name. Pinning a whole recorded log reproduces its run
 // bit-identically, and a pinned or forced decision prices nothing.
 type Script struct {
-	// Choices are the recorded decisions to pin, in sequence order.
-	Choices []ScriptChoice
+	// Choices are the recorded decisions to pin, in sequence order;
+	// their costs and ranked rivals are ignored.
+	Choices []DecisionPoint
 	// ForceAt is the decision sequence number that takes Force;
 	// negative pins Choices and forces nothing.
 	ForceAt int
-	// Force is the alternative decision ForceAt takes (Bid, Zones and
-	// Policy; Time and Switched are ignored). It switches the running
-	// spec iff its bid, zone set or Kind differ from the incumbent's.
-	Force ScriptChoice
+	// Force is the alternative decision ForceAt takes (its Cost is
+	// ignored). It switches the running spec iff its bid, zone set or
+	// policy differ from the incumbent's.
+	Force DecisionAlt
 }
 
 // replay makes decision a.decSeq from the script and reports ok, or
@@ -401,27 +368,28 @@ func (a *Adaptive) replay(env *sim.Env, trigger string) (sim.RunSpec, bool, bool
 		return sim.RunSpec{}, false, false
 	}
 	pinned := a.pinned < len(s.Choices)
-	var alt ScriptChoice
+	var alt DecisionAlt
+	var switched bool
 	if pinned {
-		alt = s.Choices[a.pinned]
-		if seq > 0 && alt.Time != env.Now {
+		c := &s.Choices[a.pinned]
+		if seq > 0 && c.Time != env.Now {
 			return sim.RunSpec{}, false, true
 		}
 		a.pinned++
+		alt, switched = c.Chosen, c.Switched
 	}
-	switched := alt.Switched
 	if seq == s.ForceAt {
 		alt = s.Force
-		switched = alt.Bid != a.chosen.Bid || alt.Policy != a.chosenKind || !slices.Equal(alt.Zones, a.chosen.Zones)
+		switched = alt.Bid != a.chosen.Bid || alt.Policy != a.chosenPol.String() || !slices.Equal(alt.Zones, a.chosen.Zones)
 	} else if !pinned {
 		return sim.RunSpec{}, false, false
 	}
 	a.decSeq++
 	switched = switched || seq == 0
 	if switched {
-		fresh := a.factory(alt.Policy)
-		a.chosen = sim.RunSpec{Bid: alt.Bid, Zones: append([]int(nil), alt.Zones...), Policy: fresh()}
-		a.chosenNew, a.chosenKind = fresh, alt.Policy
+		pol, _ := resolveCandidate(a.Candidates, alt.Policy)
+		a.chosen = sim.RunSpec{Bid: alt.Bid, Zones: append([]int(nil), alt.Zones...), Policy: pol.New()}
+		a.chosenPol = pol
 	}
 	if a.Sink != nil {
 		a.Sink.RecordDecision(DecisionPoint{
@@ -438,34 +406,39 @@ func (a *Adaptive) replay(env *sim.Env, trigger string) (sim.RunSpec, bool, bool
 	return a.chosen, true, true
 }
 
-// factory returns the constructor of the candidate of the given Kind;
-// a Kind no candidate names gets the empty grid's fallback, Periodic
-// (CheckScript refuses any other).
-func (a *Adaptive) factory(kind string) func() sim.CheckpointPolicy {
-	_, _, cands := resolveGrid(nil, 0, 0, a.Candidates)
-	for _, fac := range cands {
-		if fac.Kind == kind {
-			return fac.New
-		}
+// resolveCandidate returns the candidate of cands (nil selects
+// DefaultAdaptiveCandidates) a decision record names, or the empty
+// grid's fallback, and whether the name is either; any other name
+// resolves to the fallback, Periodic (CheckScript refuses it).
+func resolveCandidate(cands []PolicySpec, name string) (PolicySpec, bool) {
+	_, _, cands = resolveGrid(nil, 0, 0, cands)
+	if i := slices.IndexFunc(cands, func(c PolicySpec) bool { return c.String() == name }); i >= 0 {
+		return cands[i], true
 	}
-	return newFallback
+	return fallbackPolicy, name == fallbackPolicy.String()
 }
 
 // CheckScript reports why an Adaptive over cands (nil selects
-// DefaultAdaptiveCandidates) cannot replay choices: a candidate list
-// Rank would refuse — two factories of one Kind among them, which no
-// decision record can tell apart — or a choice naming a Kind that
-// neither a candidate nor the empty grid's Periodic fallback has.
-func CheckScript(cands []PolicyFactory, choices ...ScriptChoice) error {
-	if err := checkCandidates(cands); err != nil {
+// DefaultAdaptiveCandidates) cannot replay s (nil checks cands alone):
+// a candidate list Rank would refuse — two descriptors that print the
+// same, which no decision record can tell apart — or a choice or force
+// naming a policy that neither a candidate nor the empty grid's
+// Periodic fallback is.
+func CheckScript(cands []PolicySpec, s *Script) error {
+	if err := checkCandidates(cands); err != nil || s == nil {
 		return err
 	}
-	_, _, cands = resolveGrid(nil, 0, 0, cands)
-	for _, c := range choices {
-		if c.Policy == fallbackKind || slices.ContainsFunc(cands, func(fac PolicyFactory) bool { return fac.Kind == c.Policy }) {
-			continue
+	var alts []DecisionAlt
+	for _, c := range s.Choices {
+		alts = append(alts, c.Chosen)
+	}
+	if s.ForceAt >= 0 {
+		alts = append(alts, s.Force)
+	}
+	for _, c := range alts {
+		if _, ok := resolveCandidate(cands, c.Policy); !ok {
+			return fmt.Errorf("core: choice names policy kind %q, which no candidate has", c.Policy)
 		}
-		return fmt.Errorf("core: choice at time %d names policy kind %q, which no candidate has", c.Time, c.Policy)
 	}
 	return nil
 }

@@ -15,9 +15,7 @@ func TestAdaptiveCustomKnobs(t *testing.T) {
 	a.Bids = []float64{0.47, 0.87}
 	a.MaxZones = 2
 	a.EstimationWindow = 6 * trace.Hour
-	a.Candidates = []PolicyFactory{
-		{Kind: "periodic", New: func() sim.CheckpointPolicy { return NewPeriodic() }},
-	}
+	a.Candidates = []PolicySpec{{Family: FamilyPeriodic}}
 	res, err := sim.Run(cfg, a)
 	if err != nil {
 		t.Fatal(err)

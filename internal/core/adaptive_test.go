@@ -251,99 +251,109 @@ type decisionFunc func(DecisionPoint)
 func (f decisionFunc) RecordDecision(p DecisionPoint) { f(p) }
 
 // TestAdaptiveKeepsProfileParameters runs Adaptive over Periodic and
-// two Markov-Daly factories of distinct kinds that differ only in their
-// history span; on this trace each of them wins some decision. Every
-// decision record's Chosen.Policy must name the factory that built the
-// policy instance the decision installed or kept — never merely the
-// instance's Name(), which both Markov-Daly profiles share — and churn
-// damping must re-price the incumbent with a fresh instance from the
-// incumbent's own factory. Per-factory instance counts pin the latter:
-// a run builds one measurement instance per factory, at its first
-// decision (the batched engine reads only its parameters), and a
-// decision one re-pricing instance of the incumbent's and one instance
-// of the winner it installs.
+// two Markov-Daly descriptors that differ only in their history span;
+// on this trace each of them wins some decision. Every decision
+// record's Chosen.Policy must name the descriptor of the policy
+// instance the decision installed or kept — never merely the
+// instance's Name(), which both Markov-Daly profiles share — and that
+// instance must carry the descriptor's parameters. Instance identities
+// pin what a run builds: its grid and one measurement instance per
+// candidate at its first decision (the batched engine reads only their
+// parameters), kept by every later decision, and one fresh instance of
+// each winner it installs, which a kept incumbent keeps running.
 func TestAdaptiveKeepsProfileParameters(t *testing.T) {
-	spans := []int64{0, trace.Hour, 30 * 60} // 0 marks the Periodic factory
-	kinds := []string{"periodic", "markov-daly-1h", "markov-daly-30m"}
-	made := make([]int, len(spans))
-	builtBy := map[sim.CheckpointPolicy]int{}
+	spans := []int64{0, trace.Hour, 30 * 60} // 0 marks the Periodic candidate
 	a := &Adaptive{
 		Bids:             []float64{0.47, 0.81, 1.67},
 		MaxZones:         2,
 		EstimationWindow: 6 * trace.Hour,
 	}
-	for k, span := range spans {
-		newPol := func() sim.CheckpointPolicy {
-			m := NewMarkovDaly()
-			m.HistorySpan = span
-			return m
-		}
+	var kinds []string
+	for _, span := range spans {
+		pol := PolicySpec{Family: FamilyMarkovDaly, HistorySpan: span}
 		if span == 0 {
-			newPol = DefaultAdaptiveCandidates()[0].New
+			pol = PolicySpec{Family: FamilyPeriodic}
 		}
-		a.Candidates = append(a.Candidates, PolicyFactory{Kind: kinds[k], New: func() sim.CheckpointPolicy {
-			made[k]++
-			p := newPol()
-			builtBy[p] = k
-			return p
-		}})
+		a.Candidates = append(a.Candidates, pol)
+		kinds = append(kinds, pol.String())
 	}
-	// runsIncumbent checks that the running spec's instance came from
-	// the factory the last decision record named.
+	// runsIncumbent checks that the running spec's instance is the
+	// candidate the last decision record named.
 	runsIncumbent := func(incumbent int) {
 		t.Helper()
-		if by := builtBy[a.chosen.Policy]; by != incumbent || a.chosenKind != kinds[incumbent] {
-			t.Fatalf("decision recorded %q, but runs an instance of %q under kind %q", kinds[incumbent], kinds[by], a.chosenKind)
+		var got PolicySpec
+		switch p := a.chosen.Policy.(type) {
+		case *Periodic:
+			got = PolicySpec{Family: FamilyPeriodic}
+		case *MarkovDaly:
+			got = PolicySpec{Family: FamilyMarkovDaly, HistorySpan: p.HistorySpan, FirstOrder: !p.HigherOrder}
+		default:
+			t.Fatalf("runs a %T", p)
+		}
+		if got.String() != kinds[incumbent] || a.chosenPol.String() != kinds[incumbent] {
+			t.Fatalf("decision recorded %q, but runs an instance of %q under %q", kinds[incumbent], got, a.chosenPol)
 		}
 	}
-	prev := make([]int, len(spans))
+	var grid *runGrid
+	var pols []sim.CheckpointPolicy
+	installed := map[sim.CheckpointPolicy]bool{}
+	// runsOwnInstance checks that the running instance is one of its
+	// own: never a measurement instance, and new exactly when a decision
+	// since the last check switched.
+	switches := 0
+	runsOwnInstance := func() {
+		t.Helper()
+		installed[a.chosen.Policy] = true
+		if slices.Contains(pols, a.chosen.Policy) || len(installed) != switches {
+			t.Fatalf("after %d switches the run has run %d instances, the current one a measurement instance: %v",
+				switches, len(installed), slices.Contains(pols, a.chosen.Policy))
+		}
+	}
 	wins := make([]int, len(spans))
 	incumbent, decisions := -1, 0
 	a.Sink = decisionFunc(func(p DecisionPoint) {
 		decisions++
+		if grid == nil {
+			grid, pols = a.grid, slices.Clone(a.grid.pols)
+			if slices.Contains(pols, nil) {
+				t.Fatalf("first decision built measurement instances %v, want one per candidate", pols)
+			}
+		}
+		if a.grid != grid || !slices.Equal(a.grid.pols, pols) {
+			t.Fatalf("decision %d rebuilt the run's grid or its measurement instances", p.Seq)
+		}
 		if incumbent >= 0 {
 			runsIncumbent(incumbent)
+			runsOwnInstance()
 		}
 		chosen := slices.Index(kinds, p.Chosen.Policy)
 		if chosen < 0 {
 			t.Fatalf("decision %d chose policy %q, no candidate's kind", p.Seq, p.Chosen.Policy)
 		}
 		if !p.Switched && chosen != incumbent {
-			t.Fatalf("decision %d kept the incumbent of factory %d but records factory %d", p.Seq, incumbent, chosen)
-		}
-		want := []int{0, 0, 0}
-		if decisions == 1 {
-			want = []int{1, 1, 1} // the run's measurement instances
-		}
-		if incumbent >= 0 {
-			want[incumbent]++ // the incumbent's re-pricing instance
+			t.Fatalf("decision %d kept the incumbent of candidate %d but records candidate %d", p.Seq, incumbent, chosen)
 		}
 		if p.Switched {
-			want[chosen]++
 			wins[chosen]++
+			switches++
 		}
-		for k := range made {
-			if got := made[k] - prev[k]; got != want[k] {
-				t.Fatalf("decision %d: factory %d built %d instances, want %d", p.Seq, k, got, want[k])
-			}
-		}
-		copy(prev, made)
 		incumbent = chosen
 	})
 	hist, run := window(tracegen.HighVolatility(41), 3, 1)
 	if _, err := sim.Run(testConfig(hist, run, 300), a); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("decisions %d, wins per factory %v", decisions, wins)
+	t.Logf("decisions %d, wins per candidate %v", decisions, wins)
 	if decisions < 2 {
 		t.Fatalf("%d decisions; the run never reconsidered its incumbent", decisions)
 	}
 	for k, n := range wins {
 		if n == 0 {
-			t.Errorf("factory %d (span %d) won no decision; the trace cannot tell the factories apart", k, spans[k])
+			t.Errorf("candidate %d (span %d) won no decision; the trace cannot tell the candidates apart", k, spans[k])
 		}
 	}
 	runsIncumbent(incumbent)
+	runsOwnInstance()
 	if m, ok := a.chosen.Policy.(*MarkovDaly); ok && m.HistorySpan != spans[incumbent] {
 		t.Fatalf("running policy span %d, want %d", m.HistorySpan, spans[incumbent])
 	}
@@ -371,14 +381,10 @@ func (s *envSpy) Reconsider(env *sim.Env, events []sim.Event) (sim.RunSpec, bool
 // requests Rank accepts), the recorded ranked grid must equal, element
 // for element, the decision form of Rank's table over the same trailing
 // window and knobs — same slots, same estimates, same order, same
-// factory kinds. The candidates include a Markov-Daly profile whose
-// kind is not its policy's Name().
+// descriptors. The candidates include a non-default Markov-Daly
+// profile, whose descriptor is not its policy's Name().
 func TestAdaptiveRanksLikeRank(t *testing.T) {
-	a := &Adaptive{Candidates: append(DefaultAdaptiveCandidates(), PolicyFactory{Kind: "markov-daly-6h", New: func() sim.CheckpointPolicy {
-		m := NewMarkovDaly()
-		m.HistorySpan = 6 * trace.Hour
-		return m
-	}})}
+	a := &Adaptive{Candidates: append(DefaultAdaptiveCandidates(), PolicySpec{Family: FamilyMarkovDaly, HistorySpan: 6 * trace.Hour})}
 	spy := &envSpy{Adaptive: a}
 	ev := NewEvaluator()
 	compared := 0

@@ -43,28 +43,20 @@ func paperRegimes() map[string]*trace.Set {
 	return out
 }
 
-// twoProfiles lists the default Markov-Daly profile beside a variant,
-// named kind, that differs in the model parameters vary sets.
-func twoProfiles(kind string, vary func(*MarkovDaly)) []PolicyFactory {
-	return []PolicyFactory{
-		{Kind: "markov-daly", New: func() sim.CheckpointPolicy { return NewMarkovDaly() }},
-		{Kind: kind, New: func() sim.CheckpointPolicy {
-			m := NewMarkovDaly()
-			vary(m)
-			return m
-		}},
-	}
+// twoProfiles lists the default Markov-Daly profile beside a variant.
+func twoProfiles(variant PolicySpec) []PolicySpec {
+	return []PolicySpec{{Family: FamilyMarkovDaly}, variant}
 }
 
 // youngProfiles and spanProfiles are the two-profile candidate lists:
 // the variant differs only in its interval estimate (Young's
 // first-order one), or only in its history span.
-func youngProfiles() []PolicyFactory {
-	return twoProfiles("markov-daly-young", func(m *MarkovDaly) { m.HigherOrder = false })
+func youngProfiles() []PolicySpec {
+	return twoProfiles(PolicySpec{Family: FamilyMarkovDaly, FirstOrder: true})
 }
 
-func spanProfiles() []PolicyFactory {
-	return twoProfiles("markov-daly-6h", func(m *MarkovDaly) { m.HistorySpan = 6 * trace.Hour })
+func spanProfiles() []PolicySpec {
+	return twoProfiles(PolicySpec{Family: FamilyMarkovDaly, HistorySpan: 6 * trace.Hour})
 }
 
 // TestBatchedMatchesOracleOffGridSpans checks history spans off the step
@@ -77,7 +69,7 @@ func TestBatchedMatchesOracleOffGridSpans(t *testing.T) {
 	hist := estimationHistory(31)
 	for _, span := range []int64{6*trace.Hour + 100, 3*trace.Hour - 1, 200} {
 		t.Run(fmt.Sprint(span), func(t *testing.T) {
-			cands := twoProfiles("markov-daly-span", func(m *MarkovDaly) { m.HistorySpan = span })
+			cands := twoProfiles(PolicySpec{Family: FamilyMarkovDaly, HistorySpan: span})
 			want := oracle.MeasureAll(hist, permutationSpecs(cands), 300, 300)
 			got := batched.MeasureAll(hist, permutationSpecs(cands), 300, 300)
 			if !reflect.DeepEqual(want, got) {
@@ -89,7 +81,7 @@ func TestBatchedMatchesOracleOffGridSpans(t *testing.T) {
 }
 
 // candidateSet resolves a differential-table candidate-set name.
-func candidateSet(name string) []PolicyFactory {
+func candidateSet(name string) []PolicySpec {
 	switch name {
 	case "periodic":
 		return DefaultAdaptiveCandidates()[:1]

@@ -13,18 +13,16 @@ import (
 // price regimes usually precede — while shedding its documented flaw of
 // burning checkpoints on noise.
 type Changepoint struct {
-	// Drift is the per-step noise allowance in dollars (default $0.02).
-	Drift float64
-	// Threshold is the cumulative deviation that signals a shift
-	// (default $0.10).
-	Threshold float64
-
 	detectors map[int]*changepoint.Detector
 }
 
-// NewChangepoint returns the policy with its defaults.
-func NewChangepoint() *Changepoint {
-	return &Changepoint{Drift: 0.02, Threshold: 0.10}
+// NewChangepoint returns the policy.
+func NewChangepoint() *Changepoint { return &Changepoint{} }
+
+// detector returns a zone's CUSUM detector centred on its price: $0.02
+// per step is noise, and $0.10 of cumulative deviation is a shift.
+func detector(price float64) *changepoint.Detector {
+	return &changepoint.Detector{Target: price, Drift: 0.02, Threshold: 0.10}
 }
 
 // Name implements sim.CheckpointPolicy.
@@ -34,13 +32,7 @@ func (c *Changepoint) Name() string { return "changepoint" }
 func (c *Changepoint) Reset(env *sim.Env) {
 	c.detectors = make(map[int]*changepoint.Detector, len(env.Spec.Zones))
 	for _, zi := range env.Spec.Zones {
-		d, err := changepoint.New(env.PriceNow(zi), c.Drift, c.Threshold)
-		if err != nil {
-			// Defaults are valid; a caller-broken configuration falls
-			// back to them rather than disabling the policy.
-			d, _ = changepoint.New(env.PriceNow(zi), 0.02, 0.10)
-		}
-		c.detectors[zi] = d
+		c.detectors[zi] = detector(env.PriceNow(zi))
 	}
 }
 
@@ -55,7 +47,7 @@ func (c *Changepoint) CheckpointCondition(env *sim.Env) bool {
 		}
 		d, ok := c.detectors[z.Index]
 		if !ok {
-			d, _ = changepoint.New(env.PriceNow(z.Index), c.Drift, c.Threshold)
+			d = detector(env.PriceNow(z.Index))
 			c.detectors[z.Index] = d
 		}
 		if d.Observe(env.PriceNow(z.Index)) == changepoint.Up {

@@ -195,7 +195,7 @@ func TestLargeBidPaysSpikeThatThresholdAvoids(t *testing.T) {
 		CheckpointCost: 300, RestartCost: 300,
 		Delay: market.FixedDelay(300), Seed: 5,
 	}
-	naive, err := sim.Run(cfg, NewStatic("naive", sim.RunSpec{Bid: LargeBidAmount, Zones: []int{0}, Policy: NewNaiveLargeBid()}))
+	naive, err := sim.Run(cfg, NewStatic("naive", sim.RunSpec{Bid: LargeBidAmount, Zones: []int{0}, Policy: NewLargeBid(math.Inf(1))}))
 	if err != nil {
 		t.Fatal(err)
 	}

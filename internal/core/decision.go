@@ -18,19 +18,19 @@ const (
 	TriggerRank = "rank"
 )
 
-// DecisionAlt is one (bid, zone set, policy family) permutation with its
+// DecisionAlt is one (bid, zone set, policy) permutation with its
 // Inequality (1) predicted remaining cost, as scored at a decision
 // point. Non-finite predicted costs are clamped to math.MaxFloat64 so
 // every alternative serializes cleanly and ranks last.
 type DecisionAlt struct {
 	// Bid is the permutation's bid in dollars per hour.
-	Bid float64
+	Bid float64 `json:"bid"`
 	// Zones holds trace zone indices (the redundancy set), ascending.
-	Zones []int
-	// Policy names the checkpoint policy family ("periodic", ...).
-	Policy string
+	Zones []int `json:"zones,omitempty"`
+	// Policy is the checkpoint policy's descriptor (PolicySpec.String).
+	Policy string `json:"policy"`
 	// Cost is the predicted remaining cost in dollars.
-	Cost float64
+	Cost float64 `json:"cost"`
 }
 
 // DecisionPoint captures one strategy decision: the chosen permutation
@@ -42,21 +42,21 @@ type DecisionPoint struct {
 	// Seq numbers the decision within its run, starting at 0. Producers
 	// without a run-scoped counter (Evaluator.Rank) pass -1 and let the
 	// sink assign the sequence.
-	Seq int
+	Seq int `json:"seq"`
 	// Time is the absolute simulation time of the decision (for Rank,
 	// the end of the history window).
-	Time int64
+	Time int64 `json:"time"`
 	// Trigger is one of the Trigger constants.
-	Trigger string
+	Trigger string `json:"trigger"`
 	// Switched reports whether the decision changed the running spec
 	// (always true at begin, false when the incumbent was kept).
-	Switched bool
+	Switched bool `json:"switched"`
 	// Chosen is the permutation the decision installed or kept.
-	Chosen DecisionAlt
+	Chosen DecisionAlt `json:"chosen"`
 	// Ranked is the full scored grid, best-first (predicted cost
 	// ascending, ties toward higher bid, then fewer zones, then policy
 	// name). Empty for pinned replay decisions, which score nothing.
-	Ranked []DecisionAlt
+	Ranked []DecisionAlt `json:"ranked,omitempty"`
 }
 
 // DecisionSink receives decision points as they are made. Sinks must be

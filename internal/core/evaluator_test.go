@@ -23,7 +23,7 @@ func estimationHistory(seed uint64) *trace.Set {
 // permutationSpecs lays out a small bid × zones × policy grid over the
 // candidates (nil selects DefaultAdaptiveCandidates) with fresh policy
 // instances, as estimateSlots does.
-func permutationSpecs(cands []PolicyFactory) []sim.RunSpec {
+func permutationSpecs(cands []PolicySpec) []sim.RunSpec {
 	if cands == nil {
 		cands = DefaultAdaptiveCandidates()
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 
 	"repro/internal/sim"
@@ -27,9 +26,6 @@ type LargeBid struct {
 
 // NewLargeBid returns the policy with threshold l.
 func NewLargeBid(l float64) *LargeBid { return &LargeBid{L: l} }
-
-// NewNaiveLargeBid returns the thresholdless variant.
-func NewNaiveLargeBid() *LargeBid { return &LargeBid{L: math.Inf(1)} }
 
 // Name implements sim.CheckpointPolicy.
 func (lb *LargeBid) Name() string { return "large-bid" }

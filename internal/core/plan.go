@@ -39,9 +39,9 @@ type PlanRequest struct {
 	// MaxZones bounds the redundancy degree N; 0 selects 3 (clamped to
 	// the zones the history has).
 	MaxZones int
-	// Candidates are the policy families; nil selects
+	// Candidates are the policies ranked; nil selects
 	// DefaultAdaptiveCandidates().
-	Candidates []PolicyFactory
+	Candidates []PolicySpec
 }
 
 // Plan is one scored (bid, zones, policy) permutation of a Rank call.
@@ -51,7 +51,8 @@ type Plan struct {
 	// Zones names the availability zones the plan runs in; its length
 	// is the redundancy degree N.
 	Zones []string
-	// Policy names the checkpoint policy family.
+	// Policy is the checkpoint policy's descriptor
+	// (PolicySpec.String).
 	Policy string
 	// PredictedCost is the Inequality (1) remaining-cost prediction in
 	// dollars.
@@ -80,8 +81,8 @@ func (req *PlanRequest) validate() error {
 	if req.Deadline < req.Work {
 		return fmt.Errorf("core: deadline %d cannot be met: below remaining work %d", req.Deadline, req.Work)
 	}
-	if req.OnDemandRate < 0 {
-		return fmt.Errorf("core: negative on-demand rate %g", req.OnDemandRate)
+	if err := checkRates(req.OnDemandRate, req.CheckpointCost, req.RestartCost); err != nil {
+		return err
 	}
 	if err := checkBids(req.Bids); err != nil {
 		return err
@@ -101,24 +102,32 @@ func checkBids(bids []float64) error {
 	return nil
 }
 
+// checkRates refuses what no prediction can price: a negative or
+// non-finite on-demand rate (a NaN rate passes a negative test and
+// turns predicted costs NaN) and a negative checkpoint or restart cost.
+func checkRates(odRate float64, tc, tr int64) error {
+	if !(odRate >= 0) || math.IsInf(odRate, 1) {
+		return fmt.Errorf("core: on-demand rate %g is not finite and non-negative", odRate)
+	}
+	if tc < 0 || tr < 0 {
+		return fmt.Errorf("core: negative checkpoint cost %d or restart cost %d", tc, tr)
+	}
+	return nil
+}
+
 // checkCandidates refuses candidate lists a ranking cannot price or a
-// decision record cannot name: every factory must build a *Periodic or
-// a *MarkovDaly, the two families the paper's Adaptive scheme chooses
-// among (§7) and the batched engine replays, and no two factories may
-// share a Kind, which is all a record keeps of the factory that won.
-func checkCandidates(cands []PolicyFactory) error {
-	for i, fac := range cands {
-		if fac.New == nil {
-			return fmt.Errorf("core: candidate %q has no constructor", fac.Kind)
-		}
-		switch p := fac.New().(type) {
-		case *Periodic, *MarkovDaly:
-		default:
-			return fmt.Errorf("core: candidate %q builds %T; only *core.Periodic and *core.MarkovDaly are supported", fac.Kind, p)
+// decision record cannot name: every candidate must be of the Periodic
+// or Markov-Daly family, the two the paper's Adaptive scheme chooses
+// among (§7) and the batched engine replays, and no two may print the
+// same, since a record keeps only the winner's String.
+func checkCandidates(cands []PolicySpec) error {
+	for i, c := range cands {
+		if c.Family != FamilyPeriodic && c.Family != FamilyMarkovDaly {
+			return fmt.Errorf("core: candidate %q is neither periodic nor markov-daly, the families the batched engine replays", c)
 		}
 		for _, prev := range cands[:i] {
-			if prev.Kind == fac.Kind {
-				return fmt.Errorf("core: two candidates of kind %q", fac.Kind)
+			if prev.String() == c.String() {
+				return fmt.Errorf("core: two candidates of kind %q", c)
 			}
 		}
 	}
@@ -181,7 +190,7 @@ func predictFinish(e estimate, cr, tr, migration int64) int64 {
 // BidGrid(), a non-positive redundancy bound selects 3 (clamped to the
 // nz zones there are) and nil candidates select
 // DefaultAdaptiveCandidates().
-func resolveGrid(bids []float64, maxZones, nz int, cands []PolicyFactory) ([]float64, int, []PolicyFactory) {
+func resolveGrid(bids []float64, maxZones, nz int, cands []PolicySpec) ([]float64, int, []PolicySpec) {
 	if bids == nil {
 		bids = BidGrid()
 	}
@@ -196,10 +205,10 @@ func resolveGrid(bids []float64, maxZones, nz int, cands []PolicyFactory) ([]flo
 }
 
 // rankSlot is one (policy, zone set, bid) cell of a ranking sweep's
-// permutation grid. fac indexes the candidate list the grid was built
-// from; zone sets and their zone names are shared (not copied) across
-// the cells of one redundancy degree, and so are the Zones of the plans
-// scored from them.
+// permutation grid. kind is the candidate's descriptor string and fac
+// indexes the candidate list the grid was built from; zone sets and
+// their zone names are shared (not copied) across the cells of one
+// redundancy degree, and so are the Zones of the plans scored from them.
 type rankSlot struct {
 	kind  string
 	fac   int
@@ -213,14 +222,14 @@ type rankSlot struct {
 // (candidate-major, then redundancy degree, then bid). The streaming
 // evaluator re-derives this grid every tick: the ordering — and with it
 // the zone sets — can change whenever prices move.
-func rankSlots(hist *trace.Set, bids []float64, maxZones int, cands []PolicyFactory) []rankSlot {
+func rankSlots(hist *trace.Set, bids []float64, maxZones int, cands []PolicySpec) []rankSlot {
 	return buildSlots(zonesByHistPrice(hist), hist.Zones(), bids, maxZones, cands)
 }
 
 // buildSlots enumerates the permutation grid over a zone ordering; the
 // table depends on nothing else of the window, so an Adaptive run keeps
 // one per ordering (runGrid).
-func buildSlots(ordered []int, zoneNames []string, bids []float64, maxZones int, cands []PolicyFactory) []rankSlot {
+func buildSlots(ordered []int, zoneNames []string, bids []float64, maxZones int, cands []PolicySpec) []rankSlot {
 	sets := make([][]int, maxZones)
 	names := make([][]string, maxZones)
 	for n := 1; n <= maxZones; n++ {
@@ -234,9 +243,10 @@ func buildSlots(ordered []int, zoneNames []string, bids []float64, maxZones int,
 	}
 	slots := make([]rankSlot, 0, len(cands)*maxZones*len(bids))
 	for fi := range cands {
+		kind := cands[fi].String()
 		for n := 1; n <= maxZones; n++ {
 			for _, bid := range bids {
-				slots = append(slots, rankSlot{kind: cands[fi].Kind, fac: fi, bid: bid, zones: sets[n-1], names: names[n-1]})
+				slots = append(slots, rankSlot{kind: kind, fac: fi, bid: bid, zones: sets[n-1], names: names[n-1]})
 			}
 		}
 	}
@@ -249,17 +259,17 @@ func buildSlots(ordered []int, zoneNames []string, bids []float64, maxZones int,
 // enter only scorePlans — so one estimate step serves every request
 // shape over the same window and grid knobs. An Adaptive decision runs
 // the same step on its resident window (sweepScratch.estimateSlots).
-func (ev *Evaluator) estimateSlots(hist *trace.Set, tc, tr int64, bids []float64, maxZones int, cands []PolicyFactory) ([]rankSlot, []estimate) {
+func (ev *Evaluator) estimateSlots(hist *trace.Set, tc, tr int64, bids []float64, maxZones int, cands []PolicySpec) ([]rankSlot, []estimate) {
 	slots := rankSlots(hist, bids, maxZones, cands)
 	specs := ev.slotSpecs(make([]sim.RunSpec, 0, len(slots)), slots, cands, make([]sim.CheckpointPolicy, len(cands)))
 	return slots, ev.MeasureAll(hist, specs, tc, tr)
 }
 
 // slotSpecs appends one spec per slot to specs. The batched engine
-// reads only a policy's parameters, so one instance per factory, kept
+// reads only a policy's parameters, so one instance per candidate, kept
 // in pols (built on first use), serves all of its slots; oracle replays
 // run each instance, so under DisableBatch every slot gets a new one.
-func (ev *Evaluator) slotSpecs(specs []sim.RunSpec, slots []rankSlot, cands []PolicyFactory, pols []sim.CheckpointPolicy) []sim.RunSpec {
+func (ev *Evaluator) slotSpecs(specs []sim.RunSpec, slots []rankSlot, cands []PolicySpec, pols []sim.CheckpointPolicy) []sim.RunSpec {
 	for i := range slots {
 		sl := &slots[i]
 		if pols[sl.fac] == nil || ev.DisableBatch {

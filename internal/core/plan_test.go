@@ -35,6 +35,10 @@ func TestRankValidation(t *testing.T) {
 		{"negative work", func(r *PlanRequest) { r.Work = -1 }},
 		{"deadline below work", func(r *PlanRequest) { r.Deadline = r.Work - 1 }},
 		{"negative on-demand rate", func(r *PlanRequest) { r.OnDemandRate = -2.4 }},
+		{"NaN on-demand rate", func(r *PlanRequest) { r.OnDemandRate = math.NaN() }},
+		{"infinite on-demand rate", func(r *PlanRequest) { r.OnDemandRate = math.Inf(1) }},
+		{"negative checkpoint cost", func(r *PlanRequest) { r.CheckpointCost = -1 }},
+		{"negative restart cost", func(r *PlanRequest) { r.RestartCost = -300 }},
 	}
 	for _, tc := range cases {
 		req := planRequest(hist)
@@ -43,6 +47,66 @@ func TestRankValidation(t *testing.T) {
 			t.Errorf("%s: Rank accepted an invalid request", tc.name)
 		}
 	}
+}
+
+// TestAttachRefusesUnpricedRates pins that a stream scorer refuses the
+// rates and costs Rank refuses: a NaN on-demand rate once passed the
+// negative test and ranked plans of NaN predicted cost first.
+func TestAttachRefusesUnpricedRates(t *testing.T) {
+	hist := estimationHistory(31)
+	for name, edit := range map[string]func(*StreamConfig){
+		"NaN on-demand rate":       func(c *StreamConfig) { c.OnDemandRate = math.NaN() },
+		"infinite on-demand rate":  func(c *StreamConfig) { c.OnDemandRate = math.Inf(1) },
+		"negative on-demand rate":  func(c *StreamConfig) { c.OnDemandRate = -2.4 },
+		"negative checkpoint cost": func(c *StreamConfig) { c.CheckpointCost = -1 },
+		"negative restart cost":    func(c *StreamConfig) { c.RestartCost = -300 },
+	} {
+		cfg := streamConfigFor(hist)
+		edit(&cfg)
+		if _, err := NewStreamEvaluator(nil, cfg); err == nil {
+			t.Errorf("%s: the stream attached a scorer", name)
+		}
+	}
+}
+
+// FuzzPlanRequest drives Rank from the library boundary: whatever
+// request it accepts, every plan of the full grid has a predicted cost
+// that is a number, and the table is ordered best-first.
+func FuzzPlanRequest(f *testing.F) {
+	f.Add(int64(6*trace.Hour), int64(9*trace.Hour), int64(300), int64(300), 0.0, 0.47, 3.07, 2, "markov-daly:span=6h")
+	f.Add(int64(6*trace.Hour), int64(9*trace.Hour), int64(300), int64(300), math.NaN(), 0.47, 3.07, 3, "periodic")
+	f.Add(int64(trace.Hour), int64(2*trace.Hour), int64(-300), int64(0), math.Inf(1), 0.81, 0.27, 1, "markov-daly:order=1")
+	f.Add(int64(1), int64(1<<62), int64(1<<62), int64(1<<62), 1e308, 1e-300, 1e300, 9, "edge")
+	hist := estimationHistory(31)
+	ev := &Evaluator{Workers: 1}
+	f.Fuzz(func(t *testing.T, work, deadline, tc, tr int64, odRate, bid1, bid2 float64, maxZones int, cand string) {
+		req := PlanRequest{
+			History: hist, Work: work, Deadline: deadline, CheckpointCost: tc, RestartCost: tr,
+			OnDemandRate: odRate, Bids: []float64{bid1, bid2}, MaxZones: maxZones,
+		}
+		if pol, err := ParsePolicy(cand); err == nil {
+			req.Candidates = []PolicySpec{{Family: FamilyPeriodic}, pol}
+		}
+		plans, err := ev.Rank(req)
+		if err != nil {
+			return
+		}
+		cands := 2
+		if req.Candidates == nil {
+			cands = len(DefaultAdaptiveCandidates())
+		}
+		if want := cands * 2 * min(max(maxZones, 0), hist.NumZones()); maxZones > 0 && len(plans) != want {
+			t.Fatalf("%d plans, want %d", len(plans), want)
+		}
+		for i, p := range plans {
+			if math.IsNaN(p.PredictedCost) {
+				t.Fatalf("plan %d of %+v has a NaN predicted cost", i, req)
+			}
+			if i > 0 && p.PredictedCost < plans[i-1].PredictedCost {
+				t.Fatalf("plan %d costs %g, below plan %d's %g", i, p.PredictedCost, i-1, plans[i-1].PredictedCost)
+			}
+		}
+	})
 }
 
 // TestNonFiniteBidsRefused pins that every entry point taking a

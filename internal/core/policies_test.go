@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/market"
@@ -222,7 +223,7 @@ func TestNaiveLargeBidPaysSpikeHours(t *testing.T) {
 		Trace: set, Work: 4 * trace.Hour, Deadline: 10 * trace.Hour,
 		CheckpointCost: 300, RestartCost: 300, Delay: market.FixedDelay(0), Seed: 1,
 	}
-	res, err := sim.Run(cfg, NewStatic("naive", sim.RunSpec{Bid: LargeBidAmount, Zones: []int{0}, Policy: NewNaiveLargeBid()}))
+	res, err := sim.Run(cfg, NewStatic("naive", sim.RunSpec{Bid: LargeBidAmount, Zones: []int{0}, Policy: NewLargeBid(math.Inf(1))}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,7 +193,7 @@ func (s *sweepScratch) estimateSlots(ev *Evaluator, g *runGrid, incumbent *sim.R
 type runGrid struct {
 	bids     []float64
 	maxZones int
-	cands    []PolicyFactory
+	cands    []PolicySpec
 	names    []string
 	pols     []sim.CheckpointPolicy
 	tables   []slotTable

@@ -46,22 +46,8 @@ func (s *Static) Reconsider(env *sim.Env, events []sim.Event) (sim.RunSpec, bool
 	return sim.RunSpec{}, false
 }
 
-// OnDemandOnly runs the job purely on the on-demand market: the
-// fixed-cost baseline every figure references as the $48 grey line
-// (20 h × $2.40/h).
-type OnDemandOnly struct{}
-
-// NewOnDemandOnly returns the on-demand baseline strategy.
-func NewOnDemandOnly() *OnDemandOnly { return &OnDemandOnly{} }
-
-// Name implements sim.Strategy.
-func (*OnDemandOnly) Name() string { return "on-demand" }
-
-// Begin implements sim.Strategy: an empty zone set makes the engine run
-// the whole job on-demand immediately.
-func (*OnDemandOnly) Begin(env *sim.Env) sim.RunSpec { return sim.RunSpec{} }
-
-// Reconsider implements sim.Strategy.
-func (*OnDemandOnly) Reconsider(env *sim.Env, events []sim.Event) (sim.RunSpec, bool) {
-	return sim.RunSpec{}, false
-}
+// NewOnDemandOnly returns the on-demand baseline: an empty zone set,
+// which makes the engine run the whole job on-demand immediately — the
+// fixed-cost line every figure references as the $48 grey line (20 h ×
+// $2.40/h).
+func NewOnDemandOnly() *Static { return NewStatic("on-demand", sim.RunSpec{}) }

@@ -128,9 +128,9 @@ type StreamConfig struct {
 	// MaxZones bounds the redundancy degree N; 0 selects 3 (clamped to
 	// the configured zones).
 	MaxZones int
-	// Candidates are the policy families; nil selects
+	// Candidates are the policies ranked; nil selects
 	// DefaultAdaptiveCandidates().
-	Candidates []PolicyFactory
+	Candidates []PolicySpec
 
 	// CrossCheckEvery is the tick cadence of the full-rebuild
 	// cross-check; 0 selects DefaultCrossCheckEvery, negative disables
@@ -227,7 +227,7 @@ type StreamGrid struct {
 	// grid and the cross-check resolve identically.
 	bids     []float64
 	maxZones int
-	cands    []PolicyFactory
+	cands    []PolicySpec
 
 	b        *batchState
 	resident map[permKey]int
@@ -377,8 +377,8 @@ func (g *StreamGrid) Attach(work, deadline int64, odRate float64) (*StreamScorer
 	if deadline < work {
 		return nil, fmt.Errorf("core: deadline %d cannot be met: below remaining work %d", deadline, work)
 	}
-	if odRate < 0 {
-		return nil, fmt.Errorf("core: negative on-demand rate %g", odRate)
+	if err := checkRates(odRate, g.cfg.CheckpointCost, g.cfg.RestartCost); err != nil {
+		return nil, err
 	}
 	if odRate == 0 {
 		odRate = market.OnDemandRate

@@ -41,7 +41,7 @@ func streamConfigFor(set *trace.Set) StreamConfig {
 // candidates tick by tick and requires, after every every-th tick and
 // the last, a table bit-identical to oracle Rank over the same prefix —
 // same floats, same order.
-func streamMatchesOracle(t *testing.T, hist *trace.Set, cands []PolicyFactory, every int) {
+func streamMatchesOracle(t *testing.T, hist *trace.Set, cands []PolicySpec, every int) {
 	t.Helper()
 	oracle := &Evaluator{Workers: 1, DisableBatch: true}
 	cfg := streamConfigFor(hist)
@@ -222,7 +222,7 @@ func TestMarkovDalyProfilesIndependent(t *testing.T) {
 	hist := estimationHistory(31)
 	oracle := &Evaluator{Workers: 1, DisableBatch: true}
 	batched := &Evaluator{Workers: 1}
-	for name, cands := range map[string][]PolicyFactory{"young": youngProfiles(), "span": spanProfiles()} {
+	for name, cands := range map[string][]PolicySpec{"young": youngProfiles(), "span": spanProfiles()} {
 		t.Run(name, func(t *testing.T) {
 			req := PlanRequest{
 				History: hist, Work: 6 * trace.Hour, Deadline: 18 * trace.Hour,
@@ -241,20 +241,20 @@ func TestMarkovDalyProfilesIndependent(t *testing.T) {
 			}
 			for _, fac := range cands {
 				solo := req
-				solo.Candidates = []PolicyFactory{fac}
+				solo.Candidates = []PolicySpec{fac}
 				alone, err := oracle.Rank(solo)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var mixed []Plan
 				for _, p := range want {
-					if p.Policy == fac.Kind {
+					if p.Policy == fac.String() {
 						mixed = append(mixed, p)
 					}
 				}
 				if !plansEqual(mixed, alone) {
 					t.Fatalf("%s: plans ranked beside another profile differ from plans ranked alone\nmixed %v\nalone %v",
-						fac.Kind, mixed[:3], alone[:3])
+						fac, mixed[:3], alone[:3])
 				}
 			}
 			streamMatchesOracle(t, hist, cands, 1)
@@ -265,15 +265,16 @@ func TestMarkovDalyProfilesIndependent(t *testing.T) {
 // TestUnsupportedCandidatesRejected pins the validation that keeps
 // every candidate on the batched engine and every ranked plan's kind
 // unambiguous: Rank and NewStreamEvaluator refuse a policy family
-// beyond Periodic and Markov-Daly and two factories of one Kind, the
-// stream also refuses what its permutation keys cannot hold, and an
-// Adaptive configured with a foreign family panics at its first
+// beyond Periodic and Markov-Daly and two descriptors that print the
+// same, the stream also refuses what its permutation keys cannot hold,
+// and an Adaptive configured with a foreign family panics at its first
 // decision.
 func TestUnsupportedCandidatesRejected(t *testing.T) {
 	set := paperRegimes()["low/day1"]
-	withEdge := append(DefaultAdaptiveCandidates(),
-		PolicyFactory{Kind: "edge", New: func() sim.CheckpointPolicy { return NewEdge() }})
-	dupKind := twoProfiles("markov-daly", func(m *MarkovDaly) { m.HistorySpan = 6 * trace.Hour })
+	withEdge := append(DefaultAdaptiveCandidates(), PolicySpec{Family: FamilyEdge})
+	// Another family's parameter leaves the default profile's
+	// descriptor as it is.
+	dupKind := twoProfiles(PolicySpec{Family: FamilyMarkovDaly, L: 2.4})
 	zones := func(n int) []string {
 		names := make([]string, n)
 		for i := range names {
@@ -284,8 +285,8 @@ func TestUnsupportedCandidatesRejected(t *testing.T) {
 
 	req := PlanRequest{History: set, Work: 6 * trace.Hour, Deadline: 18 * trace.Hour,
 		CheckpointCost: 300, RestartCost: 300, Candidates: withEdge}
-	if _, err := NewEvaluator().Rank(req); err == nil || !strings.Contains(err.Error(), "*core.Edge") {
-		t.Errorf("Rank with an Edge candidate: err %v, want one naming *core.Edge", err)
+	if _, err := NewEvaluator().Rank(req); err == nil || !strings.Contains(err.Error(), `candidate "edge"`) {
+		t.Errorf("Rank with an Edge candidate: err %v, want one naming the edge candidate", err)
 	}
 	req.Candidates = dupKind
 	if _, err := NewEvaluator().Rank(req); err == nil || !strings.Contains(err.Error(), `kind "markov-daly"`) {
@@ -297,7 +298,7 @@ func TestUnsupportedCandidatesRejected(t *testing.T) {
 		edit func(*StreamConfig)
 		want string // error substring; "" means accepted
 	}{
-		{"edge candidate", func(c *StreamConfig) { c.Candidates = withEdge }, "*core.Edge"},
+		{"edge candidate", func(c *StreamConfig) { c.Candidates = withEdge }, `candidate "edge"`},
 		{"duplicate kind", func(c *StreamConfig) { c.Candidates = dupKind }, `kind "markov-daly"`},
 		{"zero bid", func(c *StreamConfig) { c.Bids = []float64{0.47, 0} }, "bid 0"},
 		{"NaN bid", func(c *StreamConfig) { c.Bids = []float64{math.NaN()} }, "bid NaN"},

@@ -29,38 +29,16 @@ import (
 	"repro/internal/core"
 )
 
-// Alt is the serialized form of one ranked permutation: bid, zone
-// indices, policy family and the Inequality (1) predicted remaining
+// Alt is one ranked permutation of a decision record: bid, zone
+// indices, policy descriptor and the Inequality (1) predicted remaining
 // cost in dollars.
-type Alt struct {
-	// Bid is the permutation's bid in dollars per hour.
-	Bid float64 `json:"bid"`
-	// Zones holds trace zone indices, ascending.
-	Zones []int `json:"zones,omitempty"`
-	// Policy names the checkpoint policy family.
-	Policy string `json:"policy"`
-	// Cost is the predicted remaining cost in dollars.
-	Cost float64 `json:"cost"`
-}
+type Alt = core.DecisionAlt
 
-// Record is one decision-log entry: the serialized, deep-copied form of
-// a core.DecisionPoint. Records are seed-deterministic: replaying the
-// same configuration yields a byte-identical log.
-type Record struct {
-	// Seq numbers the decision within its run, starting at 0.
-	Seq int `json:"seq"`
-	// Time is the absolute simulation time of the decision.
-	Time int64 `json:"time"`
-	// Trigger is one of the core.Trigger constants.
-	Trigger string `json:"trigger"`
-	// Switched reports whether the decision changed the running spec.
-	Switched bool `json:"switched"`
-	// Chosen is the permutation the decision installed or kept.
-	Chosen Alt `json:"chosen"`
-	// Ranked is the full scored rival grid, best-first; empty for
-	// pinned replay decisions.
-	Ranked []Alt `json:"ranked,omitempty"`
-}
+// Record is one decision-log entry: a core.DecisionPoint deep-copied
+// out of its producer's buffers, whose Seq numbers the decision within
+// its run from 0. Records are seed-deterministic: replaying the same
+// configuration yields a byte-identical log.
+type Record = core.DecisionPoint
 
 // copyAlt deep-copies a core alternative into dst, reusing dst's zone
 // slice backing when it has capacity (the ring log's steady state
@@ -145,28 +123,6 @@ func (s *CountingSink) RecordDecision(core.DecisionPoint) { s.n.Add(1) }
 
 // Count returns how many decisions have been recorded.
 func (s *CountingSink) Count() int64 { return s.n.Load() }
-
-// Script converts a decision-log prefix into the choices a
-// core.Script pins: one ScriptChoice per record, in order.
-func Script(records []Record) []core.ScriptChoice {
-	out := make([]core.ScriptChoice, len(records))
-	for i := range records {
-		r := &records[i]
-		out[i] = core.ScriptChoice{
-			Time:     r.Time,
-			Switched: r.Switched,
-			Bid:      r.Chosen.Bid,
-			Zones:    r.Chosen.Zones,
-			Policy:   r.Chosen.Policy,
-		}
-	}
-	return out
-}
-
-// scriptAlt converts one alternative into the forced-choice form.
-func scriptAlt(a Alt) core.ScriptChoice {
-	return core.ScriptChoice{Bid: a.Bid, Zones: a.Zones, Policy: a.Policy}
-}
 
 // altsEqual reports whether two alternatives name the same permutation
 // (bid, zone set, policy family), ignoring predicted cost.

@@ -76,29 +76,12 @@ func (l *Log) RecordDecision(p core.DecisionPoint) {
 func (l *Log) Records() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Record, 0, len(l.ring))
-	appendCopy := func(src []Record) {
-		for i := range src {
-			var rec Record
-			rec.Seq = src[i].Seq
-			rec.Time = src[i].Time
-			rec.Trigger = src[i].Trigger
-			rec.Switched = src[i].Switched
-			rec.Chosen = Alt{Bid: src[i].Chosen.Bid, Zones: append([]int(nil), src[i].Chosen.Zones...), Policy: src[i].Chosen.Policy, Cost: src[i].Chosen.Cost}
-			if len(src[i].Ranked) > 0 {
-				rec.Ranked = make([]Alt, len(src[i].Ranked))
-				for j, a := range src[i].Ranked {
-					rec.Ranked[j] = Alt{Bid: a.Bid, Zones: append([]int(nil), a.Zones...), Policy: a.Policy, Cost: a.Cost}
-				}
-			}
-			out = append(out, rec)
-		}
-	}
-	if len(l.ring) == cap(l.ring) {
-		appendCopy(l.ring[l.next:])
-		appendCopy(l.ring[:l.next])
-	} else {
-		appendCopy(l.ring)
+	// next stays 0 until the ring wraps, so this is oldest first either
+	// way.
+	out := make([]Record, len(l.ring))
+	for i := range out {
+		src := &l.ring[(l.next+i)%len(l.ring)]
+		copyPoint(&out[i], *src, src.Seq)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package decision
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -39,8 +40,8 @@ func regimeSet(regime string, seed uint64) (hist, run *trace.Set) {
 	return set.Slice(start-2*24*trace.Hour, start), set.Slice(start, start+2*24*trace.Hour)
 }
 
-// candidateSet resolves a candidate-set name to policy factories.
-func candidateSet(name string) []core.PolicyFactory {
+// candidateSet resolves a candidate-set name to policy descriptors.
+func candidateSet(name string) []core.PolicySpec {
 	all := core.DefaultAdaptiveCandidates()
 	switch name {
 	case "periodic":
@@ -50,22 +51,13 @@ func candidateSet(name string) []core.PolicyFactory {
 	case "both":
 		return all
 	case "two-profile":
-		// Two Markov-Daly profiles under distinct kinds, differing only
-		// in the history span.
-		return []core.PolicyFactory{all[1], {Kind: "markov-daly-6h", New: func() sim.CheckpointPolicy {
-			m := core.NewMarkovDaly()
-			m.HistorySpan = 6 * trace.Hour
-			return m
-		}}}
+		// Two Markov-Daly profiles, differing only in the history span.
+		return []core.PolicySpec{all[1], {Family: core.FamilyMarkovDaly, HistorySpan: 6 * trace.Hour}}
 	case "renamed-profile":
-		// One Markov-Daly profile whose kind is not its policy's
-		// Name(): records must name the factory, or a replay resolves
-		// them to the default-span one.
-		return []core.PolicyFactory{{Kind: "markov-daly-6h", New: func() sim.CheckpointPolicy {
-			m := core.NewMarkovDaly()
-			m.HistorySpan = 6 * trace.Hour
-			return m
-		}}}
+		// One non-default Markov-Daly profile, whose descriptor is not
+		// its policy's Name(): records must carry the span, or a replay
+		// resolves them to the default-span profile.
+		return []core.PolicySpec{{Family: core.FamilyMarkovDaly, HistorySpan: 6 * trace.Hour}}
 	default:
 		panic("unknown candidate set " + name)
 	}
@@ -103,7 +95,7 @@ func cellReplayer(c cell) *Replayer {
 
 // matrixCells enumerates the differential matrix, plus one cell whose
 // candidates are two Markov-Daly profiles and one whose only candidate
-// is a profile under its own kind (renamedCell).
+// is a non-default profile (renamedCell).
 func matrixCells() []cell {
 	var out []cell
 	for _, regime := range []string{"low", "high", "spike"} {
@@ -171,6 +163,14 @@ func TestCounterfactualMatchesOracleMatrix(t *testing.T) {
 			if n := decisionSpans(); n != len(log) {
 				t.Fatalf("baseline traced %d decisions, logged %d", n, len(log))
 			}
+			// Every record names its candidate by descriptor, so the
+			// pinned replays below rebuild each profile from the
+			// record alone.
+			for _, rec := range log {
+				if !slices.ContainsFunc(candidateSet(c.cands), func(p core.PolicySpec) bool { return p.String() == rec.Chosen.Policy }) {
+					t.Fatalf("decision %d names %q, no candidate's descriptor", rec.Seq, rec.Chosen.Policy)
+				}
+			}
 			// The recorded log, replayed fully pinned, must reproduce
 			// the baseline run exactly.
 			oracle, err := oracleOf(log)
@@ -236,7 +236,7 @@ func TestForcingChosenYieldsZeroRegret(t *testing.T) {
 }
 
 // TestReplayerRefusesUnresolvableKinds pins the replayer's refusals:
-// candidates with two factories of one kind (no record could say which
+// candidates with two equal descriptors (no record could say which
 // won) fail Baseline, Oracle and Counterfactual, and a log or rival
 // naming a kind no candidate has fails instead of silently replaying
 // Periodic. Periodic itself, the empty grid's fallback, stays
@@ -252,7 +252,7 @@ func TestReplayerRefusesUnresolvableKinds(t *testing.T) {
 	dup.New = func() *core.Adaptive {
 		a := r.New()
 		md := a.Candidates[0]
-		a.Candidates = []core.PolicyFactory{md, {Kind: md.Kind, New: candidateSet("renamed-profile")[0].New}}
+		a.Candidates = []core.PolicySpec{md, md}
 		return a
 	}
 	const dupErr = `two candidates of kind "markov-daly"`

@@ -141,10 +141,10 @@ func (r *Replayer) newAdaptive() *core.Adaptive {
 
 // Baseline runs the strategy once with a recorder attached and returns
 // its outcome and decision log. It refuses candidates whose decisions a
-// replay could not resolve: two factories of one Kind.
+// replay could not resolve: two equal candidate descriptors.
 func (r *Replayer) Baseline() (Outcome, []Record, error) {
 	a := r.newAdaptive()
-	if err := core.CheckScript(a.Candidates); err != nil {
+	if err := core.CheckScript(a.Candidates, nil); err != nil {
 		return Outcome{}, nil, err
 	}
 	col := &Collector{}
@@ -163,8 +163,8 @@ func (r *Replayer) Baseline() (Outcome, []Record, error) {
 // refuses.
 func (r *Replayer) Oracle(log []Record) (Outcome, error) {
 	a := r.newAdaptive()
-	a.Script = &core.Script{Choices: Script(log), ForceAt: -1}
-	if err := core.CheckScript(a.Candidates, a.Script.Choices...); err != nil {
+	a.Script = &core.Script{Choices: log, ForceAt: -1}
+	if err := core.CheckScript(a.Candidates, a.Script); err != nil {
 		return Outcome{}, err
 	}
 	res, err := sim.Run(r.Cfg, a)
@@ -186,8 +186,8 @@ func (r *Replayer) Counterfactual(log []Record, seq int, rival Alt) (Outcome, []
 		return Outcome{}, nil, fmt.Errorf("decision: seq %d outside log of %d decisions", seq, len(log))
 	}
 	a := r.newAdaptive()
-	s := &core.Script{Choices: Script(log[:seq+1]), ForceAt: seq, Force: scriptAlt(rival)}
-	if err := core.CheckScript(a.Candidates, append(s.Choices, s.Force)...); err != nil {
+	s := &core.Script{Choices: log[:seq+1], ForceAt: seq, Force: rival}
+	if err := core.CheckScript(a.Candidates, s); err != nil {
 		return Outcome{}, nil, err
 	}
 	col := &Collector{}

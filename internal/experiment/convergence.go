@@ -26,11 +26,12 @@ func (s *Suite) Convergence(regime string, slack float64, tc int64, kind string,
 		return nil, fmt.Errorf("experiment: no windows for %s at slack %g", regime, slack)
 	}
 	costs := make([]float64, len(windows))
+	pol := mustPolicy(kind)
 	var tasks []task
 	for wi, w := range windows {
 		tasks = append(tasks, task{
 			cfg:   s.Config(w, slack, tc),
-			strat: core.SingleZone(NewPolicy(kind), bid, 0),
+			strat: core.SingleZone(pol.New(), bid, 0),
 			out:   &costs[wi],
 		})
 	}

@@ -15,9 +15,6 @@ const (
 	KindEdge       = "edge"
 	KindPeriodic   = "periodic"
 	KindMarkovDaly = "markov-daly"
-	// KindChangepoint is the repository's CUSUM-based extension of the
-	// Edge family (not part of the paper's figures).
-	KindChangepoint = "changepoint"
 )
 
 // SinglePolicies are the single-zone checkpoint policies of Figure 4,
@@ -28,22 +25,18 @@ var SinglePolicies = []string{KindThreshold, KindEdge, KindPeriodic, KindMarkovD
 // the figures show their per-experiment best case ("R").
 var RedundantPolicies = []string{KindThreshold, KindEdge, KindPeriodic, KindMarkovDaly}
 
-// NewPolicy builds a fresh policy instance of the given kind.
-func NewPolicy(kind string) sim.CheckpointPolicy {
-	switch kind {
-	case KindThreshold:
-		return core.NewThreshold()
-	case KindEdge:
-		return core.NewEdge()
-	case KindPeriodic:
-		return core.NewPeriodic()
-	case KindMarkovDaly:
-		return core.NewMarkovDaly()
-	case KindChangepoint:
-		return core.NewChangepoint()
-	default:
-		panic(fmt.Sprintf("experiment: unknown policy kind %q", kind))
+// NewPolicy builds a fresh policy instance of the given kind, a policy
+// descriptor (core.ParsePolicy); it panics on one that does not parse.
+func NewPolicy(kind string) sim.CheckpointPolicy { return mustPolicy(kind).New() }
+
+// mustPolicy parses a policy descriptor the harness names itself, once
+// per driver; one that does not parse is a bug of the harness.
+func mustPolicy(kind string) core.PolicySpec {
+	pol, err := core.ParsePolicy(kind)
+	if err != nil {
+		panic("experiment: " + err.Error())
 	}
+	return pol
 }
 
 // task pairs a run with the slot its cost lands in.
@@ -157,6 +150,7 @@ func (s *Suite) Fig4(regime string, slack float64, tc int64, bids []float64) (*F
 
 	// Single-zone runs: policy × bid × zone × window.
 	for _, kind := range SinglePolicies {
+		pol := mustPolicy(kind)
 		cell.singleCosts[kind] = map[float64][]float64{}
 		for _, bid := range bids {
 			costs := make([]float64, len(windows)*len(zones))
@@ -165,7 +159,7 @@ func (s *Suite) Fig4(regime string, slack float64, tc int64, bids []float64) (*F
 				for wi, w := range windows {
 					tasks = append(tasks, task{
 						cfg:   s.Config(w, slack, tc),
-						strat: core.SingleZone(NewPolicy(kind), bid, zones[zi]),
+						strat: core.SingleZone(pol.New(), bid, zones[zi]),
 						out:   &costs[zi*len(windows)+wi],
 					})
 				}
@@ -177,6 +171,7 @@ func (s *Suite) Fig4(regime string, slack float64, tc int64, bids []float64) (*F
 	// best case afterwards.
 	redCosts := map[string]map[float64][]float64{}
 	for _, kind := range RedundantPolicies {
+		pol := mustPolicy(kind)
 		redCosts[kind] = map[float64][]float64{}
 		for _, bid := range bids {
 			costs := make([]float64, len(windows))
@@ -184,7 +179,7 @@ func (s *Suite) Fig4(regime string, slack float64, tc int64, bids []float64) (*F
 			for wi, w := range windows {
 				tasks = append(tasks, task{
 					cfg:   s.Config(w, slack, tc),
-					strat: core.Redundant(NewPolicy(kind), bid, zones),
+					strat: core.Redundant(pol.New(), bid, zones),
 					out:   &costs[wi],
 				})
 			}

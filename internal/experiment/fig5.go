@@ -58,8 +58,10 @@ func (s *Suite) Fig5(regime string, slack float64, tc int64) (*Fig5Cell, error) 
 		KindMarkovDaly: make([]float64, len(windows)*len(zones)),
 	}
 	redundant := map[string][]float64{}
+	pols := map[string]core.PolicySpec{}
 	for _, kind := range RedundantPolicies {
 		redundant[kind] = make([]float64, len(windows))
+		pols[kind] = mustPolicy(kind)
 	}
 
 	var tasks []task
@@ -73,7 +75,7 @@ func (s *Suite) Fig5(regime string, slack float64, tc int64) (*Fig5Cell, error) 
 			for zi := range zones {
 				tasks = append(tasks, task{
 					cfg:   s.Config(w, slack, tc),
-					strat: core.SingleZone(NewPolicy(kind), Fig5Bid, zones[zi]),
+					strat: core.SingleZone(pols[kind].New(), Fig5Bid, zones[zi]),
 					out:   &singles[kind][zi*len(windows)+wi],
 				})
 			}
@@ -81,7 +83,7 @@ func (s *Suite) Fig5(regime string, slack float64, tc int64) (*Fig5Cell, error) 
 		for _, kind := range RedundantPolicies {
 			tasks = append(tasks, task{
 				cfg:   s.Config(w, slack, tc),
-				strat: core.Redundant(NewPolicy(kind), Fig5Bid, zones),
+				strat: core.Redundant(pols[kind].New(), Fig5Bid, zones),
 				out:   &redundant[kind][wi],
 			})
 		}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tracegen"
 )
@@ -64,13 +63,9 @@ func (s *Suite) Fig6(regime string, slack float64, tc int64) (*Fig6Cell, error) 
 	for wi, w := range windows {
 		for _, l := range thresholds {
 			tasks = append(tasks, task{
-				cfg: s.Config(w, slack, tc),
-				strat: core.NewStatic("large-bid", sim.RunSpec{
-					Bid:    core.LargeBidAmount,
-					Zones:  []int{0},
-					Policy: core.NewLargeBid(l),
-				}),
-				out: &lb[l][wi],
+				cfg:   s.Config(w, slack, tc),
+				strat: core.PolicySpec{Family: core.FamilyLargeBid, L: l}.Static(core.LargeBidAmount, 1),
+				out:   &lb[l][wi],
 			})
 		}
 		tasks = append(tasks, task{

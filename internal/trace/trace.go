@@ -245,6 +245,16 @@ func (t *Set) Clone() *Set {
 	return &Set{Series: out}
 }
 
+// Rebase returns a deep copy of the set whose epoch is shifted so that
+// absolute time start becomes time 0, as a live feed would see it.
+func (t *Set) Rebase(start int64) *Set {
+	out := t.Clone()
+	for _, s := range out.Series {
+		s.Epoch -= start
+	}
+	return out
+}
+
 // Validate validates every series and the alignment invariant.
 func (t *Set) Validate() error {
 	if len(t.Series) == 0 {

@@ -36,6 +36,8 @@ go -C bench vet ./...
 go -C bench test ./...
 go test -run '^$' -fuzz '^FuzzRowParser$' -fuzztime 5s ./internal/livesched
 go test -run '^$' -fuzz '^FuzzBatchedMeasure$' -fuzztime 5s ./internal/core
+go test -run '^$' -fuzz '^FuzzParsePolicy$' -fuzztime 5s ./internal/core
+go test -run '^$' -fuzz '^FuzzPlanRequest$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzTenantHeader$' -fuzztime 5s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzBidIndexAppend$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzWindowFitter$' -fuzztime 5s ./internal/markov
