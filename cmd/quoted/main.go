@@ -57,7 +57,6 @@ func main() {
 	feedURL := flag.String("feed", "", "pricefeedd-style history endpoint, read as a live price feed (overrides -preset)")
 	preset := flag.String("preset", "high", "synthetic trace preset: low, high, low-spike, year")
 	seed := flag.Uint64("seed", 1, "synthetic generator seed")
-	workers := flag.Int("workers", 0, "evaluation workers per request (0: GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent evaluations admitted (0: 2×GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 1024, "plan cache entries")
 	stream := flag.Bool("stream", false, "serve GET /v1/quotes/stream; without -feed, replay the synthetic preset as a live tick feed")
@@ -84,7 +83,7 @@ func main() {
 	// point (the chosen plan plus all ranked rivals) into a bounded ring
 	// served at /debug/decisions, optionally mirrored to an append-only
 	// JSON-lines file for offline counterfactual replay.
-	eval := &core.Evaluator{Workers: *workers, Trace: tracer}
+	eval := &core.Evaluator{Trace: tracer}
 	var dlog *decision.Log
 	if *decisions > 0 || *decisionLog != "" {
 		var w io.Writer

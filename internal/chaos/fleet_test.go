@@ -3,7 +3,11 @@ package chaos
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -48,6 +52,27 @@ func TestFleetSoak(t *testing.T) {
 		if r.Digest == "" {
 			t.Fatalf("seed %d: empty digest", r.Seed)
 		}
+	}
+}
+
+// TestFleetSoakTwentyScenarios pins the fleet soak that
+// scripts/check.sh runs (seed 1, 20 scenarios, 3 backends, 64 ticks):
+// each scenario's digest must equal testdata/fleet_seed1.golden.
+func TestFleetSoakTwentyScenarios(t *testing.T) {
+	rep, err := FleetSoak(context.Background(), FleetConfig{Seed: 1, Scenarios: 20, Backends: 3, Ticks: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, r := range rep.Runs {
+		fmt.Fprintf(&got, "%d %s\n", r.Seed, r.Digest)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "fleet_seed1.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("per-seed digests drifted from testdata/fleet_seed1.golden:\ngot:\n%swant:\n%s", got.String(), want)
 	}
 }
 

@@ -55,9 +55,6 @@ func NewBackend(name string, h http.Handler) *Backend {
 // backend; the least-loaded policy orders on it.
 func (b *Backend) InFlight() int64 { return b.inflight.Load() }
 
-// Served returns the backend's successful-forward count.
-func (b *Backend) Served() int64 { return b.served.Load() }
-
 // Failures returns the backend's failed-forward count.
 func (b *Backend) Failures() int64 { return b.failures.Load() }
 

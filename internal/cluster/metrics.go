@@ -71,10 +71,6 @@ func NewMetrics() *Metrics {
 	return m
 }
 
-// LatencyQuantile returns the routing latency quantile in seconds, for
-// the capacity-curve report.
-func (m *Metrics) LatencyQuantile(q float64) float64 { return m.latency.Quantile(q) }
-
 // registerBackends adds per-backend gauges and counters, labelled by
 // backend name, in fleet order.
 func (m *Metrics) registerBackends(backends []*Backend) {

@@ -47,8 +47,8 @@ type Adaptive struct {
 	// ignoring kills; used by the decision-trigger ablation.
 	ReDecideOnHourOnly bool
 	// Eval is the evaluation service the permutation search runs on;
-	// nil selects a default evaluator with GOMAXPROCS workers. Results
-	// are independent of the worker count.
+	// nil selects NewEvaluator(), whose batched engine replays each
+	// decision's permutations serially.
 	Eval *Evaluator
 	// Headroom is the near-tie band as a fraction of the least predicted
 	// cost: among candidates within (1+Headroom) of the minimum the

@@ -40,7 +40,8 @@ type Evaluator struct {
 	Sink DecisionSink
 }
 
-// NewEvaluator returns an evaluator with default parallelism.
+// NewEvaluator returns the zero evaluator: the batched engine, with no
+// tracer and no decision sink.
 func NewEvaluator() *Evaluator { return &Evaluator{} }
 
 // estimationSeed fixes the queuing-delay stream of every estimation

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 
 	"repro/internal/core"
@@ -51,7 +53,8 @@ type task struct {
 // result (individual runs are deterministic, so errors are structural).
 // Each task drops its strategy once run, so a finished run's policy
 // state (a Markov-Daly's price columns, say) is garbage before the
-// batch ends.
+// batch ends. The finished batch's costs fold into the suite's cost
+// digest in task order.
 func (s *Suite) runTasks(tasks []task) error {
 	errs := make([]error, len(tasks))
 	s.parallel(len(tasks), func(i int) {
@@ -67,6 +70,16 @@ func (s *Suite) runTasks(tasks []task) error {
 			*tasks[i].res = res
 		}
 	})
+	s.mu.Lock()
+	if s.costs == nil {
+		s.costs = fnv.New64a()
+	}
+	var b [8]byte
+	for _, t := range tasks {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(*t.out))
+		s.costs.Write(b[:])
+	}
+	s.mu.Unlock()
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -91,8 +104,6 @@ type Fig4Cell struct {
 	// BestRedundant maps bid → boxplot of the per-window minimum cost
 	// across the redundant policy family (the paper's best-case R).
 	BestRedundant map[float64]stats.Box
-	// BestRedundantMerged merges R across bids.
-	BestRedundantMerged stats.Box
 	// References: the on-demand and minimum-spot cost lines.
 	OnDemandRef, MinSpotRef float64
 	// RedundancySignificance is the Mann-Whitney comparison of the
@@ -201,7 +212,6 @@ func (s *Suite) Fig4(regime string, slack float64, tc int64, bids []float64) (*F
 		}
 		cell.SinglesMerged[kind] = stats.NewBox(merged)
 	}
-	var mergedBest []float64
 	for _, bid := range bids {
 		best := make([]float64, len(windows))
 		for wi := range best {
@@ -214,9 +224,7 @@ func (s *Suite) Fig4(regime string, slack float64, tc int64, bids []float64) (*F
 		}
 		cell.bestRedCost[bid] = best
 		cell.BestRedundant[bid] = stats.NewBox(best)
-		mergedBest = append(mergedBest, best...)
 	}
-	cell.BestRedundantMerged = stats.NewBox(mergedBest)
 
 	// Significance of the redundancy advantage at the paper's focus bid.
 	const focusBid = 0.81
@@ -234,21 +242,6 @@ func (s *Suite) Fig4(regime string, slack float64, tc int64, bids []float64) (*F
 		}
 	}
 	return cell, nil
-}
-
-// OnDemandCost runs the on-demand baseline (it is price-independent,
-// but kept as a run for fidelity).
-func (s *Suite) OnDemandCost(regime string, slack float64, tc int64) (float64, error) {
-	set := s.Regime(regime)
-	windows := s.windowsFor(set, slack)
-	if len(windows) == 0 {
-		return 0, fmt.Errorf("experiment: no window available")
-	}
-	res, err := sim.Run(s.Config(windows[0], slack, tc), core.NewOnDemandOnly())
-	if err != nil {
-		return 0, err
-	}
-	return res.Cost, nil
 }
 
 // BestPolicy summarises a Table 2/3 cell: the policy (and bid) with the
@@ -289,18 +282,32 @@ func BestPolicyCell(cell *Fig4Cell) BestPolicy {
 	return best
 }
 
-// Table reproduces Table 2 (t_c = 300 s) or Table 3 (t_c = 900 s): the
-// optimal policy per (volatility, slack) cell.
-func (s *Suite) Table(tc int64) ([]BestPolicy, error) {
-	var out []BestPolicy
+// Fig4All runs every Figure 4 panel at checkpoint cost tc: low then
+// high volatility, each at both slacks.
+func (s *Suite) Fig4All(tc int64) ([]*Fig4Cell, error) {
+	var out []*Fig4Cell
 	for _, regime := range []string{RegimeLow, RegimeHigh} {
 		for _, slack := range Slacks {
 			cell, err := s.Fig4(regime, slack, tc, nil)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, BestPolicyCell(cell))
+			out = append(out, cell)
 		}
+	}
+	return out, nil
+}
+
+// Table reproduces Table 2 (t_c = 300 s) or Table 3 (t_c = 900 s): the
+// optimal policy per (volatility, slack) cell.
+func (s *Suite) Table(tc int64) ([]BestPolicy, error) {
+	cells, err := s.Fig4All(tc)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]BestPolicy, len(cells))
+	for i, cell := range cells {
+		out[i] = BestPolicyCell(cell)
 	}
 	return out, nil
 }

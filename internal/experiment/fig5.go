@@ -71,7 +71,7 @@ func (s *Suite) Fig5(regime string, slack float64, tc int64) (*Fig5Cell, error) 
 			strat: core.NewAdaptive(),
 			out:   &adaptive[wi],
 		})
-		for kind := range singles {
+		for _, kind := range []string{KindPeriodic, KindMarkovDaly} {
 			for zi := range zones {
 				tasks = append(tasks, task{
 					cfg:   s.Config(w, slack, tc),

@@ -78,17 +78,6 @@ func OracleLowerBound(run *trace.Set, deadline, work int64) (float64, error) {
 	return out, nil
 }
 
-// OracleGap reports the median ratio of a policy's cost samples to the
-// per-window oracle lower bound: 1.0 means hindsight-optimal.
-type OracleGap struct {
-	Regime string
-	Slack  float64
-	// OracleMedian is the median clairvoyant bound across windows.
-	OracleMedian float64
-	// MedianRatio maps a policy label to median(cost/oracle).
-	MedianRatio map[string]float64
-}
-
 // OracleBounds computes the clairvoyant bound for every window of a
 // regime/slack cell.
 func (s *Suite) OracleBounds(regime string, slack float64) ([]float64, error) {

@@ -7,6 +7,8 @@ package experiment
 
 import (
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"sync"
 
 	"repro/internal/market"
@@ -60,6 +62,7 @@ type Suite struct {
 
 	mu      sync.Mutex
 	regimes map[string]*trace.Set
+	costs   hash.Hash64 // FNV-64a over every run cost, see CostDigest
 }
 
 // NewSuite returns a suite with the paper's defaults.
@@ -103,6 +106,19 @@ func (s *Suite) Regime(name string) *trace.Set {
 	}
 	s.regimes[name] = set
 	return set
+}
+
+// CostDigest returns the FNV-64a digest over the bits of every run cost
+// the suite's drivers have collected, batch by batch in the order the
+// drivers ran and task by task within a batch. Reports print costs to
+// the cent; the digest moves when any run's cost moves by one bit.
+func (s *Suite) CostDigest() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.costs == nil {
+		return fnv.New64a().Sum64()
+	}
+	return s.costs.Sum64()
 }
 
 // Deadline returns D for a slack fraction, aligned to the step grid.

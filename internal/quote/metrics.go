@@ -26,14 +26,6 @@ type Metrics struct {
 	Coalesced obs.Counter
 	// InFlight gauges quote requests currently being processed.
 	InFlight obs.Gauge
-	// StalePlans, BreakerOpens, BreakerHalfOpens and BreakerFastFails
-	// are no longer incremented: the service has no last-known-good
-	// store and no history breaker. They stay registered, reading 0, so
-	// the /metrics exposition does not change.
-	StalePlans       obs.Counter
-	BreakerOpens     obs.Counter
-	BreakerHalfOpens obs.Counter
-	BreakerFastFails obs.Counter
 	// FeedStaleServes counts one-shot histories served from a feed's
 	// tape while it was stale (no tick within Streamer.StaleAfter).
 	FeedStaleServes obs.Counter
@@ -68,10 +60,6 @@ func NewMetrics() *Metrics {
 	m.reg.Counter("quoted_cache_misses_total", &m.CacheMisses)
 	m.reg.Counter("quoted_coalesced_total", &m.Coalesced)
 	m.reg.Gauge("quoted_in_flight", &m.InFlight)
-	m.reg.Counter("quoted_stale_plans_total", &m.StalePlans)
-	m.reg.Counter("quoted_breaker_opens_total", &m.BreakerOpens)
-	m.reg.Counter("quoted_breaker_half_opens_total", &m.BreakerHalfOpens)
-	m.reg.Counter("quoted_breaker_fast_fails_total", &m.BreakerFastFails)
 	m.reg.Counter("quoted_feed_stale_serves_total", &m.FeedStaleServes)
 	m.reg.Counter("quoted_watchdog_trips_total", &m.WatchdogTrips)
 	m.reg.Histogram("quoted_latency_seconds", "stage", "history", metricQuantiles, m.history)

@@ -81,16 +81,7 @@ func Fig4(w io.Writer, c *experiment.Fig4Cell) error {
 	fmt.Fprintf(w, "Figure 4 — %s volatility, slack %.0f%%, t_c=%ds (cost per instance, $)\n",
 		c.Regime, c.Slack*100, c.Tc)
 	const width = 44
-	var all []stats.Box
-	for _, kind := range experiment.SinglePolicies {
-		for _, bid := range c.Bids {
-			all = append(all, c.Singles[kind][bid])
-		}
-	}
-	for _, bid := range c.Bids {
-		all = append(all, c.BestRedundant[bid])
-	}
-	hi := scaleHi([]float64{c.OnDemandRef}, all...)
+	hi := scaleHi([]float64{c.OnDemandRef}, fig4Panel(c).Boxes...)
 
 	var rows [][]string
 	add := func(label string, bid float64, b stats.Box) {
@@ -168,11 +159,7 @@ func Fig6(w io.Writer, c *experiment.Fig6Cell) error {
 	fmt.Fprintf(w, "Figure 6 — %s volatility, slack %.0f%%, t_c=%ds (cost per instance, $)\n",
 		c.Regime, c.Slack*100, c.Tc)
 	const width = 44
-	boxes := []stats.Box{c.Adaptive}
-	for _, b := range c.LargeBid {
-		boxes = append(boxes, b)
-	}
-	hi := scaleHi([]float64{c.OnDemandRef}, boxes...)
+	hi := scaleHi([]float64{c.OnDemandRef}, fig6Panel(c).Boxes...)
 	var rows [][]string
 	for _, l := range experiment.Fig6Thresholds() {
 		b := c.LargeBid[l]

@@ -1,6 +1,7 @@
 // Package report renders experiment results as aligned text tables,
-// ASCII boxplots and CSV, mirroring the shape of the paper's figures in
-// a terminal.
+// ASCII boxplots, CSV and SVG, mirroring the shape of the paper's
+// figures in a terminal, and holds the paper suite's step list
+// (SuiteSteps), which cmd/paperfigs prints.
 package report
 
 import (

@@ -22,10 +22,16 @@ type SVGPanel struct {
 	Labels []string
 	Boxes  []stats.Box
 	// RefLines are horizontal reference values with labels (e.g. the
-	// $48 on-demand line).
-	RefLines map[string]float64
+	// $48 on-demand line), drawn in order.
+	RefLines []RefLine
 	// YLabel captions the y axis (default "Cost per Instance ($)").
 	YLabel string
+}
+
+// RefLine is one labelled horizontal reference value of a panel.
+type RefLine struct {
+	Label string
+	Value float64
 }
 
 // geometry constants (pixels).
@@ -58,9 +64,9 @@ func WriteSVG(w io.Writer, p SVGPanel) error {
 			top = b.Max
 		}
 	}
-	for _, v := range p.RefLines {
-		if v > top {
-			top = v
+	for _, r := range p.RefLines {
+		if r.Value > top {
+			top = r.Value
 		}
 	}
 	if top <= 0 {
@@ -95,11 +101,11 @@ func WriteSVG(w io.Writer, p SVGPanel) error {
 	}
 
 	// Reference lines.
-	for label, v := range p.RefLines {
+	for _, r := range p.RefLines {
 		fmt.Fprintf(&sb, `<line x1="%d" y1="%g" x2="%d" y2="%g" stroke="#888" stroke-dasharray="6,3"/>`+"\n",
-			svgMarginL, y(v), svgW-svgMarginR, y(v))
+			svgMarginL, y(r.Value), svgW-svgMarginR, y(r.Value))
 		fmt.Fprintf(&sb, `<text x="%d" y="%g" font-family="sans-serif" font-size="10" fill="#555" text-anchor="end">%s</text>`+"\n",
-			svgW-svgMarginR, y(v)-4, escape(label))
+			svgW-svgMarginR, y(r.Value)-4, escape(r.Label))
 	}
 
 	// Boxes.

@@ -17,7 +17,7 @@ func samplePanel() SVGPanel {
 			stats.NewBox([]float64{40, 42, 44, 46, 48}),
 			stats.NewBox([]float64{15, 17, 20, 26, 37}),
 		},
-		RefLines: map[string]float64{"on-demand $48": 48, "min spot $5.40": 5.4},
+		RefLines: []RefLine{{"on-demand $48", 48}, {"min spot $5.40", 5.4}},
 	}
 }
 
@@ -42,6 +42,23 @@ func TestWriteSVGWellFormed(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("SVG missing %q", want)
 		}
+	}
+}
+
+// TestWriteSVGRefLinesInOrder pins that reference lines are drawn in
+// the panel's order, so a figure renders the same bytes on every run.
+func TestWriteSVGRefLinesInOrder(t *testing.T) {
+	p := samplePanel()
+	for i := 0; i < 2; i++ {
+		var buf bytes.Buffer
+		if err := WriteSVG(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		first, second := strings.Index(buf.String(), p.RefLines[0].Label), strings.Index(buf.String(), p.RefLines[1].Label)
+		if first < 0 || second < 0 || first > second {
+			t.Fatalf("reference lines %q and %q at offsets %d and %d, want both, in panel order", p.RefLines[0].Label, p.RefLines[1].Label, first, second)
+		}
+		p.RefLines[0], p.RefLines[1] = p.RefLines[1], p.RefLines[0]
 	}
 }
 

@@ -7,14 +7,19 @@
 # (differential against the machine oracle, plus the FuzzBatchedMeasure
 # sweep below) and the quote service, so a green run certifies
 # correctness, bit-for-bit reproducibility of the figures, and
-# byte-identical plan serving. The soak replays the live pipeline
+# byte-identical plan serving. internal/report's TestSuiteDigests pins
+# the 2-window suite (text and every run cost); at 40 windows, which
+# go test cannot afford, the rendered suite is compared with
+# paperfigs_output.txt at the default workers and at -workers 1, and
+# the -csv/-svg panels with figures/. The soak replays the live pipeline
 # through 20 seeded fault scenarios and fails on a missed deadline
 # without fallback, ledger inconsistency, goroutine leaks or
 # nondeterminism. A second, fleet-scale soak drives quotelb over three
 # in-process quoted backends (race detector on) through seeded backend
 # kills, partitions, slow clients and feed gaps, asserting zero
 # client-visible errors, monotonic stream generations, snapshot resume
-# and per-seed determinism.
+# and per-seed determinism. go test pins both soaks' per-seed digests at
+# seed 1 (internal/chaos/testdata).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -51,6 +56,13 @@ go test -run '^$' -fuzz '^FuzzStreamPollParams$' -fuzztime 5s ./internal/quote
 go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/spotapi
 go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 5s ./internal/trace
+# The 40-window suite against its committed text and panels.
+go run ./cmd/paperfigs -windows 40 all | cmp - paperfigs_output.txt
+go run ./cmd/paperfigs -windows 40 -workers 1 all | cmp - paperfigs_output.txt
+figs=$(mktemp -d)
+trap 'rm -rf "$figs"' EXIT
+go run ./cmd/paperfigs -windows 40 -csv "$figs" -svg "$figs" all | cmp - paperfigs_output.txt
+diff -r "$figs" figures
 go run ./cmd/chaossim -runs 20 -seed 1
 # Fleet-topology soak: quotelb over 3 in-process quoted backends under
 # 20 seeded fleet fault scenarios (kill/restart with snapshot resume,
