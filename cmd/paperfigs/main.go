@@ -12,7 +12,7 @@
 //
 // Flags control scale: -windows selects the number of partially
 // overlapping experiment windows per regime (the paper uses 80; smaller
-// values are faster with thinner tails).
+// values are faster with thinner tails; below 1 is a usage error).
 package main
 
 import (
@@ -38,7 +38,8 @@ func main() {
 	}
 }
 
-// errUsage reports a command line without exactly one experiment name.
+// errUsage reports a command line without exactly one experiment name,
+// or with fewer than one window.
 var errUsage = errors.New("usage")
 
 // run is the command: it parses args, renders the named experiments to
@@ -63,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		flag.PrintDefaults()
 	}
 	flag.Parse(args) // ExitOnError: a bad flag exits, as the global set does
-	if flag.NArg() != 1 {
+	if flag.NArg() != 1 || *windows < 1 {
 		flag.Usage()
 		return errUsage
 	}

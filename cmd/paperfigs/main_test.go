@@ -48,9 +48,10 @@ func TestEveryExperimentName(t *testing.T) {
 	}
 }
 
-// TestRefusals checks that an unknown experiment fails before any
-// output, and that convergence run alone below its smallest prefix
-// count still fails with the driver's error (only all skips it).
+// TestRefusals checks that an unknown experiment and a window count
+// below 1 fail before any output, and that convergence run alone below
+// its smallest prefix count still fails with the driver's error (only
+// all skips it).
 func TestRefusals(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-windows", "2", "fig7"}, &out, io.Discard); err == nil || out.Len() > 0 {
@@ -61,5 +62,13 @@ func TestRefusals(t *testing.T) {
 	}
 	if err := run(nil, io.Discard, io.Discard); err != errUsage {
 		t.Errorf("no experiment: err %v, want the usage error", err)
+	}
+	for _, w := range []string{"0", "-3"} {
+		for _, name := range []string{"fig5", "all"} {
+			out.Reset()
+			if err := run([]string{"-windows", w, name}, &out, io.Discard); err != errUsage || out.Len() > 0 {
+				t.Errorf("-windows %s %s: err %v after %d bytes of output, want the usage error before any", w, name, err, out.Len())
+			}
+		}
 	}
 }

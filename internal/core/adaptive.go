@@ -35,10 +35,9 @@ type Adaptive struct {
 	MaxZones int
 	// Candidates are the policies chosen among; nil selects the
 	// defaults. Each must be of the Periodic or Markov-Daly family, the
-	// families the batched engine replays; it panics on any other.
-	// Decision records name the winner by its descriptor's String, so
-	// candidates should be distinct (the decision replayer refuses
-	// duplicates).
+	// families the batched engine replays, and no two may print the
+	// same, since decision records name the winner by its descriptor's
+	// String: a run refuses any other list (Validate).
 	Candidates []PolicySpec
 	// EstimationWindow is how much trailing history each permutation is
 	// simulated over; 0 selects 12 hours.
@@ -92,6 +91,10 @@ func NewAdaptive() *Adaptive { return &Adaptive{} }
 
 // Name implements sim.Strategy.
 func (a *Adaptive) Name() string { return "adaptive" }
+
+// Validate reports a candidate list the strategy cannot run, as Rank
+// refuses it; sim runs call it before Begin.
+func (a *Adaptive) Validate() error { return checkCandidates(a.Candidates) }
 
 // Begin implements sim.Strategy: bootstrap from the price history
 // preceding the experiment (the paper primes with 2 days) and pick the

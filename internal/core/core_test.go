@@ -280,15 +280,26 @@ func TestBidGrid(t *testing.T) {
 }
 
 func TestMeanUptimeHelper(t *testing.T) {
+	// meanUptime reads the history up to Now in place: a one-zone run
+	// over the prices, at its last sample.
+	mean := func(prices ...float64) float64 {
+		set := trace.MustNewSet(trace.NewSeries("z", 0, prices))
+		m, err := sim.NewMachine(testConfig(nil, set, 300), probeStrategy{func(*sim.Env) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := m.Env()
+		env.Now = set.End() - env.Step
+		return meanUptime(env, 0, 0.5)
+	}
 	// ups: [0.3 0.3] [0.9] [0.3] → two runs of 2 and 1 samples.
-	got := meanUptime([]float64{0.3, 0.3, 0.9, 0.3}, 300, 0.5)
-	if got != 450 {
+	if got := mean(0.3, 0.3, 0.9, 0.3); got != 450 {
 		t.Fatalf("meanUptime = %g, want 450", got)
 	}
-	if meanUptime([]float64{0.9, 0.9}, 300, 0.5) != 0 {
+	if mean(0.9, 0.9) != 0 {
 		t.Fatal("never-up meanUptime should be 0")
 	}
-	if meanUptime([]float64{0.3, 0.3}, 300, 0.5) != 600 {
+	if mean(0.3, 0.3) != 600 {
 		t.Fatal("always-up meanUptime wrong")
 	}
 }

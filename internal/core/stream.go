@@ -46,13 +46,14 @@ import (
 // The resident state is bounded by what the head can read. A resident
 // permutation steps only through the steps a tick appends, so between
 // ticks a grid keeps one fitted chain per chain memo, the head step's
-// uptime slots, each permutation's head interval slot and the fitter
-// ids of the head's fit windows (keepHead), beside the columnar view of
-// the window and the availability flips a catch-up replays over. A
-// catch-up or rebuild re-arms the memos and fitters it reads over the
-// whole window for the duration of its replay, and the tick releases
-// them again before it returns; every entry is a pure function of the
-// window, so a released entry that is recomputed is the same float.
+// uptime slots and each permutation's head interval slot (keepHead),
+// beside each fitter's counts, the columnar view of the window, whose
+// chain states the tape keeps, and the availability flips a catch-up
+// replays over. A catch-up or rebuild re-arms the memos it reads over
+// the whole window for the duration of its replay, and the tick
+// releases them again before it returns; every entry is a pure function
+// of the window, so a released entry that is recomputed is the same
+// float.
 //
 // Every grid cell stays resident: NewStreamGrid refuses what the
 // batched engine cannot replay or a permutation key cannot hold — a

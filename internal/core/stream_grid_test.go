@@ -348,9 +348,9 @@ func checkResidentBound(t *testing.T, g *StreamGrid, tick int) {
 				tick, i, len(iv.vals), cap(iv.vals), iv.base, head)
 		}
 	}
-	if len(b.freeModels) > len(b.chains) || len(b.freeIvals) != 0 || len(b.freeChains) != 0 {
+	if freeModels(b) > len(b.chains) || len(b.freeIvals) != 0 || len(b.freeChains) != 0 {
 		t.Fatalf("tick %d: free lists hold %d models, %d interval memos, %d chain memos; want at most %d, 0, 0",
-			tick, len(b.freeModels), len(b.freeIvals), len(b.freeChains), len(b.chains))
+			tick, freeModels(b), len(b.freeIvals), len(b.freeChains), len(b.chains))
 	}
 }
 
@@ -432,9 +432,9 @@ func TestStreamGridResidentBound(t *testing.T) {
 // TestStreamGridFitterBound warms the StreamResident benchmark's grid
 // (high-volatility preset, max_zones 3, no cross-check) to one tick
 // short of its retention bound and requires that a chain memo holds no
-// column of the window: each fitter keeps at most 2·(span/step)+2 state
-// ids, twice its trailing fit window, and no other buffer of the memo
-// holds more.
+// column of the window: each fitter counts over at most 2·(span/step)+2
+// slots, twice its trailing fit window, and holds no ids (it reads the
+// tape's states), and no other buffer of the memo holds more.
 func TestStreamGridFitterBound(t *testing.T) {
 	set := tracegen.HighVolatility(33)
 	cfg := streamConfigFor(set)
@@ -457,8 +457,8 @@ func TestStreamGridFitterBound(t *testing.T) {
 			bound := 2*int(g.b.chainKeys[ci].span/set.Step()) + 2
 			if cm.wf.Len() > 0 {
 				fitted++
-				if n := cm.wf.Retained(); n > bound {
-					t.Fatalf("tick %d: chain memo %d fitter holds %d ids of %d, bound %d", i, ci, n, cm.wf.Len(), bound)
+				if n := cm.wf.Slots(); n > bound {
+					t.Fatalf("tick %d: chain memo %d fitter counts over %d slots for %d samples, bound %d", i, ci, n, cm.wf.Len(), bound)
 				}
 			}
 			v := reflect.ValueOf(cm).Elem()

@@ -318,13 +318,19 @@ func TestUnsupportedCandidatesRejected(t *testing.T) {
 		}
 	}
 
+	// An Adaptive run refuses the same lists before its first step.
 	hist, run := window(tracegen.LowVolatility(31), 3, 1)
-	a := NewAdaptive()
-	a.Candidates = withEdge
-	defer func() {
-		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "*core.Edge") {
-			t.Errorf("Adaptive with an Edge candidate: panic %q, want one naming *core.Edge", msg)
+	for _, tc := range []struct {
+		cands []PolicySpec
+		want  string
+	}{{withEdge, `candidate "edge"`}, {dupKind, `kind "markov-daly"`}} {
+		a := NewAdaptive()
+		a.Candidates = tc.cands
+		if res, err := sim.Run(testConfig(hist, run, 300), a); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Adaptive with candidates %v: result %v, err %v, want one containing %q", tc.cands, res, err, tc.want)
 		}
-	}()
-	sim.Run(testConfig(hist, run, 300), a)
+		if a.decSeq != 0 {
+			t.Errorf("Adaptive with candidates %v decided %d times before refusing", tc.cands, a.decSeq)
+		}
+	}
 }

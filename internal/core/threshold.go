@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 )
 
@@ -13,9 +15,9 @@ import (
 //     restart or checkpoint exceeds the zone's probabilistic average
 //     uptime (TimeThresh).
 type Threshold struct {
-	// timeThresh holds each active zone's average observed uptime at
-	// the current bid, computed from history at Reset.
-	timeThresh map[int]float64
+	// timeThresh holds, by trace zone, each active zone's average
+	// observed uptime at the current bid, computed from history at Reset.
+	timeThresh []float64
 }
 
 // NewThreshold returns a Threshold policy.
@@ -27,19 +29,20 @@ func (t *Threshold) Name() string { return "threshold" }
 // Reset computes each zone's TimeThresh: the mean length of its up
 // intervals at the current bid over the available history.
 func (t *Threshold) Reset(env *sim.Env) {
-	t.timeThresh = make(map[int]float64, len(env.Spec.Zones))
+	t.timeThresh = slices.Grow(t.timeThresh[:0], len(env.Zones))[:len(env.Zones)]
 	for _, zi := range env.Spec.Zones {
-		t.timeThresh[zi] = meanUptime(env.PriceHistory(zi, 0x7fffffff), env.Step, env.Spec.Bid)
+		t.timeThresh[zi] = meanUptime(env, zi, env.Spec.Bid)
 	}
 }
 
-// meanUptime returns the average up-interval length in seconds of a
-// price sample sequence at the given bid; 0 when never up.
-func meanUptime(prices []float64, step int64, bid float64) float64 {
+// meanUptime returns the average up-interval length in seconds of the
+// zone's price history up to now at the given bid, read in place on the
+// step grid Env.PriceHistory samples; 0 when never up.
+func meanUptime(env *sim.Env, zone int, bid float64) float64 {
 	var total, runs int64
 	var cur int64
-	for _, p := range prices {
-		if p <= bid {
+	for at := max(env.Now-0x7fffffff+env.Step, env.HistoryStart()); at <= env.Now; at += env.Step {
+		if env.Price(zone, at) <= bid {
 			cur++
 		} else if cur > 0 {
 			total += cur
@@ -54,7 +57,7 @@ func meanUptime(prices []float64, step int64, bid float64) float64 {
 	if runs == 0 {
 		return 0
 	}
-	return float64(total*step) / float64(runs)
+	return float64(total*env.Step) / float64(runs)
 }
 
 // CheckpointCondition implements the two-threshold trigger.

@@ -109,9 +109,6 @@ func TestFig4CellShape(t *testing.T) {
 				t.Fatalf("%s@%.2f median = %g", kind, bid, b.Median)
 			}
 		}
-		if cell.SinglesMerged[kind].N != 36 {
-			t.Fatalf("merged N = %d", cell.SinglesMerged[kind].N)
-		}
 	}
 	for _, bid := range cell.Bids {
 		b := cell.BestRedundant[bid]
@@ -127,12 +124,6 @@ func TestFig4CellShape(t *testing.T) {
 	}
 	if cell.OnDemandRef != 48 {
 		t.Fatalf("od ref = %g", cell.OnDemandRef)
-	}
-	if got := len(cell.SingleSamples(KindPeriodic, 0.81)); got != 12 {
-		t.Fatalf("raw samples = %d", got)
-	}
-	if got := len(cell.BestRedundantSamples(0.81)); got != 4 {
-		t.Fatalf("raw best-red samples = %d", got)
 	}
 }
 

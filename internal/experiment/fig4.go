@@ -41,34 +41,35 @@ func mustPolicy(kind string) core.PolicySpec {
 	return pol
 }
 
-// task pairs a run with the slot its cost lands in.
+// task pairs a run with the slot its cost lands in and, when met is
+// set, the slot its deadline outcome lands in.
 type task struct {
 	cfg   sim.Config
 	strat sim.Strategy
 	out   *float64
-	res   **sim.Result
+	met   *bool
 }
 
-// runTasks executes tasks in parallel; the first error aborts the batch
-// result (individual runs are deterministic, so errors are structural).
-// Each task drops its strategy once run, so a finished run's policy
-// state (a Markov-Daly's price columns, say) is garbage before the
-// batch ends. The finished batch's costs fold into the suite's cost
-// digest in task order.
+// runTasks executes tasks in parallel, each on a pooled machine
+// (sim.RunPooled) that it reads its slots from before the machine goes
+// back to the pool; the first error aborts the batch result (individual
+// runs are deterministic, so errors are structural). Each task drops
+// its strategy once run, and so does the released machine, so a
+// finished run's policy state (a Markov-Daly's fitters, say) is garbage
+// before the batch ends. The finished batch's costs fold into the
+// suite's cost digest in task order.
 func (s *Suite) runTasks(tasks []task) error {
 	errs := make([]error, len(tasks))
 	s.parallel(len(tasks), func(i int) {
-		res, err := sim.Run(tasks[i].cfg, tasks[i].strat)
-		tasks[i].strat = nil
-		if err != nil {
-			errs[i] = err
-			*tasks[i].out = math.NaN()
-			return
-		}
-		*tasks[i].out = res.Cost
-		if tasks[i].res != nil {
-			*tasks[i].res = res
-		}
+		t := &tasks[i]
+		*t.out = math.NaN()
+		errs[i] = sim.RunPooled(t.cfg, t.strat, func(res *sim.Result) {
+			*t.out = res.Cost
+			if t.met != nil {
+				*t.met = res.DeadlineMet
+			}
+		})
+		t.strat = nil
 	})
 	s.mu.Lock()
 	if s.costs == nil {
@@ -99,8 +100,6 @@ type Fig4Cell struct {
 	// Singles maps policy kind → bid → boxplot over windows × zones
 	// (the paper merges the three zones into one box).
 	Singles map[string]map[float64]stats.Box
-	// SinglesMerged maps policy kind → boxplot across all bids.
-	SinglesMerged map[string]stats.Box
 	// BestRedundant maps bid → boxplot of the per-window minimum cost
 	// across the redundant policy family (the paper's best-case R).
 	BestRedundant map[float64]stats.Box
@@ -111,22 +110,6 @@ type Fig4Cell struct {
 	// costs at the paper's $0.81 bid: a small p-value with effect size
 	// below 0.5 certifies the cell's redundancy advantage.
 	RedundancySignificance stats.MannWhitneyResult
-
-	// raw samples for downstream analyses (headline ratios).
-	singleCosts map[string]map[float64][]float64
-	bestRedCost map[float64][]float64
-}
-
-// SingleSamples exposes the raw per-run costs of a single-zone policy
-// at a bid (windows × zones entries).
-func (c *Fig4Cell) SingleSamples(kind string, bid float64) []float64 {
-	return c.singleCosts[kind][bid]
-}
-
-// BestRedundantSamples exposes the raw per-window best-case redundancy
-// costs at a bid.
-func (c *Fig4Cell) BestRedundantSamples(bid float64) []float64 {
-	return c.bestRedCost[bid]
 }
 
 // Fig4 reproduces one panel of Figure 4 (and the underlying data for
@@ -149,23 +132,21 @@ func (s *Suite) Fig4(regime string, slack float64, tc int64, bids []float64) (*F
 	cell := &Fig4Cell{
 		Regime: regime, Slack: slack, Tc: tc, Bids: bids,
 		Singles:       map[string]map[float64]stats.Box{},
-		SinglesMerged: map[string]stats.Box{},
 		BestRedundant: map[float64]stats.Box{},
 		OnDemandRef:   s.OnDemandReferenceCost(),
 		MinSpotRef:    s.MinSpotReferenceCost(),
-		singleCosts:   map[string]map[float64][]float64{},
-		bestRedCost:   map[float64][]float64{},
 	}
 
 	var tasks []task
 
 	// Single-zone runs: policy × bid × zone × window.
+	singleCosts := map[string]map[float64][]float64{}
 	for _, kind := range SinglePolicies {
 		pol := mustPolicy(kind)
-		cell.singleCosts[kind] = map[float64][]float64{}
+		singleCosts[kind] = map[float64][]float64{}
 		for _, bid := range bids {
 			costs := make([]float64, len(windows)*len(zones))
-			cell.singleCosts[kind][bid] = costs
+			singleCosts[kind][bid] = costs
 			for zi := range zones {
 				for wi, w := range windows {
 					tasks = append(tasks, task{
@@ -204,14 +185,11 @@ func (s *Suite) Fig4(regime string, slack float64, tc int64, bids []float64) (*F
 	// Aggregate.
 	for _, kind := range SinglePolicies {
 		cell.Singles[kind] = map[float64]stats.Box{}
-		var merged []float64
 		for _, bid := range bids {
-			costs := cell.singleCosts[kind][bid]
-			cell.Singles[kind][bid] = stats.NewBox(costs)
-			merged = append(merged, costs...)
+			cell.Singles[kind][bid] = stats.NewBox(singleCosts[kind][bid])
 		}
-		cell.SinglesMerged[kind] = stats.NewBox(merged)
 	}
+	bestRed := map[float64][]float64{}
 	for _, bid := range bids {
 		best := make([]float64, len(windows))
 		for wi := range best {
@@ -222,13 +200,13 @@ func (s *Suite) Fig4(regime string, slack float64, tc int64, bids []float64) (*F
 				}
 			}
 		}
-		cell.bestRedCost[bid] = best
+		bestRed[bid] = best
 		cell.BestRedundant[bid] = stats.NewBox(best)
 	}
 
 	// Significance of the redundancy advantage at the paper's focus bid.
 	const focusBid = 0.81
-	if red, ok := cell.bestRedCost[focusBid]; ok {
+	if red, ok := bestRed[focusBid]; ok {
 		bestKind := ""
 		bestMedian := math.Inf(1)
 		for _, kind := range SinglePolicies {
@@ -238,7 +216,7 @@ func (s *Suite) Fig4(regime string, slack float64, tc int64, bids []float64) (*F
 			}
 		}
 		if bestKind != "" {
-			cell.RedundancySignificance = stats.MannWhitney(red, cell.singleCosts[bestKind][focusBid])
+			cell.RedundancySignificance = stats.MannWhitney(red, singleCosts[bestKind][focusBid])
 		}
 	}
 	return cell, nil

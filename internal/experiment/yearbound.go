@@ -4,14 +4,10 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
-
-// resultHolder captures a task's full result alongside its cost slot.
-type resultHolder struct{ r *sim.Result }
 
 // YearBoundResult reproduces the paper's §7.2.1 bounded-cost claim over
 // the full 12-month history: "total cost never exceeds 20% above the
@@ -46,9 +42,8 @@ func (s *Suite) YearBound(windows int, slack float64, tc int64) (*YearBoundResul
 		return nil, fmt.Errorf("experiment: year trace cannot host the deadline")
 	}
 	costs := make([]float64, windows)
-	missed := 0
+	met := make([]bool, windows)
 	var tasks []task
-	results := make([]*resultHolder, windows)
 	for i := 0; i < windows; i++ {
 		var off int64
 		if windows > 1 {
@@ -60,20 +55,19 @@ func (s *Suite) YearBound(windows int, slack float64, tc int64) (*YearBoundResul
 			Run:     year.Slice(start, start+runLen),
 			History: year.Slice(start-s.HistorySpan, start),
 		}
-		holder := &resultHolder{}
-		results[i] = holder
 		tasks = append(tasks, task{
 			cfg:   s.Config(w, slack, tc),
 			strat: core.NewAdaptive(),
 			out:   &costs[i],
-			res:   &holder.r,
+			met:   &met[i],
 		})
 	}
 	if err := s.runTasks(tasks); err != nil {
 		return nil, err
 	}
-	for _, h := range results {
-		if h.r != nil && !h.r.DeadlineMet {
+	missed := 0
+	for _, ok := range met {
+		if !ok {
 			missed++
 		}
 	}

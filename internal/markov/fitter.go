@@ -4,259 +4,238 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+
+	"repro/internal/trace"
 )
 
-// Quantum is the nickel bucket a WindowFitter rounds prices to (as
-// Quantize(prices, Quantum) does), bounding the chain's state count.
-const Quantum = 0.05
+// Quantum is the nickel bucket prices are rounded to for a chain's
+// states (Quantize(prices, Quantum), and the trace's state columns).
+const Quantum = trace.Quantum
 
-// WindowFitter fits chains on windows [lo, hi) of one price column
-// without re-sorting per fit. It buckets each raw price it takes (Init
-// in bulk, Append one at a time) to Quantum and keeps its state id,
-// indexed from Init on. Fit keeps, for the window last fitted, a
-// per-value occurrence count and the transition count table, and
-// slides both window ends to the requested window, so a sequence of
-// fits whose windows move forward and overlap costs O(Δ + D²) per fit,
-// where Δ is how far the ends moved and D the number of distinct
-// buckets. A window that moves backwards, shrinks its end or jumps past
-// the old one re-counts from scratch. The counts are integer-valued
-// floats, so arriving at a window incrementally or in one pass is
-// value-identical, and the produced models are bit-identical to
-// Fit(Quantize(window, Quantum)) (TestWindowFitterMatchesFit pins
-// this). The oracle's Markov-Daly policy, the batched permutation
-// evaluator and the streaming grid refit trailing windows that share
-// almost all their samples, which makes a from-scratch fit per call the
-// dominant cost.
+// WindowFitter fits chains on windows [lo, hi) of one state column
+// without re-bucketing or re-sorting per fit. It reads a view of the
+// column (Init): ids[i] is sample i's state, an index into vals, the
+// states' bucketed values — a trace.Series' States, which the trace
+// buckets once. It holds no ids of its own, only counts: for the window
+// last fitted, each present state's occurrence count and the transition
+// count table, over one local slot per state present, and it slides
+// both window ends to the requested window, so a sequence of fits whose
+// windows move forward and overlap costs O(Δ + D²) per fit, where Δ is
+// how far the ends moved and D the number of states in the windows. A
+// window that moves backwards, shrinks its end or jumps past the old
+// one re-counts from scratch. The counts are integer-valued floats, so
+// arriving at a window incrementally or in one pass is value-identical,
+// and the produced models are bit-identical to Fit(Quantize(window,
+// Quantum)) (TestWindowFitterMatchesFit pins this). The oracle's
+// Markov-Daly policy, the batched permutation evaluator and the
+// streaming grid refit trailing windows that share almost all their
+// samples, which makes a from-scratch fit per call the dominant cost.
+//
+// A window may reach past the view's end: those samples read as the
+// view's last, as trace.Series.PriceAt clamps.
 //
 // A WindowFitter is not safe for concurrent use.
 type WindowFitter struct {
 	step int64
+	ids  []int32   // the column view
+	vals []float64 // state values by id
 
-	sorted []float64 // distinct bucketed values, ascending
-	gid    []int32   // state id of sample off+i, an index into sorted
-	off    int       // absolute index of gid[0]
-	keep   int       // Forget mark: the earliest window start Fit accepts
+	// Local slots: slot[id] is the state's slot (-1 for none), sid[s]
+	// the slot's state and order every slot in ascending value of its
+	// state. A slot no sample of the counted window occupies keeps its
+	// state, so a recount finds the slots it needs in place, until a new
+	// state claims it (free lists the candidates): it has no counted
+	// transition left, so it is reused as it is.
+	slot  []int32
+	sid   []int32
+	order []int32
+	free  []int32
+	live  []int32 // the occupied slots in order: the fitted model's states
 
-	occ     []int32   // occurrences of each distinct value in [lo, hi)
-	ccounts []float64 // transition counts over the pairs inside [lo, hi)
-	spare   []float64 // the count table insertState swaps out, reused by the next one
-	lo, hi  int       // the window occ and ccounts cover
-	gsel    []int32   // per-fit scratch: selected column states
+	occ     []int32   // occurrences of each slot's state in [lo, hi)
+	ccounts []float64 // transition counts over the pairs inside [lo, hi), stride × stride
+	stride  int
+	lo, hi  int // the window occ and ccounts cover
 }
 
-// Init restarts the fitter on a raw price column sampled every step
-// seconds, bucketing it and precomputing its distinct-value structure
-// in one pass; the column is only read. Buffers are reused across
-// calls. Prices must be NaN-free (every trace admitted by
-// trace.Validate is): distinct states are extracted by sorting rather
-// than hashing, and the two agree only on NaN-free input.
-func (f *WindowFitter) Init(prices []float64, step int64) {
+// Init restarts the fitter on a state column view of samples step
+// seconds apart: ids[i] is sample i's state and vals[id] its value. The
+// view is only read, and must not change under the fitter except as
+// Slide allows. Buffers are reused across calls.
+func (f *WindowFitter) Init(ids []int32, vals []float64, step int64) {
+	for _, id := range f.sid {
+		f.slot[id] = -1
+	}
+	f.sid, f.order, f.occ = f.sid[:0], f.order[:0], f.occ[:0]
 	f.step = step
-	f.off, f.keep = 0, 0
-	// Distinct bucketed values, ascending. Equality here matches Fit's
-	// map-key equality (==, which also collapses -0 and +0). Bucketed
-	// price columns carry few distinct values, so building the set by
-	// binary-search insertion beats sorting the whole column; columns
-	// with many distinct values fall back to sort-and-compact. Price
-	// columns are step functions, so most samples repeat their
-	// predecessor and skip the search, here and in Append.
-	const insertionMax = 64
-	f.sorted = f.sorted[:0]
-	for t, p := range prices {
-		if t > 0 && p == prices[t-1] {
-			continue
-		}
-		p = math.Round(p/Quantum) * Quantum
-		i := sort.SearchFloat64s(f.sorted, p)
-		if i < len(f.sorted) && f.sorted[i] == p {
-			continue
-		}
-		if len(f.sorted) == insertionMax {
-			f.sorted = f.sorted[:0]
-			break
-		}
-		f.sorted = slices.Insert(f.sorted, i, p)
-	}
-	if len(f.sorted) == 0 && len(prices) > 0 {
-		tmp := Quantize(prices, Quantum)
-		sort.Float64s(tmp)
-		for i, p := range tmp {
-			if i == 0 || p != f.sorted[len(f.sorted)-1] {
-				f.sorted = append(f.sorted, p)
-			}
-		}
-	}
-	d := len(f.sorted)
-	f.gid = slices.Grow(f.gid[:0], len(prices))
-	f.occ = slices.Grow(f.occ[:0], d)[:d]
-	f.ccounts = slices.Grow(f.ccounts[:0], d*d)[:d*d]
+	f.ids, f.vals = ids, vals
 	f.recount(0)
-	for _, p := range prices {
-		f.Append(p) // every value is known: this only indexes samples
+	f.growSlots()
+}
+
+// Slide re-points the fitter at a view of the same column whose sample
+// i is the previous view's sample drop+i: the column dropped drop
+// samples at the front (in place or not) and may have grown at the
+// back. The counted window moves with the samples; one that held a
+// dropped sample, or a clamped one past the old view's end, re-counts
+// at the next fit.
+func (f *WindowFitter) Slide(ids []int32, vals []float64, drop int) {
+	if f.lo < drop || f.hi > len(f.ids) {
+		f.recount(0)
+	} else {
+		f.lo -= drop
+		f.hi -= drop
+	}
+	f.ids, f.vals = ids, vals
+	f.growSlots()
+}
+
+// Len returns the number of samples in the view.
+func (f *WindowFitter) Len() int { return len(f.ids) }
+
+// Slots returns the number of local slots the fitter counts over: at
+// most the states two consecutive fit windows have held since Init. Its
+// count table holds under max(16, 2·Slots)² floats, and it holds
+// nothing per sample.
+func (f *WindowFitter) Slots() int { return len(f.sid) }
+
+// growSlots extends the slot map over the view's value table.
+func (f *WindowFitter) growSlots() {
+	if n := len(f.vals) - len(f.slot); n > 0 {
+		f.slot = slices.Grow(f.slot, n)
+		for range n {
+			f.slot = append(f.slot, -1)
+		}
 	}
 }
 
-// Len returns the number of samples taken since Init, forgotten or not.
-func (f *WindowFitter) Len() int { return f.off + len(f.gid) }
-
-// Forgotten returns the Forget mark, the earliest start Fit accepts.
-func (f *WindowFitter) Forgotten() int { return f.keep }
-
-// Retained returns how many sample ids the fitter holds.
-func (f *WindowFitter) Retained() int { return len(f.gid) }
-
-// recount empties the counted window, placing it at lo.
+// recount empties the counted window, placing it at lo; every slot
+// keeps its state and becomes free to claim.
 func (f *WindowFitter) recount(lo int) {
 	clear(f.occ)
 	clear(f.ccounts)
+	f.free = f.free[:0]
+	for s := range f.sid {
+		f.free = append(f.free, int32(s))
+	}
 	f.lo, f.hi = lo, lo
 }
 
-// Append takes the next raw sample: O(log D), or one O(n + D²) remap of
-// the held ids and the count table for a brand-new bucket. Fits after
-// Appends are bit-identical to a fresh Init over the grown column.
-func (f *WindowFitter) Append(p float64) {
-	p = math.Round(p/Quantum) * Quantum
-	if n := len(f.gid); n > 0 && f.sorted[f.gid[n-1]] == p {
-		f.gid = append(f.gid, f.gid[n-1])
-		return
+// id returns sample t's state; a sample past the view's end reads as
+// the last.
+func (f *WindowFitter) id(t int) int32 { return f.ids[min(t, len(f.ids)-1)] }
+
+// slotOf returns the state's slot, claiming one if it has none: an
+// unoccupied slot, or a new one.
+func (f *WindowFitter) slotOf(id int32) int {
+	if s := f.slot[id]; s >= 0 {
+		return int(s)
 	}
-	g := sort.SearchFloat64s(f.sorted, p)
-	if g == len(f.sorted) || f.sorted[g] != p {
-		f.insertState(g, p)
+	s := -1
+	for len(f.free) > 0 && s < 0 {
+		c := f.free[len(f.free)-1]
+		f.free = f.free[:len(f.free)-1]
+		if f.occ[c] == 0 {
+			s = int(c)
+		}
 	}
-	f.gid = append(f.gid, int32(g))
+	if s >= 0 {
+		f.slot[f.sid[s]] = -1
+		i := slices.Index(f.order, int32(s))
+		f.order = slices.Delete(f.order, i, i+1)
+		f.sid[s] = id
+	} else {
+		s = len(f.sid)
+		f.sid = append(f.sid, id)
+		f.occ = append(f.occ, 0)
+		if s == f.stride {
+			f.widen()
+		}
+	}
+	f.slot[id] = int32(s)
+	v := f.vals[id]
+	i := len(f.order)
+	for ; i > 0 && f.vals[f.sid[f.order[i-1]]] > v; i-- {
+	}
+	f.order = slices.Insert(f.order, i, int32(s))
+	return s
 }
 
-// Forget declares that no later Fit starts before sample lo (a lo at or
-// behind the mark changes nothing). Ids before lo are dropped once they
-// are over half of those held, so at most twice the span lo..Len stays;
-// the next Fit recounts a counted window that starts before lo.
-func (f *WindowFitter) Forget(lo int) {
-	lo = min(lo, f.Len())
-	if lo <= f.keep {
-		return
-	}
-	f.keep = lo
-	if f.lo < lo {
-		f.recount(lo)
-	}
-	if d := lo - f.off; d > len(f.gid)/2 {
-		f.gid = f.gid[:copy(f.gid, f.gid[d:])]
-		if cap(f.gid) > 4*len(f.gid) {
-			f.gid = append(make([]int32, 0, 2*len(f.gid)), f.gid...)
-		}
-		f.off = lo
-	}
-}
-
-// insertState grows the distinct-value structure by one value at sorted
-// position g: ids at or above g shift up in the sample map, the
-// occurrence counts and the transition table, and the new value starts
-// with no occurrences.
-func (f *WindowFitter) insertState(g int, p float64) {
-	d := len(f.sorted)
-	f.sorted = slices.Insert(f.sorted, g, p)
-	f.occ = slices.Insert(f.occ, g, 0)
-	for i, id := range f.gid {
-		if id >= int32(g) {
-			f.gid[i] = id + 1
-		}
-	}
-	nd := d + 1
-	counts := slices.Grow(f.spare[:0], nd*nd)[:nd*nd]
-	clear(counts)
-	for r := 0; r < d; r++ {
-		nr := r
-		if r >= g {
-			nr++
-		}
-		for c := 0; c < d; c++ {
-			nc := c
-			if c >= g {
-				nc++
+// release marks a slot whose last occurrence left the window free to
+// claim. Slots a recount found again stay listed; the list is rebuilt
+// when such entries outnumber the slots.
+func (f *WindowFitter) release(s int) {
+	if len(f.free) > 2*len(f.sid) {
+		f.free = f.free[:0]
+		for c, n := range f.occ {
+			if n == 0 && c != s {
+				f.free = append(f.free, int32(c))
 			}
-			counts[nr*nd+nc] = f.ccounts[r*d+c]
 		}
 	}
-	f.ccounts, f.spare = counts, f.ccounts
+	f.free = append(f.free, int32(s))
+}
+
+// widen doubles the count table's stride, moving the counts, and gives
+// the per-slot lists room for as many slots in one allocation. The
+// first table holds 16 states, which most fits never outgrow.
+func (f *WindowFitter) widen() {
+	old, ns := f.stride, max(16, 2*f.stride)
+	counts := make([]float64, ns*ns)
+	for r := 0; r < old; r++ {
+		copy(counts[r*ns:r*ns+old], f.ccounts[r*old:(r+1)*old])
+	}
+	f.ccounts, f.stride = counts, ns
+	room := make([]int32, 5*ns)
+	for i, l := range []*[]int32{&f.sid, &f.occ, &f.order, &f.live, &f.free} {
+		*l = append(room[i*ns:i*ns:(i+1)*ns], *l...)
+	}
 }
 
 // Fit estimates the chain from the bucketed samples [lo, hi), exactly
 // like Fit(Quantize(window, 0.05)) over the raw samples; an empty
-// window reports ErrNoHistory, and a window that starts behind the
-// Forget mark or ends past Len an error. When reuse is non-nil its
-// storage is recycled for the result (the caller must be done with it);
-// the returned model is reuse itself in that case.
+// window reports ErrNoHistory, and an empty view or a negative start an
+// error. When reuse is non-nil its storage is recycled for the result
+// (the caller must be done with it); the returned model is reuse itself
+// in that case.
 func (f *WindowFitter) Fit(lo, hi int, reuse *Model) (*Model, error) {
-	if hi <= lo {
-		return nil, ErrNoHistory
-	}
-	if f.step <= 0 {
-		return nil, fmt.Errorf("markov: non-positive step %d", f.step)
-	}
-	if lo < f.keep || hi > f.Len() {
-		return nil, fmt.Errorf("markov: window [%d, %d) outside the fitter's samples [%d, %d)", lo, hi, f.keep, f.Len())
+	if _, err := f.Count(lo, hi); err != nil {
+		return nil, err
 	}
 	if reuse == nil {
 		reuse = &Model{}
 	}
-	// Slide the counted window to [lo, hi): grow the end first, then
-	// drop the samples before lo. Every pair inside the new window is
-	// counted once, and every pair that left it is uncounted once.
-	d := len(f.sorted)
-	if lo < f.lo || lo >= f.hi || hi < f.hi {
-		f.recount(lo)
+	nn := len(f.live)
+	states := slices.Grow(reuse.States[:0], nn)
+	for _, s := range f.live {
+		states = append(states, f.vals[f.sid[s]])
 	}
-	for t := f.hi - f.off; t < hi-f.off; t++ {
-		g := f.gid[t]
-		f.occ[g]++
-		if t > f.lo-f.off {
-			f.ccounts[int(f.gid[t-1])*d+int(g)]++
-		}
-	}
-	for t := f.lo - f.off; t < lo-f.off; t++ {
-		g := f.gid[t]
-		f.occ[g]--
-		f.ccounts[int(g)*d+int(f.gid[t+1])]--
-	}
-	f.lo, f.hi = lo, hi
-	// The window's distinct states are the column values it holds, in
-	// the same ascending order Fit would sort them into. Transitions
-	// among them are exactly the table entries at their column-state
-	// ids: every sample in the window maps to a selected state, so no
-	// counted transition is dropped by the filter.
-	states := slices.Grow(reuse.States[:0], d)
-	f.gsel = f.gsel[:0]
-	for g, c := range f.occ {
-		if c > 0 {
-			f.gsel = append(f.gsel, int32(g))
-			states = append(states, f.sorted[g])
-		}
-	}
-	nn := len(f.gsel)
 
 	// Row storage: one flat backing array, rows sliced out of it. When
 	// the reused model was produced by a WindowFitter its rows are
 	// contiguous slices of one array whose capacity row 0 still
 	// reaches, so the backing can be recovered; models from plain Fit
-	// just reallocate.
+	// just reallocate. A model outgrowing its storage gets headroom, as
+	// a refitted model's state count creeps.
 	var flat []float64
 	if len(reuse.Trans) > 0 {
 		flat = reuse.Trans[0][:0]
 	}
 	if cap(flat) < nn*nn {
-		flat = make([]float64, nn*nn)
+		c := nn
+		if cap(flat) > 0 {
+			c += nn / 2
+		}
+		flat = make([]float64, nn*nn, c*c)
 	}
 	flat = flat[:nn*nn]
 	trans := slices.Grow(reuse.Trans[:0], nn)
-	for i, gi := range f.gsel {
+	for i, si := range f.live {
 		row := flat[i*nn : (i+1)*nn]
-		base := int(gi) * d
+		base := int(si) * f.stride
 		var total float64
-		for j, gj := range f.gsel {
-			c := f.ccounts[base+int(gj)]
+		for j, sj := range f.live {
+			c := f.ccounts[base+int(sj)]
 			row[j] = c
 			total += c
 		}
@@ -276,6 +255,68 @@ func (f *WindowFitter) Fit(lo, hi int, reuse *Model) (*Model, error) {
 	reuse.Step = f.step
 	reuse.Horizon = 0
 	return reuse, nil
+}
+
+// Count slides the counted window to [lo, hi) and returns the number of
+// states the fit of that window has, with Fit's errors; a Fit of the
+// same window right after it only emits the model.
+func (f *WindowFitter) Count(lo, hi int) (int, error) {
+	if hi <= lo {
+		return 0, ErrNoHistory
+	}
+	if f.step <= 0 {
+		return 0, fmt.Errorf("markov: non-positive step %d", f.step)
+	}
+	if lo < 0 || len(f.ids) == 0 {
+		return 0, fmt.Errorf("markov: window [%d, %d) outside the fitter's %d samples", lo, hi, len(f.ids))
+	}
+	// Slide the counted window to [lo, hi): grow the end first, then
+	// drop the samples before lo. Every pair inside the new window is
+	// counted once, and every pair that left it is uncounted once.
+	if lo < f.lo || lo >= f.hi || hi < f.hi {
+		f.recount(lo)
+	}
+	// Consecutive samples mostly repeat a state (price columns are step
+	// functions), which skips the slot lookup.
+	prev, pid := -1, int32(-1)
+	if f.hi > f.lo {
+		pid = f.id(f.hi - 1)
+		prev = int(f.slot[pid])
+	}
+	for t := f.hi; t < hi; t++ {
+		g := prev
+		if id := f.id(t); id != pid {
+			g, pid = f.slotOf(id), id
+		}
+		f.occ[g]++
+		if t > f.lo {
+			f.ccounts[prev*f.stride+g]++
+		}
+		prev = g
+	}
+	g, gid := -1, int32(-1)
+	for t := f.lo; t < lo; t++ {
+		if id := f.id(t); id != gid {
+			g, gid = int(f.slot[id]), id
+		}
+		next := int(f.slot[f.id(t+1)])
+		f.ccounts[g*f.stride+next]--
+		if f.occ[g]--; f.occ[g] == 0 {
+			f.release(g)
+		}
+	}
+	f.lo, f.hi = lo, hi
+	// The window's states are the occupied slots, in the ascending
+	// value order Fit sorts them into. Transitions among them are
+	// exactly the table entries at their slots: every sample in the
+	// window occupies one, so no counted transition is dropped.
+	f.live = f.live[:0]
+	for _, s := range f.order {
+		if f.occ[s] > 0 {
+			f.live = append(f.live, s)
+		}
+	}
+	return len(f.live), nil
 }
 
 // UptimeSolver computes Model.ExpectedUptimeExact without its per-call

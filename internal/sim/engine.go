@@ -50,6 +50,11 @@ func (m *Machine) Reset(cfg Config, strat Strategy) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	if v, ok := strat.(interface{ Validate() error }); ok {
+		if err := v.Validate(); err != nil {
+			return err
+		}
+	}
 	if m.env == nil {
 		m.env = &Env{}
 	}

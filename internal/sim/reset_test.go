@@ -164,3 +164,23 @@ func TestConcurrentPooledRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedMachineDropsStrategy pins that the machine pool keeps
+// buffers, never a finished run: a released machine holds no strategy,
+// spec, policy or configuration.
+func TestReleasedMachineDropsStrategy(t *testing.T) {
+	m, err := AcquireMachine(goldenConfig(), goldenStrategy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.runToCompletion(); err != nil {
+		t.Fatal(err)
+	}
+	ReleaseMachine(m)
+	if m.strat != nil || m.pendingSpec != nil || m.specBuf.Policy != nil || m.result != nil {
+		t.Errorf("released machine keeps its run: strategy %v, pending %v, spec policy %v, result %v", m.strat, m.pendingSpec, m.specBuf.Policy, m.result)
+	}
+	if m.env.Spec.Policy != nil || m.env.Cfg.Trace != nil {
+		t.Errorf("released machine's env keeps its run: policy %v, trace %v", m.env.Spec.Policy, m.env.Cfg.Trace)
+	}
+}

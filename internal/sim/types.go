@@ -145,7 +145,9 @@ type Event struct {
 
 // Strategy owns run-time configuration decisions. Static policies wrap
 // a fixed RunSpec; the Adaptive scheme re-simulates permutations at
-// decision points and switches.
+// decision points and switches. A strategy that also has a Validate()
+// error method is validated before Begin, and a run it refuses fails
+// with that error (Machine.Reset).
 type Strategy interface {
 	// Name identifies the strategy in reports.
 	Name() string

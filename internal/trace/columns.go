@@ -21,6 +21,7 @@ import "sort"
 // every time, including the edge cases (times at or past End, before
 // Start, zero-length windows, single-sample series).
 type Columns struct {
+	set   *Set
 	cols  [][]float64
 	start int64
 	step  int64
@@ -37,6 +38,7 @@ func NewColumns(set *Set) *Columns {
 // Reset re-points the view at a new set, reusing the column-header
 // buffer.
 func (c *Columns) Reset(set *Set) {
+	c.set = set
 	c.cols = c.cols[:0]
 	for _, s := range set.Series {
 		c.cols = append(c.cols, s.Prices)
@@ -64,6 +66,12 @@ func (c *Columns) End() int64 { return c.start + int64(c.n)*c.step }
 // Col returns the zone's price column (aliased, read-only by
 // convention).
 func (c *Columns) Col(zone int) []float64 { return c.cols[zone] }
+
+// States returns the zone's chain states (Series.States), aligned with
+// Col(zone).
+func (c *Columns) States(zone int) (ids []int32, vals []float64) {
+	return c.set.Series[zone].States()
+}
 
 // Index returns the sample index holding time t with the same clamping
 // as Series.Index: times before Start map to 0 and times at or past End

@@ -1,13 +1,18 @@
 #!/usr/bin/env sh
 # Repository gate: formatting, vet, build, the full test suite under
-# the race detector, the bench module's vet and tests, then a short
-# chaos soak. The suite includes doccheck_test.go (exported-symbol doc
-# coverage) and the golden determinism tests of the replay engine, the
-# parallel permutation evaluator, the batched replay engine
-# (differential against the machine oracle, plus the FuzzBatchedMeasure
-# sweep below) and the quote service, so a green run certifies
-# correctness, bit-for-bit reproducibility of the figures, and
-# byte-identical plan serving. internal/report's TestSuiteDigests pins
+# the race detector, the bench module's vet and tests, 5 s fuzz runs of
+# every untrusted or incremental input, then a short chaos soak. The
+# suite includes doccheck_test.go (exported-symbol doc coverage) and the
+# golden determinism tests of the replay engine, the parallel
+# permutation evaluator, the batched replay engine (differential
+# against the machine oracle, plus the FuzzBatchedMeasure sweep below)
+# and the quote service, so a green run certifies correctness,
+# bit-for-bit reproducibility of the figures, and byte-identical plan
+# serving. The chain fits count over the traces' bucketed state
+# columns: FuzzBucketColumn holds a column built from scratch equal to
+# one grown by appends, read through slices and carried through
+# Tape.Trim, and FuzzWindowFitter holds every sliding fit equal to a
+# from-scratch Fit. internal/report's TestSuiteDigests pins
 # the 2-window suite (text and every run cost); at 40 windows, which
 # go test cannot afford, the rendered suite is compared with
 # paperfigs_output.txt at the default workers and at -workers 1, and
@@ -46,6 +51,7 @@ go test -run '^$' -fuzz '^FuzzPlanRequest$' -fuzztime 5s ./internal/core
 go test -run '^$' -fuzz '^FuzzTenantHeader$' -fuzztime 5s ./internal/cluster
 go test -run '^$' -fuzz '^FuzzBidIndexAppend$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzWindowFitter$' -fuzztime 5s ./internal/markov
+go test -run '^$' -fuzz '^FuzzBucketColumn$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzDecisionLogRoundTrip$' -fuzztime 5s ./internal/decision
 go test -run '^$' -fuzz '^FuzzTunerState$' -fuzztime 5s ./internal/decision
 go test -run '^$' -fuzz '^FuzzDecodeRequest$' -fuzztime 5s ./internal/quote
