@@ -218,7 +218,10 @@ func TestHistorySet(t *testing.T) {
 	}
 
 	// A short bootstrap history, so early windows still grow into their
-	// span.
+	// span, and decision times up to 12 h past the run's end, whose
+	// samples read as its last. Each window's chain states, read from
+	// the env's views (a root's column, or the env's own off the grid),
+	// are those of its prices.
 	cfg.History = hist.Slice(hist.End()-2*trace.Hour, hist.End())
 	m, err := sim.NewMachine(cfg, probeStrategy{func(*sim.Env) {}})
 	if err != nil {
@@ -228,7 +231,7 @@ func TestHistorySet(t *testing.T) {
 	for _, span := range []int64{6 * trace.Hour, 6*trace.Hour + 100} {
 		sc := &sweepScratch{}
 		gaps := []int64{1, 1, 12, 3, 100, 7}
-		for k, now := 0, run.Start(); now < run.End(); k, now = k+1, now+gaps[k%len(gaps)]*run.Step() {
+		for k, now := 0, run.Start(); now < run.End()+12*trace.Hour; k, now = k+1, now+gaps[k%len(gaps)]*run.Step() {
 			env.Now = now
 			got := sc.slide(env, 1, span)
 			want := priceHistorySet(env, span)
@@ -239,6 +242,12 @@ func TestHistorySet(t *testing.T) {
 			for zi := range want.Series {
 				if !slices.Equal(got.Series[zi].Prices, want.Series[zi].Prices) {
 					t.Fatalf("span %d at %d: zone %d window %v, PriceHistory %v", span, now, zi, got.Series[zi].Prices, want.Series[zi].Prices)
+				}
+				ids, vals := got.Series[zi].States()
+				for i, p := range got.Series[zi].Prices {
+					if vals[ids[i]] != trace.Bucket(p) {
+						t.Fatalf("span %d at %d: zone %d sample %d (%g) in state %g", span, now, zi, i, p, vals[ids[i]])
+					}
 				}
 			}
 		}

@@ -197,8 +197,9 @@ func TestStreamerHistoryStaleServes(t *testing.T) {
 // TestStreamerHistoryDuringTicks pins the one-shot window's lifetime:
 // History hands out slices of the streamer's tape without copying, so
 // a window must keep its samples while the feed goes on appending,
-// trimming and restarting the tape under it. Run under -race, it also
-// checks that reading a window never races with a tick.
+// trimming and restarting the tape under it, and its chain states
+// must stay those of its samples. Run under -race, it also checks that
+// reading a window's prices or states never races with a tick.
 func TestStreamerHistoryDuringTicks(t *testing.T) {
 	fx := newStreamFixture()
 	st := fx.streamer()
@@ -238,6 +239,14 @@ func TestStreamerHistoryDuringTicks(t *testing.T) {
 		if again := Digest(win); again != digest {
 			t.Errorf("a window's samples changed after History returned: digest %s, now %s", digest, again)
 			break
+		}
+		for _, sr := range win.Series {
+			ids, vals := sr.States()
+			for i, p := range sr.Prices {
+				if vals[ids[i]] != trace.Bucket(p) {
+					t.Fatalf("zone %s sample %d (%g) reads state %g, want %g", sr.Zone, i, p, vals[ids[i]], trace.Bucket(p))
+				}
+			}
 		}
 	}
 	<-done
