@@ -267,7 +267,8 @@ func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, PolicySpec) 
 		incumbent = &sim.RunSpec{Bid: a.chosen.Bid, Zones: a.chosen.Zones, Policy: a.chosenPol.New()}
 	}
 	slots, ests := sc.estimateSlots(ev, a.grid, incumbent)
-	spec, pol, cost := a.choose(&req, env.Step, a.grid.bids, a.grid.cands, slots, ests)
+	sc.costs = slices.Grow(sc.costs[:0], len(slots))[:len(slots)]
+	spec, pol, cost := a.choose(&req, env.Step, a.grid.bids, a.grid.cands, slots, ests, sc.costs)
 	if a.Sink != nil {
 		plans := scorePlans(&req, env.Step, market.OnDemandRate, slots, ests)
 		a.Sink.RecordDecision(DecisionPoint{
@@ -292,13 +293,14 @@ func (a *Adaptive) pick(env *sim.Env, trigger string) (sim.RunSpec, PolicySpec) 
 }
 
 // choose is pick's selection over the priced slots; ests holds one
-// estimate per slot, then the incumbent's when there is one. It returns
+// estimate per slot, then the incumbent's when there is one, and costs
+// one entry per slot, which it overwrites with the slots' predicted
+// costs. It returns
 // the selected spec, its policy's descriptor and the predicted cost the
 // selection compared for it (the incumbent's
 // re-priced cost when churn damping kept it).
-func (a *Adaptive) choose(req *PlanRequest, step int64, bids []float64, cands []PolicySpec, slots []rankSlot, ests []estimate) (sim.RunSpec, PolicySpec, float64) {
+func (a *Adaptive) choose(req *PlanRequest, step int64, bids []float64, cands []PolicySpec, slots []rankSlot, ests []estimate, costs []float64) (sim.RunSpec, PolicySpec, float64) {
 	migration := req.CheckpointCost + req.RestartCost + step
-	costs := make([]float64, len(slots))
 	minCost := math.Inf(1)
 	for i := range slots {
 		costs[i] = predictCostAt(ests[i], req.Work, req.Deadline, migration, market.OnDemandRate)

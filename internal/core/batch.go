@@ -17,7 +17,7 @@ import (
 // decision point over the same price window. The machine oracle prices
 // them one at a time — a full sim.Machine per permutation, with meters,
 // interfaces and per-step allocations — and each Markov-Daly instance
-// fits its own prediction models. The batched engine in
+// solves its zones' chains through its env. The batched engine in
 // this file prices all of them against one shared trace.Columns view,
 // one shared per-(zone, bid) availability index, and batch-local memo
 // tables for the Markov fits, expected-uptime solves and Daly
@@ -46,8 +46,11 @@ import (
 // current price), and a Daly interval of those plus the checkpoint
 // cost and zone set — so sharing them across permutations through
 // batch-local tables indexed by window step returns the same bits the
-// oracle's per-instance fits do, regardless of which permutation
-// populates an entry first.
+// oracle's per-zone solves do, regardless of which permutation
+// populates an entry first. No table holds a fitted model: a chain
+// memo keeps each step's fitted states, which is all a bid class reads
+// of a chain, and its window fitter solves an uptime straight from its
+// counts (markov.WindowFitter.Uptime).
 //
 // Replay classes: a sweep replays one permutation per class of its
 // specs and copies that estimate to every member (sweep). Two specs
@@ -79,7 +82,7 @@ import (
 // and drops those that fell out of its span. A fitter re-points at the
 // moved view and an index renumbers its flips as it drops. What a
 // replay reads from the window start — the permutations, fitted
-// models, uptime and interval memos — restarts with every sweep
+// states, uptime and interval memos — restarts with every sweep
 // (rearm), because an estimate is a replay from the window start.
 
 // estimationHorizon mirrors estimationCfg's effectively-unbounded work
@@ -95,7 +98,7 @@ const (
 )
 
 // batchPolicy is the flattened per-permutation policy state: the
-// Periodic hour latch and the Markov-Daly schedule plus its model
+// Periodic hour latch and the Markov-Daly schedule plus its chain
 // parameters (resolved once at permutation build time, exactly as the
 // oracle resolves them inside computeInterval).
 type batchPolicy struct {
@@ -111,27 +114,30 @@ type batchPolicy struct {
 }
 
 // chainMemoKey identifies one chain-fit memo column: everything a
-// fitted model depends on besides the (grid-aligned) fit time, which
+// fitted chain depends on besides the (grid-aligned) fit time, which
 // indexes the column.
 type chainMemoKey struct {
 	zone int
 	span int64
 }
 
-// chainMemo memoizes one zone's fitted chains by window step index. A
-// nil model with done set records an unfittable history, mirroring the
-// oracle's nil Env.ChainFit result. Every fit history is a window of the
-// zone's column — a prefix while the policy's history span reaches back
-// to the window start, a trailing span after — and the memo's
-// WindowFitter, which counts over the column's chain states, slides
-// from one fit to the next without per-fit sampling or bucketing.
+// chainMemo memoizes one zone's chain fits by window step index: each
+// step's fitted states, ascending, in one flat buffer. Every fit
+// history is a window of the zone's column — a prefix while the
+// policy's history span reaches back to the window start, a trailing
+// span after — and the memo's WindowFitter, which counts over the
+// column's chain states, slides from one fit to the next without
+// per-fit sampling or bucketing; an uptime solve moves it to its step's
+// window, which costs nothing when it is there already, and back when a
+// second bid class asks at a step it has passed.
 type chainMemo struct {
-	// base is the window step of models[0] and done[0]: 0 for a memo
-	// armed over the whole window, the head step for one a stream grid
-	// has released (keepHead).
+	key chainMemoKey
+	// base is the window step of fits[0]: 0 for a memo armed over the
+	// whole window, the head step for one a stream grid has released
+	// (keepHead).
 	base   int
-	models []*markov.Model
-	done   []bool
+	fits   []stepFit
+	states []float64
 
 	// wf is empty until the memo's first fit; its sample 0 is window
 	// step 0, and it slides with the window.
@@ -139,13 +145,18 @@ type chainMemo struct {
 
 	// usolve memoizes expected uptimes on a (step, up-state count)
 	// grid of stride ustride. The states a bid admits are a prefix of
-	// the model's ascending state list, and the solve reads the bid
-	// only through that prefix (and the step's price), so every bid
+	// the step's ascending states, and the solve reads the bid only
+	// through that prefix (and the step's price), so every bid
 	// admitting the same k states shares one slot — a whole bid grid
 	// typically collapses to a handful of solves per step.
 	usolve  memoCol
 	ustride int
 }
+
+// stepFit locates one step's fitted states in its chain memo's buffer:
+// n states from off. n is 0 for a step not fitted yet and -1 for one
+// whose history is empty, the oracle's unfittable chain.
+type stepFit struct{ off, n int32 }
 
 // memoCol is a float memo column over window step indexes with O(1)
 // bulk invalidation: an entry is set when its stamp matches the
@@ -300,16 +311,14 @@ type batchState struct {
 
 	// Memo tables, looked up by linear scan: a sweep holds one chain
 	// memo per (zone, profile) — a handful of entries — so scanning
-	// parallel key/value slices beats hashing float-bearing keys.
-	chainKeys []chainMemoKey
-	chains    []*chainMemo
+	// them beats hashing float-bearing keys.
+	chains []*chainMemo
 
 	freeChains []*chainMemo
 	freeIvals  []*memoCol
-	freeModels [][]*markov.Model // by the states their storage holds (modelRoom)
 
-	solver markov.UptimeSolver
-	zsel   []int32 // computeInterval scratch: fittable spec positions
+	solver markov.UptimeSolver // every chain memo's uptime solves
+	zsel   []int32             // computeInterval scratch: fittable spec positions
 
 	// Replay-class scratch of a sweep: each spec's permutation (-1 for a
 	// refused spec), the class keys with their permutations, an
@@ -341,11 +350,9 @@ func (b *batchState) reset(hist *trace.Set, tc, tr int64) {
 		b.cols.Reset(hist)
 		b.avail.Reset(b.cols)
 		for _, cm := range b.chains {
-			b.recycleModels(cm.models, cm.done)
 			cm.wf.Init(nil, nil, 0)
 			b.freeChains = append(b.freeChains, cm)
 		}
-		b.chainKeys = b.chainKeys[:0]
 		b.chains = b.chains[:0]
 	}
 	b.org = 0
@@ -378,11 +385,11 @@ func (b *batchState) advance(hist *trace.Set, drop int) {
 	b.avail.Slide(drop)
 	b.org += drop
 	b.setWindow()
-	for ci, cm := range b.chains {
+	for _, cm := range b.chains {
 		if cm.wf.Len() == 0 {
 			continue // not fitted yet: its first fit takes the whole column
 		}
-		ids, vals := b.cols.States(b.chainKeys[ci].zone)
+		ids, vals := b.cols.States(cm.key.zone)
 		cm.wf.Slide(ids, vals, drop)
 	}
 }
@@ -391,8 +398,7 @@ func (b *batchState) advance(hist *trace.Set, drop int) {
 // it drops the permutations, recycling their interval memos, and
 // invalidates every entry of the chain memos it keeps (armChain), whose
 // fitters have slid with the window. It then trims the free lists to
-// what a sweep over the window can use: at most one model per step of
-// each chain memo the scratch holds, and no memo sized for a window
+// what a sweep over the window can use: no memo sized for a window
 // more than twice this one. Sweeps over equally long windows therefore
 // keep every buffer, however their chain memo counts alternate, while a
 // scratch that served one long sweep does not pin its per-step state
@@ -411,48 +417,10 @@ func (b *batchState) rearm() {
 	b.zoneBuf = b.zoneBuf[:0]
 	b.billBuf = b.billBuf[:0]
 	for _, cm := range b.chains {
-		b.recycleModels(cm.models, cm.done)
 		b.armChain(cm)
 	}
-
-	b.trimModels(b.nsteps * (len(b.chains) + len(b.freeChains)))
 	b.freeIvals = dropOversized(b.freeIvals, func(iv *memoCol) int { return cap(iv.vals) }, 2*b.nsteps)
-	b.freeChains = dropOversized(b.freeChains, func(cm *chainMemo) int { return cap(cm.models) }, 2*b.nsteps)
-}
-
-// recycleModels moves the fitted models of a chain memo's slots onto
-// the free lists.
-func (b *batchState) recycleModels(models []*markov.Model, done []bool) {
-	for i, m := range models {
-		if done[i] && m != nil {
-			k := modelRoom(m)
-			for len(b.freeModels) <= k {
-				b.freeModels = append(b.freeModels, nil)
-			}
-			b.freeModels[k] = append(b.freeModels[k], m)
-		}
-	}
-}
-
-// modelRoom returns how many states a fitted model's storage holds
-// without growing: its state and row lists and its flat row backing
-// (markov.WindowFitter.Fit).
-func modelRoom(m *markov.Model) int {
-	k := min(cap(m.States), cap(m.Trans))
-	for k*k > cap(m.Trans[0]) {
-		k--
-	}
-	return k
-}
-
-// trimModels shortens the free lists to keep models in all, keeping
-// those with the most room, which serve any fit.
-func (b *batchState) trimModels(keep int) {
-	for k := len(b.freeModels) - 1; k >= 0; k-- {
-		n := min(len(b.freeModels[k]), keep)
-		b.freeModels[k] = trimFree(b.freeModels[k], n)
-		keep -= n
-	}
+	b.freeChains = dropOversized(b.freeChains, func(cm *chainMemo) int { return cap(cm.fits) }, 2*b.nsteps)
 }
 
 // trimFree shortens a free list to keep entries, clearing the dropped
@@ -483,11 +451,9 @@ func dropOversized[T any](free []*T, size func(*T) int, limit int) []*T {
 // its head is re-armed, since whoever asks is about to replay from the
 // window start.
 func (b *batchState) chainMemoFor(key chainMemoKey) *chainMemo {
-	for i, k := range b.chainKeys {
-		if k == key {
-			cm := b.chains[i]
+	for _, cm := range b.chains {
+		if cm.key == key {
 			if cm.base > 0 {
-				b.recycleModels(cm.models, cm.done)
 				b.armChain(cm)
 			}
 			return cm
@@ -500,24 +466,19 @@ func (b *batchState) chainMemoFor(key chainMemoKey) *chainMemo {
 	} else {
 		cm = &chainMemo{}
 	}
+	cm.key = key
 	b.armChain(cm)
-	b.chainKeys = append(b.chainKeys, key)
 	b.chains = append(b.chains, cm)
 	return cm
 }
 
-// armChain sizes the memo's model and uptime columns to the whole window
+// armChain sizes the memo's fit and uptime columns to the whole window
 // and invalidates every entry; a fitter that slid with the window keeps
 // its counts.
 func (b *batchState) armChain(cm *chainMemo) {
-	if cap(cm.models) < b.nsteps {
-		cm.models = make([]*markov.Model, b.nsteps)
-		cm.done = make([]bool, b.nsteps)
-	}
-	cm.models = cm.models[:b.nsteps]
-	cm.done = cm.done[:b.nsteps]
-	clear(cm.models)
-	clear(cm.done)
+	cm.fits = slices.Grow(cm.fits[:0], b.nsteps)[:b.nsteps]
+	clear(cm.fits)
+	cm.states = cm.states[:0]
 	cm.base = 0
 	if cm.ustride > 0 {
 		cm.usolve.arm(0, b.nsteps*cm.ustride)
@@ -527,21 +488,20 @@ func (b *batchState) armChain(cm *chainMemo) {
 // keepHead releases every memo entry behind the window's last step and
 // trims the free lists to what the next tick can reuse — the stream
 // grid's bound between ticks. Its resident permutations read only the
-// steps a tick appends, so it keeps one fitted model per chain memo,
-// the head step's uptime slots and each permutation's head interval
+// steps a tick appends, so it keeps per chain memo the head step's
+// fitted states and uptime slots, and each permutation's head interval
 // slot, beside its fitters' counts; a catch-up replaying from the
 // window start re-arms the memos it reads (chainMemoFor, takeIvals) and
 // refits what it needs. Every entry is a pure function of the window,
-// so a recomputed entry is the same float. The free lists keep one
-// model per chain memo (a tick fits at most one per memo) and no
+// so a recomputed entry is the same float. The free lists keep no
 // interval or chain memo.
 func (b *batchState) keepHead() {
 	head := b.nsteps - 1
 	for _, cm := range b.chains {
-		if d := min(head-cm.base, len(cm.models)); d > 0 {
-			b.recycleModels(cm.models[:d], cm.done[:d])
-			cm.models, cm.done = dropFront(cm.models, d), dropFront(cm.done, d)
+		if d := min(head-cm.base, len(cm.fits)); d > 0 {
+			cm.fits = dropFront(cm.fits, d)
 			cm.base = head
+			cm.keepHeadStates()
 		}
 		if cm.ustride > 0 {
 			cm.usolve.release(head * cm.ustride)
@@ -552,9 +512,30 @@ func (b *batchState) keepHead() {
 			iv.release(head)
 		}
 	}
-	b.trimModels(len(b.chains))
 	b.freeIvals = trimFree(b.freeIvals, 0)
 	b.freeChains = trimFree(b.freeChains, 0)
+}
+
+// keepHeadStates moves the fitted states of the memo's first step, the
+// only one keepHead leaves, to the front of its buffer, and hands a
+// buffer with room for more than a few fits' states back to the
+// collector: a tick fits at most once per memo.
+func (cm *chainMemo) keepHeadStates() {
+	n := 0
+	if len(cm.fits) > 0 {
+		n = int(max(cm.fits[0].n, 0))
+	}
+	room := n + cm.wf.Slots()
+	keep := cm.states[:0]
+	if cap(keep) > 4*room {
+		keep = make([]float64, 0, 2*room)
+	}
+	if n > 0 {
+		f := &cm.fits[0]
+		keep = append(keep, cm.states[f.off:f.off+f.n]...)
+		f.off = 0
+	}
+	cm.states = keep
 }
 
 // takeIvals returns an invalidated interval memo sized to the window.
@@ -568,21 +549,6 @@ func (b *batchState) takeIvals() *memoCol {
 	}
 	iv.arm(0, b.nsteps)
 	return iv
-}
-
-// takeModel pops a recycled model for a fit of n states: one with the
-// least room that holds them. A refill therefore never grows the
-// storage it reuses, and once the free lists hold what a sweep's fits
-// need at once, fits allocate nothing.
-func (b *batchState) takeModel(n int) *markov.Model {
-	for k := n; k < len(b.freeModels); k++ {
-		if free := b.freeModels[k]; len(free) > 0 {
-			m := free[len(free)-1]
-			b.freeModels[k] = trimFree(free, len(free)-1)
-			return m
-		}
-	}
-	return &markov.Model{}
 }
 
 // sweep prices the specs over the window reset armed and writes their
@@ -1379,7 +1345,7 @@ func (b *batchState) interval(p *batchPerm, now int64) float64 {
 	if v, ok := p.ivals.get(si); ok {
 		return v
 	}
-	v := b.computeInterval(p, now, si)
+	v := b.computeInterval(p, si)
 	p.ivals.set(si, v)
 	return v
 }
@@ -1389,11 +1355,11 @@ func (b *batchState) interval(p *batchPerm, now int64) float64 {
 // uptime, mirroring MarkovDaly.computeInterval — including the lazy
 // short-circuit of markov.CombinedExpectedUptime, which stops solving
 // at the first unbounded zone.
-func (b *batchState) computeInterval(p *batchPerm, now int64, si int) float64 {
+func (b *batchState) computeInterval(p *batchPerm, si int) float64 {
 	zs := b.zoneBuf[p.zoff : p.zoff+p.nz]
 	b.zsel = b.zsel[:0]
 	for k := range zs {
-		if b.chainAt(&zs[k], now, si, &p.pol) != nil {
+		if _, ok := b.chainAt(&zs[k], si); ok {
 			b.zsel = append(b.zsel, int32(k))
 		}
 	}
@@ -1416,28 +1382,37 @@ func (b *batchState) computeInterval(p *batchPerm, now int64, si int) float64 {
 	return daly.Young(tc, mtbf)
 }
 
-// chainAt returns the zone's chain fitted at the decision time, through
-// the memo column; nil records an unfittable history.
-func (b *batchState) chainAt(z *batchZone, now int64, si int, pol *batchPolicy) *markov.Model {
+// chainAt returns the states of the zone's chain fitted at step si,
+// through the memo column, and false for an unfittable history.
+func (b *batchState) chainAt(z *batchZone, si int) ([]float64, bool) {
 	cm := z.cm
-	j := si - cm.base
-	if !cm.done[j] {
-		cm.models[j] = b.fitModel(cm, z.zone, now, pol)
-		cm.done[j] = true
+	f := &cm.fits[si-cm.base]
+	if f.n == 0 {
+		f.n = -1
+		if b.countAt(cm, si) {
+			off := len(cm.states)
+			cm.states = cm.wf.States(cm.states)
+			f.off, f.n = int32(off), int32(len(cm.states)-off)
+		}
 	}
-	return cm.models[j]
+	if f.n < 0 {
+		return nil, false
+	}
+	return cm.states[f.off : f.off+f.n], true
 }
 
-// uptimeAt returns the zone's expected uptime at the decision time,
-// through the chain memo's bid-collapsed column: the solver reads the
-// bid only through the admitted state prefix (States ascending, admit
-// iff price <= bid) and the step's current price, so the solve is a
-// pure function of (fitted chain, prefix length k, price at step) and
-// every bid admitting k states shares one memo slot.
+// uptimeAt returns the zone's expected uptime at step si, through the
+// chain memo's bid-collapsed column: the solve reads the bid only
+// through the admitted state prefix (states ascending, admit iff price
+// <= bid) and the step's current price, so it is a pure function of
+// (fitted chain, prefix length k, price at step) and every bid
+// admitting k states shares one memo slot. A miss moves the memo's
+// fitter to the step's window and solves from its counts. The step's
+// chain is fittable (computeInterval asks chainAt first).
 func (b *batchState) uptimeAt(z *batchZone, si int, bid float64) float64 {
 	cm := z.cm
-	m := cm.models[si-cm.base]
-	k := upCount(m.States, bid)
+	states, _ := b.chainAt(z, si)
+	k := upCount(states, bid)
 	if k >= cm.ustride {
 		// Widen the grid; invalidating the narrower entries is fine,
 		// they are pure and recomputable.
@@ -1448,7 +1423,8 @@ func (b *batchState) uptimeAt(z *batchZone, si int, bid float64) float64 {
 	if v, ok := cm.usolve.get(slot); ok {
 		return v
 	}
-	v := b.solver.ExpectedUptime(m, bid, z.col[si])
+	b.countAt(cm, si)
+	v := cm.wf.Uptime(&b.solver, bid, z.col[si])
 	cm.usolve.set(slot, v)
 	return v
 }
@@ -1460,28 +1436,23 @@ func upCount(states []float64, bid float64) int {
 	return sort.Search(len(states), func(i int) bool { return states[i] > bid })
 }
 
-// fitModel fits the zone's chain on the trailing history at the
-// decision time, on a recycled model of the fit's state count; nil
-// reports an unfittable (empty) history. The history is the samples
-// Columns.Index(from), Index(from)+1, … that the oracle's
-// Env.PriceHistory reads at the grid times from, from+step, …, now
-// (off-grid spans included), so the fit is the memo fitter's window
-// over the zone's states.
-func (b *batchState) fitModel(cm *chainMemo, zone int, now int64, pol *batchPolicy) *markov.Model {
-	from := max(now-pol.span+b.step, b.start)
+// countAt moves the memo's fitter to the window of the chain fit at
+// step si, reporting false for an unfittable (empty) history. The
+// window is the samples Columns.Index(from), Index(from)+1, … that the
+// oracle's Env.PriceHistory reads at the grid times from, from+step,
+// …, now (off-grid spans included), so the fit is the memo fitter's
+// window over the zone's states.
+func (b *batchState) countAt(cm *chainMemo, si int) bool {
+	now := b.start + int64(si)*b.step
+	from := max(now-cm.key.span+b.step, b.start)
 	if from > now {
-		return nil
+		return false
 	}
 	if cm.wf.Len() == 0 {
-		ids, vals := b.cols.States(zone)
+		ids, vals := b.cols.States(cm.key.zone)
 		cm.wf.Init(ids, vals, b.step)
 	}
 	lo := b.cols.Index(from)
-	hi := lo + int((now-from)/b.step) + 1
-	n, err := cm.wf.Count(lo, hi)
-	if err != nil {
-		return nil
-	}
-	m, _ := cm.wf.Fit(lo, hi, b.takeModel(n))
-	return m
+	_, err := cm.wf.Count(lo, lo+int((now-from)/b.step)+1)
+	return err == nil
 }

@@ -22,11 +22,6 @@ type MarkovDaly struct {
 	// Young's first-order one; the ablation bench flips this.
 	HigherOrder bool
 
-	// solver prices each zone's chain (Env.ChainFit) without per-call
-	// allocations; it is safe as instance state because policy hooks
-	// run on one goroutine.
-	solver markov.UptimeSolver
-
 	// Last interval computation, memoized by decision time:
 	// the interval is a pure function of the env state at a given Now
 	// for a fixed spec, and the engine Resets the policy whenever the
@@ -95,12 +90,11 @@ func (m *MarkovDaly) computeInterval(env *sim.Env) float64 {
 	fitted := false
 	var mtbf float64
 	for _, zi := range env.Spec.Zones {
-		mod := env.ChainFit(zi, span)
-		if mod == nil {
+		u, ok := env.ChainUptime(zi, span, env.Spec.Bid, env.PriceNow(zi))
+		if !ok {
 			continue
 		}
 		fitted = true
-		u := m.solver.ExpectedUptime(mod, env.Spec.Bid, env.PriceNow(zi))
 		if math.IsInf(u, 1) {
 			mtbf = u
 			break

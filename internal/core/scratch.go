@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -36,19 +37,21 @@ var scratchPool sync.Pool
 var runSeq atomic.Uint64
 
 // sweepScratch is one pooled scratch: the batched state, the resident
-// window of the Adaptive run that last decided on it, and a decision's
-// buffers.
+// window of the Adaptive run that last decided on it, the slot tables
+// of the last run grid it served, and a decision's buffers.
 type sweepScratch struct {
 	b batchState
 
 	// The resident window: run's samples at times from, from+step, …,
 	// one private price column per zone and beside it the samples'
 	// chain states, read from the env's (Env.States), viewed as set.
-	// valid records that every sample is a price (Set.Validate), which
-	// b may then index.
+	// bad is the time of the newest sample read that is not a price
+	// (trace.ValidPrice), and valid records that the window holds no
+	// such sample, so b may index it.
 	run    uint64
 	from   int64
 	step   int64
+	bad    int64
 	valid  bool
 	cols   [][]float64
 	ids    [][]int32
@@ -56,9 +59,16 @@ type sweepScratch struct {
 	ptrs   []*trace.Series
 	set    trace.Set
 
+	// The slot tables of the last run grid the scratch served, one per
+	// zone order met (slotsFor): a table depends only on the order and
+	// the grid, so a later run over an equal grid reuses them.
+	grid   gridKey
+	tables []slotTable
+
 	order []int
 	specs []sim.RunSpec
 	out   []estimate
+	costs []float64
 }
 
 // takeScratch takes a scratch from the shared pool.
@@ -108,12 +118,12 @@ func (s *sweepScratch) slide(env *sim.Env, run uint64, span int64) *trace.Set {
 		held = len(s.cols[0])
 	}
 	drop := -1
-	if s.run == run && s.valid && s.step == step && len(s.cols) == len(env.Zones) && from >= s.from && (from-s.from)%step == 0 {
+	if s.run == run && s.step == step && len(s.cols) == len(env.Zones) && from >= s.from && (from-s.from)%step == 0 {
 		if d := int((from - s.from) / step); d <= held && held-d <= n {
 			drop = d
 		}
 	}
-	fresh := drop < 0
+	fresh, armed := drop < 0, s.valid
 	if fresh {
 		s.run, s.step = run, step
 		s.resize(env)
@@ -124,7 +134,11 @@ func (s *sweepScratch) slide(env *sim.Env, run uint64, span int64) *trace.Set {
 		ids := s.ids[z][:copy(s.ids[z], s.ids[z][drop:])]
 		states, vals, base := env.States(z, from)
 		for t := from + int64(len(col))*step; len(col) < n; t += step {
-			col = append(col, env.Price(z, t))
+			p := env.Price(z, t)
+			if !trace.ValidPrice(p) {
+				s.bad = t
+			}
+			col = append(col, p)
 			ids = append(ids, states[min(int((t-base)/step), len(states)-1)])
 		}
 		s.cols[z], s.ids[z] = col, ids
@@ -133,12 +147,16 @@ func (s *sweepScratch) slide(env *sim.Env, run uint64, span int64) *trace.Set {
 		s.series[z].SetStates(ids, vals)
 	}
 	s.from = from
-	s.valid = s.set.Validate() == nil
+	// Only the appended samples are checked: the window is valid once
+	// its newest non-price sample has slid out. The columns are aligned
+	// and the step positive by construction, which is all Set.Validate
+	// checks besides.
+	s.valid = len(s.cols) > 0 && s.bad < from
 	switch {
 	case !s.valid:
 		// MeasureAll's answer for a window with a non-price sample:
-		// zero estimates, no replay; the next decision re-arms.
-	case fresh:
+		// zero estimates, no replay; b keeps the last valid window.
+	case fresh || !armed:
 		s.b.reset(&s.set, env.CheckpointCost(), env.RestartCost())
 	default:
 		s.b.advance(&s.set, drop)
@@ -165,7 +183,7 @@ func (s *sweepScratch) resize(env *sim.Env) {
 		s.cols[z], s.ids[z] = s.cols[z][:0], s.ids[z][:0]
 		s.series[z] = trace.Series{Zone: env.Cfg.Trace.Series[z].Zone, Step: env.Step}
 	}
-	s.valid = false
+	s.bad, s.valid = math.MinInt64, false
 }
 
 // estimateSlots is an Adaptive decision's estimate step over the window
@@ -175,7 +193,7 @@ func (s *sweepScratch) resize(env *sim.Env) {
 // the grid; a warmed decision allocates nothing.
 func (s *sweepScratch) estimateSlots(ev *Evaluator, g *runGrid, incumbent *sim.RunSpec) ([]rankSlot, []estimate) {
 	s.order = zoneOrder(s.order, &s.set)
-	slots := g.slotsFor(s.order)
+	slots := s.slotsFor(g, s.order)
 	s.specs = ev.slotSpecs(s.specs[:0], slots, g.cands, g.pols)
 	if incumbent != nil {
 		s.specs = append(s.specs, *incumbent)
@@ -195,17 +213,24 @@ func (s *sweepScratch) estimateSlots(ev *Evaluator, g *runGrid, incumbent *sim.R
 }
 
 // runGrid is what an Adaptive run's decisions share besides the window:
-// the permutation grid's resolved knobs and zone names, one measurement
-// instance per candidate (the batched engine reads only a policy's
-// parameters), and one slot table per zone order the run has met — a
-// table depends only on the order and the grid.
+// the permutation grid's resolved knobs and zone names, and one
+// measurement instance per candidate (the batched engine reads only a
+// policy's parameters).
 type runGrid struct {
 	bids     []float64
 	maxZones int
 	cands    []PolicySpec
 	names    []string
 	pols     []sim.CheckpointPolicy
-	tables   []slotTable
+}
+
+// gridKey is what a slot table depends on besides the zone order: a
+// run grid's zone names and knobs, in storage the scratch owns.
+type gridKey struct {
+	names    []string
+	bids     []float64
+	maxZones int
+	cands    []PolicySpec
 }
 
 // slotTable is the slot table of one zone order, keyed by the order's
@@ -215,8 +240,8 @@ type slotTable struct {
 	slots []rankSlot
 }
 
-// maxSlotTables bounds a run's slot tables. Three zones have six
-// orders; a run over more zones that meets more orders starts over.
+// maxSlotTables bounds a scratch's slot tables. Three zones have six
+// orders; runs over more zones that meet more orders start over.
 const maxSlotTables = 16
 
 // newRunGrid resolves an Adaptive run's grid over env's zones.
@@ -230,13 +255,24 @@ func newRunGrid(a *Adaptive, env *sim.Env) *runGrid {
 	return g
 }
 
-// slotsFor returns the slot table of the zone order, building it on the
-// order's first use. Tables are never modified once built, so a chosen
-// spec may alias a table's zone set after the table is dropped.
-func (g *runGrid) slotsFor(order []int) []rankSlot {
+// slotsFor returns the slot table of the grid's zone order, building it
+// on the order's first use since the scratch last served an equal
+// grid; a grid unlike the last one starts the tables over. Tables are
+// never modified once built, so a chosen spec may alias a table's zone
+// set after the table is dropped.
+func (s *sweepScratch) slotsFor(g *runGrid, order []int) []rankSlot {
+	k := &s.grid
+	if k.maxZones != g.maxZones || !slices.Equal(k.names, g.names) || !slices.Equal(k.bids, g.bids) || !slices.Equal(k.cands, g.cands) {
+		clear(s.tables)
+		s.tables = s.tables[:0]
+		k.names = append(k.names[:0], g.names...)
+		k.bids = append(k.bids[:0], g.bids...)
+		k.cands = append(k.cands[:0], g.cands...)
+		k.maxZones = g.maxZones
+	}
 	key, ok := packZones(order[:g.maxZones])
 	if ok {
-		for _, t := range g.tables {
+		for _, t := range s.tables {
 			if t.order == key {
 				return t.slots
 			}
@@ -244,11 +280,11 @@ func (g *runGrid) slotsFor(order []int) []rankSlot {
 	}
 	slots := buildSlots(order, g.names, g.bids, g.maxZones, g.cands)
 	if ok {
-		if len(g.tables) == maxSlotTables {
-			clear(g.tables)
-			g.tables = g.tables[:0]
+		if len(s.tables) == maxSlotTables {
+			clear(s.tables)
+			s.tables = s.tables[:0]
 		}
-		g.tables = append(g.tables, slotTable{order: key, slots: slots})
+		s.tables = append(s.tables, slotTable{order: key, slots: slots})
 	}
 	return slots
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -55,11 +56,11 @@ func decisionPass(t *testing.T) (pass func(), sc *sweepScratch, decisions int) {
 	}, sc, decisions
 }
 
-// TestRecycledModelsStopGrowing pins the free lists' steady state: a
-// take finds a recycled model whose storage holds the fit's states, so
-// no model grows once the lists hold what a pass needs at once, and the
-// warmPasses-th repeated pass of the same decisions allocates nothing.
-func TestRecycledModelsStopGrowing(t *testing.T) {
+// TestChainStatesStopGrowing pins the chain memos' state storage in its
+// steady state: each memo's flat buffer of fitted states keeps the room
+// a pass of decisions needs, so the warmPasses-th repeated pass of the
+// same decisions allocates nothing.
+func TestChainStatesStopGrowing(t *testing.T) {
 	pass, _, _ := decisionPass(t)
 	for i := 0; i < warmPasses-2; i++ {
 		pass()
@@ -122,20 +123,20 @@ func TestDecisionWindowBound(t *testing.T) {
 			}
 		}
 		for i, cm := range b.chains {
-			if r := cm.wf.Slots(); r > n || len(cm.models) != n || cap(cm.models) > 2*n {
-				t.Fatalf("decision at %d: chain memo %d counts over %d fitter slots and holds %d model slots (cap %d), window %d",
-					now, i, r, len(cm.models), cap(cm.models), n)
+			if r := cm.wf.Slots(); r > n || len(cm.fits) != n || cap(cm.fits) > 2*n || len(cm.states) > n*r {
+				t.Fatalf("decision at %d: chain memo %d counts over %d fitter slots and holds %d fit slots (cap %d) and %d states, window %d",
+					now, i, r, len(cm.fits), cap(cm.fits), len(cm.states), n)
 			}
 			if cm.ustride > 0 && len(cm.usolve.vals) != n*cm.ustride {
 				t.Fatalf("decision at %d: chain memo %d uptime column of %d slots, want %d", now, i, len(cm.usolve.vals), n*cm.ustride)
 			}
 		}
-		if len(b.chains) > len(sc.cols) || freeModels(b) > n*(len(b.chains)+len(b.freeChains)) || len(b.freeIvals) > len(b.perms) {
-			t.Fatalf("decision at %d: %d chain memos, free lists of %d models and %d interval memos beside %d permutations",
-				now, len(b.chains), freeModels(b), len(b.freeIvals), len(b.perms))
+		if len(b.chains) > len(sc.cols) || len(b.freeIvals) > len(b.perms) {
+			t.Fatalf("decision at %d: %d chain memos, a free list of %d interval memos beside %d permutations",
+				now, len(b.chains), len(b.freeIvals), len(b.perms))
 		}
-		if len(g.tables) > maxSlotTables {
-			t.Fatalf("decision at %d: %d slot tables", now, len(g.tables))
+		if len(sc.tables) > maxSlotTables {
+			t.Fatalf("decision at %d: %d slot tables", now, len(sc.tables))
 		}
 		if decisions%9 == 0 {
 			fresh := &sweepScratch{}
@@ -148,6 +149,67 @@ func TestDecisionWindowBound(t *testing.T) {
 		t.Fatal("the window never slid")
 	}
 	t.Logf("%d decisions; the window slid %d samples", decisions, sc.b.org)
+}
+
+// TestDecisionWindowNonPrice pins the window's validity check, which
+// reads only the samples a decision appends: a NaN that Env.Price
+// returns gives every slot a zero estimate at each hourly decision
+// whose window holds it, and once it has slid out the slid window
+// prices exactly what a fresh scratch does.
+func TestDecisionWindowNonPrice(t *testing.T) {
+	env := decisionEnv(t)
+	const span = 12 * trace.Hour
+	at := env.StartTime + 6*trace.Hour
+	tr := env.Cfg.Trace.Series[1]
+	tr.Prices[tr.Index(at)] = math.NaN()
+	g := newRunGrid(NewAdaptive(), env)
+	ev := &Evaluator{}
+	inc := &sim.RunSpec{Bid: 0.81, Zones: []int{0, 1}, Policy: NewMarkovDaly()}
+	sc := &sweepScratch{}
+	priced := 0
+	for now := env.StartTime; now <= at+span+6*trace.Hour; now += trace.Hour {
+		got := decide(env, now, sc, g, ev, inc)
+		if now >= at && now < at+span {
+			for i, e := range got {
+				if e != (estimate{}) {
+					t.Fatalf("decision at %d: slot %d estimate %+v over a window holding a NaN", now, i, e)
+				}
+			}
+			continue
+		}
+		if want := decide(env, now, &sweepScratch{}, g, ev, inc); !reflect.DeepEqual(got, want) {
+			t.Fatalf("decision at %d: slid window prices %v, a fresh scratch %v", now, got, want)
+		}
+		if now > at {
+			priced++
+		}
+	}
+	if priced == 0 || sc.b.org == 0 {
+		t.Fatalf("%d decisions priced after the NaN left the window, which slid %d samples", priced, sc.b.org)
+	}
+}
+
+// TestSlotTablesOutliveRuns pins the slot tables a pooled scratch keeps
+// across Adaptive runs: a second run over an equal grid finds the table
+// of a zone order the first met, building and allocating nothing, and a
+// grid with other knobs starts the tables over.
+func TestSlotTablesOutliveRuns(t *testing.T) {
+	env := decisionEnv(t)
+	sc := &sweepScratch{}
+	order := []int{2, 0, 1}
+	first := sc.slotsFor(newRunGrid(NewAdaptive(), env), order)
+	second := newRunGrid(NewAdaptive(), env)
+	var again []rankSlot
+	if n := testing.AllocsPerRun(5, func() { again = sc.slotsFor(second, order) }); n != 0 {
+		t.Fatalf("a second run's slot table allocates %v times, want 0", n)
+	}
+	if &again[0] != &first[0] || len(sc.tables) != 1 {
+		t.Fatalf("a second run over the same grid rebuilt its slot table (%d tables)", len(sc.tables))
+	}
+	other := newRunGrid(&Adaptive{MaxZones: 2}, env)
+	if slots := sc.slotsFor(other, order); &slots[0] == &first[0] || len(sc.tables) != 1 || len(slots) == len(first) {
+		t.Fatalf("a grid of other knobs reused %d tables", len(sc.tables))
+	}
 }
 
 // TestAdaptiveHoldsNoWindow pins where an Adaptive run's window lives:

@@ -521,9 +521,8 @@ func (g *StreamGrid) extendState(hist *trace.Set) {
 	old := b.nsteps
 	b.advance(hist, 0)
 	for _, cm := range b.chains {
-		for cm.base+len(cm.models) < b.nsteps {
-			cm.models = append(cm.models, nil)
-			cm.done = append(cm.done, false)
+		for cm.base+len(cm.fits) < b.nsteps {
+			cm.fits = append(cm.fits, stepFit{})
 		}
 		if cm.ustride > 0 {
 			cm.usolve.grow(b.nsteps * cm.ustride)

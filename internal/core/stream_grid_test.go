@@ -318,24 +318,23 @@ func TestStreamGridHoldsNoWindow(t *testing.T) {
 }
 
 // checkResidentBound asserts what a grid keeps between ticks: per chain
-// memo one model slot at the head step (so at most one live model) and
-// the head step's uptime row, per permutation the head interval slot,
-// each in storage sized to it, and free lists holding one model per
-// chain memo and no memo columns.
+// memo one fit slot at the head step, holding at most the head's fitted
+// states, and the head step's uptime row, per permutation the head
+// interval slot, each in storage sized to it, and free lists holding no
+// memo columns.
 func checkResidentBound(t *testing.T, g *StreamGrid, tick int) {
 	t.Helper()
 	b := g.b
 	head := b.nsteps - 1
 	for i, cm := range b.chains {
-		live := 0
-		for j, m := range cm.models {
-			if cm.done[j] && m != nil {
-				live++
-			}
+		if cm.base != head || len(cm.fits) != 1 || cap(cm.fits) > 4 {
+			t.Fatalf("tick %d: chain memo %d keeps steps from %d (%d slots, cap %d), want the head %d alone",
+				tick, i, cm.base, len(cm.fits), cap(cm.fits), head)
 		}
-		if cm.base != head || len(cm.models) != 1 || cap(cm.models) > 4 || live > 1 {
-			t.Fatalf("tick %d: chain memo %d keeps steps from %d (%d slots, cap %d, %d live models), want the head %d alone",
-				tick, i, cm.base, len(cm.models), cap(cm.models), live, head)
+		room := int(max(cm.fits[0].n, 0)) + cm.wf.Slots()
+		if f := cm.fits[0]; len(cm.states) != int(max(f.n, 0)) || f.off != 0 || cap(cm.states) > 4*room {
+			t.Fatalf("tick %d: chain memo %d holds %d fitted states (cap %d, the head's %d from %d), want the head's alone",
+				tick, i, len(cm.states), cap(cm.states), f.n, f.off)
 		}
 		if cm.ustride > 0 && (cm.usolve.base != head*cm.ustride || len(cm.usolve.vals) != cm.ustride || cap(cm.usolve.vals) > 4*cm.ustride) {
 			t.Fatalf("tick %d: chain memo %d uptime column holds %d slots (cap %d) from %d, want the head row of %d",
@@ -348,9 +347,9 @@ func checkResidentBound(t *testing.T, g *StreamGrid, tick int) {
 				tick, i, len(iv.vals), cap(iv.vals), iv.base, head)
 		}
 	}
-	if freeModels(b) > len(b.chains) || len(b.freeIvals) != 0 || len(b.freeChains) != 0 {
-		t.Fatalf("tick %d: free lists hold %d models, %d interval memos, %d chain memos; want at most %d, 0, 0",
-			tick, freeModels(b), len(b.freeIvals), len(b.freeChains), len(b.chains))
+	if len(b.freeIvals) != 0 || len(b.freeChains) != 0 {
+		t.Fatalf("tick %d: free lists hold %d interval memos, %d chain memos; want none",
+			tick, len(b.freeIvals), len(b.freeChains))
 	}
 }
 
@@ -454,7 +453,7 @@ func TestStreamGridFitterBound(t *testing.T) {
 		}
 		fitted := 0
 		for ci, cm := range g.b.chains {
-			bound := 2*int(g.b.chainKeys[ci].span/set.Step()) + 2
+			bound := 2*int(cm.key.span/set.Step()) + 2
 			if cm.wf.Len() > 0 {
 				fitted++
 				if n := cm.wf.Slots(); n > bound {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"repro/internal/trace"
 )
@@ -12,24 +13,26 @@ import (
 // states (Quantize(prices, Quantum), and the trace's state columns).
 const Quantum = trace.Quantum
 
-// WindowFitter fits chains on windows [lo, hi) of one state column
-// without re-bucketing or re-sorting per fit. It reads a view of the
-// column (Init): ids[i] is sample i's state, an index into vals, the
-// states' bucketed values — a trace.Series' States, which the trace
-// buckets once. It holds no ids of its own, only counts: for the window
-// last fitted, each present state's occurrence count and the transition
-// count table, over one local slot per state present, and it slides
-// both window ends to the requested window, so a sequence of fits whose
-// windows move forward and overlap costs O(Δ + D²) per fit, where Δ is
+// WindowFitter answers, for windows [lo, hi) of one state column, what
+// the chain fitted on the window tells its readers — its ascending
+// states (States) and its expected uptime at a bid (Uptime) — without
+// re-bucketing, re-sorting or building a Model per window. It reads a
+// view of the column (Init): ids[i] is sample i's state, an index into
+// vals, the states' bucketed values — a trace.Series' States, which the
+// trace buckets once. It holds no ids of its own, only counts: for the
+// window last counted, each present state's occurrence count and the
+// transition count table, over one local slot per state present, and it
+// slides both window ends to the requested window, so a sequence of
+// windows that move forward and overlap costs O(Δ + D²) each, where Δ is
 // how far the ends moved and D the number of states in the windows. A
 // window that moves backwards, shrinks its end or jumps past the old
 // one re-counts from scratch. The counts are integer-valued floats, so
 // arriving at a window incrementally or in one pass is value-identical,
-// and the produced models are bit-identical to Fit(Quantize(window,
-// Quantum)) (TestWindowFitterMatchesFit pins this). The oracle's
-// Markov-Daly policy, the batched permutation evaluator and the
-// streaming grid refit trailing windows that share almost all their
-// samples, which makes a from-scratch fit per call the dominant cost.
+// and every answer is bit-identical to that of Fit(Quantize(window,
+// Quantum)) (FuzzWindowFitter pins this). The oracle's Markov-Daly
+// policy, the batched permutation evaluator and the streaming grid
+// refit trailing windows that share almost all their samples, which
+// makes a from-scratch fit per call the dominant cost.
 //
 // A window may reach past the view's end: those samples read as the
 // view's last, as trace.Series.PriceAt clamps.
@@ -50,7 +53,7 @@ type WindowFitter struct {
 	sid   []int32
 	order []int32
 	free  []int32
-	live  []int32 // the occupied slots in order: the fitted model's states
+	live  []int32 // the occupied slots in order: the fitted chain's states
 
 	occ     []int32   // occurrences of each slot's state in [lo, hi)
 	ccounts []float64 // transition counts over the pairs inside [lo, hi), stride × stride
@@ -192,74 +195,11 @@ func (f *WindowFitter) widen() {
 	}
 }
 
-// Fit estimates the chain from the bucketed samples [lo, hi), exactly
-// like Fit(Quantize(window, 0.05)) over the raw samples; an empty
-// window reports ErrNoHistory, and an empty view or a negative start an
-// error. When reuse is non-nil its storage is recycled for the result
-// (the caller must be done with it); the returned model is reuse itself
-// in that case.
-func (f *WindowFitter) Fit(lo, hi int, reuse *Model) (*Model, error) {
-	if _, err := f.Count(lo, hi); err != nil {
-		return nil, err
-	}
-	if reuse == nil {
-		reuse = &Model{}
-	}
-	nn := len(f.live)
-	states := slices.Grow(reuse.States[:0], nn)
-	for _, s := range f.live {
-		states = append(states, f.vals[f.sid[s]])
-	}
-
-	// Row storage: one flat backing array, rows sliced out of it. When
-	// the reused model was produced by a WindowFitter its rows are
-	// contiguous slices of one array whose capacity row 0 still
-	// reaches, so the backing can be recovered; models from plain Fit
-	// just reallocate. A model outgrowing its storage gets headroom, as
-	// a refitted model's state count creeps.
-	var flat []float64
-	if len(reuse.Trans) > 0 {
-		flat = reuse.Trans[0][:0]
-	}
-	if cap(flat) < nn*nn {
-		c := nn
-		if cap(flat) > 0 {
-			c += nn / 2
-		}
-		flat = make([]float64, nn*nn, c*c)
-	}
-	flat = flat[:nn*nn]
-	trans := slices.Grow(reuse.Trans[:0], nn)
-	for i, si := range f.live {
-		row := flat[i*nn : (i+1)*nn]
-		base := int(si) * f.stride
-		var total float64
-		for j, sj := range f.live {
-			c := f.ccounts[base+int(sj)]
-			row[j] = c
-			total += c
-		}
-		if total == 0 {
-			// A state with no observed outgoing transition (e.g. the
-			// final sample): treat it as absorbing.
-			row[i] = 1
-		} else {
-			for j := range row {
-				row[j] /= total
-			}
-		}
-		trans = append(trans, row)
-	}
-	reuse.States = states
-	reuse.Trans = trans
-	reuse.Step = f.step
-	reuse.Horizon = 0
-	return reuse, nil
-}
-
 // Count slides the counted window to [lo, hi) and returns the number of
-// states the fit of that window has, with Fit's errors; a Fit of the
-// same window right after it only emits the model.
+// states the chain fitted on it has. An empty window reports
+// ErrNoHistory, and an empty view or a negative start an error, as Fit
+// does. Counting the window already counted costs nothing, and a run of
+// samples repeating one state is counted in one step.
 func (f *WindowFitter) Count(lo, hi int) (int, error) {
 	if hi <= lo {
 		return 0, ErrNoHistory
@@ -270,40 +210,48 @@ func (f *WindowFitter) Count(lo, hi int) (int, error) {
 	if lo < 0 || len(f.ids) == 0 {
 		return 0, fmt.Errorf("markov: window [%d, %d) outside the fitter's %d samples", lo, hi, len(f.ids))
 	}
+	if lo == f.lo && hi == f.hi {
+		return len(f.live), nil
+	}
 	// Slide the counted window to [lo, hi): grow the end first, then
 	// drop the samples before lo. Every pair inside the new window is
 	// counted once, and every pair that left it is uncounted once.
+	// Price columns are step functions, so the samples come in runs of
+	// one state: a run of L samples is L occurrences and, after the
+	// transition into its first sample, L−1 self-transitions. The counts
+	// are integer-valued floats, so adding a run at once is exact.
 	if lo < f.lo || lo >= f.hi || hi < f.hi {
 		f.recount(lo)
 	}
-	// Consecutive samples mostly repeat a state (price columns are step
-	// functions), which skips the slot lookup.
 	prev, pid := -1, int32(-1)
 	if f.hi > f.lo {
 		pid = f.id(f.hi - 1)
 		prev = int(f.slot[pid])
 	}
-	for t := f.hi; t < hi; t++ {
+	for t := f.hi; t < hi; {
+		id := f.id(t)
 		g := prev
-		if id := f.id(t); id != pid {
+		if id != pid {
 			g, pid = f.slotOf(id), id
 		}
-		f.occ[g]++
-		if t > f.lo {
+		e := f.runEnd(t+1, hi, id)
+		f.occ[g] += int32(e - t)
+		if prev >= 0 {
 			f.ccounts[prev*f.stride+g]++
 		}
-		prev = g
+		f.ccounts[g*f.stride+g] += float64(e - t - 1)
+		prev, t = g, e
 	}
-	g, gid := -1, int32(-1)
-	for t := f.lo; t < lo; t++ {
-		if id := f.id(t); id != gid {
-			g, gid = int(f.slot[id]), id
-		}
-		next := int(f.slot[f.id(t+1)])
-		f.ccounts[g*f.stride+next]--
-		if f.occ[g]--; f.occ[g] == 0 {
+	for t := f.lo; t < lo; {
+		id := f.id(t)
+		g := int(f.slot[id])
+		e := f.runEnd(t+1, lo, id)
+		f.ccounts[g*f.stride+g] -= float64(e - t - 1)
+		f.ccounts[g*f.stride+int(f.slot[f.id(e)])]--
+		if f.occ[g] -= int32(e - t); f.occ[g] == 0 {
 			f.release(g)
 		}
+		t = e
 	}
 	f.lo, f.hi = lo, hi
 	// The window's states are the occupied slots, in the ascending
@@ -319,101 +267,79 @@ func (f *WindowFitter) Count(lo, hi int) (int, error) {
 	return len(f.live), nil
 }
 
-// UptimeSolver computes Model.ExpectedUptimeExact without its per-call
-// allocations, keeping the elimination workspace across calls. The
-// arithmetic — up-state collection, the (I − U)·E = step·1 system, the
-// partial-pivot elimination of mat.Solve and its 1e-12 singularity
-// threshold — replays the method instruction for instruction, so the
-// results are bit-identical (SolverMatchesExact in the tests pins
-// this).
-//
-// An UptimeSolver is not safe for concurrent use.
-type UptimeSolver struct {
-	upIdx []int
-	aug   []float64
-	x     []float64
+// runEnd returns the first sample at or after t, and before hi, whose
+// state is not id, or hi; samples past the view's end repeat its last.
+func (f *WindowFitter) runEnd(t, hi int, id int32) int {
+	n := len(f.ids)
+	for end := min(hi, n); t < end && f.ids[t] == id; t++ {
+	}
+	if t >= n && f.ids[n-1] == id {
+		return hi
+	}
+	return t
 }
 
-// ExpectedUptime returns m.ExpectedUptimeExact(bid, currentPrice),
-// computed in the solver's scratch space.
-func (s *UptimeSolver) ExpectedUptime(m *Model, bid, currentPrice float64) float64 {
-	start := m.StateOf(currentPrice)
-	if m.States[start] > bid {
+// States appends the states of the window the last Count counted to
+// dst, in ascending order: the States of the chain fitted on it.
+func (f *WindowFitter) States(dst []float64) []float64 {
+	for _, s := range f.live {
+		dst = append(dst, f.vals[f.sid[s]])
+	}
+	return dst
+}
+
+// Uptime returns the expected uptime at the bid from the current price
+// of the chain fitted on the window the last Count counted:
+// Fit(Quantize(window, Quantum)).ExpectedUptimeExact(bid, price), bit
+// for bit, solved straight from the counts in s's workspace. The states
+// ascend, so the up states (price ≤ bid) are a prefix of them, and only
+// that block of I − U is built: entry (i, j) is −(c_ij / t_i), plus 1 on
+// the diagonal, where t_i, state i's outgoing transitions, is its
+// occurrences less one when the window ends on it — the exact integer
+// Fit sums its row to. A state with no outgoing transition keeps Fit's
+// absorbing row, which leaves −0 off the diagonal and +0 on it.
+func (f *WindowFitter) Uptime(s *UptimeSolver, bid, price float64) float64 {
+	live := f.live
+	state := func(i int) float64 { return f.vals[f.sid[live[i]]] }
+	// Model.StateOf's nearest state, clamped to the ends.
+	n := len(live)
+	start := sort.Search(n, func(i int) bool { return state(i) >= price })
+	switch {
+	case start == n:
+		start = n - 1
+	case start > 0 && price-state(start-1) <= state(start)-price:
+		start--
+	}
+	if state(start) > bid {
 		return 0
 	}
-	s.upIdx = s.upIdx[:0]
-	pos := -1
-	for i, p := range m.States {
-		if p <= bid {
-			if i == start {
-				pos = len(s.upIdx)
-			}
-			s.upIdx = append(s.upIdx, i)
+	k := start + 1
+	for k < n && state(k) <= bid {
+		k++
+	}
+	aug, x := s.system(k)
+	last := int(f.slot[f.id(f.hi-1)])
+	for r := range k {
+		si := int(live[r])
+		total := float64(f.occ[si])
+		if si == last {
+			total--
 		}
-	}
-	n := len(s.upIdx)
-	if cap(s.aug) < n*n {
-		s.aug = make([]float64, n*n)
-		s.x = make([]float64, n)
-	}
-	aug := s.aug[:n*n]
-	x := s.x[:n]
-	for r, i := range s.upIdx {
-		x[r] = float64(m.Step)
-		row := aug[r*n : (r+1)*n]
-		for c, j := range s.upIdx {
-			v := -m.Trans[i][j]
+		x[r] = float64(f.step)
+		row := aug[r*k : (r+1)*k]
+		counts := f.ccounts[si*f.stride:]
+		for c := range row {
+			v := math.Copysign(0, -1) // an absorbing row's −Trans[i][j]
+			if total != 0 {
+				v = -(counts[live[c]] / total)
+			} else if r == c {
+				v = -1
+			}
 			if r == c {
 				v += 1
 			}
 			row[c] = v
 		}
 	}
-	// Gaussian elimination with partial pivoting on the single-column
-	// system, mirroring mat.Solve.
-	for col := 0; col < n; col++ {
-		pivot := col
-		best := math.Abs(aug[col*n+col])
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(aug[r*n+col]); v > best {
-				best = v
-				pivot = r
-			}
-		}
-		if best < 1e-12 {
-			return math.Inf(1) // singular: the up set can hold forever
-		}
-		if pivot != col {
-			ri, rj := aug[pivot*n:(pivot+1)*n], aug[col*n:(col+1)*n]
-			for k := range ri {
-				ri[k], rj[k] = rj[k], ri[k]
-			}
-			x[pivot], x[col] = x[col], x[pivot]
-		}
-		pv := aug[col*n+col]
-		for r := col + 1; r < n; r++ {
-			f := aug[r*n+col] / pv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				aug[r*n+c] -= f * aug[col*n+c]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	for col := n - 1; col >= 0; col-- {
-		sum := x[col]
-		for k := col + 1; k < n; k++ {
-			sum -= aug[col*n+k] * x[k]
-		}
-		x[col] = sum / aug[col*n+col]
-	}
-	v := x[pos]
-	if v < 0 || math.IsNaN(v) {
-		// Numerical noise on a nearly-singular system: treat as
-		// effectively unbounded.
-		return math.Inf(1)
-	}
-	return v
+	return solveUptime(aug, x, k, start)
 }

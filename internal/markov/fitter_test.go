@@ -8,31 +8,47 @@ import (
 	"repro/internal/trace"
 )
 
-// modelsEqual compares two models bit-for-bit: the WindowFitter
-// contract is bit-identity with Fit, not approximation.
-func modelsEqual(t *testing.T, got, want *Model) {
+// checkFit counts the window [lo, hi) on the fitter and checks what it
+// answers against the reference chain want, bit for bit: the
+// WindowFitter contract is bit-identity with Fit, not approximation.
+// States must equal want's, and Uptime must equal
+// want.ExpectedUptimeExact at a bid below every state and at each
+// state's value — every up-prefix length up to 16 and the whole chain
+// — from prices below, at, between and above the states, and NaN.
+func checkFit(t testing.TB, wf *WindowFitter, s *UptimeSolver, lo, hi int, want *Model) {
 	t.Helper()
-	if got.Step != want.Step || got.Horizon != want.Horizon {
-		t.Fatalf("step/horizon = %d/%d, want %d/%d", got.Step, got.Horizon, want.Step, want.Horizon)
+	n, err := wf.Count(lo, hi)
+	if err != nil {
+		t.Fatalf("Count(%d, %d): %v", lo, hi, err)
 	}
-	if len(got.States) != len(want.States) {
-		t.Fatalf("state count = %d, want %d", len(got.States), len(want.States))
+	states := want.States
+	got := wf.States(nil)
+	if n != len(states) || len(got) != n {
+		t.Fatalf("window [%d, %d): Count %d and %d States, want %d states", lo, hi, n, len(got), len(states))
 	}
-	for i := range want.States {
-		if got.States[i] != want.States[i] {
-			t.Fatalf("States[%d] = %v, want %v", i, got.States[i], want.States[i])
+	for i := range states {
+		if got[i] != states[i] { // -0 and +0 are one state, as in Fit's map
+			t.Fatalf("window [%d, %d): States[%d] = %v, want %v", lo, hi, i, got[i], states[i])
 		}
 	}
-	if len(got.Trans) != len(want.Trans) {
-		t.Fatalf("row count = %d, want %d", len(got.Trans), len(want.Trans))
-	}
-	for i := range want.Trans {
-		if len(got.Trans[i]) != len(want.Trans[i]) {
-			t.Fatalf("row %d length = %d, want %d", i, len(got.Trans[i]), len(want.Trans[i]))
+	bids := []float64{states[0] - 0.01}
+	for k := 1; k <= n; k++ {
+		if k <= 16 || k == n {
+			bids = append(bids, states[k-1])
 		}
-		for j := range want.Trans[i] {
-			if got.Trans[i][j] != want.Trans[i][j] {
-				t.Fatalf("Trans[%d][%d] = %v, want %v", i, j, got.Trans[i][j], want.Trans[i][j])
+	}
+	prices := []float64{states[0] - 0.5, states[n-1] + 0.5, math.NaN(), states[n-1]}
+	for i := range min(n, 4) {
+		prices = append(prices, states[i])
+		if i > 0 {
+			prices = append(prices, (states[i-1]+states[i])/2, states[i]-0.001)
+		}
+	}
+	for _, bid := range bids {
+		for _, p := range prices {
+			g, w := wf.Uptime(s, bid, p), want.ExpectedUptimeExact(bid, p)
+			if math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("window [%d, %d), bid %v, price %v: Uptime %v, want %v", lo, hi, bid, p, g, w)
 			}
 		}
 	}
@@ -75,12 +91,12 @@ func stateView(col []float64) ([]int32, []float64) {
 	return trace.NewSeries("z", 0, col).States()
 }
 
-// TestWindowFitterMatchesFit pins WindowFitter.Fit to Fit over probed
-// windows of every kind — whole column, prefixes, sliding forward,
-// repeated, backwards (the recount path), jumping past the old window,
-// reaching past the view's end (clamped to its last sample) — cycling
-// one reuse model through fits of different state counts, including a
-// wide-alphabet column.
+// TestWindowFitterMatchesFit pins WindowFitter's answers to Fit over
+// probed windows of every kind — whole column, prefixes, sliding
+// forward, repeated, backwards (the recount path), jumping past the old
+// window, reaching past the view's end (clamped to its last sample) —
+// on columns of one state, of an absorbing last state and of a wide
+// alphabet.
 func TestWindowFitterMatchesFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	columns := [][]float64{
@@ -88,12 +104,13 @@ func TestWindowFitterMatchesFit(t *testing.T) {
 		rawPrices(rng, 120, 2),
 		{0.25},
 		{0.10, 0.10, 0.10},
+		{0.30, 0.30, 0.70},
 		{0.11, 0.09, 0.12, 0.074, 0.076},
 	}
 	columns = append(columns, rawPrices(rng, 400, 300), quantPrices(rng, 25, 3))
 
 	var wf WindowFitter
-	var reuse *Model
+	var s UptimeSolver
 	for ci, col := range columns {
 		ids, vals := stateView(col)
 		wf.Init(ids, vals, 300)
@@ -107,32 +124,23 @@ func TestWindowFitterMatchesFit(t *testing.T) {
 			if hi <= lo {
 				hi = lo + 1
 			}
-			got, err := wf.Fit(lo, hi, reuse)
-			if err != nil {
-				t.Fatalf("column %d: WindowFitter.Fit(%d, %d): %v", ci, lo, hi, err)
-			}
-			modelsEqual(t, got, refFit(t, col[lo:hi]))
-			reuse = got // recycle into the next fit
+			checkFit(t, &wf, &s, lo, hi, refFit(t, col[lo:hi]))
 		}
-		if _, err := wf.Fit(n/2, n/2, nil); err != ErrNoHistory {
+		if _, err := wf.Count(n/2, n/2); err != ErrNoHistory {
 			t.Fatalf("column %d: empty window error = %v, want ErrNoHistory", ci, err)
 		}
-		got, err := wf.Fit(n/2, n+3, nil)
-		if err != nil {
-			t.Fatalf("column %d: window past the view: %v", ci, err)
-		}
 		clamped := append(append([]float64(nil), col[n/2:]...), col[n-1], col[n-1], col[n-1])
-		modelsEqual(t, got, refFit(t, clamped))
+		checkFit(t, &wf, &s, n/2, n+3, refFit(t, clamped))
 	}
 	var zero WindowFitter
 	zero.Init([]int32{0}, []float64{0.1}, 0)
-	if _, err := zero.Fit(0, 1, nil); err == nil {
+	if _, err := zero.Count(0, 1); err == nil {
 		t.Fatalf("non-positive step accepted")
 	}
 	var empty WindowFitter
 	empty.Init(nil, nil, 300)
-	if _, err := empty.Fit(0, 1, nil); err == nil {
-		t.Fatalf("a window over an empty view fitted")
+	if _, err := empty.Count(0, 1); err == nil {
+		t.Fatalf("a window over an empty view counted")
 	}
 }
 
@@ -181,7 +189,7 @@ func TestWindowFitterRandomWindows(t *testing.T) {
 		ids, vals := col.States()
 		wf.Init(ids, vals, 300)
 		dropped := 0 // samples of full the column has dropped
-		var reuse *Model
+		var s UptimeSolver
 		for step := 0; step < 60; step++ {
 			if n < len(full) && rng.Intn(3) == 0 {
 				for m := n + rng.Intn(len(full)-n+1); n < m; n++ {
@@ -200,18 +208,13 @@ func TestWindowFitterRandomWindows(t *testing.T) {
 			m := col.Len()
 			lo := rng.Intn(m)
 			hi := lo + rng.Intn(m-lo+1)
-			got, err := wf.Fit(lo, hi, reuse)
 			if hi == lo {
-				if err != ErrNoHistory {
+				if _, err := wf.Count(lo, hi); err != ErrNoHistory {
 					t.Fatalf("trial %d: empty window [%d, %d) error = %v", trial, lo, hi, err)
 				}
 				continue
 			}
-			if err != nil {
-				t.Fatalf("trial %d: Fit(%d, %d): %v", trial, lo, hi, err)
-			}
-			modelsEqual(t, got, refFit(t, full[dropped+lo:dropped+hi]))
-			reuse = got
+			checkFit(t, &wf, &s, lo, hi, refFit(t, full[dropped+lo:dropped+hi]))
 		}
 	}
 }
@@ -224,38 +227,34 @@ func TestWindowFitterSignedZero(t *testing.T) {
 	var wf WindowFitter
 	ids, vals := stateView(col)
 	wf.Init(ids, vals, 300)
+	var s UptimeSolver
 	for _, w := range [][2]int{{0, len(col)}, {1, 5}, {2, 8}, {5, 7}, {6, 9}} {
-		got, err := wf.Fit(w[0], w[1], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		modelsEqual(t, got, refFit(t, col[w[0]:w[1]]))
+		checkFit(t, &wf, &s, w[0], w[1], refFit(t, col[w[0]:w[1]]))
 	}
 }
 
-// TestSolverMatchesExact pins UptimeSolver.ExpectedUptime to
-// Model.ExpectedUptimeExact bit-for-bit over random chains, bids below,
-// inside and above the state range — +Inf singular escapes included.
+// TestSolverMatchesExact pins WindowFitter.Uptime to
+// Model.ExpectedUptimeExact bit-for-bit over random chains, from a
+// current price drawn from the column, at bids below, inside and above
+// the state range — +Inf singular escapes included — with one solver
+// serving systems of every size.
 func TestSolverMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	var s UptimeSolver
+	var wf WindowFitter
 	for trial := 0; trial < 50; trial++ {
 		prices := quantPrices(rng, 50+rng.Intn(200), 1+rng.Intn(10))
-		m, err := Fit(prices, 300)
-		if err != nil {
-			t.Fatalf("Fit: %v", err)
+		ids, vals := stateView(prices)
+		wf.Init(ids, vals, 300)
+		lo := rng.Intn(len(prices) / 2)
+		if _, err := wf.Count(lo, len(prices)); err != nil {
+			t.Fatalf("Count: %v", err)
 		}
+		m := refFit(t, prices[lo:])
 		cur := prices[rng.Intn(len(prices))]
 		for _, bid := range []float64{0.01, cur, cur + 0.05, 0.05 * 11, 2.0} {
 			want := m.ExpectedUptimeExact(bid, cur)
-			got := s.ExpectedUptime(m, bid, cur)
-			if math.IsInf(want, 1) {
-				if !math.IsInf(got, 1) {
-					t.Fatalf("trial %d bid %v: got %v, want +Inf", trial, bid, got)
-				}
-				continue
-			}
-			if got != want {
+			if got := wf.Uptime(&s, bid, cur); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("trial %d bid %v: got %v, want %v", trial, bid, got, want)
 			}
 		}
@@ -285,7 +284,7 @@ func TestWindowFitterAppendMatchesInit(t *testing.T) {
 	var inc WindowFitter
 	ids, vals := col.States()
 	inc.Init(ids, vals, 300)
-	var reuse *Model
+	var s UptimeSolver
 	most := 0 // the most states two consecutive windows held
 	for n := 4; n <= len(full); n++ {
 		col.Append(full[n-1])
@@ -295,11 +294,9 @@ func TestWindowFitterAppendMatchesInit(t *testing.T) {
 			t.Fatalf("Len = %d after %d samples", inc.Len(), n)
 		}
 		lo := max(0, n-span)
-		got, err := inc.Fit(lo, n, reuse)
-		if err != nil {
-			t.Fatalf("inc.Fit(%d, %d): %v", lo, n, err)
+		if _, err := inc.Count(lo, n); err != nil {
+			t.Fatalf("inc.Count(%d, %d): %v", lo, n, err)
 		}
-		reuse = got
 		most = max(most, distinct(full[max(0, lo-1):n]))
 		if inc.Slots() > most {
 			t.Fatalf("n=%d: %d slots, but two consecutive windows held at most %d states", n, inc.Slots(), most)
@@ -310,17 +307,9 @@ func TestWindowFitterAppendMatchesInit(t *testing.T) {
 		var fresh WindowFitter
 		fresh.Init(ids, vals, 300)
 		for _, w := range [][2]int{{lo, lo + 1}, {lo, n}, {(lo + n) / 2, n}, {n - 1, n}} {
-			want, err := fresh.Fit(w[0], w[1], nil)
-			if err != nil {
-				t.Fatalf("fresh.Fit(%d, %d) at n=%d: %v", w[0], w[1], n, err)
-			}
-			got, err := inc.Fit(w[0], w[1], reuse)
-			if err != nil {
-				t.Fatalf("inc.Fit(%d, %d) at n=%d: %v", w[0], w[1], n, err)
-			}
-			modelsEqual(t, got, want)
-			modelsEqual(t, got, refFit(t, full[w[0]:w[1]]))
-			reuse = got
+			want := refFit(t, full[w[0]:w[1]])
+			checkFit(t, &fresh, &s, w[0], w[1], want)
+			checkFit(t, &inc, &s, w[0], w[1], want)
 		}
 	}
 }
@@ -334,13 +323,19 @@ func distinct(col []float64) int {
 // FuzzWindowFitter drives a fitter over byte-derived raw prices and an
 // operation sequence: the first byte sets the alphabet, each later byte
 // pair either appends samples to the column, drops samples from its
-// front in place, or fits a window. Every fit must equal
-// Fit(Quantize(window, 0.05)) bit for bit.
+// front in place, or counts a window. Every window's States and Uptime
+// must equal those of Fit(Quantize(window, 0.05)) bit for bit
+// (checkFit: every up-prefix length, bids below the lowest state,
+// prices outside the state range). The seeds include a constant
+// column (a singular system: +Inf) and windows ending on a state seen
+// only there (an absorbing last state).
 func FuzzWindowFitter(f *testing.F) {
 	f.Add([]byte{4, 1, 2, 3, 4, 5, 6, 7, 8, 0, 9, 200, 3})
 	f.Add([]byte{255, 9, 18, 27, 36, 45, 54, 63, 72, 81, 90, 99})
 	f.Add([]byte{1, 0, 0, 0, 0})
 	f.Add([]byte{7, 5, 9, 11, 40, 3, 7, 13, 2, 15, 1, 1, 8, 22, 5})
+	f.Add([]byte{9, 2, 2, 2, 2, 2, 7, 7, 2, 2, 7, 4, 2, 2, 2, 2, 2, 2, 3, 5})
+	f.Add([]byte{20, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 9, 4, 12, 2, 11})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 1024 {
 			return
@@ -362,7 +357,7 @@ func FuzzWindowFitter(f *testing.F) {
 		ids, vals := col.States()
 		wf.Init(ids, vals, 300)
 		dropped := 0
-		var reuse *Model
+		var s UptimeSolver
 		for i := 1; i+1 < len(data); i += 2 {
 			switch data[i] % 7 {
 			case 0:
@@ -383,18 +378,13 @@ func FuzzWindowFitter(f *testing.F) {
 			m := col.Len()
 			lo := int(data[i]) % m
 			hi := lo + int(data[i+1])%(m-lo+1)
-			got, err := wf.Fit(lo, hi, reuse)
-			switch {
-			case hi == lo:
-				if err != ErrNoHistory {
+			if hi == lo {
+				if _, err := wf.Count(lo, hi); err != ErrNoHistory {
 					t.Fatalf("empty window [%d, %d) error = %v", lo, hi, err)
 				}
 				continue
-			case err != nil:
-				t.Fatalf("Fit(%d, %d): %v", lo, hi, err)
 			}
-			modelsEqual(t, got, refFit(t, full[dropped+lo:dropped+hi]))
-			reuse = got
+			checkFit(t, &wf, &s, lo, hi, refFit(t, full[dropped+lo:dropped+hi]))
 		}
 	})
 }

@@ -72,10 +72,10 @@ type Env struct {
 	minSeen []minScan
 	states  [][2]gridStates
 	fits    []zoneFit
-	model   *markov.Model // ChainFit's result, shared by the zones
+	solver  markov.UptimeSolver // ChainUptime's workspace, shared by the zones
 }
 
-// zoneFit is one zone's sliding chain fit (ChainFit): the window fitter
+// zoneFit is one zone's sliding chain fit (ChainUptime): the window fitter
 // over the zone's States view from base. live marks counts over this
 // run's view; the fitter's buffers outlive the run.
 type zoneFit struct {
@@ -270,21 +270,23 @@ func (e *Env) States(zone int, from int64) (ids []int32, vals []float64, base in
 	return ids, vals, base
 }
 
-// ChainFit fits the zone's Markov chain (Appendix B) on its trailing
+// ChainUptime returns the expected uptime E[T_u] at the bid from the
+// price of the zone's Markov chain (Appendix B) fitted on its trailing
 // span of price history at Now — the samples PriceHistory(zone, span)
-// returns, read as states from the env's view (States) — and returns
-// nil for an empty history. The model is bit-identical to
+// returns, read as states from the env's view (States) — and false for
+// an empty history. It is bit-identical to
 // markov.Fit(markov.Quantize(PriceHistory(zone, span), markov.Quantum),
-// Step), and it is the env's: valid until the next ChainFit. Each
-// zone's fitter slides from one fit to the next, whichever policy
-// instance asks, and restarts with each run and when the window start
-// moves onto another grid (the HistoryStart clamp can do that); its
-// count tables serve the machine's later runs, so a fresh policy per
+// Step).ExpectedUptimeExact(bid, price), solved from the zone's window
+// fitter's counts in the env's one solver workspace. Each zone's fitter
+// slides from one window to the next, whichever policy instance asks,
+// and restarts with each run and when the window start moves onto
+// another grid (the HistoryStart clamp can do that); its count tables
+// and the solver serve the machine's later runs, so a fresh policy per
 // run allocates none.
-func (e *Env) ChainFit(zone int, span int64) *markov.Model {
+func (e *Env) ChainUptime(zone int, span int64, bid, price float64) (float64, bool) {
 	from := max(e.Now-span+e.Step, e.HistoryStart())
 	if from > e.Now {
-		return nil
+		return 0, false
 	}
 	ids, vals, base := e.States(zone, from)
 	z := &e.fits[zone]
@@ -295,12 +297,10 @@ func (e *Env) ChainFit(zone int, span int64) *markov.Model {
 		z.base, z.live = base, true
 	}
 	lo := int((from - base) / e.Step)
-	mod, err := z.fit.Fit(lo, lo+int((e.Now-from)/e.Step)+1, e.model)
-	if err != nil {
-		return nil
+	if _, err := z.fit.Count(lo, lo+int((e.Now-from)/e.Step)+1); err != nil {
+		return 0, false
 	}
-	e.model = mod
-	return mod
+	return z.fit.Uptime(&e.solver, bid, price), true
 }
 
 // release drops what the env holds of its run — configuration, spec,

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"reflect"
+	"math"
 	"slices"
 	"testing"
 
@@ -69,8 +69,10 @@ func TestEnvOwnStatesBound(t *testing.T) {
 }
 
 // TestChainFitBound pins the env's sliding chain fits over a history
-// and run cut adjacent from one root: every fit equals the from-scratch
-// reference over PriceHistory, the fitters hold no ids of their own —
+// and run cut adjacent from one root: every ChainUptime equals the
+// from-scratch reference over PriceHistory — at a bid below every state
+// and at each state's value, from the current price and the lowest
+// state — the fitters hold no ids of their own —
 // they view the root's states of history and run — and count over at
 // most one slot more than a window has samples however far the window
 // slides (O(D²) counts), and a released machine's fitters keep no view
@@ -91,8 +93,13 @@ func TestChainFitBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := env.ChainFit(zone, span); !reflect.DeepEqual(got, want) {
-				t.Fatalf("zone %d at %d: ChainFit %+v, reference %+v", zone, env.Now, got, want)
+			for _, price := range []float64{env.PriceNow(zone), want.States[0]} {
+				for _, bid := range append([]float64{want.States[0] / 2}, want.States...) {
+					got, ok := env.ChainUptime(zone, span, bid, price)
+					if w := want.ExpectedUptimeExact(bid, price); !ok || math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("zone %d at %d, bid %v, price %v: ChainUptime %v (%v), reference %v", zone, env.Now, bid, price, got, ok, w)
+					}
+				}
 			}
 		}
 	}

@@ -19,10 +19,10 @@
 # and one memory gate, on StreamResident (one grid warmed past its
 # 8192-tick retention):
 #   (resident at 8191 ticks - resident at 576) / 7615 <= 64 bytes per
-#       tick (a grid keeps no per-step fitted state, and each chain
-#       memo's fitter holds ids for its trailing fit window only: what
-#       grows with the window is the tape row and the availability flips
-#       catch-ups read), and
+#       tick (a grid keeps only the head step's fitted states, and each
+#       chain memo's fitter holds only counts, over the tape's states:
+#       what grows with the window is the tape row and the availability
+#       flips catch-ups read), and
 #   resident at 8193 ticks < resident at 8191 (compaction to half the
 #       retention gives memory back)
 # Every Name/NameObs pair also reports obs_overhead_pct, the cost of

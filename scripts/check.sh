@@ -11,7 +11,8 @@
 # serving. The chain fits count over the traces' bucketed state
 # columns: FuzzBucketColumn holds a column built from scratch equal to
 # one grown by appends, read through slices and carried through
-# Tape.Trim, and FuzzWindowFitter holds every sliding fit equal to a
+# Tape.Trim, and FuzzWindowFitter holds the states and every uptime a
+# sliding fitter solves from its counts equal to those of a
 # from-scratch Fit. internal/report's TestSuiteDigests pins
 # the 2-window suite (text and every run cost); at 40 windows, which
 # go test cannot afford, the rendered suite is compared with
