@@ -11,9 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"math"
 	"os"
 
@@ -26,9 +27,28 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("bidopt: ")
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "bidopt:", err)
+		os.Exit(1)
+	}
+}
 
+// errUsage reports a command line the flag set refused (or -h); the
+// flag set has printed why.
+var errUsage = errors.New("usage")
+
+// run is the command: it parses args, fits the zone's chain and prints
+// its bid landscape and the recommended bid to stdout.
+func run(args []string, stdout, stderr io.Writer) error {
+	// The set shadows the package so registrations read flag.X, as the
+	// documented-flags check expects.
+	flag := flag.NewFlagSet("bidopt", flag.ContinueOnError)
+	flag.SetOutput(stderr)
 	preset := flag.String("preset", "high", "trace preset: low, high, low-spike")
 	seed := flag.Uint64("seed", 1, "trace seed")
 	zone := flag.Int("zone", 0, "zone index (0-2)")
@@ -36,24 +56,26 @@ func main() {
 	tc := flag.Float64("tc", 300, "checkpoint cost in seconds")
 	delay := flag.Float64("delay", 300, "mean queuing delay in seconds")
 	rate := flag.Float64("rate", 0.87, "required progress rate (work / remaining time); 20h in 23h ≈ 0.87")
-	flag.Parse()
+	if err := flag.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	set, err := tracegen.Preset(*preset, *seed)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *zone < 0 || *zone >= set.NumZones() {
-		log.Fatalf("zone %d out of range", *zone)
+		return fmt.Errorf("zone %d out of range", *zone)
 	}
 	s := set.Series[*zone].Slice(set.Start(), set.Start()+*days*24*trace.Hour)
 	hist := markov.Quantize(s.Prices, 0.05)
 	m, err := markov.Fit(hist, s.Step)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ov := opt.Overheads{CheckpointCost: *tc, RestartCost: *tc, QueueDelay: *delay}
 
-	fmt.Printf("zone %s, %d days of history, %d price states, t_c=%gs\n\n", s.Zone, *days, m.NumStates(), *tc)
+	fmt.Fprintf(stdout, "zone %s, %d days of history, %d price states, t_c=%gs\n\n", s.Zone, *days, m.NumStates(), *tc)
 	var rows [][]string
 	for _, bid := range core.BidGrid() {
 		an := opt.Analyze(m, bid, ov)
@@ -75,19 +97,20 @@ func main() {
 			cost,
 		})
 	}
-	if err := report.Table(os.Stdout, []string{"bid", "avail", "paid $/h", "E[up]", "E[down]", "eff rate", "$/work-h"}, rows); err != nil {
-		log.Fatal(err)
+	if err := report.Table(stdout, []string{"bid", "avail", "paid $/h", "E[up]", "E[down]", "eff rate", "$/work-h"}, rows); err != nil {
+		return err
 	}
 
 	rec, err := opt.BestBid(m, core.BidGrid(), ov, *rate)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if rec.Feasible {
-		fmt.Printf("\nrecommended bid for rate >= %.2f: $%.2f (expected $%.3f per work-hour)\n",
+		fmt.Fprintf(stdout, "\nrecommended bid for rate >= %.2f: $%.2f (expected $%.3f per work-hour)\n",
 			*rate, rec.Bid, rec.Analysis.CostPerWorkHour)
 	} else {
-		fmt.Printf("\nno bid sustains rate %.2f on this zone; fastest is $%.2f at rate %.3f — the deadline guard will buy on-demand time\n",
+		fmt.Fprintf(stdout, "\nno bid sustains rate %.2f on this zone; fastest is $%.2f at rate %.3f — the deadline guard will buy on-demand time\n",
 			*rate, rec.Bid, rec.Analysis.EffectiveRate)
 	}
+	return nil
 }

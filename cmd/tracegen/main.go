@@ -10,10 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 
 	"repro/internal/mixture"
@@ -22,9 +22,28 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("tracegen: ")
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		os.Exit(1)
+	}
+}
 
+// errUsage reports a command line the flag set refused (or -h); the
+// flag set has printed why.
+var errUsage = errors.New("usage")
+
+// run is the command: it parses args, builds or loads the trace and
+// writes it, its statistics or its mixture fits to stdout or -o.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	// The set shadows the package so registrations read flag.X, as the
+	// documented-flags check expects.
+	flag := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	flag.SetOutput(stderr)
 	preset := flag.String("preset", "low", "trace preset: low, high, low-spike, moderate, year")
 	seed := flag.Uint64("seed", 1, "generator seed")
 	samples := flag.Int("samples", tracegen.SamplesPerMonth, "samples per zone (5-minute steps); ignored for year")
@@ -33,22 +52,24 @@ func main() {
 	in := flag.String("in", "", "load a trace file instead of generating (format inferred from -format)")
 	statsOnly := flag.Bool("stats", false, "print per-zone summary statistics instead of the trace")
 	mixtureFit := flag.Bool("mixture", false, "fit a Gaussian mixture to each zone's prices (Javadi et al. methodology) instead of printing the trace")
-	flag.Parse()
+	if err := flag.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	set, err := buildSet(*in, *preset, *seed, *samples, *format)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	w := io.Writer(os.Stdout)
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer func() {
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
+			if cerr := f.Close(); err == nil {
+				err = cerr
 			}
 		}()
 		w = f
@@ -56,24 +77,18 @@ func main() {
 
 	if *statsOnly {
 		printStats(w, set)
-		return
+		return nil
 	}
 	if *mixtureFit {
-		if err := printMixture(w, set); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return printMixture(w, set)
 	}
 	switch *format {
 	case "csv":
-		err = set.WriteCSV(w)
+		return set.WriteCSV(w)
 	case "json":
-		err = set.WriteJSON(w)
+		return set.WriteJSON(w)
 	default:
-		err = fmt.Errorf("unknown format %q", *format)
-	}
-	if err != nil {
-		log.Fatal(err)
+		return fmt.Errorf("unknown format %q", *format)
 	}
 }
 

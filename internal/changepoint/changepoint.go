@@ -11,7 +11,6 @@
 package changepoint
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -26,15 +25,6 @@ type Detector struct {
 	Threshold float64
 
 	gPos, gNeg float64
-}
-
-// New returns a detector centred on target. Drift and threshold are in
-// the stream's units (dollars for prices).
-func New(target, drift, threshold float64) (*Detector, error) {
-	if drift < 0 || threshold <= 0 {
-		return nil, fmt.Errorf("changepoint: drift %g must be >= 0 and threshold %g > 0", drift, threshold)
-	}
-	return &Detector{Target: target, Drift: drift, Threshold: threshold}, nil
 }
 
 // Direction labels which side of the reference level changed.
@@ -84,13 +74,4 @@ func (d *Detector) Observe(x float64) Direction {
 func (d *Detector) Recenter(target float64) {
 	d.Target = target
 	d.gPos, d.gNeg = 0, 0
-}
-
-// Pressure returns the positive-side cumulative sum as a fraction of
-// the threshold — how close the stream is to an upward detection.
-func (d *Detector) Pressure() float64 {
-	if d.Threshold <= 0 {
-		return 0
-	}
-	return d.gPos / d.Threshold
 }

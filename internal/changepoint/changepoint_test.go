@@ -6,10 +6,7 @@ import (
 )
 
 func TestDetectsUpShift(t *testing.T) {
-	d, err := New(0.30, 0.02, 0.10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := &Detector{Target: 0.30, Drift: 0.02, Threshold: 0.10}
 	// Noise around the target: no detection.
 	rng := rand.New(rand.NewPCG(1, 1))
 	for i := 0; i < 200; i++ {
@@ -40,7 +37,7 @@ func TestDetectsUpShift(t *testing.T) {
 }
 
 func TestDetectsDownShift(t *testing.T) {
-	d, _ := New(0.50, 0.02, 0.10)
+	d := &Detector{Target: 0.50, Drift: 0.02, Threshold: 0.10}
 	got := None
 	for i := 0; i < 20 && got == None; i++ {
 		got = d.Observe(0.30)
@@ -55,7 +52,7 @@ func TestDetectsDownShift(t *testing.T) {
 
 func TestSingleTickDoesNotTrigger(t *testing.T) {
 	// The failure mode of the Edge policy: one price tick up then back.
-	d, _ := New(0.30, 0.02, 0.10)
+	d := &Detector{Target: 0.30, Drift: 0.02, Threshold: 0.10}
 	if d.Observe(0.35) != None {
 		t.Fatal("single tick triggered")
 	}
@@ -66,23 +63,17 @@ func TestSingleTickDoesNotTrigger(t *testing.T) {
 	}
 }
 
+// TestPressure checks the positive-side sum Observe accumulates, as a
+// fraction of the threshold: how close the stream is to an upward
+// detection.
 func TestPressure(t *testing.T) {
-	d, _ := New(0.30, 0.0, 0.10)
-	if d.Pressure() != 0 {
+	d := &Detector{Target: 0.30, Drift: 0.0, Threshold: 0.10}
+	if d.gPos/d.Threshold != 0 {
 		t.Fatal("initial pressure nonzero")
 	}
 	d.Observe(0.35)
-	if p := d.Pressure(); p <= 0.4 || p >= 0.6 {
+	if p := d.gPos / d.Threshold; p <= 0.4 || p >= 0.6 {
 		t.Fatalf("pressure = %g, want ≈ 0.5", p)
-	}
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(0.3, -1, 0.1); err == nil {
-		t.Fatal("accepted negative drift")
-	}
-	if _, err := New(0.3, 0.01, 0); err == nil {
-		t.Fatal("accepted zero threshold")
 	}
 }
 

@@ -116,16 +116,3 @@ func (l *Limiter) Charge(tenant string) (bucket string, ok bool) {
 	}
 	return tenant, b.take(l.now())
 }
-
-// Rejected returns the rejection count per configured tenant plus the
-// shared "default" bucket — the capacity-curve report and tests read
-// it; /metrics renders the same counters via register.
-func (l *Limiter) Rejected() map[string]int64 {
-	l.init()
-	out := make(map[string]int64, len(l.buckets)+1)
-	out["default"] = l.def.rejected.Load()
-	for name, b := range l.buckets {
-		out[name] = b.rejected.Load()
-	}
-	return out
-}

@@ -40,7 +40,7 @@ func TestLimiterBurstAndRefill(t *testing.T) {
 	if l.Allow("acme") {
 		t.Fatal("request beyond burst admitted")
 	}
-	if got := l.Rejected()["acme"]; got != 1 {
+	if got := l.buckets["acme"].rejected.Load(); got != 1 {
 		t.Fatalf("rejected counter = %d, want 1", got)
 	}
 	// 100 ms at 10 req/s refills exactly one token.
@@ -76,7 +76,7 @@ func TestLimiterDefaultBucketShared(t *testing.T) {
 	if l.Allow("invented-2") {
 		t.Fatal("a fresh invented tenant was admitted past the shared default burst")
 	}
-	if got := l.Rejected()["default"]; got != 1 {
+	if got := l.def.rejected.Load(); got != 1 {
 		t.Fatalf("default rejected counter = %d, want 1", got)
 	}
 	if len(l.buckets) != 0 {

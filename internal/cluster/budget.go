@@ -67,11 +67,3 @@ func (b *Budget) Withdraw() bool {
 	b.tokens--
 	return true
 }
-
-// Tokens returns the current pool level, for tests and reports.
-func (b *Budget) Tokens() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.initLocked()
-	return b.tokens
-}

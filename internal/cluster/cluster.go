@@ -55,9 +55,6 @@ func NewBackend(name string, h http.Handler) *Backend {
 // backend; the least-loaded policy orders on it.
 func (b *Backend) InFlight() int64 { return b.inflight.Load() }
 
-// Failures returns the backend's failed-forward count.
-func (b *Backend) Failures() int64 { return b.failures.Load() }
-
 // Available reports whether the backend is routable — its breaker is
 // closed. Ejected backends still receive paced probe requests through
 // Breaker.Allow, which is how they earn readmission.

@@ -19,7 +19,7 @@ import (
 // Ratio per request capped at Burst.
 func TestBudgetTokens(t *testing.T) {
 	b := &Budget{Ratio: 0.5, Burst: 2}
-	if got := b.Tokens(); got != 2 {
+	if got := tokens(b); got != 2 {
 		t.Fatalf("fresh pool %g, want full at 2", got)
 	}
 	if !b.Withdraw() || !b.Withdraw() {
@@ -39,9 +39,17 @@ func TestBudgetTokens(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.Deposit()
 	}
-	if got := b.Tokens(); got != 2 {
+	if got := tokens(b); got != 2 {
 		t.Fatalf("pool %g after heavy deposits, want capped at Burst 2", got)
 	}
+}
+
+// tokens returns b's current pool level.
+func tokens(b *Budget) float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.initLocked()
+	return b.tokens
 }
 
 // TestRouterRetryBudgetBounds pins the storm bound: with every backend
@@ -70,7 +78,7 @@ func TestRouterRetryBudgetBounds(t *testing.T) {
 	if got := m.Retries.Load(); got != 2 {
 		t.Fatalf("retries = %d, want 2 (the whole budget)", got)
 	}
-	total := fleet[0].Failures() + fleet[1].Failures() + fleet[2].Failures()
+	total := fleet[0].failures.Load() + fleet[1].failures.Load() + fleet[2].failures.Load()
 	if total != 3 {
 		t.Fatalf("first request burned %d attempts, want 3", total)
 	}
@@ -81,7 +89,7 @@ func TestRouterRetryBudgetBounds(t *testing.T) {
 			t.Fatalf("request %d returned %d, want 503", i, rec.Code)
 		}
 	}
-	if got := fleet[0].Failures() + fleet[1].Failures() + fleet[2].Failures(); got != total+4 {
+	if got := fleet[0].failures.Load() + fleet[1].failures.Load() + fleet[2].failures.Load(); got != total+4 {
 		t.Fatalf("4 post-budget requests burned %d attempts, want 4 — retry storm not bounded", got-total)
 	}
 	if m.RetrySuppressed.Load() == 0 {
@@ -121,8 +129,8 @@ func TestRouterShedPassThrough(t *testing.T) {
 			if !b.Available() {
 				t.Fatalf("%s ejected by back-pressure; shedding must not charge the breaker", b.Name)
 			}
-			if b.Failures() != 0 {
-				t.Fatalf("%s failures = %d on shed responses", b.Name, b.Failures())
+			if b.failures.Load() != 0 {
+				t.Fatalf("%s failures = %d on shed responses", b.Name, b.failures.Load())
 			}
 		}
 		if got := r.Stats().Unroutable.Load(); got != 0 {
@@ -270,7 +278,7 @@ func TestRouterStreamCommittedDeath(t *testing.T) {
 	if dying.Available() {
 		t.Fatal("mid-stream death did not charge the backend's breaker")
 	}
-	if got := dying.Failures(); got != 1 {
+	if got := dying.failures.Load(); got != 1 {
 		t.Fatalf("dying backend failures = %d, want 1", got)
 	}
 	waitFor(t, "in-flight gauge drain", func() bool {
@@ -305,7 +313,7 @@ func TestRouterStreamPreCommitAbort(t *testing.T) {
 	if !strings.Contains(string(body), `{"generation":1}`) {
 		t.Fatalf("failover stream body %q", body)
 	}
-	if got := dying.Failures(); got != 1 {
+	if got := dying.failures.Load(); got != 1 {
 		t.Fatalf("dying backend failures = %d, want 1", got)
 	}
 	if got := r.Stats().Failovers.Load(); got != 1 {

@@ -117,7 +117,7 @@ func TestRouterAffinityBeatsRoundRobinHits(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			svc := &quote.Service{Source: &quote.StaticSource{Set: set}}
 			services = append(services, svc)
-			backends = append(backends, NewBackend(fmt.Sprintf("quoted-%d", i), quote.NewHandler(svc)))
+			backends = append(backends, NewBackend(fmt.Sprintf("quoted-%d", i), quote.NewStreamingHandler(svc, nil)))
 		}
 		h := (&Router{Backends: backends, Policy: policy}).Handler()
 		for i, b := range seq {
@@ -175,7 +175,7 @@ func TestRouterFailoverAndEjection(t *testing.T) {
 	}
 	// Round-robin prefers b0 on every other request; with b0 ejected
 	// only the 2 pre-ejection attempts may have reached it.
-	if got := dead.Failures(); got != 2 {
+	if got := dead.failures.Load(); got != 2 {
 		t.Fatalf("dead backend saw %d forwards, want exactly the 2 pre-ejection attempts", got)
 	}
 	if m.Failovers.Load() != 2 {
@@ -290,7 +290,7 @@ func TestRouterTinyHistoryWindow(t *testing.T) {
 	var backends []*Backend
 	for i := 0; i < 3; i++ {
 		svc := &quote.Service{Source: &quote.StaticSource{Set: set}}
-		backends = append(backends, NewBackend(fmt.Sprintf("quoted-%d", i), quote.NewHandler(svc)))
+		backends = append(backends, NewBackend(fmt.Sprintf("quoted-%d", i), quote.NewStreamingHandler(svc, nil)))
 	}
 	r := &Router{Backends: backends, Policy: NewAffinity()}
 	h := r.Handler()
@@ -542,7 +542,7 @@ func TestRouterStreamFailover(t *testing.T) {
 	release <- struct{}{}
 	readUntil(`{"generation":4}`)
 
-	if got := dead.Failures(); got != 1 {
+	if got := dead.failures.Load(); got != 1 {
 		t.Errorf("dead backend failures = %d, want 1", got)
 	}
 	if got := r.Stats().Failovers.Load(); got != 1 {

@@ -165,12 +165,12 @@ func (p probeStrategy) Reconsider(*sim.Env, []sim.Event) (sim.RunSpec, bool) {
 }
 
 // priceHistorySet builds the trailing span seconds of price history
-// visible at env.Now straight from Env.PriceHistory: the reference an
+// visible at env.Now straight from priceHistory: the reference an
 // Adaptive decision's resident window must equal.
 func priceHistorySet(env *sim.Env, span int64) *trace.Set {
 	series := make([]*trace.Series, len(env.Zones))
 	for zi := range env.Zones {
-		prices := env.PriceHistory(zi, span)
+		prices := priceHistory(env, zi, span)
 		series[zi] = &trace.Series{
 			Zone:   env.Cfg.Trace.Series[zi].Zone,
 			Epoch:  env.Now - int64(len(prices)-1)*env.Step,
@@ -181,10 +181,29 @@ func priceHistorySet(env *sim.Env, span int64) *trace.Set {
 	return trace.MustNewSet(series...)
 }
 
+// priceHistory is the decision window's reference, read independently
+// of the env's state columns and the batched engine: span seconds of
+// the zone's price history ending at (and including) env.Now, on the
+// step grid, oldest first, from the configured trace and bootstrap
+// history, the available history bounding it. internal/sim's tests
+// keep the same reference.
+func priceHistory(env *sim.Env, zone int, span int64) []float64 {
+	from := max(env.Now-span+env.Step, env.HistoryStart())
+	var out []float64
+	for t := from; t <= env.Now; t += env.Step {
+		series := env.Cfg.Trace.Series[zone]
+		if t < env.StartTime && env.Cfg.History != nil && env.Cfg.History.NumZones() > zone {
+			series = env.Cfg.History.Series[zone]
+		}
+		out = append(out, series.Prices[series.Index(t)])
+	}
+	return out
+}
+
 // TestHistorySet pins an Adaptive decision's resident window: at the
 // run's start it is the trailing window of the bootstrap history, ending
 // at the decision time, and at every later decision time it equals
-// Env.PriceHistory's samples — spans on and off the step grid, a window
+// priceHistory's samples — spans on and off the step grid, a window
 // still growing into its span, slides of one step and of many, and a
 // jump past the whole window.
 func TestHistorySet(t *testing.T) {
@@ -236,12 +255,12 @@ func TestHistorySet(t *testing.T) {
 			got := sc.slide(env, 1, span)
 			want := priceHistorySet(env, span)
 			if got.Start() != want.Start() || got.Step() != want.Step() || !slices.Equal(got.Zones(), want.Zones()) {
-				t.Fatalf("span %d at %d: window [%d, %d) step %d, PriceHistory's [%d, %d) step %d",
+				t.Fatalf("span %d at %d: window [%d, %d) step %d, priceHistory's [%d, %d) step %d",
 					span, now, got.Start(), got.End(), got.Step(), want.Start(), want.End(), want.Step())
 			}
 			for zi := range want.Series {
 				if !slices.Equal(got.Series[zi].Prices, want.Series[zi].Prices) {
-					t.Fatalf("span %d at %d: zone %d window %v, PriceHistory %v", span, now, zi, got.Series[zi].Prices, want.Series[zi].Prices)
+					t.Fatalf("span %d at %d: zone %d window %v, priceHistory %v", span, now, zi, got.Series[zi].Prices, want.Series[zi].Prices)
 				}
 				ids, vals := got.Series[zi].States()
 				for i, p := range got.Series[zi].Prices {

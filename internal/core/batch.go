@@ -1352,9 +1352,8 @@ func (b *batchState) interval(p *batchPerm, now int64) float64 {
 
 // computeInterval fits (or fetches) the per-zone chains on the trailing
 // history and applies Daly's estimate to their combined expected
-// uptime, mirroring MarkovDaly.computeInterval — including the lazy
-// short-circuit of markov.CombinedExpectedUptime, which stops solving
-// at the first unbounded zone.
+// uptime, mirroring MarkovDaly.computeInterval — including its lazy
+// short-circuit, which stops solving at the first unbounded zone.
 func (b *batchState) computeInterval(p *batchPerm, si int) float64 {
 	zs := b.zoneBuf[p.zoff : p.zoff+p.nz]
 	b.zsel = b.zsel[:0]
@@ -1439,7 +1438,7 @@ func upCount(states []float64, bid float64) int {
 // countAt moves the memo's fitter to the window of the chain fit at
 // step si, reporting false for an unfittable (empty) history. The
 // window is the samples Columns.Index(from), Index(from)+1, … that the
-// oracle's Env.PriceHistory reads at the grid times from, from+step,
+// oracle's Env.ChainUptime reads at the grid times from, from+step,
 // …, now (off-grid spans included), so the fit is the memo fitter's
 // window over the zone's states.
 func (b *batchState) countAt(cm *chainMemo, si int) bool {

@@ -79,9 +79,8 @@ func (m *MarkovDaly) interval(env *sim.Env) float64 {
 }
 
 // computeInterval fits the per-zone chains and applies Daly's estimate
-// to their combined expected uptime, the per-zone sum of
-// markov.CombinedExpectedUptime, which stops at the first unbounded
-// zone.
+// to their combined expected uptime: the per-zone sum (§4.2), which
+// stops at the first unbounded zone.
 func (m *MarkovDaly) computeInterval(env *sim.Env) float64 {
 	span := m.HistorySpan
 	if span <= 0 {

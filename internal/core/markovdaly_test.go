@@ -14,28 +14,32 @@ import (
 )
 
 // referenceInterval is Markov-Daly's interval computed from scratch:
-// the trailing history through Env.PriceHistory, bucketed to nickels by
-// markov.Quantize, fitted by markov.Fit, solved by ExpectedUptimeExact
-// (through CombinedExpectedUptime) and converted by Daly's estimate.
+// the trailing history through priceHistory, bucketed to nickels by
+// markov.Quantize, fitted by markov.Fit, solved by ExpectedUptimeExact,
+// summed over the zones (§4.2: independent zones add their expected
+// uptimes) and converted by Daly's estimate.
 func referenceInterval(m *MarkovDaly, env *sim.Env) float64 {
 	span := m.HistorySpan
 	if span <= 0 {
 		span = markov.DefaultHistory
 	}
-	var models []*markov.Model
-	var prices []float64
+	var mtbf float64
+	fitted := false
 	for _, zi := range env.Spec.Zones {
-		mod, err := markov.Fit(markov.Quantize(env.PriceHistory(zi, span), 0.05), env.Step)
+		mod, err := markov.Fit(markov.Quantize(priceHistory(env, zi, span), 0.05), env.Step)
 		if err != nil {
 			continue
 		}
-		models = append(models, mod)
-		prices = append(prices, env.PriceNow(zi))
+		fitted = true
+		if u := mod.ExpectedUptimeExact(env.Spec.Bid, env.PriceNow(zi)); math.IsInf(u, 1) || math.IsInf(mtbf, 1) {
+			mtbf = math.Inf(1)
+		} else {
+			mtbf += u
+		}
 	}
-	if len(models) == 0 {
+	if !fitted {
 		return math.Inf(1)
 	}
-	mtbf := markov.CombinedExpectedUptime(models, env.Spec.Bid, prices)
 	if m.HigherOrder {
 		return daly.Optimal(float64(env.CheckpointCost()), mtbf)
 	}

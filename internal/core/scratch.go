@@ -94,16 +94,16 @@ func (s *sweepScratch) arm(hist *trace.Set, tc, tr int64) {
 }
 
 // slide moves the scratch to run's window at env.Now: the trailing span
-// seconds of price history, the samples Env.PriceHistory reads (at
-// from, from+step, … up to Now, with from = max(Now−span+step,
-// HistoryStart)), labelled as PriceHistory's window is: its last sample
-// at Now, the rest a step apart. When the scratch holds the run's
+// seconds of price history, the samples env.Price reads at from,
+// from+step, … up to Now, with from = max(Now−span+step, HistoryStart)
+// (the window Env.ChainUptime fits), labelled with its last sample at
+// Now and the rest a step apart. When the scratch holds the run's
 // previous window on the same sample grid and that window reaches the
 // new one, it drops the samples that left the span, reads through
 // env.Price only those since, with their states from the env's view,
 // and slides the batched state; otherwise it reads the whole window and
 // re-arms. Either way the window is
-// value-identical to PriceHistory's and the batched state to a fresh
+// value-identical to a from-scratch read of those samples and the batched state to a fresh
 // reset's, ready for a sweep. A span shorter than one step holds no
 // sample, and no decision can be priced over it: slide panics.
 func (s *sweepScratch) slide(env *sim.Env, run uint64, span int64) *trace.Set {

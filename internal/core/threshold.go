@@ -37,7 +37,7 @@ func (t *Threshold) Reset(env *sim.Env) {
 
 // meanUptime returns the average up-interval length in seconds of the
 // zone's price history up to now at the given bid, read in place on the
-// step grid Env.PriceHistory samples; 0 when never up.
+// step grid Env.ChainUptime's windows sample; 0 when never up.
 func meanUptime(env *sim.Env, zone int, bid float64) float64 {
 	var total, runs int64
 	var cur int64

@@ -49,15 +49,3 @@ func Optimal(delta, mtbf float64) float64 {
 	}
 	return tau
 }
-
-// ExpectedWaste returns the expected fraction of wall-clock time lost to
-// checkpointing and rework for a given checkpoint interval tau,
-// checkpoint cost delta and MTBF mtbf, under the standard first-order
-// model: waste ≈ δ/τ + τ/(2M). Useful for validating that Optimal and
-// Young indeed sit near the minimum.
-func ExpectedWaste(tau, delta, mtbf float64) float64 {
-	if tau <= 0 || mtbf <= 0 {
-		return math.Inf(1)
-	}
-	return delta/tau + tau/(2*mtbf)
-}

@@ -60,9 +60,9 @@ func TestYoungMinimisesWasteProperty(t *testing.T) {
 		delta := 10 + float64(dRaw%2000) // 10..2009 s
 		mtbf := delta*2.5 + float64(mRaw%5000)
 		tau := Young(delta, mtbf)
-		w := ExpectedWaste(tau, delta, mtbf)
+		w := expectedWaste(tau, delta, mtbf)
 		for _, factor := range []float64{0.5, 0.75, 1.25, 2} {
-			if ExpectedWaste(tau*factor, delta, mtbf) < w {
+			if expectedWaste(tau*factor, delta, mtbf) < w {
 				return false
 			}
 		}
@@ -80,8 +80,8 @@ func TestOptimalNearWasteMinimumSmallOverhead(t *testing.T) {
 		delta := 10 + float64(dRaw%500)         // 10..509 s
 		mtbf := delta*20 + float64(mRaw%100000) // δ ≤ M/20
 		tau := Optimal(delta, mtbf)
-		w := ExpectedWaste(tau, delta, mtbf)
-		wOpt := ExpectedWaste(Young(delta, mtbf), delta, mtbf)
+		w := expectedWaste(tau, delta, mtbf)
+		wOpt := expectedWaste(Young(delta, mtbf), delta, mtbf)
 		return w <= wOpt*1.05
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -105,10 +105,22 @@ func TestIntervalGrowsWithMTBF(t *testing.T) {
 }
 
 func TestExpectedWasteEdges(t *testing.T) {
-	if !math.IsInf(ExpectedWaste(0, 300, 1000), 1) {
+	if !math.IsInf(expectedWaste(0, 300, 1000), 1) {
 		t.Fatal("zero interval should have infinite waste")
 	}
-	if !math.IsInf(ExpectedWaste(100, 300, 0), 1) {
+	if !math.IsInf(expectedWaste(100, 300, 0), 1) {
 		t.Fatal("zero MTBF should have infinite waste")
 	}
+}
+
+// expectedWaste returns the expected fraction of wall-clock time lost to
+// checkpointing and rework for a given checkpoint interval tau,
+// checkpoint cost delta and MTBF mtbf, under the standard first-order
+// model: waste ≈ δ/τ + τ/(2M). Useful for validating that Optimal and
+// Young indeed sit near the minimum.
+func expectedWaste(tau, delta, mtbf float64) float64 {
+	if tau <= 0 || mtbf <= 0 {
+		return math.Inf(1)
+	}
+	return delta/tau + tau/(2*mtbf)
 }

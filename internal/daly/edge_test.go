@@ -72,25 +72,25 @@ func TestOptimalMatchesYoungForSmallOverhead(t *testing.T) {
 // interval sits at the first-order model's minimum: perturbing τ in
 // either direction never reduces the waste.
 func TestExpectedWasteMinimum(t *testing.T) {
-	if !math.IsInf(ExpectedWaste(0, 300, 3600), 1) {
+	if !math.IsInf(expectedWaste(0, 300, 3600), 1) {
 		t.Error("zero tau must waste infinitely")
 	}
-	if !math.IsInf(ExpectedWaste(-5, 300, 3600), 1) {
+	if !math.IsInf(expectedWaste(-5, 300, 3600), 1) {
 		t.Error("negative tau must waste infinitely")
 	}
-	if !math.IsInf(ExpectedWaste(600, 300, 0), 1) {
+	if !math.IsInf(expectedWaste(600, 300, 0), 1) {
 		t.Error("zero mtbf must waste infinitely")
 	}
 	const delta, mtbf = 300.0, 36_000.0
 	tau := Young(delta, mtbf)
-	at := ExpectedWaste(tau, delta, mtbf)
+	at := expectedWaste(tau, delta, mtbf)
 	for _, factor := range []float64{0.5, 0.9, 1.1, 2.0} {
-		if w := ExpectedWaste(tau*factor, delta, mtbf); w < at {
+		if w := expectedWaste(tau*factor, delta, mtbf); w < at {
 			t.Errorf("waste at %.2f·τ* (%g) below waste at τ* (%g): τ* is not the minimum", factor, w, at)
 		}
 	}
 	// Daly's interval must sit within a few percent of that minimum too.
-	if w := ExpectedWaste(Optimal(delta, mtbf), delta, mtbf); w > at*1.05 {
+	if w := expectedWaste(Optimal(delta, mtbf), delta, mtbf); w > at*1.05 {
 		t.Errorf("Optimal's waste %g is more than 5%% above the minimum %g", w, at)
 	}
 }

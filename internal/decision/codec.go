@@ -1,10 +1,6 @@
 package decision
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
 	"math"
 	"strconv"
 )
@@ -86,48 +82,4 @@ func appendJSONString(dst []byte, s string) []byte {
 		}
 	}
 	return append(dst, '"')
-}
-
-// ParseRecord decodes one JSON line into a record.
-func ParseRecord(line []byte) (Record, error) {
-	var r Record
-	if err := json.Unmarshal(line, &r); err != nil {
-		return Record{}, fmt.Errorf("decision: bad record: %w", err)
-	}
-	return r, nil
-}
-
-// ReadRecords decodes a JSON-lines decision log, skipping blank lines.
-func ReadRecords(r io.Reader) ([]Record, error) {
-	var out []Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := ParseRecord(line)
-		if err != nil {
-			return nil, fmt.Errorf("decision: line %d: %w", len(out)+1, err)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// WriteRecords encodes records as JSON lines, one per record.
-func WriteRecords(w io.Writer, records []Record) error {
-	var buf []byte
-	for i := range records {
-		buf = AppendRecord(buf[:0], &records[i])
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
 }

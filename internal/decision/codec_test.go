@@ -1,7 +1,11 @@
 package decision
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -32,7 +36,7 @@ func sampleRecords() []Record {
 func TestRecordRoundTrip(t *testing.T) {
 	for i, rec := range sampleRecords() {
 		line := AppendRecord(nil, &rec)
-		got, err := ParseRecord(line)
+		got, err := parseRecord(line)
 		if err != nil {
 			t.Fatalf("record %d: %v\n%s", i, err, line)
 		}
@@ -53,7 +57,7 @@ func TestRecordEncodeClampsNonFinite(t *testing.T) {
 	rec := Record{Trigger: "begin", Chosen: Alt{Bid: 0.81, Policy: "periodic", Cost: math.Inf(1)},
 		Ranked: []Alt{{Bid: 0.81, Policy: "periodic", Cost: math.NaN()}}}
 	line := AppendRecord(nil, &rec)
-	got, err := ParseRecord(line)
+	got, err := parseRecord(line)
 	if err != nil {
 		t.Fatalf("clamped record does not parse: %v\n%s", err, line)
 	}
@@ -67,11 +71,11 @@ func TestRecordEncodeClampsNonFinite(t *testing.T) {
 func TestReadWriteRecords(t *testing.T) {
 	recs := sampleRecords()
 	var buf bytes.Buffer
-	if err := WriteRecords(&buf, recs); err != nil {
+	if err := writeRecords(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
 	withBlanks := strings.ReplaceAll(buf.String(), "\n", "\n\n")
-	got, err := ReadRecords(strings.NewReader(withBlanks))
+	got, err := readRecords(strings.NewReader(withBlanks))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +87,52 @@ func TestReadWriteRecords(t *testing.T) {
 // TestReadRecordsRejectsGarbage checks a corrupt line surfaces a parse
 // error naming the line.
 func TestReadRecordsRejectsGarbage(t *testing.T) {
-	_, err := ReadRecords(strings.NewReader("{\"seq\":0,\"time\":1,\"trigger\":\"begin\",\"switched\":false,\"chosen\":{\"bid\":1,\"policy\":\"p\",\"cost\":1}}\nnot json\n"))
+	_, err := readRecords(strings.NewReader("{\"seq\":0,\"time\":1,\"trigger\":\"begin\",\"switched\":false,\"chosen\":{\"bid\":1,\"policy\":\"p\",\"cost\":1}}\nnot json\n"))
 	if err == nil || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("corrupt line not reported: %v", err)
 	}
+}
+
+// readRecords decodes a JSON-lines decision log, skipping blank lines.
+func readRecords(r io.Reader) ([]Record, error) {
+	var out []Record
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	for sc.Scan() {
+		line := sc.Bytes()
+		if len(line) == 0 {
+			continue
+		}
+		rec, err := parseRecord(line)
+		if err != nil {
+			return nil, fmt.Errorf("decision: line %d: %w", len(out)+1, err)
+		}
+		out = append(out, rec)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// writeRecords encodes records as JSON lines, one per record.
+func writeRecords(w io.Writer, records []Record) error {
+	var buf []byte
+	for i := range records {
+		buf = AppendRecord(buf[:0], &records[i])
+		buf = append(buf, '\n')
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// parseRecord decodes one JSON line into a record.
+func parseRecord(line []byte) (Record, error) {
+	var r Record
+	if err := json.Unmarshal(line, &r); err != nil {
+		return Record{}, fmt.Errorf("decision: bad record: %w", err)
+	}
+	return r, nil
 }

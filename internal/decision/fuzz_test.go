@@ -64,18 +64,18 @@ func normalize(rec Record) Record {
 // FuzzDecisionLogRoundTrip is the satellite fuzz target wired into
 // scripts/check.sh: every decision record must encode to one JSON line
 // that decodes back to the same value and re-encodes byte-identically,
-// and ParseRecord must never panic on arbitrary bytes.
+// and parseRecord must never panic on arbitrary bytes.
 func FuzzDecisionLogRoundTrip(f *testing.F) {
 	f.Add(int32(0), int64(432000), uint8(0), uint8(4), true, 0.81, 14.25, uint16(0b101), uint8(2), []byte(`{"seq":1}`))
 	f.Add(int32(7), int64(-1), uint8(2), uint8(5), false, math.Inf(1), math.NaN(), uint16(0), uint8(0), []byte("not json"))
 	f.Add(int32(-3), int64(math.MaxInt64), uint8(7), uint8(8), true, -0.0, math.MaxFloat64, uint16(0xffff), uint8(7), []byte{0xff, 0xfe})
 	f.Fuzz(func(t *testing.T, seq int32, tm int64, trig, pol uint8, switched bool, bid, cost float64, zmask uint16, nRanked uint8, raw []byte) {
 		// Arbitrary bytes must never panic the parser.
-		_, _ = ParseRecord(raw)
+		_, _ = parseRecord(raw)
 
 		rec := fuzzRecord(seq, tm, trig, pol, switched, bid, cost, zmask, nRanked)
 		line := AppendRecord(nil, &rec)
-		got, err := ParseRecord(line)
+		got, err := parseRecord(line)
 		if err != nil {
 			t.Fatalf("canonical encoding does not parse: %v\n%s", err, line)
 		}

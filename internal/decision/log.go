@@ -97,13 +97,6 @@ func (l *Log) Total() uint64 {
 // Capacity returns the ring capacity.
 func (l *Log) Capacity() int { return cap(l.ring) }
 
-// WriteErrors returns how many JSON-line writes have failed.
-func (l *Log) WriteErrors() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.werrs
-}
-
 // logDump is the /debug/decisions response shape.
 type logDump struct {
 	// Total counts every decision ever recorded.

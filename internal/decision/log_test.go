@@ -87,7 +87,7 @@ func TestLogWritesJSONLines(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.RecordDecision(testPoint(-1, nil))
 	}
-	recs, err := ReadRecords(&sb)
+	recs, err := readRecords(&sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +100,10 @@ func TestLogWritesJSONLines(t *testing.T) {
 			t.Fatalf("file record %d has seq %d", i, r.Seq)
 		}
 	}
-	if l.WriteErrors() != 0 {
-		t.Fatalf("unexpected write errors: %d", l.WriteErrors())
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.werrs != 0 {
+		t.Fatalf("unexpected write errors: %d", l.werrs)
 	}
 }
 

@@ -146,7 +146,7 @@ func TestCounterfactualMatchesOracleMatrix(t *testing.T) {
 			}
 			oracleOf := func(log []Record) (Outcome, error) {
 				tr = obs.NewTracer(1 << 12)
-				out, err := r.Oracle(log)
+				out, err := r.oracle(log)
 				if n := decisionSpans(); n != 0 {
 					t.Errorf("oracle priced %d decisions, want none", n)
 				}
@@ -237,9 +237,9 @@ func TestForcingChosenYieldsZeroRegret(t *testing.T) {
 
 // TestReplayerRefusesUnresolvableKinds pins the replayer's refusals:
 // candidates with two equal descriptors (no record could say which
-// won) fail Baseline, Oracle and Counterfactual, and a log or rival
-// naming a kind no candidate has fails instead of silently replaying
-// Periodic. Periodic itself, the empty grid's fallback, stays
+// won) fail Baseline, the pinned replay (oracle) and Counterfactual,
+// and a log or rival naming a kind no candidate has fails instead of
+// silently replaying Periodic. Periodic itself, the empty grid's fallback, stays
 // resolvable whatever the candidates.
 func TestReplayerRefusesUnresolvableKinds(t *testing.T) {
 	r := cellReplayer(cell{regime: "high", seed: 13, cands: "markov"})
@@ -259,8 +259,8 @@ func TestReplayerRefusesUnresolvableKinds(t *testing.T) {
 	if _, _, err := dup.Baseline(); err == nil || !strings.Contains(err.Error(), dupErr) {
 		t.Errorf("Baseline: err %v, want %q", err, dupErr)
 	}
-	if _, err := dup.Oracle(log); err == nil || !strings.Contains(err.Error(), dupErr) {
-		t.Errorf("Oracle: err %v, want %q", err, dupErr)
+	if _, err := dup.oracle(log); err == nil || !strings.Contains(err.Error(), dupErr) {
+		t.Errorf("oracle: err %v, want %q", err, dupErr)
 	}
 	if _, _, err := dup.Counterfactual(log, 0, log[0].Ranked[0]); err == nil || !strings.Contains(err.Error(), dupErr) {
 		t.Errorf("Counterfactual: err %v, want %q", err, dupErr)
@@ -269,8 +269,8 @@ func TestReplayerRefusesUnresolvableKinds(t *testing.T) {
 	foreign := append([]Record(nil), log...)
 	foreign[0].Chosen.Policy = "edge"
 	const kindErr = `policy kind "edge"`
-	if _, err := r.Oracle(foreign); err == nil || !strings.Contains(err.Error(), kindErr) {
-		t.Errorf("Oracle of an edge choice: err %v, want %q", err, kindErr)
+	if _, err := r.oracle(foreign); err == nil || !strings.Contains(err.Error(), kindErr) {
+		t.Errorf("oracle of an edge choice: err %v, want %q", err, kindErr)
 	}
 	rival := log[0].Ranked[0]
 	rival.Policy = "edge"
@@ -280,8 +280,8 @@ func TestReplayerRefusesUnresolvableKinds(t *testing.T) {
 
 	fallback := append([]Record(nil), log...)
 	fallback[0].Chosen.Policy = "periodic"
-	if _, err := r.Oracle(fallback); err != nil {
-		t.Errorf("Oracle of the periodic fallback: %v", err)
+	if _, err := r.oracle(fallback); err != nil {
+		t.Errorf("oracle of the periodic fallback: %v", err)
 	}
 }
 
@@ -417,4 +417,22 @@ func TestReusedAdaptiveMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// oracle replays a full decision log on a from-scratch sim.Machine with
+// every choice pinned and nothing evaluated — the ground truth a
+// counterfactual replay must be bit-identical to. It refuses a log
+// that names a policy kind no candidate has, and candidates Baseline
+// refuses.
+func (r *Replayer) oracle(log []Record) (Outcome, error) {
+	a := r.newAdaptive()
+	a.Script = &core.Script{Choices: log, ForceAt: -1}
+	if err := core.CheckScript(a.Candidates, a.Script); err != nil {
+		return Outcome{}, err
+	}
+	res, err := sim.Run(r.Cfg, a)
+	if err != nil {
+		return Outcome{}, err
+	}
+	return Summarize(res), nil
 }

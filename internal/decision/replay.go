@@ -156,31 +156,15 @@ func (r *Replayer) Baseline() (Outcome, []Record, error) {
 	return Summarize(res), col.Records(), nil
 }
 
-// Oracle replays a full decision log on a from-scratch sim.Machine with
-// every choice pinned and nothing evaluated — the ground truth a
-// counterfactual replay must be bit-identical to. It refuses a log
-// that names a policy kind no candidate has, and candidates Baseline
-// refuses.
-func (r *Replayer) Oracle(log []Record) (Outcome, error) {
-	a := r.newAdaptive()
-	a.Script = &core.Script{Choices: log, ForceAt: -1}
-	if err := core.CheckScript(a.Candidates, a.Script); err != nil {
-		return Outcome{}, err
-	}
-	res, err := sim.Run(r.Cfg, a)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return Summarize(res), nil
-}
-
 // Counterfactual replays one forced rival: decisions before seq replay
 // pinned from the log, the rival is forced at seq, and the Adaptive
 // strategy decides live afterwards. Forcing the recorded choice pins
 // it, Switched flag included, so that replay is the recorded run; a
-// naive replay pins nothing and decides live up to seq. It returns the run's outcome and its complete decision log (pinned
-// prefix included), which Oracle can replay back bit-identically. It
-// refuses what Oracle refuses, and a rival of a kind no candidate has.
+// naive replay pins nothing and decides live up to seq. It returns the
+// run's outcome and its complete decision log (pinned prefix included),
+// which a Script with every choice pinned replays back bit-identically.
+// It refuses a log that names a policy kind no candidate has,
+// candidates Baseline refuses, and a rival of a kind no candidate has.
 func (r *Replayer) Counterfactual(log []Record, seq int, rival Alt) (Outcome, []Record, error) {
 	if seq < 0 || seq >= len(log) {
 		return Outcome{}, nil, fmt.Errorf("decision: seq %d outside log of %d decisions", seq, len(log))

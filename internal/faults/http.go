@@ -77,31 +77,3 @@ func (rt *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	return next.RoundTrip(req)
 }
-
-// Handler wraps an http.Handler with server-side fault injection:
-// HTTPError plans answer with a synthesized 5xx, HTTPTimeout plans hold
-// the request for Delay before forwarding (the client's timeout is what
-// turns the hold into a failure). Request numbering follows arrival
-// order.
-func Handler(inner http.Handler, sc Scenario, onFault func(Observation)) http.Handler {
-	var n atomic.Int64
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		i := n.Add(1) - 1
-		if p := sc.active(HTTPTimeout, i); p != nil {
-			if onFault != nil {
-				onFault(Observation{Kind: HTTPTimeout, Index: i})
-			}
-			if err := Sleep(r.Context(), p.Delay); err != nil {
-				return // client gave up mid-hold
-			}
-		}
-		if p := sc.active(HTTPError, i); p != nil {
-			if onFault != nil {
-				onFault(Observation{Kind: HTTPError, Index: i})
-			}
-			http.Error(w, "faults: injected error", http.StatusServiceUnavailable)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	})
-}

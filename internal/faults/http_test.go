@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -75,7 +76,7 @@ func TestHandlerInjectsError(t *testing.T) {
 		w.Write([]byte("ok"))
 	})
 	var seen []Observation
-	h := Handler(inner, Scenario{Plans: []Plan{{At: 0, Kind: HTTPError, Duration: 1}}},
+	h := handler(inner, Scenario{Plans: []Plan{{At: 0, Kind: HTTPError, Duration: 1}}},
 		func(o Observation) { seen = append(seen, o) })
 	srv := httptest.NewServer(h)
 	defer srv.Close()
@@ -105,7 +106,7 @@ func TestHandlerTimeoutHoldsUntilClientGivesUp(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok"))
 	})
-	h := Handler(inner, Scenario{Plans: []Plan{{At: 0, Kind: HTTPTimeout, Duration: 1, Delay: time.Hour}}}, nil)
+	h := handler(inner, Scenario{Plans: []Plan{{At: 0, Kind: HTTPTimeout, Duration: 1, Delay: time.Hour}}}, nil)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
@@ -113,4 +114,32 @@ func TestHandlerTimeoutHoldsUntilClientGivesUp(t *testing.T) {
 	if _, err := client.Get(srv.URL); err == nil {
 		t.Fatal("held request should have timed out client-side")
 	}
+}
+
+// handler wraps an http.Handler with server-side fault injection:
+// HTTPError plans answer with a synthesized 5xx, HTTPTimeout plans hold
+// the request for Delay before forwarding (the client's timeout is what
+// turns the hold into a failure). Request numbering follows arrival
+// order.
+func handler(inner http.Handler, sc Scenario, onFault func(Observation)) http.Handler {
+	var n atomic.Int64
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		i := n.Add(1) - 1
+		if p := sc.active(HTTPTimeout, i); p != nil {
+			if onFault != nil {
+				onFault(Observation{Kind: HTTPTimeout, Index: i})
+			}
+			if err := Sleep(r.Context(), p.Delay); err != nil {
+				return // client gave up mid-hold
+			}
+		}
+		if p := sc.active(HTTPError, i); p != nil {
+			if onFault != nil {
+				onFault(Observation{Kind: HTTPError, Index: i})
+			}
+			http.Error(w, "faults: injected error", http.StatusServiceUnavailable)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	})
 }

@@ -140,9 +140,6 @@ func (m *Meter) OnDemand() bool { return m.onDemand }
 // HourStart returns the start of the currently accruing billing hour.
 func (m *Meter) HourStart() int64 { return m.hourStart }
 
-// HourRate returns the rate of the currently accruing billing hour.
-func (m *Meter) HourRate() float64 { return m.hourRate }
-
 // Advance commits every billing hour completed by time now to the
 // ledger. rateAt supplies the spot price at an hour boundary and is
 // ignored for on-demand meters. It panics if the meter is closed or
@@ -194,6 +191,3 @@ func (m *Meter) Close(now int64, cause TerminationCause, rateAt func(int64) floa
 		Partial:   now < m.hourStart+trace.Hour,
 	})
 }
-
-// Closed reports whether the meter has been closed.
-func (m *Meter) Closed() bool { return m.closed }

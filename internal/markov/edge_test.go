@@ -48,10 +48,10 @@ func TestSingleStateChainUptime(t *testing.T) {
 	if u := m.ExpectedUptime(0.29, 0.30); u != 0 {
 		t.Fatalf("bid below the only state: uptime = %g, want 0", u)
 	}
-	if p := m.SurvivalProbability(0.29, 0.30, 5); p != 0 {
+	if p := m.survivalProbability(0.29, 0.30, 5); p != 0 {
 		t.Fatalf("out-of-bid survival = %g, want 0", p)
 	}
-	if p := m.SurvivalProbability(0.30, 0.30, 5); p != 1 {
+	if p := m.survivalProbability(0.30, 0.30, 5); p != 1 {
 		t.Fatalf("never-failing survival = %g, want 1", p)
 	}
 }
@@ -77,7 +77,7 @@ func TestTwoStateChainUptime(t *testing.T) {
 		t.Fatalf("two-state uptime = %g, want 1200", got)
 	}
 	// Survival after k steps is 0.75^k.
-	if p := m.SurvivalProbability(0.10, 0.10, 3); math.Abs(p-0.75*0.75*0.75) > 1e-12 {
+	if p := m.survivalProbability(0.10, 0.10, 3); math.Abs(p-0.75*0.75*0.75) > 1e-12 {
 		t.Fatalf("survival(3) = %g, want %g", p, 0.75*0.75*0.75)
 	}
 }
@@ -109,12 +109,12 @@ func TestQuantizeEdges(t *testing.T) {
 func TestFitSeriesEmptyWindow(t *testing.T) {
 	s := &trace.Series{Zone: "z", Epoch: 10_000, Step: 300, Prices: []float64{0.1, 0.2}}
 	// now long before the series begins: the trailing window is empty.
-	if _, err := FitSeries(s, 5_000, 600); err != ErrNoHistory {
-		t.Fatalf("FitSeries(empty window) = %v, want ErrNoHistory", err)
+	if _, err := fitSeries(s, 5_000, 600); err != ErrNoHistory {
+		t.Fatalf("fitSeries(empty window) = %v, want ErrNoHistory", err)
 	}
 	// A valid trailing window still fits.
-	if _, err := FitSeries(s, 10_600, 600); err != nil {
-		t.Fatalf("FitSeries(valid window) = %v", err)
+	if _, err := fitSeries(s, 10_600, 600); err != nil {
+		t.Fatalf("fitSeries(valid window) = %v", err)
 	}
 }
 

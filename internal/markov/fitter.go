@@ -22,17 +22,18 @@ const Quantum = trace.Quantum
 // trace buckets once. It holds no ids of its own, only counts: for the
 // window last counted, each present state's occurrence count and the
 // transition count table, over one local slot per state present, and it
-// slides both window ends to the requested window, so a sequence of
-// windows that move forward and overlap costs O(Δ + D²) each, where Δ is
+// slides both window ends to the requested window, in either direction,
+// so a sequence of overlapping windows costs O(Δ + D²) each, where Δ is
 // how far the ends moved and D the number of states in the windows. A
-// window that moves backwards, shrinks its end or jumps past the old
-// one re-counts from scratch. The counts are integer-valued floats, so
-// arriving at a window incrementally or in one pass is value-identical,
-// and every answer is bit-identical to that of Fit(Quantize(window,
-// Quantum)) (FuzzWindowFitter pins this). The oracle's Markov-Daly
-// policy, the batched permutation evaluator and the streaming grid
-// refit trailing windows that share almost all their samples, which
-// makes a from-scratch fit per call the dominant cost.
+// window that does not overlap the old one, or is shorter than the
+// distance its ends move, re-counts from scratch. The counts are
+// integer-valued floats, so arriving at a window incrementally or in
+// one pass is value-identical, and every answer is bit-identical to
+// that of Fit(Quantize(window, Quantum)) (FuzzWindowFitter pins this).
+// The oracle's Markov-Daly policy, the batched permutation evaluator
+// and the streaming grid refit trailing windows that share almost all
+// their samples, which makes a from-scratch fit per call the dominant
+// cost.
 //
 // A window may reach past the view's end: those samples read as the
 // view's last, as trace.Series.PriceAt clamps.
@@ -213,45 +214,34 @@ func (f *WindowFitter) Count(lo, hi int) (int, error) {
 	if lo == f.lo && hi == f.hi {
 		return len(f.live), nil
 	}
-	// Slide the counted window to [lo, hi): grow the end first, then
-	// drop the samples before lo. Every pair inside the new window is
-	// counted once, and every pair that left it is uncounted once.
-	// Price columns are step functions, so the samples come in runs of
-	// one state: a run of L samples is L occurrences and, after the
-	// transition into its first sample, L−1 self-transitions. The counts
-	// are integer-valued floats, so adding a run at once is exact.
-	if lo < f.lo || lo >= f.hi || hi < f.hi {
+	// Slide the counted window to [lo, hi): grow it at either end
+	// first, then drop the samples before lo and from hi on. Every pair
+	// inside the new window is counted once, and every pair that left
+	// it is uncounted once. Price columns are step functions, so the
+	// samples come in runs of one state: a run of L samples is L
+	// occurrences and, after the transition into its first sample, L−1
+	// self-transitions. The counts are integer-valued floats, so adding
+	// a run at once is exact. A window that does not overlap the
+	// counted one, or is shorter than the distance its ends move, is
+	// cheaper to count from scratch.
+	if lo >= f.hi || hi <= f.lo || hi-lo < abs(lo-f.lo)+abs(hi-f.hi) {
 		f.recount(lo)
 	}
-	prev, pid := -1, int32(-1)
-	if f.hi > f.lo {
-		pid = f.id(f.hi - 1)
-		prev = int(f.slot[pid])
+	if hi > f.hi {
+		prev := -1
+		if f.hi > f.lo {
+			prev = int(f.slot[f.id(f.hi-1)])
+		}
+		f.add(f.hi, hi, prev, -1)
 	}
-	for t := f.hi; t < hi; {
-		id := f.id(t)
-		g := prev
-		if id != pid {
-			g, pid = f.slotOf(id), id
-		}
-		e := f.runEnd(t+1, hi, id)
-		f.occ[g] += int32(e - t)
-		if prev >= 0 {
-			f.ccounts[prev*f.stride+g]++
-		}
-		f.ccounts[g*f.stride+g] += float64(e - t - 1)
-		prev, t = g, e
+	if lo < f.lo {
+		f.add(lo, f.lo, -1, int(f.slot[f.id(f.lo)]))
 	}
-	for t := f.lo; t < lo; {
-		id := f.id(t)
-		g := int(f.slot[id])
-		e := f.runEnd(t+1, lo, id)
-		f.ccounts[g*f.stride+g] -= float64(e - t - 1)
-		f.ccounts[g*f.stride+int(f.slot[f.id(e)])]--
-		if f.occ[g] -= int32(e - t); f.occ[g] == 0 {
-			f.release(g)
-		}
-		t = e
+	if lo > f.lo {
+		f.remove(f.lo, lo, -1, int(f.slot[f.id(lo)]))
+	}
+	if hi < f.hi {
+		f.remove(hi, f.hi, int(f.slot[f.id(hi-1)]), -1)
 	}
 	f.lo, f.hi = lo, hi
 	// The window's states are the occupied slots, in the ascending
@@ -265,6 +255,63 @@ func (f *WindowFitter) Count(lo, hi int) (int, error) {
 		}
 	}
 	return len(f.live), nil
+}
+
+// add counts the samples [from, to) into the window, with the
+// transitions into them from slot prev and out of them into slot next
+// (none when negative).
+func (f *WindowFitter) add(from, to, prev, next int) {
+	pid := int32(-1)
+	if prev >= 0 {
+		pid = f.sid[prev]
+	}
+	for t := from; t < to; {
+		id := f.id(t)
+		g := prev
+		if id != pid {
+			g, pid = f.slotOf(id), id
+		}
+		e := f.runEnd(t+1, to, id)
+		f.occ[g] += int32(e - t)
+		if prev >= 0 {
+			f.ccounts[prev*f.stride+g]++
+		}
+		f.ccounts[g*f.stride+g] += float64(e - t - 1)
+		prev, t = g, e
+	}
+	if next >= 0 {
+		f.ccounts[prev*f.stride+next]++
+	}
+}
+
+// remove uncounts the samples [from, to) from the window, with the
+// transitions into them from slot prev and out of them into slot next
+// (none when negative), and frees each slot whose last occurrence left.
+func (f *WindowFitter) remove(from, to, prev, next int) {
+	for t := from; t < to; {
+		id := f.id(t)
+		g := int(f.slot[id])
+		e := f.runEnd(t+1, to, id)
+		if prev >= 0 {
+			f.ccounts[prev*f.stride+g]--
+		}
+		f.ccounts[g*f.stride+g] -= float64(e - t - 1)
+		if f.occ[g] -= int32(e - t); f.occ[g] == 0 {
+			f.release(g)
+		}
+		prev, t = g, e
+	}
+	if next >= 0 {
+		f.ccounts[prev*f.stride+next]--
+	}
+}
+
+// abs returns |x|.
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // runEnd returns the first sample at or after t, and before hi, whose

@@ -336,6 +336,11 @@ func FuzzWindowFitter(f *testing.F) {
 	f.Add([]byte{7, 5, 9, 11, 40, 3, 7, 13, 2, 15, 1, 1, 8, 22, 5})
 	f.Add([]byte{9, 2, 2, 2, 2, 2, 7, 7, 2, 2, 7, 4, 2, 2, 2, 2, 2, 2, 3, 5})
 	f.Add([]byte{20, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 9, 4, 12, 2, 11})
+	// Windows that move their start back and shrink their end while
+	// overlapping the counted one ([5, 12) → [3, 10) → [2, 11) → [4, 6)
+	// → [1, 12) over 13 samples), and ones that only shrink the end.
+	f.Add([]byte{6, 5, 7, 3, 7, 2, 9, 4, 2, 27, 11, 8, 3, 5, 5, 2, 2, 6, 6, 6, 4, 3, 2, 2, 5, 9, 9, 9, 3, 4, 4, 2, 6, 5, 3, 3, 2, 2, 4, 6})
+	f.Add([]byte{2, 13, 13, 13, 10, 13, 7, 2, 7, 27, 4, 2, 2, 3, 3, 3, 2, 4, 4, 2, 2, 2, 3, 3, 4, 2, 3, 2, 2, 4, 4, 4, 2, 3, 3, 2, 2, 3, 4, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 1024 {
 			return

@@ -108,19 +108,6 @@ func Quantize(prices []float64, quantum float64) []float64 {
 	return out
 }
 
-// FitSeries fits the chain to the trailing history seconds of the series
-// ending at time now. history <= 0 selects DefaultHistory.
-func FitSeries(s *trace.Series, now, history int64) (*Model, error) {
-	if history <= 0 {
-		history = DefaultHistory
-	}
-	win := s.Slice(now-history, now)
-	if win.Len() == 0 {
-		return nil, ErrNoHistory
-	}
-	return Fit(win.Prices, s.Step)
-}
-
 // StateOf returns the index of the state closest to price.
 func (m *Model) StateOf(price float64) int {
 	i := sort.SearchFloat64s(m.States, price)
@@ -226,56 +213,4 @@ func (m *Model) ExpectedUptime(bid, currentPrice float64) float64 {
 	}
 	// Truncated tail: attribute the surviving mass to the horizon.
 	return expected + alive*float64(horizon)*float64(m.Step)
-}
-
-// SurvivalProbability returns the probability the instance is still up
-// after k steps, starting from currentPrice at the given bid.
-func (m *Model) SurvivalProbability(bid, currentPrice float64, k int) float64 {
-	start := m.StateOf(currentPrice)
-	if m.States[start] > bid {
-		return 0
-	}
-	n := len(m.States)
-	prob := make([]float64, n)
-	prob[start] = 1
-	next := make([]float64, n)
-	for step := 0; step < k; step++ {
-		for j := range next {
-			next[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			pi := prob[i]
-			if pi == 0 || m.States[i] > bid {
-				continue
-			}
-			row := m.Trans[i]
-			for j := 0; j < n; j++ {
-				next[j] += pi * row[j]
-			}
-		}
-		prob, next = next, prob
-	}
-	var alive float64
-	for i := 0; i < n; i++ {
-		if m.States[i] <= bid {
-			alive += prob[i]
-		}
-	}
-	return alive
-}
-
-// CombinedExpectedUptime sums per-zone expected uptimes, the paper's
-// §4.2 rule for redundant zones with independent price movements: "the
-// combined E[T_u] is the sum of E[T_u] of individual zones". It uses
-// the closed-form solver.
-func CombinedExpectedUptime(models []*Model, bid float64, currentPrices []float64) float64 {
-	var total float64
-	for i, m := range models {
-		u := m.ExpectedUptimeExact(bid, currentPrices[i])
-		if math.IsInf(u, 1) {
-			return math.Inf(1)
-		}
-		total += u
-	}
-	return total
 }

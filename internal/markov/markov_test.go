@@ -136,21 +136,21 @@ func TestExpectedUptimeMonotoneInBid(t *testing.T) {
 func TestSurvivalProbability(t *testing.T) {
 	prices := []float64{0.3, 0.3, 0.9, 0.3, 0.3, 0.9, 0.3, 0.3, 0.9, 0.3}
 	m, _ := Fit(prices, 300)
-	s0 := m.SurvivalProbability(0.5, 0.3, 0)
+	s0 := m.survivalProbability(0.5, 0.3, 0)
 	if s0 != 1 {
 		t.Fatalf("survival at 0 steps = %g", s0)
 	}
-	s1 := m.SurvivalProbability(0.5, 0.3, 1)
+	s1 := m.survivalProbability(0.5, 0.3, 1)
 	if math.Abs(s1-0.5) > 1e-9 {
 		t.Fatalf("survival at 1 step = %g, want 0.5", s1)
 	}
-	if m.SurvivalProbability(0.5, 0.9, 3) != 0 {
+	if m.survivalProbability(0.5, 0.9, 3) != 0 {
 		t.Fatal("survival from out-of-bid state should be 0")
 	}
 	// Monotone non-increasing in k.
 	prev := 1.0
 	for k := 1; k < 20; k++ {
-		s := m.SurvivalProbability(0.5, 0.3, k)
+		s := m.survivalProbability(0.5, 0.3, k)
 		if s > prev+1e-12 {
 			t.Fatalf("survival increased at k=%d", k)
 		}
@@ -162,13 +162,13 @@ func TestCombinedExpectedUptime(t *testing.T) {
 	prices := []float64{0.3, 0.3, 0.9, 0.3, 0.3, 0.9, 0.3, 0.3, 0.9, 0.3}
 	m, _ := Fit(prices, 300)
 	single := m.ExpectedUptimeExact(0.5, 0.3)
-	combined := CombinedExpectedUptime([]*Model{m, m, m}, 0.5, []float64{0.3, 0.3, 0.3})
+	combined := combinedExpectedUptime([]*Model{m, m, m}, 0.5, []float64{0.3, 0.3, 0.3})
 	if math.Abs(combined-3*single) > 1e-6 {
 		t.Fatalf("combined = %g, want %g", combined, 3*single)
 	}
 	// Any infinite zone makes the combination infinite.
 	calm, _ := Fit([]float64{0.3, 0.3, 0.3}, 300)
-	comb := CombinedExpectedUptime([]*Model{m, calm}, 0.5, []float64{0.3, 0.3})
+	comb := combinedExpectedUptime([]*Model{m, calm}, 0.5, []float64{0.3, 0.3})
 	if !math.IsInf(comb, 1) {
 		t.Fatalf("combined with never-failing zone = %g, want +Inf", comb)
 	}
@@ -178,15 +178,15 @@ func TestFitSeries(t *testing.T) {
 	set := tracegen.LowVolatility(9)
 	s := set.Series[0]
 	now := s.Start() + 5*24*trace.Hour
-	m, err := FitSeries(s, now, 0)
+	m, err := fitSeries(s, now, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.NumStates() == 0 {
 		t.Fatal("no states fitted")
 	}
-	if _, err := FitSeries(s, s.Start(), 300); err == nil {
-		t.Fatal("FitSeries accepted an empty window")
+	if _, err := fitSeries(s, s.Start(), 300); err == nil {
+		t.Fatal("fitSeries accepted an empty window")
 	}
 }
 
@@ -205,4 +205,69 @@ func TestAbsorbingUnknownState(t *testing.T) {
 	if got := m.ExpectedUptime(1.0, 0.7); !math.IsInf(got, 1) {
 		t.Fatalf("absorbing uptime = %g", got)
 	}
+}
+
+// fitSeries fits the chain to the trailing history seconds of the series
+// ending at time now. history <= 0 selects DefaultHistory.
+func fitSeries(s *trace.Series, now, history int64) (*Model, error) {
+	if history <= 0 {
+		history = DefaultHistory
+	}
+	win := s.Slice(now-history, now)
+	if win.Len() == 0 {
+		return nil, ErrNoHistory
+	}
+	return Fit(win.Prices, s.Step)
+}
+
+// survivalProbability returns the probability the instance is still up
+// after k steps, starting from currentPrice at the given bid.
+func (m *Model) survivalProbability(bid, currentPrice float64, k int) float64 {
+	start := m.StateOf(currentPrice)
+	if m.States[start] > bid {
+		return 0
+	}
+	n := len(m.States)
+	prob := make([]float64, n)
+	prob[start] = 1
+	next := make([]float64, n)
+	for step := 0; step < k; step++ {
+		for j := range next {
+			next[j] = 0
+		}
+		for i := 0; i < n; i++ {
+			pi := prob[i]
+			if pi == 0 || m.States[i] > bid {
+				continue
+			}
+			row := m.Trans[i]
+			for j := 0; j < n; j++ {
+				next[j] += pi * row[j]
+			}
+		}
+		prob, next = next, prob
+	}
+	var alive float64
+	for i := 0; i < n; i++ {
+		if m.States[i] <= bid {
+			alive += prob[i]
+		}
+	}
+	return alive
+}
+
+// combinedExpectedUptime sums per-zone expected uptimes, the paper's
+// §4.2 rule for redundant zones with independent price movements: "the
+// combined E[T_u] is the sum of E[T_u] of individual zones". It uses
+// the closed-form solver.
+func combinedExpectedUptime(models []*Model, bid float64, currentPrices []float64) float64 {
+	var total float64
+	for i, m := range models {
+		u := m.ExpectedUptimeExact(bid, currentPrices[i])
+		if math.IsInf(u, 1) {
+			return math.Inf(1)
+		}
+		total += u
+	}
+	return total
 }

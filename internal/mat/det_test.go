@@ -10,11 +10,11 @@ func TestDet(t *testing.T) {
 		m    *Matrix
 		want float64
 	}{
-		{Identity(3), 1},
-		{FromRows([][]float64{{2, 0}, {0, 3}}), 6},
-		{FromRows([][]float64{{1, 2}, {3, 4}}), -2},
-		{FromRows([][]float64{{1, 2}, {2, 4}}), 0},
-		{FromRows([][]float64{{0, 1}, {1, 0}}), -1}, // needs pivot swap
+		{identity(3), 1},
+		{fromRows([][]float64{{2, 0}, {0, 3}}), 6},
+		{fromRows([][]float64{{1, 2}, {3, 4}}), -2},
+		{fromRows([][]float64{{1, 2}, {2, 4}}), 0},
+		{fromRows([][]float64{{0, 1}, {1, 0}}), -1}, // needs pivot swap
 		{New(0, 0), 1},
 	}
 	for i, c := range cases {
@@ -35,11 +35,11 @@ func TestDetNonSquare(t *testing.T) {
 }
 
 func TestDetMultiplicativeProperty(t *testing.T) {
-	a := FromRows([][]float64{{3, 1}, {2, 5}})
-	b := FromRows([][]float64{{1, 4}, {0, 2}})
+	a := fromRows([][]float64{{3, 1}, {2, 5}})
+	b := fromRows([][]float64{{1, 4}, {0, 2}})
 	da, _ := Det(a)
 	db, _ := Det(b)
-	dab, _ := Det(a.Mul(b))
+	dab, _ := Det(a.mul(b))
 	if math.Abs(dab-da*db) > 1e-9 {
 		t.Fatalf("det(AB) = %g, det(A)det(B) = %g", dab, da*db)
 	}

@@ -27,30 +27,6 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices; all rows must share a length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	m := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.Cols {
-			panic(fmt.Sprintf("mat: ragged row %d: %d vs %d", i, len(r), m.Cols))
-		}
-		copy(m.Data[i*m.Cols:], r)
-	}
-	return m
-}
-
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -61,72 +37,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 func (m *Matrix) Clone() *Matrix {
 	out := New(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
-	return out
-}
-
-// T returns the transpose.
-func (m *Matrix) T() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Mul returns m × other.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
-	if m.Cols != other.Rows {
-		panic(fmt.Sprintf("mat: mul shape mismatch %dx%d × %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-	out := New(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			rowOut := out.Data[i*out.Cols : (i+1)*out.Cols]
-			rowOther := other.Data[k*other.Cols : (k+1)*other.Cols]
-			for j := range rowOther {
-				rowOut[j] += a * rowOther[j]
-			}
-		}
-	}
-	return out
-}
-
-// Add returns m + other.
-func (m *Matrix) Add(other *Matrix) *Matrix {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("mat: add shape mismatch")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] += other.Data[i]
-	}
-	return out
-}
-
-// Sub returns m - other.
-func (m *Matrix) Sub(other *Matrix) *Matrix {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic("mat: sub shape mismatch")
-	}
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] -= other.Data[i]
-	}
-	return out
-}
-
-// Scale returns s·m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
 	return out
 }
 
@@ -200,11 +110,6 @@ func swapRows(m *Matrix, i, j int) {
 	}
 }
 
-// Inverse returns A⁻¹.
-func Inverse(a *Matrix) (*Matrix, error) {
-	return Solve(a, Identity(a.Rows))
-}
-
 // NormalEquations accumulates the least-squares normal equations
 // (XᵀX)β = XᵀY one design row at a time, so a caller never holds the
 // n×p design X, its transpose or the residuals: memory is O(p² + p·q)
@@ -222,8 +127,9 @@ func NewNormalEquations(p, q int) *NormalEquations {
 
 // Add accumulates one design row x (length p) and its responses y
 // (length q). Every entry sums its terms in row order and skips the
-// terms whose x factor is 0, exactly as X.T().Mul(X) and X.T().Mul(Y)
-// sum them, so the equations equal the materialized ones bit for bit.
+// terms whose x factor is 0, exactly as the materialized products XᵀX
+// and XᵀY would sum them in row-major order, so the equations equal
+// those products bit for bit.
 func (e *NormalEquations) Add(x, y []float64) {
 	p, q := e.XtX.Cols, e.XtY.Cols
 	for i, a := range x {
@@ -262,8 +168,8 @@ func (e *NormalEquations) Solve() (*Matrix, error) {
 }
 
 // VecMul stores the row vector x·m in out and returns it; x has length
-// m.Rows and out length m.Cols. It sums as Mul sums one row of a product, k ascending
-// with zero x[k] skipped, so it equals that row bit for bit.
+// m.Rows and out length m.Cols. It sums k ascending with zero x[k]
+// skipped, as the row-major product x·m would.
 func (m *Matrix) VecMul(x, out []float64) []float64 {
 	clear(out)
 	for k, a := range x {
@@ -276,15 +182,4 @@ func (m *Matrix) VecMul(x, out []float64) []float64 {
 		}
 	}
 	return out
-}
-
-// MaxAbs returns the largest absolute element; 0 for an empty matrix.
-func (m *Matrix) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }

@@ -2,6 +2,7 @@ package mat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -11,7 +12,7 @@ import (
 func approx(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestFromRowsAndAccessors(t *testing.T) {
-	m := FromRows([][]float64{{1, 2}, {3, 4}})
+	m := fromRows([][]float64{{1, 2}, {3, 4}})
 	if m.Rows != 2 || m.Cols != 2 {
 		t.Fatalf("shape = %dx%d", m.Rows, m.Cols)
 	}
@@ -27,25 +28,25 @@ func TestFromRowsAndAccessors(t *testing.T) {
 func TestFromRowsRaggedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("FromRows accepted ragged rows")
+			t.Fatal("fromRows accepted ragged rows")
 		}
 	}()
-	FromRows([][]float64{{1, 2}, {3}})
+	fromRows([][]float64{{1, 2}, {3}})
 }
 
 func TestTranspose(t *testing.T) {
-	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	mt := m.T()
+	m := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	mt := m.transpose()
 	if mt.Rows != 3 || mt.Cols != 2 || mt.At(2, 1) != 6 || mt.At(0, 1) != 4 {
 		t.Fatalf("T = %+v", mt)
 	}
 }
 
 func TestMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := a.Mul(b)
-	want := FromRows([][]float64{{19, 22}, {43, 50}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
+	c := a.mul(b)
+	want := fromRows([][]float64{{19, 22}, {43, 50}})
 	for i := range want.Data {
 		if c.Data[i] != want.Data[i] {
 			t.Fatalf("Mul = %v, want %v", c.Data, want.Data)
@@ -60,8 +61,8 @@ func TestMulIdentityProperty(t *testing.T) {
 				vals[i] = 1
 			}
 		}
-		m := FromRows([][]float64{vals[0:3], vals[3:6]})
-		p := m.Mul(Identity(3))
+		m := fromRows([][]float64{vals[0:3], vals[3:6]})
+		p := m.mul(identity(3))
 		for i := range m.Data {
 			if p.Data[i] != m.Data[i] {
 				return false
@@ -75,22 +76,22 @@ func TestMulIdentityProperty(t *testing.T) {
 }
 
 func TestAddSubScale(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
-	b := FromRows([][]float64{{3, 5}})
-	if got := a.Add(b); got.At(0, 1) != 7 {
+	a := fromRows([][]float64{{1, 2}})
+	b := fromRows([][]float64{{3, 5}})
+	if got := a.add(b); got.At(0, 1) != 7 {
 		t.Fatalf("Add = %v", got.Data)
 	}
-	if got := b.Sub(a); got.At(0, 0) != 2 {
+	if got := b.sub(a); got.At(0, 0) != 2 {
 		t.Fatalf("Sub = %v", got.Data)
 	}
-	if got := a.Scale(3); got.At(0, 1) != 6 {
+	if got := a.scale(3); got.At(0, 1) != 6 {
 		t.Fatalf("Scale = %v", got.Data)
 	}
 }
 
 func TestSolve(t *testing.T) {
-	a := FromRows([][]float64{{2, 1}, {1, 3}})
-	b := FromRows([][]float64{{5}, {10}})
+	a := fromRows([][]float64{{2, 1}, {1, 3}})
+	b := fromRows([][]float64{{5}, {10}})
 	x, err := Solve(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +104,8 @@ func TestSolve(t *testing.T) {
 
 func TestSolveNeedsPivoting(t *testing.T) {
 	// Leading zero on the diagonal requires a row swap.
-	a := FromRows([][]float64{{0, 1}, {1, 0}})
-	b := FromRows([][]float64{{2}, {3}})
+	a := fromRows([][]float64{{0, 1}, {1, 0}})
+	b := fromRows([][]float64{{2}, {3}})
 	x, err := Solve(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +116,8 @@ func TestSolveNeedsPivoting(t *testing.T) {
 }
 
 func TestSolveSingular(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 4}})
-	b := FromRows([][]float64{{1}, {2}})
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
+	b := fromRows([][]float64{{1}, {2}})
 	if _, err := Solve(a, b); !errors.Is(err, ErrSingular) {
 		t.Fatalf("Solve singular err = %v", err)
 	}
@@ -132,13 +133,13 @@ func TestSolveShapeErrors(t *testing.T) {
 }
 
 func TestInverse(t *testing.T) {
-	a := FromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := Inverse(a)
+	a := fromRows([][]float64{{4, 7}, {2, 6}})
+	inv, err := inverse(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod := a.Mul(inv)
-	id := Identity(2)
+	prod := a.mul(inv)
+	id := identity(2)
 	for i := range id.Data {
 		if !approx(prod.Data[i], id.Data[i], 1e-9) {
 			t.Fatalf("A·A⁻¹ = %v", prod.Data)
@@ -212,7 +213,7 @@ func sameBits(a, b *Matrix) bool {
 	return true
 }
 
-// The streamed normal equations and VecMul must sum in Mul's order,
+// The streamed normal equations and VecMul must sum in mul's order,
 // zero factors skipped, so signed zeros and rounding match the
 // materialized products bit for bit.
 func TestNormalEquationsMatchMaterialized(t *testing.T) {
@@ -238,14 +239,14 @@ func TestNormalEquationsMatchMaterialized(t *testing.T) {
 	// A skipped zero factor keeps 0·Inf from turning an entry into NaN.
 	inf := math.Inf(1)
 	checkNormalEquations(t,
-		FromRows([][]float64{{0, inf, 1}, {1, 2, 0}}),
-		FromRows([][]float64{{inf}, {3}}),
-		FromRows([][]float64{{inf}, {2}, {-1}}))
+		fromRows([][]float64{{0, inf, 1}, {1, 2, 0}}),
+		fromRows([][]float64{{inf}, {3}}),
+		fromRows([][]float64{{inf}, {2}, {-1}}))
 }
 
 // checkNormalEquations streams the rows of x and y and compares the
-// equations with X.T().Mul(X) and X.T().Mul(Y), and VecMul over b with
-// the rows of x.Mul(b).
+// equations with X.transpose().mul(X) and X.transpose().mul(Y), and
+// VecMul over b with the rows of x.mul(b).
 func checkNormalEquations(t *testing.T, x, y, b *Matrix) {
 	t.Helper()
 	p, q := x.Cols, y.Cols
@@ -253,15 +254,15 @@ func checkNormalEquations(t *testing.T, x, y, b *Matrix) {
 	for i := 0; i < x.Rows; i++ {
 		ne.Add(x.Data[i*p:(i+1)*p], y.Data[i*q:(i+1)*q])
 	}
-	xt := x.T()
-	if !sameBits(ne.XtX, xt.Mul(x)) || !sameBits(ne.XtY, xt.Mul(y)) {
+	xt := x.transpose()
+	if !sameBits(ne.XtX, xt.mul(x)) || !sameBits(ne.XtY, xt.mul(y)) {
 		t.Fatalf("streamed normal equations %v, %v differ from XᵀX, XᵀY", ne.XtX.Data, ne.XtY.Data)
 	}
-	prod := x.Mul(b)
+	prod := x.mul(b)
 	out := make([]float64, b.Cols)
 	for i := 0; i < x.Rows; i++ {
-		got := FromRows([][]float64{b.VecMul(x.Data[i*p:(i+1)*p], out)})
-		want := FromRows([][]float64{prod.Data[i*b.Cols : (i+1)*b.Cols]})
+		got := fromRows([][]float64{b.VecMul(x.Data[i*p:(i+1)*p], out)})
+		want := fromRows([][]float64{prod.Data[i*b.Cols : (i+1)*b.Cols]})
 		if !sameBits(got, want) {
 			t.Fatalf("row %d: VecMul %v, Mul %v", i, got.Data, want.Data)
 		}
@@ -287,12 +288,12 @@ func TestNormalEquationsRidgeKeepsEquations(t *testing.T) {
 }
 
 func TestMaxAbs(t *testing.T) {
-	m := FromRows([][]float64{{-5, 2}, {3, -4}})
-	if got := m.MaxAbs(); got != 5 {
-		t.Fatalf("MaxAbs = %g", got)
+	m := fromRows([][]float64{{-5, 2}, {3, -4}})
+	if got := m.maxAbs(); got != 5 {
+		t.Fatalf("maxAbs = %g", got)
 	}
-	if got := New(0, 0).MaxAbs(); got != 0 {
-		t.Fatalf("empty MaxAbs = %g", got)
+	if got := New(0, 0).maxAbs(); got != 0 {
+		t.Fatalf("empty maxAbs = %g", got)
 	}
 }
 
@@ -312,7 +313,7 @@ func TestSolveRandomSystemsProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			want.Set(i, 0, rng.NormFloat64())
 		}
-		b := a.Mul(want)
+		b := a.mul(want)
 		got, err := Solve(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -323,4 +324,110 @@ func TestSolveRandomSystemsProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fromRows builds a matrix from row slices; all rows must share a length.
+func fromRows(rows [][]float64) *Matrix {
+	if len(rows) == 0 {
+		return New(0, 0)
+	}
+	m := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		if len(r) != m.Cols {
+			panic(fmt.Sprintf("mat: ragged row %d: %d vs %d", i, len(r), m.Cols))
+		}
+		copy(m.Data[i*m.Cols:], r)
+	}
+	return m
+}
+
+// identity returns the n-by-n identity matrix.
+func identity(n int) *Matrix {
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// transpose returns the transpose.
+func (m *Matrix) transpose() *Matrix {
+	out := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Set(j, i, m.At(i, j))
+		}
+	}
+	return out
+}
+
+// mul returns m × other.
+func (m *Matrix) mul(other *Matrix) *Matrix {
+	if m.Cols != other.Rows {
+		panic(fmt.Sprintf("mat: mul shape mismatch %dx%d × %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
+	}
+	out := New(m.Rows, other.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for k := 0; k < m.Cols; k++ {
+			a := m.At(i, k)
+			if a == 0 {
+				continue
+			}
+			rowOut := out.Data[i*out.Cols : (i+1)*out.Cols]
+			rowOther := other.Data[k*other.Cols : (k+1)*other.Cols]
+			for j := range rowOther {
+				rowOut[j] += a * rowOther[j]
+			}
+		}
+	}
+	return out
+}
+
+// add returns m + other.
+func (m *Matrix) add(other *Matrix) *Matrix {
+	if m.Rows != other.Rows || m.Cols != other.Cols {
+		panic("mat: add shape mismatch")
+	}
+	out := m.Clone()
+	for i := range out.Data {
+		out.Data[i] += other.Data[i]
+	}
+	return out
+}
+
+// sub returns m - other.
+func (m *Matrix) sub(other *Matrix) *Matrix {
+	if m.Rows != other.Rows || m.Cols != other.Cols {
+		panic("mat: sub shape mismatch")
+	}
+	out := m.Clone()
+	for i := range out.Data {
+		out.Data[i] -= other.Data[i]
+	}
+	return out
+}
+
+// scale returns s·m.
+func (m *Matrix) scale(s float64) *Matrix {
+	out := m.Clone()
+	for i := range out.Data {
+		out.Data[i] *= s
+	}
+	return out
+}
+
+// inverse returns A⁻¹.
+func inverse(a *Matrix) (*Matrix, error) {
+	return Solve(a, identity(a.Rows))
+}
+
+// maxAbs returns the largest absolute element; 0 for an empty matrix.
+func (m *Matrix) maxAbs() float64 {
+	max := 0.0
+	for _, v := range m.Data {
+		if a := math.Abs(v); a > max {
+			max = a
+		}
+	}
+	return max
 }

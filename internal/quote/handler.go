@@ -10,7 +10,7 @@ import (
 	"repro/internal/obs"
 )
 
-// NewHandler returns the service's HTTP API:
+// NewStreamingHandler returns the service's HTTP API:
 //
 //	POST /v1/quote   — plan request (JSON body) → ranked plan table
 //	GET  /healthz    — liveness probe ("ok")
@@ -18,12 +18,7 @@ import (
 //
 // Quote responses carry an X-Quote-Cache header (miss, hit or
 // coalesced); the body itself is byte-identical however it was served.
-func NewHandler(s *Service) http.Handler {
-	return NewStreamingHandler(s, nil)
-}
-
-// NewStreamingHandler is NewHandler plus the push API when st is
-// non-nil:
+// When st is non-nil it adds the push API:
 //
 //	GET /v1/quotes/stream — SSE (or ?mode=poll long-poll) plan pushes
 //

@@ -49,7 +49,7 @@ func TestSourceFailureIsErrHistoryEveryTime(t *testing.T) {
 			t.Fatalf("outage quote %d = %d bytes, %q, %v; want ErrHistory alone", i, len(body), st, err)
 		}
 	}
-	ts := httptest.NewServer(NewHandler(svc))
+	ts := httptest.NewServer(NewStreamingHandler(svc, nil))
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/v1/quote", "application/json",
 		strings.NewReader(`{"work_hours":4,"deadline_hours":8,"history_window":3,"max_zones":2}`))
@@ -105,7 +105,7 @@ func TestTinyHistoryWindowIsClientError(t *testing.T) {
 		t.Fatalf("another client's valid quote = %v, %v", st, err)
 	}
 
-	ts := httptest.NewServer(NewHandler(svc))
+	ts := httptest.NewServer(NewStreamingHandler(svc, nil))
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/v1/quote", "application/json",
 		strings.NewReader(`{"work_hours":4,"deadline_hours":8,"history_window":0.01}`))

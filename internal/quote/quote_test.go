@@ -148,7 +148,7 @@ func TestQuoteCacheDeterminism(t *testing.T) {
 // cache headers, the error envelope, /healthz and /metrics.
 func TestHandlerEndToEnd(t *testing.T) {
 	svc := testService()
-	ts := httptest.NewServer(NewHandler(svc))
+	ts := httptest.NewServer(NewStreamingHandler(svc, nil))
 	defer ts.Close()
 
 	post := func(body string) (*http.Response, []byte) {
@@ -221,7 +221,7 @@ func TestHandlerEndToEnd(t *testing.T) {
 // TestHistoryErrorMapsToBadGateway covers the feed-failure path.
 func TestHistoryErrorMapsToBadGateway(t *testing.T) {
 	svc := &Service{Source: failingSource{}}
-	ts := httptest.NewServer(NewHandler(svc))
+	ts := httptest.NewServer(NewStreamingHandler(svc, nil))
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/v1/quote", "application/json",
 		strings.NewReader(`{"work_hours":4,"deadline_hours":8,"history_window":3}`))

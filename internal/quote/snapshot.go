@@ -227,7 +227,7 @@ func (st *Streamer) restoreShapesLocked(snaps []ShapeSnapshot, win *trace.Set, t
 type MemStore struct {
 	mu  sync.Mutex
 	raw []byte
-	// Saves counts checkpoints written, for harness assertions.
+	// saves counts checkpoints written, for the tests.
 	saves int
 }
 
@@ -258,13 +258,6 @@ func (m *MemStore) Load() (*StreamerSnapshot, error) {
 		return nil, err
 	}
 	return &snap, nil
-}
-
-// Saves returns how many checkpoints have been written.
-func (m *MemStore) Saves() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.saves
 }
 
 // FileStore persists checkpoints as JSON at Path, replacing the

@@ -41,7 +41,7 @@ func TestStreamerSnapshotResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if store.Saves() == 0 {
+	if saves(store) == 0 {
 		t.Fatal("no checkpoints written")
 	}
 	snap, err := store.Load()
@@ -269,4 +269,11 @@ func TestFileStore(t *testing.T) {
 	if resumed.Seq() != 4 {
 		t.Fatalf("resumed seq %d", resumed.Seq())
 	}
+}
+
+// saves returns how many checkpoints m has written.
+func saves(m *MemStore) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.saves
 }

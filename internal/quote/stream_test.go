@@ -504,7 +504,7 @@ func TestStreamerIngestRejectsInvalidPrices(t *testing.T) {
 	if got := st.Metrics.TickErrors.Load(); got != int64(len(bad)) {
 		t.Fatalf("TickErrors = %d, want %d", got, len(bad))
 	}
-	if st.Metrics.Checkpoints.Load() != 3 || st.Metrics.CheckpointErrors.Load() != 0 || store.Saves() != 3 {
+	if st.Metrics.Checkpoints.Load() != 3 || st.Metrics.CheckpointErrors.Load() != 0 || saves(store) != 3 {
 		t.Fatalf("checkpoints %d, errors %d; want 3, 0",
 			st.Metrics.Checkpoints.Load(), st.Metrics.CheckpointErrors.Load())
 	}

@@ -9,7 +9,6 @@ import (
 	"io"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Record is one archived run with the parameters that produced it.
@@ -75,17 +74,6 @@ func Read(r io.Reader) (*Archive, error) {
 	return &a, nil
 }
 
-// Filter returns the records matching the predicate.
-func (a *Archive) Filter(keep func(Record) bool) []Record {
-	var out []Record
-	for _, r := range a.Records {
-		if keep(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Costs extracts the cost column of the matching records.
 func (a *Archive) Costs(keep func(Record) bool) []float64 {
 	var out []float64
@@ -95,11 +83,6 @@ func (a *Archive) Costs(keep func(Record) bool) []float64 {
 		}
 	}
 	return out
-}
-
-// Box summarises the matching records' costs.
-func (a *Archive) Box(keep func(Record) bool) stats.Box {
-	return stats.NewBox(a.Costs(keep))
 }
 
 // Deadlines reports how many matching records missed their deadline

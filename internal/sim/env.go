@@ -183,9 +183,6 @@ func (e *Env) RemainingTime() int64 { return e.Deadline() - e.Now }
 // RemainingWork returns C_r: seconds of computation not yet committed.
 func (e *Env) RemainingWork() int64 { return e.Cfg.Work - e.Committed }
 
-// ElapsedTime returns T: seconds since the experiment start.
-func (e *Env) ElapsedTime() int64 { return e.Now - e.StartTime }
-
 // CheckpointCost returns t_c in seconds.
 func (e *Env) CheckpointCost() int64 { return e.Cfg.CheckpointCost }
 
@@ -212,22 +209,6 @@ func (e *Env) HistoryStart() int64 {
 		return e.Cfg.History.Start()
 	}
 	return e.StartTime
-}
-
-// PriceHistory samples the zone's trailing price history: span seconds
-// ending at (and including) Now, on the step grid, oldest first. The
-// available history bounds the result.
-func (e *Env) PriceHistory(zone int, span int64) []float64 {
-	from := max(e.Now-span+e.Step, e.HistoryStart())
-	n := (e.Now-from)/e.Step + 1
-	if n <= 0 {
-		return nil
-	}
-	out := make([]float64, 0, n)
-	for t := from; t <= e.Now; t += e.Step {
-		out = append(out, e.Price(zone, t))
-	}
-	return out
 }
 
 // States returns the zone's chain states (trace.Series.States) on the
@@ -272,12 +253,13 @@ func (e *Env) States(zone int, from int64) (ids []int32, vals []float64, base in
 
 // ChainUptime returns the expected uptime E[T_u] at the bid from the
 // price of the zone's Markov chain (Appendix B) fitted on its trailing
-// span of price history at Now — the samples PriceHistory(zone, span)
-// returns, read as states from the env's view (States) — and false for
-// an empty history. It is bit-identical to
-// markov.Fit(markov.Quantize(PriceHistory(zone, span), markov.Quantum),
-// Step).ExpectedUptimeExact(bid, price), solved from the zone's window
-// fitter's counts in the env's one solver workspace. Each zone's fitter
+// span of price history at Now — the samples Price(zone, t) at t = from,
+// from+Step, …, Now with from = max(Now−span+Step, HistoryStart()),
+// read as states from the env's view (States) — and false for an empty
+// history. It is bit-identical to markov.Fit(markov.Quantize(window,
+// markov.Quantum), Step).ExpectedUptimeExact(bid, price) over those
+// samples, solved from the zone's window fitter's counts in the env's
+// one solver workspace. Each zone's fitter
 // slides from one window to the next, whichever policy instance asks,
 // and restarts with each run and when the window start moves onto
 // another grid (the HistoryStart clamp can do that); its count tables
@@ -345,9 +327,6 @@ func (e *Env) LeaderProgress() int64 {
 	}
 	return e.Committed
 }
-
-// CheckpointInProgress reports whether a checkpoint is being taken.
-func (e *Env) CheckpointInProgress() bool { return e.ck != nil }
 
 // UncommittedProgress returns the leader's progress beyond the latest
 // checkpoint.

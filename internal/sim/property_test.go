@@ -97,7 +97,7 @@ func TestDeadlineAlwaysMetProperty(t *testing.T) {
 			t.Fatalf("trial %d: committed %d != work %d at completion", trial, res.Committed, work)
 		}
 		// Independent billing verification over the same run.
-		if err := AuditResult(cfg, res); err != nil {
+		if err := auditResult(cfg, res); err != nil {
 			t.Fatalf("trial %d: billing audit failed: %v", trial, err)
 		}
 	}

@@ -70,7 +70,7 @@ func TestEnvOwnStatesBound(t *testing.T) {
 
 // TestChainFitBound pins the env's sliding chain fits over a history
 // and run cut adjacent from one root: every ChainUptime equals the
-// from-scratch reference over PriceHistory — at a bid below every state
+// from-scratch reference over priceHistory — at a bid below every state
 // and at each state's value, from the current price and the lowest
 // state — the fitters hold no ids of their own —
 // they view the root's states of history and run — and count over at
@@ -89,7 +89,7 @@ func TestChainFitBound(t *testing.T) {
 	const span = 2 * trace.Hour
 	for env.Now = cfg.Trace.Start(); env.Now < cfg.Trace.End(); env.Now += env.Step {
 		for zone := range env.Zones {
-			want, err := markov.Fit(markov.Quantize(env.PriceHistory(zone, span), markov.Quantum), env.Step)
+			want, err := markov.Fit(markov.Quantize(priceHistory(env, zone, span), markov.Quantum), env.Step)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,4 +118,22 @@ func TestChainFitBound(t *testing.T) {
 			t.Fatalf("released machine's zone %d fitter views %d samples of its run", zone, n)
 		}
 	}
+}
+
+// priceHistory is the chain fits' window, read independently of the
+// env's state columns: span seconds of the zone's price history ending
+// at (and including) Now, on the step grid, oldest first, from the
+// configured trace and bootstrap history, the available history
+// bounding it. internal/core's tests keep the same reference.
+func priceHistory(env *Env, zone int, span int64) []float64 {
+	from := max(env.Now-span+env.Step, env.HistoryStart())
+	var out []float64
+	for t := from; t <= env.Now; t += env.Step {
+		series := env.Cfg.Trace.Series[zone]
+		if t < env.StartTime && env.Cfg.History != nil && env.Cfg.History.NumZones() > zone {
+			series = env.Cfg.History.Series[zone]
+		}
+		out = append(out, series.Prices[series.Index(t)])
+	}
+	return out
 }

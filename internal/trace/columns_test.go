@@ -78,8 +78,8 @@ func TestColumnsZeroLength(t *testing.T) {
 }
 
 // TestBidIndexMatchesSeries pins BidIndex against the Series
-// availability primitives on a randomized trace: Up against UpAt,
-// UpIntervals against Series.UpIntervals, and the NextUp/NextChange skip
+// availability primitives on a randomized trace: Up against upAt,
+// UpIntervals against Series.UpIntervals, and the nextUp/NextChange skip
 // tables against reference scans.
 func TestBidIndexMatchesSeries(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -96,8 +96,8 @@ func TestBidIndexMatchesSeries(t *testing.T) {
 		bi.Build(cols, 0, bid)
 		for i := 0; i < len(prices); i++ {
 			at := s.Epoch + int64(i)*s.Step
-			if got, want := bi.Up(i), s.UpAt(at, bid); got != want {
-				t.Fatalf("bid %v Up(%d) = %v, UpAt = %v", bid, i, got, want)
+			if got, want := bi.Up(i), s.upAt(at, bid); got != want {
+				t.Fatalf("bid %v Up(%d) = %v, upAt = %v", bid, i, got, want)
 			}
 			wantNext := len(prices)
 			for j := i; j < len(prices); j++ {
@@ -106,8 +106,8 @@ func TestBidIndexMatchesSeries(t *testing.T) {
 					break
 				}
 			}
-			if got := bi.NextUp(i); got != wantNext {
-				t.Fatalf("bid %v NextUp(%d) = %d, want %d", bid, i, got, wantNext)
+			if got := bi.nextUp(i); got != wantNext {
+				t.Fatalf("bid %v nextUp(%d) = %d, want %d", bid, i, got, wantNext)
 			}
 			wantChg := len(prices)
 			for j := i + 1; j < len(prices); j++ {
@@ -155,8 +155,18 @@ func TestAvailIndexReuse(t *testing.T) {
 	bi := x.Get(0, 0.30)
 	for i := 0; i < cut.Series[0].Len(); i++ {
 		at := cut.Start() + int64(i)*cut.Step()
-		if got, want := bi.Up(i), cut.Series[0].UpAt(at, 0.30); got != want {
+		if got, want := bi.Up(i), cut.Series[0].upAt(at, 0.30); got != want {
 			t.Fatalf("after Reset Up(%d) = %v, want %v", i, got, want)
 		}
 	}
+}
+
+// nextUp returns the first step at or after i where the zone is
+// available, or Steps() when it never is again: i itself when it is up,
+// otherwise the next change, which can only be to up.
+func (bi *BidIndex) nextUp(i int) int {
+	if bi.Up(i) {
+		return i
+	}
+	return bi.NextChange(i)
 }

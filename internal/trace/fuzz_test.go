@@ -97,13 +97,13 @@ func FuzzBidIndexAppend(f *testing.F) {
 		}
 		var ref BidIndex
 		ref.Build(cols, 0, bid)
-		if inc.Len() != ref.Len() || inc.UpCount() != ref.UpCount() {
-			t.Fatalf("shape: len %d/%d upcount %d/%d", inc.Len(), ref.Len(), inc.UpCount(), ref.UpCount())
+		if inc.Len() != ref.Len() {
+			t.Fatalf("shape: len %d/%d", inc.Len(), ref.Len())
 		}
 		for i := 0; i < ref.Len(); i++ {
-			if inc.Up(i) != ref.Up(i) || inc.NextUp(i) != ref.NextUp(i) || inc.NextChange(i) != ref.NextChange(i) {
+			if inc.Up(i) != ref.Up(i) || inc.nextUp(i) != ref.nextUp(i) || inc.NextChange(i) != ref.NextChange(i) {
 				t.Fatalf("step %d: up %v/%v nextup %d/%d nextchange %d/%d", i,
-					inc.Up(i), ref.Up(i), inc.NextUp(i), ref.NextUp(i), inc.NextChange(i), ref.NextChange(i))
+					inc.Up(i), ref.Up(i), inc.nextUp(i), ref.nextUp(i), inc.NextChange(i), ref.NextChange(i))
 			}
 		}
 	})

@@ -16,7 +16,8 @@ import (
 // costs 4 bytes per sample plus its value table. A series whose owner
 // moves its prices in place, such as a Tape's window, carries the
 // states its owner keeps beside them instead (SetStates). A root whose
-// prices change in place after a States call keeps a stale column.
+// prices change in place after a States call keeps a stale column, so
+// an in-place editor checks StatesRead first.
 
 // Quantum is the price width of a chain state's bucket: a nickel, which
 // bounds the state count on volatile histories.
@@ -110,6 +111,18 @@ func (s *Series) States() (ids []int32, vals []float64) {
 		return s.ids, s.vals
 	}
 	return s.column().view(s.off, s.off+len(s.Prices))
+}
+
+// StatesRead reports whether the series' chain states may already be
+// read: its owner holds them (SetStates), or its root's column is
+// built. Its prices must not change in place once they are, or the
+// states go stale.
+func (s *Series) StatesRead() bool {
+	if s.held {
+		return true
+	}
+	c := s.col.Load()
+	return c != nil && c.snap.Load() != nil
 }
 
 // SetStates gives the series the chain states its owner keeps beside

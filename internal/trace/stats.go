@@ -158,25 +158,3 @@ func (t *Set) ClassifyVolatility() Volatility {
 		return ModerateVolatility
 	}
 }
-
-// MinPrice returns the minimum price over all zones in the set.
-func (t *Set) MinPrice() float64 {
-	min := math.Inf(1)
-	for _, s := range t.Series {
-		if sum := s.Summarize(); sum.Min < min {
-			min = sum.Min
-		}
-	}
-	return min
-}
-
-// MaxPrice returns the maximum price over all zones in the set.
-func (t *Set) MaxPrice() float64 {
-	max := math.Inf(-1)
-	for _, s := range t.Series {
-		if sum := s.Summarize(); sum.Max > max {
-			max = sum.Max
-		}
-	}
-	return max
-}

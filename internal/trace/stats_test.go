@@ -105,10 +105,32 @@ func TestVolatilityString(t *testing.T) {
 
 func TestSetMinMaxPrice(t *testing.T) {
 	set := MustNewSet(mkSeries("a", 0, 0.5, 0.7), mkSeries("b", 0, 0.2, 1.9))
-	if got := set.MinPrice(); got != 0.2 {
-		t.Fatalf("MinPrice = %g", got)
+	if got := set.minPrice(); got != 0.2 {
+		t.Fatalf("minPrice = %g", got)
 	}
-	if got := set.MaxPrice(); got != 1.9 {
-		t.Fatalf("MaxPrice = %g", got)
+	if got := set.maxPrice(); got != 1.9 {
+		t.Fatalf("maxPrice = %g", got)
 	}
+}
+
+// minPrice returns the minimum price over all zones in the set.
+func (t *Set) minPrice() float64 {
+	min := math.Inf(1)
+	for _, s := range t.Series {
+		if sum := s.Summarize(); sum.Min < min {
+			min = sum.Min
+		}
+	}
+	return min
+}
+
+// maxPrice returns the maximum price over all zones in the set.
+func (t *Set) maxPrice() float64 {
+	max := math.Inf(-1)
+	for _, s := range t.Series {
+		if sum := s.Summarize(); sum.Max > max {
+			max = sum.Max
+		}
+	}
+	return max
 }

@@ -70,18 +70,14 @@ func TestBidIndexAppendMatchesRebuild(t *testing.T) {
 					if inc.Len() != ref.Len() || inc.Len() != tick+1 {
 						t.Fatalf("seed %d tick %d: len %d vs rebuild %d", seed, tick, inc.Len(), ref.Len())
 					}
-					if inc.UpCount() != ref.UpCount() {
-						t.Fatalf("seed %d tick %d zone %d bid %v: UpCount %d vs rebuild %d",
-							seed, tick, z, bid, inc.UpCount(), ref.UpCount())
-					}
 					for i := 0; i < inc.Len(); i++ {
 						if inc.Up(i) != ref.Up(i) {
 							t.Fatalf("seed %d tick %d zone %d bid %v: Up(%d) %v vs %v",
 								seed, tick, z, bid, i, inc.Up(i), ref.Up(i))
 						}
-						if inc.NextUp(i) != ref.NextUp(i) {
-							t.Fatalf("seed %d tick %d zone %d bid %v: NextUp(%d) %d vs %d",
-								seed, tick, z, bid, i, inc.NextUp(i), ref.NextUp(i))
+						if inc.nextUp(i) != ref.nextUp(i) {
+							t.Fatalf("seed %d tick %d zone %d bid %v: nextUp(%d) %d vs %d",
+								seed, tick, z, bid, i, inc.nextUp(i), ref.nextUp(i))
 						}
 						if inc.NextChange(i) != ref.NextChange(i) {
 							t.Fatalf("seed %d tick %d zone %d bid %v: NextChange(%d) %d vs %d",

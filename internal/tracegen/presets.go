@@ -134,12 +134,17 @@ const MaxObservedSpike = 20.02
 // InjectSpike overwrites zone zoneIdx of the set with a price plateau of
 // the given level over [start, start+duration) seconds. It reproduces
 // the extreme events the generator's regular spike regime keeps rare,
-// e.g. the $20.02 spike behind the paper's Large-bid worst case.
+// e.g. the $20.02 spike behind the paper's Large-bid worst case. It
+// writes the prices in place, so it refuses a zone whose chain states
+// may already be read (trace.Series.StatesRead): they would go stale.
 func InjectSpike(set *trace.Set, zoneIdx int, start, duration int64, level float64) error {
 	if zoneIdx < 0 || zoneIdx >= set.NumZones() {
 		return fmt.Errorf("tracegen: zone index %d out of range", zoneIdx)
 	}
 	s := set.Series[zoneIdx]
+	if s.StatesRead() {
+		return fmt.Errorf("tracegen: zone %s: chain states already read; a spike written in place would leave them stale", s.Zone)
+	}
 	if start < s.Start() || start+duration > s.End() {
 		return fmt.Errorf("tracegen: spike [%d,%d) outside trace [%d,%d)", start, start+duration, s.Start(), s.End())
 	}

@@ -2,6 +2,8 @@ package tracegen
 
 import (
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -110,9 +112,41 @@ func TestInjectSpike(t *testing.T) {
 	}
 }
 
+// TestInjectSpikeAfterStates checks that InjectSpike refuses a zone
+// whose chain states were read, naming it, since its column would keep
+// the old prices' states, whether the series read them or a slice of
+// it did; and that on a fresh set the states read after the spike show
+// it.
+func TestInjectSpikeAfterStates(t *testing.T) {
+	set := LowVolatility(3)
+	start := set.Start() + 100*set.Step()
+	set.Series[1].States()
+	err := InjectSpike(set, 1, start, trace.Hour, MaxObservedSpike)
+	if err == nil || !strings.Contains(err.Error(), set.Series[1].Zone) {
+		t.Fatalf("spike after States: err %v, want a refusal naming zone %s", err, set.Series[1].Zone)
+	}
+	set.Series[2].Slice(start, start+trace.Hour).States()
+	if err := InjectSpike(set, 2, start, trace.Hour, MaxObservedSpike); err == nil {
+		t.Fatal("spike after a slice's States was accepted")
+	}
+	if err := InjectSpike(set, 0, start, trace.Hour, MaxObservedSpike); err != nil {
+		t.Fatalf("zone 0, never read: %v", err)
+	}
+
+	fresh := LowVolatility(3)
+	if err := InjectSpike(fresh, 1, start, trace.Hour, MaxObservedSpike); err != nil {
+		t.Fatal(err)
+	}
+	s := fresh.Series[1]
+	ids, vals := s.States()
+	if got, want := vals[ids[s.Index(start)]], trace.Bucket(MaxObservedSpike); got != want {
+		t.Fatalf("state during the spike %g, want %g", got, want)
+	}
+}
+
 func TestLowVolatilityWithMegaSpike(t *testing.T) {
 	set := LowVolatilityWithMegaSpike(4)
-	if got := set.MaxPrice(); got != MaxObservedSpike {
+	if _, got := priceRange(set); got != MaxObservedSpike {
 		t.Fatalf("max price = %g, want %g", got, MaxObservedSpike)
 	}
 }
@@ -143,11 +177,12 @@ func TestYear(t *testing.T) {
 	if err := set.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := set.MaxPrice(); got != MaxObservedSpike {
-		t.Fatalf("year max price = %g, want the injected %g", got, MaxObservedSpike)
+	lo, hi := priceRange(set)
+	if hi != MaxObservedSpike {
+		t.Fatalf("year max price = %g, want the injected %g", hi, MaxObservedSpike)
 	}
-	if got := set.MinPrice(); got < 0.27 {
-		t.Fatalf("year min price = %g, below the CC2 floor", got)
+	if lo < 0.27 {
+		t.Fatalf("year min price = %g, below the CC2 floor", lo)
 	}
 }
 
@@ -217,4 +252,14 @@ func TestPricesAreCentQuantised(t *testing.T) {
 			}
 		}
 	}
+}
+
+// priceRange returns the lowest and highest price over every zone of
+// set.
+func priceRange(set *trace.Set) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, s := range set.Series {
+		lo, hi = min(lo, slices.Min(s.Prices)), max(hi, slices.Max(s.Prices))
+	}
+	return lo, hi
 }

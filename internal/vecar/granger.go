@@ -28,33 +28,6 @@ type GrangerResult struct {
 // Significant reports whether the test rejects at the given level.
 func (g GrangerResult) Significant(alpha float64) bool { return g.P < alpha }
 
-// GrangerTest tests whether series[cause] Granger-causes
-// series[effect] at the given lag, conditioning on every series' lags
-// (the standard VAR-based formulation).
-func GrangerTest(series [][]float64, effect, cause, lag int) (GrangerResult, error) {
-	k := len(series)
-	if effect < 0 || effect >= k || cause < 0 || cause >= k {
-		return GrangerResult{}, fmt.Errorf("vecar: series index out of range")
-	}
-	if cause == effect {
-		return GrangerResult{}, fmt.Errorf("vecar: cause and effect must differ")
-	}
-	if err := checkGranger(series, lag); err != nil {
-		return GrangerResult{}, err
-	}
-	// Unrestricted: all series' lags. Restricted: drop the cause's.
-	ne := normalEquations(series, lag)
-	rssU, err := equationRSS(ne, series, effect, lag, -1)
-	if err != nil {
-		return GrangerResult{}, err
-	}
-	rssR, err := equationRSS(ne, series, effect, lag, cause)
-	if err != nil {
-		return GrangerResult{}, err
-	}
-	return grangerResult(series, effect, cause, lag, rssU, rssR), nil
-}
-
 // checkGranger rejects a lag the series cannot support.
 func checkGranger(series [][]float64, lag int) error {
 	if lag < 1 {

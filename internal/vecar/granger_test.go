@@ -1,6 +1,7 @@
 package vecar
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 )
@@ -22,7 +23,7 @@ func causalPair(n int, strength float64, seed uint64) [][]float64 {
 func TestGrangerDetectsCausality(t *testing.T) {
 	series := causalPair(2000, 0.4, 1)
 	// x (index 0) causes y (index 1): strongly significant.
-	xy, err := GrangerTest(series, 1, 0, 2)
+	xy, err := grangerTest(series, 1, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +31,7 @@ func TestGrangerDetectsCausality(t *testing.T) {
 		t.Fatalf("x→y not detected: F=%g p=%g", xy.F, xy.P)
 	}
 	// y does not cause x.
-	yx, err := GrangerTest(series, 0, 1, 2)
+	yx, err := grangerTest(series, 0, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,17 +65,17 @@ func TestGrangerIndependentSeries(t *testing.T) {
 
 func TestGrangerErrors(t *testing.T) {
 	series := causalPair(100, 0.2, 3)
-	if _, err := GrangerTest(series, 0, 0, 1); err == nil {
+	if _, err := grangerTest(series, 0, 0, 1); err == nil {
 		t.Fatal("accepted cause == effect")
 	}
-	if _, err := GrangerTest(series, 5, 0, 1); err == nil {
+	if _, err := grangerTest(series, 5, 0, 1); err == nil {
 		t.Fatal("accepted out-of-range index")
 	}
-	if _, err := GrangerTest(series, 1, 0, 0); err == nil {
+	if _, err := grangerTest(series, 1, 0, 0); err == nil {
 		t.Fatal("accepted lag 0")
 	}
 	tiny := causalPair(4, 0.2, 4)
-	if _, err := GrangerTest(tiny, 1, 0, 2); err == nil {
+	if _, err := grangerTest(tiny, 1, 0, 2); err == nil {
 		t.Fatal("accepted too-short series")
 	}
 }
@@ -89,7 +90,7 @@ func TestGrangerConstantSeries(t *testing.T) {
 		x[t] = rng.Float64()
 		y[t] = 0.3
 	}
-	g, err := GrangerTest([][]float64{x, y}, 1, 0, 2)
+	g, err := grangerTest([][]float64{x, y}, 1, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,4 +127,31 @@ func TestGrangerMatrixThreeSeries(t *testing.T) {
 			t.Fatalf("spurious edge %d→%d: p=%g", g.Cause, g.Effect, g.P)
 		}
 	}
+}
+
+// grangerTest tests whether series[cause] Granger-causes
+// series[effect] at the given lag, conditioning on every series' lags
+// (the standard VAR-based formulation).
+func grangerTest(series [][]float64, effect, cause, lag int) (GrangerResult, error) {
+	k := len(series)
+	if effect < 0 || effect >= k || cause < 0 || cause >= k {
+		return GrangerResult{}, fmt.Errorf("vecar: series index out of range")
+	}
+	if cause == effect {
+		return GrangerResult{}, fmt.Errorf("vecar: cause and effect must differ")
+	}
+	if err := checkGranger(series, lag); err != nil {
+		return GrangerResult{}, err
+	}
+	// Unrestricted: all series' lags. Restricted: drop the cause's.
+	ne := normalEquations(series, lag)
+	rssU, err := equationRSS(ne, series, effect, lag, -1)
+	if err != nil {
+		return GrangerResult{}, err
+	}
+	rssR, err := equationRSS(ne, series, effect, lag, cause)
+	if err != nil {
+		return GrangerResult{}, err
+	}
+	return grangerResult(series, effect, cause, lag, rssU, rssR), nil
 }

@@ -20,8 +20,44 @@ import (
 // equations XᵀX and XᵀY, with the same ridge fallback as the streamed
 // path.
 func leastSquaresRef(x, y *mat.Matrix) (*mat.Matrix, error) {
-	xt := x.T()
-	return (&mat.NormalEquations{XtX: xt.Mul(x), XtY: xt.Mul(y)}).Solve()
+	xt := transpose(x)
+	return (&mat.NormalEquations{XtX: mul(xt, x), XtY: mul(xt, y)}).Solve()
+}
+
+// transpose returns mᵀ.
+func transpose(m *mat.Matrix) *mat.Matrix {
+	out := mat.New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Set(j, i, m.At(i, j))
+		}
+	}
+	return out
+}
+
+// mul returns a × b, each entry summed k ascending with the zero
+// entries of a skipped: the order mat.NormalEquations.Add promises.
+func mul(a, b *mat.Matrix) *mat.Matrix {
+	out := mat.New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for k := 0; k < a.Cols; k++ {
+			if f := a.At(i, k); f != 0 {
+				for j := 0; j < b.Cols; j++ {
+					out.Set(i, j, out.At(i, j)+f*b.At(k, j))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// sub returns a − b.
+func sub(a, b *mat.Matrix) *mat.Matrix {
+	out := a.Clone()
+	for i, v := range b.Data {
+		out.Data[i] -= v
+	}
+	return out
 }
 
 // designRef materializes the design of a VAR(lag) on series, leaving
@@ -85,7 +121,7 @@ func fitRef(series [][]float64, lag int) (*Model, error) {
 		}
 		m.Coef[l] = a
 	}
-	resid := z.Mul(beta).Sub(y)
+	resid := sub(mul(z, beta), y)
 	cov := mat.New(k, k)
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
@@ -116,7 +152,7 @@ func equationRSSRef(series [][]float64, effect, lag, drop int) (float64, error) 
 		return 0, err
 	}
 	var rss float64
-	for _, v := range z.Mul(beta).Sub(y).Data {
+	for _, v := range sub(mul(z, beta), y).Data {
 		rss += v * v
 	}
 	return rss, nil
@@ -197,8 +233,8 @@ func TestStreamedFitsMatchMaterializedRidge(t *testing.T) {
 	series = append(series, flat)
 	for lag := 1; lag <= 3; lag++ {
 		z, y := designRef(series, lag, -1, -1)
-		xt := z.T()
-		if _, err := mat.Solve(xt.Mul(z), xt.Mul(y)); !errors.Is(err, mat.ErrSingular) {
+		xt := transpose(z)
+		if _, err := mat.Solve(mul(xt, z), mul(xt, y)); !errors.Is(err, mat.ErrSingular) {
 			t.Fatalf("lag %d: design with a constant zone is not singular: %v", lag, err)
 		}
 		checkStreamed(t, series, lag, true)
@@ -214,7 +250,7 @@ func TestGrangerMatrixMatchesPairwise(t *testing.T) {
 				if cause == effect {
 					continue
 				}
-				g, err := GrangerTest(series, effect, cause, lag)
+				g, err := grangerTest(series, effect, cause, lag)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -227,7 +263,7 @@ func TestGrangerMatrixMatchesPairwise(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("lag %d, %d workers: GrangerMatrix\n%+v\nper-pair GrangerTest\n%+v", lag, workers, got, want)
+				t.Fatalf("lag %d, %d workers: GrangerMatrix\n%+v\nper-pair grangerTest\n%+v", lag, workers, got, want)
 			}
 		}
 	}

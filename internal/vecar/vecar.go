@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/pool"
-	"repro/internal/trace"
 )
 
 // Model is a fitted VAR(p): yₜ = c + Σ_l A_l·yₜ₋l + eₜ for an
@@ -154,15 +153,6 @@ func designRow(row []float64, series [][]float64, lag, t, drop int) {
 	}
 }
 
-// FitSet fits a VAR(lag) on every zone series of the trace set.
-func FitSet(set *trace.Set, lag int) (*Model, error) {
-	series := make([][]float64, set.NumZones())
-	for i, s := range set.Series {
-		series[i] = s.Prices
-	}
-	return Fit(series, lag)
-}
-
 // SelectLag fits VAR(1)…VAR(maxLag) and returns the model minimising
 // the Akaike information criterion, as the paper does. The fits run
 // across at most workers goroutines (≤ 0 selects GOMAXPROCS); the pick
@@ -192,31 +182,6 @@ func SelectLag(series [][]float64, maxLag, workers int) (*Model, error) {
 		}
 	}
 	return best, nil
-}
-
-// Predict returns the one-step-ahead forecast given the most recent
-// observations; history[j] holds zone j's series with the latest value
-// last and must contain at least Lag samples.
-func (m *Model) Predict(history [][]float64) ([]float64, error) {
-	if len(history) != m.K {
-		return nil, fmt.Errorf("vecar: history has %d series, model has %d", len(history), m.K)
-	}
-	for j, h := range history {
-		if len(h) < m.Lag {
-			return nil, fmt.Errorf("vecar: history series %d has %d < %d samples", j, len(h), m.Lag)
-		}
-	}
-	out := make([]float64, m.K)
-	copy(out, m.Intercept)
-	for l := 0; l < m.Lag; l++ {
-		a := m.Coef[l]
-		for i := 0; i < m.K; i++ {
-			for j := 0; j < m.K; j++ {
-				out[i] += a.At(i, j) * history[j][len(history[j])-1-l]
-			}
-		}
-	}
-	return out, nil
 }
 
 // Dependence summarises the magnitude of lagged effects: the mean

@@ -1,6 +1,7 @@
 package vecar
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -111,7 +112,7 @@ func TestPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	hist := [][]float64{{series[0][len(series[0])-1]}, {series[1][len(series[1])-1]}}
-	pred, err := m.Predict(hist)
+	pred, err := m.predict(hist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +120,11 @@ func TestPredict(t *testing.T) {
 	if math.Abs(pred[0]-want0) > 1e-3 {
 		t.Fatalf("pred[0] = %g, want %g", pred[0], want0)
 	}
-	if _, err := m.Predict([][]float64{{1}}); err == nil {
-		t.Fatal("Predict accepted wrong dimension")
+	if _, err := m.predict([][]float64{{1}}); err == nil {
+		t.Fatal("predict accepted wrong dimension")
 	}
-	if _, err := m.Predict([][]float64{{}, {}}); err == nil {
-		t.Fatal("Predict accepted empty history")
+	if _, err := m.predict([][]float64{{}, {}}); err == nil {
+		t.Fatal("predict accepted empty history")
 	}
 }
 
@@ -146,7 +147,7 @@ func TestDependenceOnGeneratedTraces(t *testing.T) {
 
 func TestFitSetLowVolatility(t *testing.T) {
 	set := tracegen.LowVolatility(3)
-	m, err := FitSet(set, 2)
+	m, err := fitSet(set, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,4 +179,38 @@ func TestDependenceZeroCross(t *testing.T) {
 	if d.Ratio < 3 {
 		t.Fatalf("independent zones should show high self/cross ratio, got %g", d.Ratio)
 	}
+}
+
+// fitSet fits a VAR(lag) on every zone series of the trace set.
+func fitSet(set *trace.Set, lag int) (*Model, error) {
+	series := make([][]float64, set.NumZones())
+	for i, s := range set.Series {
+		series[i] = s.Prices
+	}
+	return Fit(series, lag)
+}
+
+// predict returns the one-step-ahead forecast given the most recent
+// observations; history[j] holds zone j's series with the latest value
+// last and must contain at least Lag samples.
+func (m *Model) predict(history [][]float64) ([]float64, error) {
+	if len(history) != m.K {
+		return nil, fmt.Errorf("vecar: history has %d series, model has %d", len(history), m.K)
+	}
+	for j, h := range history {
+		if len(h) < m.Lag {
+			return nil, fmt.Errorf("vecar: history series %d has %d < %d samples", j, len(h), m.Lag)
+		}
+	}
+	out := make([]float64, m.K)
+	copy(out, m.Intercept)
+	for l := 0; l < m.Lag; l++ {
+		a := m.Coef[l]
+		for i := 0; i < m.K; i++ {
+			for j := 0; j < m.K; j++ {
+				out[i] += a.At(i, j) * history[j][len(history[j])-1-l]
+			}
+		}
+	}
+	return out, nil
 }

@@ -2,8 +2,10 @@
 # Repository gate: formatting, vet, build, the full test suite under
 # the race detector, the bench module's vet and tests, 5 s fuzz runs of
 # every untrusted or incremental input, then a short chaos soak. The
-# suite includes doccheck_test.go (exported-symbol doc coverage) and the
-# golden determinism tests of the replay engine, the parallel
+# suite includes doccheck_test.go (exported-symbol doc coverage, an
+# exported function no non-test file calls, and a flag or symbol the
+# docs name that the code no longer has) and the golden determinism
+# tests of the replay engine, the parallel
 # permutation evaluator, the batched replay engine (differential
 # against the machine oracle, plus the FuzzBatchedMeasure sweep below)
 # and the quote service, so a green run certifies correctness,
@@ -12,8 +14,8 @@
 # columns: FuzzBucketColumn holds a column built from scratch equal to
 # one grown by appends, read through slices and carried through
 # Tape.Trim, and FuzzWindowFitter holds the states and every uptime a
-# sliding fitter solves from its counts equal to those of a
-# from-scratch Fit. internal/report's TestSuiteDigests pins
+# fitter sliding either end either way solves from its counts equal to
+# those of a from-scratch Fit. internal/report's TestSuiteDigests pins
 # the 2-window suite (text and every run cost); at 40 windows, which
 # go test cannot afford, the rendered suite is compared with
 # paperfigs_output.txt at the default workers and at -workers 1, and
