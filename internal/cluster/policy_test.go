@@ -50,7 +50,7 @@ func TestLeastLoadedTieBreaking(t *testing.T) {
 	for _, tc := range cases {
 		backends := stubBackends(len(tc.loads))
 		for i, l := range tc.loads {
-			backends[i].inflight.Set(l)
+			backends[i].inflight.Add(l)
 		}
 		dst := make([]int, len(backends))
 		p.Order(0, backends, dst)

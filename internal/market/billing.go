@@ -131,12 +131,6 @@ func OpenOnDemandMeter(t int64) *Meter {
 	return &Meter{zone: "on-demand", onDemand: true, hourStart: t, hourRate: OnDemandRate}
 }
 
-// Zone returns the meter's zone label.
-func (m *Meter) Zone() string { return m.zone }
-
-// OnDemand reports whether this meter bills on-demand hours.
-func (m *Meter) OnDemand() bool { return m.onDemand }
-
 // HourStart returns the start of the currently accruing billing hour.
 func (m *Meter) HourStart() int64 { return m.hourStart }
 

@@ -85,7 +85,7 @@ func TestCloseExactlyOnBoundaryChargesNothingExtra(t *testing.T) {
 func TestOnDemandMeter(t *testing.T) {
 	var l Ledger
 	m := OpenOnDemandMeter(0)
-	if !m.OnDemand() || m.Zone() != "on-demand" {
+	if !m.onDemand || m.zone != "on-demand" {
 		t.Fatal("on-demand meter misconfigured")
 	}
 	m.Close(2*trace.Hour+10, ByUser, nil, &l)

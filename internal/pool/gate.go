@@ -52,9 +52,3 @@ func (g *Gate) Release() {
 		panic("pool: Gate.Release without matching Acquire")
 	}
 }
-
-// InFlight returns the number of slots currently held.
-func (g *Gate) InFlight() int { return len(g.slots) }
-
-// Cap returns the gate's admission bound.
-func (g *Gate) Cap() int { return cap(g.slots) }

@@ -13,8 +13,8 @@ import (
 func TestGateBoundsConcurrency(t *testing.T) {
 	const bound = 4
 	g := NewGate(bound)
-	if g.Cap() != bound {
-		t.Fatalf("Cap() = %d, want %d", g.Cap(), bound)
+	if cap(g.slots) != bound {
+		t.Fatalf("capacity %d, want %d", cap(g.slots), bound)
 	}
 	var cur, max atomic.Int64
 	var wg sync.WaitGroup
@@ -42,8 +42,8 @@ func TestGateBoundsConcurrency(t *testing.T) {
 	if max.Load() > bound {
 		t.Fatalf("observed %d concurrent holders, bound %d", max.Load(), bound)
 	}
-	if g.InFlight() != 0 {
-		t.Fatalf("InFlight() = %d after drain", g.InFlight())
+	if len(g.slots) != 0 {
+		t.Fatalf("%d slots held after drain", len(g.slots))
 	}
 }
 
@@ -143,13 +143,13 @@ func TestGateQueuedCancellation(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("no surviving waiter acquired after release %d", n)
 		}
-		if in := g.InFlight(); in != 1 {
-			t.Fatalf("InFlight() = %d with one admitted survivor, want 1", in)
+		if in := len(g.slots); in != 1 {
+			t.Fatalf("%d slots held with one admitted survivor, want 1", in)
 		}
 		g.Release()
 	}
-	if g.InFlight() != 0 {
-		t.Fatalf("InFlight() = %d after drain, want 0", g.InFlight())
+	if len(g.slots) != 0 {
+		t.Fatalf("%d slots held after drain, want 0", len(g.slots))
 	}
 	for _, cancel := range cancels[cancelled:] {
 		cancel()
@@ -159,7 +159,7 @@ func TestGateQueuedCancellation(t *testing.T) {
 // TestGateDefaultsAndMisuse covers the default sizing and the
 // unmatched-release panic.
 func TestGateDefaultsAndMisuse(t *testing.T) {
-	if NewGate(0).Cap() <= 0 {
+	if cap(NewGate(0).slots) <= 0 {
 		t.Fatal("default gate has no capacity")
 	}
 	defer func() {

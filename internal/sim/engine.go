@@ -91,9 +91,6 @@ func (m *Machine) Result() *Result { return m.result }
 // tests only).
 func (m *Machine) Env() *Env { return m.env }
 
-// Now returns the machine's current simulated time.
-func (m *Machine) Now() int64 { return m.env.Now }
-
 // HasData reports whether the trace covers the machine's next step.
 func (m *Machine) HasData() bool { return m.env.Now < m.env.Cfg.Trace.End() }
 

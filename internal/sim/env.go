@@ -168,12 +168,6 @@ func (e *Env) reset(cfg Config) {
 // bit-for-bit.
 const rngStream = 0x5eed_0f_de1a75
 
-// Rand returns the run's deterministic random stream.
-func (e *Env) Rand() *rand.Rand { return e.rng }
-
-// Work returns C in seconds.
-func (e *Env) Work() int64 { return e.Cfg.Work }
-
 // Deadline returns the absolute deadline time.
 func (e *Env) Deadline() int64 { return e.StartTime + e.Cfg.Deadline }
 
@@ -331,9 +325,6 @@ func (e *Env) LeaderProgress() int64 {
 // UncommittedProgress returns the leader's progress beyond the latest
 // checkpoint.
 func (e *Env) UncommittedProgress() int64 { return e.LeaderProgress() - e.Committed }
-
-// Cost returns the dollars charged so far (per node).
-func (e *Env) Cost() float64 { return e.ledger.Total() }
 
 // RisingEdge reports whether the zone's spot price moved upward across
 // the latest step (the Edge policy trigger).

@@ -90,15 +90,6 @@ func (c *Columns) Index(t int64) int {
 	return int(i)
 }
 
-// Price returns the zone's price at sample index i.
-func (c *Columns) Price(zone, i int) float64 { return c.cols[zone][i] }
-
-// PriceAt returns the zone's price in force at absolute time t,
-// clamping exactly like Series.PriceAt.
-func (c *Columns) PriceAt(zone int, t int64) float64 {
-	return c.cols[zone][c.Index(t)]
-}
-
 // BidIndex is the availability index of one (zone, bid) pair: whether
 // the zone's price admits the bid at a step (price ≤ bid, the paper's
 // "up" condition), plus the steps where that availability flips, so a
@@ -205,28 +196,6 @@ func (bi *BidIndex) NextChange(i int) int {
 		return int(f[k])
 	}
 	return bi.n
-}
-
-// UpIntervals reconstructs the maximal availability intervals from the
-// index; it must agree with Series.UpIntervals at the same bid (the
-// columnar view's equivalence test exercises this).
-func (bi *BidIndex) UpIntervals(c *Columns) []Interval {
-	var out []Interval
-	if bi.n == 0 {
-		return out
-	}
-	at := func(i int) int64 { return c.start + int64(i)*c.step }
-	open, from := bi.Up(0), 0
-	for _, f := range bi.flips {
-		if open {
-			out = append(out, Interval{Start: at(from), End: at(int(f))})
-		}
-		open, from = !open, int(f)
-	}
-	if open {
-		out = append(out, Interval{Start: at(from), End: c.End()})
-	}
-	return out
 }
 
 // AvailIndex caches BidIndex instances per (zone, bid) pair for one

@@ -45,8 +45,8 @@ func TestColumnsIndexMatchesSeries(t *testing.T) {
 					if got, want := cols.Index(at), s.Index(at); got != want {
 						t.Errorf("zone %d Index(%d) = %d, Series.Index = %d", zi, at, got, want)
 					}
-					if got, want := cols.PriceAt(zi, at), s.PriceAt(at); got != want {
-						t.Errorf("zone %d PriceAt(%d) = %v, Series.PriceAt = %v", zi, at, got, want)
+					if got, want := cols.cols[zi][cols.Index(at)], s.PriceAt(at); got != want {
+						t.Errorf("zone %d price at %d = %v, Series.PriceAt = %v", zi, at, got, want)
 					}
 				}
 			}
@@ -79,8 +79,8 @@ func TestColumnsZeroLength(t *testing.T) {
 
 // TestBidIndexMatchesSeries pins BidIndex against the Series
 // availability primitives on a randomized trace: Up against upAt,
-// UpIntervals against Series.UpIntervals, and the nextUp/NextChange skip
-// tables against reference scans.
+// upIntervals (its flips) against Series.UpIntervals, and the
+// nextUp/NextChange skip tables against reference scans.
 func TestBidIndexMatchesSeries(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	prices := make([]float64, 400)
@@ -120,7 +120,7 @@ func TestBidIndexMatchesSeries(t *testing.T) {
 				t.Fatalf("bid %v NextChange(%d) = %d, want %d", bid, i, got, wantChg)
 			}
 		}
-		got := bi.UpIntervals(cols)
+		got := bi.upIntervals(cols)
 		want := s.UpIntervals(bid)
 		if len(got) != len(want) {
 			t.Fatalf("bid %v UpIntervals count = %d, want %d", bid, len(got), len(want))
@@ -169,4 +169,26 @@ func (bi *BidIndex) nextUp(i int) int {
 		return i
 	}
 	return bi.NextChange(i)
+}
+
+// upIntervals reconstructs the maximal availability intervals from the
+// index's flips; they must agree with Series.UpIntervals at the same
+// bid.
+func (bi *BidIndex) upIntervals(c *Columns) []Interval {
+	var out []Interval
+	if bi.n == 0 {
+		return out
+	}
+	at := func(i int) int64 { return c.start + int64(i)*c.step }
+	open, from := bi.Up(0), 0
+	for _, f := range bi.flips {
+		if open {
+			out = append(out, Interval{Start: at(from), End: at(int(f))})
+		}
+		open, from = !open, int(f)
+	}
+	if open {
+		out = append(out, Interval{Start: at(from), End: c.End()})
+	}
+	return out
 }

@@ -65,9 +65,6 @@ func (t *Tape) Start() int64 { return t.start }
 // Step returns the sampling interval in seconds.
 func (t *Tape) Step() int64 { return t.step }
 
-// End returns the absolute time just past the last sample.
-func (t *Tape) End() int64 { return t.start + int64(t.Len())*t.step }
-
 // Append accretes one price row (one sample per zone, column order),
 // rejecting rows a trace.Validate would reject — non-finite or negative
 // prices — so everything downstream keeps the Set invariants.

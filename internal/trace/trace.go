@@ -212,16 +212,6 @@ func (t *Set) Zones() []string {
 // NumZones returns the number of zones.
 func (t *Set) NumZones() int { return len(t.Series) }
 
-// Zone returns the series with the given name, or nil.
-func (t *Set) Zone(name string) *Series {
-	for _, s := range t.Series {
-		if s.Zone == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // Step returns the common sampling interval.
 func (t *Set) Step() int64 { return t.Series[0].Step }
 

@@ -140,9 +140,6 @@ func TestSetAccessors(t *testing.T) {
 	if zs[0] != "a" || zs[1] != "b" {
 		t.Fatalf("Zones = %v", zs)
 	}
-	if set.Zone("b") == nil || set.Zone("missing") != nil {
-		t.Fatal("Zone lookup failed")
-	}
 	ps := set.PricesAt(301)
 	if ps[0] != 2 || ps[1] != 4 {
 		t.Fatalf("PricesAt = %v, want [2 4]", ps)
